@@ -196,7 +196,9 @@ class HMatSolver:
         self.assembly_graph = None
         if exec_mode == "threaded":
             engine = StfEngine(mode="deferred")
-            executor = ThreadedExecutor(nworkers, scheduler=scheduler)
+            executor = ThreadedExecutor(
+                nworkers, scheduler=scheduler, interpreter_bound=True
+            )
             self.matrix = assemble_hmatrix_tasks(
                 kernel, self.points, block, cfg, engine=engine, executor=executor
             )

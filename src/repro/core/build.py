@@ -13,9 +13,11 @@ Two execution paths:
 * task-based (``engine=`` an :class:`~repro.runtime.stf.StfEngine`) — one
   ``assemble`` task per tile is submitted through the engine, each declaring
   a W access on its tile's data handle.  Under a deferred engine and the
-  threaded executor the ``nt^2`` tiles assemble in parallel (ACA/NumPy
-  kernels release the GIL), and because factorisation tasks submitted to the
-  *same* engine depend only on the tile handles they touch, assembly fuses
+  threaded executor the ``nt^2`` tiles assemble as independent tasks (one at
+  a time under the executor's interpreter lease: ACA is interpreter-bound;
+  the process executor assembles them in parallel), and because
+  factorisation tasks submitted to the *same* engine depend only on the
+  tile handles they touch, assembly fuses
   with the LU: early panels factorise while late tiles are still assembling
   (the build-and-factorise overlap of task-based H-matrix runtimes).
 """

@@ -332,7 +332,10 @@ class TileHMatrix:
             return ProcessExecutor(
                 cfg.nworkers, scheduler=cfg.scheduler, context=context
             )
-        return ThreadedExecutor(cfg.nworkers, scheduler=cfg.scheduler)
+        # H-kernels are interpreter-bound: run them under the executor's lease.
+        return ThreadedExecutor(
+            cfg.nworkers, scheduler=cfg.scheduler, interpreter_bound=True
+        )
 
     @classmethod
     def build(cls, kernel, points: np.ndarray, config: TileHConfig | None = None) -> "TileHMatrix":

@@ -210,7 +210,9 @@ class GPModel:
         graph = eng.wait_all()
         seconds = None
         if deferred:
-            executor = ThreadedExecutor(cfg.nworkers, scheduler=cfg.scheduler)
+            executor = ThreadedExecutor(
+                cfg.nworkers, scheduler=cfg.scheduler, interpreter_bound=True
+            )
             seconds = executor.run(graph)
 
         mean = acc[0].copy()

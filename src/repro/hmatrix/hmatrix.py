@@ -550,8 +550,9 @@ def assemble_hmatrix_tasks(
     Each leaf of ``block_tree`` becomes one ``assemble`` task submitted
     through ``engine`` (an :class:`~repro.runtime.stf.StfEngine`), declaring a
     W access on a handle keyed to that leaf.  Leaves are independent, so under
-    a deferred engine and a threaded executor they assemble concurrently (ACA
-    and dense kernel evaluation release the GIL inside NumPy); the interior
+    a deferred engine and a threaded executor they are free to run in any
+    order (ACA is interpreter-bound, so owners run the graph under the
+    executor's interpreter lease, one leaf at a time); the interior
     nodes are then stitched together bottom-up on the calling thread, which is
     cheap (no numerical work happens above the leaves).
 

@@ -41,7 +41,7 @@ def _kind_zero() -> dict:
 
 
 def _worker_zero() -> dict:
-    return {"tasks": 0, "busy_seconds": 0.0, "wait_seconds": 0.0}
+    return {"tasks": 0, "busy_seconds": 0.0, "wait_seconds": 0.0, "lease_handoffs": 0}
 
 
 class Instrumentation:
@@ -118,9 +118,17 @@ class Instrumentation:
         self.registry.observe(f"tasks.seconds.{kind}", dur)
 
     def worker_wait(self, worker: int, seconds: float) -> None:
-        """Measured time ``worker`` spent parked waiting for ready work."""
+        """Measured time ``worker`` spent parked waiting for ready work or,
+        in a leased run, for the interpreter lease."""
         with self._lock:
             self.workers[worker]["wait_seconds"] += seconds
+
+    def lease_handoffs(self, worker: int, count: int) -> None:
+        """``worker`` took the interpreter lease from another worker
+        ``count`` times (leased :class:`ThreadedExecutor` runs only)."""
+        with self._lock:
+            self.workers[worker]["lease_handoffs"] += count
+        self.registry.inc("executor.lease_handoffs", count)
 
     def sample(self, name: str, value: float, t: float | None = None) -> None:
         """Append a (t, value) point to the named counter-track series."""

@@ -103,6 +103,7 @@ REPORT_SCHEMA = {
                     "busy_seconds": {"type": "number", "minimum": 0},
                     "idle_seconds": {"type": "number", "minimum": 0},
                     "wait_seconds": {"type": "number", "minimum": 0},
+                    "lease_handoffs": {"type": "integer", "minimum": 0},
                     "utilization": {"type": "number", "minimum": 0},
                 },
             },
@@ -516,6 +517,7 @@ def build_run_report(
             pw = probe.workers.get(w["worker"])
             if pw is not None:
                 w["wait_seconds"] = pw["wait_seconds"]
+                w["lease_handoffs"] = pw["lease_handoffs"]
     elif graph is not None:
         for t in graph:
             kind_entry(t.kind)["flops"] += t.flops
@@ -777,12 +779,13 @@ def render_report(report: dict) -> str:
                 f"{w['busy_seconds']:.4f}",
                 f"{w['idle_seconds']:.4f}",
                 f"{w['utilization']:.0%}",
+                w.get("lease_handoffs", 0),
             ]
             for w in report["workers"]
         ]
         lines.append(
             format_table(
-                ["worker", "tasks", "busy s", "idle s", "util"],
+                ["worker", "tasks", "busy s", "idle s", "util", "lease"],
                 worker_rows,
                 title="per-worker utilization",
             )

@@ -1,21 +1,43 @@
 """Scheduler-backed thread-pool execution of a deferred task graph.
 
-NumPy's BLAS/ACA kernels release the GIL, so on a multicore host the coarse
-tile tasks of the Tile-H LU genuinely overlap under CPython.  This executor
-runs a graph built by a *deferred* :class:`~repro.runtime.stf.StfEngine`
-with real worker threads driven by any virtual-time
-:class:`~repro.runtime.schedulers.Scheduler` policy (``ws``, ``lws``,
-``prio``, ``eager``, ``dm``): ready tasks are pushed to the worker that
-released them (``push(task, w)``), idle workers pull or steal through the
-policy's own ``pop(w)``.  All scheduler calls happen under one shared
+This executor runs a graph built by a *deferred*
+:class:`~repro.runtime.stf.StfEngine` with real worker threads driven by any
+virtual-time :class:`~repro.runtime.schedulers.Scheduler` policy (``ws``,
+``lws``, ``prio``, ``eager``, ``dm``): ready tasks are pushed to the worker
+that released them (``push(task, w)``), idle workers pull or steal through
+the policy's own ``pop(w)``.  All scheduler calls happen under one shared
 condition variable, so the per-worker queue and steal semantics are exactly
 the simulator's — a threaded run follows the same pull/steal order a
 virtual-time replay would take under equal costs (bit-for-bit with one
 worker, where timing jitter cannot reorder completions).
+
+**The interpreter lease.**  Threads overlap only where a task waits or sits
+in native code that releases the GIL for longer than a GIL handoff costs.
+The H-kernels do not: ACA rows and QR/SVD on 48-192-row factors release the
+GIL hundreds of times per task for 10-40 us each, and with a second worker
+waiting every release hands the interpreter to the other core (~22 us plus
+cold caches).  Measured on the 144-task assembly stage of the n=2304,
+nb=192 Laplace case: 0.6 s and 6 voluntary context switches on one worker,
+1.2-1.3 s and ~25 000-29 000 on two — two workers 1.6-2x *slower* than one.
+``ThreadedExecutor(..., interpreter_bound=True)`` is how the owner of such a
+graph says so: one ``threading.Lock`` per ``run()`` that a worker holds
+while it executes task closures, so the other workers park on the lease,
+not on the GIL, and the interpreter changes hands at task boundaries only.
+A worker keeps the lease across consecutive tasks for
+``sys.getswitchinterval()`` (CPython's own forced-switch quantum), takes it
+*before* popping (a parked worker never sits on a popped task), and gives
+it back before waiting for work and on every way out.  ``task.seconds`` and
+the trace stay kernel time; lease wait is worker wait.  The same stage then
+takes 0.6 s on two workers (~70 voluntary context switches).  That is the
+floor: a leased graph runs at its 1-worker time, never below it — for
+scaling on interpreter-bound graphs use the process executor.  The default
+(``interpreter_bound=False``) takes no lease, so tasks that block or spend
+their time in long BLAS calls still overlap.
 """
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 from dataclasses import dataclass, field
@@ -36,15 +58,21 @@ class ThreadedExecutor:
     ``scheduler`` accepts any :func:`~repro.runtime.schedulers.make_scheduler`
     name or a :class:`Scheduler` instance; it is reset (``setup``) per run.
 
+    ``interpreter_bound=True`` declares the graph's closures interpreter-bound
+    (H-kernels) and runs them under the interpreter lease — see the module
+    docstring.
+
     When an :class:`~repro.obs.Instrumentation` probe is active (or passed
     via ``instrument``), the run records per-task spans, per-worker wait
-    time, scheduler counters and a queue-depth time series into it.
+    time (condition wait plus lease wait), lease handoffs, scheduler counters
+    and a queue-depth time series into it.
     """
 
     nworkers: int
     scheduler: Scheduler | str = "lws"
     trace: ExecutionTrace | None = field(default=None)
     instrument: object | None = field(default=None)
+    interpreter_bound: bool = False
 
     def __post_init__(self) -> None:
         if self.nworkers < 1:
@@ -82,7 +110,11 @@ class ThreadedExecutor:
         for t in graph.tasks:
             if indegree[t.id] == 0:
                 sched.push(t, None)
-        state = {"completed": 0, "error": None}
+        state = {"completed": 0, "error": None, "lessee": None}
+        # One lease per run; "lessee" (its last holder) is written under it.
+        # Held across consecutive tasks for CPython's own forced-switch quantum.
+        lease = threading.Lock() if self.interpreter_bound else None
+        quantum = sys.getswitchinterval()
         if self.trace is None:
             self.trace = ExecutionTrace(nworkers=self.nworkers)
         elif self.trace.nworkers < self.nworkers:
@@ -94,22 +126,33 @@ class ThreadedExecutor:
 
         def worker(widx: int) -> None:
             wait_seconds = 0.0
+            handoffs = 0
+            leased_at = None  # when this worker took the lease; None = not held
             try:
                 while True:
+                    if lease is not None and leased_at is None:
+                        # Taken *before* the pop, so a parked worker never
+                        # sits on a popped (possibly critical-path) task.
+                        w0 = time.perf_counter()
+                        lease.acquire()
+                        leased_at = time.perf_counter()
+                        wait_seconds += leased_at - w0
+                        if state["lessee"] not in (None, widx):
+                            handoffs += 1
+                        state["lessee"] = widx
                     with lock:
-                        while True:
-                            if state["error"] is not None or state["completed"] >= n:
-                                lock.notify_all()
-                                return
-                            task = sched.pop(widx)
-                            if task is not None:
-                                break
-                            if probe is not None:
-                                w0 = time.perf_counter()
-                                lock.wait()
-                                wait_seconds += time.perf_counter() - w0
-                            else:
-                                lock.wait()
+                        if state["error"] is not None or state["completed"] >= n:
+                            lock.notify_all()
+                            return
+                        task = sched.pop(widx)
+                        if task is None:
+                            if leased_at is not None:
+                                lease.release()
+                                leased_at = None
+                            w0 = time.perf_counter()
+                            lock.wait()
+                            wait_seconds += time.perf_counter() - w0
+                            continue
                     try:
                         t0 = time.perf_counter() - t_start
                         if task.func is not None:
@@ -142,9 +185,19 @@ class ThreadedExecutor:
                             probe.task_span(task.kind, widx, t0, t1)
                             probe.sample("queue_depth", sched.pending(), t=t1)
                         lock.notify_all()
+                    if leased_at is not None and t_start + t1 - leased_at >= quantum:
+                        # Quantum spent: offer the interpreter at this task
+                        # boundary (successors are already pushed).
+                        lease.release()
+                        leased_at = None
             finally:
-                if probe is not None and wait_seconds > 0.0:
-                    probe.worker_wait(widx, wait_seconds)
+                if leased_at is not None:
+                    lease.release()
+                if probe is not None:
+                    if wait_seconds > 0.0:
+                        probe.worker_wait(widx, wait_seconds)
+                    if handoffs:
+                        probe.lease_handoffs(widx, handoffs)
 
         threads = [
             threading.Thread(target=worker, args=(w,), name=f"repro-worker-{w}")

@@ -238,6 +238,6 @@ def check_rhs(spec: ProblemSpec, rhs) -> np.ndarray:
     if not np.can_cast(b.dtype, dtype):
         raise BadRequestError(f"rhs dtype {b.dtype} not castable to {dtype}")
     b = b.astype(dtype, copy=False)
-    if not np.all(np.isfinite(b.view(np.float64) if dtype.kind == "c" else b)):
+    if not np.all(np.isfinite(b)):
         raise BadRequestError("rhs contains non-finite entries")
     return b

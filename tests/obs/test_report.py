@@ -77,6 +77,18 @@ class TestThreadedRunReport:
         assert report["totals"]["idle_seconds"] > 0.0
         assert sched["queue_depth_samples"] >= sched["pushes"]
 
+    def test_lease_reading(self, report_info):
+        # Tile-H graphs run under the interpreter lease: task closures never
+        # overlap, so two workers are at most half busy, and every change of
+        # holder is counted per worker and in the registry.
+        report, _ = report_info
+        assert report["totals"]["utilization"] <= 0.5
+        handoffs = sum(w["lease_handoffs"] for w in report["workers"])
+        assert handoffs >= 1
+        assert report["counters"]["counters"]["executor.lease_handoffs"] == handoffs
+        assert sum(w["wait_seconds"] for w in report["workers"]) > 0.0
+        assert "lease" in render_report(report)
+
     def test_hmatrix_section_populated(self, report_info):
         report, _ = report_info
         h = report["hmatrix"]

@@ -94,16 +94,19 @@ def test_property_every_policy_runs_every_task_exactly_once(
 @pytest.mark.parametrize("policy", SCHEDULER_NAMES)
 def test_single_worker_threaded_matches_simulator_order(policy):
     """At nworkers=1 there is no timing jitter: the threaded executor must
-    pull tasks in exactly the order the virtual-time simulator does."""
+    pull tasks in exactly the order the virtual-time simulator does — with
+    or without the (uncontended) interpreter lease."""
     g_sim = _pretraced_graph(seed=7)
     r = simulate(g_sim, 1, policy, overheads=ZERO)
     sim_order = [e.task_id for e in r.trace.events]
 
-    g_thr = _pretraced_graph(seed=7)  # fresh graph, same structure
-    ex = ThreadedExecutor(1, scheduler=policy)
-    ex.run(g_thr)
-    thr_order = [e.task_id for e in sorted(ex.trace.events, key=lambda e: e.start)]
-    assert thr_order == sim_order
+    # Looped, not parametrized: the five test ids stay as they were.
+    for leased in (False, True):
+        g_thr = _pretraced_graph(seed=7)  # fresh graph, same structure
+        ex = ThreadedExecutor(1, scheduler=policy, interpreter_bound=leased)
+        ex.run(g_thr)
+        thr_order = [e.task_id for e in sorted(ex.trace.events, key=lambda e: e.start)]
+        assert thr_order == sim_order, f"leased={leased}"
 
 
 @pytest.mark.parametrize("policy", SCHEDULER_NAMES)

@@ -154,16 +154,30 @@ class TestThreadedExecutor:
         assert ThreadedExecutor(2).run(TaskGraph()) == 0.0
 
     def test_exception_propagates(self):
-        eng = StfEngine(mode="deferred")
-        h = eng.handle(object())
-
         def boom():
             raise RuntimeError("kernel failed")
 
-        eng.insert_task("k", boom, [(h, RW)])
-        eng.insert_task("k", lambda: None, [(h, RW)])
-        with pytest.raises(RuntimeError, match="kernel failed"):
-            ThreadedExecutor(2).run(eng.wait_all())
+        # Leased too: the failing worker must give the lease back, or the
+        # parked one never wakes and run() hangs instead of raising.
+        for leased in (False, True):
+            eng = StfEngine(mode="deferred")
+            h = eng.handle(object())
+            eng.insert_task("k", boom, [(h, RW)])
+            eng.insert_task("k", lambda: None, [(h, RW)])
+            ex = ThreadedExecutor(2, interpreter_bound=leased)
+            outcome = []
+
+            def call(ex=ex, graph=eng.wait_all()):
+                try:
+                    ex.run(graph)
+                except RuntimeError as exc:
+                    outcome.append(exc)
+
+            th = threading.Thread(target=call, daemon=True)
+            th.start()
+            th.join(timeout=10)
+            assert not th.is_alive(), f"run() hung (leased={leased})"
+            assert len(outcome) == 1 and "kernel failed" in str(outcome[0])
 
     def test_parallel_execution_uses_threads(self):
         # Two independent tasks that each wait on a barrier: completes only

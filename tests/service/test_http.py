@@ -1,5 +1,6 @@
 """HTTP boundary: JSON protocol, typed errors over the wire, lifecycle."""
 
+import contextlib
 import threading
 import time
 
@@ -18,8 +19,9 @@ from repro.service import (
 )
 
 
-@pytest.fixture()
-def served(solver):
+@contextlib.contextmanager
+def _serving(solver):
+    """A service answering every key with ``solver``, behind a live server."""
     svc = SolveService(
         FactorizationStore(), workers=1, max_batch=4, max_delay=0.002,
         solver_provider=lambda k, s: solver,
@@ -29,10 +31,18 @@ def served(solver):
     thread.start()
     host, port = server.server_address[:2]
     client = SolveClient(f"http://{host}:{port}")
-    yield svc, server, client
-    server.shutdown()
-    server.server_close()
-    svc.close()
+    try:
+        yield svc, server, client
+    finally:
+        server.shutdown()
+        server.server_close()
+        svc.close()
+
+
+@pytest.fixture()
+def served(solver):
+    with _serving(solver) as live:
+        yield live
 
 
 class TestCodec:
@@ -83,6 +93,16 @@ class TestEndpoint:
         _, _, client = served
         with pytest.raises(BadRequestError):
             client.solve({"kernel": spec.kernel, "n": spec.n, "nb": spec.nb}, [1.0, 2.0])
+
+    def test_noncontiguous_complex_rhs_over_wire(self, zspec, zsolver, zpanel):
+        wire_spec = {"kernel": zspec.kernel, "n": zspec.n, "nb": zspec.nb}
+        with _serving(zsolver) as (_, _, client):
+            col = zpanel[:, 1]  # non-contiguous view of a C-ordered panel
+            x = client.solve(wire_spec, col)
+            assert np.array_equal(x, zsolver.solve(np.ascontiguousarray(col)))
+            zpanel[5, 1] = 1j * np.inf
+            with pytest.raises(BadRequestError, match="non-finite"):
+                client.solve(wire_spec, col)
 
     def test_queue_full_travels_as_429(self, solver, spec, rhs):
         gate = threading.Event()

@@ -1,5 +1,6 @@
 """SolveService: batching correctness, backpressure, deadlines, retries, drain."""
 
+import contextlib
 import threading
 import time
 
@@ -19,15 +20,23 @@ from repro.service import (
 )
 
 
-@pytest.fixture()
-def warm_service(solver, key):
+@contextlib.contextmanager
+def _warm(solver):
     """A service whose provider returns the prebuilt solver instantly."""
     svc = SolveService(
         FactorizationStore(), workers=2, max_batch=8, max_delay=0.005,
         solver_provider=lambda k, s: solver,
     )
-    yield svc
-    svc.close()
+    try:
+        yield svc
+    finally:
+        svc.close()
+
+
+@pytest.fixture()
+def warm_service(solver, key):
+    with _warm(solver) as svc:
+        yield svc
 
 
 class TestBatchedCorrectness:
@@ -53,6 +62,19 @@ class TestBatchedCorrectness:
         with pytest.raises(BadRequestError):
             warm_service.submit(spec, np.full(spec.n, np.nan))
         assert warm_service.stats()["requests"]["admitted"] == 0
+
+    def test_noncontiguous_complex_rhs(self, zspec, zsolver, zpanel):
+        # A column of a C-ordered complex panel used to die in check_rhs with
+        # numpy's "last axis must be contiguous" ValueError.
+        col = zpanel[:, 1]
+        assert not col.flags.c_contiguous
+        with _warm(zsolver) as svc:
+            x = svc.solve(zspec, col)
+            assert np.array_equal(x, zsolver.solve(np.ascontiguousarray(col)))
+            for bad in (np.nan, 1j * np.inf):
+                zpanel[5, 1] = bad
+                with pytest.raises(BadRequestError, match="non-finite"):
+                    svc.submit(zspec, col)
 
     def test_bad_spec_rejected(self, warm_service, rhs):
         with pytest.raises(BadRequestError):
