@@ -2,9 +2,11 @@
 
 These are the full-rank leaf kernels that HMAT-OSS delegates to MKL in the
 paper: an unpivoted blocked LU (``getrf_nopiv``), the four TRSM variants used
-by the tiled algorithms, and thin GEMM helpers.  All operate in place on
-NumPy arrays and defer the flop-heavy inner work to BLAS via ``@`` and
-``scipy.linalg.solve_triangular``.
+by the tiled algorithms, thin GEMM helpers, and the economic QR / thin SVD
+that Rk rounding is made of.  The flop-heavy inner work goes to BLAS via
+``@`` and to LAPACK routines called directly (``trtrs``, ``geqrf``,
+``orgqr``/``ungqr``, ``gesdd``): on the small panels H-arithmetic produces,
+the ``scipy.linalg`` wrappers cost more than the routines themselves.
 """
 
 from .kernels import (
@@ -12,6 +14,8 @@ from .kernels import (
     getrf_nopiv,
     split_lu,
     tri_solve,
+    qr_economic,
+    svd_economic,
     trsm,
     gemm_update,
     lu_solve_nopiv,
@@ -30,6 +34,8 @@ __all__ = [
     "getrf_nopiv",
     "split_lu",
     "tri_solve",
+    "qr_economic",
+    "svd_economic",
     "trsm",
     "gemm_update",
     "lu_solve_nopiv",

@@ -10,13 +10,15 @@ all O(n^3) work inside BLAS-3 calls.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs, solve_triangular
+from scipy.linalg import get_lapack_funcs
 
 __all__ = [
     "SingularTileError",
     "getrf_nopiv",
     "split_lu",
     "tri_solve",
+    "qr_economic",
+    "svd_economic",
     "trsm",
     "gemm_update",
     "lu_solve_nopiv",
@@ -32,6 +34,22 @@ def _lapack(name: str, dtype: np.dtype):
         (func,) = get_lapack_funcs((name,), dtype=dtype)
         _LAPACK_CACHE[key] = func
     return func
+
+
+def _lwork(name: str, dtype: np.dtype, *args, **kwargs) -> int:
+    """Optimal workspace size of LAPACK routine ``name`` from its ``_lwork`` query."""
+    work, info = _lapack(name + "_lwork", dtype)(*args, **kwargs)
+    _check_info(name + "_lwork", info)
+    work = work.real
+    if dtype.char in "fF":
+        # A single-precision query may have rounded a large size down.
+        work = np.nextafter(np.float32(work), np.float32(np.inf))
+    return int(work)
+
+
+def _check_info(name: str, info: int) -> None:
+    if info != 0:
+        raise np.linalg.LinAlgError(f"{name} failed with info={info}")
 
 
 def tri_solve(
@@ -61,9 +79,57 @@ def tri_solve(
         trans=trans,
         unitdiag=unit_diagonal,
     )
-    if info != 0:
-        raise np.linalg.LinAlgError(f"trtrs failed with info={info}")
+    _check_info("trtrs", info)
     return x
+
+
+def qr_economic(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Economic QR ``a = q @ r`` via LAPACK ``geqrf`` + ``orgqr``/``ungqr``.
+
+    Same routines, workspace sizes and results as
+    ``scipy.linalg.qr(a, mode="economic", check_finite=False)``, without its
+    per-call wrapper cost, which exceeds the LAPACK work on the 48-192 row,
+    10-30 column factors that Rk rounding produces.  ``a`` is not modified.
+    """
+    m, n = a.shape
+    k = min(m, n)
+    dtype = a.dtype
+    if k == 0:
+        return np.empty((m, 0), dtype=dtype), np.empty((0, n), dtype=dtype)
+    qr, tau, _, info = _lapack("geqrf", dtype)(a, lwork=_lwork("geqrf", dtype, m, n))
+    _check_info("geqrf", info)
+    r = np.triu(qr[:k])
+    orgqr = _lapack("orgqr", dtype)  # resolves to ungqr for complex dtypes
+    q = qr[:, :k]
+    # No orgqr_lwork wrapper exists: size the workspace by a lwork=-1 call,
+    # which returns before touching ``q``.
+    _, work, info = orgqr(q, tau, lwork=-1, overwrite_a=1)
+    _check_info("orgqr", info)
+    q, _, info = orgqr(q, tau, lwork=int(work[0].real), overwrite_a=1)
+    _check_info("orgqr", info)
+    return q, r
+
+
+def svd_economic(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Thin SVD ``a = (u * s) @ vh`` via LAPACK ``gesdd``.
+
+    Same routine, workspace size and results as ``scipy.linalg.svd(a,
+    full_matrices=False, check_finite=False)`` minus the wrapper cost.  Any
+    non-zero ``info`` (no convergence, or a NaN entry) raises
+    ``LinAlgError``.  ``a`` is not modified.
+    """
+    m, n = a.shape
+    dtype = a.dtype
+    if min(m, n) == 0:
+        real = np.empty(0, dtype=dtype).real.dtype
+        return np.empty((m, 0), dtype=dtype), np.empty(0, dtype=real), np.empty((0, n), dtype=dtype)
+    lwork = _lwork("gesdd", dtype, m, n, compute_uv=True, full_matrices=False)
+    u, s, vh, info = _lapack("gesdd", dtype)(
+        a, compute_uv=True, lwork=lwork, full_matrices=False
+    )
+    _check_info("gesdd", info)
+    return u, s, vh
+
 
 #: Below this size the scalar right-looking loop is used directly.
 _GETRF_BASE = 64

@@ -10,6 +10,7 @@ rule of thumb for the wave number.
 from .cylinder import cylinder_cloud, sphere_cloud, plate_cloud, mesh_step
 from .kernels import (
     GP_KERNELS,
+    BlockSampler,
     KernelFunction,
     laplace_kernel,
     helmholtz_kernel,
@@ -28,6 +29,7 @@ __all__ = [
     "plate_cloud",
     "mesh_step",
     "KernelFunction",
+    "BlockSampler",
     "laplace_kernel",
     "helmholtz_kernel",
     "gravity_kernel",

@@ -10,8 +10,9 @@ the paper:
   step.
 
 Kernels are exposed as :class:`KernelFunction` objects that evaluate whole
-blocks at once (vectorised over both point sets), because both the dense
-assembly and the ACA compressor need cheap row/column slices.
+blocks at once (vectorised over both point sets).  The ACA compressor, which
+asks for single rows and columns of one block many times over, takes them
+from that block's :class:`BlockSampler` instead.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .cylinder import mesh_step
 
 __all__ = [
     "KernelFunction",
+    "BlockSampler",
     "laplace_kernel",
     "helmholtz_kernel",
     "gravity_kernel",
@@ -38,27 +40,36 @@ __all__ = [
 ]
 
 
-def _pairwise_distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Euclidean distance matrix between two point sets, shape (len(x), len(y)).
+def _distances(sums: np.ndarray, cross: np.ndarray, d_min: float) -> np.ndarray:
+    """Clamped Euclidean distances from the expanded form, in place on ``cross``.
 
-    Uses the expanded form with a clip at zero to stay allocation-lean and
-    avoid catastrophic cancellation turning into NaNs under sqrt.
+    ``sums`` holds ``|x_i|^2 + |y_j|^2`` and ``cross`` the inner products
+    ``x_i . y_j``; the result is ``sqrt(sums - 2 cross)`` clamped below at
+    ``d_min``, written into (and returned as) ``cross``.
 
-    Squared distances within relative rounding noise of zero are snapped to
-    exactly 0.0: the expanded form leaves the self-distance of a point at a
-    tiny positive value (einsum vs matmul rounding), and the GP covariance
-    kernels key their nugget on ``d == 0``, so the diagonal of ``k(x, x)``
-    must report exact zeros for ``diag()`` to match it bit for bit.
+    Squared distances within relative rounding noise of zero (negative ones
+    included, so no NaN reaches the sqrt) are snapped to exactly 0.0: the
+    expanded form leaves the self-distance of a point at a tiny positive
+    value, and the GP covariance kernels key their nugget on ``d == 0``, so
+    the diagonal of ``k(x, x)`` must report exact zeros for ``diag()`` to
+    match it bit for bit.
     """
-    x = np.ascontiguousarray(x, dtype=np.float64)
-    y = np.ascontiguousarray(y, dtype=np.float64)
-    x2 = np.einsum("ij,ij->i", x, x)
-    y2 = np.einsum("ij,ij->i", y, y)
-    sums = x2[:, None] + y2[None, :]
-    d2 = sums - 2.0 * (x @ y.T)
-    d2[d2 <= 1e-12 * sums] = 0.0
-    np.clip(d2, 0.0, None, out=d2)
-    return np.sqrt(d2, out=d2)
+    d2 = cross
+    d2 *= -2.0
+    d2 += sums
+    np.putmask(d2, d2 <= 1e-12 * sums, 0.0)
+    d = np.sqrt(d2, out=d2)
+    if d_min:
+        np.maximum(d, d_min, out=d)
+    return d
+
+
+def _sq_norms(p: np.ndarray) -> np.ndarray:
+    return np.einsum("ij,ij->i", p, p)
+
+
+def _as_points(p: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(np.atleast_2d(p), dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -96,16 +107,58 @@ class KernelFunction:
 
     def __call__(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Evaluate the kernel block for point sets ``x`` (rows), ``y`` (cols)."""
-        d = _pairwise_distances(np.atleast_2d(x), np.atleast_2d(y))
-        np.clip(d, self.d_min, None, out=d)
-        out = self.radial(d)
-        return np.ascontiguousarray(out, dtype=self.dtype)
+        x, y = _as_points(x), _as_points(y)
+        return self._entries(_sq_norms(x)[:, None] + _sq_norms(y)[None, :], x @ y.T)
+
+    def _entries(self, sums: np.ndarray, cross: np.ndarray) -> np.ndarray:
+        """Kernel values from ``|x|^2 + |y|^2`` and ``x . y`` (``cross`` is consumed)."""
+        return self._of_distances(_distances(sums, cross, self.d_min))
+
+    def _of_distances(self, d: np.ndarray) -> np.ndarray:
+        return np.ascontiguousarray(self.radial(d), dtype=self.dtype)
+
+    def sampler(self, row_points: np.ndarray, col_points: np.ndarray) -> "BlockSampler":
+        """Row/column oracle of the block ``self(row_points, col_points)``."""
+        return BlockSampler(self, row_points, col_points)
 
     def diag(self, x: np.ndarray) -> np.ndarray:
         """Diagonal entries K(0) (clamped), one per point in ``x``."""
         n = np.atleast_2d(x).shape[0]
-        d = np.full(n, self.d_min, dtype=np.float64)
-        return np.ascontiguousarray(self.radial(d), dtype=self.dtype)
+        return self._of_distances(np.full(n, self.d_min, dtype=np.float64))
+
+
+class BlockSampler:
+    """Rows and columns of one kernel block without forming the block.
+
+    What :meth:`KernelFunction.__call__` redoes on every call — contiguous
+    float64 copies of both point sets and their squared norms — is done once
+    here, so an ACA sweep over a leaf pays it per leaf instead of per row.
+    Entries go through the same distance snap, ``d_min`` clamp and ``radial``
+    map as ``__call__`` and equal its entries up to the rounding of the
+    inner product (GEMV here, GEMM there).
+    """
+
+    __slots__ = ("shape", "_entries", "_rp", "_cp", "_r2", "_c2")
+
+    def __init__(self, kernel: KernelFunction, row_points: np.ndarray, col_points: np.ndarray) -> None:
+        self._entries = kernel._entries
+        self._rp = _as_points(row_points)
+        self._cp = _as_points(col_points)
+        self._r2 = _sq_norms(self._rp)
+        self._c2 = _sq_norms(self._cp)
+        self.shape = (self._rp.shape[0], self._cp.shape[0])
+
+    def row(self, i: int) -> np.ndarray:
+        """Row ``i`` of the block (length ``shape[1]``)."""
+        return self._entries(self._c2 + self._r2[i], self._cp @ self._rp[i])
+
+    def col(self, j: int) -> np.ndarray:
+        """Column ``j`` of the block (length ``shape[0]``)."""
+        return self._entries(self._r2 + self._c2[j], self._rp @ self._cp[j])
+
+    def rows(self, idx) -> np.ndarray:
+        """The rows ``idx`` (an index array) stacked, shape ``(len(idx), shape[1])``."""
+        return self._entries(self._r2[idx, None] + self._c2, self._rp[idx] @ self._cp.T)
 
 
 # Radial maps are module-level frozen dataclasses (not nested closures) so
@@ -149,7 +202,7 @@ class _SquaredExponential:
     """GP squared-exponential covariance ``s2 exp(-d^2/2l^2)`` + nugget at 0.
 
     The nugget (observation-noise variance + jitter) is added only where
-    ``d == 0`` — exactly the diagonal once ``_pairwise_distances`` snaps
+    ``d == 0`` — exactly the diagonal once ``_distances`` snaps
     self-distances to zero — so ``K = K_f + s_n^2 I`` and the prior variance
     is exactly ``s2 + nugget``.
     """

@@ -9,6 +9,7 @@ fully-pivoted ACA are provided for validation.
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 import numpy as np
@@ -22,6 +23,18 @@ __all__ = ["aca_partial", "aca_full", "compress_kernel_block"]
 _PIVOT_DROP = 1e-14
 
 
+def _norm2(x: np.ndarray) -> float:
+    """``float(np.linalg.norm(x))`` of a 1-D array, minus the wrapper.
+
+    Same arithmetic for every dtype: the dot products and the square root
+    stay in the precision of ``x`` (single for s/c), as in ``norm``.
+    """
+    if x.dtype.kind == "c":
+        re, im = x.real, x.imag
+        return float(np.sqrt(re.dot(re) + im.dot(im)))
+    return float(np.sqrt(x.dot(x)))
+
+
 def aca_partial(
     get_row: Callable[[int], np.ndarray],
     get_col: Callable[[int], np.ndarray],
@@ -32,6 +45,7 @@ def aca_partial(
     max_rank: int | None = None,
     recompress: bool = True,
     grace: int = 3,
+    get_rows: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> RkMatrix:
     """Partially pivoted ACA of an ``m x n`` block defined by row/col oracles.
 
@@ -39,7 +53,13 @@ def aca_partial(
     ----------
     get_row, get_col:
         ``get_row(i)`` returns row ``i`` of the block (length ``n``);
-        ``get_col(j)`` returns column ``j`` (length ``m``).
+        ``get_col(j)`` returns column ``j`` (length ``m``).  The returned
+        arrays are only read, so an oracle may hand out views of its data.
+    get_rows:
+        Optional batched oracle: ``get_rows(idx)`` returns the rows ``idx``
+        (an index array) stacked, shape ``(len(idx), n)``.  Only the
+        convergence check uses it; without it the check calls ``get_row``
+        once per sampled row.
     eps:
         Stopping tolerance: iteration ends when the new cross satisfies
         ``||u_k|| ||v_k|| <= eps * ||A_k||_F`` (the standard heuristic
@@ -65,9 +85,14 @@ def aca_partial(
     if eps < 0:
         raise ValueError(f"eps must be non-negative, got {eps}")
     limit = min(m, n) if max_rank is None else min(max_rank, m, n)
+    if get_rows is None:
+        def get_rows(idx):
+            return np.stack([get_row(int(i)) for i in idx])
 
-    probe = np.asarray(get_row(0))
-    dtype = probe.dtype
+    # Row 0 is the first pivot row; it also fixes the dtype.
+    r = np.asarray(get_row(0))
+    dtype = r.dtype
+    evaluated = n  # kernel entries asked of the oracles
     # Stacked factors in preallocated buffers (columns 0..k are live) so the
     # residual updates below are single GEMVs instead of Python loops over
     # rank-1 terms; capacity doubles as the rank grows.
@@ -79,18 +104,13 @@ def aca_partial(
     # consumed (no per-iteration rebuild from the used-index sets).
     row_avail = np.ones(m, dtype=bool)
     col_avail = np.ones(n, dtype=bool)
+    rows_left = m  # == row_avail.sum(), without the reduction per step
     norm_sq = 0.0  # running estimate of ||A_k||_F^2
     first_pivot = 0.0
 
     next_row = 0
     small_streak = 0
     rng = np.random.default_rng(0x5EED)
-
-    def residual_row(i: int) -> np.ndarray:
-        r = np.array(get_row(i), dtype=dtype, copy=True)
-        if k:
-            r -= vv[:, :k] @ uu[i, :k]
-        return r
 
     def verify_converged() -> int | None:
         """Sample unused rows; return one with significant residual, if any.
@@ -99,25 +119,33 @@ def aca_partial(
         (the classic ACA failure on structured meshes); random row checks
         catch this before declaring convergence.
         """
+        nonlocal evaluated
         unused = np.flatnonzero(row_avail)
         if unused.size == 0:
             return None
         sample = rng.choice(unused, size=min(8, unused.size), replace=False)
-        tol = eps * np.sqrt(max(norm_sq, 0.0))
-        worst_i, worst = None, tol
-        for i in sample:
-            rnorm = float(np.linalg.norm(residual_row(int(i))))
+        resid = np.asarray(get_rows(sample), dtype=dtype)
+        evaluated += resid.size
+        if k:
+            resid = resid - uu[sample, :k] @ vv[:, :k].T
+        rnorms = np.linalg.norm(resid, axis=1)
+        worst_i, worst = None, eps * math.sqrt(max(norm_sq, 0.0))
+        for i, rnorm in zip(sample.tolist(), rnorms.tolist()):
             if rnorm > worst:
-                worst_i, worst = int(i), rnorm
+                worst_i, worst = i, rnorm
         return worst_i
 
     while k < limit:
-        r = residual_row(next_row)
+        if r is None:
+            r = np.asarray(get_row(next_row), dtype=dtype)
+            evaluated += n
+            if k:
+                r = r - vv[:, :k] @ uu[next_row, :k]
         row_avail[next_row] = False
+        rows_left -= 1
 
-        if not col_avail.any():
-            break
-        j = int(np.argmax(np.where(col_avail, np.abs(r), -1.0)))
+        # A column is free here: each cross consumes one and k < limit <= n.
+        j = int(np.where(col_avail, np.abs(r), -1.0).argmax())
         pivot = r[j]
         if first_pivot == 0.0:
             first_pivot = abs(pivot)
@@ -126,21 +154,23 @@ def aca_partial(
             cont = verify_converged()
             if cont is None:
                 break
-            next_row = cont
+            next_row, r = cont, None
             continue
 
         v_new = r / pivot
-        u_new = np.array(get_col(j), dtype=dtype, copy=True)
+        r = None
+        u_new = np.asarray(get_col(j), dtype=dtype)
+        evaluated += m
         if k:
-            u_new -= uu[:, :k] @ vv[j, :k]
+            u_new = u_new - uu[:, :k] @ vv[j, :k]
         col_avail[j] = False
 
         # Norm bookkeeping: ||A_{k+1}||^2 = ||A_k||^2 + 2 Re<cross, prev> + ||cross||^2.
-        u_norm = float(np.linalg.norm(u_new))
-        v_norm = float(np.linalg.norm(v_new))
+        u_norm = _norm2(u_new)
+        v_norm = _norm2(v_new)
         if k:
             interact = 2.0 * float(
-                np.real(np.sum((uu[:, :k].conj().T @ u_new) * (vv[:, :k].conj().T @ v_new)))
+                ((uu[:, :k].conj().T @ u_new) * (vv[:, :k].conj().T @ v_new)).sum().real
             )
         else:
             interact = 0.0
@@ -153,7 +183,7 @@ def aca_partial(
         vv[:, k] = v_new
         k += 1
 
-        if u_norm * v_norm <= eps * np.sqrt(max(norm_sq, 0.0)):
+        if u_norm * v_norm <= eps * math.sqrt(max(norm_sq, 0.0)):
             small_streak += 1
             if small_streak >= grace:
                 cont = verify_converged()
@@ -166,9 +196,9 @@ def aca_partial(
             small_streak = 0
 
         # Next pivot row: largest remaining entry of the new column.
-        if not row_avail.any():
+        if not rows_left:
             break
-        next_row = int(np.argmax(np.where(row_avail, np.abs(u_new), -1.0)))
+        next_row = int(np.where(row_avail, np.abs(u_new), -1.0).argmax())
 
     if k == 0:
         return RkMatrix.zeros(m, n, dtype=dtype)
@@ -177,7 +207,7 @@ def aca_partial(
         rk = rk.truncate(eps, max_rank)
     probe = _current_probe()
     if probe is not None:
-        probe.block_compressed(m, n, rk.rank, rk.u.dtype.itemsize)
+        probe.block_compressed(m, n, rk.rank, rk.u.dtype.itemsize, evaluated)
     return rk
 
 
@@ -228,20 +258,16 @@ def compress_kernel_block(
     SVD (optimal, for validation); ``method="aca_full"`` forms the block and
     runs fully pivoted ACA; ``method="rsvd"`` uses the randomized SVD
     (the paper cites randomized techniques as [21]).
+
+    ``method="aca"`` needs ``kernel.sampler`` (a ``KernelFunction`` or an
+    object shaped like one); the other methods only call ``kernel(rows, cols)``.
     """
-    m = np.atleast_2d(row_points).shape[0]
-    n = np.atleast_2d(col_points).shape[0]
     if method == "aca":
-        rp = np.atleast_2d(row_points)
-        cp = np.atleast_2d(col_points)
-
-        def get_row(i: int) -> np.ndarray:
-            return kernel(rp[i : i + 1], cp)[0]
-
-        def get_col(j: int) -> np.ndarray:
-            return kernel(rp, cp[j : j + 1])[:, 0]
-
-        return aca_partial(get_row, get_col, m, n, eps, max_rank=max_rank)
+        # The sampler is built here, inside the leaf task: it is never pickled.
+        block = kernel.sampler(row_points, col_points)
+        return aca_partial(
+            block.row, block.col, *block.shape, eps, max_rank=max_rank, get_rows=block.rows
+        )
     if method == "svd":
         return compress_dense(kernel(row_points, col_points), eps, max_rank)
     if method == "rsvd":

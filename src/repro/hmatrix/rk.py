@@ -16,8 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import qr, svd
 
+from ..dense.kernels import qr_economic, svd_economic
 from ..obs.instrument import current as _current_probe
 
 __all__ = ["RkMatrix", "truncate_svd", "compress_dense", "compress_dense_rsvd"]
@@ -123,8 +123,8 @@ class RkMatrix:
         if self.rank == 0:
             return other.truncate(eps, max_rank) if max_rank is not None else other.copy()
         dtype = np.promote_types(self.dtype, other.dtype)
-        u = np.hstack([self.u.astype(dtype, copy=False), other.u.astype(dtype, copy=False)])
-        v = np.hstack([self.v.astype(dtype, copy=False), other.v.astype(dtype, copy=False)])
+        u = np.concatenate((self.u, other.u), axis=1, dtype=dtype)
+        v = np.concatenate((self.v, other.v), axis=1, dtype=dtype)
         return _truncate_rk(RkMatrix(u, v), eps, max_rank)
 
     @staticmethod
@@ -155,8 +155,8 @@ class RkMatrix:
         dtype = live[0].dtype
         for t in live[1:]:
             dtype = np.promote_types(dtype, t.dtype)
-        u = np.hstack([t.u.astype(dtype, copy=False) for t in live])
-        v = np.hstack([t.v.astype(dtype, copy=False) for t in live])
+        u = np.concatenate([t.u for t in live], axis=1, dtype=dtype)
+        v = np.concatenate([t.v for t in live], axis=1, dtype=dtype)
         return _truncate_rk(RkMatrix(u, v), eps, max_rank)
 
 
@@ -169,10 +169,9 @@ def _truncate_rk(rk: RkMatrix, eps: float, max_rank: int | None = None) -> RkMat
     if k == 0:
         return rk.copy()
     limit = min(m, n, k)
-    qu, ru = qr(rk.u, mode="economic", check_finite=False)
-    qv, rv = qr(rk.v, mode="economic", check_finite=False)
-    core = ru @ rv.T
-    w, s, zh = svd(core, full_matrices=False, check_finite=False)
+    qu, ru = qr_economic(rk.u)
+    qv, rv = qr_economic(rk.v)
+    w, s, zh = svd_economic(ru @ rv.T)
     new_rank = _truncation_rank(s, eps)
     if max_rank is not None:
         new_rank = min(new_rank, max_rank)
@@ -190,15 +189,14 @@ def _truncation_rank(s: np.ndarray, eps: float) -> int:
     """Smallest rank r with ||tail||_F <= eps * ||s||_F (relative Frobenius)."""
     if s.size == 0:
         return 0
-    total = float(np.sum(s * s))
+    s2 = s * s
+    total = float(s2.sum())
     if total == 0.0:
         return 0
-    # tail[r] = sum_{i >= r} s_i^2; keep the smallest r whose tail fits.
-    tail = np.cumsum((s * s)[::-1])[::-1]
-    keep = tail > (eps * eps) * total
-    if keep.all():
-        return int(s.size)
-    return int(np.argmin(keep))  # index of the first False
+    # tail[r] = sum_{i >= r} s_i^2 never increases with r, so the ranks whose
+    # tail does not fit yet are a prefix: its length is the smallest that does.
+    tail = s2[::-1].cumsum()[::-1]
+    return int(np.count_nonzero(tail > (eps * eps) * total))
 
 
 def truncate_svd(a: np.ndarray, eps: float, max_rank: int | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -212,7 +210,7 @@ def truncate_svd(a: np.ndarray, eps: float, max_rank: int | None = None) -> tupl
             np.zeros((a.shape[0], 0), dtype=a.dtype),
             np.zeros((a.shape[1], 0), dtype=a.dtype),
         )
-    w, s, zh = svd(a, full_matrices=False, check_finite=False)
+    w, s, zh = svd_economic(a)
     r = _truncation_rank(s, eps)
     if max_rank is not None:
         r = min(r, max_rank)
@@ -262,13 +260,13 @@ def compress_dense_rsvd(
         if np.iscomplexobj(a):
             omega = omega + 1j * rng.standard_normal((n, width))
         y = a @ omega
-        q, _ = qr(y, mode="economic", check_finite=False)
+        q, _ = qr_economic(y)
         for _ in range(n_iter):
             # Subspace iteration with re-orthonormalisation: plain power
             # iterations of (A A^H) lose the small singular directions to
             # roundoff.
-            z, _ = qr(a.conj().T @ q, mode="economic", check_finite=False)
-            q, _ = qr(a @ z, mode="economic", check_finite=False)
+            z, _ = qr_economic(a.conj().T @ q)
+            q, _ = qr_economic(a @ z)
         b = q.conj().T @ a
         resid = float(np.sqrt(max(norm_a**2 - np.linalg.norm(b) ** 2, 0.0)))
         if resid <= eps * norm_a:

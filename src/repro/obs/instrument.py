@@ -146,12 +146,17 @@ class Instrumentation:
         reg.observe("h.rank_out", rank_out)
         reg.observe("h.rank_drop", rank_in - rank_out)
 
-    def block_compressed(self, m: int, n: int, rank: int, itemsize: int) -> None:
-        """One admissible block compressed (ACA/SVD) during assembly."""
+    def block_compressed(
+        self, m: int, n: int, rank: int, itemsize: int, kernel_entries: int
+    ) -> None:
+        """One admissible block compressed by ACA during assembly, which
+        evaluated ``kernel_entries`` of the block's ``m * n`` entries."""
         reg = self.registry
         reg.inc("h.blocks_compressed")
         reg.inc("h.compressed_bytes", float((m + n) * rank * itemsize))
         reg.inc("h.dense_bytes", float(m * n * itemsize))
+        reg.inc("h.aca.kernel_entries", kernel_entries)
+        reg.inc("h.aca.dense_entries", m * n)
         reg.observe("h.block_rank", rank)
 
     def h_bytes_delta(self, delta: float, t: float | None = None) -> None:

@@ -133,6 +133,13 @@ REPORT_SCHEMA = {
                 "compressed_bytes": {"type": "number", "minimum": 0},
                 "dense_bytes": {"type": "number", "minimum": 0},
                 "peak_bytes": {"type": "number", "minimum": 0},
+                "aca": {
+                    "type": "object",
+                    "properties": {
+                        "kernel_entries": {"type": "integer", "minimum": 0},
+                        "dense_entries": {"type": "integer", "minimum": 0},
+                    },
+                },
                 "accumulator": {
                     "type": "object",
                     "properties": {
@@ -552,6 +559,10 @@ def build_run_report(
             "compressed_bytes": reg.counter("h.compressed_bytes"),
             "dense_bytes": reg.counter("h.dense_bytes"),
             "peak_bytes": reg.gauge("h.peak_bytes"),
+            "aca": {
+                "kernel_entries": int(reg.counter("h.aca.kernel_entries")),
+                "dense_entries": int(reg.counter("h.aca.dense_entries")),
+            },
             "accumulator": {
                 "deferred": int(reg.counter("h.accumulator.deferred")),
                 "flushed_blocks": int(reg.counter("h.accumulator.flushed_blocks")),
@@ -811,6 +822,13 @@ def render_report(report: dict) -> str:
         f"({_mb(h['compressed_bytes'])} vs {_mb(h['dense_bytes'])} dense)"
         + (f", peak {_mb(h['peak_bytes'])}" if h.get("peak_bytes") else "")
     )
+    aca = h.get("aca")
+    if aca and aca.get("dense_entries"):
+        lines.append(
+            f"aca       : {aca['kernel_entries']} / {aca['dense_entries']} "
+            f"sampled / dense entries "
+            f"({100.0 * aca['kernel_entries'] / aca['dense_entries']:.1f}%)"
+        )
     acc = h.get("accumulator")
     if acc and acc.get("deferred"):
         lines.append(

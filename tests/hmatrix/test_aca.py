@@ -5,6 +5,7 @@ import pytest
 
 from repro.geometry import cylinder_cloud, helmholtz_kernel, laplace_kernel
 from repro.hmatrix import aca_full, aca_partial, compress_kernel_block
+from repro.hmatrix.aca import _norm2
 
 
 def _oracles(block):
@@ -85,6 +86,43 @@ class TestAcaPartial:
             aca_partial(*_oracles(block), 3, 3, -1.0)
 
 
+class TestSinglePrecisionPivotsPinned:
+    """s and c oracles: raw ACA ranks recorded at the commit before the
+    block sampler (seeds 0-3 by eps 1e-2, 1e-3, 1e-4)."""
+
+    RAW_RANKS = {
+        np.float32: [4, 7, 11, 6, 7, 10, 4, 8, 9, 5, 7, 9],
+        np.complex64: [6, 10, 13, 6, 10, 12, 4, 11, 13, 5, 9, 12],
+    }
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.complex64], ids=["s", "c"])
+    def test_raw_ranks(self, dtype):
+        ranks = []
+        for seed in range(4):
+            block = _smooth_block(60, 50, seed)
+            if np.dtype(dtype).kind == "c":
+                block = block * np.exp(1j * _smooth_block(60, 50, seed + 10))
+            block = block.astype(dtype)
+            for eps in (1e-2, 1e-3, 1e-4):
+                rk = aca_partial(*_oracles(block), 60, 50, eps, recompress=False)
+                assert rk.dtype == np.dtype(dtype)
+                ranks.append(rk.rank)
+        assert ranks == self.RAW_RANKS[dtype]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.complex64, np.complex128])
+    def test_cross_norm_is_numpys_norm(self, dtype):
+        # The stopping test compares these norms; in single precision the
+        # dot products and the square root must stay single, as in numpy.
+        rng = np.random.default_rng(7)
+        for n in (1, 3, 48, 192):
+            for _ in range(50):
+                x = rng.standard_normal(n)
+                if np.dtype(dtype).kind == "c":
+                    x = x + 1j * rng.standard_normal(n)
+                x = x.astype(dtype)
+                assert _norm2(x) == float(np.linalg.norm(x))
+
+
 class TestAcaFull:
     def test_accuracy(self):
         block = _smooth_block(45, 35)
@@ -139,3 +177,108 @@ class TestCompressKernelBlock:
         pts, kd, _ = geom
         with pytest.raises(ValueError):
             compress_kernel_block(kd, pts[:5], pts[:5], 1e-4, method="magic")
+
+
+class _CountingKernel:
+    """Kernel stand-in whose samplers count the oracle calls ACA makes."""
+
+    def __init__(self, kernel):
+        self.kernel = kernel
+        self.calls = 0  # row + col + batched-rows evaluations
+        self.rounds = 0  # batched-rows evaluations (one per verification)
+
+    def sampler(self, row_points, col_points):
+        inner = self.kernel.sampler(row_points, col_points)
+        outer = self
+
+        class Counted:
+            shape = inner.shape
+
+            def row(self, i):
+                outer.calls += 1
+                return inner.row(i)
+
+            def col(self, j):
+                outer.calls += 1
+                return inner.col(j)
+
+            def rows(self, idx):
+                outer.calls += 1
+                outer.rounds += 1
+                return inner.rows(idx)
+
+        return Counted()
+
+
+class TestAssemblyCallBudget:
+    """The smoke problem of ``benchmarks/e2e`` (n=512, nb=128, eps=1e-4)."""
+
+    # Recorded at the commit before the block sampler: the same pivots must
+    # be chosen, so every admissible leaf keeps its rank, raw and rounded.
+    RANKS = [14, 8, 14, 9, 5, 14, 8, 14, 14, 8, 14, 9, 9, 14, 8, 14,
+             14, 8, 14, 7, 9, 14, 8, 14]
+    RAW_RANKS = [23, 17, 23, 20, 9, 23, 17, 23, 23, 17, 23, 20, 18, 23, 17, 24,
+                 23, 17, 23, 15, 18, 24, 17, 23]
+    COMPRESSION_RATIO = 0.49609375
+
+    @pytest.fixture(scope="class")
+    def built(self):
+        from repro.core import TileHConfig, TileHMatrix
+        from repro.hmatrix import HMatrix
+
+        pts = cylinder_cloud(512)
+        kern = laplace_kernel(pts)
+        a = TileHMatrix.build(kern, pts, TileHConfig(nb=128, eps=1e-4, leaf_size=48))
+        leaves = [
+            leaf
+            for tile in a.desc.super.tiles
+            if isinstance(tile.mat, HMatrix)
+            for leaf in tile.mat.leaves()
+            if leaf.rk is not None
+        ]
+        return pts, kern, a, leaves
+
+    def test_ranks_and_compression_ratio_pinned(self, built):
+        _, _, a, leaves = built
+        assert [leaf.rk.rank for leaf in leaves] == self.RANKS
+        assert a.compression_ratio() == self.COMPRESSION_RATIO
+
+    def test_kernel_evaluations_per_leaf(self, built):
+        pts, kern, _, leaves = built
+        for leaf, rank, raw_rank in zip(leaves, self.RANKS, self.RAW_RANKS):
+            rp, cp = pts[leaf.rows.indices], pts[leaf.cols.indices]
+            counting = _CountingKernel(kern)
+            rk = compress_kernel_block(counting, rp, cp, 1e-4)
+            assert rk.rank == rank
+            assert np.array_equal(rk.u, leaf.rk.u) and np.array_equal(rk.v, leaf.rk.v)
+            block = kern.sampler(rp, cp)
+            raw = aca_partial(
+                block.row, block.col, *block.shape, 1e-4,
+                recompress=False, get_rows=block.rows,
+            )
+            assert raw.rank == raw_rank
+            # One row and one column per cross, one batched evaluation per
+            # verification round, one spare row for a dropped pivot.
+            assert counting.calls <= 2 * raw_rank + counting.rounds + 1
+            assert counting.rounds >= 1
+
+    def test_plain_callables_give_the_same_factors(self, built):
+        # Without the batched oracle the verification evaluates its sample
+        # rows one by one; the crosses, hence the pivots, are the same.
+        pts, kern, _, leaves = built
+        leaf = leaves[3]
+        rp, cp = pts[leaf.rows.indices], pts[leaf.cols.indices]
+        calls = []
+
+        def get_row(i):
+            calls.append(("row", i))
+            return kern(rp[i : i + 1], cp)[0]
+
+        def get_col(j):
+            calls.append(("col", j))
+            return kern(rp, cp[j : j + 1])[:, 0]
+
+        rk = aca_partial(get_row, get_col, len(rp), len(cp), 1e-4)
+        assert rk.rank == leaf.rk.rank
+        assert np.allclose(rk.to_dense(), leaf.rk.to_dense(), rtol=0, atol=1e-12)
+        assert calls.count(("row", 0)) == 1  # the dtype probe is the first pivot row

@@ -170,9 +170,16 @@ class TestInstrumentation:
 
     def test_block_compressed_byte_accounting(self):
         probe = Instrumentation()
-        probe.block_compressed(100, 50, 4, 8)
+        probe.block_compressed(100, 50, 4, 8, 1350)
         assert probe.registry.counter("h.compressed_bytes") == (100 + 50) * 4 * 8
         assert probe.registry.counter("h.dense_bytes") == 100 * 50 * 8
+
+    def test_block_compressed_counts_sampled_entries(self):
+        probe = Instrumentation()
+        probe.block_compressed(100, 50, 4, 8, 1350)
+        probe.block_compressed(10, 20, 2, 16, 90)
+        assert probe.registry.counter("h.aca.kernel_entries") == 1350 + 90
+        assert probe.registry.counter("h.aca.dense_entries") == 100 * 50 + 10 * 20
 
 
 class TestWorkerLabelledQueueDepth:

@@ -97,6 +97,17 @@ class TestThreadedRunReport:
         assert 0 < h["compressed_bytes"] < h["dense_bytes"]
         assert h["peak_bytes"] > 0
 
+    def test_aca_sampled_versus_dense_entries(self, report_info):
+        # Matrix-free assembly: ACA looks at a fraction of every block it
+        # compresses, and at no fewer entries than the factors it keeps.
+        report, _ = report_info
+        h = report["hmatrix"]
+        aca = h["aca"]
+        assert 0 < aca["kernel_entries"] < aca["dense_entries"]
+        itemsize = h["dense_bytes"] / aca["dense_entries"]
+        assert aca["kernel_entries"] * itemsize >= h["compressed_bytes"]
+        assert "sampled / dense entries" in render_report(report)
+
     def test_render_and_roundtrip(self, report_info, tmp_path):
         report, _ = report_info
         text = render_report(report)
