@@ -222,9 +222,9 @@ def trace_main(argv: list[str]) -> int:
         from .service.errors import ServiceError
         from .service.http import SolveClient
 
-        client = SolveClient(args.url)
         try:
-            payload = client.tracez(trace_id=args.request, limit=args.limit)
+            with SolveClient(args.url) as client:
+                payload = client.tracez(trace_id=args.request, limit=args.limit)
         except (ServiceError, OSError) as exc:
             print(f"error: cannot fetch traces from {args.url}: {exc}",
                   file=sys.stderr)

@@ -198,14 +198,15 @@ def _predict(args) -> int:
         model = GPModel(spec.kernel, length=spec.length, signal=spec.signal, noise=spec.noise)
         kern = model.kernel_function(x)
         ks = kern(x, x_test)
-        client = SolveClient(args.url)
         spec_dict = spec.canonical()
         del spec_dict["nb"]  # canonical nb is the resolved default; resend user intent
         if args.nb is not None:
             spec_dict["nb"] = args.nb
         train_s = 0.0
         t0 = time.perf_counter()
-        with ThreadPoolExecutor(max_workers=max(1, args.batch)) as pool:
+        # One kept-alive connection per pool thread, all closed with the client.
+        with SolveClient(args.url) as client, \
+                ThreadPoolExecutor(max_workers=max(1, args.batch)) as pool:
             columns = list(pool.map(
                 lambda j: client.solve(spec_dict, ks[:, j], timeout=args.timeout),
                 range(args.n_test),

@@ -6,7 +6,8 @@ The serving layer over the Tile-H solver (see :doc:`docs/service`):
   factorized matrices, so each problem fingerprint is factorized once;
 * :class:`MicroBatcher` — coalesces concurrent requests against one
   factorization into a single multi-RHS panel sweep (bit-identical to
-  solving each request alone: the panel kernels are column-stable);
+  solving each request alone: the panel kernels are column-stable), holding
+  a request back only while another one in flight could still join it;
 * :class:`SolveService` — bounded admission with explicit
   :class:`QueueFullError` backpressure, per-request deadlines, retries on
   :class:`TransientSolveError`, worker pool, graceful drain on close;
@@ -14,8 +15,11 @@ The serving layer over the Tile-H solver (see :doc:`docs/service`):
   :class:`ConsistentHashRouter` with per-lane SLO admission
   (:class:`DeadlineUnmeetableError` shedding), warm replication of hot
   fingerprints, and crash re-routing (:class:`WorkerCrashedError`);
-* :func:`make_server` / :class:`SolveClient` — a stdlib JSON/HTTP boundary
-  (``repro serve`` / ``repro request`` on the CLI).
+* :func:`make_server` / :class:`SolveClient` — a stdlib HTTP/1.1 boundary
+  over kept-alive connections: solves travel as raw little-endian
+  float64/complex128 bytes (or as JSON, for ``curl``; the server goes by the
+  request's ``Content-Type``), everything else as JSON (``repro serve`` /
+  ``repro request`` on the CLI).
 """
 
 from .batcher import MicroBatcher

@@ -8,8 +8,12 @@ requests against the same factorization should ride one sweep.  The batcher
 implements exactly that: items are bucketed by fingerprint, and a bucket is
 dispatched when it reaches ``max_batch`` columns or its oldest item has
 waited ``max_delay`` seconds — bounded extra latency in exchange for
-amortization.  Batch composition never changes the answer: the panel solve
-is column-stable (see :func:`~repro.hmatrix.arithmetic.panel_matvec`), so a
+amortization.  An owner that knows how many items exist in all
+(``outstanding``: the pipeline's admitted-and-unresolved count) lets a
+bucket go earlier still, as soon as it holds every one of them: waiting
+buys width only while something that is not yet in the bucket could join
+it.  Batch composition never changes the answer: the panel solve is
+column-stable (see :func:`~repro.hmatrix.arithmetic.panel_matvec`), so a
 request's solution is bit-identical whether it rode alone or in a batch of
 16.
 
@@ -27,11 +31,13 @@ __all__ = ["MicroBatcher"]
 
 
 class _Bucket:
-    __slots__ = ("items", "oldest")
+    __slots__ = ("items", "oldest", "held_since")
 
     def __init__(self, now: float) -> None:
         self.items: list = []
         self.oldest = now
+        #: When a ``take`` first passed this bucket over (None: never held).
+        self.held_since: float | None = None
 
 
 class MicroBatcher:
@@ -59,13 +65,28 @@ class MicroBatcher:
         and must not call back into the batcher.
     on_batch:
         Formation observer: ``on_batch(key, items, waited)`` fires when a
-        batch is cut, with ``waited`` the seconds the bucket's *oldest* item
-        spent coalescing — the batch-wait phase of the request traces.  Runs
-        under the batcher lock; must not call back into the batcher.
+        batch is cut, with ``waited`` the seconds the batcher held the
+        bucket back for coalescing — from the first ``take`` that passed it
+        over to this one; ``0.0`` for a bucket dispatched the first time a
+        consumer looked at it.  The batch-wait phase of the request traces.
+        Runs under the batcher lock; must not call back into the batcher.
+    outstanding:
+        Early-release hook: ``outstanding()`` is the number of items the
+        owner has handed out and not yet seen resolved — queued here, being
+        executed by a consumer, or about to be added.  A bucket that holds
+        all of them is dispatched without waiting for ``max_delay``: nothing
+        in flight could join it, so a lone request never waits, while a
+        bucket filling behind a busy consumer is still held.  The count is
+        read again on every ``add`` and every ``take``; an owner whose
+        items resolve on its consumer threads (each of which comes straight
+        back to ``take``) therefore needs no extra wake-up.  Runs under the
+        batcher lock; must not call back into the batcher.  Without it
+        (the default) only the size/age/drain rules apply.
     """
 
     def __init__(self, *, max_batch: int = 8, max_delay: float = 0.002,
-                 clock=time.monotonic, shed=None, on_shed=None, on_batch=None) -> None:
+                 clock=time.monotonic, shed=None, on_shed=None, on_batch=None,
+                 outstanding=None) -> None:
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
         if max_delay < 0:
@@ -77,6 +98,7 @@ class MicroBatcher:
         self._shed = shed
         self._on_shed = on_shed
         self._on_batch = on_batch
+        self._outstanding = outstanding
         self._clock = clock
         self._lock = threading.Lock()
         self._ready = threading.Condition(self._lock)
@@ -106,7 +128,8 @@ class MicroBatcher:
             self._ready.notify_all()
 
     def _pop_ready_locked(self, now: float) -> tuple[str, list] | None:
-        """The first dispatchable bucket under the size/age/drain rules.
+        """The first dispatchable bucket under the size/age/drain rules, or
+        the one bucket that already holds everything ``outstanding``.
 
         Dead items (``shed``) are dropped at formation time: the batch is
         cut from the *live* items only, so a panel is never padded with
@@ -118,7 +141,13 @@ class MicroBatcher:
                 len(bucket.items) >= self.max_batch
                 or self._draining
                 or now - bucket.oldest >= self.max_delay
+                or (
+                    self._outstanding is not None
+                    and len(bucket.items) >= self._outstanding()
+                )
             ):
+                if bucket.held_since is None:
+                    bucket.held_since = now
                 continue
             live = bucket.items
             if self._shed is not None:
@@ -142,7 +171,8 @@ class MicroBatcher:
                 continue  # everything in the bucket had expired
             self._count -= len(items)
             if self._on_batch is not None:
-                self._on_batch(key, items, max(0.0, now - bucket.oldest))
+                held = bucket.held_since
+                self._on_batch(key, items, 0.0 if held is None else max(0.0, now - held))
             return key, items
         return None
 
@@ -158,16 +188,22 @@ class MicroBatcher:
 
         Returns ``None`` when ``timeout`` elapses with nothing dispatchable,
         or immediately when draining and empty.  An under-full bucket is
-        held back until ``max_delay`` so stragglers can join; a full bucket
-        is handed out at once.
+        held back until ``max_delay`` so stragglers can join; a full bucket,
+        or one that holds everything ``outstanding``, is handed out at once.
         """
         deadline = None if timeout is None else self._clock() + timeout
         with self._lock:
             while True:
                 now = self._clock()
+                count = self._count
                 batch = self._pop_ready_locked(now)
                 if batch is not None:
                     return batch
+                if self._count != count:
+                    # The scan shed dead items and cut no batch: the owner
+                    # resolved them, so a bucket it passed over may now hold
+                    # everything outstanding.  Look again before sleeping.
+                    continue
                 if self._draining and self._count == 0:
                     return None
                 waits = [

@@ -293,3 +293,5 @@ def request_main(argv: list[str]) -> int:
     except OSError as exc:
         print(f"error: cannot reach {args.url}: {exc}", file=sys.stderr)
         return 2
+    finally:
+        client.close()

@@ -1,14 +1,17 @@
 """Stdlib HTTP endpoint + client for the solve service.
 
-A thin JSON boundary over :class:`~repro.service.pipeline.SolveService`:
+A thin boundary over :class:`~repro.service.pipeline.SolveService`:
 ``http.server.ThreadingHTTPServer`` on the serving side (one handler thread
-per connection, all funnelling into the service's bounded admission queue),
-``urllib.request`` on the client side — no third-party dependencies.
+per *connection*, all funnelling into the service's bounded admission queue),
+``http.client`` on the client side — no third-party dependencies.  Both ends
+speak HTTP/1.1 with kept-alive connections and ``TCP_NODELAY`` (the handler
+asks for it; ``http.client`` sets it on every connection it opens): header
+and body leave in two writes, and without it Nagle's algorithm holds the
+second until the peer's delayed ACK (40 ms on Linux) arrives.
 
 Routes::
 
-    POST /v1/solve     {"problem": {...}, "rhs": [...], "timeout"?: s}
-                       -> {"key", "latency_seconds", "solution"}
+    POST /v1/solve     one right-hand side in, one solution out (two forms)
     GET  /v1/healthz   -> {"status": "ok"|"draining"}
     GET  /v1/stats     -> the service stats dict (report `service` section)
     GET  /v1/keys      -> {"keys": [fingerprints...]}
@@ -19,20 +22,38 @@ Routes::
                           one up, ``?limit=N`` bounds the listing
     POST /v1/shutdown  -> {"status": "draining"}   (drain starts in background)
 
-Typed service errors travel as ``{"error": {"code", "message"}}`` with the
-error's ``http_status``; the client re-raises them as the same exception
-classes, so ``QueueFullError`` backpressure is visible end-to-end.
+``POST /v1/solve`` answers in the form it was asked in, chosen per request by
+its ``Content-Type``:
 
-Complex vectors (helmholtz) are encoded entrywise as ``[re, im]`` pairs.
+* ``application/octet-stream`` — what :class:`SolveClient` sends.  The body
+  is the vector's raw little-endian entries, nothing else; the request
+  headers carry ``X-Repro-Dtype`` (``<f8`` or ``<c16``), ``X-Repro-Problem``
+  (the problem spec as compact JSON) and optionally ``X-Repro-Lane`` and
+  ``X-Repro-Timeout`` (seconds).  The reply body is the solution in the same
+  encoding with ``X-Repro-Dtype``, ``X-Repro-Key`` (fingerprint) and
+  ``X-Repro-Latency-Seconds`` headers.
+* anything else is read as JSON, for ``curl`` and diagnostics:
+  ``{"problem": {...}, "rhs": [...], "timeout"?: s, "lane"?: name}`` ->
+  ``{"key", "latency_seconds", "solution"}``; complex vectors (helmholtz)
+  are encoded entrywise as ``[re, im]`` pairs.
+
+Both forms carry the same float64/complex128 bits, so both answer
+bit-identically to ``solver.solve(rhs)``.  Bodies are capped at 64 MiB.
+
+Typed service errors travel as JSON ``{"error": {"code", "message"}}`` with
+the error's ``http_status`` on either form; the client re-raises them as the
+same exception classes, so ``QueueFullError`` backpressure is visible
+end-to-end.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
+import socket
 import threading
-import urllib.error
+import time
 import urllib.parse
-import urllib.request
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
@@ -71,6 +92,21 @@ _ERROR_TYPES = {
 #: Request body size cap — a solve payload is one vector, not a matrix.
 _MAX_BODY = 64 * 1024 * 1024
 
+#: Seconds ``server_close()`` waits for handler threads to finish a reply.
+_CLOSE_GRACE = 10.0
+
+_OCTETS = "application/octet-stream"
+_H_DTYPE = "X-Repro-Dtype"
+_H_PROBLEM = "X-Repro-Problem"
+_H_LANE = "X-Repro-Lane"
+_H_TIMEOUT = "X-Repro-Timeout"
+_H_KEY = "X-Repro-Key"
+_H_LATENCY = "X-Repro-Latency-Seconds"
+
+#: The only dtypes the binary form carries.  A dtype string from the wire is
+#: looked up here, never handed to ``np.dtype``.
+_WIRE_DTYPES = {"<f8": np.dtype("<f8"), "<c16": np.dtype("<c16")}
+
 
 def encode_vector(x: np.ndarray) -> list:
     """JSON-able form of a solution/rhs vector (``[re, im]`` pairs if complex)."""
@@ -96,47 +132,81 @@ def decode_vector(data) -> np.ndarray:
         raise BadRequestError(f"malformed rhs entry: {exc}") from exc
 
 
+def _to_wire(x: np.ndarray) -> tuple[str, bytes]:
+    """``(dtype string, raw little-endian entries)`` of one vector."""
+    name = "<c16" if np.iscomplexobj(x) else "<f8"
+    return name, x.astype(_WIRE_DTYPES[name], copy=False).tobytes()
+
+
+def _from_wire(name: str | None, body: bytes) -> np.ndarray:
+    """Read-only view of a binary body; rejects what :func:`_to_wire` cannot
+    have written."""
+    dtype = _WIRE_DTYPES.get(name)
+    if dtype is None:
+        raise BadRequestError(
+            f"{_H_DTYPE} must be one of {sorted(_WIRE_DTYPES)}, got {name!r}"
+        )
+    if not body or len(body) % dtype.itemsize:
+        raise BadRequestError(
+            f"body of {len(body)} bytes is not a whole, non-zero number of "
+            f"{name} entries"
+        )
+    return np.frombuffer(body, dtype=dtype)
+
+
 class _Handler(BaseHTTPRequestHandler):
     service: SolveService | ServeFleet  # bound by make_server
     server_version = "repro-solve/1"
     protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
 
     def log_message(self, fmt, *args):  # quiet by default; obs covers metrics
         pass
 
     # -- plumbing -------------------------------------------------------------
-    def _reply(self, status: int, payload: dict) -> None:
-        body = json.dumps(payload).encode()
+    def _send(self, status: int, body: bytes, content_type: str, extra=()) -> None:
         self.send_response(status)
-        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
+        for name, value in extra:
+            self.send_header(name, value)
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
+
+    def _reply(self, status: int, payload: dict) -> None:
+        self._send(status, json.dumps(payload).encode(), "application/json")
 
     def _reply_error(self, exc: ServiceError) -> None:
         self._reply(exc.http_status, {"error": {"code": exc.code, "message": str(exc)}})
 
-    def _reply_text(self, status: int, text: str, content_type: str) -> None:
-        body = text.encode()
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _read_json(self) -> dict:
-        length = int(self.headers.get("Content-Length") or 0)
-        if length <= 0:
-            raise BadRequestError("request body required")
-        if length > _MAX_BODY:
-            raise BadRequestError(f"request body too large ({length} bytes)")
+    def _read_body(self) -> bytes:
+        """The whole request body.  One that cannot be framed (bad or oversize
+        ``Content-Length``, short read) also closes the connection after the
+        error reply: on a kept-alive connection its unread bytes would be
+        parsed as the next request line."""
+        raw = self.headers.get("Content-Length")
         try:
-            payload = json.loads(self.rfile.read(length))
-        except json.JSONDecodeError as exc:
-            raise BadRequestError(f"invalid JSON body: {exc}") from exc
-        if not isinstance(payload, dict):
-            raise BadRequestError("request body must be a JSON object")
-        return payload
+            length = 0 if raw is None else int(raw)
+        except ValueError:
+            length = -1
+        try:
+            if length < 0:
+                raise BadRequestError(
+                    f"Content-Length must be a non-negative integer, got {raw!r}"
+                )
+            if length > _MAX_BODY:
+                raise BadRequestError(f"request body too large ({length} bytes)")
+            body = self.rfile.read(length) if length else b""
+            if len(body) != length:
+                raise BadRequestError(
+                    f"request body ended after {len(body)} of {length} bytes"
+                )
+        except BadRequestError:
+            self.close_connection = True
+            raise
+        return body
 
     # -- routes ---------------------------------------------------------------
     def do_GET(self) -> None:
@@ -148,9 +218,9 @@ class _Handler(BaseHTTPRequestHandler):
         elif parsed.path == "/v1/keys":
             self._reply(200, {"keys": self.service.keys()})
         elif parsed.path == "/metrics":
-            self._reply_text(
+            self._send(
                 200,
-                metrics_text(service=self.service),
+                metrics_text(service=self.service).encode(),
                 "text/plain; version=0.0.4; charset=utf-8",
             )
         elif parsed.path == "/tracez":
@@ -173,8 +243,11 @@ class _Handler(BaseHTTPRequestHandler):
 
     def do_POST(self) -> None:
         try:
+            # Read before routing: a 404 or a rejected request must not leave
+            # its body behind on a connection that stays open.
+            body = self._read_body()
             if self.path == "/v1/solve":
-                self._solve()
+                self._solve(body)
             elif self.path == "/v1/shutdown":
                 # Drain in the background: this handler thread must not join
                 # workers while holding the connection open.
@@ -187,19 +260,56 @@ class _Handler(BaseHTTPRequestHandler):
         except Exception as exc:  # noqa: BLE001 - boundary: never drop the reply
             self._reply(500, {"error": {"code": "internal", "message": str(exc)}})
 
-    def _solve(self) -> None:
-        payload = self._read_json()
+    def _binary_request(self, body: bytes) -> tuple:
+        """``(problem, rhs, timeout, lane)`` of an octet-stream solve."""
+        rhs = _from_wire(self.headers.get(_H_DTYPE), body)
+        raw = self.headers.get(_H_PROBLEM)
+        if raw is None:
+            raise BadRequestError(f"missing {_H_PROBLEM} header")
+        try:
+            problem = json.loads(raw)
+        except json.JSONDecodeError as exc:
+            raise BadRequestError(f"invalid JSON in {_H_PROBLEM}: {exc}") from exc
+        if not isinstance(problem, dict):
+            raise BadRequestError(f"{_H_PROBLEM} must be a JSON object")
+        timeout = self.headers.get(_H_TIMEOUT)
+        if timeout is not None:
+            try:
+                timeout = float(timeout)
+            except ValueError:
+                raise BadRequestError(
+                    f"{_H_TIMEOUT} must be a positive number, got {timeout!r}"
+                ) from None
+        return problem, rhs, timeout, self.headers.get(_H_LANE)
+
+    def _json_request(self, body: bytes) -> tuple:
+        """``(problem, rhs, timeout, lane)`` of a JSON solve."""
+        if not body:
+            raise BadRequestError("request body required")
+        try:
+            payload = json.loads(body)
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise BadRequestError(f"invalid JSON body: {exc}") from exc
+        if not isinstance(payload, dict):
+            raise BadRequestError("request body must be a JSON object")
         problem = payload.get("problem")
         if problem is None:
             raise BadRequestError("missing 'problem' object")
         rhs = decode_vector(payload.get("rhs"))
-        timeout = payload.get("timeout")
+        return problem, rhs, payload.get("timeout"), payload.get("lane")
+
+    def _solve(self, body: bytes) -> None:
+        content_type = (self.headers.get("Content-Type") or "").split(";")[0].strip()
+        binary = content_type.lower() == _OCTETS
+        problem, rhs, timeout, lane = (
+            self._binary_request(body) if binary else self._json_request(body)
+        )
         if timeout is not None and (
-            not isinstance(timeout, (int, float)) or isinstance(timeout, bool) or timeout <= 0
+            not isinstance(timeout, (int, float)) or isinstance(timeout, bool)
+            or not timeout > 0
         ):
             raise BadRequestError(f"timeout must be a positive number, got {timeout!r}")
         kwargs = {"timeout": timeout}
-        lane = payload.get("lane")
         if lane is not None:
             if not isinstance(lane, str):
                 raise BadRequestError(f"lane must be a string, got {lane!r}")
@@ -211,34 +321,92 @@ class _Handler(BaseHTTPRequestHandler):
             kwargs["lane"] = lane
         ticket = self.service.submit(problem, rhs, **kwargs)
         x = ticket.result()
-        self._reply(
-            200,
-            {
-                "key": ticket.key,
-                "latency_seconds": ticket.finished_at - ticket.submitted_at,
-                "solution": encode_vector(x),
-            },
+        latency = ticket.finished_at - ticket.submitted_at
+        if binary:
+            name, out = _to_wire(x)
+            self._send(200, out, _OCTETS, extra=(
+                (_H_DTYPE, name), (_H_KEY, ticket.key), (_H_LATENCY, repr(latency)),
+            ))
+        else:
+            self._reply(
+                200,
+                {"key": ticket.key, "latency_seconds": latency, "solution": encode_vector(x)},
+            )
+
+
+class _Server(ThreadingHTTPServer):
+    """``ThreadingHTTPServer`` that owns its connections: ``server_close()``
+    ends the kept-alive ones, so no handler thread and no accepted socket
+    outlives it even when a client never hangs up."""
+
+    def __init__(self, *args) -> None:
+        super().__init__(*args)
+        self._conn_lock = threading.Lock()
+        self._conns: dict[socket.socket, threading.Thread] = {}
+
+    def process_request(self, request, client_address) -> None:
+        # Registered here, on the accepting thread, so that server_close()
+        # (which runs after shutdown() stopped that thread) sees them all;
+        # under the lock, so that the handler cannot deregister first.
+        thread = threading.Thread(
+            target=self.process_request_thread, args=(request, client_address),
+            daemon=True,
         )
+        with self._conn_lock:
+            thread.start()
+            self._conns[request] = thread
+
+    def process_request_thread(self, request, client_address) -> None:
+        try:
+            super().process_request_thread(request, client_address)
+        finally:
+            with self._conn_lock:
+                self._conns.pop(request, None)
+
+    def server_close(self) -> None:
+        super().server_close()
+        with self._conn_lock:
+            conns = list(self._conns.items())
+        for sock, _ in conns:
+            # End of input: an idle handler's blocked read returns at once; one
+            # in the middle of a request still writes its reply, then finds it.
+            try:
+                sock.shutdown(socket.SHUT_RD)
+            except OSError:
+                pass  # the handler closed it first
+        deadline = time.monotonic() + _CLOSE_GRACE
+        for _, thread in conns:
+            thread.join(max(0.0, deadline - time.monotonic()))
 
 
 def make_server(service: SolveService | ServeFleet, host: str = "127.0.0.1", port: int = 0):
     """A ready-to-run ``ThreadingHTTPServer`` bound to ``service`` (a single
     :class:`SolveService` or a :class:`~repro.service.fleet.ServeFleet` —
-    the routes are identical; a fleet additionally accepts ``"lane"`` in the
-    solve payload and reports fleet-shaped ``/v1/stats``).
+    the routes are identical; a fleet additionally accepts a lane with the
+    solve request and reports fleet-shaped ``/v1/stats``).
 
     ``port=0`` picks a free port (read it back from ``server.server_address``).
     The caller owns the lifecycle: ``serve_forever()`` to run,
-    ``shutdown()`` + ``service.close()`` to stop.
+    ``shutdown()`` + ``server_close()`` + ``service.close()`` to stop.
+    ``server_close()`` also ends every kept-alive connection and waits (up
+    to 10 s) for their handler threads, replies in progress included.
     """
     handler = type("BoundHandler", (_Handler,), {"service": service})
-    server = ThreadingHTTPServer((host, port), handler)
-    server.daemon_threads = True
-    return server
+    return _Server((host, port), handler)
 
 
 class SolveClient:
-    """Minimal urllib client speaking the endpoint's JSON protocol.
+    """Minimal ``http.client`` client of the endpoint.
+
+    ``solve`` speaks the binary form of ``POST /v1/solve``; every other call
+    is JSON.  Each calling thread keeps one HTTP/1.1 connection alive across
+    its requests, so a client may be shared between threads and used
+    concurrently.  A connection the server closed in the meantime (restart,
+    ``Connection: close`` after a framing error) is reopened once,
+    transparently; a request whose reply has started to arrive is never sent
+    again.  :meth:`close` (or the context manager) releases the connections
+    — call it when no request is in flight; the client reconnects if used
+    again.
 
     Server-side typed errors are re-raised as the same
     :mod:`repro.service.errors` classes (matched on the wire ``code``), so a
@@ -248,35 +416,101 @@ class SolveClient:
     def __init__(self, base_url: str, *, timeout: float = 60.0) -> None:
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
-
-    def _request(self, method: str, path: str, payload: dict | None = None) -> dict:
-        req = urllib.request.Request(
-            self.base_url + path,
-            method=method,
-            data=None if payload is None else json.dumps(payload).encode(),
-            headers={"Content-Type": "application/json"},
+        url = urllib.parse.urlsplit(self.base_url)
+        if url.scheme not in ("http", "https") or not url.hostname:
+            raise ValueError(f"base_url must be http(s)://host[:port], got {base_url!r}")
+        self._connect = (
+            http.client.HTTPSConnection if url.scheme == "https" else http.client.HTTPConnection
         )
+        self._host, self._port, self._path = url.hostname, url.port, url.path
+        self._lock = threading.Lock()
+        self._conns: dict[threading.Thread, http.client.HTTPConnection] = {}
+
+    # -- connections ----------------------------------------------------------
+    def _connection(self) -> http.client.HTTPConnection:
+        """This thread's connection (made, not yet opened, on first use)."""
+        me = threading.current_thread()
+        with self._lock:
+            conn = self._conns.get(me)
+            if conn is None:
+                for gone in [t for t in self._conns if not t.is_alive()]:
+                    self._conns.pop(gone).close()
+                conn = self._conns[me] = self._connect(
+                    self._host, self._port, timeout=self.timeout
+                )
+        return conn
+
+    def close(self) -> None:
+        """Close every thread's connection.  Idempotent."""
+        with self._lock:
+            conns, self._conns = list(self._conns.values()), {}
+        for conn in conns:
+            conn.close()
+
+    def __enter__(self) -> "SolveClient":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def _exchange(self, method: str, path: str, body: bytes | None = None,
+                  headers: dict | None = None) -> tuple:
+        """One request/reply on this thread's connection: ``(reply headers,
+        reply body)``, or the typed error an error status carries."""
+        conn = self._connection()
         try:
-            with urllib.request.urlopen(req, timeout=self.timeout) as resp:
-                return json.loads(resp.read())
-        except urllib.error.HTTPError as exc:
+            while True:
+                reused = conn.sock is not None
+                try:
+                    conn.request(method, self._path + path, body=body, headers=headers or {})
+                    resp = conn.getresponse()
+                    break
+                except ConnectionError:
+                    # Nothing of a reply was read.  On a kept-alive connection
+                    # this is how a server that hung up in the meantime shows;
+                    # a fresh one failing the same way is a real error.
+                    conn.close()
+                    if not reused:
+                        raise
+            data = resp.read()
+        except BaseException:
+            conn.close()  # timeout, interrupt, short reply: the stream is out of step
+            raise
+        if resp.status >= 400:
             try:
-                err = json.loads(exc.read()).get("error", {})
+                err = json.loads(data).get("error", {})
             except Exception:
                 err = {}
             cls = _ERROR_TYPES.get(err.get("code"), ServiceError)
-            raise cls(err.get("message", f"HTTP {exc.code}")) from None
+            raise cls(err.get("message", f"HTTP {resp.status}"))
+        return resp.headers, data
 
+    def _request(self, method: str, path: str) -> dict:
+        return json.loads(self._exchange(method, path)[1])
+
+    # -- calls ----------------------------------------------------------------
     def solve(
         self, problem: dict, rhs, *, timeout: float | None = None,
         lane: str | None = None,
     ) -> np.ndarray:
-        payload = {"problem": problem, "rhs": encode_vector(np.asarray(rhs))}
+        b = np.asarray(rhs)
+        if b.ndim != 1:
+            # The wire carries entries, not a shape: refuse here what the
+            # server could only misread.
+            raise BadRequestError(f"rhs must be 1-D, got shape {b.shape}")
+        name, body = _to_wire(b)
+        headers = {
+            "Content-Type": _OCTETS,
+            _H_DTYPE: name,
+            _H_PROBLEM: json.dumps(problem, separators=(",", ":")),
+        }
         if timeout is not None:
-            payload["timeout"] = timeout
+            headers[_H_TIMEOUT] = str(timeout)
         if lane is not None:
-            payload["lane"] = lane
-        return decode_vector(self._request("POST", "/v1/solve", payload)["solution"])
+            headers[_H_LANE] = str(lane)
+        reply, data = self._exchange("POST", "/v1/solve", body, headers)
+        x = _from_wire(reply.get(_H_DTYPE), data)
+        return x.astype(x.dtype.newbyteorder("="))  # a fresh, writable, native array
 
     def healthz(self) -> dict:
         return self._request("GET", "/v1/healthz")
@@ -289,9 +523,7 @@ class SolveClient:
 
     def metrics(self) -> str:
         """The raw Prometheus text exposition from ``GET /metrics``."""
-        req = urllib.request.Request(self.base_url + "/metrics", method="GET")
-        with urllib.request.urlopen(req, timeout=self.timeout) as resp:
-            return resp.read().decode()
+        return self._exchange("GET", "/metrics")[1].decode()
 
     def tracez(self, *, trace_id: str | None = None, limit: int = 20) -> dict:
         """Recent traces (or one trace by id) from ``GET /tracez``."""

@@ -23,6 +23,15 @@ Design rules, in order of priority:
   :class:`~repro.service.errors.DeadlineExceededError` when the deadline
   passed while it waited in the batcher (the solve itself is never
   interrupted mid-flight — tiles are shared state).
+* **Hold a request only when something can join it.**  The batcher keeps an
+  under-full bucket back for up to ``max_delay`` so that stragglers share
+  its sweep — but only while some admitted request is *not* in that bucket
+  (being solved, queued under another key, or between admission and the
+  batcher).  A bucket that holds every unresolved request of this pipeline
+  goes out at once: a lone request never waits, a burst still coalesces
+  behind a busy worker.  Requests resolve on the worker threads, which come
+  straight back to ``take``, so the rule is looked at again each time one
+  does.
 * **Transient failures retry, others don't.**
   :class:`~repro.service.errors.TransientSolveError` from the solver
   provider or the solve is retried up to ``max_retries`` times for the whole
@@ -159,7 +168,9 @@ class SolveService:
         contract.
     max_batch / max_delay:
         Micro-batching knobs (see :class:`~repro.service.batcher.MicroBatcher`).
-        ``max_batch`` is also the panel width of the fused solve.
+        ``max_batch`` is also the panel width of the fused solve;
+        ``max_delay`` is the upper bound on the coalescing wait, paid only
+        while another admitted request could still join the bucket.
     max_retries:
         Re-executions of a batch after a
         :class:`~repro.service.errors.TransientSolveError` before its
@@ -227,6 +238,7 @@ class SolveService:
             shed=lambda r, now: r.deadline is not None and now > r.deadline,
             on_shed=self._shed_expired,
             on_batch=self._on_batch_formed,
+            outstanding=self.queue_depth,
         )
 
         self._lock = threading.Lock()
@@ -338,7 +350,8 @@ class SolveService:
 
     def _on_batch_formed(self, key: str, items: list, waited: float) -> None:
         """Formation observer (under the batcher lock): remember how long
-        the batch coalesced so the worker can emit batch-wait spans."""
+        the batcher held the batch back so the worker can emit batch-wait
+        spans."""
         for r in items:
             r.batch_waited = waited
 
@@ -381,7 +394,7 @@ class SolveService:
 
         # Queue-wait / batch-wait spans: the time from submit to this worker
         # picking the batch up, and the slice of it the batcher deliberately
-        # held the bucket open for coalescing.
+        # held the bucket open for coalescing (none for a lone request).
         label = self.name or "svc"
         t_take = time.perf_counter()
         for r in live:

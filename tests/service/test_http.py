@@ -34,6 +34,7 @@ def _serving(solver):
     try:
         yield svc, server, client
     finally:
+        client.close()
         server.shutdown()
         server.server_close()
         svc.close()
@@ -132,6 +133,8 @@ class TestEndpoint:
                 client.solve(body, rhs)
         finally:
             gate.set()
+            slow.join(10)
+            client.close()
             server.shutdown()
             server.server_close()
             svc.close()
@@ -170,6 +173,7 @@ class TestObservabilityEndpoints:
             host, port = server.server_address[:2]
             client = SolveClient(f"http://{host}:{port}")
             yield probe, svc, client
+            client.close()
             server.shutdown()
             server.server_close()
             svc.close()

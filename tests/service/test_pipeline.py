@@ -3,6 +3,7 @@
 import contextlib
 import threading
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from repro.service import (
     BadRequestError,
     DeadlineExceededError,
     FactorizationStore,
+    MicroBatcher,
     QueueFullError,
     ServiceClosedError,
     SolveService,
@@ -124,6 +126,141 @@ class TestBackpressure:
             small.submit(spec, rhs).result(timeout=30)  # slot was released
         finally:
             small.close()
+
+
+class FrozenClock:
+    """A service clock that never advances: ``max_delay`` cannot mature."""
+
+    t = 0.0
+
+    def __call__(self):
+        return self.t
+
+
+class TestHoldRule:
+    """A bucket waits only while something outstanding could still join it.
+
+    Every service here runs on a frozen clock with ``max_delay=10.0``: under
+    the age rule alone nothing below would ever be dispatched.
+    """
+
+    @staticmethod
+    def _service(provider, *, workers=1):
+        return SolveService(
+            FactorizationStore(), workers=workers, max_batch=8, max_delay=10.0,
+            solver_provider=provider, clock=FrozenClock(),
+        )
+
+    def test_lone_request_never_waits(self, solver, spec, rhs):
+        svc = self._service(lambda k, s: solver)
+        try:
+            x = svc.submit(spec, rhs).result(timeout=10)
+            assert np.array_equal(x, solver.solve(rhs))
+        finally:
+            svc.close()
+
+    def test_burst_behind_a_busy_worker_rides_one_sweep(self, solver, spec, rhs):
+        gate, entered = threading.Event(), threading.Event()
+
+        def blocked_provider(k, s):
+            entered.set()
+            gate.wait(30)
+            return solver
+
+        svc = self._service(blocked_provider)
+        rng = np.random.default_rng(3)
+        later_rhs = [rng.standard_normal(spec.n) for _ in range(5)]
+        try:
+            first = svc.submit(spec, rhs)
+            assert entered.wait(10)  # went out alone; the only worker is now busy
+            later = [svc.submit(spec, b) for b in later_rhs]
+            gate.set()
+            assert first.result(timeout=10) is not None
+            for t, b in zip(later, later_rhs):
+                assert np.array_equal(t.result(timeout=10), solver.solve(b))
+        finally:
+            gate.set()
+            svc.close()
+        st = svc.stats()
+        widths = st["batch_size"]
+        assert (widths["count"], widths["sum"], widths["max"]) == (2, 6, 5)
+        req = st["requests"]
+        assert req["admitted"] == req["completed"] + req["failed"] == 6
+
+    def test_held_request_goes_out_when_the_in_flight_one_resolves(self, solver, spec, rhs):
+        gate, entered = threading.Event(), threading.Event()
+
+        def first_call_blocks(k, s):
+            if not entered.is_set():
+                entered.set()
+                gate.wait(30)
+            return solver
+
+        # Two workers: the second one is idle and looking at the batcher the
+        # whole time, so only the hold rule keeps it off the other key.
+        svc = self._service(first_call_blocks, workers=2)
+        order = []
+        try:
+            first = svc.submit(spec, rhs)
+            assert entered.wait(10)
+            second = svc.submit(replace(spec, eps=2 * spec.eps), rhs)
+            first.add_done_callback(lambda t: order.append("first"))
+            second.add_done_callback(lambda t: order.append("second"))
+            gate.set()
+            assert second.result(timeout=10) is not None
+        finally:
+            gate.set()
+            svc.close()
+        assert order == ["first", "second"]
+        assert svc.stats()["batch_size"]["count"] == 2
+
+    def test_lone_traced_request_has_no_batch_wait_span(self, solver, spec, rhs):
+        with Instrumentation(trace_capacity=4) as probe:
+            svc = SolveService(
+                FactorizationStore(), workers=1, max_delay=0.05,
+                solver_provider=lambda k, s: solver,
+            )
+            svc.solve(spec, rhs)
+            svc.close()
+        (trace,) = probe.tracer.traces()
+        names = [s["name"] for s in trace["spans"]]
+        assert "queue-wait" in names and "solve" in names
+        assert "batch-wait" not in names
+
+    def test_batcher_hook(self):
+        clock, waits = FrozenClock(), []
+        outstanding = [2]
+        b = MicroBatcher(
+            max_batch=8, max_delay=10.0, clock=clock,
+            outstanding=lambda: outstanding[0],
+            on_batch=lambda key, items, waited: waits.append(waited),
+        )
+        b.add("k", "x")
+        assert b.take(timeout=0) is None  # one of the two could still join
+        clock.t = 3.0
+        outstanding[0] = 1
+        assert b.take(timeout=0) == ("k", ["x"])
+        b.add("k", "y")
+        assert b.take(timeout=0) == ("k", ["y"])
+        assert waits == [3.0, 0.0]  # held for 3 s; never held
+
+    def test_shed_during_the_scan_is_seen_by_the_same_take(self):
+        # "b" fills up with dead items; shedding them leaves "a" holding
+        # everything outstanding, and the take that shed them hands it out.
+        outstanding = [3]
+
+        def on_shed(key, item):
+            outstanding[0] -= 1
+
+        b = MicroBatcher(
+            max_batch=2, max_delay=10.0, clock=FrozenClock(),
+            shed=lambda item, now: item < 0, on_shed=on_shed,
+            outstanding=lambda: outstanding[0],
+        )
+        b.add("a", 1)
+        b.add("b", -1)
+        b.add("b", -2)
+        assert b.take(timeout=0) == ("a", [1])
 
 
 class TestDeadlines:
