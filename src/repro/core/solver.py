@@ -586,18 +586,19 @@ class TileHMatrix:
 
     # -- persistence ----------------------------------------------------------
     def save(self, path, *, compress: bool = True):
-        """Persist the matrix — assembled or factorised — to an ``.npz`` file.
+        """Persist the matrix — assembled or factorised — to one archive file.
 
         Assembly and factorisation are the expensive steps; a saved matrix
-        reloads in seconds with :meth:`load`.  For a factorised matrix the
-        tile payloads *are* the factor content (factorisation overwrites in
-        place), so the archive records the factorisation state (``method``,
+        reloads in milliseconds with :meth:`load`.  For a factorised matrix
+        the tile payloads *are* the factor content (factorisation overwrites
+        in place), so the archive records the factorisation state (``method``,
         solver config, packed-triangle cache flags) and :meth:`load` restores
         a matrix that is immediately solvable — bit-identically to the
         in-memory one — with no new factorisation.
 
-        ``compress=False`` writes an uncompressed archive whose payloads can
-        be memory-mapped on load (``load(path, mmap=True)``).
+        ``compress`` no longer selects anything (every archive is the one
+        uncompressed, mappable container of :mod:`repro.hmatrix.io`); the
+        keyword stays because callers pass it.
         """
         from ..hmatrix.io import save_tile_h
 
@@ -621,16 +622,16 @@ class TileHMatrix:
         not given, the saved solver config is restored (v1 archives fall back
         to the descriptor's ``nb``/``eps``).
 
-        ``mmap=True`` memory-maps payloads of uncompressed archives instead
-        of copying them into RAM (zero-copy warm starts; compressed members
-        fall back to a normal read).
+        ``mmap=True`` maps the archive once, read-only, instead of copying it
+        into RAM (zero-copy warm starts, one file descriptor held while the
+        matrix lives); either way the loaded factor solves to the same bits.
+        Legacy ``.npz`` archives are always read into memory.
         """
         from dataclasses import fields
 
-        from ..hmatrix.io import load_tile_h, load_tile_h_meta
+        from ..hmatrix.io import read_tile_h
 
-        meta = load_tile_h_meta(path)
-        desc = load_tile_h(path, mmap=mmap)
+        desc, meta = read_tile_h(path, mmap=mmap)
         if config is None:
             allowed = {f.name for f in fields(TileHConfig)}
             kwargs = {k: v for k, v in meta["config"].items() if k in allowed}

@@ -255,7 +255,8 @@ class GPModel:
 
         The training data and hyperparameters are *not* stored — they are
         cheap and deterministic on the client (spec-driven geometry +
-        seeded targets); :meth:`load` reattaches them.
+        seeded targets); :meth:`load` reattaches them.  ``compress`` no
+        longer selects anything (see :meth:`TileHMatrix.save`).
         """
         self._require_fit().save(path, compress=compress)
 
@@ -276,8 +277,9 @@ class GPModel:
         """Rebuild a trained model from factors saved by :meth:`save`.
 
         ``x``/``y`` and the hyperparameters must match the fitting call;
-        ``mmap=True`` memory-maps uncompressed archives (zero-copy warm
-        start).  Predictions are bit-identical to the pre-save model.
+        ``mmap=True`` maps the archive read-only instead of reading it
+        (zero-copy warm start).  Predictions are bit-identical to the
+        pre-save model either way.
         """
         model = cls(kernel, length=length, signal=signal, noise=noise, config=config)
         solver = TileHMatrix.load(path, config, mmap=mmap)

@@ -32,7 +32,9 @@ from .hmatrix import (
     assemble_hmatrix_tasks,
     AssemblyConfig,
 )
-from .io import save_hmatrix, load_hmatrix, save_tile_h, load_tile_h, load_tile_h_meta
+from .io import (
+    save_hmatrix, load_hmatrix, save_tile_h, load_tile_h, load_tile_h_meta, read_tile_h,
+)
 from .arithmetic import (
     hgetrf,
     hgeadd,
@@ -90,4 +92,5 @@ __all__ = [
     "save_tile_h",
     "load_tile_h",
     "load_tile_h_meta",
+    "read_tile_h",
 ]

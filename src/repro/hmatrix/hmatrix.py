@@ -171,17 +171,19 @@ class HMatrix:
         invalidates it for this node — callers restructuring trees from the
         outside must do so before the first traversal.
         """
+        if self.is_leaf:
+            # Not cached: a leaf holding a list that holds the leaf is a
+            # reference cycle, and would keep its payload (for a mapped
+            # archive, the file descriptor) alive until a collector pass.
+            return [(self, 0, 0)]
         idx = self._leaf_index
         if idx is None:
-            if self.is_leaf:
-                idx = [(self, 0, 0)]
-            else:
-                r0, c0 = self.rows.start, self.cols.start
-                idx = []
-                for c in self.children:
-                    dr, dc = c.rows.start - r0, c.cols.start - c0
-                    for leaf, i0, j0 in c.leaf_index():
-                        idx.append((leaf, dr + i0, dc + j0))
+            r0, c0 = self.rows.start, self.cols.start
+            idx = []
+            for c in self.children:
+                dr, dc = c.rows.start - r0, c.cols.start - c0
+                for leaf, i0, j0 in c.leaf_index():
+                    idx.append((leaf, dr + i0, dc + j0))
             self._leaf_index = idx
         return idx
 

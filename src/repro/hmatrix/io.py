@@ -1,30 +1,43 @@
-"""Persistence: save/load H-matrices and Tile-H descriptors (NumPy ``npz``).
+"""Persistence: save/load H-matrices and Tile-H descriptors (one-blob archive).
 
 Assembly (clustering + ACA over every admissible block) is the expensive,
 embarrassingly-reusable step of the pipeline, so a production library needs
-it on disk.  The format is a single compressed ``.npz``:
+it on disk.  An archive holds named arrays:
 
 * the point cloud, the permutation, and the cluster tree in pre-order
   (start/stop/level/child counts — bounding boxes are recomputed on load);
 * every H-matrix node in pre-order, referencing its row/column clusters by
-  pre-order index, with leaf payloads stored as individual arrays.
+  pre-order index, with leaf payloads stored as individual arrays — the same
+  indexing for one global H-matrix and for the ``nt x nt`` tiles of a Tile-H
+  descriptor (whose clusters are subtrees of the one root tree).
 
-The same node-indexing works for one global H-matrix and for the ``nt x nt``
-tiles of a Tile-H descriptor (whose row/col clusters are subtrees of the one
-root tree).
+Container (format v3), the on-disk twin of :class:`repro.runtime.shmem.ArenaRef`::
 
-Format v2 additionally records *factorisation state*: a ``factorized`` flag,
-the factorisation ``method``, the solver config (JSON), and one flag per
-H-node marking packed-triangle caches (``packed_lu``), which are recomputed
-on load exactly as the factorisation created them (``to_dense()`` of the
-factor content) so a loaded factor solves bit-identically to the in-memory
-one.  v1 archives load fine and report ``factorized=False``.
+    magic (8 B) | header length (u64 LE) | JSON header | zeros to 4096 | payload
+
+The header carries ``format_version``, ``n/nt/nb/eps``, the factorisation
+state (``factorized``, ``method``, solver ``config``), ``payload_bytes`` with
+its ``crc32``, and one table ``arrays: name -> [dtype, shape, order, offset]``;
+every array starts at a 64-byte multiple of the page-aligned payload, in its
+original C/Fortran order.  One flag per H-node marks packed-triangle caches
+(``packed_lu``), recomputed on load exactly as the factorisation created them.
+A plain load reads the payload into one 64-byte-aligned buffer and verifies
+the CRC; ``mmap=True`` maps the file once, read-only (one descriptor; structure
+checked, payload bytes not checksummed).  Views have the same alignment mod 64
+either way, so a loaded factor solves bit-identically to the in-memory one.
+Nothing is compressed or pickled.  Legacy ``.npz`` archives (v1/v2) stay
+*readable*: recognised by magic bytes, read into memory, never mapped or written.
 """
 
 from __future__ import annotations
 
 import json
-import zipfile
+import math
+import mmap as _mmap
+import os
+import threading
+import uuid
+import zlib
 from dataclasses import asdict, is_dataclass
 from pathlib import Path
 
@@ -40,13 +53,19 @@ __all__ = [
     "save_tile_h",
     "load_tile_h",
     "load_tile_h_meta",
+    "read_tile_h",
 ]
 
 _KIND_CODE = {"full": 0, "rk": 1, "h": 2}
 
-#: Current Tile-H archive format.  v2 added factorisation metadata and
-#: per-node packed-triangle flags; v1 archives are still readable.
-TILE_H_FORMAT_VERSION = 2
+#: Current archive format: v3, the one-blob container (v1/v2 ``.npz``: read-only).
+TILE_H_FORMAT_VERSION = 3
+_MAGIC = b"\x93TILEH\r\n"
+_ALIGN = 64  # every payload array: cache-line / SIMD aligned, as in runtime.shmem
+_PAGE = 4096  # the payload region: page-aligned, so a mapping keeps _ALIGN
+#: The only dtypes a header may name — looked up, never given to ``np.dtype``.
+_DTYPES = {s: np.dtype(s) for s in ("<f8", "<c16", "<i8", "|i1")}
+_LEGACY_LOCK = threading.Lock()  # overlapping ``.npy`` header evals raise SystemError
 
 
 # ---------------------------------------------------------------------------
@@ -110,6 +129,9 @@ def _deserialize_tree(data, points: np.ndarray, perm: np.ndarray) -> list[Cluste
         return node
 
     build()
+    # A recursive closure is a reference cycle: break it, or ``data`` (a mapped
+    # archive's descriptor) would live until the next garbage-collector pass.
+    del build
     if pos["i"] != len(starts):
         raise ValueError("corrupt cluster-tree serialization")
     return nodes  # nodes[0] is the root, pre-order
@@ -154,10 +176,10 @@ def _payload(data, key: str) -> np.ndarray:
         raise ValueError(
             f"corrupt H-matrix archive: missing payload {key!r} (truncated file?)"
         )
-    # npy preserves C-vs-Fortran order, and BLAS dispatch (hence the low-order
-    # bits of every downstream product) depends on it: return the array as
-    # stored, don't force contiguity — bit-identical solves need the factor
-    # operands in their original layout.
+    # The archive keeps C-vs-Fortran order, and BLAS dispatch (hence the
+    # low-order bits of every downstream product) depends on it: return the
+    # array as stored, don't force contiguity — bit-identical solves need the
+    # factor operands in their original layout.
     return data[key]
 
 
@@ -230,6 +252,7 @@ def _deserialize_hmatrix(data, nodes: list[ClusterTree], prefix: str) -> HMatrix
         return node
 
     h = build()
+    del build  # break the closure's reference cycle (see _deserialize_tree)
     if pos["i"] != n_nodes:
         raise ValueError(
             f"corrupt H-matrix archive: structure {prefix!r} used {pos['i']} of "
@@ -238,12 +261,123 @@ def _deserialize_hmatrix(data, nodes: list[ClusterTree], prefix: str) -> HMatrix
     return h
 
 
+def _write_archive(path, header: dict, arrays: dict) -> Path:
+    """Write ``header`` and the named ``arrays`` as one v3 container, published
+    atomically (temp file beside the target, ``os.replace``): a reader sees the old
+    archive or the new one, and a live mapping of the old one keeps its bytes."""
+    p = Path(path)
+    table, chunks, size, crc = {}, [], 0, 0
+    for name, arr in arrays.items():
+        arr = np.asarray(arr)
+        if arr.dtype.str not in _DTYPES:
+            raise ValueError(f"cannot store {name!r} in {p}: dtype {arr.dtype} not supported")
+        order = "F" if arr.flags.f_contiguous and not arr.flags.c_contiguous else "C"
+        # The array's bytes in memory order (a copy only when it is strided).
+        flat = np.asarray(arr, order=order).reshape(-1, order=order).view(np.uint8)
+        pad = bytes(-size % _ALIGN)
+        table[name] = [arr.dtype.str, list(arr.shape), order, size + len(pad)]
+        chunks += (pad, flat)
+        crc = zlib.crc32(flat, zlib.crc32(pad, crc))
+        size += len(pad) + flat.size
+    header = {**header, "payload_bytes": size, "crc32": crc, "arrays": table}
+    blob = json.dumps(header, separators=(",", ":")).encode()
+    head = _MAGIC + len(blob).to_bytes(8, "little") + blob
+    p.parent.mkdir(parents=True, exist_ok=True)
+    tmp = p.with_name(f".{p.name}.{uuid.uuid4().hex}.tmp")
+    try:
+        with open(tmp, "xb", buffering=1 << 20) as f:
+            f.writelines([head, bytes(-len(head) % _PAGE), *chunks])
+            f.flush()
+        os.replace(tmp, p)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    return p
+
+
+def _table_entry(name: str, spec, nbytes: int) -> tuple:
+    """Check one ``[dtype, shape, order, offset]`` entry against the payload."""
+    dtype, shape, order, off = spec
+    dt = _DTYPES.get(dtype)
+    if dt is None:
+        raise ValueError(f"array {name!r} has dtype {dtype!r}, not one of {sorted(_DTYPES)}")
+    if (
+        order not in ("C", "F") or type(off) is not int or off < 0 or off % _ALIGN
+        or not isinstance(shape, list)
+        or any(type(d) is not int or not 0 <= d <= nbytes for d in shape)
+        or off + math.prod(shape) * dt.itemsize > nbytes
+    ):
+        raise ValueError(f"table entry {spec!r} of array {name!r} does not fit the payload")
+    return name, tuple(shape), dt, order, off
+
+
+def _read_legacy(p: Path, payload: bool) -> tuple[dict, dict]:
+    """``(header, arrays)`` of a v1/v2 ``.npz`` — read-only support, in memory."""
+    scalars = ("format_version", "nt", "nb", "eps", "factorized", "method")
+    with _LEGACY_LOCK, np.load(p, allow_pickle=False) as z:
+        header = {k: z[k][0] for k in scalars if k in z}
+        if "points" in z:
+            header["n"] = z["points"].shape[0]
+        if "config_json" in z:
+            header["config"] = json.loads(str(z["config_json"][0]))
+        return header, dict(z) if payload else {}
+
+
+def _open_archive(path, *, mmap: bool = False, payload: bool = True) -> tuple[dict, dict]:
+    """``(header, arrays)`` of the archive at ``path``, dispatched on its magic
+    (``payload=False``: header only).  The file size is checked against the
+    header and every table entry against the payload *before* any view is made,
+    so a cut or doctored file is a ``ValueError``, never a ``SIGBUS``.  The
+    arrays are views of one buffer: an aligned writable copy, or one read-only
+    mapping that lives, with its descriptor, exactly as long as the views do.
+    """
+    p = Path(path)
+    try:
+        with open(p, "rb") as f:
+            magic = f.read(len(_MAGIC))
+            if magic[:4] == b"PK\x03\x04":
+                return _read_legacy(p, payload)
+            if magic != _MAGIC:
+                raise ValueError("not a Tile-H container (bad magic)")
+            size = os.fstat(f.fileno()).st_size
+            hlen = int.from_bytes(f.read(8), "little")
+            if 16 + hlen > size:
+                raise ValueError(f"{hlen}-byte header runs past the end of the file")
+            header = json.loads(f.read(hlen))
+            base = -(-(16 + hlen) // _PAGE) * _PAGE
+            nbytes = header["payload_bytes"]
+            if type(nbytes) is not int or size != base + nbytes:
+                raise ValueError(f"file has {size} bytes, header says {base} + {nbytes!r}")
+            if not payload:
+                return header, {}
+            entries = [_table_entry(k, v, nbytes) for k, v in header["arrays"].items()]
+            if mmap:
+                mapping = _mmap.mmap(f.fileno(), 0, access=_mmap.ACCESS_READ)
+                buf = np.frombuffer(mapping, np.uint8, nbytes, base)
+            else:
+                raw = np.empty(nbytes + _ALIGN, np.uint8)
+                shift = -raw.ctypes.data % _ALIGN
+                buf = raw[shift : shift + nbytes]
+                f.seek(base)
+                if f.readinto(buf) != nbytes or zlib.crc32(buf) != header["crc32"]:
+                    raise ValueError("payload does not match its CRC-32")
+            arrays = {
+                name: np.ndarray(shape, dt, buffer=buf, offset=off, order=order)
+                for name, shape, dt, order, off in entries
+            }
+    except FileNotFoundError:
+        raise
+    except Exception as exc:  # any parse failure of an untrusted file, one typed error
+        raise ValueError(f"cannot read Tile-H archive {p}: {exc}") from exc
+    return header, arrays
+
+
 # ---------------------------------------------------------------------------
 # Public API — single H-matrix
 # ---------------------------------------------------------------------------
 
 def save_hmatrix(h: HMatrix, tree: ClusterTree, path) -> Path:
-    """Save a (square) H-matrix plus its cluster tree to ``path`` (.npz).
+    """Save a (square) H-matrix plus its cluster tree to ``path``.
 
     ``tree`` must be the cluster tree whose nodes ``h`` references (rows and
     columns share it for the kernel matrices this library builds).
@@ -256,19 +390,17 @@ def save_hmatrix(h: HMatrix, tree: ClusterTree, path) -> Path:
         **_serialize_tree(tree),
         **_serialize_hmatrix(h, idx, payloads, "h_"),
     }
-    p = Path(path)
-    p.parent.mkdir(parents=True, exist_ok=True)
-    np.savez_compressed(p, **arrays, **payloads)
-    return p
+    header = {"format_version": TILE_H_FORMAT_VERSION, "n": int(tree.points.shape[0])}
+    return _write_archive(path, header, {**arrays, **payloads})
 
 
 def load_hmatrix(path) -> tuple[HMatrix, ClusterTree]:
     """Load an H-matrix saved by :func:`save_hmatrix`; returns (h, tree)."""
-    with np.load(Path(path)) as data:
-        points = np.ascontiguousarray(data["points"])
-        perm = np.ascontiguousarray(data["perm"])
-        nodes = _deserialize_tree(data, points, perm)
-        h = _deserialize_hmatrix(data, nodes, "h_")
+    _, data = _open_archive(path)
+    points = np.ascontiguousarray(data["points"])
+    perm = np.ascontiguousarray(data["perm"])
+    nodes = _deserialize_tree(data, points, perm)
+    h = _deserialize_hmatrix(data, nodes, "h_")
     return h, nodes[0]
 
 
@@ -286,16 +418,15 @@ def _config_dict(config) -> dict:
 
 def save_tile_h(desc, path, *, factorized: bool = False, method: str | None = None,
                 config=None, compress: bool = True) -> Path:
-    """Save a :class:`~repro.core.descriptor.TileHDesc` to ``path`` (.npz).
+    """Save a :class:`~repro.core.descriptor.TileHDesc` to ``path``.
 
     ``factorized``/``method`` record the factorisation state of the tiles
     (the payloads are the L/U or Cholesky factor content when set) and
-    ``config`` (a dataclass or mapping) is stored as JSON so a loaded matrix
-    can solve under the configuration that produced the factors.
+    ``config`` (a dataclass or mapping) is stored in the header so a loaded
+    matrix can solve under the configuration that produced the factors.
 
-    ``compress=False`` writes a *stored* (uncompressed) zip whose members
-    :func:`load_tile_h` can map with ``mmap=True`` — larger on disk, but
-    loads page in lazily with zero deserialization copies.
+    ``compress`` no longer selects anything (deflate bought 6% of the bytes
+    for 5.5x the save time and cannot be mapped); it stays because callers pass it.
     """
     root = desc.root
     idx = _tree_index(root)
@@ -304,259 +435,128 @@ def save_tile_h(desc, path, *, factorized: bool = False, method: str | None = No
     arrays = {
         "points": root.points,
         "perm": root.perm,
-        "format_version": np.asarray([TILE_H_FORMAT_VERSION], dtype=np.int64),
-        "nt": np.asarray([nt], dtype=np.int64),
-        "nb": np.asarray([desc.nb], dtype=np.int64),
-        "eps": np.asarray([desc.eps], dtype=np.float64),
-        "factorized": np.asarray([1 if factorized else 0], dtype=np.int8),
-        "method": np.asarray([method or ""]),
-        "config_json": np.asarray([json.dumps(_config_dict(config), sort_keys=True)]),
-        "tile_cluster_idx": np.asarray(
-            [idx[id(c)] for c in desc.clusters], dtype=np.int64
-        ),
+        "tile_cluster_idx": np.asarray([idx[id(c)] for c in desc.clusters], dtype=np.int64),
         **_serialize_tree(root),
     }
     for i in range(nt):
         for j in range(nt):
             tile = desc.super.get_blktile(i, j)
-            arrays.update(
-                _serialize_hmatrix(tile.mat, idx, payloads, f"t{i}_{j}_")
-            )
-    p = Path(path)
-    p.parent.mkdir(parents=True, exist_ok=True)
-    savez = np.savez_compressed if compress else np.savez
-    savez(p, **arrays, **payloads)
-    return p
+            arrays.update(_serialize_hmatrix(tile.mat, idx, payloads, f"t{i}_{j}_"))
+    header = {
+        "format_version": TILE_H_FORMAT_VERSION, "n": int(root.points.shape[0]),
+        "nt": int(nt), "nb": int(desc.nb), "eps": float(desc.eps),
+        "factorized": bool(factorized), "method": method or None,
+        "config": _config_dict(config),
+    }
+    return _write_archive(path, header, {**arrays, **payloads})
 
 
-class _MmapArchive:
-    """Dict-like view of an ``.npz`` whose members load as read-only memmaps.
-
-    ``np.savez`` stores members with ``ZIP_STORED`` (no compression), so each
-    ``.npy`` member's data sits contiguously in the archive file: seek past
-    the zip local-file header and the npy header, then ``np.memmap`` the raw
-    buffer in its stored C/Fortran order.  Deflated members (from
-    ``np.savez_compressed``) and exotic npy versions fall back to an ordinary
-    in-memory read, so mixed archives still load — just without the zero-copy
-    benefit for those members.
-    """
-
-    def __init__(self, path) -> None:
-        self._path = Path(path)
-        self._zip = zipfile.ZipFile(self._path, "r")
-        self._infos: dict[str, zipfile.ZipInfo] = {}
-        for info in self._zip.infolist():
-            name = info.filename
-            key = name[:-4] if name.endswith(".npy") else name
-            self._infos[key] = info
-
-    def __contains__(self, key) -> bool:
-        return key in self._infos
-
-    def keys(self):
-        return self._infos.keys()
-
-    def __enter__(self) -> "_MmapArchive":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
-
-    def close(self) -> None:
-        self._zip.close()
-
-    def _read_copy(self, info: zipfile.ZipInfo) -> np.ndarray:
-        with self._zip.open(info.filename) as f:
-            return np.lib.format.read_array(f, allow_pickle=False)
-
-    def __getitem__(self, key: str) -> np.ndarray:
-        info = self._infos.get(key)
-        if info is None:
-            raise KeyError(key)
-        if info.compress_type != zipfile.ZIP_STORED:
-            return self._read_copy(info)
-        with open(self._path, "rb") as f:
-            # The central directory's name/extra lengths can differ from the
-            # local header's (zip64, unicode extras): parse the local header.
-            f.seek(info.header_offset)
-            local = f.read(30)
-            if len(local) < 30 or local[:4] != b"PK\x03\x04":
-                return self._read_copy(info)
-            fnlen = int.from_bytes(local[26:28], "little")
-            extralen = int.from_bytes(local[28:30], "little")
-            f.seek(info.header_offset + 30 + fnlen + extralen)
-            try:
-                version = np.lib.format.read_magic(f)
-                if version == (1, 0):
-                    shape, fortran, dtype = np.lib.format.read_array_header_1_0(f)
-                elif version == (2, 0):
-                    shape, fortran, dtype = np.lib.format.read_array_header_2_0(f)
-                else:
-                    return self._read_copy(info)
-            except ValueError:
-                return self._read_copy(info)
-            if dtype.hasobject:
-                return self._read_copy(info)  # raises: pickled payloads refused
-            order = "F" if fortran else "C"
-            if int(np.prod(shape)) == 0:
-                # np.memmap rejects zero-length maps; rank-0 Rk factors and
-                # empty index arrays are shape metadata only.
-                return np.empty(shape, dtype=dtype, order=order)
-            offset = f.tell()
-        return np.memmap(
-            self._path, mode="r", dtype=dtype, shape=shape, offset=offset, order=order
-        )
+_TILE_H_REQUIRED = ("points", "perm", "tile_cluster_idx",
+                    "tree_start", "tree_stop", "tree_level", "tree_nkids")
+#: Header metadata: the required fields' casts, the optional ones' (cast, default).
+_META_REQUIRED = {"n": int, "nt": int, "nb": int, "eps": float}
+_META_OPTIONAL = {"format_version": (int, 1), "factorized": (bool, False),
+                  "method": (lambda m: str(m) if m else None, None), "config": (dict, {})}
 
 
-_TILE_H_REQUIRED = (
-    "points", "perm", "nt", "nb", "eps", "tile_cluster_idx",
-    "tree_start", "tree_stop", "tree_level", "tree_nkids",
-)
+def _invalid(path, problem: str) -> ValueError:
+    return ValueError(f"invalid Tile-H archive {path}: {problem}")
 
 
-def _open_archive(path, *, mmap: bool = False):
-    p = Path(path)
-    try:
-        if mmap:
-            return _MmapArchive(p)
-        return np.load(p, allow_pickle=False)
-    except FileNotFoundError:
-        raise
-    except Exception as exc:  # zipfile.BadZipFile, OSError, pickle refusals, ...
-        raise ValueError(f"cannot read Tile-H archive {p}: {exc}") from exc
-
-
-def _validate_tile_h(data, path) -> None:
-    missing = [k for k in _TILE_H_REQUIRED if k not in data]
+def _require(keys, have, path) -> None:
+    missing = [k for k in keys if k not in have]
     if missing:
-        raise ValueError(
-            f"invalid Tile-H archive {path}: missing keys {missing} "
-            "(truncated file or not a Tile-H save?)"
-        )
+        raise _invalid(path, f"missing keys {missing} (truncated file or not a Tile-H save?)")
+
+
+def _tile_h_meta(header: dict, path) -> dict:
+    """The typed metadata dict of :func:`load_tile_h_meta` from a raw header."""
+    _require(_META_REQUIRED, header, path)
+    try:
+        meta = {k: cast(header[k]) for k, cast in _META_REQUIRED.items()}
+        return meta | {k: cast(header.get(k, d)) for k, (cast, d) in _META_OPTIONAL.items()}
+    except (TypeError, ValueError) as exc:
+        raise _invalid(path, f"bad metadata: {exc}") from exc
+
+
+def _validate_tile_h(meta: dict, data, path) -> None:
+    _require(_TILE_H_REQUIRED, data, path)
     n_tree = len(data["tree_start"])
     for k in ("tree_stop", "tree_level", "tree_nkids"):
         if len(data[k]) != n_tree:
-            raise ValueError(
-                f"invalid Tile-H archive {path}: cluster-tree arrays disagree "
-                f"({k} has {len(data[k])} entries, tree_start has {n_tree})"
-            )
-    nt = int(data["nt"][0])
+            raise _invalid(path, f"cluster-tree arrays disagree ({k} has {len(data[k])} "
+                                 f"entries, tree_start has {n_tree})")
+    nt = meta["nt"]
     if nt < 1:
-        raise ValueError(f"invalid Tile-H archive {path}: nt={nt}")
+        raise _invalid(path, f"nt={nt}")
     idx = data["tile_cluster_idx"]
     if len(idx) != nt:
-        raise ValueError(
-            f"invalid Tile-H archive {path}: {len(idx)} tile clusters for nt={nt}"
-        )
+        raise _invalid(path, f"{len(idx)} tile clusters for nt={nt}")
     if len(idx) and (int(idx.min()) < 0 or int(idx.max()) >= n_tree):
-        raise ValueError(
-            f"invalid Tile-H archive {path}: tile cluster index out of range "
-            f"(tree has {n_tree} nodes)"
-        )
+        raise _invalid(path, f"tile cluster index out of range (tree has {n_tree} nodes)")
     n = data["points"].shape[0]
     if data["perm"].shape[0] != n:
-        raise ValueError(
-            f"invalid Tile-H archive {path}: permutation length "
-            f"{data['perm'].shape[0]} != {n} points"
-        )
+        raise _invalid(path, f"permutation length {data['perm'].shape[0]} != {n} points")
     for i in range(nt):
         for j in range(nt):
             if f"t{i}_{j}_kind" not in data:
-                raise ValueError(
-                    f"invalid Tile-H archive {path}: tile ({i}, {j}) missing "
-                    f"(truncated file?)"
-                )
+                raise _invalid(path, f"tile ({i}, {j}) missing (truncated file?)")
 
 
-def load_tile_h(path, *, mmap: bool = False):
-    """Load a Tile-H descriptor saved by :func:`save_tile_h`.
+def read_tile_h(path, *, mmap: bool = False):
+    """``(descriptor, meta)`` of an archive saved by :func:`save_tile_h`, from
+    one open of the file (``meta`` as :func:`load_tile_h_meta` returns it).
 
-    The archive is validated up front (required keys, consistent tree/tile
-    arrays, payload shapes) and a :class:`ValueError` naming the problem is
-    raised on truncated or mismatched files.
-
-    ``mmap=True`` maps uncompressed payloads (``save_tile_h(...,
-    compress=False)``) as *read-only* ``np.memmap`` views: loading touches no
-    payload bytes, pages fault in on first kernel access, and the page cache
-    is shared across processes serving the same archive.  Read-only is right
-    for the serve path (solves read the factors); re-factorising a
-    mmap-loaded matrix in place is not supported.  Compressed archives load
-    with ``mmap=True`` too, falling back to in-memory copies per member.
+    The archive is validated up front (container sizes and table, required
+    keys, consistent tree/tile arrays, payload shapes); a truncated or
+    mismatched file is a :class:`ValueError` naming the problem.  A plain load
+    copies the payload into memory (writable, CRC-32 verified).  ``mmap=True``
+    maps the file once, *read-only*: loading touches no payload byte, pages
+    fault in on first kernel access and are shared by every process serving
+    the archive, and the descriptor goes with the last payload view — right
+    for the serve path; re-factorising a mapped matrix in place is not
+    supported.  Either way the factor solves to the bits that were saved.
     """
     from ..core.descriptor import Tile, TileDesc, TileHDesc
     from .block import StrongAdmissibility
 
-    with _open_archive(path, mmap=mmap) as data:
-        _validate_tile_h(data, path)
-        points = np.ascontiguousarray(data["points"])
-        perm = np.ascontiguousarray(data["perm"])
-        nodes = _deserialize_tree(data, points, perm)
-        nt = int(data["nt"][0])
-        nb = int(data["nb"][0])
-        eps = float(data["eps"][0])
-        clusters = [nodes[int(k)] for k in data["tile_cluster_idx"]]
-        n = points.shape[0]
-        if sum(c.size for c in clusters) != n:
-            raise ValueError(
-                f"invalid Tile-H archive {path}: tile clusters cover "
-                f"{sum(c.size for c in clusters)} of {n} points"
-            )
-        tiles = []
-        for i in range(nt):
-            for j in range(nt):
-                h = _deserialize_hmatrix(data, nodes, f"t{i}_{j}_")
-                if h.shape != (clusters[i].size, clusters[j].size):
-                    raise ValueError(
-                        f"invalid Tile-H archive {path}: tile ({i}, {j}) has shape "
-                        f"{h.shape}, clusters say "
-                        f"{(clusters[i].size, clusters[j].size)}"
-                    )
-                tiles.append(Tile.of(h))
-    desc = TileDesc(n=points.shape[0], nb=nb, nt=nt, tiles=tiles)
-    return TileHDesc(
-        super=desc,
-        root=nodes[0],
-        clusters=clusters,
-        admissibility=StrongAdmissibility(),
-        perm=perm,
-        eps=eps,
+    header, data = _open_archive(path, mmap=mmap)
+    meta = _tile_h_meta(header, path)
+    _validate_tile_h(meta, data, path)
+    points = np.ascontiguousarray(data["points"])
+    perm = np.ascontiguousarray(data["perm"])
+    nodes = _deserialize_tree(data, points, perm)
+    nt = meta["nt"]
+    clusters = [nodes[int(k)] for k in data["tile_cluster_idx"]]
+    n = points.shape[0]
+    if sum(c.size for c in clusters) != n:
+        raise _invalid(path, f"tile clusters cover {sum(c.size for c in clusters)} of {n} points")
+    tiles = []
+    for i in range(nt):
+        for j in range(nt):
+            h = _deserialize_hmatrix(data, nodes, f"t{i}_{j}_")
+            if h.shape != (clusters[i].size, clusters[j].size):
+                raise _invalid(path, f"tile ({i}, {j}) has shape {h.shape}, clusters say "
+                                     f"{(clusters[i].size, clusters[j].size)}")
+            tiles.append(Tile.of(h))
+    desc = TileHDesc(
+        super=TileDesc(n=n, nb=meta["nb"], nt=nt, tiles=tiles), root=nodes[0], clusters=clusters,
+        admissibility=StrongAdmissibility(), perm=perm, eps=meta["eps"],
     )
+    return desc, meta
+
+
+def load_tile_h(path, *, mmap: bool = False):
+    """Load a Tile-H descriptor saved by :func:`save_tile_h` (validation and
+    ``mmap`` as in :func:`read_tile_h`, whose first result this is)."""
+    return read_tile_h(path, mmap=mmap)[0]
 
 
 def load_tile_h_meta(path) -> dict:
-    """Read a Tile-H archive's metadata without deserializing any payloads.
+    """Read a Tile-H archive's metadata without touching any payload.
 
     Returns a dict with ``n``, ``nt``, ``nb``, ``eps``, ``factorized``,
     ``method`` (``None`` when unfactorised), ``config`` (the saved solver
     config as a dict, ``{}`` for v1 archives) and ``format_version``.
     """
-    with _open_archive(path) as data:
-        missing = [k for k in ("points", "nt", "nb", "eps") if k not in data]
-        if missing:
-            raise ValueError(
-                f"invalid Tile-H archive {path}: missing keys {missing} "
-                "(truncated file or not a Tile-H save?)"
-            )
-        meta = {
-            "n": int(data["points"].shape[0]),
-            "nt": int(data["nt"][0]),
-            "nb": int(data["nb"][0]),
-            "eps": float(data["eps"][0]),
-            "format_version": int(data["format_version"][0])
-            if "format_version" in data else 1,
-            "factorized": bool(int(data["factorized"][0]))
-            if "factorized" in data else False,
-            "method": None,
-            "config": {},
-        }
-        if "method" in data:
-            m = str(data["method"][0])
-            meta["method"] = m or None
-        if "config_json" in data:
-            try:
-                meta["config"] = json.loads(str(data["config_json"][0]))
-            except json.JSONDecodeError as exc:
-                raise ValueError(
-                    f"invalid Tile-H archive {path}: corrupt config JSON: {exc}"
-                ) from exc
-    return meta
+    return _tile_h_meta(_open_archive(path, payload=False)[0], path)

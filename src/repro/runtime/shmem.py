@@ -304,8 +304,9 @@ class _ArenaPickler(pickle.Pickler):
         self.arena = arena
 
     def persistent_id(self, obj):
-        # Plain ndarrays and subclasses (np.memmap included: a memmap payload
-        # gets *copied* into shared memory, which is what workers need).
+        # Plain ndarrays and subclasses (views of a mapped archive included:
+        # the payload gets *copied* into shared memory, which is what workers
+        # need).
         if isinstance(obj, np.ndarray):
             return self.arena.place(np.asarray(obj))
         return None

@@ -74,8 +74,7 @@ def serve_main(argv: list[str]) -> int:
                         help="executor workers for cold builds "
                         "(default: min(cores, 4) for threaded/process)")
     parser.add_argument("--mmap", action="store_true",
-                        help="memory-map persisted factorizations on load "
-                        "(store writes become uncompressed)")
+                        help="memory-map persisted factorizations on load")
     parser.add_argument("--profile", metavar="PATH", default=None,
                         help="write a run report (JSON, with the service section) on shutdown")
     parser.add_argument("--trace-requests", type=int, default=64, metavar="N",

@@ -346,8 +346,9 @@ class ServeFleet:
     budget_bytes:
         Per-worker memory-tier budget (each worker gets the full amount).
     mmap:
-        Load archives zero-copy (``np.memmap``); the page cache is shared
-        across workers, which is what makes warm replication cheap.
+        Load archives zero-copy (one read-only mapping per resident key);
+        the page cache is shared across workers, which is what makes warm
+        replication cheap.
     lanes:
         Iterable of :class:`LaneConfig`; defaults to an ``interactive`` and
         a ``batch`` lane.

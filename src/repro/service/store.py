@@ -4,9 +4,11 @@ The store maps a **fingerprint** (see
 :func:`~repro.service.problems.spec_fingerprint`) to a *factorized*
 :class:`~repro.core.TileHMatrix`.  Entries live in two tiers:
 
-* **disk** — one ``<fingerprint>.npz`` per factorization under the store
-  directory, written with the v2 archive format (factor payloads + method +
-  config), so factors survive restarts and can be shipped between replicas;
+* **disk** — one ``<fingerprint>.tileh`` per factorization under the store
+  directory (the one-blob archive of :mod:`repro.hmatrix.io`: factor payloads
+  + method + config, published atomically), so factors survive restarts and
+  can be shipped between replicas; a legacy ``<fingerprint>.npz`` is still a
+  hit;
 * **memory** — an LRU cache of loaded solvers under a configurable byte
   budget (``storage_bytes`` of each factorization, the same accounting the
   obs layer charges to ``h.bytes``), so hot fingerprints solve without
@@ -48,20 +50,21 @@ class FactorizationStore:
     Parameters
     ----------
     root:
-        Directory for the ``.npz`` archives (created on demand).  ``None``
-        disables the disk tier — useful for pure in-memory serving/tests.
+        Directory for the archives (created on demand).  ``None`` disables
+        the disk tier — useful for pure in-memory serving/tests.
     budget_bytes:
         Byte budget of the in-memory tier.  Inserting past the budget evicts
         least-recently-used entries (disk copies are kept, so an evicted
         fingerprint is still a hit — just a slower one).  ``None`` means
         unbounded.
     mmap:
-        Load disk-tier archives with ``mmap=True`` (zero-copy ``np.memmap``
-        payloads, lazily paged, page cache shared across serving processes).
+        Load disk-tier archives with ``mmap=True`` (one read-only mapping
+        and one descriptor per resident key, lazily paged, page cache shared
+        across serving processes).  Mapped, read and freshly built factors
+        answer with the same bits.
     compress:
-        Compression of archives the store *writes*.  Defaults to ``not
-        mmap`` — a store that maps archives writes them uncompressed so its
-        own writes stay mappable.
+        Accepted and ignored: archives are never compressed (every one the
+        store writes is mappable).
     """
 
     def __init__(
@@ -75,7 +78,6 @@ class FactorizationStore:
         self.root = Path(root) if root is not None else None
         self.budget_bytes = budget_bytes
         self.mmap = mmap
-        self.compress = compress if compress is not None else not mmap
         self._lock = threading.RLock()
         self._cache: OrderedDict[str, _Entry] = OrderedDict()
         self._bytes = 0
@@ -88,23 +90,33 @@ class FactorizationStore:
 
     # -- paths ---------------------------------------------------------------
     def path_for(self, key: str) -> Path:
+        """Where a new archive for ``key`` is written."""
         if self.root is None:
             raise ValueError("store has no disk tier (root=None)")
-        return self.root / f"{key}.npz"
+        return self.root / f"{key}.tileh"
+
+    def _disk_path(self, key: str) -> Path | None:
+        """The archive holding ``key``, if any (new name first, then legacy;
+        the loader dispatches on magic bytes, never on the suffix)."""
+        if self.root is not None:
+            for path in (self.path_for(key), self.root / f"{key}.npz"):
+                if path.exists():
+                    return path
+        return None
 
     # -- inspection ----------------------------------------------------------
     def __contains__(self, key: str) -> bool:
         with self._lock:
             if key in self._cache:
                 return True
-        return self.root is not None and self.path_for(key).exists()
+        return self._disk_path(key) is not None
 
     def keys(self) -> list[str]:
         """Every fingerprint available in either tier (sorted)."""
         with self._lock:
             out = set(self._cache)
         if self.root is not None and self.root.is_dir():
-            out.update(p.stem for p in self.root.glob("*.npz"))
+            out.update(p.stem for ext in ("tileh", "npz") for p in self.root.glob(f"*.{ext}"))
         return sorted(out)
 
     @property
@@ -130,7 +142,7 @@ class FactorizationStore:
         """Insert a factorized solver under ``key`` (memory, and disk when
         ``persist`` and the store has a disk tier)."""
         if persist and self.root is not None:
-            solver.save(self.path_for(key), compress=self.compress)
+            solver.save(self.path_for(key))
         self._insert(key, solver)
 
     def get(self, key: str) -> TileHMatrix | None:
@@ -150,17 +162,16 @@ class FactorizationStore:
                 if ctx is not None:
                     ctx.add_span("store-hit", t0, time.perf_counter(), tier="memory")
                 return entry.solver
-        if self.root is not None:
-            path = self.path_for(key)
-            if path.exists():
-                solver = TileHMatrix.load(path, mmap=self.mmap)
-                with self._lock:
-                    self.hits += 1
-                self._observe_lookup(True)
-                self._insert(key, solver)
-                if ctx is not None:
-                    ctx.add_span("store-load", t0, time.perf_counter(), tier="disk")
-                return solver
+        path = self._disk_path(key)
+        if path is not None:
+            solver = TileHMatrix.load(path, mmap=self.mmap)
+            with self._lock:
+                self.hits += 1
+            self._observe_lookup(True)
+            self._insert(key, solver)
+            if ctx is not None:
+                ctx.add_span("store-load", t0, time.perf_counter(), tier="disk")
+            return solver
         with self._lock:
             self.misses += 1
         self._observe_lookup(False)
@@ -194,15 +205,6 @@ class FactorizationStore:
             if not solver.factorized:
                 raise ValueError("builder must return a *factorized* solver")
             self.put(key, solver)
-            if self.root is not None and self.mmap:
-                # Serve from the archive, not the freshly built instance: a
-                # memmap-backed solve can differ from the in-memory one in
-                # the last ulp (BLAS picks alignment-dependent kernels), so
-                # the archive is the canonical serving copy — every replica
-                # that mmap-loads this key answers bit-identically to the
-                # builder node.
-                solver = TileHMatrix.load(self.path_for(key), mmap=True)
-                self._insert(key, solver)
         with self._lock:
             self._building.pop(key, None)
         return solver

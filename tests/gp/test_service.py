@@ -140,7 +140,7 @@ class TestServedPredictions:
         spec = _gp_spec()
         key = spec_fingerprint(spec)
 
-        # Cold train into an mmap-configured store (writes uncompressed).
+        # Cold train into an mmap-configured store.
         cold_store = FactorizationStore(tmp_path, mmap=True)
         cold_store.get_or_build(key, lambda: build_solver(spec))
         assert key in cold_store.keys()

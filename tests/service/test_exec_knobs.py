@@ -3,8 +3,8 @@
 The service's ``exec_mode``/``exec_workers`` apply only to cold-start
 factorizations; warm panel solves always run eagerly, and the solver cached
 or persisted after a process build carries an eager config (archives must
-not embed build-machine detail).  ``FactorizationStore(mmap=True)`` writes
-uncompressed archives and reloads them as memmap-backed solvers.
+not embed build-machine detail).  ``FactorizationStore(mmap=True)`` reloads
+its archives as read-only mapped solvers that answer with the saved bits.
 """
 
 import numpy as np
@@ -79,7 +79,6 @@ class TestServiceKnobs:
 class TestStoreMmap:
     def test_mmap_store_round_trip(self, tmp_path):
         store = FactorizationStore(tmp_path, mmap=True)
-        assert store.compress is False
         key = spec_fingerprint(SPEC)
         solver = build_solver(SPEC)
         b = _rhs()
@@ -88,8 +87,16 @@ class TestStoreMmap:
         store.clear_memory()  # force the disk tier
         loaded = store.get(key)
         assert loaded is not None and loaded is not solver
-        np.testing.assert_allclose(loaded.solve(b), xe, rtol=1e-12, atol=1e-12)
+        assert np.array_equal(loaded.solve(b), xe)
 
-    def test_default_store_stays_compressed(self, tmp_path):
-        store = FactorizationStore(tmp_path)
-        assert store.mmap is False and store.compress is True
+    def test_default_store_reads_and_ignores_compress(self, tmp_path):
+        """``mmap`` is off by default; ``compress=`` is accepted (callers pass
+        it) and selects nothing — both stores write the same bytes."""
+        assert FactorizationStore(tmp_path).mmap is False
+        key, solver = spec_fingerprint(SPEC), build_solver(SPEC)
+        blobs = []
+        for compress in (True, False):
+            store = FactorizationStore(tmp_path / str(compress), compress=compress)
+            store.put(key, solver)
+            blobs.append(store.path_for(key).read_bytes())
+        assert blobs[0] == blobs[1]

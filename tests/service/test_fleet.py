@@ -295,6 +295,45 @@ def test_fleet_solve_bit_identical_to_single_service(spec, rhs, tmp_path):
     assert spec_fingerprint(spec) in fleet.keys()
 
 
+def test_restart_answers_equal_cold_answers_exactly(tmp_path):
+    """The benchmark's ``serve_mix`` reload phase, with its frozen 1e-8
+    tolerance replaced by equality: a fleet builds a real, a complex and a GP
+    key (serving each from the factor it built), and a fresh fleet over the
+    same root answers its first request per key — a mapped disk hit — with
+    exactly the same bits."""
+    from repro.service import ProblemSpec
+    from repro.service.problems import rhs_dtype
+
+    specs = [
+        ProblemSpec(kernel="laplace", n=300, nb=100, eps=1e-6),
+        ProblemSpec(kernel="helmholtz", n=128, nb=64, eps=1e-4),
+        ProblemSpec(kernel="sqexp", n=200, nb=100, eps=1e-6, kind="gp",
+                    length=0.3, signal=1.0, noise=0.05),
+    ]
+    rng = np.random.default_rng(11)
+    rhss = []
+    for s in specs:
+        b = rng.standard_normal(s.n)
+        rhss.append(b + 1j * rng.standard_normal(s.n) if rhs_dtype(s).kind == "c" else b)
+
+    def answers():
+        fleet = ServeFleet(2, store_root=tmp_path, max_delay=0.0, replicate_hot_after=None)
+        try:
+            xs = [fleet.solve(s, b) for s, b in zip(specs, rhss)]
+            return xs, [w.store.stats() for w in fleet._workers]
+        finally:
+            fleet.close()
+
+    cold, cold_stats = answers()
+    assert sum(st["misses"] for st in cold_stats) == len(specs)
+    assert sorted(p.suffix for p in tmp_path.iterdir()) == [".tileh"] * len(specs)
+    warm, warm_stats = answers()
+    assert sum(st["misses"] for st in warm_stats) == 0, "a restart must not rebuild"
+    assert sum(st["hits"] for st in warm_stats) == len(specs)
+    for x_cold, x_warm in zip(cold, warm):
+        np.testing.assert_array_equal(x_warm, x_cold)
+
+
 def test_hot_key_replication_keeps_bits(spec, rhs, tmp_path):
     """Once a fingerprint goes hot it is served by several workers; every
     replica answers bit-identically to the primary."""

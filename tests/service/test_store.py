@@ -1,12 +1,17 @@
 """FactorizationStore: two-tier caching, budget eviction, build deduplication."""
 
+import gc
+import os
+import sys
 import threading
 
 import numpy as np
 import pytest
 
 from repro.obs import Instrumentation
-from repro.service import FactorizationStore
+from repro.service import FactorizationStore, build_solver, spec_fingerprint
+
+from ..hmatrix.legacy_npz import write_legacy_npz
 
 
 class TestTiers:
@@ -145,3 +150,116 @@ class TestObsIntegration:
         assert probe.registry.counter("service.store.evictions") == 1
         assert probe.registry.gauge("service.store.bytes") == nbytes
         assert probe.registry.gauge("service.store.peak_bytes") >= nbytes
+
+
+class TestArchiveNaming:
+    def test_new_archives_are_tileh(self, solver, key, tmp_path):
+        store = FactorizationStore(tmp_path)
+        store.put(key, solver)
+        assert [p.name for p in tmp_path.iterdir()] == [f"{key}.tileh"]
+        assert store.path_for(key) == tmp_path / f"{key}.tileh"
+
+    @pytest.mark.parametrize("mmap", [False, True], ids=["read", "mapped"])
+    def test_legacy_npz_is_still_a_hit(self, solver, key, rhs, mmap, tmp_path):
+        """An archive an older version left on disk is found by name and read
+        by its magic bytes; the answer has the bits of the factor saved."""
+        write_legacy_npz(solver, tmp_path / f"{key}.npz")
+        store = FactorizationStore(tmp_path, mmap=mmap)
+        assert key in store and store.keys() == [key]
+        got = store.get(key)
+        assert got is not None and store.stats()["hits"] == 1
+        assert np.array_equal(got.solve(rhs), solver.solve(rhs))
+        # A fresh put writes the new name and leaves the old file alone;
+        # lookups then prefer the new archive.
+        store.put(key, solver)
+        assert sorted(p.suffix for p in tmp_path.iterdir()) == [".npz", ".tileh"]
+        assert store.keys() == [key] and store._disk_path(key).suffix == ".tileh"
+
+    def test_built_solver_is_served_not_reloaded(self, solver, key, tmp_path):
+        """Mapped, read and in-memory factors answer with the same bits, so a
+        cold build serves the instance it built (no load of its own write)."""
+        store = FactorizationStore(tmp_path, mmap=True)
+        assert store.get_or_build(key, lambda: solver) is solver
+        assert store.get(key) is solver and store.path_for(key).exists()
+
+
+class TestAtomicPublish:
+    def test_reader_never_sees_a_partial_archive(self, solver, key, rhs, tmp_path):
+        """One store re-``put``s a key 20 times while another (a second shard
+        over the same root) keeps taking disk hits, mapped: no load fails and
+        every answer has the same bits — including from a solver whose file
+        was replaced under its mapping."""
+        writer = FactorizationStore(tmp_path)
+        writer.put(key, solver)
+        reader = FactorizationStore(tmp_path, mmap=True)
+        reference = solver.solve(rhs)
+        first = reader.get(key)
+        done, errors, loads = threading.Event(), [], [0]
+
+        def read():
+            try:
+                while not done.is_set():
+                    reader.clear_memory()
+                    if not np.array_equal(reader.get(key).solve(rhs), reference):
+                        errors.append("bits differ")
+                    loads[0] += 1
+            except BaseException as exc:  # reported on the test's thread
+                errors.append(repr(exc))
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)
+        t = threading.Thread(target=read)
+        t.start()
+        try:
+            for _ in range(20):
+                writer.put(key, solver)
+        finally:
+            done.set()
+            t.join(timeout=60)
+            sys.setswitchinterval(old)
+        assert not t.is_alive() and not errors, errors[:3]
+        assert loads[0] > 0
+        assert np.array_equal(first.solve(rhs), reference)
+        assert [p.name for p in tmp_path.iterdir()] == [f"{key}.tileh"]
+
+
+def _open_fds() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+class TestDescriptorLifetime:
+    """A mapped factor holds one descriptor, released with the factor — by
+    reference count, not by a garbage-collector pass."""
+
+    K = 3
+
+    @pytest.fixture()
+    def root(self, solver, tmp_path):
+        store = FactorizationStore(tmp_path)
+        for k in range(self.K):
+            store.put(f"key{k}", solver)
+        return tmp_path
+
+    def test_mapped_keys_hold_one_descriptor_each(self, root, rhs):
+        gc.disable()  # the release below must not be a collector's doing
+        try:
+            before = _open_fds()
+            store = FactorizationStore(root, mmap=True)
+            solvers = [store.get(f"key{k}") for k in range(self.K)]
+            assert all(s is not None for s in solvers)
+            assert 1 <= _open_fds() - before <= self.K
+            solvers[0].solve(rhs)
+            store.clear_memory()
+            assert _open_fds() - before >= 1  # the solvers still hold them
+            del solvers
+            assert _open_fds() == before
+        finally:
+            gc.enable()
+
+    def test_read_load_holds_none(self, root):
+        before = _open_fds()
+        store = FactorizationStore(root)
+        solvers = [store.get(f"key{k}") for k in range(self.K)]
+        assert all(s is not None for s in solvers)
+        assert _open_fds() == before
