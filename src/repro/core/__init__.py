@@ -10,6 +10,8 @@ HMAT-OSS-style H-matrix tiles and the StarPU-style runtime:
 * :mod:`.build` — Tile-H matrix assembly;
 * :mod:`.algorithms` — the tiled LU (Algorithm 1) and tile-level solves as
   STF task submissions;
+* :mod:`.sweep` — the forward/backward substitution compiled once per factor
+  into a flat program, and the one interpreter every solve path runs;
 * :mod:`.solver` — the public solver API (:class:`TileHMatrix`).
 """
 
@@ -23,10 +25,12 @@ from .algorithms import (
     tiled_solve_tasks,
     tiled_chol_solve,
     tiled_chol_solve_tasks,
-    submit_chol_solve_tasks,
+    sweep_solve_tasks,
+    submit_sweep_tasks,
     lu_priorities,
     apply_bottom_level_priorities,
 )
+from .sweep import SweepProgram, compile_sweep
 from .solver import TileHConfig, TileHMatrix, FactorizationInfo, iterative_refinement
 from .krylov import KrylovResult, gmres, pcg
 
@@ -43,7 +47,10 @@ __all__ = [
     "tiled_solve_tasks",
     "tiled_chol_solve",
     "tiled_chol_solve_tasks",
-    "submit_chol_solve_tasks",
+    "sweep_solve_tasks",
+    "submit_sweep_tasks",
+    "SweepProgram",
+    "compile_sweep",
     "lu_priorities",
     "apply_bottom_level_priorities",
     "assemble_priority",

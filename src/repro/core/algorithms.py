@@ -18,16 +18,10 @@ import numpy as np
 
 from ..dense import flops_gemm, flops_getrf, flops_potrf, flops_trsm
 from ..hmatrix import UpdateAccumulator, hgemm, hgemm_transb, hgetrf, hpotrf, htrsm
-from ..hmatrix.arithmetic import (
-    _htrsm_right_lower_transpose,
-    panel_matvec,
-    panel_rmatvec,
-    solve_lower_panel,
-    solve_lower_transpose_panel,
-    solve_upper_panel,
-)
+from ..hmatrix.arithmetic import _htrsm_right_lower_transpose
 from ..runtime import AccessMode, StfEngine, TaskGraph, TaskSpec
 from .descriptor import TileHDesc
+from .sweep import SweepProgram, compile_sweep, mv_step, run_steps, tri_steps
 from .nested import (
     gemm_expander,
     gemm_transb_expander,
@@ -47,7 +41,8 @@ __all__ = [
     "tiled_solve_tasks",
     "tiled_chol_solve",
     "tiled_chol_solve_tasks",
-    "submit_chol_solve_tasks",
+    "sweep_solve_tasks",
+    "submit_sweep_tasks",
 ]
 
 R, RW = AccessMode.R, AccessMode.RW
@@ -91,57 +86,22 @@ def _op_gemm_transb(payloads, eps):
                  alpha=-1.0, acc=None)
 
 
-def _op_solve_gemv(payloads):
-    payloads[2][...] -= panel_matvec(payloads[0].mat, payloads[1])
+def _op_sweep_gemv(payloads, trans):
+    # Shared segments arrive as separate arrays: lay them out as one local
+    # work array (updated rows first), run the tile's step, copy back.
+    tile, xj, xk = payloads
+    mk = xk.shape[-1]
+    work = np.concatenate([xk, xj], axis=-1)
+    run_steps([mv_step(tile.mat, 0, mk, trans)], work)
+    xk[...] = work[..., :mk]
 
 
-def _op_solve_gemv_t(payloads):
-    payloads[2][...] -= panel_rmatvec(payloads[0].mat, payloads[1])
-
-
-def _op_chol_trsv_lower(payloads):
-    payloads[1][...] = solve_lower_panel(
-        payloads[0].mat, payloads[1], unit_diagonal=False, column_stable=True
-    )
-
-
-def _op_chol_trsv_lower_t(payloads):
-    payloads[1][...] = solve_lower_transpose_panel(
-        payloads[0].mat, payloads[1], unit_diagonal=False, column_stable=True
-    )
-
-
-def _op_trsv_lower(payloads):
-    payloads[1][...] = solve_lower_panel(
-        payloads[0].mat, payloads[1], unit_diagonal=True, column_stable=True
-    )
-
-
-def _op_trsv_upper(payloads):
-    payloads[1][...] = solve_upper_panel(
-        payloads[0].mat, payloads[1], column_stable=True
-    )
+def _op_sweep_trsv(payloads, lower, unit, trans):
+    run_steps(tri_steps(payloads[0].mat, 0, lower, unit, trans), payloads[1])
 
 
 def _spec(op: str, *args, **kwargs) -> TaskSpec:
     return TaskSpec(f"repro.core.algorithms:{op}", args=args, kwargs=kwargs)
-
-
-def _as_panel(b: np.ndarray, n: int) -> tuple[np.ndarray, bool]:
-    """Validate a right-hand side and view it as a 2-D panel.
-
-    Accepts a vector (returned squeezed) or a 2-D multi-RHS panel; anything
-    else — higher-rank arrays, wrong leading dimension — raises a clear
-    ``ValueError`` instead of failing deep inside the substitution loops.
-    """
-    b = np.asarray(b)
-    if b.ndim not in (1, 2):
-        raise ValueError(f"b must be a vector or a 2-D RHS panel, got ndim={b.ndim}")
-    squeeze = b.ndim == 1
-    x = b[:, None] if squeeze else b
-    if x.shape[0] != n:
-        raise ValueError(f"rhs leading dim {x.shape[0]} != {n}")
-    return x, squeeze
 
 
 def apply_bottom_level_priorities(
@@ -399,160 +359,78 @@ def tiled_potrf_tasks(
     return eng.wait_all()
 
 
-def tiled_chol_solve(desc: TileHDesc, b: np.ndarray) -> np.ndarray:
-    """Solve ``A x = b`` after :func:`tiled_potrf_tasks` (``A = L L^T``).
-
-    Original ordering in and out, vector or panel.  Multi-column panels are
-    solved column-stably: every column matches a standalone single-RHS solve
-    bit-for-bit (see :func:`~repro.hmatrix.arithmetic.panel_matvec`).
-    """
-    x, squeeze = _as_panel(b, desc.n)
-    nt = desc.nt
-    grid = desc.super
-    work = np.array(x[desc.perm], dtype=np.promote_types(grid.dtype, x.dtype), copy=True)
-
-    # Forward: L y = b (non-unit diagonal).
-    for k in range(nt):
-        sk = desc.tile_slice(k)
-        for j in range(k):
-            work[sk] -= panel_matvec(grid.get_blktile(k, j).mat, work[desc.tile_slice(j)])
-        work[sk] = solve_lower_panel(
-            grid.get_blktile(k, k).mat, work[sk], unit_diagonal=False, column_stable=True
-        )
-    # Backward: L^T x = y, using the lower tiles transposed.
-    for k in reversed(range(nt)):
-        sk = desc.tile_slice(k)
-        for j in range(k + 1, nt):
-            work[sk] -= panel_rmatvec(grid.get_blktile(j, k).mat, work[desc.tile_slice(j)])
-        work[sk] = solve_lower_transpose_panel(
-            grid.get_blktile(k, k).mat, work[sk], unit_diagonal=False, column_stable=True
-        )
-
-    out = np.empty_like(work)
-    out[desc.perm] = work
-    return out[:, 0] if squeeze else out
-
-
-def submit_chol_solve_tasks(
-    eng: StfEngine,
-    desc: TileHDesc,
-    segments: list,
-    seg_handles: list,
-    *,
-    tile_handles: dict | None = None,
+def submit_sweep_tasks(
+    eng: StfEngine, program: SweepProgram, work: np.ndarray, seg_handles: list | None = None
 ) -> None:
-    """Submit the forward/backward Cholesky substitution tasks over ``segments``.
+    """Submit ``program`` as one task per tile-op over the work array ``work``.
 
-    ``segments[k]`` must hold tile ``k``'s rows of the (permuted) RHS panel
-    and is updated in place to the solution; ``seg_handles[k]`` is its STF
-    handle.  Shared by :func:`tiled_chol_solve_tasks` and the GP prediction
-    graph (which fuses cross-covariance assembly tasks in front of these).
+    ``work`` is in the interpreter's layout (:meth:`SweepProgram.scatter`);
+    ``seg_handles[k]`` is the STF handle of tile row ``k``'s segment of it —
+    pass the handles when earlier tasks of the same graph write the segments
+    (the GP prediction graph fuses cross-covariance assembly in front of the
+    sweep), omit them to have them created here.
 
-    The task submission order matches the sequential loops of
-    :func:`tiled_chol_solve` exactly, and successive updates of one segment
-    are RW on the same handle, so STF serialises them in submission order —
-    eager, threaded and process executions are all bit-identical to the
-    sequential solve.
+    Each task runs its tile-op's steps through :func:`~repro.core.sweep.run_steps`,
+    in the submission order of the eager sweep, and successive updates of one
+    segment are RW on the same handle, so STF serialises them in that order:
+    eager, threaded and process executions are all bit-identical to
+    :meth:`SweepProgram.solve`.
     """
-    nt = desc.nt
-    grid = desc.super
-    if tile_handles is None:
-        tile_handles = {
-            (i, j): eng.handle(grid.get_blktile(i, j), f"A[{i},{j}]")
-            for i in range(nt)
-            for j in range(i + 1)
-        }
-    is_c = np.issubdtype(grid.dtype, np.complexfloating)
-    nrhs = segments[0].shape[1]
-
-    def gemv(k, j):
-        segments[k][...] -= panel_matvec(grid.get_blktile(k, j).mat, segments[j])
-
-    def gemv_t(k, j):
-        segments[k][...] -= panel_rmatvec(grid.get_blktile(j, k).mat, segments[j])
-
-    def trsv_lower(k):
-        segments[k][...] = solve_lower_panel(
-            grid.get_blktile(k, k).mat, segments[k],
-            unit_diagonal=False, column_stable=True,
-        )
-
-    def trsv_lower_t(k):
-        segments[k][...] = solve_lower_transpose_panel(
-            grid.get_blktile(k, k).mat, segments[k],
-            unit_diagonal=False, column_stable=True,
-        )
-
-    # Forward substitution: L y = b (non-unit diagonal).
-    for k in range(nt):
-        for j in range(k):
-            eng.insert_task(
-                "gemm",
-                (lambda k=k, j=j: gemv(k, j)),
-                [(tile_handles[k, j], R), (seg_handles[j], R), (seg_handles[k], RW)],
-                priority=lu_priorities(nt, min(j, nt - 1), "gemm", k, j),
-                flops=flops_gemm(grid.tile_rows(k), nrhs, grid.tile_rows(j), is_complex=is_c),
-                label=f"fwd_gemv({k},{j})",
-                spec=_spec("_op_solve_gemv"),
-            )
+    nt = len(program.bounds)
+    rows = [r1 - r0 for r0, r1 in program.bounds]
+    if seg_handles is None:
+        seg_handles = [eng.handle(program.segment(work, k), f"x[{k}]") for k in range(nt)]
+    is_c = program.dtype.kind == "c"
+    nrhs = 1 if work.ndim == 1 else work.shape[0]
+    for op in program.ops:
+        phase, k, j = op.phase, op.k, op.j
+        tile = eng.handle(op.tile, "A[{},{}]".format(*op.pos))
+        # The panel step the op waits on, counted from its sweep's start.
+        step = k if j is None else j
+        if phase == "bwd":
+            step = nt - 1 - step
+        if j is None:
+            kind, name, worker = "trsm", f"trsv({k})", "_op_sweep_trsv"
+            accesses = [(tile, R), (seg_handles[k], RW)]
+            priority = lu_priorities(nt, step, "trsm")
+            flops = flops_trsm(rows[k], nrhs, is_complex=is_c)
+        else:
+            kind, name, worker = "gemm", f"gemv{'_t' if op.args[0] else ''}({k},{j})", "_op_sweep_gemv"
+            accesses = [(tile, R), (seg_handles[j], R), (seg_handles[k], RW)]
+            priority = lu_priorities(nt, step, "gemm", k, j)
+            flops = flops_gemm(rows[k], nrhs, rows[j], is_complex=is_c)
         eng.insert_task(
-            "trsm",
-            (lambda k=k: trsv_lower(k)),
-            [(tile_handles[k, k], R), (seg_handles[k], RW)],
-            priority=lu_priorities(nt, k, "trsm"),
-            flops=flops_trsm(grid.tile_rows(k), nrhs, is_complex=is_c),
-            label=f"fwd_trsv({k})",
-            spec=_spec("_op_chol_trsv_lower"),
-        )
-    # Backward substitution: L^T x = y, reading the lower tiles transposed.
-    for k in reversed(range(nt)):
-        for j in range(k + 1, nt):
-            eng.insert_task(
-                "gemm",
-                (lambda k=k, j=j: gemv_t(k, j)),
-                [(tile_handles[j, k], R), (seg_handles[j], R), (seg_handles[k], RW)],
-                priority=lu_priorities(nt, min(nt - 1 - j, nt - 1), "gemm", k, j),
-                flops=flops_gemm(grid.tile_rows(k), nrhs, grid.tile_rows(j), is_complex=is_c),
-                label=f"bwd_gemv_t({k},{j})",
-                spec=_spec("_op_solve_gemv_t"),
-            )
-        eng.insert_task(
-            "trsm",
-            (lambda k=k: trsv_lower_t(k)),
-            [(tile_handles[k, k], R), (seg_handles[k], RW)],
-            priority=lu_priorities(nt, nt - 1 - k, "trsm"),
-            flops=flops_trsm(grid.tile_rows(k), nrhs, is_complex=is_c),
-            label=f"bwd_trsv({k})",
-            spec=_spec("_op_chol_trsv_lower_t"),
+            kind,
+            (lambda steps=op.steps: run_steps(steps, work)),
+            accesses,
+            priority=priority,
+            flops=flops,
+            label=f"{phase}_{name}",
+            spec=_spec(worker, *op.args),
         )
 
 
-def tiled_chol_solve_tasks(
-    desc: TileHDesc,
+def sweep_solve_tasks(
+    program: SweepProgram,
     b: np.ndarray,
     engine: StfEngine | None = None,
     *,
     racecheck: bool = False,
     executor=None,
 ) -> tuple[np.ndarray, TaskGraph]:
-    """Task-parallel forward/backward substitution after the tiled Cholesky.
+    """Solve through the runtime: :func:`submit_sweep_tasks` on a fresh work
+    array, run, gather.  Returns ``(x, graph)`` with ``x`` in original
+    ordering, bit-identical to ``program.solve(b)`` on every executor.
 
-    The Cholesky twin of :func:`tiled_solve_tasks`: one GEMV-style update
-    task per lower tile (the backward sweep reads tile ``(j, k)``
-    transposed) and one non-unit TRSV task per diagonal tile.  Returns
-    ``(x, graph)`` with ``x`` in original ordering, bit-identical to
-    :func:`tiled_chol_solve` on every executor; a *deferred* ``engine``
-    requires an ``executor`` to run the submitted kernels.
+    With a *deferred* ``engine`` the submitted kernels have not run when the
+    section closes, so an ``executor`` (typically a
+    :class:`~repro.runtime.ThreadedExecutor`) is required and is run on the
+    graph before the solution is gathered.  ``racecheck`` enables the
+    access-mode race detector on the default engine.
     """
-    x, squeeze = _as_panel(b, desc.n)
+    work, squeeze = program.scatter(b)
     eng = engine or StfEngine(mode="eager", racecheck=racecheck)
-    nt = desc.nt
-    grid = desc.super
-    work = np.array(x[desc.perm], dtype=np.promote_types(grid.dtype, x.dtype), copy=True)
-    segments = [work[desc.tile_slice(k)] for k in range(nt)]
-    seg_handles = [eng.handle(segments[k], f"x[{k}]") for k in range(nt)]
-
-    submit_chol_solve_tasks(eng, desc, segments, seg_handles)
+    submit_sweep_tasks(eng, program, work)
     graph = eng.wait_all()
     if eng.mode == "deferred":
         if executor is None:
@@ -561,10 +439,29 @@ def tiled_chol_solve_tasks(
                 "pass executor= (e.g. a ThreadedExecutor) to run them"
             )
         executor.run(graph)
+    return program.gather(work, squeeze), graph
 
-    out = np.empty_like(work)
-    out[desc.perm] = work
-    return (out[:, 0] if squeeze else out), graph
+
+def tiled_solve(desc: TileHDesc, b: np.ndarray) -> np.ndarray:
+    """Solve ``A x = b`` after :func:`tiled_getrf_tasks` (vector or panel).
+
+    ``b`` and the returned ``x`` use the *original* unknown numbering; the
+    clustering permutation is applied internally.  The substitution's cost is
+    a lower-order term, so it is executed directly rather than through the
+    runtime.  Compiles the sweep per call (a descriptor has nowhere to keep
+    it); :meth:`TileHMatrix.solve <repro.core.TileHMatrix.solve>` compiles
+    once per factor.
+
+    Column ``c`` of a panel solution is bit-identical to
+    ``tiled_solve(desc, b[:, c])`` (see :mod:`repro.core.sweep`).
+    """
+    return compile_sweep(desc, "lu").solve(b)
+
+
+def tiled_chol_solve(desc: TileHDesc, b: np.ndarray) -> np.ndarray:
+    """Solve ``A x = b`` after :func:`tiled_potrf_tasks` (``A = L L^T``);
+    the Cholesky twin of :func:`tiled_solve`."""
+    return compile_sweep(desc, "cholesky").solve(b)
 
 
 def tiled_solve_tasks(
@@ -577,143 +474,28 @@ def tiled_solve_tasks(
 ) -> tuple[np.ndarray, TaskGraph]:
     """Task-parallel forward/backward substitution after the tiled LU.
 
-    Submits one GEMV-style update task per off-diagonal tile and one TRSV
-    task per diagonal tile, with R/RW access modes on the tiles and on the
-    per-tile RHS segments — the solve phase as the paper's library would run
-    it through the runtime.  Returns ``(x, graph)`` with ``x`` in original
-    ordering; the graph's simulated makespan quantifies the (limited)
-    pipeline parallelism of triangular solves.  ``racecheck`` enables the
-    access-mode race detector on the default engine.
-
-    With a *deferred* ``engine`` the submitted kernels have not run when the
-    section closes, so an ``executor`` (typically a
-    :class:`~repro.runtime.ThreadedExecutor`) is required and is run on the
-    graph before the solution is gathered.
-
-    Multi-column panels are solved column-stably (each column bit-identical
-    to its standalone single-RHS solve), matching :func:`tiled_solve`.
+    One GEMV-style update task per off-diagonal tile and one TRSV task per
+    diagonal tile, with R/RW access modes on the tiles and on the per-tile
+    RHS segments — the solve phase as the paper's library would run it
+    through the runtime; the graph's simulated makespan quantifies the
+    (limited) pipeline parallelism of triangular solves.  See
+    :func:`sweep_solve_tasks` for the arguments and the return value.
     """
-    x, squeeze = _as_panel(b, desc.n)
-    eng = engine or StfEngine(mode="eager", racecheck=racecheck)
-    nt = desc.nt
-    grid = desc.super
-    work = np.array(x[desc.perm], dtype=np.promote_types(grid.dtype, x.dtype), copy=True)
-
-    segments = [work[desc.tile_slice(k)] for k in range(nt)]
-    tile_handles = {
-        (i, j): eng.handle(grid.get_blktile(i, j), f"A[{i},{j}]")
-        for i in range(nt)
-        for j in range(nt)
-    }
-    seg_handles = [eng.handle(segments[k], f"x[{k}]") for k in range(nt)]
-    is_c = np.issubdtype(grid.dtype, np.complexfloating)
-    nrhs = work.shape[1]
-
-    def gemv(k, j):
-        segments[k][...] -= panel_matvec(grid.get_blktile(k, j).mat, segments[j])
-
-    def trsv_lower(k):
-        segments[k][...] = solve_lower_panel(
-            grid.get_blktile(k, k).mat, segments[k], unit_diagonal=True, column_stable=True
-        )
-
-    def trsv_upper(k):
-        segments[k][...] = solve_upper_panel(
-            grid.get_blktile(k, k).mat, segments[k], column_stable=True
-        )
-
-    # Forward substitution: L y = b.
-    for k in range(nt):
-        for j in range(k):
-            eng.insert_task(
-                "gemm",
-                (lambda k=k, j=j: gemv(k, j)),
-                [(tile_handles[k, j], R), (seg_handles[j], R), (seg_handles[k], RW)],
-                priority=lu_priorities(nt, min(j, nt - 1), "gemm", k, j),
-                flops=flops_gemm(grid.tile_rows(k), nrhs, grid.tile_rows(j), is_complex=is_c),
-                label=f"fwd_gemv({k},{j})",
-                spec=_spec("_op_solve_gemv"),
-            )
-        eng.insert_task(
-            "trsm",
-            (lambda k=k: trsv_lower(k)),
-            [(tile_handles[k, k], R), (seg_handles[k], RW)],
-            priority=lu_priorities(nt, k, "trsm"),
-            flops=flops_trsm(grid.tile_rows(k), nrhs, is_complex=is_c),
-            label=f"fwd_trsv({k})",
-            spec=_spec("_op_trsv_lower"),
-        )
-    # Backward substitution: U x = y.
-    for k in reversed(range(nt)):
-        for j in range(k + 1, nt):
-            eng.insert_task(
-                "gemm",
-                (lambda k=k, j=j: gemv(k, j)),
-                [(tile_handles[k, j], R), (seg_handles[j], R), (seg_handles[k], RW)],
-                priority=lu_priorities(nt, min(nt - 1 - j, nt - 1), "gemm", k, j),
-                flops=flops_gemm(grid.tile_rows(k), nrhs, grid.tile_rows(j), is_complex=is_c),
-                label=f"bwd_gemv({k},{j})",
-                spec=_spec("_op_solve_gemv"),
-            )
-        eng.insert_task(
-            "trsm",
-            (lambda k=k: trsv_upper(k)),
-            [(tile_handles[k, k], R), (seg_handles[k], RW)],
-            priority=lu_priorities(nt, nt - 1 - k, "trsm"),
-            flops=flops_trsm(grid.tile_rows(k), nrhs, is_complex=is_c),
-            label=f"bwd_trsv({k})",
-            spec=_spec("_op_trsv_upper"),
-        )
-    graph = eng.wait_all()
-    if eng.mode == "deferred":
-        if executor is None:
-            raise ValueError(
-                "a deferred engine leaves the solve kernels unexecuted; "
-                "pass executor= (e.g. a ThreadedExecutor) to run them"
-            )
-        executor.run(graph)
-
-    out = np.empty_like(work)
-    out[desc.perm] = work
-    return (out[:, 0] if squeeze else out), graph
+    return sweep_solve_tasks(
+        compile_sweep(desc, "lu"), b, engine, racecheck=racecheck, executor=executor
+    )
 
 
-def tiled_solve(desc: TileHDesc, b: np.ndarray) -> np.ndarray:
-    """Solve ``A x = b`` after :func:`tiled_getrf_tasks` (vector or panel).
-
-    ``b`` and the returned ``x`` use the *original* unknown numbering; the
-    clustering permutation is applied internally.  The substitution runs
-    tile-wise: its cost is a lower-order term, so it is executed directly
-    rather than through the runtime.
-
-    Multi-column panels amortize the tile/leaf traversal across columns while
-    staying column-stable: column ``c`` of the panel solution is bit-identical
-    to ``tiled_solve(desc, b[:, c])`` — the batch a request lands in can never
-    change its answer (the property the solve service's micro-batcher relies
-    on).
-    """
-    x, squeeze = _as_panel(b, desc.n)
-    nt = desc.nt
-    grid = desc.super
-    work = np.array(x[desc.perm], dtype=np.promote_types(grid.dtype, x.dtype), copy=True)
-
-    # Forward substitution: L y = b (unit lower, diagonal tiles packed).
-    for k in range(nt):
-        sk = desc.tile_slice(k)
-        for j in range(k):
-            work[sk] -= panel_matvec(grid.get_blktile(k, j).mat, work[desc.tile_slice(j)])
-        work[sk] = solve_lower_panel(
-            grid.get_blktile(k, k).mat, work[sk], unit_diagonal=True, column_stable=True
-        )
-    # Backward substitution: U x = y.
-    for k in reversed(range(nt)):
-        sk = desc.tile_slice(k)
-        for j in range(k + 1, nt):
-            work[sk] -= panel_matvec(grid.get_blktile(k, j).mat, work[desc.tile_slice(j)])
-        work[sk] = solve_upper_panel(
-            grid.get_blktile(k, k).mat, work[sk], column_stable=True
-        )
-
-    out = np.empty_like(work)
-    out[desc.perm] = work
-    return out[:, 0] if squeeze else out
+def tiled_chol_solve_tasks(
+    desc: TileHDesc,
+    b: np.ndarray,
+    engine: StfEngine | None = None,
+    *,
+    racecheck: bool = False,
+    executor=None,
+) -> tuple[np.ndarray, TaskGraph]:
+    """Task-parallel substitution after the tiled Cholesky (the backward
+    sweep reads tile ``(j, k)`` transposed); the twin of :func:`tiled_solve_tasks`."""
+    return sweep_solve_tasks(
+        compile_sweep(desc, "cholesky"), b, engine, racecheck=racecheck, executor=executor
+    )

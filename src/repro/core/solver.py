@@ -34,13 +34,13 @@ from ..runtime import (
 )
 from .algorithms import (
     apply_bottom_level_priorities,
-    tiled_chol_solve,
+    sweep_solve_tasks,
     tiled_getrf_tasks,
     tiled_potrf_tasks,
-    tiled_solve,
 )
 from .build import build_tile_h
 from .descriptor import TileHDesc
+from .sweep import SweepProgram, compile_sweep
 
 __all__ = ["TileHConfig", "FactorizationInfo", "TileHMatrix", "iterative_refinement"]
 
@@ -283,6 +283,12 @@ class TileHMatrix:
         self.config = config
         self._factorized = False
         self._method = "lu"
+        self._program: SweepProgram | None = None
+
+    def __getstate__(self) -> dict:
+        # The compiled sweep holds views of the factor: never pickled, the
+        # copy compiles its own.
+        return {**self.__dict__, "_program": None}
 
     # -- construction ------------------------------------------------------
     @staticmethod
@@ -545,6 +551,24 @@ class TileHMatrix:
             ),
         )
 
+    def sweep_program(self) -> SweepProgram:
+        """The compiled substitution of this factor (:mod:`repro.core.sweep`).
+
+        Compiled on first use and kept for the matrix's lifetime: a factor is
+        immutable after :meth:`factorize`, so every later :meth:`solve` only
+        replays it.  It holds views of the tile payloads — it is never saved
+        or pickled (a loaded, mapped or replicated factor compiles its own),
+        and code that mutates ``desc`` after a solve must wrap the descriptor
+        in a new :class:`TileHMatrix`.  Two threads racing to the first solve
+        may both compile; the programs are interchangeable.
+        """
+        if not self._factorized:
+            raise RuntimeError("call factorize() before solve()")
+        program = self._program
+        if program is None:
+            program = self._program = compile_sweep(self.desc, self._method)
+        return program
+
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Solve ``A x = b`` (vector or panel) in original ordering.
 
@@ -553,30 +577,21 @@ class TileHMatrix:
         solve-phase TRSV/GEMV tasks.  With ``exec_mode="threaded"``/
         ``"process"`` the substitution likewise runs as tasks (the LU and
         Cholesky paths alike), executed by the configured scheduler — the
-        end of the end-to-end task-parallel solve.  Every path is
-        bit-identical to the sequential substitution.
+        end of the end-to-end task-parallel solve.  Every path interprets
+        the steps of the one :meth:`sweep_program`, so all of them are
+        bit-identical, and column ``c`` of a panel solution is bit-identical
+        to the standalone solve of that column.
         """
-        if not self._factorized:
-            raise RuntimeError("call factorize() before solve()")
-        from .algorithms import tiled_chol_solve_tasks, tiled_solve_tasks
-
-        tasks_fn = (
-            tiled_chol_solve_tasks if self._method == "cholesky" else tiled_solve_tasks
-        )
+        program = self.sweep_program()
         if self.config.exec_mode in ("threaded", "process"):
-            x, _ = tasks_fn(
-                self.desc,
-                b,
-                StfEngine(mode="deferred"),
-                executor=self._executor(),
+            x, _ = sweep_solve_tasks(
+                program, b, StfEngine(mode="deferred"), executor=self._executor()
             )
             return x
         if self.config.racecheck:
-            x, _ = tasks_fn(self.desc, b, racecheck=True)
+            x, _ = sweep_solve_tasks(program, b, racecheck=True)
             return x
-        if self._method == "cholesky":
-            return tiled_chol_solve(self.desc, b)
-        return tiled_solve(self.desc, b)
+        return program.solve(b)
 
     def gesv(self, b: np.ndarray) -> np.ndarray:
         """Factorise (if needed) and solve — the one-shot driver."""

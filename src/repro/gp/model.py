@@ -12,8 +12,9 @@ task graph built from three kinds:
     by the solve sweep, one survives for the variance reduction);
 ``gemm`` / ``trsm``
     the forward/backward substitution tasks of
-    :func:`~repro.core.algorithms.submit_chol_solve_tasks` turn the panel
-    into ``V = K^{-1} K_*`` in place;
+    :func:`~repro.core.algorithms.submit_sweep_tasks` (the factor's compiled
+    sweep, one task per tile-op) turn the panel into ``V = K^{-1} K_*`` in
+    place;
 ``gp-predict``
     one reduction task per train tile accumulates its contribution to the
     posterior mean ``K_*^T K^{-1} y = V^T y`` and to the explained variance
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core import TileHConfig, TileHMatrix, pcg
-from ..core.algorithms import submit_chol_solve_tasks
+from ..core.algorithms import submit_sweep_tasks
 from ..geometry import GP_KERNELS, make_kernel
 from ..geometry.assembly import streamed_matvec
 from ..runtime import AccessMode, StfEngine, ThreadedExecutor
@@ -164,13 +165,16 @@ class GPModel:
         else:
             eng = StfEngine(mode="eager", racecheck=cfg.racecheck)
 
+        program = solver.sweep_program()
         x_perm = self.x_[desc.perm]
         y_perm = np.ascontiguousarray(self.y_[desc.perm])
         ks = np.empty((desc.n, m), dtype=np.float64)  # cross-covariance K_* (permuted rows)
-        work = np.empty((desc.n, m), dtype=np.float64)  # solve buffer -> V = K^{-1} K_*
+        # Solve buffer -> V = K^{-1} K_*, in the sweep interpreter's layout
+        # (one contiguous row per test point).
+        work = program.empty(m, np.float64)
         acc = np.zeros((2, m), dtype=np.float64)  # rows: mean, explained variance
         ks_segs = [ks[desc.tile_slice(k)] for k in range(nt)]
-        wk_segs = [work[desc.tile_slice(k)] for k in range(nt)]
+        wk_segs = [program.segment(work, k) for k in range(nt)]
         ks_handles = [eng.handle(ks_segs[k], f"ks[{k}]") for k in range(nt)]
         wk_handles = [eng.handle(wk_segs[k], f"v[{k}]") for k in range(nt)]
         acc_handle = eng.handle(acc, "gp_acc")
@@ -179,11 +183,14 @@ class GPModel:
         def assemble(k):
             block = kern(x_perm[desc.tile_slice(k)], x_test)
             ks_segs[k][...] = block
-            wk_segs[k][...] = block
+            wk_segs[k][...] = block.T
 
         def reduce_tile(k):
-            acc[0] += wk_segs[k].T @ y_perm[desc.tile_slice(k)]
-            acc[1] += np.einsum("ij,ij->j", ks_segs[k], wk_segs[k])
+            # The reductions' bits depend on their operands' layout: hand them
+            # the (rows, m) C-ordered block they have always had.
+            v = np.array(np.atleast_2d(wk_segs[k]).T, order="C")
+            acc[0] += v.T @ y_perm[desc.tile_slice(k)]
+            acc[1] += np.einsum("ij,ij->j", ks_segs[k], v)
 
         # Cross-covariance panel assembly: ready immediately, highest first so
         # the forward sweep can start at tile 0 while late tiles assemble.
@@ -197,7 +204,7 @@ class GPModel:
                 flops=float(8 * rows * m),
                 label=f"gp_assemble({k})",
             )
-        submit_chol_solve_tasks(eng, desc, wk_segs, wk_handles)
+        submit_sweep_tasks(eng, program, work, wk_handles)
         for k in range(nt):
             rows = grid.tile_rows(k)
             eng.insert_task(

@@ -39,8 +39,6 @@ __all__ = [
     "hgetrf",
     "hlu_solve",
     "h_rmatvec",
-    "panel_matvec",
-    "panel_rmatvec",
     "solve_lower_panel",
     "solve_upper_transpose_panel",
     "KernelTracer",
@@ -148,81 +146,6 @@ def h_rmatvec(h: HMatrix, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def panel_matvec(h: HMatrix, x: np.ndarray) -> np.ndarray:
-    """Column-stable (batch-invariant) ``A @ x`` for a 2-D panel ``x``.
-
-    Column ``c`` of the result is bit-identical to ``panel_matvec(h,
-    x[:, c:c+1])`` regardless of the panel width: each leaf multiplies the
-    columns as a *stacked* matmul — numpy iterates the leading axis and
-    issues one identical ``(m, n) @ (n, 1)`` GEMM per column slice, with the
-    leaf operand (and any transpose-copy of it) shared across the stack —
-    instead of one wide ``(m, n) @ (n, k)`` GEMM, whose accumulation order
-    (and hence low-order bits) depends on ``k``.  The input stack is
-    normalised to C order so every slice has the same layout at any width.
-    This batch-invariance is what lets the solve service coalesce requests
-    into micro-batches without the answer depending on which batch a request
-    landed in, while the leaf walk and BLAS dispatch are still paid once per
-    panel — the amortization that motivates batching.
-    """
-    x = np.asarray(x)
-    if x.ndim != 2:
-        raise ValueError(f"panel_matvec needs a 2-D panel, got ndim={x.ndim}")
-    if x.shape[0] != h.shape[1]:
-        raise ValueError(f"x leading dim {x.shape[0]} != {h.shape[1]}")
-    out = np.zeros((h.shape[0], x.shape[1]), dtype=np.promote_types(h.dtype, x.dtype))
-    if x.shape[1] == 0:
-        return out
-    xs = np.ascontiguousarray(x.T)[:, :, None]  # (k, n, 1) column-slice stack
-    for leaf, i0, j0 in h.leaf_index():
-        m, n = leaf.shape
-        seg = xs[:, j0 : j0 + n]
-        if leaf.full is not None:
-            out[i0 : i0 + m] += np.matmul(leaf.full, seg)[:, :, 0].T
-        else:
-            rk = leaf.rk
-            if rk.u.shape[1]:
-                out[i0 : i0 + m] += np.matmul(rk.u, np.matmul(rk.v.T, seg))[:, :, 0].T
-    return out
-
-
-def panel_rmatvec(h: HMatrix, x: np.ndarray) -> np.ndarray:
-    """Column-stable ``A.T @ x`` (the panel form of :func:`h_rmatvec`)."""
-    x = np.asarray(x)
-    if x.ndim != 2:
-        raise ValueError(f"panel_rmatvec needs a 2-D panel, got ndim={x.ndim}")
-    if x.shape[0] != h.shape[0]:
-        raise ValueError(f"x leading dim {x.shape[0]} != {h.shape[0]}")
-    out = np.zeros((h.shape[1], x.shape[1]), dtype=np.promote_types(h.dtype, x.dtype))
-    if x.shape[1] == 0:
-        return out
-    xs = np.ascontiguousarray(x.T)[:, :, None]
-    for leaf, i0, j0 in h.leaf_index():
-        m, n = leaf.shape
-        seg = xs[:, i0 : i0 + m]
-        if leaf.full is not None:
-            out[j0 : j0 + n] += np.matmul(leaf.full.T, seg)[:, :, 0].T
-        else:
-            rk = leaf.rk
-            if rk.u.shape[1]:
-                out[j0 : j0 + n] += np.matmul(rk.v, np.matmul(rk.u.T, seg))[:, :, 0].T
-    return out
-
-
-def _tri_solve_cols(a: np.ndarray, x: np.ndarray, **kw) -> np.ndarray:
-    """Column-stable triangular solve: one trtrs call per contiguous column,
-    so column ``c`` is bit-identical to ``tri_solve(a, x[:, c:c+1])`` on the
-    width-1 path at any panel width."""
-    if x.ndim != 2 or x.shape[1] <= 1:
-        return tri_solve(a, x, **kw)
-    return np.concatenate(
-        [
-            tri_solve(a, np.ascontiguousarray(x[:, c : c + 1]), **kw)
-            for c in range(x.shape[1])
-        ],
-        axis=1,
-    )
-
-
 #: Factorised diagonal nodes up to this size are packed dense (hgetrf /
 #: hpotrf attach ``packed_lu``) so panel solves collapse to one trtrs call.
 #: The cap bounds the cache to O(n * _PACK_TRI_MAX) scalars along the
@@ -230,25 +153,19 @@ def _tri_solve_cols(a: np.ndarray, x: np.ndarray, **kw) -> np.ndarray:
 _PACK_TRI_MAX = 256
 
 
-def solve_lower_panel(
-    l: HMatrix, x: np.ndarray, *, unit_diagonal: bool = True, column_stable: bool = False
-) -> np.ndarray:
+def solve_lower_panel(l: HMatrix, x: np.ndarray, *, unit_diagonal: bool = True) -> np.ndarray:
     """Solve ``L y = x`` where ``L`` is the lower triangle of an H node.
 
     ``x`` is a dense panel in the node's local row order; for packed-LU nodes
-    the strictly-lower part plus an implied unit diagonal is used.
-    ``column_stable`` makes multi-column panels bit-identical per column to
-    width-1 solves (stacked column-wise kernels; see :func:`panel_matvec`) —
-    the multi-RHS solve path enables it, the factorisation-side H-TRSM keeps
-    the faster wide-GEMM panels.
+    the strictly-lower part plus an implied unit diagonal is used.  These
+    panel solves serve the factorisation-side H-TRSM with wide-GEMM panels;
+    the solve phase runs the column-stable :mod:`repro.core.sweep` instead.
     """
     x = np.array(x, dtype=np.promote_types(l.dtype, np.asarray(x).dtype), copy=True)
-    cs = column_stable and x.ndim == 2
-    tri = _tri_solve_cols if cs else tri_solve
     if l.full is not None:
-        return tri(l.full, x, lower=True, unit_diagonal=unit_diagonal)
+        return tri_solve(l.full, x, lower=True, unit_diagonal=unit_diagonal)
     if l.packed_lu is not None:
-        return tri(l.packed_lu, x, lower=True, unit_diagonal=unit_diagonal)
+        return tri_solve(l.packed_lu, x, lower=True, unit_diagonal=unit_diagonal)
     if l.rk is not None:
         raise ValueError("diagonal H-LU block cannot be low-rank")
     nb = l.nrow_children
@@ -258,23 +175,18 @@ def solve_lower_panel(
         sl_i = slice(offs[i], offs[i] + sizes[i])
         for j in range(i):
             sl_j = slice(offs[j], offs[j] + sizes[j])
-            c = l.child(i, j)
-            x[sl_i] -= panel_matvec(c, x[sl_j]) if cs else c.matvec(x[sl_j])
-        x[sl_i] = solve_lower_panel(
-            l.child(i, i), x[sl_i], unit_diagonal=unit_diagonal, column_stable=column_stable
-        )
+            x[sl_i] -= l.child(i, j).matvec(x[sl_j])
+        x[sl_i] = solve_lower_panel(l.child(i, i), x[sl_i], unit_diagonal=unit_diagonal)
     return x
 
 
-def solve_upper_panel(u: HMatrix, x: np.ndarray, *, column_stable: bool = False) -> np.ndarray:
+def solve_upper_panel(u: HMatrix, x: np.ndarray) -> np.ndarray:
     """Solve ``U y = x`` (non-unit upper triangle of an H node, dense panel)."""
     x = np.array(x, dtype=np.promote_types(u.dtype, np.asarray(x).dtype), copy=True)
-    cs = column_stable and x.ndim == 2
-    tri = _tri_solve_cols if cs else tri_solve
     if u.full is not None:
-        return tri(u.full, x, lower=False)
+        return tri_solve(u.full, x, lower=False)
     if u.packed_lu is not None:
-        return tri(u.packed_lu, x, lower=False)
+        return tri_solve(u.packed_lu, x, lower=False)
     if u.rk is not None:
         raise ValueError("diagonal H-LU block cannot be low-rank")
     nb = u.nrow_children
@@ -284,27 +196,22 @@ def solve_upper_panel(u: HMatrix, x: np.ndarray, *, column_stable: bool = False)
         sl_i = slice(offs[i], offs[i] + sizes[i])
         for j in range(i + 1, nb):
             sl_j = slice(offs[j], offs[j] + sizes[j])
-            c = u.child(i, j)
-            x[sl_i] -= panel_matvec(c, x[sl_j]) if cs else c.matvec(x[sl_j])
-        x[sl_i] = solve_upper_panel(u.child(i, i), x[sl_i], column_stable=column_stable)
+            x[sl_i] -= u.child(i, j).matvec(x[sl_j])
+        x[sl_i] = solve_upper_panel(u.child(i, i), x[sl_i])
     return x
 
 
-def solve_upper_transpose_panel(
-    u: HMatrix, x: np.ndarray, *, column_stable: bool = False
-) -> np.ndarray:
+def solve_upper_transpose_panel(u: HMatrix, x: np.ndarray) -> np.ndarray:
     """Solve ``U.T y = x`` (plain transpose of the non-unit upper triangle).
 
     This is the panel form of the right-sided TRSM: ``X U = B`` is computed
     column-wise as ``U.T X.T = B.T``.
     """
     x = np.array(x, dtype=np.promote_types(u.dtype, np.asarray(x).dtype), copy=True)
-    cs = column_stable and x.ndim == 2
-    tri = _tri_solve_cols if cs else tri_solve
     if u.full is not None:
-        return tri(u.full, x, lower=False, trans=1)
+        return tri_solve(u.full, x, lower=False, trans=1)
     if u.packed_lu is not None:
-        return tri(u.packed_lu, x, lower=False, trans=1)
+        return tri_solve(u.packed_lu, x, lower=False, trans=1)
     if u.rk is not None:
         raise ValueError("diagonal H-LU block cannot be low-rank")
     nb = u.nrow_children
@@ -315,23 +222,20 @@ def solve_upper_transpose_panel(
         sl_i = slice(offs[i], offs[i] + sizes[i])
         for j in range(i):
             sl_j = slice(offs[j], offs[j] + sizes[j])
-            c = u.child(j, i)
-            x[sl_i] -= panel_rmatvec(c, x[sl_j]) if cs else h_rmatvec(c, x[sl_j])
-        x[sl_i] = solve_upper_transpose_panel(u.child(i, i), x[sl_i], column_stable=column_stable)
+            x[sl_i] -= h_rmatvec(u.child(j, i), x[sl_j])
+        x[sl_i] = solve_upper_transpose_panel(u.child(i, i), x[sl_i])
     return x
 
 
 def solve_lower_transpose_panel(
-    l: HMatrix, x: np.ndarray, *, unit_diagonal: bool = True, column_stable: bool = False
+    l: HMatrix, x: np.ndarray, *, unit_diagonal: bool = True
 ) -> np.ndarray:
     """Solve ``L.T y = x`` (plain transpose of the unit lower triangle)."""
     x = np.array(x, dtype=np.promote_types(l.dtype, np.asarray(x).dtype), copy=True)
-    cs = column_stable and x.ndim == 2
-    tri = _tri_solve_cols if cs else tri_solve
     if l.full is not None:
-        return tri(l.full, x, lower=True, unit_diagonal=unit_diagonal, trans=1)
+        return tri_solve(l.full, x, lower=True, unit_diagonal=unit_diagonal, trans=1)
     if l.packed_lu is not None:
-        return tri(l.packed_lu, x, lower=True, unit_diagonal=unit_diagonal, trans=1)
+        return tri_solve(l.packed_lu, x, lower=True, unit_diagonal=unit_diagonal, trans=1)
     if l.rk is not None:
         raise ValueError("diagonal H-LU block cannot be low-rank")
     nb = l.nrow_children
@@ -341,11 +245,8 @@ def solve_lower_transpose_panel(
         sl_i = slice(offs[i], offs[i] + sizes[i])
         for j in range(i + 1, nb):
             sl_j = slice(offs[j], offs[j] + sizes[j])
-            c = l.child(j, i)
-            x[sl_i] -= panel_rmatvec(c, x[sl_j]) if cs else h_rmatvec(c, x[sl_j])
-        x[sl_i] = solve_lower_transpose_panel(
-            l.child(i, i), x[sl_i], unit_diagonal=unit_diagonal, column_stable=column_stable
-        )
+            x[sl_i] -= h_rmatvec(l.child(j, i), x[sl_j])
+        x[sl_i] = solve_lower_transpose_panel(l.child(i, i), x[sl_i], unit_diagonal=unit_diagonal)
     return x
 
 

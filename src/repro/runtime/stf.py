@@ -279,6 +279,19 @@ class StfEngine:
                 handle.readers.append(task)
 
     def wait_all(self) -> TaskGraph:
-        """Finish the STF section and return the (validated) DAG."""
+        """Finish the STF section and return the (validated) DAG.
+
+        The handles forget their last writer and readers: that state serves
+        only the inference of the section just finished, and kept, it closes
+        a reference cycle through every task (task -> accesses -> handle ->
+        last writer -> task).  A dropped graph would then wait — with what
+        its closures hold: work arrays, a discarded factor — for the cyclic
+        collector, whose full pass lands in whichever later call trips it;
+        acyclic, it is freed by reference counting the moment it is dropped.
+        Tasks submitted afterwards start a new section and take no edge from
+        this one.
+        """
         self.graph.validate()
+        for handle in self._handles.values():
+            handle.reset()
         return self.graph

@@ -13,7 +13,7 @@ amortization.  An owner that knows how many items exist in all
 bucket go earlier still, as soon as it holds every one of them: waiting
 buys width only while something that is not yet in the bucket could join
 it.  Batch composition never changes the answer: the panel solve is
-column-stable (see :func:`~repro.hmatrix.arithmetic.panel_matvec`), so a
+column-stable (see :func:`~repro.core.sweep.run_steps`), so a
 request's solution is bit-identical whether it rode alone or in a batch of
 16.
 

@@ -1,5 +1,8 @@
 """Unit + property tests for sequential-task-flow dependency inference."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -121,6 +124,34 @@ class TestDependencyInference:
         eng.insert_task("b", None, [(h, RW)])
         g = eng.wait_all()
         assert len(g) == 2
+
+    def test_wait_all_ends_the_section(self):
+        eng = StfEngine(mode="deferred")
+        h = eng.handle(object())
+        w = eng.insert_task("w", None, [(h, W)])
+        r = eng.insert_task("r", None, [(h, R)])
+        eng.wait_all()
+        assert h.last_writer is None and h.readers == []
+        assert r.deps == {w.id} and w.successors == {r.id}  # the edges stay
+        later = eng.insert_task("w", None, [(h, W)])
+        assert not later.deps
+
+    def test_dropped_graph_needs_no_collector(self):
+        # task -> accesses -> handle -> last writer -> task would be a cycle.
+        gc.collect()
+        gc.disable()
+        try:
+            eng = StfEngine(mode="deferred")
+            sub = eng.subhandle(eng.handle(object()), object())
+            payload = np.zeros(4)
+            eng.insert_task("w", lambda: payload.fill(1.0), [(eng.handle(payload), W)])
+            eng.insert_task("r", None, [(eng.handle(payload), R), (sub, RW)])
+            g = eng.wait_all()
+            gone = [weakref.ref(t) for t in g.tasks] + [weakref.ref(payload)]
+            del eng, g, payload
+            assert [ref() for ref in gone] == [None] * 3
+        finally:
+            gc.enable()
 
 
 @settings(max_examples=40, deadline=None)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.service import BadRequestError, ProblemSpec, rhs_dtype, spec_fingerprint
+from repro.service import BadRequestError, ProblemSpec, check_rhs, rhs_dtype, spec_fingerprint
 
 
 class TestValidation:
@@ -73,3 +73,13 @@ class TestDtype:
 
         assert rhs_dtype(ProblemSpec(kernel="helmholtz", n=100)) == np.complex128
         assert rhs_dtype(ProblemSpec(kernel="laplace", n=100)) == np.float64
+
+    @pytest.mark.parametrize("kind", ["object", "string"])
+    def test_non_numeric_rhs_is_a_bad_request(self, kind):
+        # The solver itself raises ValueError for these; the admission
+        # boundary answers with its own typed error before they get there.
+        import numpy as np
+
+        rhs = np.ones(100).astype(object) if kind == "object" else np.full(100, "1.0")
+        with pytest.raises(BadRequestError, match="dtype"):
+            check_rhs(ProblemSpec(kernel="laplace", n=100), rhs)
