@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..dense import sequential_blas
 from ..hmatrix import (
     AssemblyConfig,
     HMatrix,
@@ -134,8 +135,15 @@ class HMatFactorizationInfo:
 
 
 class HMatSolver:
-    """Global H-matrix LU solver (classical H-matrix, no tiling)."""
+    """Global H-matrix LU solver (classical H-matrix, no tiling).
 
+    Assembly and factorisation run inside
+    :func:`~repro.dense.blas.sequential_blas`, like the Tile-H cold path:
+    same H-kernels, same block sizes, one BLAS policy under both rows of the
+    comparison.
+    """
+
+    @sequential_blas()
     def __init__(
         self,
         kernel,
@@ -236,6 +244,7 @@ class HMatSolver:
         return out
 
     # -- factorisation / solve ---------------------------------------------------
+    @sequential_blas()
     def factorize(self) -> HMatFactorizationInfo:
         """Recursive H-LU with kernel tracing; returns the fine-grain DAG."""
         if self._factorized:

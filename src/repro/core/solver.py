@@ -16,13 +16,16 @@ Typical use::
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
+from ..dense import sequential_blas
 from ..runtime import (
     SCHEDULER_NAMES,
     ExecutionTrace,
     NestedPolicy,
+    NestedStats,
     ProcessExecutor,
     RaceChecker,
     RuntimeOverheadModel,
@@ -118,11 +121,12 @@ class TileHConfig:
         :func:`~repro.runtime.validate_trace` still covers threaded runs).
     exec_mode:
         "eager" (default) — kernels run sequentially at submission, exactly
-        the historical bit-identical path; "threaded" — assembly,
-        factorisation and the LU solve are submitted to a deferred engine
-        and executed by a :class:`~repro.runtime.ThreadedExecutor` on
-        ``nworkers`` real threads under ``scheduler``; "process" — the same
-        deferred graphs run on ``nworkers`` worker *processes* via a
+        the historical bit-identical path; "threaded" — assembly and
+        factorisation are submitted to a deferred engine and executed by a
+        :class:`~repro.runtime.ThreadedExecutor` on ``nworkers`` real
+        threads under ``scheduler`` (a warm :meth:`TileHMatrix.solve`
+        replays the compiled sweep directly in every mode); "process" — the
+        same deferred graphs run on ``nworkers`` worker *processes* via a
         :class:`~repro.runtime.ProcessExecutor` with tile payloads in
         shared memory — the GIL-free path that scales wall clock on
         multicore hosts.  The accumulator is engaged only on the eager path
@@ -229,10 +233,13 @@ class FactorizationInfo:
     ``wall_seconds`` the measured end-to-end wall time of the threaded
     graph execution; both are ``None`` on the eager path.
 
-    After a nested-expansion run (``TileHConfig(nested=True)``), ``nested``
-    holds the :meth:`~repro.runtime.NestedStats.report` dict — expansion
+    After a nested-expansion run (``TileHConfig(nested=True)``),
+    ``nested_stats`` holds the engine's expansion accounting and ``nested``
+    is its :meth:`~repro.runtime.NestedStats.report` dict — expansion
     counts and the critical-path length before (contracted graph) and
-    after expansion under the flop cost model; ``None`` otherwise.
+    after expansion under the flop cost model — built on first read (it
+    contracts the graph and walks it twice, which no solve needs); both are
+    ``None`` otherwise.
     """
 
     graph: TaskGraph
@@ -241,7 +248,13 @@ class FactorizationInfo:
     racecheck: RaceChecker | None = field(default=None, repr=False)
     trace: ExecutionTrace | None = field(default=None, repr=False)
     wall_seconds: float | None = None
-    nested: dict | None = None
+    nested_stats: NestedStats | None = field(default=None, repr=False)
+
+    @cached_property
+    def nested(self) -> dict | None:
+        if self.nested_stats is None:
+            return None
+        return self.nested_stats.report(self.graph)
 
     @property
     def n_tasks(self) -> int:
@@ -276,7 +289,13 @@ class FactorizationInfo:
 
 
 class TileHMatrix:
-    """A kernel matrix in Tile-H format with LU factorisation and solve."""
+    """A kernel matrix in Tile-H format with LU factorisation and solve.
+
+    The cold path — :meth:`build`, :meth:`factorize`, :meth:`build_factorize`
+    — runs inside :func:`~repro.dense.blas.sequential_blas`: kernels are
+    sequential, parallelism belongs to the executor.  Warm solves leave the
+    BLAS thread count alone.
+    """
 
     def __init__(self, desc: TileHDesc, config: TileHConfig) -> None:
         self.desc = desc
@@ -344,6 +363,7 @@ class TileHMatrix:
         )
 
     @classmethod
+    @sequential_blas()
     def build(cls, kernel, points: np.ndarray, config: TileHConfig | None = None) -> "TileHMatrix":
         """Assemble the Tile-H matrix of ``kernel`` over ``points``.
 
@@ -368,6 +388,7 @@ class TileHMatrix:
         return cls(desc, cfg)
 
     @classmethod
+    @sequential_blas()
     def build_factorize(
         cls,
         kernel,
@@ -434,7 +455,7 @@ class TileHMatrix:
                 nt=desc.nt,
                 trace=executor.trace,
                 wall_seconds=wall_a + wall_f,
-                nested=engine_f.nested_stats.report(graph),
+                nested_stats=engine_f.nested_stats,
             )
             return mat, info
         engine = StfEngine(mode="deferred")
@@ -492,6 +513,7 @@ class TileHMatrix:
         return dense_cluster[np.ix_(inv, inv)]
 
     # -- factorisation / solve ----------------------------------------------------
+    @sequential_blas()
     def factorize(
         self, *, method: str = "lu", engine: StfEngine | None = None
     ) -> FactorizationInfo:
@@ -544,11 +566,7 @@ class TileHMatrix:
             racecheck=engine.racecheck if engine is not None else None,
             trace=trace,
             wall_seconds=wall,
-            nested=(
-                engine.nested_stats.report(graph)
-                if engine is not None and engine.nested_stats is not None
-                else None
-            ),
+            nested_stats=engine.nested_stats if engine is not None else None,
         )
 
     def sweep_program(self) -> SweepProgram:
@@ -572,22 +590,20 @@ class TileHMatrix:
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Solve ``A x = b`` (vector or panel) in original ordering.
 
-        With ``racecheck`` enabled in the config, the solve runs through the
-        task-parallel substitution path so the detector also covers the
-        solve-phase TRSV/GEMV tasks.  With ``exec_mode="threaded"``/
-        ``"process"`` the substitution likewise runs as tasks (the LU and
-        Cholesky paths alike), executed by the configured scheduler — the
-        end of the end-to-end task-parallel solve.  Every path interprets
-        the steps of the one :meth:`sweep_program`, so all of them are
+        A warm solve replays the compiled :meth:`sweep_program` directly,
+        whatever ``exec_mode`` says: submitting its tile operations as tasks
+        costs what the whole eager substitution costs (156 tasks at nt=12:
+        4.6-8.8 ms against 2.2-3.0 ms), so the task form never wins a
+        standalone solve.  It stays where it is fused into a larger graph
+        (:meth:`repro.gp.GPModel.predict`), where the caller asks for it
+        (:func:`~repro.core.algorithms.sweep_solve_tasks` and the
+        ``tiled_*_solve_tasks`` wrappers), and under ``racecheck``, so the
+        detector also covers the solve-phase TRSV/GEMV tasks.  Every form
+        interprets the steps of the one program, so all of them are
         bit-identical, and column ``c`` of a panel solution is bit-identical
         to the standalone solve of that column.
         """
         program = self.sweep_program()
-        if self.config.exec_mode in ("threaded", "process"):
-            x, _ = sweep_solve_tasks(
-                program, b, StfEngine(mode="deferred"), executor=self._executor()
-            )
-            return x
         if self.config.racecheck:
             x, _ = sweep_solve_tasks(program, b, racecheck=True)
             return x

@@ -7,7 +7,12 @@ that Rk rounding is made of.  The flop-heavy inner work goes to BLAS via
 ``@`` and to LAPACK routines called directly (``trtrs``, ``geqrf``,
 ``orgqr``/``ungqr``, ``gesdd``): on the small panels H-arithmetic produces,
 the ``scipy.linalg`` wrappers cost more than the routines themselves.
+:func:`sequential_blas` is the package's one BLAS thread control: the cold
+path runs its kernels single-threaded inside it (parallelism belongs to the
+task runtime).
 """
+
+from .blas import sequential_blas
 
 from .kernels import (
     SingularTileError,
@@ -30,6 +35,7 @@ from .flops import (
 )
 
 __all__ = [
+    "sequential_blas",
     "SingularTileError",
     "getrf_nopiv",
     "split_lu",

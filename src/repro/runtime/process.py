@@ -41,6 +41,7 @@ from multiprocessing import connection, get_context
 
 import numpy as np
 
+from ..dense import sequential_blas
 from ..obs.instrument import current as _current_probe
 from ..obs.tracing import current_trace
 from .dag import TaskGraph
@@ -51,8 +52,6 @@ from .trace import ExecutionTrace, TraceEvent
 __all__ = ["ProcessExecutor", "TaskSpec"]
 
 _run_counter = itertools.count()
-
-_BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 @dataclass(frozen=True)
@@ -146,7 +145,10 @@ def _worker_main(widx: int, task_conn, res_conn, arena_tag: str, ctx_blob) -> No
     traceback instead of just an exit code.
     """
     try:
-        _worker_loop(widx, task_conn, res_conn, arena_tag, ctx_blob)
+        # One BLAS stream per worker process, held for the worker's life:
+        # oversubscription kills scaling.
+        with sequential_blas():
+            _worker_loop(widx, task_conn, res_conn, arena_tag, ctx_blob)
     except BaseException:
         try:
             res_conn.send(("fatal", widx, traceback.format_exc()))
@@ -288,10 +290,9 @@ class ProcessExecutor:
 
     ``context`` is an arbitrary picklable object shipped once per worker and
     passed to ops with ``needs_context=True`` (the Tile-H assembly closure
-    state: kernel, points, clustering).  ``blas_threads`` pins the BLAS
-    thread-count env vars around worker spawn (default 1: one BLAS stream per
-    worker process — oversubscription kills scaling) — ``None`` leaves the
-    environment alone.
+    state: kernel, points, clustering).  Each worker holds
+    :func:`~repro.dense.blas.sequential_blas` for its whole life (one BLAS
+    stream per worker process).
 
     ``dispatch_batch`` caps how many task entries one pipe write may carry.
     Fine-grain graphs (nested expansion) spend most of their single-worker
@@ -314,7 +315,6 @@ class ProcessExecutor:
     trace: ExecutionTrace | None = field(default=None)
     instrument: object | None = field(default=None)
     context: object | None = field(default=None)
-    blas_threads: int | None = 1
     dispatch_batch: int = 8
 
     def __post_init__(self) -> None:
@@ -388,35 +388,21 @@ class ProcessExecutor:
         procs: list = []
         task_conns: list = []
         res_conns: list = []
-        # Pin BLAS threading in the environment *before* spawn: OpenBLAS
-        # reads these at import time in the child.
-        saved_env = {}
-        if self.blas_threads is not None:
-            for var in _BLAS_ENV:
-                saved_env[var] = os.environ.get(var)
-                os.environ[var] = str(self.blas_threads)
-        try:
-            for w in range(self.nworkers):
-                t_recv, t_send = mp.Pipe(duplex=False)
-                r_recv, r_send = mp.Pipe(duplex=False)
-                p = mp.Process(
-                    target=_worker_main,
-                    args=(w, t_recv, r_send, f"{run_tag}w{w}", ctx_blob),
-                    daemon=True,
-                    name=f"repro-pworker-{w}",
-                )
-                p.start()
-                t_recv.close()
-                r_send.close()
-                procs.append(p)
-                task_conns.append(t_send)
-                res_conns.append(r_recv)
-        finally:
-            for var, old in saved_env.items():
-                if old is None:
-                    os.environ.pop(var, None)
-                else:
-                    os.environ[var] = old
+        for w in range(self.nworkers):
+            t_recv, t_send = mp.Pipe(duplex=False)
+            r_recv, r_send = mp.Pipe(duplex=False)
+            p = mp.Process(
+                target=_worker_main,
+                args=(w, t_recv, r_send, f"{run_tag}w{w}", ctx_blob),
+                daemon=True,
+                name=f"repro-pworker-{w}",
+            )
+            p.start()
+            t_recv.close()
+            r_send.close()
+            procs.append(p)
+            task_conns.append(t_send)
+            res_conns.append(r_recv)
 
         if probe is not None:
             probe.process_workers(self.nworkers)
