@@ -1,0 +1,343 @@
+"""The nested factorisation graph, recorded once per block structure.
+
+What :mod:`repro.core.sweep` did for the substitution, applied to the
+factorisation (the recording mode of Börm, Christophersen & Kriemann,
+1911.07531): everything the expanders of :mod:`repro.core.nested` read — node
+shapes, child grids, leaf kinds — is fixed by the clustering, never by the
+numbers in the tiles (an admissible leaf is always assembled as Rk, an
+inadmissible one as dense).  So the nested task graph of one (block
+structure, method, :class:`~repro.runtime.NestedPolicy`) is derived once and
+kept with the payloads taken out:
+
+* :func:`record` runs today's ``tiled_getrf_tasks``/``tiled_potrf_tasks`` on a
+  deferred nested engine — the expanders plus the engine's family-aware
+  inference stay the only place the graph is *derived* — and flattens the
+  result into a :class:`FactorProgram`: per subtask its kind, kernel variant,
+  label and priority, its operands and accesses as integer *slots*, its
+  dependency and successor lists, and the expansion ranges;
+* :func:`instantiate` binds a program to a descriptor: one walk resolves the
+  slots to this descriptor's nodes, then handles, closures, rank-dependent
+  flops and the ordinary :class:`~repro.runtime.Task` objects are created.
+  Everything downstream (executors, simulator, priorities, reports) sees an
+  ordinary :class:`~repro.runtime.TaskGraph`;
+* :func:`program_for` keeps the programs in a small process-wide table
+  (:data:`MAX_PROGRAMS`, least recently used out), keyed by
+  :func:`structure_key`.
+
+A *slot* is the position of a node in :func:`_walk`'s order over the tiles'
+block trees; slot ``s``'s parent is ``slot_parent[s]`` (``-1`` for a tile
+root) and ``slot_pos[s]`` its child index there (the tile's grid position for
+a root).  A bound graph links handles child → parent only (all
+:mod:`~repro.runtime.racecheck` reads), so it holds no reference cycle and a
+dropped factorisation is freed by reference counting.
+"""
+
+from __future__ import annotations
+
+import gc
+import threading
+from collections import OrderedDict
+from functools import partial
+from itertools import chain
+
+import numpy as np
+
+from ..obs.instrument import current as _current_probe
+from ..runtime import AccessMode, NestedPolicy, NestedStats, StfEngine, TaskGraph
+from ..runtime.expand import ExpansionRecord
+from ..runtime.stf import announce_task
+from ..runtime.task import DataHandle, Task
+from .algorithms import tiled_getrf_tasks, tiled_potrf_tasks
+from .descriptor import TileHDesc
+from .nested import _flops, _nested_spec, _run
+
+__all__ = [
+    "MAX_PROGRAMS",
+    "FactorProgram",
+    "structure_key",
+    "record",
+    "instantiate",
+    "program_for",
+]
+
+#: Bound of the process-wide program table (least recently used out).
+MAX_PROGRAMS = 8
+
+_MODES = (AccessMode.R, AccessMode.W, AccessMode.RW)
+_MODE_CODE = {mode: code for code, mode in enumerate(_MODES)}
+_KIND_CODE = {"full": 0, "rk": 1, "h": 2}
+
+
+def _walk(desc: TileHDesc, method: str) -> tuple[list, list, list]:
+    """Every block-tree node the factorisation can reach, parents first.
+
+    Returns ``(nodes, parents, pos)``; the order depends on the trees' shape
+    alone, so equal structure keys mean equal slot numbering.  Cholesky
+    references the lower tiles only.
+    """
+    grid, nt = desc.super, desc.nt
+    nodes: list = []
+    parents: list = []
+    pos: list = []
+    for i in range(nt):
+        for j in range(i + 1 if method == "cholesky" else nt):
+            mat = grid.get_blktile(i, j).mat
+            if mat is None:
+                raise RuntimeError(
+                    f"a nested factorisation requires assembled tiles; tile "
+                    f"({i}, {j}) is still pending — run the assembly graph first"
+                )
+            stack = [(mat, -1, i, j)]
+            while stack:
+                node, parent, a, b = stack.pop()
+                slot = len(nodes)
+                nodes.append(node)
+                parents.append(parent)
+                pos.append((a, b))
+                ncol = node.ncol_children
+                for idx, child in enumerate(node.children):
+                    stack.append((child, slot, idx // ncol, idx % ncol))
+    return nodes, parents, pos
+
+
+def _key(nodes: list, nt: int, method: str, policy: NestedPolicy) -> tuple:
+    shape = []
+    for node in nodes:
+        m, n = node.shape
+        shape += (m, n, node.nrow_children, node.ncol_children, _KIND_CODE[node.kind])
+    return (nt, method, policy.min_leaf, policy.coarse, tuple(shape))
+
+
+def structure_key(desc: TileHDesc, method: str, policy: NestedPolicy) -> tuple:
+    """Exactly what the expanders read, hashable: per reachable tile the tree
+    of shapes, child grids and leaf kinds, plus ``nt``, the method and the
+    policy's ``min_leaf``/``coarse`` — never ε, kernel parameters or ranks."""
+    return _key(_walk(desc, method)[0], desc.nt, method, policy)
+
+
+class _Recorder(StfEngine):
+    """The deferred nested engine a program is recorded on.  It announces
+    nothing to the probe: the binder announces the tasks that will run."""
+
+    def _announce(self, task: Task) -> None:
+        pass
+
+
+def _csr(rows: list) -> tuple[np.ndarray, np.ndarray]:
+    """``rows`` of ints as ``(ptr, flat)``: row ``t`` is ``flat[ptr[t]:ptr[t + 1]]``."""
+    ptr = np.zeros(len(rows) + 1, dtype=np.int32)
+    np.cumsum(list(map(len, rows)), out=ptr[1:])
+    return ptr, np.fromiter(chain.from_iterable(rows), dtype=np.int32, count=int(ptr[-1]))
+
+
+class FactorProgram:
+    """One recorded nested factorisation graph with the payloads taken out.
+
+    Flat tuples of atoms and integer arrays only — nothing for the cyclic
+    collector to walk, nothing that refers to a tile.  Read-only once made
+    and shared freely between threads.
+    """
+
+    __slots__ = (
+        "key", "method", "policy",
+        "kinds", "variants", "units", "labels", "priorities", "paths",
+        "op_ptr", "op_slot", "acc_ptr", "acc_code",
+        "dep_ptr", "dep_idx", "suc_ptr", "suc_idx",
+        "slot_parent", "slot_pos", "handle_slots", "handle_names",
+        "rec_kinds", "rec_labels", "rec_bounds",
+    )
+
+    def __len__(self) -> int:
+        return len(self.kinds)
+
+    @property
+    def n_edges(self) -> int:
+        return len(self.dep_idx)
+
+
+def record(desc: TileHDesc, method: str, policy: NestedPolicy) -> FactorProgram:
+    """Derive the nested graph of ``desc`` once and flatten it.
+
+    The graph is built (and validated) by the tiled algorithm on a deferred
+    nested engine, exactly as a direct caller would get it; its closures are
+    dropped, only the structure is kept.
+    """
+    if method not in ("lu", "cholesky"):
+        raise ValueError(f"method must be 'lu' or 'cholesky', got {method!r}")
+    nodes, parents, pos = _walk(desc, method)
+    tasks_fn = tiled_getrf_tasks if method == "lu" else tiled_potrf_tasks
+    engine = _Recorder(mode="deferred", nested=policy)
+    graph = tasks_fn(desc, engine, accumulate=False)
+
+    slot_of = {id(node): s for s, node in enumerate(nodes)}
+    for s, parent in enumerate(parents):
+        if parent < 0:  # a tile handle's payload is the Tile, not its root node
+            slot_of[id(desc.super.get_blktile(*pos[s]))] = s
+    names: dict[int, str] = {}
+    kinds, variants, units, labels, priorities, paths = [], [], [], [], [], []
+    ops, accs, deps, succs = [], [], [], []
+    for task in graph.tasks:
+        variant, operands, _eps, unit = task.func.args
+        kinds.append(task.kind)
+        variants.append(variant)
+        units.append(unit)
+        labels.append(task.label)
+        priorities.append(task.priority)
+        ops.append([slot_of[id(node)] for node in operands])
+        codes = []
+        for handle, mode in task.accesses:
+            slot = slot_of[id(handle.payload)]
+            codes.append(3 * slot + _MODE_CODE[mode])
+            while slot not in names:
+                names[slot] = handle.name
+                # The recorded graph is dropped when this returns and its
+                # handles hold this descriptor's tiles: unlinked downwards it
+                # dies by reference count instead of waiting for the collector.
+                handle.children.clear()
+                handle = handle.parent
+                if handle is None:
+                    break
+                slot = slot_of[id(handle.payload)]
+        accs.append(codes)
+        deps.append(task.deps)
+        succs.append(task.successors)
+        if policy.coarse:
+            paths.append(task.spec.args[1])
+
+    p = FactorProgram()
+    p.key = _key(nodes, desc.nt, method, policy)
+    p.method, p.policy = method, policy
+    p.kinds, p.variants, p.units = tuple(kinds), tuple(variants), tuple(units)
+    p.labels = tuple(labels)
+    p.priorities = np.array(priorities, dtype=np.int64)
+    p.paths = tuple(paths) if policy.coarse else None
+    p.op_ptr, p.op_slot = _csr(ops)
+    p.acc_ptr, p.acc_code = _csr(accs)
+    p.dep_ptr, p.dep_idx = _csr(deps)
+    p.suc_ptr, p.suc_idx = _csr(succs)
+    p.slot_parent = np.array(parents, dtype=np.int32)
+    p.slot_pos = np.array(pos, dtype=np.int32).reshape(-1, 2)
+    p.handle_slots = np.array(sorted(names), dtype=np.int32)
+    p.handle_names = tuple(names[s] for s in sorted(names))
+    records = engine.nested_stats.records
+    p.rec_kinds = tuple(r.kind for r in records)
+    p.rec_labels = tuple(r.label for r in records)
+    p.rec_bounds = np.array([(r.start, r.stop) for r in records], dtype=np.int32).reshape(-1, 2)
+    return p
+
+
+def instantiate(
+    program: FactorProgram, desc: TileHDesc, eps: float
+) -> tuple[TaskGraph, NestedStats]:
+    """Bind ``program`` to the tiles of ``desc``: a deferred, runnable graph.
+
+    Field by field what the recorder's engine would have built on ``desc``
+    (kind, label, priority, flops, accesses, edges, expansion records) — with
+    this descriptor's nodes in the closures and ranks in the flops.
+    """
+    nodes = _walk(desc, program.method)[0]
+    if _key(nodes, desc.nt, program.method, program.policy) != program.key:
+        raise ValueError(
+            "the descriptor's block structure is not the structure this "
+            "program is keyed by; get the program from program_for(desc, ...)"
+        )
+    grid = desc.super
+    slot_parent = program.slot_parent.tolist()
+    handles: dict[int, DataHandle] = {}
+    pairs: dict[int, tuple] = {}
+    for s, name in zip(program.handle_slots.tolist(), program.handle_names):
+        parent = slot_parent[s]
+        if parent < 0:
+            handle = DataHandle(name, grid.get_blktile(*program.slot_pos[s].tolist()))
+        else:
+            handle = DataHandle(name, nodes[s])
+            handle.parent = handles[parent]
+        handles[s] = handle
+        for c, mode in enumerate(_MODES):
+            pairs[3 * s + c] = (handle, mode)
+
+    # One gather each resolves every operand and every access of the graph;
+    # a task's share is then a slice (of a tuple: already the tuple it keeps).
+    operands = tuple(map(nodes.__getitem__, program.op_slot.tolist()))
+    accesses = tuple(map(pairs.__getitem__, program.acc_code.tolist()))
+    deps, succs = program.dep_idx.tolist(), program.suc_idx.tolist()
+    op_ptr, acc_ptr = program.op_ptr.tolist(), program.acc_ptr.tolist()
+    dep_ptr, suc_ptr = program.dep_ptr.tolist(), program.suc_ptr.tolist()
+    paths = program.paths
+    probe = _current_probe()
+    graph = TaskGraph()
+    tasks = graph.tasks
+    # The loop allocates ~8 tracked containers per task, none of them garbage
+    # and none in a cycle.  Counted by the collector, one bind is ~58 young
+    # collections and, by their number, one full pass over every live object
+    # of the process per build (11 of 16 build cycles at n=2304; 3 of 16 and
+    # 13 ms less collector time per cycle with the collector paused here).
+    # Re-enabled only if it was enabled, so overlapping binds in two threads
+    # leave it as they found it.
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        for t, (kind, variant, unit, label, priority) in enumerate(
+            zip(program.kinds, program.variants, program.units, program.labels,
+                program.priorities.tolist())
+        ):
+            nodes_t = operands[op_ptr[t]:op_ptr[t + 1]]
+            task = Task(
+                t,
+                kind,
+                accesses[acc_ptr[t]:acc_ptr[t + 1]],
+                priority,
+                0.0,
+                _flops(variant, nodes_t),
+                partial(_run, variant, nodes_t, eps, unit),
+                set(deps[dep_ptr[t]:dep_ptr[t + 1]]),
+                set(succs[suc_ptr[t]:suc_ptr[t + 1]]),
+                label,
+            )
+            if paths is not None:
+                task.spec = _nested_spec(variant, paths[t], eps, unit)
+            if probe is not None:
+                announce_task(probe, task)
+            tasks.append(task)
+    finally:
+        if collecting:
+            gc.enable()
+    stats = NestedStats(
+        program.policy,
+        [
+            ExpansionRecord(kind, label, start, stop)
+            for kind, label, (start, stop) in zip(
+                program.rec_kinds, program.rec_labels, program.rec_bounds.tolist()
+            )
+        ],
+    )
+    return graph, stats
+
+
+_programs: "OrderedDict[tuple, FactorProgram]" = OrderedDict()
+_programs_lock = threading.Lock()
+
+
+def program_for(desc: TileHDesc, method: str, policy: NestedPolicy) -> FactorProgram:
+    """The program of ``desc``'s structure: from the table, or recorded now.
+
+    Recording runs outside the lock — two threads meeting the same new
+    structure both record, the programs are interchangeable and one is kept.
+    The ambient probe counts the lookup as a hit or a miss.
+    """
+    key = structure_key(desc, method, policy)
+    with _programs_lock:
+        program = _programs.get(key)
+        if program is not None:
+            _programs.move_to_end(key)
+    probe = _current_probe()
+    if probe is not None:
+        probe.factor_program_lookup(program is not None)
+    if program is None:
+        program = record(desc, method, policy)
+        with _programs_lock:
+            _programs[key] = program
+            _programs.move_to_end(key)
+            while len(_programs) > MAX_PROGRAMS:
+                _programs.popitem(last=False)
+    return program

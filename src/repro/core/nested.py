@@ -117,6 +117,15 @@ def _op_nested(payloads, variant, paths, eps, unit=True):
     _run(variant, tuple(nodes), eps, unit)
 
 
+def _nested_spec(variant: str, paths: tuple, eps: float, unit: bool) -> TaskSpec:
+    """The process-executor form of one subtask (see :func:`_op_nested`)."""
+    return TaskSpec(
+        op="repro.core.nested:_op_nested",
+        args=(variant, paths, eps),
+        kwargs={"unit": unit} if variant == "trsm_ll" else {},
+    )
+
+
 # ---------------------------------------------------------------------------
 # Expansion machinery
 # ---------------------------------------------------------------------------
@@ -165,9 +174,11 @@ def _child(ctx: _Ctx, ref: _Ref, i: int, j: int) -> _Ref:
     if ctx.policy.coarse:
         handle = None
     else:
-        handle = ctx.eng.subhandle(
-            ref.handle, node, f"{ref.handle.name}/{i},{j}"
-        )
+        # Most calls revisit a registered sub-block (14 200 references to
+        # 1 208 handles at n=2304): the name is built only for a new one.
+        handle = ctx.eng.handle_of(node)
+        if handle is None:
+            handle = ctx.eng.subhandle(ref.handle, node, f"{ref.handle.name}/{i},{j}")
     return _Ref(node, handle, ref.tile_handle, path)
 
 
@@ -180,7 +191,6 @@ def _submit(
     kind: str,
     variant: str,
     refs_modes: list,
-    flops: float,
     written: _Ref,
     unit: bool = True,
 ) -> None:
@@ -207,18 +217,12 @@ def _submit(
         elif m.writes and not modes[i].writes:
             modes[i] = RW
         paths.append((i, r.path))
-    spec = None
-    if coarse:
-        spec = TaskSpec(
-            op="repro.core.nested:_op_nested",
-            args=(variant, tuple(paths), ctx.eps),
-            kwargs={"unit": unit} if variant == "trsm_ll" else {},
-        )
+    spec = _nested_spec(variant, tuple(paths), ctx.eps, unit) if coarse else None
     ctx.eng.insert_task(
         kind,
         func,
         list(zip(handles, modes)),
-        flops=flops,
+        flops=_flops(variant, nodes),
         label=label,
         spec=spec,
     )
@@ -280,6 +284,22 @@ def _est_potrf_flops(node) -> float:
     return total
 
 
+def _flops(variant: str, nodes: tuple) -> float:
+    """Modelled cost of one subtask on its resolved operands (the nodes
+    :func:`_run` receives) — rank-dependent, so evaluated per set of tiles."""
+    if variant == "gemm":
+        return _gemm_flops(nodes[1], nodes[2])
+    if variant == "gemm_tb":
+        return _gemm_flops_tb(nodes[1], nodes[2])
+    if variant == "pack":
+        return 0.0
+    if variant == "getrf":
+        return _est_getrf_flops(nodes[0])
+    if variant == "potrf":
+        return _est_potrf_flops(nodes[0])
+    return _trsm_flops(nodes[0], nodes[1])  # trsm_ll / trsm_ru / trsm_rlt
+
+
 # ---------------------------------------------------------------------------
 # Expanders (each mirrors one arithmetic.py recursion exactly)
 # ---------------------------------------------------------------------------
@@ -310,9 +330,9 @@ def _expand_getrf(ctx: _Ctx, ref: _Ref) -> None:
                         _child(ctx, ref, k, j),
                     )
         if node.shape[0] <= _PACK_TRI_MAX:
-            _submit(ctx, "pack", "pack", [(ref, RW)], 0.0, ref)
+            _submit(ctx, "pack", "pack", [(ref, RW)], ref)
     else:
-        _submit(ctx, "getrf", "getrf", [(ref, RW)], _est_getrf_flops(node), ref)
+        _submit(ctx, "getrf", "getrf", [(ref, RW)], ref)
 
 
 def _expand_potrf(ctx: _Ctx, ref: _Ref) -> None:
@@ -339,9 +359,9 @@ def _expand_potrf(ctx: _Ctx, ref: _Ref) -> None:
                         _child(ctx, ref, j, k),
                     )
         if node.shape[0] <= _PACK_TRI_MAX:
-            _submit(ctx, "pack", "pack", [(ref, RW)], 0.0, ref)
+            _submit(ctx, "pack", "pack", [(ref, RW)], ref)
     else:
-        _submit(ctx, "potrf", "potrf", [(ref, RW)], _est_potrf_flops(node), ref)
+        _submit(ctx, "potrf", "potrf", [(ref, RW)], ref)
 
 
 def _expand_trsm_ll(ctx: _Ctx, lref: _Ref, bref: _Ref) -> None:
@@ -364,9 +384,7 @@ def _expand_trsm_ll(ctx: _Ctx, lref: _Ref, bref: _Ref) -> None:
                     )
                 _expand_trsm_ll(ctx, _child(ctx, lref, i, i), _child(ctx, bref, i, j))
     else:
-        _submit(
-            ctx, "trsm", "trsm_ll", [(lref, R), (bref, RW)], _trsm_flops(l, b), bref
-        )
+        _submit(ctx, "trsm", "trsm_ll", [(lref, R), (bref, RW)], bref)
 
 
 def _expand_trsm_ru(ctx: _Ctx, uref: _Ref, bref: _Ref) -> None:
@@ -389,9 +407,7 @@ def _expand_trsm_ru(ctx: _Ctx, uref: _Ref, bref: _Ref) -> None:
                     )
                 _expand_trsm_ru(ctx, _child(ctx, uref, j, j), _child(ctx, bref, i, j))
     else:
-        _submit(
-            ctx, "trsm", "trsm_ru", [(uref, R), (bref, RW)], _trsm_flops(u, b), bref
-        )
+        _submit(ctx, "trsm", "trsm_ru", [(uref, R), (bref, RW)], bref)
 
 
 def _expand_trsm_rlt(ctx: _Ctx, lref: _Ref, bref: _Ref) -> None:
@@ -415,9 +431,7 @@ def _expand_trsm_rlt(ctx: _Ctx, lref: _Ref, bref: _Ref) -> None:
                     )
                 _expand_trsm_rlt(ctx, _child(ctx, lref, j, j), _child(ctx, bref, i, j))
     else:
-        _submit(
-            ctx, "trsm", "trsm_rlt", [(lref, R), (bref, RW)], _trsm_flops(l, b), bref
-        )
+        _submit(ctx, "trsm", "trsm_rlt", [(lref, R), (bref, RW)], bref)
 
 
 def _expand_gemm(ctx: _Ctx, cref: _Ref, aref: _Ref, bref: _Ref) -> None:
@@ -443,14 +457,7 @@ def _expand_gemm(ctx: _Ctx, cref: _Ref, aref: _Ref, bref: _Ref) -> None:
                         _child(ctx, bref, l, j),
                     )
     else:
-        _submit(
-            ctx,
-            "gemm",
-            "gemm",
-            [(cref, RW), (aref, R), (bref, R)],
-            _gemm_flops(a, b),
-            cref,
-        )
+        _submit(ctx, "gemm", "gemm", [(cref, RW), (aref, R), (bref, R)], cref)
 
 
 def _expand_gemm_tb(ctx: _Ctx, cref: _Ref, aref: _Ref, bref: _Ref) -> None:
@@ -480,14 +487,7 @@ def _expand_gemm_tb(ctx: _Ctx, cref: _Ref, aref: _Ref, bref: _Ref) -> None:
                         _child(ctx, bref, j, l),
                     )
     else:
-        _submit(
-            ctx,
-            "gemm",
-            "gemm_tb",
-            [(cref, RW), (aref, R), (bref, R)],
-            _gemm_flops_tb(a, b),
-            cref,
-        )
+        _submit(ctx, "gemm", "gemm_tb", [(cref, RW), (aref, R), (bref, R)], cref)
 
 
 # ---------------------------------------------------------------------------

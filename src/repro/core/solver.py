@@ -43,6 +43,7 @@ from .algorithms import (
 )
 from .build import build_tile_h
 from .descriptor import TileHDesc
+from .factor_program import instantiate, program_for
 from .sweep import SweepProgram, compile_sweep
 
 __all__ = ["TileHConfig", "FactorizationInfo", "TileHMatrix", "iterative_refinement"]
@@ -412,13 +413,17 @@ class TileHMatrix:
         ``factorize()`` (bit-identical to the two-step path).
 
         With ``nested=True`` the deferred path runs as *two* stages —
-        assembly graph first, then the nested factorisation graph on a
-        fresh executor — because the expansion pass walks each tile's
-        block tree, which only exists once the tile is assembled.  The
-        returned info covers the factorisation stage (its ``graph``/
-        ``trace`` are the expanded factorisation; ``wall_seconds`` sums
-        both stages); the build/facto overlap of the fused opaque path is
-        traded for the fine-grain parallelism of the expanded graph.
+        assembly graph first, then :meth:`factorize` on a fresh executor.
+        The nested graph's structure is fixed by the clustering, not by the
+        assembled numbers, and is replayed from a recorded
+        :class:`~repro.core.factor_program.FactorProgram` when this block
+        structure was factorised before; but the *recorder* (the expanders
+        walking real block trees) and the binder (rank-dependent flops,
+        closures over the nodes) need assembled tiles.  The returned info
+        covers the factorisation stage (its ``graph``/``trace`` are the
+        expanded factorisation; ``wall_seconds`` sums both stages); the
+        build/facto overlap of the fused opaque path is traded for the
+        fine-grain parallelism of the expanded graph.
         """
         cfg = config or TileHConfig()
         if cfg.exec_mode not in ("threaded", "process"):
@@ -426,41 +431,25 @@ class TileHMatrix:
             return mat, mat.factorize(method=method)
         if method not in ("lu", "cholesky"):
             raise ValueError(f"method must be 'lu' or 'cholesky', got {method!r}")
-        tasks_fn = tiled_getrf_tasks if method == "lu" else tiled_potrf_tasks
         clustering = context = None
         if cfg.exec_mode == "process":
             clustering, context = cls._assembly_context(kernel, points, cfg)
         if cfg.nested:
-            # Stage A: assembly graph (tiles must exist before expansion).
+            # Stage A: assembly graph (the recorder needs assembled tiles).
             engine_a = StfEngine(mode="deferred")
             desc = cls._build_desc(kernel, points, cfg, engine_a, clustering)
             mat = cls(desc, cfg)
             wall_a = mat._executor(context).run(engine_a.wait_all())
             if cfg.exec_mode == "process":
                 desc.relink_clusters()
-            # Stage B: nested factorisation graph on a fresh executor.
-            engine_f = StfEngine(mode="deferred", nested=_nested_policy(cfg))
-            graph = tasks_fn(desc, engine_f, accumulate=cfg.accumulate)
-            if cfg.priority_mode == "bottom-level":
-                apply_bottom_level_priorities(graph, "flops")
-            executor = mat._executor(context)
-            wall_f = executor.run(graph)
-            if cfg.exec_mode == "process":
-                desc.relink_clusters()
-            mat._factorized = True
-            mat._method = method
-            info = FactorizationInfo(
-                graph=graph,
-                nb=desc.nb,
-                nt=desc.nt,
-                trace=executor.trace,
-                wall_seconds=wall_a + wall_f,
-                nested_stats=engine_f.nested_stats,
-            )
+            # Stage B: the nested factorisation, on a fresh executor.
+            info = mat.factorize(method=method)
+            info.wall_seconds = wall_a + info.wall_seconds
             return mat, info
         engine = StfEngine(mode="deferred")
         desc = cls._build_desc(kernel, points, cfg, engine, clustering)
         mat = cls(desc, cfg)
+        tasks_fn = tiled_getrf_tasks if method == "lu" else tiled_potrf_tasks
         graph = tasks_fn(desc, engine, accumulate=cfg.accumulate)
         if cfg.priority_mode == "bottom-level":
             apply_bottom_level_priorities(graph, "flops")
@@ -532,26 +521,33 @@ class TileHMatrix:
         cfg = self.config
         accumulate = cfg.accumulate
         threaded = cfg.exec_mode in ("threaded", "process")
-        if engine is None:
-            if threaded:
-                engine = StfEngine(mode="deferred", nested=_nested_policy(cfg))
-            elif cfg.racecheck or cfg.nested:
-                engine = StfEngine(
-                    mode="eager",
-                    racecheck=cfg.racecheck,
-                    nested=_nested_policy(cfg),
-                )
-        if method == "lu":
-            graph = tiled_getrf_tasks(self.desc, engine, accumulate=accumulate)
-        elif method == "cholesky":
-            graph = tiled_potrf_tasks(self.desc, engine, accumulate=accumulate)
-        else:
+        if method not in ("lu", "cholesky"):
             raise ValueError(f"method must be 'lu' or 'cholesky', got {method!r}")
+        if engine is None and threaded and cfg.nested:
+            # Every deferred nested graph is a bound FactorProgram — recorded
+            # first when this block structure is new to the process.
+            program = program_for(self.desc, method, _nested_policy(cfg))
+            graph, nested_stats = instantiate(program, self.desc, self.desc.eps)
+            deferred = True
+        else:
+            if engine is None:
+                if threaded:
+                    engine = StfEngine(mode="deferred")
+                elif cfg.racecheck or cfg.nested:
+                    engine = StfEngine(
+                        mode="eager",
+                        racecheck=cfg.racecheck,
+                        nested=_nested_policy(cfg),
+                    )
+            tasks_fn = tiled_getrf_tasks if method == "lu" else tiled_potrf_tasks
+            graph = tasks_fn(self.desc, engine, accumulate=accumulate)
+            nested_stats = engine.nested_stats if engine is not None else None
+            deferred = engine is not None and engine.mode == "deferred"
         if cfg.priority_mode == "bottom-level":
             apply_bottom_level_priorities(graph, "flops")
         trace = None
         wall = None
-        if threaded and engine is not None and engine.mode == "deferred":
+        if threaded and deferred:
             executor = self._executor()
             wall = executor.run(graph)
             trace = executor.trace
@@ -566,7 +562,7 @@ class TileHMatrix:
             racecheck=engine.racecheck if engine is not None else None,
             trace=trace,
             wall_seconds=wall,
-            nested_stats=engine.nested_stats if engine is not None else None,
+            nested_stats=nested_stats,
         )
 
     def sweep_program(self) -> SweepProgram:

@@ -40,6 +40,11 @@ __all__ = [
 ]
 
 
+#: Entries per row panel of the element-wise stage of a kernel block (512 KB
+#: of float64 per temporary: a few of them stay in the L2 cache).
+_PANEL_ENTRIES = 1 << 16
+
+
 def _distances(sums: np.ndarray, cross: np.ndarray, d_min: float) -> np.ndarray:
     """Clamped Euclidean distances from the expanded form, in place on ``cross``.
 
@@ -106,9 +111,26 @@ class KernelFunction:
         return np.issubdtype(self.dtype, np.complexfloating)
 
     def __call__(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Evaluate the kernel block for point sets ``x`` (rows), ``y`` (cols)."""
+        """Evaluate the kernel block for point sets ``x`` (rows), ``y`` (cols).
+
+        One ``x @ y.T``; the element-wise stage then runs over row panels of
+        :data:`_PANEL_ENTRIES` entries, so its half-dozen temporaries are
+        panel-sized whatever the block (a real block is finished in the
+        product's own buffer).  Element-wise work does not depend on where in
+        the block it runs: the result is bit for bit the one-pass block.
+        """
         x, y = _as_points(x), _as_points(y)
-        return self._entries(_sq_norms(x)[:, None] + _sq_norms(y)[None, :], x @ y.T)
+        cross = x @ y.T
+        rows, cols = _sq_norms(x), _sq_norms(y)
+        m, n = cross.shape
+        if m * n <= _PANEL_ENTRIES:
+            return self._entries(rows[:, None] + cols[None, :], cross)
+        out = cross if cross.dtype == self.dtype else np.empty(cross.shape, dtype=self.dtype)
+        step = max(1, _PANEL_ENTRIES // n)
+        for r0 in range(0, m, step):
+            r1 = min(r0 + step, m)
+            out[r0:r1] = self._entries(rows[r0:r1, None] + cols[None, :], cross[r0:r1])
+        return out
 
     def _entries(self, sums: np.ndarray, cross: np.ndarray) -> np.ndarray:
         """Kernel values from ``|x|^2 + |y|^2`` and ``x . y`` (``cross`` is consumed)."""

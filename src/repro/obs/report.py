@@ -234,6 +234,8 @@ REPORT_SCHEMA = {
                 "cost_attr": {"type": "string"},
                 "critical_path_before": {"type": "number", "minimum": 0},
                 "critical_path_after": {"type": "number", "minimum": 0},
+                "program_hits": {"type": "integer", "minimum": 0},
+                "program_misses": {"type": "integer", "minimum": 0},
             },
         },
         "fleet": {
@@ -611,6 +613,12 @@ def build_run_report(
         }
     if nested is not None:
         report["nested"] = dict(nested)
+        if probe is not None:
+            # How many of the run's nested factorisations replayed a recorded
+            # graph (repro.core.factor_program) and how many recorded one.
+            reg = probe.registry
+            report["nested"]["program_hits"] = int(reg.counter("nested.program.hits"))
+            report["nested"]["program_misses"] = int(reg.counter("nested.program.misses"))
     if service is not None:
         report["service"] = service
     elif probe is not None and probe.registry.counter("service.requests.admitted"):
@@ -864,6 +872,9 @@ def render_report(report: dict) -> str:
             + f") | critical path {cp_b:.3g} -> {cp_a:.3g} "
             f"{nested.get('cost_attr', 'flops')}{ratio}"
         )
+        lookups = nested.get("program_hits", 0) + nested.get("program_misses", 0)
+        if lookups:
+            lines[-1] += f" | graph replayed in {nested['program_hits']} of {lookups} builds"
     svc = report.get("service")
     if svc:
         req = svc["requests"]

@@ -140,15 +140,33 @@ class TaskGraph:
         return levels
 
     def validate(self) -> None:
-        """Check edge symmetry and acyclicity (cheap structural audit)."""
-        for t in self.tasks:
+        """Check edge symmetry and acyclicity (cheap structural audit).
+
+        Every executor run audits its graph, so the common case is one pass:
+        each dependency must be mirrored as a successor, the two edge counts
+        must agree (so no successor lacks its dependency), and when every
+        edge points from a lower id to a higher one — all an STF section can
+        produce — submission order is a topological order and no cycle
+        exists.  Only a graph with a backward edge pays for Kahn's algorithm.
+        """
+        tasks = self.tasks
+        forward = True
+        n_succ = 0
+        for t in tasks:
+            tid = t.id
+            n_succ += len(t.successors)
             for d in t.deps:
-                if t.id not in self.tasks[d].successors:
-                    raise ValueError(f"asymmetric edge {d} -> {t.id}")
-            for s in t.successors:
-                if t.id not in self.tasks[s].deps:
-                    raise ValueError(f"asymmetric edge {t.id} -> {s}")
-        self.topological_order()  # raises on cycles
+                if tid not in tasks[d].successors:
+                    raise ValueError(f"asymmetric edge {d} -> {tid}")
+                if d >= tid:
+                    forward = False
+        if n_succ != self.n_edges():
+            for t in tasks:
+                for s in t.successors:
+                    if t.id not in tasks[s].deps:
+                        raise ValueError(f"asymmetric edge {t.id} -> {s}")
+        if not forward:
+            self.topological_order()  # raises on cycles
 
     # -- exports -------------------------------------------------------------------
     def to_networkx(self):

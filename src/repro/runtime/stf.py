@@ -26,7 +26,7 @@ from .expand import NestedPolicy, NestedStats
 from .racecheck import RaceChecker
 from .task import AccessMode, DataHandle, Task
 
-__all__ = ["StfEngine"]
+__all__ = ["StfEngine", "announce_task"]
 
 
 def _payload_footprint(payload: Any) -> tuple[int, int]:
@@ -60,6 +60,28 @@ def _payload_footprint(payload: Any) -> tuple[int, int]:
             rank = int(getattr(payload, "rank", 0) or 0)
         return entries * itemsize, rank
     return 0, 0
+
+
+def announce_task(probe, task: Task) -> None:
+    """Tell ``probe`` one task entered a graph, tagged with its operands'
+    bytes and largest rank (also kept on ``task.meta``).  The one place the
+    ``task_submitted`` event is built — :meth:`StfEngine.insert_task` and the
+    binder of :mod:`repro.core.factor_program` both report through it."""
+    operand_bytes = 0
+    operand_max_rank = 0
+    for handle, _mode in task.accesses:
+        nbytes, rank = _payload_footprint(handle.payload)
+        operand_bytes += nbytes
+        operand_max_rank = max(operand_max_rank, rank)
+    task.meta = {
+        "operand_bytes": operand_bytes,
+        "operand_max_rank": operand_max_rank,
+    }
+    probe.task_submitted(
+        task,
+        operand_bytes=operand_bytes,
+        operand_max_rank=operand_max_rank,
+    )
 
 
 class StfEngine:
@@ -115,6 +137,12 @@ class StfEngine:
             if self.racecheck is not None:
                 self.racecheck.register_handle(h)
         return h
+
+    def handle_of(self, payload: Any) -> DataHandle | None:
+        """The handle already registered for ``payload``, or ``None`` — lets a
+        caller that registers the same payload many times build the handle's
+        name only when it is about to be created."""
+        return self._handles.get(id(payload))
 
     def subhandle(self, parent: DataHandle, payload: Any, name: str = "") -> DataHandle:
         """Get-or-create a handle for a sub-block of ``parent``'s payload.
@@ -186,23 +214,7 @@ class StfEngine:
         )
         task.spec = spec
         self._infer_dependencies(task)
-        probe = _current_probe()
-        if probe is not None:
-            operand_bytes = 0
-            operand_max_rank = 0
-            for handle, _mode in task.accesses:
-                nbytes, rank = _payload_footprint(handle.payload)
-                operand_bytes += nbytes
-                operand_max_rank = max(operand_max_rank, rank)
-            task.meta = {
-                "operand_bytes": operand_bytes,
-                "operand_max_rank": operand_max_rank,
-            }
-            probe.task_submitted(
-                task,
-                operand_bytes=operand_bytes,
-                operand_max_rank=operand_max_rank,
-            )
+        self._announce(task)
         if self.mode == "eager":
             if func is not None:
                 checker = self.racecheck
@@ -223,6 +235,11 @@ class StfEngine:
             if seconds is not None:
                 task.seconds = seconds
         return task
+
+    def _announce(self, task: Task) -> None:
+        probe = _current_probe()
+        if probe is not None:
+            announce_task(probe, task)
 
     @staticmethod
     def _family(handle: DataHandle) -> list[DataHandle]:

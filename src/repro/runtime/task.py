@@ -24,13 +24,11 @@ class AccessMode(Enum):
     W = "W"
     RW = "RW"
 
-    @property
-    def writes(self) -> bool:
-        return self is not AccessMode.R
-
-    @property
-    def reads(self) -> bool:
-        return self is not AccessMode.W
+    def __init__(self, code: str) -> None:
+        # Plain member attributes: dependency inference reads them ~20 times
+        # per task, which a property pays for as a Python call each time.
+        self.reads: bool = code != "W"
+        self.writes: bool = code != "R"
 
 
 _handle_counter = itertools.count()

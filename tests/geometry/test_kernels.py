@@ -15,6 +15,7 @@ from repro.geometry import (
     mesh_step,
     rule_of_thumb_wavenumber,
 )
+from repro.geometry import kernels
 
 
 @pytest.fixture(scope="module")
@@ -125,6 +126,33 @@ class TestMakeKernel:
     def test_unknown_name(self, pts):
         with pytest.raises(ValueError, match="unknown kernel"):
             make_kernel("stokes", pts)
+
+
+class TestRowPanels:
+    """A block evaluated panel by panel is bit for bit the one-pass block."""
+
+    @pytest.mark.parametrize("name", sorted(kernels._FACTORIES))
+    @pytest.mark.parametrize("shape", [(48, 48), (300, 400), (1, 400), (400, 1)])
+    def test_equal_to_one_panel(self, pts, name, shape, monkeypatch):
+        k = make_kernel(name, pts)
+        # Rows and columns overlap: coincident points, the exact-zero
+        # distances the GP nugget keys on, fall inside the block.
+        x, y = pts[: shape[0]], pts[: shape[1]]
+        monkeypatch.setattr(kernels, "_PANEL_ENTRIES", 1 << 40)
+        whole = k(x, y)
+        for entries in (1, 37, 4096):  # one row at a time, ragged, several rows
+            monkeypatch.setattr(kernels, "_PANEL_ENTRIES", entries)
+            block = k(x, y)
+            assert block.dtype == whole.dtype == k.dtype
+            assert block.flags.c_contiguous
+            assert np.array_equal(block, whole)
+
+    @pytest.mark.parametrize("name", ["sqexp", "matern32"])
+    def test_diagonal_keeps_nugget(self, pts, name, monkeypatch):
+        k = make_kernel(name, pts, nugget=1e-2)
+        monkeypatch.setattr(kernels, "_PANEL_ENTRIES", 1000)
+        block = k(pts, pts)
+        assert np.array_equal(np.diag(block), k.diag(pts))
 
 
 class TestRuleOfThumb:

@@ -86,6 +86,28 @@ class TestTaskGraph:
         with pytest.raises(ValueError, match="asymmetric"):
             g.validate()
 
+    def test_validate_successor_without_dependency(self):
+        g = _diamond()
+        g.tasks[0].successors.add(3)  # forgot the dependency side
+        with pytest.raises(ValueError, match="asymmetric edge 0 -> 3"):
+            g.validate()
+
+    def test_validate_finds_a_cycle_through_a_backward_edge(self):
+        g = TaskGraph()
+        a, b, c = g.new_task("a"), g.new_task("b"), g.new_task("c")
+        g.add_dependency(a, b)
+        g.add_dependency(b, c)
+        g.validate()
+        g.add_dependency(c, b)  # symmetric, but c -> b closes a cycle
+        with pytest.raises(ValueError, match="cycle"):
+            g.validate()
+
+    def test_validate_accepts_backward_edges_without_a_cycle(self):
+        g = TaskGraph()
+        a, b = g.new_task("a"), g.new_task("b")
+        g.add_dependency(b, a)  # later task first: legal in a hand-built graph
+        g.validate()
+
     def test_kind_counts(self):
         g = TaskGraph()
         g.new_task("gemm")
