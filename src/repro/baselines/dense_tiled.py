@@ -9,16 +9,40 @@ format comparisons isolate the storage format, not the algorithm.
 from __future__ import annotations
 
 import numpy as np
-
-from ..dense import flops_gemm, flops_getrf, flops_potrf, flops_trsm, gemm_update, getrf_nopiv, trsm
-from ..runtime import AccessMode, StfEngine, TaskGraph
-from ..core.algorithms import lu_priorities
-from ..core.solver import FactorizationInfo
 from scipy.linalg import solve_triangular
+
+from ..core.algorithms import declared, tile_steps
+from ..core.solver import FactorizationInfo
+from ..dense import gemm_update, getrf_nopiv, sequential_blas, trsm
+from ..hmatrix.rules import chol_steps, lu_steps
+from ..runtime import StfEngine
 
 __all__ = ["DenseTiledLU", "DenseTiledCholesky"]
 
-R, RW = AccessMode.R, AccessMode.RW
+
+def _potrf(a):
+    a[:] = np.linalg.cholesky(a)
+
+
+def _trsm_rlt(l, b):
+    # X L^T = B  =>  X = (L^{-1} B^T)^T.
+    b[:] = solve_triangular(l, b.conj().T, lower=True, check_finite=False).conj().T
+
+
+def _gemm_tb(c, a, b):
+    c -= a @ b.conj().T
+
+
+#: variant -> dense kernel on ndarray tiles in kernel-argument order, in place.
+_KERNELS = {
+    "getrf": lambda a: getrf_nopiv(a, overwrite=True),
+    "trsm_ll": lambda l, b: trsm("left", "lower", l, b, unit_diagonal=True, overwrite=True),
+    "trsm_ru": lambda u, b: trsm("right", "upper", u, b, overwrite=True),
+    "gemm": gemm_update,
+    "potrf": _potrf,
+    "trsm_rlt": _trsm_rlt,
+    "gemm_tb": _gemm_tb,
+}
 
 
 class DenseTiledLU:
@@ -50,64 +74,31 @@ class DenseTiledLU:
             out[self._sl(i), self._sl(j)] = t
         return out
 
+    #: The factorisation's step sequence (:mod:`repro.hmatrix.rules`).
+    _steps = staticmethod(lu_steps)
+
     def factorize(self, engine: StfEngine | None = None) -> FactorizationInfo:
-        """Tiled right-looking LU (Algorithm 1) on dense tiles, via STF."""
+        """Tiled right-looking factorisation (Algorithm 1) on dense tiles, via
+        STF, with BLAS held to one thread like the ℌ formats' factorisations."""
         if self._factorized:
             raise RuntimeError("factorize() called twice")
         eng = engine or StfEngine(mode="eager")
-        nt = self.nt
-        is_c = np.issubdtype(self.tiles[0, 0].dtype, np.complexfloating)
-        handles = {
-            (i, j): eng.handle(self.tiles[i, j], f"A[{i},{j}]")
-            for i in range(nt)
-            for j in range(nt)
-        }
         t = self.tiles
-        for k in range(nt):
-            mk = t[k, k].shape[0]
-            eng.insert_task(
-                "getrf",
-                (lambda k=k: getrf_nopiv(t[k, k], overwrite=True)),
-                [(handles[k, k], RW)],
-                priority=lu_priorities(nt, k, "getrf"),
-                flops=flops_getrf(mk, is_complex=is_c),
-                label=f"getrf({k})",
-            )
-            for j in range(k + 1, nt):
+        rows = [t[k, k].shape[0] for k in range(self.nt)]
+        is_c = np.issubdtype(t[0, 0].dtype, np.complexfloating)
+        with sequential_blas():
+            for variant, kind, pos, label, priority, flops in tile_steps(
+                self._steps(self.nt), self.nt, rows, is_c
+            ):
                 eng.insert_task(
-                    "trsm",
-                    (lambda k=k, j=j: trsm(
-                        "left", "lower", t[k, k], t[k, j], unit_diagonal=True, overwrite=True
-                    )),
-                    [(handles[k, k], R), (handles[k, j], RW)],
-                    priority=lu_priorities(nt, k, "trsm"),
-                    flops=flops_trsm(mk, t[k, j].shape[1], is_complex=is_c),
-                    label=f"trsm_u({k},{j})",
+                    kind,
+                    (lambda variant=variant, pos=pos: _KERNELS[variant](*(t[p] for p in pos))),
+                    declared(variant, [eng.handle(t[i, j], f"A[{i},{j}]") for i, j in pos]),
+                    priority=priority,
+                    flops=flops,
+                    label=label,
                 )
-            for i in range(k + 1, nt):
-                eng.insert_task(
-                    "trsm",
-                    (lambda k=k, i=i: trsm(
-                        "right", "upper", t[k, k], t[i, k], overwrite=True
-                    )),
-                    [(handles[k, k], R), (handles[i, k], RW)],
-                    priority=lu_priorities(nt, k, "trsm"),
-                    flops=flops_trsm(mk, t[i, k].shape[0], is_complex=is_c),
-                    label=f"trsm_l({i},{k})",
-                )
-            for i in range(k + 1, nt):
-                for j in range(k + 1, nt):
-                    eng.insert_task(
-                        "gemm",
-                        (lambda i=i, k=k, j=j: gemm_update(t[i, j], t[i, k], t[k, j])),
-                        [(handles[i, k], R), (handles[k, j], R), (handles[i, j], RW)],
-                        priority=lu_priorities(nt, k, "gemm", i, j),
-                        flops=flops_gemm(
-                            t[i, j].shape[0], t[i, j].shape[1], mk, is_complex=is_c
-                        ),
-                        label=f"gemm({i},{j},{k})",
-                    )
-        graph = eng.wait_all()
+            graph = eng.wait_all()
         self._factorized = True
         return FactorizationInfo(graph=graph, nb=self.nb, nt=self.nt)
 
@@ -138,69 +129,11 @@ class DenseTiledCholesky(DenseTiledLU):
     """Dense tiled Cholesky (POTRF/TRSM/SYRK loop nest on ndarray tiles).
 
     The SPD counterpart of :class:`DenseTiledLU`; shares the tile grid and
-    solve scaffolding and overrides the factorisation with the classic tiled
+    the submission loop and swaps the step sequence for the classic tiled
     right-looking Cholesky (lower tiles only).
     """
 
-    def factorize(self, engine: StfEngine | None = None) -> FactorizationInfo:
-        if self._factorized:
-            raise RuntimeError("factorize() called twice")
-        eng = engine or StfEngine(mode="eager")
-        nt = self.nt
-        t = self.tiles
-        is_c = np.issubdtype(t[0, 0].dtype, np.complexfloating)
-        handles = {
-            (i, j): eng.handle(t[i, j], f"A[{i},{j}]")
-            for i in range(nt)
-            for j in range(i + 1)
-        }
-
-        def potrf(k):
-            t[k, k][:] = np.linalg.cholesky(t[k, k])
-
-        def trsm_panel(i, k):
-            # X L^T = B  =>  X = (L^{-1} B^T)^T.
-            t[i, k][:] = solve_triangular(
-                t[k, k], t[i, k].conj().T, lower=True, check_finite=False
-            ).conj().T
-
-        def update(i, j, k):
-            t[i, j] -= t[i, k] @ t[j, k].conj().T
-
-        for k in range(nt):
-            mk = t[k, k].shape[0]
-            eng.insert_task(
-                "potrf",
-                (lambda k=k: potrf(k)),
-                [(handles[k, k], RW)],
-                priority=lu_priorities(nt, k, "getrf"),
-                flops=flops_potrf(mk, is_complex=is_c),
-                label=f"potrf({k})",
-            )
-            for i in range(k + 1, nt):
-                eng.insert_task(
-                    "trsm",
-                    (lambda i=i, k=k: trsm_panel(i, k)),
-                    [(handles[k, k], R), (handles[i, k], RW)],
-                    priority=lu_priorities(nt, k, "trsm"),
-                    flops=flops_trsm(mk, t[i, k].shape[0], is_complex=is_c),
-                    label=f"trsm({i},{k})",
-                )
-            for i in range(k + 1, nt):
-                for j in range(k + 1, i + 1):
-                    eng.insert_task(
-                        "gemm",
-                        (lambda i=i, j=j, k=k: update(i, j, k)),
-                        [(handles[i, k], R), (handles[j, k], R), (handles[i, j], RW)],
-                        priority=lu_priorities(nt, k, "gemm", i, j),
-                        flops=flops_gemm(
-                            t[i, j].shape[0], t[i, j].shape[1], mk, is_complex=is_c
-                        ),
-                        label=f"syrk({i},{j},{k})" if i == j else f"gemm({i},{j},{k})",
-                    )
-        graph = eng.wait_all()
-        self._factorized = True
-        return FactorizationInfo(graph=graph, nb=self.nb, nt=self.nt)
+    _steps = staticmethod(chol_steps)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Forward/backward substitution with the lower Cholesky tiles."""

@@ -1,11 +1,13 @@
 """Tiled algorithms over Tile-H descriptors (the paper's Algorithm 1).
 
-``tiled_getrf_tasks`` walks the right-looking LU loop nest and submits one
-task per tile kernel to an :class:`~repro.runtime.stf.StfEngine` with the
-same access modes CHAMELEON declares (GETRF: RW on the diagonal tile; TRSM:
-R on the factor tile, RW on the panel tile; GEMM: R, R, RW).  The engine
-executes the H-arithmetic eagerly (sound numerics) and returns the task DAG
-with measured per-task costs for the simulator.
+``tiled_getrf_tasks`` reads the right-looking LU loop nest — the same
+``lu_steps`` of :mod:`repro.hmatrix.rules` the H-kernels recurse through
+inside a tile — over tile positions and submits one task per tile kernel to
+an :class:`~repro.runtime.stf.StfEngine` with the same access modes CHAMELEON
+declares (GETRF: RW on the diagonal tile; TRSM: R on the factor tile, RW on
+the panel tile; GEMM: R, R, RW).  The engine executes the H-arithmetic
+eagerly (sound numerics) and returns the task DAG with measured per-task
+costs for the simulator.
 
 Priorities follow CHAMELEON's LU heuristic: panel operations of earlier
 iterations dominate, and GETRF > TRSM > GEMM within an iteration — the
@@ -17,24 +19,18 @@ from __future__ import annotations
 import numpy as np
 
 from ..dense import flops_gemm, flops_getrf, flops_potrf, flops_trsm
-from ..hmatrix import UpdateAccumulator, hgemm, hgemm_transb, hgetrf, hpotrf, htrsm
-from ..hmatrix.arithmetic import _htrsm_right_lower_transpose
+from ..hmatrix import UpdateAccumulator
+from ..hmatrix.arithmetic import run_kernel
+from ..hmatrix.rules import chol_steps, lu_steps
 from ..runtime import AccessMode, StfEngine, TaskGraph, TaskSpec
 from .descriptor import TileHDesc
 from .sweep import SweepProgram, compile_sweep, mv_step, run_steps, tri_steps
-from .nested import (
-    gemm_expander,
-    gemm_transb_expander,
-    getrf_expander,
-    potrf_expander,
-    trsm_left_lower_expander,
-    trsm_right_lower_transpose_expander,
-    trsm_right_upper_expander,
-)
+from .nested import ACCESS, _nested_spec, expander
 
 __all__ = [
     "lu_priorities",
     "apply_bottom_level_priorities",
+    "tile_steps",
     "tiled_getrf_tasks",
     "tiled_potrf_tasks",
     "tiled_solve",
@@ -51,41 +47,8 @@ R, RW = AccessMode.R, AccessMode.RW
 # -- process-executor ops ------------------------------------------------------
 # Declarative worker-side kernels (module level so spawn children import
 # them): each receives the task's access-list payloads in declared order and
-# mutates the written payloads in place.  The update accumulator is never
-# engaged here — process runs are accumulate=False by construction, which is
-# also what makes them bit-identical to eager runs: successive updates of one
-# tile are RW on the same handle, so STF serializes them in submission order.
-def _op_getrf(payloads, eps):
-    hgetrf(payloads[0].mat, eps, None)
-
-
-def _op_trsm_left_lower(payloads, eps):
-    htrsm("left", "lower", payloads[0].mat, payloads[1].mat, eps,
-          unit_diagonal=True, acc=None)
-
-
-def _op_trsm_right_upper(payloads, eps):
-    htrsm("right", "upper", payloads[0].mat, payloads[1].mat, eps, acc=None)
-
-
-def _op_gemm(payloads, eps):
-    hgemm(payloads[2].mat, payloads[0].mat, payloads[1].mat, eps,
-          alpha=-1.0, acc=None)
-
-
-def _op_potrf(payloads, eps):
-    hpotrf(payloads[0].mat, eps, None)
-
-
-def _op_trsm_right_lower_t(payloads, eps):
-    _htrsm_right_lower_transpose(payloads[0].mat, payloads[1].mat, eps, None)
-
-
-def _op_gemm_transb(payloads, eps):
-    hgemm_transb(payloads[2].mat, payloads[0].mat, payloads[1].mat, eps,
-                 alpha=-1.0, acc=None)
-
-
+# mutates the written payloads in place.  The factorisation's tile kernels
+# ship as ``repro.core.nested:_op_nested`` with empty paths.
 def _op_sweep_gemv(payloads, trans):
     # Shared segments arrive as separate arrays: lay them out as one local
     # work array (updated rows first), run the tile's step, copy back.
@@ -154,6 +117,107 @@ def lu_priorities(nt: int, k: int, kind: str, i: int = 0, j: int = 0) -> int:
     raise ValueError(f"unknown kernel kind {kind!r}")
 
 
+_TRSM_LABEL = {"trsm_ll": "trsm_u", "trsm_ru": "trsm_l", "trsm_rlt": "trsm"}
+
+
+def tile_steps(steps, nt: int, rows: list, is_c: bool):
+    """Algorithm 1 at the tile level: for each of ``steps`` (``lu_steps(nt)`` /
+    ``chol_steps(nt)``, read over tile positions) yield ``(variant, kind,
+    positions, label, priority, flops)`` — the task kind, the operands' tile
+    positions in kernel-argument order, CHAMELEON's names and priorities, and
+    the dense kernel's flops for tile heights ``rows``.  Shared by the Tile-H algorithms
+    below and the dense baselines, so format comparisons see one graph.
+    """
+    for variant, operands in steps:
+        pos = [(i, j) for _, i, j in operands]
+        kind = ACCESS[variant][0]
+        if kind == "gemm":
+            (i, j), (_, k) = pos[0], pos[1]
+            name = "syrk" if variant == "gemm_tb" and i == j else "gemm"
+            label = f"{name}({i},{j},{k})"
+            priority = lu_priorities(nt, k, "gemm", i, j)
+            flops = flops_gemm(rows[i], rows[j], rows[k], is_complex=is_c)
+        elif kind == "trsm":
+            (k, _), (i, j) = pos
+            label = f"{_TRSM_LABEL[variant]}({i},{j})"
+            priority = lu_priorities(nt, k, "trsm")
+            flops = flops_trsm(rows[k], rows[j if variant == "trsm_ll" else i], is_complex=is_c)
+        else:  # getrf / potrf (which plays GETRF's role in the priorities)
+            k = pos[0][0]
+            label = f"{variant}({k})"
+            priority = lu_priorities(nt, k, "getrf")
+            flops = (flops_getrf if variant == "getrf" else flops_potrf)(rows[k], is_complex=is_c)
+        yield variant, kind, pos, label, priority, flops
+
+
+# CHAMELEON's declaration order — the tiles read, then the tile written — as
+# positions into the kernel-argument order, and where each operand then sits
+# in the access list (the process op's paths; empty: the whole tile).
+_DECLARED = {
+    variant: sorted(range(len(modes)), key=lambda n: modes[n].writes)
+    for variant, (_, modes) in ACCESS.items()
+}
+_TILE_PATHS = {
+    variant: tuple((order.index(n), ()) for n in range(len(order)))
+    for variant, order in _DECLARED.items()
+}
+
+
+def declared(variant: str, handles: list) -> list:
+    """The access list of tile kernel ``variant`` on ``handles`` (given in
+    kernel-argument order), in CHAMELEON's declaration order."""
+    modes = ACCESS[variant][1]
+    return [(handles[n], modes[n]) for n in _DECLARED[variant]]
+
+
+def _tiled_factorize(desc, steps, lower, engine, eps, accumulate, racecheck) -> TaskGraph:
+    """Submit ``steps(nt)`` over the tiles of ``desc`` (the lower ones only for
+    Cholesky): per step one task whose closure, process spec, expander and
+    access list all derive from ``(variant, handles)``."""
+    eng = engine or StfEngine(mode="eager", racecheck=racecheck)
+    eps_ = desc.eps if eps is None else eps
+    nt = desc.nt
+    grid = desc.super
+    is_c = np.issubdtype(grid.dtype, np.complexfloating)
+    acc = (
+        UpdateAccumulator(eps_)
+        if accumulate and eng.mode == "eager" and eng.nested is None
+        else None
+    )
+    if acc is not None and eng.racecheck is not None:
+        eng.racecheck.watch_accumulator(acc)
+    tiles = {
+        (i, j): grid.get_blktile(i, j)
+        for i in range(nt)
+        for j in range(i + 1 if lower else nt)
+    }
+    handles = {(i, j): eng.handle(tile, f"A[{i},{j}]") for (i, j), tile in tiles.items()}
+    rows = [grid.tile_rows(k) for k in range(nt)]
+
+    def kernel(variant, operands):
+        # ``.mat`` is read when the task runs: in a fused build+factorise
+        # graph the tiles are still pending at submission.
+        return lambda: run_kernel(variant, [t.mat for t in operands], eps_, True, acc)
+
+    for variant, kind, pos, label, priority, flops in tile_steps(steps(nt), nt, rows, is_c):
+        hs = [handles[p] for p in pos]
+        eng.insert_task(
+            kind,
+            kernel(variant, [tiles[p] for p in pos]),
+            declared(variant, hs),
+            priority=priority,
+            flops=flops,
+            label=label,
+            spec=_nested_spec(variant, _TILE_PATHS[variant], eps_, True),
+            expander=expander(variant, hs, eps_, label),
+        )
+    if acc is not None:
+        # Every tile's last pending update is flushed by its own panel step,
+        # so this is a no-op safety net (asserted by the equivalence tests).
+        acc.flush()
+    return eng.wait_all()
+
+
 def tiled_getrf_tasks(
     desc: TileHDesc,
     engine: StfEngine | None = None,
@@ -187,90 +251,12 @@ def tiled_getrf_tasks(
     tiles above the granularity cutoff become sub-block subtask DAGs.
     Nested expansion forces ``accumulate=False``-class arithmetic (each
     subtask rounds its own update, like the threaded/process paths), so the
-    accumulator is never engaged alongside it.
+    accumulator is never engaged alongside it.  The same holds for process
+    runs, which is also what makes them bit-identical to eager runs:
+    successive updates of one tile are RW on the same handle, so STF
+    serializes them in submission order.
     """
-    eng = engine or StfEngine(mode="eager", racecheck=racecheck)
-    eps_ = desc.eps if eps is None else eps
-    nt = desc.nt
-    grid = desc.super
-    is_c = np.issubdtype(grid.dtype, np.complexfloating)
-    acc = (
-        UpdateAccumulator(eps_)
-        if accumulate and eng.mode == "eager" and eng.nested is None
-        else None
-    )
-    if acc is not None and eng.racecheck is not None:
-        eng.racecheck.watch_accumulator(acc)
-
-    handles = {
-        (i, j): eng.handle(grid.get_blktile(i, j), f"A[{i},{j}]")
-        for i in range(nt)
-        for j in range(nt)
-    }
-
-    def t(i, j):
-        return grid.get_blktile(i, j).mat
-
-    for k in range(nt):
-        mk = grid.tile_rows(k)
-        eng.insert_task(
-            "getrf",
-            (lambda k=k: hgetrf(t(k, k), eps_, acc)),
-            [(handles[k, k], RW)],
-            priority=lu_priorities(nt, k, "getrf"),
-            flops=flops_getrf(mk, is_complex=is_c),
-            label=f"getrf({k})",
-            spec=_spec("_op_getrf", eps_),
-            expander=getrf_expander(handles[k, k], eps_, f"getrf({k})"),
-        )
-        for j in range(k + 1, nt):
-            eng.insert_task(
-                "trsm",
-                (lambda k=k, j=j: htrsm("left", "lower", t(k, k), t(k, j), eps_, unit_diagonal=True, acc=acc)),
-                [(handles[k, k], R), (handles[k, j], RW)],
-                priority=lu_priorities(nt, k, "trsm"),
-                flops=flops_trsm(mk, grid.tile_rows(j), is_complex=is_c),
-                label=f"trsm_u({k},{j})",
-                spec=_spec("_op_trsm_left_lower", eps_),
-                expander=trsm_left_lower_expander(
-                    handles[k, k], handles[k, j], eps_, f"trsm_u({k},{j})"
-                ),
-            )
-        for i in range(k + 1, nt):
-            eng.insert_task(
-                "trsm",
-                (lambda k=k, i=i: htrsm("right", "upper", t(k, k), t(i, k), eps_, acc=acc)),
-                [(handles[k, k], R), (handles[i, k], RW)],
-                priority=lu_priorities(nt, k, "trsm"),
-                flops=flops_trsm(mk, grid.tile_rows(i), is_complex=is_c),
-                label=f"trsm_l({i},{k})",
-                spec=_spec("_op_trsm_right_upper", eps_),
-                expander=trsm_right_upper_expander(
-                    handles[k, k], handles[i, k], eps_, f"trsm_l({i},{k})"
-                ),
-            )
-        for i in range(k + 1, nt):
-            for j in range(k + 1, nt):
-                eng.insert_task(
-                    "gemm",
-                    (lambda i=i, k=k, j=j: hgemm(t(i, j), t(i, k), t(k, j), eps_, alpha=-1.0, acc=acc)),
-                    [(handles[i, k], R), (handles[k, j], R), (handles[i, j], RW)],
-                    priority=lu_priorities(nt, k, "gemm", i, j),
-                    flops=flops_gemm(
-                        grid.tile_rows(i), grid.tile_rows(j), mk, is_complex=is_c
-                    ),
-                    label=f"gemm({i},{j},{k})",
-                    spec=_spec("_op_gemm", eps_),
-                    expander=gemm_expander(
-                        handles[i, j], handles[i, k], handles[k, j],
-                        eps_, f"gemm({i},{j},{k})",
-                    ),
-                )
-    if acc is not None:
-        # Every tile's last pending update is flushed by its own panel step,
-        # so this is a no-op safety net (asserted by the equivalence tests).
-        acc.flush()
-    return eng.wait_all()
+    return _tiled_factorize(desc, lu_steps, False, engine, eps, accumulate, racecheck)
 
 
 def tiled_potrf_tasks(
@@ -290,73 +276,7 @@ def tiled_potrf_tasks(
     trailing-update roundings exactly as in :func:`tiled_getrf_tasks`;
     ``racecheck`` enables the access-mode race detector the same way.
     """
-    eng = engine or StfEngine(mode="eager", racecheck=racecheck)
-    eps_ = desc.eps if eps is None else eps
-    nt = desc.nt
-    grid = desc.super
-    is_c = np.issubdtype(grid.dtype, np.complexfloating)
-    acc = (
-        UpdateAccumulator(eps_)
-        if accumulate and eng.mode == "eager" and eng.nested is None
-        else None
-    )
-    if acc is not None and eng.racecheck is not None:
-        eng.racecheck.watch_accumulator(acc)
-    handles = {
-        (i, j): eng.handle(grid.get_blktile(i, j), f"A[{i},{j}]")
-        for i in range(nt)
-        for j in range(i + 1)
-    }
-
-    def t(i, j):
-        return grid.get_blktile(i, j).mat
-
-    for k in range(nt):
-        mk = grid.tile_rows(k)
-        eng.insert_task(
-            "potrf",
-            (lambda k=k: hpotrf(t(k, k), eps_, acc)),
-            [(handles[k, k], RW)],
-            priority=lu_priorities(nt, k, "getrf"),
-            flops=flops_potrf(mk, is_complex=is_c),
-            label=f"potrf({k})",
-            spec=_spec("_op_potrf", eps_),
-            expander=potrf_expander(handles[k, k], eps_, f"potrf({k})"),
-        )
-        for i in range(k + 1, nt):
-            eng.insert_task(
-                "trsm",
-                (lambda k=k, i=i: _htrsm_right_lower_transpose(t(k, k), t(i, k), eps_, acc)),
-                [(handles[k, k], R), (handles[i, k], RW)],
-                priority=lu_priorities(nt, k, "trsm"),
-                flops=flops_trsm(mk, grid.tile_rows(i), is_complex=is_c),
-                label=f"trsm({i},{k})",
-                spec=_spec("_op_trsm_right_lower_t", eps_),
-                expander=trsm_right_lower_transpose_expander(
-                    handles[k, k], handles[i, k], eps_, f"trsm({i},{k})"
-                ),
-            )
-        for i in range(k + 1, nt):
-            for j in range(k + 1, i + 1):
-                eng.insert_task(
-                    "gemm",
-                    (lambda i=i, j=j, k=k: hgemm_transb(t(i, j), t(i, k), t(j, k), eps_, alpha=-1.0, acc=acc)),
-                    [(handles[i, k], R), (handles[j, k], R), (handles[i, j], RW)],
-                    priority=lu_priorities(nt, k, "gemm", i, j),
-                    flops=flops_gemm(
-                        grid.tile_rows(i), grid.tile_rows(j), mk, is_complex=is_c
-                    ),
-                    label=f"syrk({i},{j},{k})" if i == j else f"gemm({i},{j},{k})",
-                    spec=_spec("_op_gemm_transb", eps_),
-                    expander=gemm_transb_expander(
-                        handles[i, j], handles[i, k], handles[j, k],
-                        eps_,
-                        f"syrk({i},{j},{k})" if i == j else f"gemm({i},{j},{k})",
-                    ),
-                )
-    if acc is not None:
-        acc.flush()
-    return eng.wait_all()
+    return _tiled_factorize(desc, chol_steps, True, engine, eps, accumulate, racecheck)
 
 
 def submit_sweep_tasks(

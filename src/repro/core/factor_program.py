@@ -42,6 +42,7 @@ from itertools import chain
 
 import numpy as np
 
+from ..hmatrix.arithmetic import run_kernel
 from ..obs.instrument import current as _current_probe
 from ..runtime import AccessMode, NestedPolicy, NestedStats, StfEngine, TaskGraph
 from ..runtime.expand import ExpansionRecord
@@ -49,7 +50,7 @@ from ..runtime.stf import announce_task
 from ..runtime.task import DataHandle, Task
 from .algorithms import tiled_getrf_tasks, tiled_potrf_tasks
 from .descriptor import TileHDesc
-from .nested import _flops, _nested_spec, _run
+from .nested import _flops, _nested_spec
 
 __all__ = [
     "MAX_PROGRAMS",
@@ -289,7 +290,7 @@ def instantiate(
                 priority,
                 0.0,
                 _flops(variant, nodes_t),
-                partial(_run, variant, nodes_t, eps, unit),
+                partial(run_kernel, variant, nodes_t, eps, unit),
                 set(deps[dep_ptr[t]:dep_ptr[t + 1]]),
                 set(succs[suc_ptr[t]:suc_ptr[t + 1]]),
                 label,

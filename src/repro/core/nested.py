@@ -1,18 +1,19 @@
 """Nested expansion of Tile-H kernels into sub-block task graphs.
 
-Each expander mirrors one recursive H-kernel from
-:mod:`repro.hmatrix.arithmetic` *structurally*: it walks the tile's block
-tree exactly where the eager kernel recurses (same dispatch conditions, same
-loop nests, same submission order) and submits one subtask per place the
-recursion stops — either a true leaf kernel or, below the
-:class:`~repro.runtime.expand.NestedPolicy` ``min_leaf`` cutoff, an opaque
-subtask running the ordinary recursive kernel on that node.  Because the
-grouping never changes which arithmetic runs or in what sequential order,
-an expanded factorisation is bit-identical to the opaque one (with
-``accumulate=False``) while the scheduler sees *through* the tile: panel
-TRSMs on disjoint sub-blocks, and trailing GEMMs on sub-blocks already
-updated, run concurrently instead of serialising behind one giant task —
-the fix 1906.00874/1911.07531 apply to the HMAT-vs-Tile-H crossover.
+The expander reads the same rules the eager kernels of
+:mod:`repro.hmatrix.arithmetic` run (:mod:`repro.hmatrix.rules`): it walks a
+tile's block tree exactly where the eager kernel recurses — same terminal
+test, same steps, same order, because it is the same ``split`` — and submits
+one subtask per place the recursion stops: a true leaf kernel or, below the
+:class:`~repro.runtime.expand.NestedPolicy` ``min_leaf`` cutoff (the one thing
+an expansion adds to the recursion), an opaque subtask running the ordinary
+recursive kernel on that node.  Because the grouping never changes which
+arithmetic runs or in what sequential order, an expanded factorisation is
+bit-identical to the opaque one (with ``accumulate=False``) while the
+scheduler sees *through* the tile: panel TRSMs on disjoint sub-blocks, and
+trailing GEMMs on sub-blocks already updated, run concurrently instead of
+serialising behind one giant task — the fix 1906.00874/1911.07531 apply to
+the HMAT-vs-Tile-H crossover.
 
 Subtask accesses come in two granularities (``NestedPolicy.coarse``):
 
@@ -27,12 +28,11 @@ Subtask accesses come in two granularities (``NestedPolicy.coarse``):
   stay bit-identical; the fine-grain parallelism claims are made on the
   simulated graph.
 
-The one subtlety the expanders must reproduce is the ``packed_lu`` cache:
-``hgetrf``/``hpotrf`` pack every factorised diagonal node at or below
-``_PACK_TRI_MAX`` *after* its sub-factorisation, and the panel solves read
-the pack.  An expanded diagonal therefore gets an explicit ``pack`` subtask
-(RW on the node — racecheck-neutral, since ``packed_lu`` is excluded from
-payload fingerprints) ordered before any TRSM that reads the factor.
+The ``packed_lu`` cache rides along as a rule step: ``getrf``/``potrf`` on a
+node at or below ``_PACK_TRI_MAX`` end with ``pack``, and the panel solves
+read the pack.  An expanded diagonal therefore gets an explicit ``pack``
+subtask (RW on the node — racecheck-neutral, since ``packed_lu`` is excluded
+from payload fingerprints) ordered before any TRSM that reads the factor.
 The interior ``c.packed_lu = None`` invalidation of ``hgemm`` needs no
 subtask: GEMM targets are trailing blocks that are never packed before
 their own factorisation, so the clear is a no-op in the LU/Cholesky flow.
@@ -42,71 +42,41 @@ from __future__ import annotations
 
 from functools import partial
 
-import numpy as np
-
 from ..dense import flops_gemm, flops_getrf, flops_potrf
-from ..hmatrix.arithmetic import (
-    _PACK_TRI_MAX,
-    _effective_rank,
-    _gemm_flops,
-    _htrsm_left_lower,
-    _htrsm_right_lower_transpose,
-    _htrsm_right_upper,
-    _trsm_flops,
-    hgemm,
-    hgemm_transb,
-    hgetrf,
-    hpotrf,
-)
+from ..hmatrix.arithmetic import _effective_rank, _gemm_flops, _trsm_flops, run_kernel
+from ..hmatrix.rules import pick, split
 from ..runtime.process import TaskSpec
 from ..runtime.task import AccessMode
 
-__all__ = [
-    "getrf_expander",
-    "potrf_expander",
-    "trsm_left_lower_expander",
-    "trsm_right_upper_expander",
-    "trsm_right_lower_transpose_expander",
-    "gemm_expander",
-    "gemm_transb_expander",
-]
+__all__ = ["ACCESS", "expander"]
 
 R, RW = AccessMode.R, AccessMode.RW
 
+#: variant -> (task kind, access mode of each operand in kernel-argument
+#: order); the operand declared RW is the one a kernel writes.
+ACCESS = {
+    "getrf": ("getrf", (RW,)),
+    "potrf": ("potrf", (RW,)),
+    "trsm_ll": ("trsm", (R, RW)),
+    "trsm_ru": ("trsm", (R, RW)),
+    "trsm_rlt": ("trsm", (R, RW)),
+    "gemm": ("gemm", (RW, R, R)),
+    "gemm_tb": ("gemm", (RW, R, R)),
+    "pack": ("pack", (RW,)),
+}
+
 
 # ---------------------------------------------------------------------------
-# Leaf-subtask execution (shared by in-process closures and process workers)
+# Subtask execution on process workers
 # ---------------------------------------------------------------------------
-
-def _run(variant: str, nodes: tuple, eps: float, unit: bool = True) -> None:
-    """Run one leaf/opaque subtask kernel on resolved H-matrix nodes."""
-    if variant == "getrf":
-        hgetrf(nodes[0], eps, None)
-    elif variant == "potrf":
-        hpotrf(nodes[0], eps, None)
-    elif variant == "trsm_ll":
-        _htrsm_left_lower(nodes[0], nodes[1], eps, unit, None)
-    elif variant == "trsm_ru":
-        _htrsm_right_upper(nodes[0], nodes[1], eps, False, None)
-    elif variant == "trsm_rlt":
-        _htrsm_right_lower_transpose(nodes[0], nodes[1], eps, None)
-    elif variant == "gemm":
-        hgemm(nodes[0], nodes[1], nodes[2], eps, alpha=-1.0, acc=None)
-    elif variant == "gemm_tb":
-        hgemm_transb(nodes[0], nodes[1], nodes[2], eps, alpha=-1.0, acc=None)
-    elif variant == "pack":
-        # F order: LAPACK trtrs takes it copy-free (mirrors hgetrf/hpotrf).
-        nodes[0].packed_lu = np.asfortranarray(nodes[0].to_dense())
-    else:  # pragma: no cover - guarded by the expanders
-        raise ValueError(f"unknown nested kernel variant {variant!r}")
-
 
 def _op_nested(payloads, variant, paths, eps, unit=True):
     """Process-executor op: resolve child-index ``paths`` and run the kernel.
 
     ``paths`` is one ``(payload_index, ((i, j), ...))`` per kernel operand in
     kernel-argument order; each navigates from the shipped tile's H-matrix
-    root, so the op works on whatever arena views the worker holds.
+    root, so the op works on whatever arena views the worker holds.  With
+    empty paths it is the whole-tile kernel.
     """
     nodes = []
     for idx, path in paths:
@@ -114,7 +84,7 @@ def _op_nested(payloads, variant, paths, eps, unit=True):
         for i, j in path:
             node = node.child(i, j)
         nodes.append(node)
-    _run(variant, tuple(nodes), eps, unit)
+    run_kernel(variant, tuple(nodes), eps, unit)
 
 
 def _nested_spec(variant: str, paths: tuple, eps: float, unit: bool) -> TaskSpec:
@@ -186,55 +156,45 @@ def _pathstr(path) -> str:
     return ".".join(f"{i}{j}" for i, j in path) or "r"
 
 
-def _submit(
-    ctx: _Ctx,
-    kind: str,
-    variant: str,
-    refs_modes: list,
-    written: _Ref,
-    unit: bool = True,
-) -> None:
-    """Submit one leaf/opaque subtask for ``refs_modes`` (kernel-arg order)."""
-    nodes = tuple(r.node for r, _ in refs_modes)
+def _submit(ctx: _Ctx, variant: str, refs: list, written: _Ref) -> None:
+    """Submit one leaf/opaque subtask on ``refs`` (kernel-argument order)."""
+    kind, modes = ACCESS[variant]
+    nodes = tuple(r.node for r in refs)
     label = f"{ctx.label}/{variant}@{_pathstr(written.path)}"
-    func = partial(_run, variant, nodes, ctx.eps, unit)
+    # unit=True: the only trsm_ll of either factorisation is the LU's U-panel solve.
+    func = partial(run_kernel, variant, nodes, ctx.eps, True)
     coarse = ctx.policy.coarse
     # Aggregate accesses (a subtask may reference one handle several times,
     # e.g. the SYRK case a.child(i,k) twice, or — coarse — several sub-blocks
     # of one tile): first-seen order, mode upgraded to RW if any use writes.
     idx_of: dict[int, int] = {}
     handles: list = []
-    modes: list = []
+    held: list = []
     paths: list = []
-    for r, m in refs_modes:
+    for r, m in zip(refs, modes):
         h = r.tile_handle if coarse else r.handle
         i = idx_of.get(h.id)
         if i is None:
             i = len(handles)
             idx_of[h.id] = i
             handles.append(h)
-            modes.append(m)
-        elif m.writes and not modes[i].writes:
-            modes[i] = RW
+            held.append(m)
+        elif m.writes and not held[i].writes:
+            held[i] = RW
         paths.append((i, r.path))
-    spec = _nested_spec(variant, tuple(paths), ctx.eps, unit) if coarse else None
+    spec = _nested_spec(variant, tuple(paths), ctx.eps, True) if coarse else None
     ctx.eng.insert_task(
         kind,
         func,
-        list(zip(handles, modes)),
+        list(zip(handles, held)),
         flops=_flops(variant, nodes),
         label=label,
         spec=spec,
     )
 
 
-def _expandable(ctx: _Ctx, node) -> bool:
-    """Recurse only above the granularity cutoff (written operand's size)."""
-    return not node.is_leaf and min(node.shape) > ctx.policy.min_leaf
-
-
 # ---------------------------------------------------------------------------
-# Flop estimators for opaque (below-cutoff / leaf) subtasks
+# Modelled flops of one subtask
 # ---------------------------------------------------------------------------
 
 def _gemm_flops_tb(a, b) -> float:
@@ -248,321 +208,57 @@ def _gemm_flops_tb(a, b) -> float:
     return min(dense, lowrank)
 
 
-def _est_getrf_flops(node) -> float:
-    """Rank-aware cost of an opaque recursive H-GETRF on ``node``."""
-    if node.is_leaf:
-        return flops_getrf(node.shape[0], is_complex=node.dtype.kind == "c")
-    nt = min(node.nrow_children, node.ncol_children)
-    total = 0.0
-    for k in range(nt):
-        kk = node.child(k, k)
-        total += _est_getrf_flops(kk)
-        for j in range(k + 1, nt):
-            total += _trsm_flops(kk, node.child(k, j))
-        for i in range(k + 1, nt):
-            total += _trsm_flops(kk, node.child(i, k))
-        for i in range(k + 1, nt):
-            for j in range(k + 1, nt):
-                total += _gemm_flops(node.child(i, k), node.child(k, j))
-    return total
-
-
-def _est_potrf_flops(node) -> float:
-    """Rank-aware cost of an opaque recursive H-Cholesky on ``node``."""
-    if node.is_leaf:
-        return flops_potrf(node.shape[0], is_complex=node.dtype.kind == "c")
-    nt = min(node.nrow_children, node.ncol_children)
-    total = 0.0
-    for k in range(nt):
-        kk = node.child(k, k)
-        total += _est_potrf_flops(kk)
-        for i in range(k + 1, nt):
-            total += _trsm_flops(kk, node.child(i, k))
-        for i in range(k + 1, nt):
-            for j in range(k + 1, i + 1):
-                total += _gemm_flops_tb(node.child(i, k), node.child(j, k))
-    return total
-
-
 def _flops(variant: str, nodes: tuple) -> float:
     """Modelled cost of one subtask on its resolved operands (the nodes
-    :func:`_run` receives) — rank-dependent, so evaluated per set of tiles."""
+    :func:`run_kernel` receives) — rank-dependent, so evaluated per set of
+    tiles.  An opaque factorisation costs what its steps cost, level by
+    level; a dense diagonal leaf costs the dense kernel."""
     if variant == "gemm":
         return _gemm_flops(nodes[1], nodes[2])
     if variant == "gemm_tb":
         return _gemm_flops_tb(nodes[1], nodes[2])
     if variant == "pack":
         return 0.0
-    if variant == "getrf":
-        return _est_getrf_flops(nodes[0])
-    if variant == "potrf":
-        return _est_potrf_flops(nodes[0])
+    if variant in ("getrf", "potrf"):
+        steps = split(variant, nodes)
+        if steps is None:
+            dense = flops_getrf if variant == "getrf" else flops_potrf
+            return dense(nodes[0].shape[0], is_complex=nodes[0].dtype.kind == "c")
+        total = 0.0  # accumulated in step order: the sum is pinned bit for bit
+        for sub, operands in steps:
+            total += _flops(sub, pick(nodes, operands))
+        return total
     return _trsm_flops(nodes[0], nodes[1])  # trsm_ll / trsm_ru / trsm_rlt
 
 
 # ---------------------------------------------------------------------------
-# Expanders (each mirrors one arithmetic.py recursion exactly)
+# The expander
 # ---------------------------------------------------------------------------
 
-def _expand_getrf(ctx: _Ctx, ref: _Ref) -> None:
-    node = ref.node
-    if (
-        node.rk is None
-        and node.full is None
-        and not node.is_leaf
-        and node.nrow_children == node.ncol_children
-        and _expandable(ctx, node)
-    ):
-        nt = node.nrow_children
-        for k in range(nt):
-            kk = _child(ctx, ref, k, k)
-            _expand_getrf(ctx, kk)
-            for j in range(k + 1, nt):
-                _expand_trsm_ll(ctx, kk, _child(ctx, ref, k, j))
-            for i in range(k + 1, nt):
-                _expand_trsm_ru(ctx, kk, _child(ctx, ref, i, k))
-            for i in range(k + 1, nt):
-                for j in range(k + 1, nt):
-                    _expand_gemm(
-                        ctx,
-                        _child(ctx, ref, i, j),
-                        _child(ctx, ref, i, k),
-                        _child(ctx, ref, k, j),
-                    )
-        if node.shape[0] <= _PACK_TRI_MAX:
-            _submit(ctx, "pack", "pack", [(ref, RW)], ref)
-    else:
-        _submit(ctx, "getrf", "getrf", [(ref, RW)], ref)
-
-
-def _expand_potrf(ctx: _Ctx, ref: _Ref) -> None:
-    node = ref.node
-    if (
-        node.rk is None
-        and node.full is None
-        and not node.is_leaf
-        and node.nrow_children == node.ncol_children
-        and _expandable(ctx, node)
-    ):
-        nt = node.nrow_children
-        for k in range(nt):
-            kk = _child(ctx, ref, k, k)
-            _expand_potrf(ctx, kk)
-            for i in range(k + 1, nt):
-                _expand_trsm_rlt(ctx, kk, _child(ctx, ref, i, k))
-            for i in range(k + 1, nt):
-                for j in range(k + 1, i + 1):
-                    _expand_gemm_tb(
-                        ctx,
-                        _child(ctx, ref, i, j),
-                        _child(ctx, ref, i, k),
-                        _child(ctx, ref, j, k),
-                    )
-        if node.shape[0] <= _PACK_TRI_MAX:
-            _submit(ctx, "pack", "pack", [(ref, RW)], ref)
-    else:
-        _submit(ctx, "potrf", "potrf", [(ref, RW)], ref)
-
-
-def _expand_trsm_ll(ctx: _Ctx, lref: _Ref, bref: _Ref) -> None:
-    l, b = lref.node, bref.node
-    if (
-        not b.is_leaf
-        and not l.is_leaf
-        and b.nrow_children == l.nrow_children
-        and _expandable(ctx, b)
-    ):
-        nb = l.nrow_children
-        for j in range(b.ncol_children):
-            for i in range(nb):
-                for p in range(i):
-                    _expand_gemm(
-                        ctx,
-                        _child(ctx, bref, i, j),
-                        _child(ctx, lref, i, p),
-                        _child(ctx, bref, p, j),
-                    )
-                _expand_trsm_ll(ctx, _child(ctx, lref, i, i), _child(ctx, bref, i, j))
-    else:
-        _submit(ctx, "trsm", "trsm_ll", [(lref, R), (bref, RW)], bref)
-
-
-def _expand_trsm_ru(ctx: _Ctx, uref: _Ref, bref: _Ref) -> None:
-    u, b = uref.node, bref.node
-    if (
-        not b.is_leaf
-        and not u.is_leaf
-        and b.ncol_children == u.nrow_children
-        and _expandable(ctx, b)
-    ):
-        nb = u.nrow_children
-        for i in range(b.nrow_children):
-            for j in range(nb):
-                for p in range(j):
-                    _expand_gemm(
-                        ctx,
-                        _child(ctx, bref, i, j),
-                        _child(ctx, bref, i, p),
-                        _child(ctx, uref, p, j),
-                    )
-                _expand_trsm_ru(ctx, _child(ctx, uref, j, j), _child(ctx, bref, i, j))
-    else:
-        _submit(ctx, "trsm", "trsm_ru", [(uref, R), (bref, RW)], bref)
-
-
-def _expand_trsm_rlt(ctx: _Ctx, lref: _Ref, bref: _Ref) -> None:
-    l, b = lref.node, bref.node
-    if (
-        not b.is_leaf
-        and not l.is_leaf
-        and b.ncol_children == l.nrow_children
-        and _expandable(ctx, b)
-    ):
-        nb = l.nrow_children
-        for i in range(b.nrow_children):
-            for j in range(nb):
-                for p in range(j):
-                    # (L^T)_{p j} = L_{j p}^T for p < j.
-                    _expand_gemm_tb(
-                        ctx,
-                        _child(ctx, bref, i, j),
-                        _child(ctx, bref, i, p),
-                        _child(ctx, lref, j, p),
-                    )
-                _expand_trsm_rlt(ctx, _child(ctx, lref, j, j), _child(ctx, bref, i, j))
-    else:
-        _submit(ctx, "trsm", "trsm_rlt", [(lref, R), (bref, RW)], bref)
-
-
-def _expand_gemm(ctx: _Ctx, cref: _Ref, aref: _Ref, bref: _Ref) -> None:
-    c, a, b = cref.node, aref.node, bref.node
-    if (
-        a.rk is None
-        and b.rk is None
-        and a.full is None
-        and b.full is None
-        and not c.is_leaf
-        and a.nrow_children == c.nrow_children
-        and b.ncol_children == c.ncol_children
-        and a.ncol_children == b.nrow_children
-        and _expandable(ctx, c)
-    ):
-        for i in range(c.nrow_children):
-            for j in range(c.ncol_children):
-                for l in range(a.ncol_children):
-                    _expand_gemm(
-                        ctx,
-                        _child(ctx, cref, i, j),
-                        _child(ctx, aref, i, l),
-                        _child(ctx, bref, l, j),
-                    )
-    else:
-        _submit(ctx, "gemm", "gemm", [(cref, RW), (aref, R), (bref, R)], cref)
-
-
-def _expand_gemm_tb(ctx: _Ctx, cref: _Ref, aref: _Ref, bref: _Ref) -> None:
-    # Mirrors hgemm(c, a, b.transpose()): the structural transpose swaps the
-    # children grid, so the recursion is gemm_tb(c_ij, a_il, b_jl).  Leaf
-    # transpose copies are per-leaf identical whether taken at the tile or
-    # the sub-block level, so grouping preserves bit-identity here too.
-    c, a, b = cref.node, aref.node, bref.node
-    if (
-        a.rk is None
-        and b.rk is None
-        and a.full is None
-        and b.full is None
-        and not c.is_leaf
-        and a.nrow_children == c.nrow_children
-        and b.nrow_children == c.ncol_children
-        and a.ncol_children == b.ncol_children
-        and _expandable(ctx, c)
-    ):
-        for i in range(c.nrow_children):
-            for j in range(c.ncol_children):
-                for l in range(a.ncol_children):
-                    _expand_gemm_tb(
-                        ctx,
-                        _child(ctx, cref, i, j),
-                        _child(ctx, aref, i, l),
-                        _child(ctx, bref, j, l),
-                    )
-    else:
-        _submit(ctx, "gemm", "gemm_tb", [(cref, RW), (aref, R), (bref, R)], cref)
-
-
-# ---------------------------------------------------------------------------
-# Expander factories (what the tiled task layer passes to insert_task)
-# ---------------------------------------------------------------------------
-
-def getrf_expander(a_handle, eps: float, label: str):
-    """Expander for ``hgetrf`` on tile ``a_handle`` (RW)."""
-
-    def expander(eng) -> None:
-        ctx = _Ctx(eng, eps, label)
-        _expand_getrf(ctx, _root(ctx, a_handle))
-
-    return expander
-
-
-def potrf_expander(a_handle, eps: float, label: str):
-    """Expander for ``hpotrf`` on tile ``a_handle`` (RW)."""
-
-    def expander(eng) -> None:
-        ctx = _Ctx(eng, eps, label)
-        _expand_potrf(ctx, _root(ctx, a_handle))
-
-    return expander
-
-
-def trsm_left_lower_expander(l_handle, b_handle, eps: float, label: str):
-    """Expander for ``L X = B`` (unit diagonal; the LU U-panel kernel)."""
-
-    def expander(eng) -> None:
-        ctx = _Ctx(eng, eps, label)
-        _expand_trsm_ll(ctx, _root(ctx, l_handle), _root(ctx, b_handle))
-
-    return expander
-
-
-def trsm_right_upper_expander(u_handle, b_handle, eps: float, label: str):
-    """Expander for ``X U = B`` (the LU L-panel kernel)."""
-
-    def expander(eng) -> None:
-        ctx = _Ctx(eng, eps, label)
-        _expand_trsm_ru(ctx, _root(ctx, u_handle), _root(ctx, b_handle))
-
-    return expander
-
-
-def trsm_right_lower_transpose_expander(l_handle, b_handle, eps: float, label: str):
-    """Expander for ``X L^T = B`` (the Cholesky panel kernel)."""
-
-    def expander(eng) -> None:
-        ctx = _Ctx(eng, eps, label)
-        _expand_trsm_rlt(ctx, _root(ctx, l_handle), _root(ctx, b_handle))
-
-    return expander
-
-
-def gemm_expander(c_handle, a_handle, b_handle, eps: float, label: str):
-    """Expander for ``C -= A @ B`` (the LU trailing update)."""
-
-    def expander(eng) -> None:
-        ctx = _Ctx(eng, eps, label)
-        _expand_gemm(
-            ctx, _root(ctx, c_handle), _root(ctx, a_handle), _root(ctx, b_handle)
+def _expand(ctx: _Ctx, variant: str, refs: list) -> None:
+    """Descend where the eager kernel would and the written operand is above
+    the granularity cutoff; submit one subtask where either stops."""
+    written = refs[ACCESS[variant][1].index(RW)]
+    steps = None
+    if min(written.node.shape) > ctx.policy.min_leaf:
+        steps = split(variant, tuple(r.node for r in refs))
+    if steps is None:
+        _submit(ctx, variant, refs, written)
+        return
+    for sub, operands in steps:
+        _expand(
+            ctx,
+            sub,
+            [refs[s] if i is None else _child(ctx, refs[s], i, j) for s, i, j in operands],
         )
 
-    return expander
 
+def expander(variant: str, handles: tuple, eps: float, label: str):
+    """What the tiled task layer passes to ``insert_task``: expands kernel
+    ``variant`` on the tiles behind ``handles`` (kernel-argument order)."""
 
-def gemm_transb_expander(c_handle, a_handle, b_handle, eps: float, label: str):
-    """Expander for ``C -= A @ B^T`` (the Cholesky SYRK/GEMM update)."""
-
-    def expander(eng) -> None:
+    def expand(eng) -> None:
         ctx = _Ctx(eng, eps, label)
-        _expand_gemm_tb(
-            ctx, _root(ctx, c_handle), _root(ctx, a_handle), _root(ctx, b_handle)
-        )
+        _expand(ctx, variant, [_root(ctx, h) for h in handles])
 
-    return expander
+    return expand

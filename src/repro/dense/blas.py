@@ -44,8 +44,15 @@ def _thread_controls(lib) -> tuple | None:
     return None
 
 
+# path -> thread controls (None: exports none) of the one ``CDLL`` handle a
+# mapped path ever gets.  A ``CDLL`` and its function pointers refer to each
+# other, so re-creating them per scope left a cycle per entry to the collector.
+_loaded: dict[str, tuple | None] = {}
+
+
 def _find_openblas() -> list[tuple]:
-    """Thread controls of every OpenBLAS mapped into this process."""
+    """Thread controls of every OpenBLAS mapped into this process (the maps
+    are read on every call, so a library loaded later is still found)."""
     try:
         with open("/proc/self/maps") as f:
             paths = sorted(
@@ -53,16 +60,14 @@ def _find_openblas() -> list[tuple]:
             )
     except OSError:
         return []
-    found = []
     for path in paths:
-        try:
-            lib = ctypes.CDLL(path)  # already mapped: a handle, not a second copy
-        except OSError:
-            continue
-        controls = _thread_controls(lib)
-        if controls is not None:
-            found.append(controls)
-    return found
+        if path not in _loaded:
+            try:
+                lib = ctypes.CDLL(path)  # already mapped: a handle, not a second copy
+            except OSError:
+                continue
+            _loaded[path] = _thread_controls(lib)
+    return [_loaded[p] for p in paths if _loaded.get(p) is not None]
 
 
 class _SequentialScope:

@@ -10,6 +10,10 @@ The three kernels mirror HMAT-OSS's implementations:
   paper describes: any low-rank operand short-circuits to an Rk product, any
   dense operand to a panel product, and the all-subdivided case recurses.
 
+Each kernel here is an entry (shape checks, accumulator flushes) plus its leaf
+cases; the subdivided case is :func:`_descend`, which runs the steps
+:mod:`.rules` gives for the operands — the loop nests are written there, once.
+
 A module-level :class:`KernelTracer` can observe every *leaf-level* kernel
 execution (kind, data read/written, measured seconds, modelled flops); the
 pure-H baseline uses it to reconstruct the fine-grained task DAG that the
@@ -26,6 +30,7 @@ import numpy as np
 from ..dense import flops_gemm, flops_getrf, flops_trsm, getrf_nopiv, tri_solve
 from .hmatrix import HMatrix
 from .rk import RkMatrix, compress_dense
+from .rules import _PACK_TRI_MAX, pick, split
 
 __all__ = [
     "hgemm",
@@ -41,6 +46,7 @@ __all__ = [
     "h_rmatvec",
     "solve_lower_panel",
     "solve_upper_transpose_panel",
+    "run_kernel",
     "KernelTracer",
     "set_tracer",
     "TraceRecord",
@@ -146,13 +152,6 @@ def h_rmatvec(h: HMatrix, x: np.ndarray) -> np.ndarray:
     return out
 
 
-#: Factorised diagonal nodes up to this size are packed dense (hgetrf /
-#: hpotrf attach ``packed_lu``) so panel solves collapse to one trtrs call.
-#: The cap bounds the cache to O(n * _PACK_TRI_MAX) scalars along the
-#: diagonal — small next to the H-matrix itself.
-_PACK_TRI_MAX = 256
-
-
 def solve_lower_panel(l: HMatrix, x: np.ndarray, *, unit_diagonal: bool = True) -> np.ndarray:
     """Solve ``L y = x`` where ``L`` is the lower triangle of an H node.
 
@@ -248,6 +247,52 @@ def solve_lower_transpose_panel(
             x[sl_i] -= h_rmatvec(l.child(j, i), x[sl_j])
         x[sl_i] = solve_lower_transpose_panel(l.child(i, i), x[sl_i], unit_diagonal=unit_diagonal)
     return x
+
+
+# ---------------------------------------------------------------------------
+# The recursion: one kernel table under every subdivided case
+# ---------------------------------------------------------------------------
+
+def _pack(a: HMatrix) -> None:
+    # The factor is read-only from here on (panel solves, H-TRSM); packing it
+    # dense turns every later panel solve into one trtrs.  Of a Cholesky
+    # factor only the lower triangle is valid, which is all trtrs references.
+    a.packed_lu = np.asfortranarray(a.to_dense())  # F order: LAPACK trtrs takes it copy-free
+
+
+#: variant -> kernel on ``nodes`` in kernel-argument order (see :mod:`.rules`).
+_KERNELS = {
+    "getrf": lambda n, eps, unit, acc, alpha: hgetrf(*n, eps, acc),
+    "potrf": lambda n, eps, unit, acc, alpha: hpotrf(*n, eps, acc),
+    "trsm_ll": lambda n, eps, unit, acc, alpha: _htrsm_left_lower(*n, eps, unit, acc),
+    "trsm_ru": lambda n, eps, unit, acc, alpha: _htrsm_right_upper(*n, eps, False, acc),
+    "trsm_rlt": lambda n, eps, unit, acc, alpha: _htrsm_right_lower_transpose(*n, eps, acc),
+    "gemm": lambda n, eps, unit, acc, alpha: hgemm(*n, eps, alpha, acc),
+    "gemm_tb": lambda n, eps, unit, acc, alpha: hgemm_transb(*n, eps, alpha, acc),
+    "pack": lambda n, eps, unit, acc, alpha: _pack(*n),
+}
+
+
+def run_kernel(variant: str, nodes, eps: float, unit: bool = True, acc=None, alpha=-1.0) -> None:
+    """Run H-kernel ``variant`` on ``nodes`` (kernel-argument order).
+
+    The one place a variant name becomes a kernel call: the recursion below,
+    the tile-level tasks, the nested subtasks and the process workers all come
+    through here.  ``unit`` is read by ``trsm_ll`` only, ``alpha`` by the
+    products.
+    """
+    _KERNELS[variant](nodes, eps, unit, acc, alpha)
+
+
+def _descend(variant: str, nodes: tuple, eps: float, acc, unit: bool = True, alpha=-1.0) -> None:
+    """The subdivided case of kernel ``variant``: run the child calls
+    :func:`.rules.split` gives for ``nodes`` (none of them a leaf here)."""
+    steps = split(variant, nodes)
+    if steps is None:  # shared cluster trees guarantee compatible splits
+        grids = ", ".join(f"{x.nrow_children}x{x.ncol_children}" for x in nodes)
+        raise ValueError(f"incompatible children grids in the {variant} recursion: {grids}")
+    for sub, operands in steps:
+        _KERNELS[sub](pick(nodes, operands), eps, unit, acc, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -388,14 +433,8 @@ def hgemm(c: HMatrix, a: HMatrix, b: HMatrix, eps: float, alpha=-1.0, acc=None) 
             if prod.rank:
                 c.axpy_rk(prod.scale(alpha), eps, acc)
         return
-    # All three subdivided: recurse on the children grid (shared cluster
-    # trees guarantee compatible splits).
-    if a.nrow_children != c.nrow_children or b.ncol_children != c.ncol_children:
-        raise ValueError("incompatible children grids in hgemm recursion")
-    for i in range(c.nrow_children):
-        for j in range(c.ncol_children):
-            for l in range(a.ncol_children):
-                hgemm(c.child(i, j), a.child(i, l), b.child(l, j), eps, alpha, acc)
+    # All three subdivided: recurse on the children grid.
+    _descend("gemm", (c, a, b), eps, acc, alpha=alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -455,14 +494,7 @@ def _htrsm_left_lower(l: HMatrix, b: HMatrix, eps: float, unit: bool, acc=None) 
     # b subdivided.
     if l.full is not None:
         raise ValueError("RHS subdivided below a dense diagonal leaf: incompatible trees")
-    nb = l.nrow_children
-    if b.nrow_children != nb:
-        raise ValueError("incompatible row splits in left-lower htrsm")
-    for j in range(b.ncol_children):
-        for i in range(nb):
-            for p in range(i):
-                hgemm(b.child(i, j), l.child(i, p), b.child(p, j), eps, alpha=-1.0, acc=acc)
-            _htrsm_left_lower(l.child(i, i), b.child(i, j), eps, unit, acc)
+    _descend("trsm_ll", (l, b), eps, acc, unit)
 
 
 def _htrsm_right_upper(u: HMatrix, b: HMatrix, eps: float, unit: bool, acc=None) -> None:
@@ -482,14 +514,7 @@ def _htrsm_right_upper(u: HMatrix, b: HMatrix, eps: float, unit: bool, acc=None)
         return
     if u.full is not None:
         raise ValueError("RHS subdivided below a dense diagonal leaf: incompatible trees")
-    nb = u.nrow_children
-    if b.ncol_children != nb:
-        raise ValueError("incompatible column splits in right-upper htrsm")
-    for i in range(b.nrow_children):
-        for j in range(nb):
-            for p in range(j):
-                hgemm(b.child(i, j), b.child(i, p), u.child(p, j), eps, alpha=-1.0, acc=acc)
-            _htrsm_right_upper(u.child(j, j), b.child(i, j), eps, unit, acc)
+    _descend("trsm_ru", (u, b), eps, acc)
 
 
 # ---------------------------------------------------------------------------
@@ -516,22 +541,7 @@ def hgetrf(a: HMatrix, eps: float, acc=None) -> HMatrix:
         with _traced("getrf", (), (a,), flops_getrf(a.shape[0], is_complex=is_c)):
             getrf_nopiv(a.full, overwrite=True)
         return a
-    nt = a.nrow_children
-    if a.ncol_children != nt:
-        raise ValueError("hgetrf needs a square children grid")
-    for k in range(nt):
-        hgetrf(a.child(k, k), eps, acc)
-        for j in range(k + 1, nt):
-            _htrsm_left_lower(a.child(k, k), a.child(k, j), eps, unit=True, acc=acc)
-        for i in range(k + 1, nt):
-            _htrsm_right_upper(a.child(k, k), a.child(i, k), eps, unit=False, acc=acc)
-        for i in range(k + 1, nt):
-            for j in range(k + 1, nt):
-                hgemm(a.child(i, j), a.child(i, k), a.child(k, j), eps, alpha=-1.0, acc=acc)
-    if a.shape[0] <= _PACK_TRI_MAX:
-        # The factor is read-only from here on (panel solves, H-TRSM);
-        # packing it dense turns every later panel solve into one trtrs.
-        a.packed_lu = np.asfortranarray(a.to_dense())  # F order: LAPACK trtrs takes it copy-free
+    _descend("getrf", (a,), eps, acc)
     return a
 
 
@@ -626,15 +636,7 @@ def _htrsm_right_lower_transpose(l: HMatrix, b: HMatrix, eps: float, acc=None) -
         return
     if l.full is not None:
         raise ValueError("RHS subdivided below a dense diagonal leaf: incompatible trees")
-    nb = l.nrow_children
-    if b.ncol_children != nb:
-        raise ValueError("incompatible column splits in right-lower-transpose htrsm")
-    for i in range(b.nrow_children):
-        for j in range(nb):
-            for p in range(j):
-                # (L^T)_{p j} = L_{j p}^T for p < j.
-                hgemm_transb(b.child(i, j), b.child(i, p), l.child(j, p), eps, alpha=-1.0, acc=acc)
-            _htrsm_right_lower_transpose(l.child(j, j), b.child(i, j), eps, acc)
+    _descend("trsm_rlt", (l, b), eps, acc)
 
 
 def hpotrf(a: HMatrix, eps: float, acc=None) -> HMatrix:
@@ -660,19 +662,7 @@ def hpotrf(a: HMatrix, eps: float, acc=None) -> HMatrix:
         with _traced("potrf", (), (a,), flops_potrf(a.shape[0], is_complex=is_c)):
             a.full = np.linalg.cholesky(a.full)
         return a
-    nt = a.nrow_children
-    if a.ncol_children != nt:
-        raise ValueError("hpotrf needs a square children grid")
-    for k in range(nt):
-        hpotrf(a.child(k, k), eps, acc)
-        for i in range(k + 1, nt):
-            _htrsm_right_lower_transpose(a.child(k, k), a.child(i, k), eps, acc)
-        for i in range(k + 1, nt):
-            for j in range(k + 1, i + 1):
-                hgemm_transb(a.child(i, j), a.child(i, k), a.child(j, k), eps, alpha=-1.0, acc=acc)
-    if a.shape[0] <= _PACK_TRI_MAX:
-        # Only the lower triangle is valid, which is all trtrs references.
-        a.packed_lu = np.asfortranarray(a.to_dense())  # F order: LAPACK trtrs takes it copy-free
+    _descend("potrf", (a,), eps, acc)
     return a
 
 

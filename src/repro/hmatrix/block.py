@@ -137,15 +137,17 @@ def build_block_cluster_tree(
     (``S(p) = {}`` or ``S(q) = {}``) or smaller than ``min_block``.
     """
     adm = admissibility if admissibility is not None else StrongAdmissibility()
-
-    def recurse(r: ClusterTree, c: ClusterTree) -> BlockClusterTree:
-        admissible = adm.is_admissible(r, c)
-        node = BlockClusterTree(rows=r, cols=c, admissible=admissible)
-        if admissible or r.is_leaf or c.is_leaf or r.size <= min_block or c.size <= min_block:
-            return node
-        node.nrow_children = len(r.children)
-        node.ncol_children = len(c.children)
-        node.children = [recurse(rc, cc) for rc in r.children for cc in c.children]
+    admissible = adm.is_admissible(rows, cols)
+    node = BlockClusterTree(rows=rows, cols=cols, admissible=admissible)
+    if admissible or rows.is_leaf or cols.is_leaf or rows.size <= min_block or cols.size <= min_block:
         return node
-
-    return recurse(rows, cols)
+    node.nrow_children = len(rows.children)
+    node.ncol_children = len(cols.children)
+    # Recursing through this function itself, not a local closure: a closure
+    # that names itself is a reference cycle, one per call, left to the collector.
+    node.children = [
+        build_block_cluster_tree(rc, cc, adm, min_block=min_block)
+        for rc in rows.children
+        for cc in cols.children
+    ]
+    return node

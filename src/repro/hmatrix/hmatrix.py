@@ -266,31 +266,14 @@ class HMatrix:
         ``dense`` is indexed in *cluster order*: entry (p, q) couples the
         p-th row unknown and q-th column unknown of the trees' permutations.
         """
-        r0 = block_tree.rows.start if row_origin is None else row_origin
-        c0 = block_tree.cols.start if col_origin is None else col_origin
-
-        def recurse(bt: BlockClusterTree) -> "HMatrix":
-            i0, j0 = bt.rows.start - r0, bt.cols.start - c0
-            sub = dense[i0 : i0 + bt.rows.size, j0 : j0 + bt.cols.size]
-            if bt.is_leaf:
-                if bt.admissible:
-                    return cls(bt.rows, bt.cols, rk=compress_dense(sub, eps))
-                return cls(bt.rows, bt.cols, full=np.array(sub, copy=True))
-            kids = [recurse(c) for c in bt.children]
-            return cls(
-                bt.rows,
-                bt.cols,
-                children=kids,
-                nrow_children=bt.nrow_children,
-                ncol_children=bt.ncol_children,
-            )
-
         if dense.shape != (block_tree.rows.size, block_tree.cols.size):
             raise ValueError(
                 f"dense shape {dense.shape} != block tree shape "
                 f"{(block_tree.rows.size, block_tree.cols.size)}"
             )
-        return recurse(block_tree)
+        r0 = block_tree.rows.start if row_origin is None else row_origin
+        c0 = block_tree.cols.start if col_origin is None else col_origin
+        return _from_dense(cls, dense, block_tree, eps, r0, c0)
 
     # -- norms / maps -----------------------------------------------------------
     def norm_fro(self) -> float:
@@ -497,6 +480,24 @@ class HMatrix:
         return "\n".join("".join(row) for row in canvas)
 
 
+def _from_dense(cls, dense, bt: BlockClusterTree, eps: float, r0: int, c0: int) -> HMatrix:
+    """:meth:`HMatrix.from_dense` below its entry checks (a module-level
+    function: a local closure that names itself is a cycle for the collector)."""
+    i0, j0 = bt.rows.start - r0, bt.cols.start - c0
+    sub = dense[i0 : i0 + bt.rows.size, j0 : j0 + bt.cols.size]
+    if bt.is_leaf:
+        if bt.admissible:
+            return cls(bt.rows, bt.cols, rk=compress_dense(sub, eps))
+        return cls(bt.rows, bt.cols, full=np.array(sub, copy=True))
+    return cls(
+        bt.rows,
+        bt.cols,
+        children=[_from_dense(cls, dense, c, eps, r0, c0) for c in bt.children],
+        nrow_children=bt.nrow_children,
+        ncol_children=bt.ncol_children,
+    )
+
+
 def assemble_hmatrix(
     kernel,
     points: np.ndarray,
@@ -510,20 +511,17 @@ def assemble_hmatrix(
     """
     cfg = config or AssemblyConfig()
     pts = np.ascontiguousarray(points, dtype=np.float64)
-
-    def recurse(bt: BlockClusterTree) -> HMatrix:
-        if bt.is_leaf:
-            return _assemble_leaf(kernel, pts, bt, cfg)
-        kids = [recurse(c) for c in bt.children]
-        return HMatrix(
-            bt.rows,
-            bt.cols,
-            children=kids,
-            nrow_children=bt.nrow_children,
-            ncol_children=bt.ncol_children,
-        )
-
-    return recurse(block_tree)
+    if block_tree.is_leaf:
+        return _assemble_leaf(kernel, pts, block_tree, cfg)
+    # Recursing through this function itself, not a local closure: a closure
+    # that names itself is a reference cycle, one per call, left to the collector.
+    return HMatrix(
+        block_tree.rows,
+        block_tree.cols,
+        children=[assemble_hmatrix(kernel, pts, c, cfg) for c in block_tree.children],
+        nrow_children=block_tree.nrow_children,
+        ncol_children=block_tree.ncol_children,
+    )
 
 
 def _assemble_leaf(kernel, pts, bt: BlockClusterTree, cfg: AssemblyConfig) -> HMatrix:

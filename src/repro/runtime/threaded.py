@@ -29,8 +29,10 @@ A worker keeps the lease across consecutive tasks for
 it back before waiting for work and on every way out.  ``task.seconds`` and
 the trace stay kernel time; lease wait is worker wait.  The same stage then
 takes 0.6 s on two workers (~70 voluntary context switches).  That is the
-floor: a leased graph runs at its 1-worker time, never below it — for
-scaling on interpreter-bound graphs use the process executor.  The default
+floor: a leased graph runs at its 1-worker time, never below it.  No
+executor here goes below it today: on the same graph the process executor
+reads 3.3-3.5 s on two workers where one leased thread reads 0.45 s
+(EXPERIMENTS.md, "A cold build by layer").  The default
 (``interpreter_bound=False``) takes no lease, so tasks that block or spend
 their time in long BLAS calls still overlap.
 """

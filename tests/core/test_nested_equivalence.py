@@ -1,0 +1,185 @@
+"""The generic expander against the hand-written ones: same graphs, same bits.
+
+``tests/core/reference_nested.py`` is what the library ran before the
+ℌ-kernels' recursion became one rule table: seven expanders, two flop
+estimators, seven factories and the tile-level loop nests, verbatim.  Built on
+the same assembled tiles, the graph ``tiled_getrf_tasks``/``tiled_potrf_tasks``
+derive from the rules must equal the reference's field by field — in every
+cell of {real LU, complex LU, Cholesky} x ``min_leaf`` x {fine, coarse} x
+{static, bottom-level priorities} — and, run, must leave eager's bits.
+"""
+
+from functools import lru_cache
+
+import numpy as np
+import pytest
+
+from repro.baselines import DenseTiledCholesky, DenseTiledLU
+from repro.core import TileHConfig, TileHMatrix
+from repro.core.algorithms import (
+    apply_bottom_level_priorities,
+    tiled_getrf_tasks,
+    tiled_potrf_tasks,
+)
+from repro.geometry import assemble_dense, cylinder_cloud, make_kernel
+from repro.runtime import NestedPolicy, StfEngine
+
+from . import reference_nested as ref
+
+# nb=96 over leaves of 24: block trees 96 -> 48 -> 24, so min_leaf 32 and 48
+# cut at different depths, 128 (>= nb) and 10**9 ("never") expand nothing.
+N, NB, LEAF = 384, 96, 24
+MIN_LEAVES = (32, 48, 128, 10**9)
+PROBLEMS = {  # name -> (kernel, method)
+    "laplace-lu": ("laplace", "lu"),
+    "helmholtz-lu": ("helmholtz", "lu"),
+    "sqexp-chol": ("sqexp", "cholesky"),
+}
+NEW = {"lu": tiled_getrf_tasks, "cholesky": tiled_potrf_tasks}
+OLD = {"lu": ref.tiled_getrf_tasks, "cholesky": ref.tiled_potrf_tasks}
+
+
+@lru_cache(maxsize=None)
+def _points(n=N):
+    return cylinder_cloud(n)
+
+
+def _kernel(name, n=N):
+    params = {"nugget": 1e-2} if name == "sqexp" else {}
+    return make_kernel(name, _points(n), **params)
+
+
+def _cfg(nb=NB, leaf=LEAF, **kw):
+    return TileHConfig(nb=nb, eps=1e-4, leaf_size=leaf, accumulate=False, **kw)
+
+
+@lru_cache(maxsize=None)
+def _assembled(kernel, n=N, nb=NB, leaf=LEAF):
+    """An assembled, never factorised matrix (graphs below are only built)."""
+    return TileHMatrix.build(_kernel(kernel, n), _points(n), _cfg(nb, leaf))
+
+
+def assert_same_graph(new, old, nested=True):
+    """``new``/``old``: ``(graph, engine)`` of a deferred run on the same tiles."""
+    (g, eng), (g0, eng0) = new, old
+    assert len(g) == len(g0)
+    for t, u in zip(g.tasks, g0.tasks):
+        assert (t.id, t.kind, t.label, t.priority) == (u.id, u.kind, u.label, u.priority)
+        assert t.flops == u.flops  # exactly: the estimators sum in the same order
+        assert [(h.name, m) for h, m in t.accesses] == [(h.name, m) for h, m in u.accesses]
+        assert all(h.payload is k.payload for (h, _), (k, _) in zip(t.accesses, u.accesses))
+        assert t.deps == u.deps and t.successors == u.successors
+        if not nested:
+            continue  # a tile-level closure is a lambda; its process op was renamed
+        variant, nodes, eps, unit = t.func.args
+        variant0, nodes0, eps0, unit0 = u.func.args
+        assert (variant, eps, unit) == (variant0, eps0, unit0)
+        assert len(nodes) == len(nodes0) and all(a is b for a, b in zip(nodes, nodes0))
+        assert t.spec == u.spec  # op, paths, eps, unit (None on fine graphs)
+    if nested:
+        assert eng.nested_stats.policy == eng0.nested_stats.policy
+        assert eng.nested_stats.records == eng0.nested_stats.records
+
+
+def graphs(desc, method, policy, priority_mode="static"):
+    """The rules' graph and the reference's, both deferred on ``desc``."""
+    out = []
+    for tasks_fn in (NEW[method], OLD[method]):
+        engine = StfEngine(mode="deferred", nested=policy)
+        graph = tasks_fn(desc, engine, accumulate=False)
+        if priority_mode == "bottom-level":
+            apply_bottom_level_priorities(graph, "flops")
+        out.append((graph, engine))
+    return out
+
+
+@pytest.mark.parametrize("priority_mode", ["static", "bottom-level"])
+@pytest.mark.parametrize("coarse", [False, True], ids=["fine", "coarse"])
+@pytest.mark.parametrize("min_leaf", MIN_LEAVES)
+@pytest.mark.parametrize("problem", PROBLEMS)
+def test_generic_expander_equals_reference(problem, min_leaf, coarse, priority_mode):
+    kernel, method = PROBLEMS[problem]
+    desc = _assembled(kernel).desc
+    policy = NestedPolicy(min_leaf=min_leaf, coarse=coarse)
+    new, old = graphs(desc, method, policy, priority_mode)
+    assert_same_graph(new, old)
+    new[0].validate()
+    if min_leaf >= NB:  # nothing expands: one subtask per tile kernel
+        assert all(r.n_subtasks == 1 for r in new[1].nested_stats.records)
+    else:
+        assert len(new[0]) > len(new[1].nested_stats.records)
+
+
+@pytest.mark.parametrize("problem", PROBLEMS)
+def test_mixed_depth_tiles_expand_alike(problem):
+    """A tile size that is no multiple of the leaf size: ragged last tiles,
+    block trees of different depths under one kernel."""
+    kernel, method = PROBLEMS[problem]
+    desc = _assembled(kernel, 300, 110, 20).desc
+    for coarse in (False, True):
+        new, old = graphs(desc, method, NestedPolicy(min_leaf=24, coarse=coarse))
+        assert_same_graph(new, old)
+        assert len(new[0]) > len(new[1].nested_stats.records)
+
+
+@pytest.mark.parametrize("problem", PROBLEMS)
+def test_tile_level_graph_equals_reference(problem):
+    """No nested policy: the tile-level tasks alone — CHAMELEON's labels and
+    priorities, dense flops, access order (GEMM: a, b, then c)."""
+    kernel, method = PROBLEMS[problem]
+    desc = _assembled(kernel).desc
+    new, old = graphs(desc, method, None)
+    assert_same_graph(new, old, nested=False)
+    gemm = next(t for t in new[0].tasks if t.kind == "gemm")
+    assert [m.name for _, m in gemm.accesses] == ["R", "R", "RW"]
+
+
+@pytest.mark.parametrize("cls,method", [(DenseTiledLU, "lu"), (DenseTiledCholesky, "cholesky")])
+def test_dense_baseline_reads_the_same_steps(cls, method):
+    """Same labels, priorities, flops, access names and edges as the Tile-H
+    tile-level graph of the same (n, nb): format comparisons see one graph."""
+    kernel = "laplace" if method == "lu" else "sqexp"
+    desc = _assembled(kernel).desc
+    tile_h = graphs(desc, method, None)[0][0]
+    dense = cls(assemble_dense(_kernel(kernel), _points()), NB)
+    graph = dense.factorize(StfEngine(mode="deferred")).graph
+    assert len(graph) == len(tile_h)
+    for t, u in zip(graph.tasks, tile_h.tasks):
+        assert (t.kind, t.label, t.priority, t.flops) == (u.kind, u.label, u.priority, u.flops)
+        assert [(h.name, m) for h, m in t.accesses] == [(h.name, m) for h, m in u.accesses]
+        assert t.deps == u.deps and t.successors == u.successors
+
+
+def _leaf_bits(a):
+    out = []
+    for tile in a.desc.super.tiles:
+        for leaf in tile.mat.leaves():
+            out.append(leaf.full if leaf.full is not None else (leaf.rk.u, leaf.rk.v))
+    return out
+
+
+def _same_bits(x, y):
+    return len(x) == len(y) and all(
+        np.array_equal(p, q) if isinstance(p, np.ndarray)
+        else np.array_equal(p[0], q[0]) and np.array_equal(p[1], q[1])
+        for p, q in zip(x, y)
+    )
+
+
+@lru_cache(maxsize=None)
+def _eager_factor(problem):
+    kernel, method = PROBLEMS[problem]
+    a = TileHMatrix.build(_kernel(kernel), _points(), _cfg())
+    a.factorize(method=method)
+    return a
+
+
+@pytest.mark.parametrize("nworkers", [1, 2])
+@pytest.mark.parametrize("problem", PROBLEMS)
+def test_nested_threaded_factor_bits_equal_eager(problem, nworkers):
+    kernel, method = PROBLEMS[problem]
+    cfg = _cfg(nested=True, nested_min_leaf=32, exec_mode="threaded",
+               nworkers=nworkers, scheduler="lws")
+    a, info = TileHMatrix.build_factorize(_kernel(kernel), _points(), cfg, method=method)
+    assert info.nested["expanded_tasks"] > 0
+    assert _same_bits(_leaf_bits(a), _leaf_bits(_eager_factor(problem)))

@@ -14,6 +14,8 @@ from repro.hmatrix import (
     assemble_hmatrix,
     build_block_cluster_tree,
     build_cluster_tree,
+    hgemm,
+    hgemm_transb,
     hgetrf,
     htrsm,
 )
@@ -22,6 +24,9 @@ from repro.hmatrix.arithmetic import (
     solve_lower_panel,
     solve_upper_panel,
 )
+from repro.hmatrix.rules import split
+
+from .test_recursion_equivalence import _block, _tree
 
 
 @pytest.fixture(scope="module")
@@ -89,6 +94,45 @@ class TestHgetrfEdges:
         hgetrf(lu, 1e-8)
         with pytest.raises(ValueError):
             htrsm("left", "lower", lu, h, 1e-8, unit_diagonal=True)
+
+
+class TestIncompatibleGrids:
+    """Operands from different cluster trees: same shapes, other splits.  One
+    test — ``rules.split`` — for all three grid conditions of the product; the
+    inner one (``a``'s column split against ``b``'s row split) used to be
+    checked by the nested expander only."""
+
+    @staticmethod
+    def _subdivided(rows, cols):
+        dense = np.ones((rows.size, cols.size))
+        block = _block(rows, cols, np.random.default_rng(0), kind="h")
+        return HMatrix.from_dense(dense, block, 1e-8)
+
+    @pytest.mark.parametrize("odd", ["a rows", "b cols", "inner"])
+    @pytest.mark.parametrize("kernel,variant", [(hgemm, "gemm"), (hgemm_transb, "gemm_tb")])
+    def test_product_refuses_every_grid_mismatch(self, kernel, variant, odd):
+        two, three = _tree([[3, 3], [3, 3]]), _tree([[2, 2], [2, 2], [2, 2]])
+        a_rows = three if odd == "a rows" else two
+        b_cols = three if odd == "b cols" else two
+        a_cols, b_rows = (three, two) if odd == "inner" else (two, two)
+        c = self._subdivided(two, two)
+        a = self._subdivided(a_rows, a_cols)
+        b = self._subdivided(b_rows, b_cols)
+        if variant == "gemm_tb":
+            b = b.transpose()
+        before = c.to_dense()
+        # What the expander branches on: no steps, so one opaque subtask,
+        # which raises this at run time.
+        assert split(variant, (c, a, b)) is None
+        with pytest.raises(ValueError, match="incompatible children grids"):
+            kernel(c, a, b, 1e-8)
+        assert np.array_equal(c.to_dense(), before)
+
+    def test_compatible_grids_split(self):
+        two = _tree([[3, 3], [3, 3]])
+        c, a, b = (self._subdivided(two, two) for _ in range(3))
+        assert len(split("gemm", (c, a, b))) == 8
+        hgemm(c, a, b, 1e-8)
 
 
 class TestAcaEdges:
