@@ -129,11 +129,13 @@ class TileHConfig:
         replays the compiled sweep directly in every mode); "process" — the
         same deferred graphs run on ``nworkers`` worker *processes* via a
         :class:`~repro.runtime.ProcessExecutor` with tile payloads in
-        shared memory — the GIL-free path that scales wall clock on
-        multicore hosts.  The accumulator is engaged only on the eager path
-        (its buffer is not thread-safe), so threaded/process runs use plain
-        one-rounding-per-update arithmetic — which also makes process
-        results bit-identical to ``accumulate=False`` eager runs.
+        shared memory — GIL-free, and as measured slower than one leased
+        thread at every ledger size (``docs/parallelism.md``): kept for
+        execution across address spaces, not for speed.  The accumulator is
+        engaged only on the eager path (its buffer is not thread-safe), so
+        threaded/process runs use plain one-rounding-per-update arithmetic —
+        which also makes process results bit-identical to
+        ``accumulate=False`` eager runs.
     nworkers:
         Worker thread/process count for ``exec_mode="threaded"/"process"``.
     scheduler:
@@ -352,16 +354,34 @@ class TileHMatrix:
         }
         return clustering, context
 
-    def _executor(self, context=None) -> ThreadedExecutor | ProcessExecutor:
+    @classmethod
+    def _submit_build(cls, kernel, points, cfg: TileHConfig):
+        """Submit the assembly to a fresh deferred engine: ``(mat, engine,
+        context)``; the tiles exist once the engine's graph has run."""
+        clustering = context = None
+        if cfg.exec_mode == "process":
+            clustering, context = cls._assembly_context(kernel, points, cfg)
+        engine = StfEngine(mode="deferred")
+        desc = cls._build_desc(kernel, points, cfg, engine, clustering)
+        return cls(desc, cfg), engine, context
+
+    def _run(self, graph, context=None) -> tuple[float, ExecutionTrace]:
+        """Run a deferred ``graph`` on the configured executor; returns the
+        wall seconds and the execution trace."""
         cfg = self.config
         if cfg.exec_mode == "process":
-            return ProcessExecutor(
+            executor = ProcessExecutor(
                 cfg.nworkers, scheduler=cfg.scheduler, context=context
             )
-        # H-kernels are interpreter-bound: run them under the executor's lease.
-        return ThreadedExecutor(
-            cfg.nworkers, scheduler=cfg.scheduler, interpreter_bound=True
-        )
+        else:
+            # H-kernels are interpreter-bound: run them under the executor's lease.
+            executor = ThreadedExecutor(
+                cfg.nworkers, scheduler=cfg.scheduler, interpreter_bound=True
+            )
+        wall = executor.run(graph)
+        if cfg.exec_mode == "process":
+            self.desc.relink_clusters()
+        return wall, executor.trace
 
     @classmethod
     @sequential_blas()
@@ -375,15 +395,8 @@ class TileHMatrix:
         """
         cfg = config or TileHConfig()
         if cfg.exec_mode in ("threaded", "process"):
-            clustering = context = None
-            if cfg.exec_mode == "process":
-                clustering, context = cls._assembly_context(kernel, points, cfg)
-            engine = StfEngine(mode="deferred")
-            desc = cls._build_desc(kernel, points, cfg, engine, clustering)
-            mat = cls(desc, cfg)
-            mat._executor(context).run(engine.wait_all())
-            if cfg.exec_mode == "process":
-                desc.relink_clusters()
+            mat, engine, context = cls._submit_build(kernel, points, cfg)
+            mat._run(engine.wait_all(), context)
             return mat
         desc = cls._build_desc(kernel, points, cfg, None)
         return cls(desc, cfg)
@@ -431,39 +444,26 @@ class TileHMatrix:
             return mat, mat.factorize(method=method)
         if method not in ("lu", "cholesky"):
             raise ValueError(f"method must be 'lu' or 'cholesky', got {method!r}")
-        clustering = context = None
-        if cfg.exec_mode == "process":
-            clustering, context = cls._assembly_context(kernel, points, cfg)
+        mat, engine, context = cls._submit_build(kernel, points, cfg)
         if cfg.nested:
             # Stage A: assembly graph (the recorder needs assembled tiles).
-            engine_a = StfEngine(mode="deferred")
-            desc = cls._build_desc(kernel, points, cfg, engine_a, clustering)
-            mat = cls(desc, cfg)
-            wall_a = mat._executor(context).run(engine_a.wait_all())
-            if cfg.exec_mode == "process":
-                desc.relink_clusters()
+            wall_a, _ = mat._run(engine.wait_all(), context)
             # Stage B: the nested factorisation, on a fresh executor.
             info = mat.factorize(method=method)
             info.wall_seconds = wall_a + info.wall_seconds
             return mat, info
-        engine = StfEngine(mode="deferred")
-        desc = cls._build_desc(kernel, points, cfg, engine, clustering)
-        mat = cls(desc, cfg)
         tasks_fn = tiled_getrf_tasks if method == "lu" else tiled_potrf_tasks
-        graph = tasks_fn(desc, engine, accumulate=cfg.accumulate)
+        graph = tasks_fn(mat.desc, engine, accumulate=cfg.accumulate)
         if cfg.priority_mode == "bottom-level":
             apply_bottom_level_priorities(graph, "flops")
-        executor = mat._executor(context)
-        wall = executor.run(graph)
-        if cfg.exec_mode == "process":
-            desc.relink_clusters()
+        wall, trace = mat._run(graph, context)
         mat._factorized = True
         mat._method = method
         info = FactorizationInfo(
             graph=graph,
-            nb=desc.nb,
-            nt=desc.nt,
-            trace=executor.trace,
+            nb=mat.desc.nb,
+            nt=mat.desc.nt,
+            trace=trace,
             wall_seconds=wall,
         )
         return mat, info
@@ -548,11 +548,7 @@ class TileHMatrix:
         trace = None
         wall = None
         if threaded and deferred:
-            executor = self._executor()
-            wall = executor.run(graph)
-            trace = executor.trace
-            if cfg.exec_mode == "process":
-                self.desc.relink_clusters()
+            wall, trace = self._run(graph)
         self._factorized = True
         self._method = method
         return FactorizationInfo(

@@ -16,14 +16,13 @@ parent.  The worker-side convention is ``fn(payloads, *args, **kwargs)`` where
 ``needs_context=True`` additionally receive the executor's ``context`` (shipped
 once per worker) as a ``context=`` kwarg.
 
-Scheduling semantics mirror :class:`~repro.runtime.threaded.ThreadedExecutor`
-exactly: the parent drives the shared scheduler object, seeds sources in
-submission order, dispatches to idle workers in ascending index, and pushes
-freed successors to the completing worker (push-to-releasing-worker
-locality).  With one worker the pull order is bit-for-bit the virtual-time
-simulator's; with any worker count, results are bit-identical to eager
-execution for ``accumulate=False`` paths because successive updates of one
-tile are serialized by the STF writer-after-writer dependencies.
+Scheduling is the simulator's own code (:mod:`~repro.runtime.ready`): the
+parent drives the shared scheduler object through one ready front, a pipe
+``dispatch``/``wait`` pair under :func:`~repro.runtime.ready.drive`.  With one
+worker the pull order is bit-for-bit the virtual-time simulator's; with any
+worker count, results are bit-identical to eager execution for
+``accumulate=False`` paths because successive updates of one tile are
+serialized by the STF writer-after-writer dependencies.
 """
 
 from __future__ import annotations
@@ -42,12 +41,9 @@ from multiprocessing import connection, get_context
 import numpy as np
 
 from ..dense import sequential_blas
-from ..obs.instrument import current as _current_probe
 from ..obs.tracing import current_trace
-from .dag import TaskGraph
-from .schedulers import Scheduler, make_scheduler
+from .ready import GraphExecutor, ReadyFront, drive
 from .shmem import SEGMENT_PREFIX, SharedTileArena, orphaned_segments, unlink_segment
-from .trace import ExecutionTrace, TraceEvent
 
 __all__ = ["ProcessExecutor", "TaskSpec"]
 
@@ -119,8 +115,8 @@ def _crash_for_tests(payloads):  # pragma: no cover - runs in a worker
     os._exit(3)
 
 
-def _raise_for_tests(payloads, message="boom"):  # pragma: no cover - in worker
-    raise ValueError(message)
+def _raise_for_tests(payloads, message="boom", kind=ValueError):  # pragma: no cover - in worker
+    raise kind(message)
 
 
 def _explode_for_tests():  # pragma: no cover - runs in a worker
@@ -281,7 +277,7 @@ def _install(handle, final) -> None:
 
 
 @dataclass
-class ProcessExecutor:
+class ProcessExecutor(GraphExecutor):
     """Execute a deferred :class:`TaskGraph` on worker processes.
 
     Drop-in for :class:`~repro.runtime.threaded.ThreadedExecutor` (same
@@ -299,7 +295,7 @@ class ProcessExecutor:
     wall clock in dispatch round-trips (``fused_process`` nworkers=1 measured
     ``idle_fraction`` 0.82); batching amortizes the syscall + wakeup cost.
     With one worker the batch is built by *optimistic completion* — pop a
-    task, release its successors as if it had finished, pop again — which
+    task, release what it frees as if it had finished, pop again — which
     reproduces exactly the virtual-time simulator's pull order, so the
     1-worker determinism contract survives batching.  With several workers
     only currently-ready tasks are batched (conflicting tasks are never
@@ -310,68 +306,40 @@ class ProcessExecutor:
     serialization/IPC accounting.
     """
 
-    nworkers: int
-    scheduler: Scheduler | str = "lws"
-    trace: ExecutionTrace | None = field(default=None)
-    instrument: object | None = field(default=None)
     context: object | None = field(default=None)
     dispatch_batch: int = 8
 
     def __post_init__(self) -> None:
-        if self.nworkers < 1:
-            raise ValueError(f"nworkers must be >= 1, got {self.nworkers}")
+        super().__post_init__()
         if self.dispatch_batch < 1:
             raise ValueError(
                 f"dispatch_batch must be >= 1, got {self.dispatch_batch}"
             )
-        if isinstance(self.scheduler, str):
-            self.scheduler = make_scheduler(self.scheduler)
         self.ipc_bytes = 0
         self.shm_bytes = 0
 
-    def run(self, graph: TaskGraph) -> float:
-        """Run all tasks respecting dependencies; returns elapsed seconds.
-
-        Every shared-memory segment created by the run (parent- or
+    def _run(self, front: ReadyFront) -> float:
+        """Every shared-memory segment created by the run (parent- or
         worker-side) is unlinked before returning, including on worker
         crashes and errors — a run never leaks ``/dev/shm`` entries.
         """
-        n = len(graph.tasks)
-        if n == 0:
-            return 0.0
-        graph.validate()
         _check_spawnable()
-        for t in graph.tasks:
+        handles = {}
+        for t in front.graph.tasks:
             if t.func is not None and t.spec is None:
                 raise ValueError(
                     f"task #{t.id} ({t.kind}) has a closure but no TaskSpec; "
                     "the process executor cannot ship closures to workers — "
                     "submit tasks with insert_task(..., spec=TaskSpec(...))"
                 )
-        probe = self.instrument if self.instrument is not None else _current_probe()
+            for h, _mode in t.accesses:
+                handles[h.id] = h
+        probe = front.probe
         # Captured once at entry: worker-side kernel spans for this run attach
         # to the request trace active when the executor was invoked (the lead
         # request of a cold build), keyed by the echoed trace id.
         tctx = current_trace()
         tctx_id = tctx.trace_id if tctx is not None else None
-        sched = self.scheduler
-        sched.setup(self.nworkers)
-        sched.attach_stats(probe.sched if probe is not None else None)
-        indegree = {t.id: len(t.deps) for t in graph.tasks}
-        for t in graph.tasks:
-            if indegree[t.id] == 0:
-                sched.push(t, None)
-        if self.trace is None:
-            self.trace = ExecutionTrace(nworkers=self.nworkers)
-        elif self.trace.nworkers < self.nworkers:
-            raise ValueError(
-                f"supplied trace covers {self.trace.nworkers} workers, "
-                f"executor has {self.nworkers}"
-            )
-        handles = {}
-        for t in graph.tasks:
-            for h, _mode in t.accesses:
-                handles[h.id] = h
 
         run_tag = f"{SEGMENT_PREFIX}{os.getpid():x}r{next(_run_counter):x}"
         arena = SharedTileArena(run_tag + "p")
@@ -411,203 +379,161 @@ class ProcessExecutor:
         version: dict[int, int] = {}
         known: list[dict[int, int]] = [dict() for _ in range(self.nworkers)]
         written: set[int] = set()
-        idle = set(range(self.nworkers))
         running: dict[int, deque] = {w: deque() for w in range(self.nworkers)}
-        # Tasks whose successors were already released at batch-build time
-        # (single-worker optimistic completion) — their done-handler must
-        # not release them a second time.
-        released: set[int] = set()
-        completed = 0
-        error: BaseException | None = None
-        elapsed = 0.0
         t_start = time.perf_counter()
-        try:
-            while completed < n and error is None:
-                # Dispatch to idle workers in ascending index: with one
-                # worker this is exactly the simulator's pull order.
-                for w in sorted(idle):
-                    if self.nworkers == 1:
-                        limit = self.dispatch_batch
-                    else:
-                        # Ready-only batching: don't let one worker drain a
-                        # queue other idle workers could be eating from.
-                        limit = max(
-                            1,
-                            min(self.dispatch_batch,
-                                sched.pending() // len(idle)),
-                        )
-                    entries: list[tuple] = []
-                    batch_written: set[int] = set()
-                    while len(entries) < limit:
-                        task = sched.pop(w)
-                        if task is None:
-                            break
-                        hids: list[int] = []
-                        writes: list[int] = []
-                        updates: list[tuple[int, bytes]] = []
-                        if task.spec is not None:
-                            for h, mode in task.accesses:
-                                if h.id not in blob:
-                                    blob[h.id] = arena.dumps(h.payload)
-                                    version[h.id] = 0
-                                hids.append(h.id)
-                                if mode.writes and h.id not in writes:
-                                    writes.append(h.id)
-                            for hid in hids:
-                                if hid in batch_written:
-                                    # An earlier entry in this batch writes
-                                    # this handle: the worker's local copy is
-                                    # current when this entry runs; its reship
-                                    # will refresh known[w] at done-time.
-                                    continue
-                                if known[w].get(hid) != version[hid]:
-                                    updates.append((hid, blob[hid]))
-                                    known[w][hid] = version[hid]
-                            batch_written.update(writes)
-                        entries.append(
-                            (task.id, task.spec, hids, writes, updates)
-                        )
-                        running[w].append(task)
-                        if probe is not None:
-                            probe.process_dispatch(
-                                sum(len(b) for _, b in updates)
-                            )
-                        if self.nworkers == 1 and len(entries) < limit:
-                            # Optimistic completion: the sole worker runs
-                            # batch entries in order, so this task finishes
-                            # before the next pop — releasing its successors
-                            # now keeps the pop sequence identical to the
-                            # simulator's.
-                            released.add(task.id)
-                            for s in sorted(task.successors):
-                                indegree[s] -= 1
-                                if indegree[s] == 0:
-                                    sched.push(graph.tasks[s], w)
-                    if not entries:
-                        continue
-                    try:
-                        task_conns[w].send(("batch", tctx_id, entries))
-                    except (OSError, BrokenPipeError):
-                        # The worker died before this dispatch; surface its
-                        # traceback (if it managed to send one) instead of a
-                        # bare BrokenPipeError.
-                        error = _dead_worker_error(
-                            w, procs[w], res_conns[w], running[w][0]
-                        )
-                        break
-                    sent = sum(
-                        len(b) for _, _, _, _, ups in entries for _, b in ups
-                    )
-                    self.ipc_bytes += sent
-                    self.shm_bytes += arena.take_copied_bytes()
-                    segments.update(arena.take_new_segments())
-                    idle.discard(w)
-                    if probe is not None:
-                        probe.process_dispatch_batch(len(entries))
-                if error is not None:
-                    break
-                busy = [w for w in range(self.nworkers) if running[w]]
-                if not busy:
-                    raise RuntimeError(
-                        f"scheduler stalled with {n - completed} tasks left"
-                    )
-                connection.wait(
-                    [res_conns[w] for w in busy]
-                    + [procs[w].sentinel for w in busy]
+
+        def dead(w: int) -> RuntimeError:
+            return _dead_worker_error(w, procs[w], res_conns[w], running[w][0])
+
+        def dispatch(w: int) -> bool:
+            """Send worker ``w`` one batch of what the front has for it."""
+            if self.nworkers == 1:
+                limit = self.dispatch_batch
+            else:
+                # Ready-only batching: don't let one worker drain a queue
+                # other idle workers could be eating from (idle = nothing
+                # running at this moment of the pass).
+                nidle = sum(not q for q in running.values())
+                limit = max(
+                    1, min(self.dispatch_batch, front.scheduler.pending() // nidle)
                 )
-                progressed = False
-                for w in busy:
-                    conn = res_conns[w]
+            entries: list[tuple] = []
+            batch_written: set[int] = set()
+            while len(entries) < limit:
+                task = front.pop(w)
+                if task is None:
+                    break
+                hids: list[int] = []
+                writes: list[int] = []
+                updates: list[tuple[int, bytes]] = []
+                if task.spec is not None:
+                    for h, mode in task.accesses:
+                        if h.id not in blob:
+                            blob[h.id] = arena.dumps(h.payload)
+                            version[h.id] = 0
+                        hids.append(h.id)
+                        if mode.writes and h.id not in writes:
+                            writes.append(h.id)
+                    for hid in hids:
+                        if hid in batch_written:
+                            # An earlier entry in this batch writes this
+                            # handle: the worker's local copy is current when
+                            # this entry runs; its reship will refresh
+                            # known[w] at done-time.
+                            continue
+                        if known[w].get(hid) != version[hid]:
+                            updates.append((hid, blob[hid]))
+                            known[w][hid] = version[hid]
+                    batch_written.update(writes)
+                entries.append((task.id, task.spec, hids, writes, updates))
+                running[w].append(task)
+                if probe is not None:
+                    probe.process_dispatch(sum(len(b) for _, b in updates))
+                if self.nworkers == 1 and len(entries) < limit:
+                    # Optimistic completion: the sole worker runs batch
+                    # entries in order, so this task finishes before the next
+                    # pop — releasing what it frees now keeps the pop
+                    # sequence identical to the simulator's.
+                    front.release(task, w)
+            if not entries:
+                return False
+            try:
+                task_conns[w].send(("batch", tctx_id, entries))
+            except (OSError, BrokenPipeError):
+                # The worker died before this dispatch; surface its traceback
+                # (if it managed to send one) instead of a bare
+                # BrokenPipeError.
+                raise dead(w) from None
+            self.ipc_bytes += sum(
+                len(b) for _, _, _, _, ups in entries for _, b in ups
+            )
+            self.shm_bytes += arena.take_copied_bytes()
+            segments.update(arena.take_new_segments())
+            if probe is not None:
+                probe.process_dispatch_batch(len(entries))
+            return True
+
+        def done(w: int, msg: tuple) -> None:
+            """Adopt one finished task's reships, retire and record it."""
+            (_, _, _tid, t0_abs, t1_abs, reships,
+             new_segs, copied, echo_tid) = msg
+            task = running[w].popleft()
+            segments.update(new_segs)
+            self.shm_bytes += copied
+            got = 0
+            for hid, b in reships:
+                blob[hid] = b
+                version[hid] = version.get(hid, 0) + 1
+                known[w][hid] = version[hid]
+                written.add(hid)
+                got += len(b)
+            self.ipc_bytes += got
+            # perf_counter is CLOCK_MONOTONIC: one clock across processes on
+            # Linux.
+            t0 = t0_abs - t_start
+            t1 = t1_abs - t_start
+            if task.func is not None or task.spec is not None:
+                task.seconds = t1 - t0
+            front.retire(task, w)
+            front.record(task, w, t0, t1, t1)
+            if tctx is not None and echo_tid == tctx_id and task.spec is not None:
+                tctx.add_span(
+                    f"kernel:{task.kind}", t0_abs, t1_abs, worker=f"proc{w}"
+                )
+            if probe is not None and got:
+                probe.process_result_bytes(got)
+
+        def wait() -> list[int] | None:
+            """Block for results; returns the workers whose batch drained."""
+            busy = [w for w in range(self.nworkers) if running[w]]
+            if not busy:
+                return None
+            connection.wait(
+                [res_conns[w] for w in busy] + [procs[w].sentinel for w in busy]
+            )
+            progressed = False
+            for w in busy:
+                conn = res_conns[w]
+                while True:
+                    # Only the pipe read is guarded: a worker's own OSError,
+                    # re-raised below from its "error" message, must reach
+                    # the caller.
                     try:
-                        while conn.poll():
-                            msg = conn.recv()
-                            progressed = True
-                            if msg[0] == "done":
-                                (_, _, _tid, t0_abs, t1_abs, reships,
-                                 new_segs, copied, echo_tid) = msg
-                                task = running[w].popleft()
-                                if not running[w]:
-                                    idle.add(w)
-                                segments.update(new_segs)
-                                self.shm_bytes += copied
-                                got = 0
-                                for hid, b in reships:
-                                    blob[hid] = b
-                                    version[hid] = version.get(hid, 0) + 1
-                                    known[w][hid] = version[hid]
-                                    written.add(hid)
-                                    got += len(b)
-                                self.ipc_bytes += got
-                                # perf_counter is CLOCK_MONOTONIC: one clock
-                                # across processes on Linux.
-                                t0 = t0_abs - t_start
-                                t1 = t1_abs - t_start
-                                if task.func is not None or task.spec is not None:
-                                    task.seconds = t1 - t0
-                                self.trace.add(
-                                    TraceEvent(task.id, task.kind, w, t0, t1)
-                                )
-                                completed += 1
-                                if task.id in released:
-                                    released.discard(task.id)
-                                else:
-                                    for s in sorted(task.successors):
-                                        indegree[s] -= 1
-                                        if indegree[s] == 0:
-                                            sched.push(graph.tasks[s], w)
-                                if (
-                                    tctx is not None
-                                    and echo_tid == tctx_id
-                                    and task.spec is not None
-                                ):
-                                    tctx.add_span(
-                                        f"kernel:{task.kind}", t0_abs, t1_abs,
-                                        worker=f"proc{w}",
-                                    )
-                                if probe is not None:
-                                    probe.task_span(task.kind, w, t0, t1)
-                                    probe.sample(
-                                        "queue_depth", sched.pending(), t=t1
-                                    )
-                                    if got:
-                                        probe.process_result_bytes(got)
-                            elif msg[0] == "error":
-                                _, _, _tid, exc, new_segs = msg
-                                segments.update(new_segs)
-                                running[w].popleft()
-                                error = exc
-                                break
-                            elif msg[0] == "fatal":
-                                _, _, tb = msg
-                                task = running[w][0] if running[w] else None
-                                at = (
-                                    f"while running task #{task.id} ({task.kind})"
-                                    if task is not None else "between tasks"
-                                )
-                                error = RuntimeError(
-                                    f"worker {w} died {at}; child "
-                                    f"traceback:\n{tb}"
-                                )
-                                break
+                        if not conn.poll():
+                            break
+                        msg = conn.recv()
                     except (EOFError, OSError):
-                        pass
-                    if error is not None:
                         break
-                if progressed or error is not None:
-                    continue
+                    progressed = True
+                    if msg[0] == "done":
+                        done(w, msg)
+                    elif msg[0] == "error":
+                        segments.update(msg[4])
+                        raise msg[3]
+                    elif msg[0] == "fatal":
+                        task = running[w][0] if running[w] else None
+                        at = (
+                            f"while running task #{task.id} ({task.kind})"
+                            if task is not None else "between tasks"
+                        )
+                        raise RuntimeError(
+                            f"worker {w} died {at}; child traceback:\n{msg[2]}"
+                        )
+            if not progressed:
                 for w in busy:
-                    if running[w] and not procs[w].is_alive():
-                        task = running[w][0]
-                        error = _dead_worker_error(w, procs[w], res_conns[w], task)
-                        break
-            if error is None:
-                # Harvest: privatize every written payload back into the
-                # parent's originals.  One cache across handles so payloads
-                # that share an array keep sharing it.
-                cache: dict = {}
-                for hid in sorted(written):
-                    _install(handles[hid], arena.loads_private(blob[hid], cache))
-            elapsed = time.perf_counter() - t_start
+                    if not procs[w].is_alive():
+                        raise dead(w)
+            return [w for w in busy if not running[w]]
+
+        try:
+            drive(front, self.nworkers, dispatch, wait)
+            # Harvest: privatize every written payload back into the parent's
+            # originals.  One cache across handles so payloads that share an
+            # array keep sharing it.
+            cache: dict = {}
+            for hid in sorted(written):
+                _install(handles[hid], arena.loads_private(blob[hid], cache))
+            return time.perf_counter() - t_start
         finally:
             for c in task_conns:
                 try:
@@ -635,6 +561,3 @@ class ProcessExecutor:
             if probe is not None:
                 probe.process_segments(len(segments))
                 probe.process_shm_bytes(self.shm_bytes)
-        if error is not None:
-            raise error
-        return elapsed

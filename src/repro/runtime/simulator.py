@@ -18,10 +18,10 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 
-from ..obs.instrument import current as _current_probe
 from .dag import TaskGraph
+from .ready import ReadyFront, drive
 from .schedulers import Scheduler, make_scheduler
-from .trace import ExecutionTrace, TraceEvent
+from .trace import ExecutionTrace
 
 __all__ = ["RuntimeOverheadModel", "SimulationResult", "simulate"]
 
@@ -132,20 +132,9 @@ def simulate(
             )
         if any(s <= 0 for s in worker_speeds):
             raise ValueError("worker speeds must be positive")
-    probe = instrument if instrument is not None else _current_probe()
     sched = make_scheduler(scheduler) if isinstance(scheduler, str) else scheduler
-    sched.setup(nworkers)
-    sched.attach_stats(probe.sched if probe is not None else None)
     ovh = overheads if overheads is not None else RuntimeOverheadModel()
-
-    n = len(graph.tasks)
     trace = ExecutionTrace(nworkers=nworkers) if keep_trace else None
-    if n == 0:
-        return SimulationResult(0.0, nworkers, sched.name, 0.0, 0.0, trace)
-
-    indegree = [len(t.deps) for t in graph.tasks]
-    release = [i * ovh.submission for i in range(n)]  # earliest-start by submission
-    runtime_clock = 0.0  # shared runtime-core time (serialized overheads)
 
     def duration(task, worker: int) -> float:
         base = task.cost(cost_attr) * cost_scale
@@ -161,51 +150,38 @@ def simulate(
     waiting: list[tuple[float, int, object, int | None]] = []
     seq = 0
     now = 0.0
-    idle = set(range(nworkers))
+    makespan = 0.0
+    runtime_clock = 0.0  # shared runtime-core time (serialized overheads)
 
-    def make_ready(task, worker_hint, at_time) -> None:
+    def make_ready(task, worker_hint) -> None:
         nonlocal seq, runtime_clock
-        rel = release[task.id]
+        rel = task.id * ovh.submission  # earliest start by submission
         if ovh.serialized:
             # The shared runtime core processes releases one at a time.
-            rel = max(rel, at_time, runtime_clock) + ovh.task_overhead(task.n_deps)
+            rel = max(rel, now, runtime_clock) + ovh.task_overhead(task.n_deps)
             runtime_clock = rel
-        if rel > at_time:
+        if rel > now:
             heapq.heappush(waiting, (rel, seq, task, worker_hint))
             seq += 1
         else:
             sched.push(task, worker_hint)
 
-    for t in graph.tasks:
-        if indegree[t.id] == 0:
-            make_ready(t, None, 0.0)
+    def dispatch(w: int) -> bool:
+        nonlocal seq
+        task = front.pop(w)
+        if task is None:
+            return False
+        finish = now + duration(task, w)
+        heapq.heappush(running, (finish, seq, w, task))
+        seq += 1
+        # Recorded at assignment: trace.events is in pull order.
+        front.record(task, w, now, finish, now)
+        return True
 
-    completed = 0
-    makespan = 0.0
-    while completed < n:
-        # Hand work to idle workers.
-        assigned = True
-        while assigned and idle:
-            assigned = False
-            for w in sorted(idle):
-                task = sched.pop(w)
-                if task is None:
-                    continue
-                finish = now + duration(task, w)
-                heapq.heappush(running, (finish, seq, w, task))
-                seq += 1
-                idle.discard(w)
-                assigned = True
-                if trace is not None:
-                    trace.add(TraceEvent(task.id, task.kind, w, now, finish))
-                if probe is not None:
-                    probe.task_span(task.kind, w, now, finish)
-                    probe.sample("queue_depth", sched.pending(), t=now)
+    def wait() -> list[int] | None:
+        nonlocal now, makespan
         if not running and not waiting:
-            raise RuntimeError(
-                "simulator deadlock: no running or waiting task but "
-                f"{n - completed} tasks unfinished (cyclic graph?)"
-            )
+            return None
         # Advance virtual time to the next event (task finish or release).
         next_finish = running[0][0] if running else float("inf")
         next_release = waiting[0][0] if waiting else float("inf")
@@ -213,17 +189,17 @@ def simulate(
         while waiting and waiting[0][0] <= now:
             _, _, task, hint = heapq.heappop(waiting)
             sched.push(task, hint)
+        freed = []
         while running and running[0][0] <= now:
             _, _, w, task = heapq.heappop(running)
-            completed += 1
             makespan = max(makespan, now)
-            idle.add(w)
-            # Sorted release order matches the threaded executor exactly, so
-            # single-worker threaded traces reproduce the simulated ones.
-            for s in sorted(task.successors):
-                indegree[s] -= 1
-                if indegree[s] == 0:
-                    make_ready(graph.tasks[s], w, now)
+            freed.append(w)
+            front.retire(task, w)
+        return freed
+
+    # The front seeds the sources on construction, through make_ready.
+    with ReadyFront(graph, sched, nworkers, instrument, trace, push=make_ready) as front:
+        drive(front, nworkers, dispatch, wait)
 
     total_work = graph.total_work(cost_attr) * cost_scale
     critical = graph.critical_path(cost_attr) * cost_scale

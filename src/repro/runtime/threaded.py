@@ -5,11 +5,11 @@ This executor runs a graph built by a *deferred*
 virtual-time :class:`~repro.runtime.schedulers.Scheduler` policy (``ws``,
 ``lws``, ``prio``, ``eager``, ``dm``): ready tasks are pushed to the worker
 that released them (``push(task, w)``), idle workers pull or steal through
-the policy's own ``pop(w)``.  All scheduler calls happen under one shared
-condition variable, so the per-worker queue and steal semantics are exactly
-the simulator's — a threaded run follows the same pull/steal order a
-virtual-time replay would take under equal costs (bit-for-bit with one
-worker, where timing jitter cannot reorder completions).
+the policy's own ``pop(w)``.  All scheduler calls go through the simulator's
+own ready set (:mod:`~repro.runtime.ready`) under one condition variable, so
+queue and steal semantics are the simulator's — a threaded run follows the
+same pull/steal order a virtual-time replay would take under equal costs
+(bit-for-bit with one worker, where timing jitter cannot reorder completions).
 
 **The interpreter lease.**  Threads overlap only where a task waits or sits
 in native code that releases the GIL for longer than a GIL handoff costs.
@@ -42,19 +42,16 @@ from __future__ import annotations
 import sys
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from ..obs.instrument import current as _current_probe
 from ..obs.tracing import current_trace
-from .dag import TaskGraph
-from .schedulers import Scheduler, make_scheduler
-from .trace import ExecutionTrace, TraceEvent
+from .ready import GraphExecutor, ReadyFront
 
 __all__ = ["ThreadedExecutor"]
 
 
 @dataclass
-class ThreadedExecutor:
+class ThreadedExecutor(GraphExecutor):
     """Execute a deferred :class:`TaskGraph` on real threads under a policy.
 
     ``scheduler`` accepts any :func:`~repro.runtime.schedulers.make_scheduler`
@@ -70,60 +67,21 @@ class ThreadedExecutor:
     and a queue-depth time series into it.
     """
 
-    nworkers: int
-    scheduler: Scheduler | str = "lws"
-    trace: ExecutionTrace | None = field(default=None)
-    instrument: object | None = field(default=None)
     interpreter_bound: bool = False
 
-    def __post_init__(self) -> None:
-        if self.nworkers < 1:
-            raise ValueError(f"nworkers must be >= 1, got {self.nworkers}")
-        if isinstance(self.scheduler, str):
-            self.scheduler = make_scheduler(self.scheduler)
-
-    def run(self, graph: TaskGraph) -> float:
-        """Run all tasks respecting dependencies; returns elapsed seconds.
-
-        Raises the first worker exception (after draining the pool).  A
-        caller-supplied :class:`ExecutionTrace` is appended to (it must
-        cover at least ``nworkers`` lanes); otherwise a fresh trace is
-        created.  Each executed task's measured wall time is written back to
-        ``task.seconds`` so a deferred graph can be replayed in the
-        simulator with real costs; pre-traced tasks (``func=None``) keep
-        their explicit cost.
-        """
-        n = len(graph.tasks)
-        if n == 0:
-            return 0.0
-        graph.validate()
-        probe = self.instrument if self.instrument is not None else _current_probe()
+    def _run(self, front: ReadyFront) -> float:
         # Captured once at entry: the submitting thread's request trace (if
         # any) receives the kernel spans — worker threads have no ambient
         # trace of their own, so propagation is explicit.
         tctx = current_trace()
-        sched = self.scheduler
-        sched.setup(self.nworkers)
-        sched.attach_stats(probe.sched if probe is not None else None)
-        indegree = {t.id: len(t.deps) for t in graph.tasks}
+        probe = front.probe
+        # The front is not thread-safe: every call on it is made under `lock`.
         lock = threading.Condition()
-        # Source tasks are pushed in submission order with no worker hint,
-        # exactly as the simulator seeds its schedulers.
-        for t in graph.tasks:
-            if indegree[t.id] == 0:
-                sched.push(t, None)
-        state = {"completed": 0, "error": None, "lessee": None}
+        state = {"error": None, "lessee": None}
         # One lease per run; "lessee" (its last holder) is written under it.
         # Held across consecutive tasks for CPython's own forced-switch quantum.
         lease = threading.Lock() if self.interpreter_bound else None
         quantum = sys.getswitchinterval()
-        if self.trace is None:
-            self.trace = ExecutionTrace(nworkers=self.nworkers)
-        elif self.trace.nworkers < self.nworkers:
-            raise ValueError(
-                f"supplied trace covers {self.trace.nworkers} workers, "
-                f"executor has {self.nworkers}"
-            )
         t_start = time.perf_counter()
 
         def worker(widx: int) -> None:
@@ -143,10 +101,10 @@ class ThreadedExecutor:
                             handoffs += 1
                         state["lessee"] = widx
                     with lock:
-                        if state["error"] is not None or state["completed"] >= n:
+                        if state["error"] is not None or not front.remaining:
                             lock.notify_all()
                             return
-                        task = sched.pop(widx)
+                        task = front.pop(widx)
                         if task is None:
                             if leased_at is not None:
                                 lease.release()
@@ -175,21 +133,13 @@ class ThreadedExecutor:
                                 worker=f"tw{widx}",
                             )
                     with lock:
-                        self.trace.add(TraceEvent(task.id, task.kind, widx, t0, t1))
-                        state["completed"] += 1
-                        for s in sorted(task.successors):
-                            indegree[s] -= 1
-                            if indegree[s] == 0:
-                                # Push-to-releasing-worker: the freed task lands
-                                # on this worker's queue (ws/lws locality).
-                                sched.push(graph.tasks[s], widx)
-                        if probe is not None:
-                            probe.task_span(task.kind, widx, t0, t1)
-                            probe.sample("queue_depth", sched.pending(), t=t1)
+                        # What this task frees lands on this worker's queue.
+                        front.retire(task, widx)
+                        front.record(task, widx, t0, t1, t1)
                         lock.notify_all()
                     if leased_at is not None and t_start + t1 - leased_at >= quantum:
                         # Quantum spent: offer the interpreter at this task
-                        # boundary (successors are already pushed).
+                        # boundary (what it freed is already pushed).
                         lease.release()
                         leased_at = None
             finally:

@@ -3,13 +3,18 @@
 import numpy as np
 import pytest
 
+from repro.obs import Instrumentation
 from repro.runtime import (
     AccessMode,
     RuntimeOverheadModel,
     StfEngine,
     TaskGraph,
+    ThreadedExecutor,
+    make_scheduler,
     simulate,
 )
+
+from .graphs import pretraced_graph
 
 R, W, RW = AccessMode.R, AccessMode.W, AccessMode.RW
 ZERO = RuntimeOverheadModel.zero()
@@ -50,6 +55,31 @@ class TestSchedulerObjectReuse:
         a = simulate(g, 3, "lws", overheads=ZERO).makespan
         b = simulate(g, 3, make_scheduler("lws"), overheads=ZERO).makespan
         assert a == pytest.approx(b)
+
+    @pytest.mark.parametrize("run", [
+        lambda g, s: ThreadedExecutor(1, scheduler=s).run(g),
+        lambda g, s: simulate(g, 1, s),
+    ], ids=["threaded", "simulate"])
+    def test_finished_run_leaves_no_probe_on_the_scheduler(self, run):
+        sched = make_scheduler("lws")
+        with Instrumentation() as probe:
+            run(pretraced_graph(7), sched)
+            pushes = probe.sched.pushes
+            assert sched.stats is None
+            sched.push(pretraced_graph(7).tasks[0], None)
+            assert probe.sched.pushes == pushes
+
+    def test_failed_run_leaves_no_probe_on_the_scheduler(self):
+        g = TaskGraph()
+
+        def boom():
+            raise ValueError("kaboom")
+
+        g.new_task("k", seconds=1.0).func = boom
+        sched = make_scheduler("ws")
+        with Instrumentation(), pytest.raises(ValueError, match="kaboom"):
+            ThreadedExecutor(2, scheduler=sched).run(g)
+        assert sched.stats is None
 
 
 class TestStfWriteOnlyMode:

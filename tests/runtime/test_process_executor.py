@@ -24,27 +24,13 @@ from repro.runtime import (
 )
 from repro.runtime.dag import TaskGraph
 
+from .graphs import pretraced_graph
+
 R, W, RW = AccessMode.R, AccessMode.W, AccessMode.RW
 ZERO = RuntimeOverheadModel.zero()
 
 INCR = TaskSpec("repro.runtime.process:_incr_for_tests")
 NOOP = TaskSpec("repro.runtime.process:_noop_for_tests")
-
-
-def _pretraced_graph(seed, n=24):
-    """Random DAG of ``func=None`` tasks with explicit costs (simulator fuel)."""
-    rng = np.random.default_rng(seed)
-    g = TaskGraph()
-    ts = [
-        g.new_task("k", seconds=float(rng.uniform(0.01, 1.0)),
-                   priority=int(rng.integers(0, 5)))
-        for _ in range(n)
-    ]
-    for i in range(1, n):
-        k = int(rng.integers(0, min(3, i) + 1))
-        for d in rng.choice(i, size=k, replace=False):
-            g.add_dependency(ts[int(d)], ts[i])
-    return g
 
 
 def _incr_graph(n_arrays=4, chain=5):
@@ -76,11 +62,11 @@ def _no_shm_leaks():
 def test_single_worker_process_matches_simulator_order(policy):
     """At nworkers=1 the process executor pulls tasks in exactly the order
     the virtual-time simulator schedules them, for every policy."""
-    g_sim = _pretraced_graph(seed=7)
+    g_sim = pretraced_graph(seed=7)
     r = simulate(g_sim, 1, policy, overheads=ZERO)
     sim_order = [e.task_id for e in r.trace.events]
 
-    g_proc = _pretraced_graph(seed=7)
+    g_proc = pretraced_graph(seed=7)
     ex = ProcessExecutor(1, scheduler=policy)
     ex.run(g_proc)
     proc_order = [e.task_id for e in sorted(ex.trace.events, key=lambda e: e.start)]
@@ -135,6 +121,27 @@ def test_worker_exception_propagates_and_cleans_up():
     with pytest.raises(ValueError, match="kaboom"):
         ProcessExecutor(2).run(g)
     # Segment cleanup is asserted by the autouse fixture.
+
+
+def test_worker_oserror_propagates_and_cleans_up():
+    """A task's own ``OSError`` is the caller's to see: the parent's pipe
+    loop guards its reads with ``except (EOFError, OSError)`` and must not
+    swallow the exception a worker reported."""
+    eng = StfEngine(mode="deferred")
+    h = eng.handle(np.zeros(4), "a")
+    eng.insert_task(
+        "k", lambda: None, [(h, RW)],
+        spec=TaskSpec("repro.runtime.process:_raise_for_tests",
+                      kwargs={"message": "disk gone", "kind": OSError}),
+    )
+    eng.insert_task("k", lambda: None, [(h, RW)], spec=INCR)
+    from repro.obs import Instrumentation
+
+    ex = ProcessExecutor(2)
+    with Instrumentation(), pytest.raises(OSError, match="disk gone"):
+        ex.run(eng.wait_all())
+    assert ex.scheduler.stats is None  # the failed run's probe is detached
+    # Zero segments left: asserted by the autouse fixture.
 
 
 def test_worker_crash_raises_and_cleans_up():
@@ -246,11 +253,11 @@ def test_batched_single_worker_still_matches_simulator_order(policy):
     """Batched dispatch must not change the 1-worker pull order: optimistic
     completion replays the exact pop -> release -> pop sequence the
     simulator uses, just without waiting for per-task round trips."""
-    g_sim = _pretraced_graph(seed=11)
+    g_sim = pretraced_graph(seed=11)
     sim_order = [
         e.task_id for e in simulate(g_sim, 1, policy, overheads=ZERO).trace.events
     ]
-    g_proc = _pretraced_graph(seed=11)
+    g_proc = pretraced_graph(seed=11)
     ex = ProcessExecutor(1, scheduler=policy, dispatch_batch=4)
     ex.run(g_proc)
     proc_order = [

@@ -14,7 +14,7 @@ semantics.  These tests pin that equivalence down:
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.runtime import (
@@ -28,6 +28,8 @@ from repro.runtime import (
     simulate,
     validate_trace,
 )
+
+from .graphs import pretraced_graph, seeds, sizes
 
 R, W, RW = AccessMode.R, AccessMode.W, AccessMode.RW
 
@@ -46,26 +48,6 @@ def _random_deferred_graph(seed, n, log):
         ts.append(t)
     for i in range(1, n):
         k = int(rng.integers(0, min(4, i) + 1))
-        for d in rng.choice(i, size=k, replace=False):
-            g.add_dependency(ts[int(d)], ts[i])
-    return g
-
-
-def _pretraced_graph(seed, n=24):
-    """Random DAG of ``func=None`` tasks with explicit costs.
-
-    The threaded executor keeps explicit costs for pre-traced tasks, so the
-    cost-aware ``dm`` policy makes identical decisions threaded or simulated.
-    """
-    rng = np.random.default_rng(seed)
-    g = TaskGraph()
-    ts = [
-        g.new_task("k", seconds=float(rng.uniform(0.01, 1.0)),
-                   priority=int(rng.integers(0, 5)))
-        for _ in range(n)
-    ]
-    for i in range(1, n):
-        k = int(rng.integers(0, min(3, i) + 1))
         for d in rng.choice(i, size=k, replace=False):
             g.add_dependency(ts[int(d)], ts[i])
     return g
@@ -92,21 +74,42 @@ def test_property_every_policy_runs_every_task_exactly_once(
 
 
 @pytest.mark.parametrize("policy", SCHEDULER_NAMES)
-def test_single_worker_threaded_matches_simulator_order(policy):
+@settings(max_examples=20, deadline=None)
+@given(seed=seeds, n=sizes)
+@example(seed=7, n=24)
+def test_single_worker_threaded_matches_simulator_order(policy, seed, n):
     """At nworkers=1 there is no timing jitter: the threaded executor must
     pull tasks in exactly the order the virtual-time simulator does — with
     or without the (uncontended) interpreter lease."""
-    g_sim = _pretraced_graph(seed=7)
+    g_sim = pretraced_graph(seed, n)
     r = simulate(g_sim, 1, policy, overheads=ZERO)
     sim_order = [e.task_id for e in r.trace.events]
 
     # Looped, not parametrized: the five test ids stay as they were.
     for leased in (False, True):
-        g_thr = _pretraced_graph(seed=7)  # fresh graph, same structure
+        g_thr = pretraced_graph(seed, n)  # fresh graph, same structure
         ex = ThreadedExecutor(1, scheduler=policy, interpreter_bound=leased)
         ex.run(g_thr)
         thr_order = [e.task_id for e in sorted(ex.trace.events, key=lambda e: e.start)]
         assert thr_order == sim_order, f"leased={leased}"
+
+
+def test_single_worker_threaded_matches_simulator_on_a_nested_tile_h_graph():
+    """The same contract on a real graph: the expanded factorisation of a
+    4x4-tile Laplace matrix (closures that run H-kernels, measured costs —
+    at p=1 the order is fixed by the push/pop sequence alone)."""
+    from repro.core import TileHConfig, TileHMatrix
+    from repro.geometry import cylinder_cloud, make_kernel
+
+    pts = cylinder_cloud(400)
+    cfg = TileHConfig(nb=100, eps=1e-4, leaf_size=25, accumulate=False,
+                      nested=True, nested_min_leaf=25,
+                      exec_mode="threaded", nworkers=1, scheduler="ws")
+    _a, info = TileHMatrix.build_factorize(make_kernel("laplace", pts), pts, cfg)
+    assert info.nested["expanded_tasks"] > 0
+    r = simulate(info.graph, 1, "ws", overheads=ZERO)
+    run_order = [e.task_id for e in sorted(info.trace.events, key=lambda e: e.start)]
+    assert run_order == [e.task_id for e in r.trace.events]
 
 
 @pytest.mark.parametrize("policy", SCHEDULER_NAMES)
@@ -125,7 +128,7 @@ def test_virtual_time_determinism_on_tied_priorities(policy):
     """All tasks share one priority: ties must break on submission order,
     identically across repeated simulations."""
     def graph():
-        g = _pretraced_graph(seed=3, n=30)
+        g = pretraced_graph(seed=3, n=30)
         for t in g.tasks:
             t.priority = 7
         return g
@@ -195,7 +198,7 @@ class TestBottomLevels:
         assert levels[a.id] == 8.0
 
     def test_max_bottom_level_is_critical_path(self):
-        g = _pretraced_graph(seed=5, n=40)
+        g = pretraced_graph(seed=5, n=40)
         levels = g.bottom_levels()
         assert max(levels.values()) == pytest.approx(g.critical_path())
 
