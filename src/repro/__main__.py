@@ -159,7 +159,11 @@ def report_main(argv: list[str]) -> int:
         reports = []
         for path in args.diff:
             try:
-                reports.append(load_report(path))
+                report = load_report(path)
+                if not (isinstance(report, dict) and isinstance(report.get("totals"), dict)
+                        and isinstance(report.get("kinds"), dict)):
+                    raise ValueError("not a run report (needs 'totals' and 'kinds' objects)")
+                reports.append(report)
             except (OSError, ValueError) as exc:
                 print(f"error: cannot read report {path}: {exc}", file=sys.stderr)
                 return 2

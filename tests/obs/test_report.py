@@ -357,3 +357,61 @@ class TestDiffReports:
         b.write_text(json.dumps(self._minimal(1.50, 0.70)))
         assert main(["report", "--diff", str(a), str(b)]) == 1
         assert main(["report", "--diff", str(a), str(a)]) == 0
+
+
+class TestRenderOptionalKeys:
+    """Schema-valid reports whose optional blocks lack a key a line prints
+    (these raised ``KeyError`` in ``render_report`` and ``repro report``)."""
+
+    #: The required keys of the optional sections patched below.
+    SECTIONS = {
+        "fleet": {"workers": 2, "healthy_workers": 2, "lanes": {},
+                  "routing": {"keys": 0, "per_worker": {}, "balance_ratio": 0.0}},
+        "gp": {"kernel": "sqexp", "n_train": 10, "n_test": 2,
+               "train_seconds": 0.1, "predict_seconds": 0.01},
+        "nested": {"min_leaf": 32, "coarse": False, "expanded_tasks": 1, "subtasks": 4,
+                   "subtasks_per_expansion": 4.0, "critical_path_before": 2.0,
+                   "critical_path_after": 1.0},
+    }
+
+    @pytest.mark.parametrize("section, patch, expected", [
+        ("hmatrix", {"aca": {"dense_entries": 10}}, "aca       : 0 / 10 sampled / dense entries"),
+        ("hmatrix", {"accumulator": {"deferred": 3}},
+         "accumulator: 3 deferred updates, 0 block flushes, 0 early"),
+        ("fleet", {"replication": {"hot_keys": 1}}, "replicas  : 1 hot fingerprint(s), 0 warm"),
+        ("gp", {"mean_rmse": 0.1, "var_max": 2.0}, "posterior : mean RMSE 0.1 vs latent truth"),
+        ("nested", {"program_misses": 1}, "graph replayed in 0 of 1 builds"),
+    ])
+    def test_renders(self, section, patch, expected):
+        report = build_run_report()
+        report.setdefault(section, dict(self.SECTIONS.get(section, {}))).update(patch)
+        assert validate_report(report) == []
+        text = render_report(report)
+        assert expected in text
+        assert "variance" not in text  # printed only when var_min and var_max both exist
+
+
+class TestCliDiffInput:
+    @pytest.mark.parametrize("content", ["{}", "[]", '{"totals": 1}',
+                                         '{"totals": {}, "kinds": []}'])
+    def test_not_a_report_exits_2(self, tmp_path, capsys, content):
+        from repro.__main__ import main
+
+        path = tmp_path / "e.json"
+        path.write_text(content)
+        assert main(["report", "--diff", str(path), str(path)]) == 2
+        assert f"error: cannot read report {path}" in capsys.readouterr().err
+
+
+def test_docs_list_every_report_section():
+    """docs/observability.md's run-report section list names every top-level
+    key of the schema, one bullet each."""
+    import re
+    from pathlib import Path
+
+    from repro.obs import REPORT_SCHEMA
+
+    doc = (Path(__file__).resolve().parents[2] / "docs" / "observability.md").read_text()
+    section = doc.split("## The run report", 1)[1].split("\n## ", 1)[0]
+    bullets = re.findall(r"^- `(\w+)`", section, flags=re.M)
+    assert sorted(bullets) == sorted(REPORT_SCHEMA["properties"])
