@@ -1,7 +1,8 @@
 """Scheduler trade-offs: watch the paper's Section V-C effects directly.
 
 Builds one Tile-H problem, factorises it once, then replays the task DAG
-under every scheduling policy and several worker counts — printing the
+under each scheduling policy (the paper's ws/lws/prio and the FIFO eager
+baseline) and several worker counts — printing the
 speedup table and a text gantt chart per policy so the contention /
 work-stealing / priority effects are visible at a glance.  Also contrasts
 the Tile-H DAG with the pure-HMAT fine-grained DAG under growing

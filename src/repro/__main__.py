@@ -30,9 +30,10 @@ import numpy as np
 from .analysis import forward_error, format_table
 from .analysis.experiments import PAPER_EQUIVALENT_OVERHEADS
 from .baselines import BLRMatrix, HMatSolver
-from .core import TileHConfig, TileHMatrix
+from .core import PRIORITY_MODES, TileHConfig, TileHMatrix, default_nb
+from .flags import add_method, add_problem, add_run, add_url, cli_error
 from .geometry import cylinder_cloud, make_kernel, streamed_matvec
-from .runtime import validate_trace
+from .runtime import SCHEDULER_NAMES, validate_trace
 
 __all__ = ["main", "build_parser"]
 
@@ -42,7 +43,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="python -m repro",
         description="Tile-H / H-matrix LU solver on the TEST_FEMBEM cylinder test case",
     )
-    parser.add_argument("--n", type=int, default=2000, help="number of unknowns")
+    add_problem(parser)
+    add_method(parser)
+    add_run(parser)
     parser.add_argument(
         "--precision",
         choices=["d", "z"],
@@ -53,22 +56,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--format",
         choices=["tile-h", "hmat", "blr"],
         default="tile-h",
-        help="storage format / solver variant",
-    )
-    parser.add_argument("--nb", type=int, default=None, help="tile size NB (default n/16)")
-    parser.add_argument("--eps", type=float, default=1e-4, help="compression accuracy")
-    parser.add_argument("--leaf-size", type=int, default=64, help="dense leaf size")
-    parser.add_argument(
-        "--method",
-        choices=["lu", "cholesky"],
-        default="lu",
-        help="factorisation (cholesky needs an SPD kernel; tile-h only)",
+        help="storage format / solver variant (--method cholesky and --nested: tile-h only)",
     )
     parser.add_argument(
         "--scheduler",
-        choices=["ws", "lws", "prio", "eager", "dm"],
+        choices=SCHEDULER_NAMES,
         default="prio",
-        help="scheduling policy for the virtual-machine replay",
+        help="ready-task policy of the threaded/process executors and of the "
+        "virtual-machine replay",
     )
     parser.add_argument(
         "--threads",
@@ -78,24 +73,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker counts to simulate",
     )
     parser.add_argument(
-        "--exec",
-        dest="exec_mode",
-        choices=["eager", "threaded", "process"],
-        default="eager",
-        help="task execution: eager (run at submission), threaded (worker "
-        "threads driving --scheduler; fuses Tile-H assembly with "
-        "factorisation) or process (worker processes over shared-memory "
-        "tiles — no GIL, true multicore scaling)",
-    )
-    parser.add_argument(
-        "--nworkers",
-        type=int,
-        default=2,
-        help="workers for --exec threaded/process",
-    )
-    parser.add_argument(
         "--priority-mode",
-        choices=["static", "bottom-level"],
+        choices=PRIORITY_MODES,
         default="static",
         help="task priorities: static CHAMELEON-style panel priorities or "
         "critical-path bottom levels (tile-h threaded path)",
@@ -114,19 +93,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="granularity cutoff for --nested: blocks with min dimension "
         "<= N stay opaque tasks (default 128)",
     )
-    parser.add_argument("--seed", type=int, default=0, help="RNG seed for x0")
     parser.add_argument(
         "--racecheck",
         action="store_true",
         help="verify declared task access modes against actual memory effects "
         "(runtime race detector) and validate simulated schedules against the DAG",
-    )
-    parser.add_argument(
-        "--profile",
-        metavar="PATH",
-        default=None,
-        help="profile the build/factorise/solve pipeline and write a "
-        "schema-valid run report (JSON) to PATH; view with 'repro report PATH'",
     )
     parser.add_argument(
         "--chrome-trace",
@@ -165,8 +136,7 @@ def report_main(argv: list[str]) -> int:
                     raise ValueError("not a run report (needs 'totals' and 'kinds' objects)")
                 reports.append(report)
             except (OSError, ValueError) as exc:
-                print(f"error: cannot read report {path}: {exc}", file=sys.stderr)
-                return 2
+                return cli_error(f"cannot read report {path}: {exc}")
         text, regressions = diff_reports(
             reports[0], reports[1], threshold=args.threshold
         )
@@ -181,8 +151,7 @@ def report_main(argv: list[str]) -> int:
     try:
         report = load_report(args.path)
     except (OSError, ValueError) as exc:
-        print(f"error: cannot read report {args.path}: {exc}", file=sys.stderr)
-        return 2
+        return cli_error(f"cannot read report {args.path}: {exc}")
     errors = validate_report(report)
     if errors:
         print(f"error: {args.path} is not a valid run report:", file=sys.stderr)
@@ -209,8 +178,7 @@ def trace_main(argv: list[str]) -> int:
         description="Export request traces (chrome trace JSON for Perfetto)",
     )
     src = parser.add_mutually_exclusive_group(required=True)
-    src.add_argument("--url", default=None,
-                     help="pull recent traces from a live server's /tracez")
+    add_url(src)
     src.add_argument("--report", default=None, metavar="PATH",
                      help="read traces from a run report's tracing section")
     parser.add_argument("--request", default=None, metavar="ID",
@@ -230,9 +198,7 @@ def trace_main(argv: list[str]) -> int:
             with SolveClient(args.url) as client:
                 payload = client.tracez(trace_id=args.request, limit=args.limit)
         except (ServiceError, OSError) as exc:
-            print(f"error: cannot fetch traces from {args.url}: {exc}",
-                  file=sys.stderr)
-            return 2
+            return cli_error(f"cannot fetch traces from {args.url}: {exc}")
         if not payload.get("enabled", False):
             print("error: tracing is disabled on the server "
                   "(serve with --trace-requests N)", file=sys.stderr)
@@ -253,9 +219,7 @@ def trace_main(argv: list[str]) -> int:
             with open(args.report) as fh:
                 report = _json.load(fh)
         except (OSError, ValueError) as exc:
-            print(f"error: cannot read report {args.report}: {exc}",
-                  file=sys.stderr)
-            return 2
+            return cli_error(f"cannot read report {args.report}: {exc}")
         tracing = report.get("tracing")
         if not tracing:
             print(f"error: {args.report} has no tracing section "
@@ -298,38 +262,30 @@ def main(argv: list[str] | None = None) -> int:
         return gp_main(argv[1:])
     args = build_parser().parse_args(argv)
     if args.n < 2:
-        print("error: --n must be at least 2", file=sys.stderr)
-        return 2
-
-    if args.exec_mode in ("threaded", "process"):
-        if args.racecheck:
-            print("error: --racecheck is eager-only (per-task fingerprints need "
-                  f"kernels to run at submission); drop --exec {args.exec_mode}",
-                  file=sys.stderr)
-            return 2
-        if args.format == "blr":
-            print("error: --exec threaded supports --format tile-h and hmat only",
-                  file=sys.stderr)
-            return 2
-        if args.exec_mode == "process" and args.format != "tile-h":
-            print("error: --exec process supports --format tile-h only",
-                  file=sys.stderr)
-            return 2
-        if args.nworkers < 1:
-            print("error: --nworkers must be at least 1", file=sys.stderr)
-            return 2
-
-    if args.nested and args.format != "tile-h":
-        print("error: --nested expands Tile-H kernels; use --format tile-h",
-              file=sys.stderr)
-        return 2
-    if args.nested_min_leaf < 1:
-        print("error: --nested-min-leaf must be at least 1", file=sys.stderr)
-        return 2
+        return cli_error("--n must be at least 2")
+    if min(args.threads) < 1:
+        return cli_error("--threads must be at least 1")
+    if args.format != "tile-h":
+        for flag, used in (("--method cholesky", args.method != "lu"),
+                           ("--nested", args.nested),
+                           ("--exec process", args.exec_mode == "process")):
+            if used:
+                return cli_error(f"{flag} needs --format tile-h")
+        if args.format == "blr" and args.exec_mode == "threaded":
+            return cli_error("--exec threaded supports --format tile-h and hmat only")
+    nb = args.nb if args.nb is not None else default_nb(args.n)
+    try:
+        tile_config = TileHConfig(
+            nb=nb, eps=args.eps, leaf_size=args.leaf_size, racecheck=args.racecheck,
+            exec_mode=args.exec_mode, nworkers=args.nworkers,
+            scheduler=args.scheduler, priority_mode=args.priority_mode,
+            nested=args.nested, nested_min_leaf=args.nested_min_leaf,
+        )
+    except ValueError as exc:
+        return cli_error(exc)
 
     points = cylinder_cloud(args.n)
     kernel = make_kernel("laplace" if args.precision == "d" else "helmholtz", points)
-    nb = args.nb if args.nb is not None else max(64, args.n // 16)
 
     print(f"test case : cylinder, n={args.n}, precision={args.precision}")
     print(f"format    : {args.format} (nb={nb}, eps={args.eps:g}, leaf={args.leaf_size})")
@@ -337,17 +293,6 @@ def main(argv: list[str] | None = None) -> int:
         kind = "worker threads" if args.exec_mode == "threaded" else "worker processes"
         print(f"executor  : {args.exec_mode}, {args.nworkers} {kind}, "
               f"scheduler={args.scheduler}, priorities={args.priority_mode}")
-
-    tile_config = TileHConfig(
-        nb=nb, eps=args.eps, leaf_size=args.leaf_size, racecheck=args.racecheck,
-        exec_mode=args.exec_mode, nworkers=args.nworkers,
-        scheduler=args.scheduler, priority_mode=args.priority_mode,
-        nested=args.nested, nested_min_leaf=args.nested_min_leaf,
-    )
-    if args.method != "lu" and args.format != "tile-h":
-        print("error: --method cholesky is only supported with --format tile-h",
-              file=sys.stderr)
-        return 2
 
     rng = np.random.default_rng(args.seed)
     x0 = rng.standard_normal(args.n)

@@ -31,7 +31,10 @@ from .algorithms import (
     apply_bottom_level_priorities,
 )
 from .sweep import SweepProgram, compile_sweep
-from .solver import TileHConfig, TileHMatrix, FactorizationInfo, iterative_refinement
+from .solver import (
+    EXEC_MODES, FACTOR_METHODS, PRIORITY_MODES, TileHConfig, TileHMatrix, FactorizationInfo,
+    default_nb, iterative_refinement,
+)
 from .krylov import KrylovResult, gmres, pcg
 
 __all__ = [
@@ -55,6 +58,10 @@ __all__ = [
     "apply_bottom_level_priorities",
     "assemble_priority",
     "TileHConfig",
+    "EXEC_MODES",
+    "PRIORITY_MODES",
+    "FACTOR_METHODS",
+    "default_nb",
     "TileHMatrix",
     "FactorizationInfo",
     "iterative_refinement",

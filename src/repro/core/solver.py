@@ -46,7 +46,20 @@ from .descriptor import TileHDesc
 from .factor_program import instantiate, program_for
 from .sweep import SweepProgram, compile_sweep
 
-__all__ = ["TileHConfig", "FactorizationInfo", "TileHMatrix", "iterative_refinement"]
+__all__ = ["TileHConfig", "FactorizationInfo", "TileHMatrix", "iterative_refinement",
+           "EXEC_MODES", "PRIORITY_MODES", "FACTOR_METHODS", "default_nb"]
+
+#: Executors of a build/factorisation (``TileHConfig.exec_mode``).
+EXEC_MODES = ("eager", "threaded", "process")
+#: Task-priority rules (``TileHConfig.priority_mode``).
+PRIORITY_MODES = ("static", "bottom-level")
+#: Factorisations of :meth:`TileHMatrix.factorize` (``method=``).
+FACTOR_METHODS = ("lu", "cholesky")
+
+
+def default_nb(n: int) -> int:
+    """The tile size NB used for ``n`` unknowns when none is given."""
+    return max(64, n // 16)
 
 
 def iterative_refinement(
@@ -139,8 +152,8 @@ class TileHConfig:
     nworkers:
         Worker thread/process count for ``exec_mode="threaded"/"process"``.
     scheduler:
-        Scheduling policy driving the threaded executor ("ws", "lws",
-        "prio", "eager", "dm" — Section V-C's StarPU policies).
+        Scheduling policy driving the threaded and process executors ("ws",
+        "lws", "prio" — Section V-C's StarPU policies — or the FIFO "eager").
     priority_mode:
         "static" (default) keeps the CHAMELEON LU heuristic of
         :func:`~repro.core.algorithms.lu_priorities`; "bottom-level"
@@ -186,21 +199,17 @@ class TileHConfig:
             raise ValueError(f"eps must be non-negative, got {self.eps}")
         if self.leaf_size < 1:
             raise ValueError(f"leaf_size must be positive, got {self.leaf_size}")
-        if self.exec_mode not in ("eager", "threaded", "process"):
-            raise ValueError(
-                "exec_mode must be 'eager', 'threaded' or 'process', "
-                f"got {self.exec_mode!r}"
-            )
+        if self.exec_mode not in EXEC_MODES:
+            raise ValueError(f"exec_mode must be one of {EXEC_MODES}, got {self.exec_mode!r}")
         if self.nworkers < 1:
             raise ValueError(f"nworkers must be >= 1, got {self.nworkers}")
         if self.scheduler not in SCHEDULER_NAMES:
             raise ValueError(
                 f"unknown scheduler {self.scheduler!r}; available: {SCHEDULER_NAMES}"
             )
-        if self.priority_mode not in ("static", "bottom-level"):
+        if self.priority_mode not in PRIORITY_MODES:
             raise ValueError(
-                "priority_mode must be 'static' or 'bottom-level', "
-                f"got {self.priority_mode!r}"
+                f"priority_mode must be one of {PRIORITY_MODES}, got {self.priority_mode!r}"
             )
         if self.racecheck and self.exec_mode != "eager":
             raise ValueError(
@@ -442,7 +451,7 @@ class TileHMatrix:
         if cfg.exec_mode not in ("threaded", "process"):
             mat = cls.build(kernel, points, cfg)
             return mat, mat.factorize(method=method)
-        if method not in ("lu", "cholesky"):
+        if method not in FACTOR_METHODS:
             raise ValueError(f"method must be 'lu' or 'cholesky', got {method!r}")
         mat, engine, context = cls._submit_build(kernel, points, cfg)
         if cfg.nested:
@@ -521,7 +530,7 @@ class TileHMatrix:
         cfg = self.config
         accumulate = cfg.accumulate
         threaded = cfg.exec_mode in ("threaded", "process")
-        if method not in ("lu", "cholesky"):
+        if method not in FACTOR_METHODS:
             raise ValueError(f"method must be 'lu' or 'cholesky', got {method!r}")
         if engine is None and threaded and cfg.nested:
             # Every deferred nested graph is a bound FactorProgram — recorded

@@ -7,9 +7,10 @@ interaction kernels ``K(d) = 1/d`` (real double, "d") and
 rule of thumb for the wave number.
 """
 
-from .cylinder import cylinder_cloud, sphere_cloud, plate_cloud, mesh_step
+from .cylinder import GEOMETRIES, cylinder_cloud, sphere_cloud, plate_cloud, mesh_step
 from .kernels import (
     GP_KERNELS,
+    SOLVE_KERNELS,
     BlockSampler,
     KernelFunction,
     laplace_kernel,
@@ -28,6 +29,7 @@ __all__ = [
     "sphere_cloud",
     "plate_cloud",
     "mesh_step",
+    "GEOMETRIES",
     "KernelFunction",
     "BlockSampler",
     "laplace_kernel",
@@ -37,6 +39,7 @@ __all__ = [
     "squared_exponential_kernel",
     "matern_kernel",
     "GP_KERNELS",
+    "SOLVE_KERNELS",
     "make_kernel",
     "rule_of_thumb_wavenumber",
     "DenseOperator",

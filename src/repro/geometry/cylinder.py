@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-__all__ = ["cylinder_cloud", "sphere_cloud", "plate_cloud", "mesh_step"]
+__all__ = ["cylinder_cloud", "sphere_cloud", "plate_cloud", "mesh_step", "GEOMETRIES"]
 
 
 def cylinder_cloud(
@@ -121,6 +121,10 @@ def plate_cloud(n: int, *, width: float = 1.0, height: float = 1.0) -> np.ndarra
     pts[:, 0] = (ix + 0.5) * (width / nx)
     pts[:, 1] = (iy + 0.5) * (height / ny)
     return pts
+
+
+#: Point-cloud factory by geometry name (the geometries a problem can name).
+GEOMETRIES = {"cylinder": cylinder_cloud, "sphere": sphere_cloud, "plate": plate_cloud}
 
 
 def mesh_step(points: np.ndarray, sample: int = 256) -> float:

@@ -35,6 +35,7 @@ __all__ = [
     "squared_exponential_kernel",
     "matern_kernel",
     "GP_KERNELS",
+    "SOLVE_KERNELS",
     "make_kernel",
     "rule_of_thumb_wavenumber",
 ]
@@ -444,6 +445,8 @@ _FACTORIES = {
 #: Kernel names usable as Gaussian-process covariances (SPD with an exact
 #: ``signal^2 + nugget`` prior variance on the diagonal).
 GP_KERNELS = ("sqexp", "matern12", "matern32", "matern52")
+#: Kernel names of the BEM-style solve problems (the rest of the table).
+SOLVE_KERNELS = ("laplace", "helmholtz", "gravity", "exponential")
 
 
 def make_kernel(name: str, points: np.ndarray, **params) -> KernelFunction:

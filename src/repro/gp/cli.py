@@ -22,54 +22,27 @@ running ``repro serve`` endpoint instead.
 from __future__ import annotations
 
 import argparse
-import sys
 import time
 
 import numpy as np
 
-__all__ = ["gp_main"]
+from ..flags import (add_problem, add_run, add_spec, add_store, add_timeout, add_url,
+                     add_workers, cli_error, spec_from_args)
+from ..geometry import GP_KERNELS
 
-_KERNELS = ("sqexp", "matern12", "matern32", "matern52")
+__all__ = ["gp_main"]
 
 
 def _add_common_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--kernel", choices=list(_KERNELS), default="sqexp",
-                   help="GP covariance kernel")
-    p.add_argument("--n", type=int, default=800, help="training points")
-    p.add_argument("--geometry", choices=["cylinder", "sphere", "plate"],
-                   default="cylinder")
+    add_spec(p, GP_KERNELS)
+    add_problem(p)
+    add_run(p)
+    add_store(p)
+    p.set_defaults(n=800, eps=1e-6)
     p.add_argument("--length", type=float, default=0.25, help="length scale")
     p.add_argument("--signal", type=float, default=1.0, help="signal std dev")
     p.add_argument("--noise", type=float, default=0.1,
                    help="observation-noise std dev (nugget = noise^2)")
-    p.add_argument("--nb", type=int, default=None, help="tile size NB (default n/16)")
-    p.add_argument("--eps", type=float, default=1e-6, help="ACA/compression accuracy")
-    p.add_argument("--leaf-size", type=int, default=64, help="dense leaf size")
-    p.add_argument("--seed", type=int, default=0, help="RNG seed of the synthetic targets")
-    p.add_argument("--exec", dest="exec_mode",
-                   choices=["eager", "threaded", "process"], default="eager",
-                   help="executor for the covariance factorisation")
-    p.add_argument("--nworkers", type=int, default=2,
-                   help="workers for --exec threaded/process")
-    p.add_argument("--store", metavar="DIR", default=None,
-                   help="factorization store directory (default: in-memory only)")
-    p.add_argument("--mmap", action="store_true",
-                   help="memory-map persisted factors on load")
-    p.add_argument("--profile", metavar="PATH", default=None,
-                   help="write a run report (JSON, with the gp section)")
-
-
-def _spec_from_args(args):
-    from ..service import ProblemSpec
-
-    data = {
-        "kind": "gp", "kernel": args.kernel, "n": args.n, "geometry": args.geometry,
-        "length": args.length, "signal": args.signal, "noise": args.noise,
-        "eps": args.eps, "leaf_size": args.leaf_size,
-    }
-    if args.nb is not None:
-        data["nb"] = args.nb
-    return ProblemSpec.from_dict(data)
 
 
 def _posterior_from_columns(kern, x_train, y, x_test, columns):
@@ -102,18 +75,14 @@ def _gp_section(spec, args, *, n_test, train_seconds, predict_seconds, **extra) 
     return section
 
 
-def _train(args) -> int:
+def _train(args, spec, config, data) -> int:
     from ..geometry import streamed_matvec
     from ..service import FactorizationStore, build_solver, spec_fingerprint
-    from .data import synthetic_gp_data
     from .model import GPModel
 
-    spec = _spec_from_args(args)
     key = spec_fingerprint(spec)
-    x, y, _, _ = synthetic_gp_data(
-        args.n, 1, geometry=args.geometry, noise=args.noise, seed=args.seed
-    )
-    store = FactorizationStore(args.store, mmap=args.mmap)
+    x, y, _, _ = data
+    store = FactorizationStore(args.store, mmap=True)
     warm = key in store.keys()
     print(f"spec      : {spec.kernel} n={spec.n} nb={spec.effective_nb} "
           f"eps={spec.eps:g} length={spec.length:g} noise={spec.noise:g}")
@@ -121,7 +90,7 @@ def _train(args) -> int:
     t0 = time.perf_counter()
     solver = store.get_or_build(
         key,
-        lambda: build_solver(spec, exec_mode=args.exec_mode, nworkers=args.nworkers),
+        lambda: build_solver(spec, exec_mode=config.exec_mode, nworkers=config.nworkers),
     )
     train_s = time.perf_counter() - t0
     alpha = solver.solve(y)
@@ -142,24 +111,15 @@ def _train(args) -> int:
     )
 
 
-def _predict(args) -> int:
-    from ..core import TileHConfig
-    from .data import synthetic_gp_data
+def _predict(args, spec, config, data) -> int:
     from .model import GPModel
 
-    spec = _spec_from_args(args)
-    x, y, x_test, f_test = synthetic_gp_data(
-        args.n, args.n_test, geometry=args.geometry, noise=args.noise, seed=args.seed
-    )
+    x, y, x_test, f_test = data
     print(f"spec      : {spec.kernel} n={spec.n} nb={spec.effective_nb} "
           f"eps={spec.eps:g} -> {args.n_test} test points")
 
     extra: dict = {}
     if args.direct:
-        config = TileHConfig(
-            nb=spec.effective_nb, eps=spec.eps, leaf_size=spec.leaf_size,
-            exec_mode=args.exec_mode, nworkers=args.nworkers,
-        )
         model = GPModel(spec.kernel, length=spec.length, signal=spec.signal,
                         noise=spec.noise, config=config)
         t0 = time.perf_counter()
@@ -198,17 +158,13 @@ def _predict(args) -> int:
         model = GPModel(spec.kernel, length=spec.length, signal=spec.signal, noise=spec.noise)
         kern = model.kernel_function(x)
         ks = kern(x, x_test)
-        spec_dict = spec.canonical()
-        del spec_dict["nb"]  # canonical nb is the resolved default; resend user intent
-        if args.nb is not None:
-            spec_dict["nb"] = args.nb
         train_s = 0.0
         t0 = time.perf_counter()
         # One kept-alive connection per pool thread, all closed with the client.
         with SolveClient(args.url) as client, \
                 ThreadPoolExecutor(max_workers=max(1, args.batch)) as pool:
             columns = list(pool.map(
-                lambda j: client.solve(spec_dict, ks[:, j], timeout=args.timeout),
+                lambda j: client.solve(spec.canonical(), ks[:, j], timeout=args.timeout),
                 range(args.n_test),
             ))
         predict_s = time.perf_counter() - t0
@@ -222,16 +178,18 @@ def _predict(args) -> int:
         model = GPModel(spec.kernel, length=spec.length, signal=spec.signal, noise=spec.noise)
         kern = model.kernel_function(x)
         ks = kern(x, x_test)
-        store = FactorizationStore(args.store, mmap=args.mmap)
-        service = SolveService(
-            store,
-            workers=args.workers,
-            max_queue=args.n_test + 8,
-            max_batch=args.batch,
-            max_delay=0.05 if args.batch > 1 else 0.0,
-            exec_mode=args.exec_mode,
-            exec_workers=args.nworkers,
-        )
+        try:
+            service = SolveService(
+                FactorizationStore(args.store, mmap=True),
+                workers=args.workers,
+                max_queue=args.n_test + 8,
+                max_batch=args.batch,
+                max_delay=0.05 if args.batch > 1 else 0.0,
+                exec_mode=config.exec_mode,
+                exec_workers=config.nworkers,
+            )
+        except ValueError as exc:
+            return cli_error(exc)
         try:
             t0 = time.perf_counter()
             tickets = [service.submit(spec, ks[:, j]) for j in range(args.n_test)]
@@ -292,15 +250,12 @@ def gp_main(argv: list[str]) -> int:
 
     predict = sub.add_parser("predict", help="posterior mean/variance at test points")
     _add_common_args(predict)
+    add_workers(predict)
+    add_timeout(predict)
+    add_url(predict)
     predict.add_argument("--n-test", type=int, default=64, help="test points")
     predict.add_argument("--batch", type=int, default=8,
                          help="micro-batch panel width (service mode)")
-    predict.add_argument("--workers", type=int, default=2,
-                         help="service worker threads (service mode)")
-    predict.add_argument("--timeout", type=float, default=None,
-                         help="per-prediction deadline in seconds")
-    predict.add_argument("--url", default=None,
-                         help="send prediction solves to a running `repro serve` endpoint")
     predict.add_argument("--direct", action="store_true",
                          help="run the fused in-process prediction task graph "
                          "instead of the service")
@@ -312,8 +267,20 @@ def gp_main(argv: list[str]) -> int:
 
     args = parser.parse_args(argv)
     if getattr(args, "pcg", False) and not args.direct:
-        print("error: --pcg needs --direct (the factors must be local)", file=sys.stderr)
-        return 2
+        return cli_error("--pcg needs --direct (the factors must be local)")
+    from ..core import TileHConfig
+    from ..service import BadRequestError
+    from .data import synthetic_gp_data
+
+    try:
+        spec = spec_from_args(args, kind="gp", length=args.length, signal=args.signal,
+                              noise=args.noise)
+        config = TileHConfig(nb=spec.effective_nb, eps=spec.eps, leaf_size=spec.leaf_size,
+                             exec_mode=args.exec_mode, nworkers=args.nworkers)
+        data = synthetic_gp_data(args.n, getattr(args, "n_test", 1), geometry=spec.geometry,
+                                 noise=spec.noise, seed=args.seed)
+    except (ValueError, BadRequestError) as exc:
+        return cli_error(exc)
 
     run = _train if args.command == "train" else _predict
     if args.profile is not None:
@@ -321,5 +288,5 @@ def gp_main(argv: list[str]) -> int:
 
         with Instrumentation() as probe:
             args._probe = probe
-            return run(args)
-    return run(args)
+            return run(args, spec, config, data)
+    return run(args, spec, config, data)

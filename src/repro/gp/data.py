@@ -12,16 +12,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..geometry import cylinder_cloud, plate_cloud, sphere_cloud
+from ..geometry import GEOMETRIES
 
-__all__ = ["GEOMETRIES", "latent_function", "synthetic_gp_data"]
-
-#: Geometry name -> point-cloud factory (the service's spec geometries).
-GEOMETRIES = {
-    "cylinder": cylinder_cloud,
-    "sphere": sphere_cloud,
-    "plate": plate_cloud,
-}
+__all__ = ["latent_function", "synthetic_gp_data"]
 
 
 def latent_function(points: np.ndarray) -> np.ndarray:

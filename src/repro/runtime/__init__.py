@@ -21,7 +21,6 @@ from .stf import StfEngine
 from .schedulers import (
     Scheduler,
     EagerScheduler,
-    DequeModelScheduler,
     PrioScheduler,
     WorkStealingScheduler,
     LocalityWorkStealingScheduler,
@@ -63,7 +62,6 @@ __all__ = [
     "ExpansionRecord",
     "Scheduler",
     "EagerScheduler",
-    "DequeModelScheduler",
     "PrioScheduler",
     "WorkStealingScheduler",
     "LocalityWorkStealingScheduler",

@@ -30,7 +30,6 @@ from .task import Task
 __all__ = [
     "Scheduler",
     "EagerScheduler",
-    "DequeModelScheduler",
     "PrioScheduler",
     "WorkStealingScheduler",
     "LocalityWorkStealingScheduler",
@@ -225,54 +224,16 @@ class LocalityWorkStealingScheduler(Scheduler):
         return sum(len(h) for h in self._heaps)
 
 
-class DequeModelScheduler(Scheduler):
-    """Cost-aware central queue (StarPU's ``dm`` family, homogeneous case).
-
-    With homogeneous workers the deque-model policy reduces to serving the
-    most expensive ready task first (longest-processing-time list
-    scheduling), using each task's performance-model estimate — here the
-    measured/modelled cost itself.  Ties break on priority, then FIFO.
-    """
-
-    name = "dm"
-
-    def __init__(self, cost_attr: str = "seconds") -> None:
-        self.cost_attr = cost_attr
-
-    def setup(self, nworkers: int) -> None:
-        self._heap: list[tuple[float, int, int, Task]] = []
-        self._seq = itertools.count()
-
-    def push(self, task: Task, worker: int | None) -> None:
-        heapq.heappush(
-            self._heap,
-            (-task.cost(self.cost_attr), -task.priority, next(self._seq), task),
-        )
-        self._note_push()
-
-    def pop(self, worker: int) -> Task | None:
-        if not self._heap:
-            self._note_pop(None)
-            return None
-        task = heapq.heappop(self._heap)[3]
-        self._note_pop(task)
-        return task
-
-    def pending(self) -> int:
-        return len(self._heap)
-
-
 _REGISTRY = {
     "eager": EagerScheduler,
     "prio": PrioScheduler,
     "ws": WorkStealingScheduler,
     "lws": LocalityWorkStealingScheduler,
-    "dm": DequeModelScheduler,
 }
 
 #: Names accepted by :func:`make_scheduler`, in the paper's order (the
-#: paper's three strategies first, then the extras).
-SCHEDULER_NAMES = ("ws", "lws", "prio", "eager", "dm")
+#: paper's three strategies first, then the FIFO baseline).
+SCHEDULER_NAMES = ("ws", "lws", "prio", "eager")
 
 
 def make_scheduler(name: str) -> Scheduler:

@@ -106,7 +106,7 @@ def simulate(
     Parameters
     ----------
     scheduler:
-        Policy object or name ("ws", "lws", "prio", "eager", "dm").
+        Policy object or name ("ws", "lws", "prio", "eager").
     overheads:
         Runtime overhead model; defaults to StarPU-like microsecond costs.
     cost_attr:

@@ -25,6 +25,10 @@ import time
 
 import numpy as np
 
+from ..flags import (add_method, add_problem, add_run, add_spec, add_store, add_timeout,
+                     add_url, add_workers, cli_error, spec_from_args)
+from ..geometry import SOLVE_KERNELS
+
 __all__ = ["serve_main", "request_main"]
 
 
@@ -35,12 +39,12 @@ def serve_main(argv: list[str]) -> int:
     )
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=8750)
-    parser.add_argument("--store", metavar="DIR", default=None,
-                        help="directory for persisted factorizations (default: in-memory only)")
+    add_store(parser)
+    add_workers(parser)
+    add_run(parser)
+    parser.set_defaults(nworkers=None)
     parser.add_argument("--budget-mb", type=float, default=None,
                         help="in-memory cache budget in MiB (default: unbounded)")
-    parser.add_argument("--workers", type=int, default=2,
-                        help="solve worker threads (per fleet worker with --fleet)")
     parser.add_argument("--fleet", type=int, default=0, metavar="N",
                         help="run N sharded services behind consistent-hash "
                         "routing with SLO lanes (interactive/batch) instead of "
@@ -67,16 +71,6 @@ def serve_main(argv: list[str]) -> int:
                         help="max seconds a request waits for batch-mates")
     parser.add_argument("--max-retries", type=int, default=2,
                         help="retries of a batch after a transient failure")
-    parser.add_argument("--exec", dest="exec_mode",
-                        choices=["eager", "threaded", "process"], default="eager",
-                        help="executor for cold-start factorizations")
-    parser.add_argument("--exec-workers", type=int, default=None,
-                        help="executor workers for cold builds "
-                        "(default: min(cores, 4) for threaded/process)")
-    parser.add_argument("--mmap", action="store_true",
-                        help="memory-map persisted factorizations on load")
-    parser.add_argument("--profile", metavar="PATH", default=None,
-                        help="write a run report (JSON, with the service section) on shutdown")
     parser.add_argument("--trace-requests", type=int, default=64, metavar="N",
                         help="keep the last N request traces for /tracez and "
                         "`repro trace` (0 disables tracing)")
@@ -100,39 +94,31 @@ def serve_main(argv: list[str]) -> int:
     if probe is not None:
         probe.__enter__()
     try:
-        if args.fleet > 0:
-            service = ServeFleet(
-                args.fleet,
-                store_root=args.store,
-                budget_bytes=budget,
-                lanes=(
-                    LaneConfig("interactive", max_inflight=args.interactive_inflight,
-                               slo_seconds=args.interactive_slo),
-                    LaneConfig("batch", max_inflight=args.batch_inflight,
-                               slo_seconds=args.batch_slo),
-                ),
-                replicate_hot_after=args.hot_after,
-                replicas=args.replicas,
-                service_threads=args.workers,
-                max_queue=args.max_queue,
-                max_batch=args.max_batch,
-                max_delay=args.max_delay,
-                max_retries=args.max_retries,
-                exec_mode=args.exec_mode,
-                exec_workers=args.exec_workers,
-            )
-        else:
-            store = FactorizationStore(args.store, budget_bytes=budget, mmap=args.mmap)
-            service = SolveService(
-                store,
-                workers=args.workers,
-                max_queue=args.max_queue,
-                max_batch=args.max_batch,
-                max_delay=args.max_delay,
-                max_retries=args.max_retries,
-                exec_mode=args.exec_mode,
-                exec_workers=args.exec_workers,
-            )
+        knobs = dict(max_queue=args.max_queue, max_batch=args.max_batch,
+                     max_delay=args.max_delay, max_retries=args.max_retries,
+                     exec_mode=args.exec_mode, exec_workers=args.nworkers)
+        try:
+            if args.fleet > 0:
+                service = ServeFleet(
+                    args.fleet,
+                    store_root=args.store,
+                    budget_bytes=budget,
+                    lanes=(
+                        LaneConfig("interactive", max_inflight=args.interactive_inflight,
+                                   slo_seconds=args.interactive_slo),
+                        LaneConfig("batch", max_inflight=args.batch_inflight,
+                                   slo_seconds=args.batch_slo),
+                    ),
+                    replicate_hot_after=args.hot_after,
+                    replicas=args.replicas,
+                    service_threads=args.workers,
+                    **knobs,
+                )
+            else:
+                store = FactorizationStore(args.store, budget_bytes=budget, mmap=True)
+                service = SolveService(store, workers=args.workers, **knobs)
+        except ValueError as exc:
+            return cli_error(exc)
         server = make_server(service, args.host, args.port)
         host, port = server.server_address[:2]
         if args.fleet > 0:
@@ -144,8 +130,7 @@ def serve_main(argv: list[str]) -> int:
             print(f"serving   : http://{host}:{port} "
                   f"({args.workers} workers, queue {args.max_queue}, batch {args.max_batch})")
         if args.exec_mode != "eager":
-            exec_workers = args.exec_workers or "auto"
-            print(f"executor  : {args.exec_mode} x {exec_workers} for cold builds")
+            print(f"executor  : {args.exec_mode} x {args.nworkers or 'auto'} for cold builds")
         print(f"store     : {args.store or 'in-memory only'}"
               + (f", budget {args.budget_mb:g} MiB" if budget is not None else ""))
         if service.keys():
@@ -205,20 +190,13 @@ def request_main(argv: list[str]) -> int:
         prog="python -m repro request",
         description="Send solve requests to a running `repro serve` endpoint",
     )
-    parser.add_argument("--url", default="http://127.0.0.1:8750")
-    parser.add_argument("--kernel", choices=["laplace", "helmholtz", "gravity", "exponential"],
-                        default="laplace")
-    parser.add_argument("--n", type=int, default=2000)
-    parser.add_argument("--geometry", choices=["cylinder", "sphere", "plate"],
-                        default="cylinder")
-    parser.add_argument("--nb", type=int, default=None)
-    parser.add_argument("--eps", type=float, default=1e-6)
-    parser.add_argument("--leaf-size", type=int, default=64)
-    parser.add_argument("--method", choices=["lu", "cholesky"], default="lu")
+    add_url(parser)
+    add_spec(parser, SOLVE_KERNELS)
+    add_problem(parser)
+    add_method(parser)
+    add_timeout(parser)
+    parser.set_defaults(url="http://127.0.0.1:8750", eps=1e-6)
     parser.add_argument("--count", type=int, default=1, help="number of requests to send")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--timeout", type=float, default=None,
-                        help="per-request deadline in seconds (server-side)")
     parser.add_argument("--lane", default=None,
                         help="admission lane (fleet servers only: "
                         "'interactive' or 'batch')")
@@ -231,9 +209,13 @@ def request_main(argv: list[str]) -> int:
                         help="ask the server to drain and exit")
     args = parser.parse_args(argv)
 
-    from .errors import ServiceError
+    from .errors import BadRequestError, ServiceError
     from .http import SolveClient
 
+    try:
+        spec = spec_from_args(args, method=args.method)
+    except BadRequestError as exc:
+        return cli_error(exc)
     client = SolveClient(args.url)
     try:
         if args.shutdown:
@@ -243,21 +225,14 @@ def request_main(argv: list[str]) -> int:
             print(json.dumps(client.stats(), indent=2))
             return 0
 
-        spec = {"kernel": args.kernel, "n": args.n, "geometry": args.geometry,
-                "eps": args.eps, "leaf_size": args.leaf_size, "method": args.method}
-        if args.nb is not None:
-            spec["nb"] = args.nb
         rng = np.random.default_rng(args.seed)
         complex_rhs = args.kernel == "helmholtz"
 
         x0s, rhs = [], []
         if args.check:
-            from ..geometry import (cylinder_cloud, make_kernel, plate_cloud,
-                                    sphere_cloud, streamed_matvec)
+            from ..geometry import GEOMETRIES, make_kernel, streamed_matvec
 
-            clouds = {"cylinder": cylinder_cloud, "sphere": sphere_cloud,
-                      "plate": plate_cloud}
-            points = clouds[args.geometry](args.n)
+            points = GEOMETRIES[args.geometry](args.n)
             kernel = make_kernel(args.kernel, points)
         for _ in range(args.count):
             x0 = rng.standard_normal(args.n)
@@ -272,7 +247,7 @@ def request_main(argv: list[str]) -> int:
         latencies = []
         for i, b in enumerate(rhs):
             t0 = time.perf_counter()
-            x = client.solve(spec, b, timeout=args.timeout, lane=args.lane)
+            x = client.solve(spec.canonical(), b, timeout=args.timeout, lane=args.lane)
             dt = time.perf_counter() - t0
             latencies.append(dt)
             line = f"request {i:3d}: {dt * 1e3:8.2f} ms, |x| = {np.linalg.norm(x):.6g}"
@@ -290,7 +265,6 @@ def request_main(argv: list[str]) -> int:
         print(f"error [{exc.code}]: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
-        print(f"error: cannot reach {args.url}: {exc}", file=sys.stderr)
-        return 2
+        return cli_error(f"cannot reach {args.url}: {exc}")
     finally:
         client.close()

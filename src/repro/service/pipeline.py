@@ -54,6 +54,7 @@ from contextlib import nullcontext as _null_ctx
 
 import numpy as np
 
+from ..core import EXEC_MODES
 from ..obs import current as obs_current
 from ..obs.exposition import SlidingWindow
 from ..obs.metrics import Histogram
@@ -211,10 +212,8 @@ class SolveService:
             raise ValueError(f"max_queue must be >= 1, got {max_queue}")
         if max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {max_retries}")
-        if exec_mode not in ("eager", "threaded", "process"):
-            raise ValueError(
-                f"exec_mode must be 'eager', 'threaded' or 'process', got {exec_mode!r}"
-            )
+        if exec_mode not in EXEC_MODES:
+            raise ValueError(f"exec_mode must be one of {EXEC_MODES}, got {exec_mode!r}")
         if exec_workers is not None and exec_workers < 1:
             raise ValueError(f"exec_workers must be >= 1, got {exec_workers}")
         self.exec_mode = exec_mode

@@ -19,23 +19,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ..core import TileHConfig, TileHMatrix
-from ..geometry import GP_KERNELS, cylinder_cloud, make_kernel, plate_cloud, sphere_cloud
+from ..core import FACTOR_METHODS, TileHConfig, TileHMatrix, default_nb
+from ..geometry import GEOMETRIES, GP_KERNELS, SOLVE_KERNELS, make_kernel
 from ..obs.tracing import current_trace
 
 __all__ = ["ProblemSpec", "spec_fingerprint", "build_solver", "rhs_dtype", "check_rhs"]
 
 from .errors import BadRequestError
-
-_GEOMETRIES = {
-    "cylinder": cylinder_cloud,
-    "sphere": sphere_cloud,
-    "plate": plate_cloud,
-}
-
-_KERNELS = ("laplace", "helmholtz", "gravity", "exponential")
-
-_METHODS = ("lu", "cholesky")
 
 _KINDS = ("solve", "gp")
 
@@ -98,17 +88,21 @@ class ProblemSpec:
                 else:
                     object.__setattr__(self, name, float(value))
         else:
-            if self.kernel not in _KERNELS:
-                raise BadRequestError(f"unknown kernel {self.kernel!r}; choose from {_KERNELS}")
+            if self.kernel not in SOLVE_KERNELS:
+                raise BadRequestError(
+                    f"unknown kernel {self.kernel!r}; choose from {SOLVE_KERNELS}"
+                )
             for name in _GP_DEFAULTS:
                 if getattr(self, name) is not None:
                     raise BadRequestError(f"{name} only applies to kind='gp' specs")
-        if self.geometry not in _GEOMETRIES:
+        if self.geometry not in GEOMETRIES:
             raise BadRequestError(
-                f"unknown geometry {self.geometry!r}; choose from {tuple(_GEOMETRIES)}"
+                f"unknown geometry {self.geometry!r}; choose from {tuple(GEOMETRIES)}"
             )
-        if self.method not in _METHODS:
-            raise BadRequestError(f"unknown method {self.method!r}; choose from {_METHODS}")
+        if self.method not in FACTOR_METHODS:
+            raise BadRequestError(
+                f"unknown method {self.method!r}; choose from {FACTOR_METHODS}"
+            )
         if not isinstance(self.n, int) or self.n < 2:
             raise BadRequestError(f"n must be an integer >= 2, got {self.n!r}")
         if self.nb is not None and (not isinstance(self.nb, int) or self.nb < 1):
@@ -120,7 +114,7 @@ class ProblemSpec:
 
     @property
     def effective_nb(self) -> int:
-        return self.nb if self.nb is not None else max(64, self.n // 16)
+        return self.nb if self.nb is not None else default_nb(self.n)
 
     def canonical(self) -> dict:
         """The canonical JSON-able form that is hashed into the fingerprint.
@@ -186,7 +180,7 @@ def build_solver(
     returned solver's config is normalised back to the eager executor so warm
     panel solves and saved archives carry no build-time detail.
     """
-    points = _GEOMETRIES[spec.geometry](spec.n)
+    points = GEOMETRIES[spec.geometry](spec.n)
     if spec.kind == "gp":
         kernel = make_kernel(
             spec.kernel, points,

@@ -74,7 +74,7 @@ class TestFusedBuildFactorize:
         assert info.wall_seconds is not None and info.wall_seconds > 0
         assert validate_trace(info.graph, info.trace) == []
 
-    @pytest.mark.parametrize("scheduler", ["ws", "lws", "prio", "eager", "dm"])
+    @pytest.mark.parametrize("scheduler", ["ws", "lws", "prio", "eager"])
     def test_every_policy_solves(self, problem, scheduler):
         pts, kern, x, b = problem
         a, info = TileHMatrix.build_factorize(

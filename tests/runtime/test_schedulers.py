@@ -147,43 +147,3 @@ class TestLocalityWorkStealing:
         with pytest.raises(ValueError):
             LocalityWorkStealingScheduler().setup(0)
 
-
-class TestDequeModel:
-    def test_longest_task_first(self):
-        from repro.runtime import DequeModelScheduler
-
-        s = DequeModelScheduler()
-        s.setup(2)
-        s.push(Task(id=0, kind="k", seconds=1.0), None)
-        s.push(Task(id=1, kind="k", seconds=5.0), None)
-        s.push(Task(id=2, kind="k", seconds=3.0), None)
-        assert [s.pop(0).id for _ in range(3)] == [1, 2, 0]
-
-    def test_priority_breaks_cost_ties(self):
-        from repro.runtime import DequeModelScheduler
-
-        s = DequeModelScheduler()
-        s.setup(1)
-        s.push(Task(id=0, kind="k", seconds=1.0, priority=1), None)
-        s.push(Task(id=1, kind="k", seconds=1.0, priority=9), None)
-        assert s.pop(0).id == 1
-
-    def test_lpt_improves_on_fifo(self):
-        """Classic LPT example: one long + many short tasks on 2 workers."""
-        from repro.runtime import RuntimeOverheadModel, TaskGraph, simulate
-
-        g = TaskGraph()
-        for c in (1.0, 1.0, 1.0, 1.0, 4.0):
-            g.new_task("k", seconds=c)
-        zero = RuntimeOverheadModel.zero()
-        t_dm = simulate(g, 2, "dm", overheads=zero).makespan
-        t_fifo = simulate(g, 2, "eager", overheads=zero).makespan
-        assert t_dm == pytest.approx(4.0)
-        assert t_dm <= t_fifo
-
-    def test_empty_pop(self):
-        from repro.runtime import DequeModelScheduler
-
-        s = DequeModelScheduler()
-        s.setup(1)
-        assert s.pop(0) is None
