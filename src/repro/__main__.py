@@ -268,11 +268,9 @@ def main(argv: list[str] | None = None) -> int:
     if args.format != "tile-h":
         for flag, used in (("--method cholesky", args.method != "lu"),
                            ("--nested", args.nested),
-                           ("--exec process", args.exec_mode == "process")):
+                           (f"--exec {args.exec_mode}", args.exec_mode != "eager")):
             if used:
                 return cli_error(f"{flag} needs --format tile-h")
-        if args.format == "blr" and args.exec_mode == "threaded":
-            return cli_error("--exec threaded supports --format tile-h and hmat only")
     nb = args.nb if args.nb is not None else default_nb(args.n)
     try:
         tile_config = TileHConfig(
@@ -336,9 +334,7 @@ def main(argv: list[str] | None = None) -> int:
             else:
                 solver = HMatSolver(
                     kernel, points, eps=args.eps, leaf_size=args.leaf_size,
-                    racecheck=args.racecheck, exec_mode=args.exec_mode,
-                    nworkers=args.nworkers,
-                    scheduler=args.scheduler if args.exec_mode == "threaded" else "lws",
+                    racecheck=args.racecheck,
                 )
                 ratio = solver.compression_ratio()
             t_build = time.perf_counter() - t0
@@ -356,20 +352,13 @@ def main(argv: list[str] | None = None) -> int:
             )
 
         if args.exec_mode in ("threaded", "process"):
-            threaded_trace = getattr(info, "trace", None)
-            threaded_graph = info.graph
-            if threaded_trace is None:
-                # hmat path: the threaded part is the leaf assembly.
-                threaded_trace = getattr(solver, "assembly_trace", None)
-                threaded_graph = getattr(solver, "assembly_graph", None)
-            if threaded_trace is not None:
-                violations = validate_trace(threaded_graph, threaded_trace, strict=False)
-                if violations:
-                    print(f"error: threaded trace violates the DAG: {violations[:3]}",
-                          file=sys.stderr)
-                    return 1
-                print(f"trace     : {len(threaded_trace.events)} {args.exec_mode} "
-                      "events validated as a linear extension of the DAG")
+            violations = validate_trace(info.graph, info.trace, strict=False)
+            if violations:
+                print(f"error: threaded trace violates the DAG: {violations[:3]}",
+                      file=sys.stderr)
+                return 1
+            print(f"trace     : {len(info.trace.events)} {args.exec_mode} "
+                  "events validated as a linear extension of the DAG")
 
         nested_info = getattr(info, "nested", None)
         if nested_info:

@@ -31,7 +31,6 @@ from ..hmatrix import (
     KernelTracer,
     StrongAdmissibility,
     assemble_hmatrix,
-    assemble_hmatrix_tasks,
     build_block_cluster_tree,
     build_cluster_tree,
     hgetrf,
@@ -39,14 +38,12 @@ from ..hmatrix import (
     set_tracer,
 )
 from ..runtime import (
-    SCHEDULER_NAMES,
     AccessMode,
     RaceChecker,
     RuntimeOverheadModel,
     SimulationResult,
     StfEngine,
     TaskGraph,
-    ThreadedExecutor,
     simulate,
 )
 
@@ -156,9 +153,6 @@ class HMatSolver:
         admissibility=None,
         accumulate: bool = True,
         racecheck: bool = False,
-        exec_mode: str = "eager",
-        nworkers: int = 1,
-        scheduler: str = "lws",
     ) -> None:
         """``admissibility=WeakAdmissibility()`` yields the HODLR / Block-
         Separable structure of the related-work section (every off-diagonal
@@ -167,53 +161,17 @@ class HMatSolver:
         (see :class:`~repro.hmatrix.UpdateAccumulator`); ``False`` keeps the
         eager one-rounding-per-update arithmetic.  ``racecheck`` screens the
         fine-grain leaf handles for memory aliasing while the kernel trace
-        replays through the STF engine (eager-only, so it is incompatible
-        with ``exec_mode="threaded"``).
-
-        ``exec_mode="threaded"`` assembles the global H-matrix with one task
-        per block-cluster-tree leaf, run by a
-        :class:`~repro.runtime.ThreadedExecutor` over ``nworkers`` workers
-        under the named ``scheduler`` policy.  The recursive H-LU itself
-        stays serial — its fine-grain dependencies are exactly what the
-        paper's Tile-H formulation removes — so threading here parallelises
-        assembly only."""
-        if exec_mode not in ("eager", "threaded"):
-            raise ValueError(f"unknown exec_mode {exec_mode!r}")
-        if nworkers < 1:
-            raise ValueError("nworkers must be >= 1")
-        if scheduler not in SCHEDULER_NAMES:
-            raise ValueError(f"unknown scheduler {scheduler!r}")
-        if racecheck and exec_mode == "threaded":
-            raise ValueError(
-                "racecheck is eager-only: per-task fingerprints require "
-                "kernels to run at submission"
-            )
+        replays through the STF engine."""
         self.points = np.ascontiguousarray(points, dtype=np.float64)
         self.eps = eps
         self.accumulate = accumulate
         self.racecheck = racecheck
-        self.exec_mode = exec_mode
-        self.nworkers = nworkers
-        self.scheduler = scheduler
         self.tree = build_cluster_tree(self.points, leaf_size=leaf_size)
         adm = admissibility if admissibility is not None else StrongAdmissibility(eta=eta)
         block = build_block_cluster_tree(self.tree, self.tree, adm)
-        cfg = AssemblyConfig(eps=eps, method=method)
-        #: Trace/graph of the threaded leaf assembly (None under eager).
-        self.assembly_trace = None
-        self.assembly_graph = None
-        if exec_mode == "threaded":
-            engine = StfEngine(mode="deferred")
-            executor = ThreadedExecutor(
-                nworkers, scheduler=scheduler, interpreter_bound=True
-            )
-            self.matrix = assemble_hmatrix_tasks(
-                kernel, self.points, block, cfg, engine=engine, executor=executor
-            )
-            self.assembly_trace = executor.trace
-            self.assembly_graph = engine.graph
-        else:
-            self.matrix = assemble_hmatrix(kernel, self.points, block, cfg)
+        self.matrix = assemble_hmatrix(
+            kernel, self.points, block, AssemblyConfig(eps=eps, method=method)
+        )
         from ..obs.instrument import current as _current_probe
 
         probe = _current_probe()

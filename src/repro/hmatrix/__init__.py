@@ -29,7 +29,6 @@ from .hmatrix import (
     FullBlock,
     RkBlock,
     assemble_hmatrix,
-    assemble_hmatrix_tasks,
     AssemblyConfig,
 )
 from .io import (
@@ -73,7 +72,6 @@ __all__ = [
     "FullBlock",
     "RkBlock",
     "assemble_hmatrix",
-    "assemble_hmatrix_tasks",
     "AssemblyConfig",
     "hgetrf",
     "hgeadd",

@@ -26,7 +26,6 @@ __all__ = [
     "RkBlock",
     "AssemblyConfig",
     "assemble_hmatrix",
-    "assemble_hmatrix_tasks",
 ]
 
 
@@ -525,7 +524,7 @@ def assemble_hmatrix(
 
 
 def _assemble_leaf(kernel, pts, bt: BlockClusterTree, cfg: AssemblyConfig) -> HMatrix:
-    """Assemble one leaf of the block cluster tree (shared by both paths)."""
+    """Assemble one leaf of the block cluster tree."""
     rpts = pts[bt.rows.indices]
     cpts = pts[bt.cols.indices]
     if bt.admissible:
@@ -534,75 +533,3 @@ def _assemble_leaf(kernel, pts, bt: BlockClusterTree, cfg: AssemblyConfig) -> HM
         )
         return HMatrix(bt.rows, bt.cols, rk=rk)
     return HMatrix(bt.rows, bt.cols, full=kernel(rpts, cpts))
-
-
-def assemble_hmatrix_tasks(
-    kernel,
-    points: np.ndarray,
-    block_tree: BlockClusterTree,
-    config: AssemblyConfig | None = None,
-    *,
-    engine,
-    executor=None,
-) -> HMatrix:
-    """Task-based :func:`assemble_hmatrix`: one ``assemble`` task per leaf.
-
-    Each leaf of ``block_tree`` becomes one ``assemble`` task submitted
-    through ``engine`` (an :class:`~repro.runtime.stf.StfEngine`), declaring a
-    W access on a handle keyed to that leaf.  Leaves are independent, so under
-    a deferred engine and a threaded executor they are free to run in any
-    order (ACA is interpreter-bound, so owners run the graph under the
-    executor's interpreter lease, one leaf at a time); the interior
-    nodes are then stitched together bottom-up on the calling thread, which is
-    cheap (no numerical work happens above the leaves).
-
-    With an eager engine the leaves run at submission and the result is
-    numerically identical to :func:`assemble_hmatrix`.  With a deferred
-    engine, ``executor`` is required and is run on the engine's graph before
-    stitching.
-    """
-    from ..runtime.task import AccessMode
-
-    cfg = config or AssemblyConfig()
-    pts = np.ascontiguousarray(points, dtype=np.float64)
-    results: dict[int, HMatrix] = {}
-
-    def submit(bt: BlockClusterTree) -> None:
-        if bt.is_leaf:
-            engine.insert_task(
-                "assemble",
-                (lambda bt=bt: results.__setitem__(
-                    id(bt), _assemble_leaf(kernel, pts, bt, cfg)
-                )),
-                [(engine.handle(bt, f"leaf[{bt.rows.start},{bt.cols.start}]"),
-                  AccessMode.W)],
-                label=f"assemble-leaf({bt.rows.start},{bt.cols.start})",
-            )
-            return
-        for c in bt.children:
-            submit(c)
-
-    submit(block_tree)
-    if engine.mode == "deferred":
-        if executor is None:
-            raise ValueError(
-                "assemble_hmatrix_tasks with a deferred engine needs an "
-                "executor to run the assembly graph"
-            )
-        executor.run(engine.wait_all())
-    else:
-        engine.wait_all()
-
-    def stitch(bt: BlockClusterTree) -> HMatrix:
-        if bt.is_leaf:
-            return results[id(bt)]
-        kids = [stitch(c) for c in bt.children]
-        return HMatrix(
-            bt.rows,
-            bt.cols,
-            children=kids,
-            nrow_children=bt.nrow_children,
-            ncol_children=bt.ncol_children,
-        )
-
-    return stitch(block_tree)

@@ -292,7 +292,7 @@ class ProcessExecutor(GraphExecutor):
 
     ``dispatch_batch`` caps how many task entries one pipe write may carry.
     Fine-grain graphs (nested expansion) spend most of their single-worker
-    wall clock in dispatch round-trips (``fused_process`` nworkers=1 measured
+    wall clock in dispatch round-trips (a one-worker fused run measured
     ``idle_fraction`` 0.82); batching amortizes the syscall + wakeup cost.
     With one worker the batch is built by *optimistic completion* — pop a
     task, release what it frees as if it had finished, pop again — which

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.baselines import HMatSolver
 from repro.core import TileHConfig, TileHMatrix
 from repro.core.algorithms import apply_bottom_level_priorities, tiled_getrf_tasks
 from repro.geometry import cylinder_cloud, make_kernel, streamed_matvec
@@ -163,6 +164,15 @@ def test_nested_reduces_critical_path_and_simulated_makespan():
         graph, 8, "lws", overheads=ZERO, cost_attr="flops", keep_trace=False
     ).makespan
     assert m_after < m_before
+    # The crossover (benchmarks/bench_abl_nested.py): on the same problem the
+    # fine-grain HMAT DAG beats opaque Tile-H at p=8, and expansion closes
+    # the gap.
+    pts, kern, _b = _problem("laplace")
+    hmat = HMatSolver(kern, pts, eps=EPS, leaf_size=LEAF, accumulate=False).factorize().graph
+    m_hmat = simulate(
+        hmat, 8, "lws", overheads=ZERO, cost_attr="flops", keep_trace=False
+    ).makespan
+    assert m_before > m_hmat
     # Contraction preserves total work: expansion relabels flops, never
     # invents or drops any.
     assert contracted.total_work("flops") == pytest.approx(

@@ -41,7 +41,7 @@ def _dense_reference(model, x, y, x_test):
 
 
 class TestExactness:
-    @pytest.mark.parametrize("eps", [1e-4, 1e-8])
+    @pytest.mark.parametrize("eps", [1e-2, 1e-4, 1e-8])
     def test_posterior_mean_error_tracks_aca_tolerance(self, data, eps):
         x, y, x_test, _ = data
         model = _fit(data, eps=eps)

@@ -1,4 +1,4 @@
-"""End-to-end threaded pipeline: fused assembly+factorisation and baselines.
+"""End-to-end threaded pipeline: fused assembly+factorisation.
 
 The acceptance bar for the threaded path: a fused threaded solve at
 nworkers=4 produces a forward error identical to the eager path (same DAG,
@@ -10,7 +10,6 @@ the submitted graph.
 import numpy as np
 import pytest
 
-from repro.baselines import HMatSolver
 from repro.core import TileHConfig, TileHMatrix, assemble_priority, build_tile_h
 from repro.geometry import cylinder_cloud, make_kernel, streamed_matvec
 from repro.runtime import StfEngine, ThreadedExecutor, validate_trace
@@ -161,30 +160,3 @@ class TestThreadedBuildOnly:
                 base = (nt - k) * 10
                 assert base + 12 < assemble_priority(nt, i, j) < base + 15
 
-
-class TestHMatThreadedAssembly:
-    def test_identical_to_eager(self, problem):
-        pts, kern, _, _ = problem
-        a = HMatSolver(kern, pts, leaf_size=48)
-        b_ = HMatSolver(kern, pts, leaf_size=48, exec_mode="threaded",
-                        nworkers=3, scheduler="ws")
-        assert np.array_equal(a.matrix.to_dense(), b_.matrix.to_dense())
-        assert b_.assembly_trace is not None
-        assert validate_trace(b_.assembly_graph, b_.assembly_trace) == []
-
-    def test_threaded_solve_end_to_end(self, problem):
-        pts, kern, x, b = problem
-        s = HMatSolver(kern, pts, leaf_size=48, exec_mode="threaded", nworkers=2)
-        s.factorize()
-        err = np.linalg.norm(s.solve(b) - x) / np.linalg.norm(x)
-        assert err < 1e-2
-
-    def test_racecheck_threaded_rejected(self, problem):
-        pts, kern, _, _ = problem
-        with pytest.raises(ValueError, match="racecheck"):
-            HMatSolver(kern, pts, exec_mode="threaded", racecheck=True)
-
-    def test_bad_exec_mode(self, problem):
-        pts, kern, _, _ = problem
-        with pytest.raises(ValueError, match="exec_mode"):
-            HMatSolver(kern, pts, exec_mode="simd")

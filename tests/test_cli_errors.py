@@ -16,6 +16,7 @@ ARGVS = [
     ["serve", "--workers", "0"],
     ["serve", "--max-batch", "0"],
     ["gp", "predict", "--n-test", "0"],
+    ["--format", "hmat", "--exec", "threaded"],
 ]
 
 
