@@ -26,7 +26,6 @@ from .algorithms import (
     tiled_chol_solve,
     tiled_chol_solve_tasks,
     sweep_solve_tasks,
-    submit_sweep_tasks,
     lu_priorities,
     apply_bottom_level_priorities,
 )
@@ -51,7 +50,6 @@ __all__ = [
     "tiled_chol_solve",
     "tiled_chol_solve_tasks",
     "sweep_solve_tasks",
-    "submit_sweep_tasks",
     "SweepProgram",
     "compile_sweep",
     "lu_priorities",

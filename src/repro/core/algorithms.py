@@ -38,7 +38,6 @@ __all__ = [
     "tiled_chol_solve",
     "tiled_chol_solve_tasks",
     "sweep_solve_tasks",
-    "submit_sweep_tasks",
 ]
 
 R, RW = AccessMode.R, AccessMode.RW
@@ -279,27 +278,35 @@ def tiled_potrf_tasks(
     return _tiled_factorize(desc, chol_steps, True, engine, eps, accumulate, racecheck)
 
 
-def submit_sweep_tasks(
-    eng: StfEngine, program: SweepProgram, work: np.ndarray, seg_handles: list | None = None
-) -> None:
-    """Submit ``program`` as one task per tile-op over the work array ``work``.
-
-    ``work`` is in the interpreter's layout (:meth:`SweepProgram.scatter`);
-    ``seg_handles[k]`` is the STF handle of tile row ``k``'s segment of it —
-    pass the handles when earlier tasks of the same graph write the segments
-    (the GP prediction graph fuses cross-covariance assembly in front of the
-    sweep), omit them to have them created here.
+def sweep_solve_tasks(
+    program: SweepProgram,
+    b: np.ndarray,
+    engine: StfEngine | None = None,
+    *,
+    racecheck: bool = False,
+    executor=None,
+) -> tuple[np.ndarray, TaskGraph]:
+    """Solve through the runtime: ``program`` submitted as one task per
+    tile-op over a fresh work array, run, gathered.  Returns ``(x, graph)``
+    with ``x`` in original ordering.
 
     Each task runs its tile-op's steps through :func:`~repro.core.sweep.run_steps`,
     in the submission order of the eager sweep, and successive updates of one
     segment are RW on the same handle, so STF serialises them in that order:
     eager, threaded and process executions are all bit-identical to
     :meth:`SweepProgram.solve`.
+
+    With a *deferred* ``engine`` the submitted kernels have not run when the
+    section closes, so an ``executor`` (typically a
+    :class:`~repro.runtime.ThreadedExecutor`) is required and is run on the
+    graph before the solution is gathered.  ``racecheck`` enables the
+    access-mode race detector on the default engine.
     """
+    work, squeeze = program.scatter(b)
+    eng = engine or StfEngine(mode="eager", racecheck=racecheck)
     nt = len(program.bounds)
     rows = [r1 - r0 for r0, r1 in program.bounds]
-    if seg_handles is None:
-        seg_handles = [eng.handle(program.segment(work, k), f"x[{k}]") for k in range(nt)]
+    segs = [eng.handle(program.segment(work, k), f"x[{k}]") for k in range(nt)]
     is_c = program.dtype.kind == "c"
     nrhs = 1 if work.ndim == 1 else work.shape[0]
     for op in program.ops:
@@ -311,12 +318,12 @@ def submit_sweep_tasks(
             step = nt - 1 - step
         if j is None:
             kind, name, worker = "trsm", f"trsv({k})", "_op_sweep_trsv"
-            accesses = [(tile, R), (seg_handles[k], RW)]
+            accesses = [(tile, R), (segs[k], RW)]
             priority = lu_priorities(nt, step, "trsm")
             flops = flops_trsm(rows[k], nrhs, is_complex=is_c)
         else:
             kind, name, worker = "gemm", f"gemv{'_t' if op.args[0] else ''}({k},{j})", "_op_sweep_gemv"
-            accesses = [(tile, R), (seg_handles[j], R), (seg_handles[k], RW)]
+            accesses = [(tile, R), (segs[j], R), (segs[k], RW)]
             priority = lu_priorities(nt, step, "gemm", k, j)
             flops = flops_gemm(rows[k], nrhs, rows[j], is_complex=is_c)
         eng.insert_task(
@@ -328,29 +335,6 @@ def submit_sweep_tasks(
             label=f"{phase}_{name}",
             spec=_spec(worker, *op.args),
         )
-
-
-def sweep_solve_tasks(
-    program: SweepProgram,
-    b: np.ndarray,
-    engine: StfEngine | None = None,
-    *,
-    racecheck: bool = False,
-    executor=None,
-) -> tuple[np.ndarray, TaskGraph]:
-    """Solve through the runtime: :func:`submit_sweep_tasks` on a fresh work
-    array, run, gather.  Returns ``(x, graph)`` with ``x`` in original
-    ordering, bit-identical to ``program.solve(b)`` on every executor.
-
-    With a *deferred* ``engine`` the submitted kernels have not run when the
-    section closes, so an ``executor`` (typically a
-    :class:`~repro.runtime.ThreadedExecutor`) is required and is run on the
-    graph before the solution is gathered.  ``racecheck`` enables the
-    access-mode race detector on the default engine.
-    """
-    work, squeeze = program.scatter(b)
-    eng = engine or StfEngine(mode="eager", racecheck=racecheck)
-    submit_sweep_tasks(eng, program, work)
     graph = eng.wait_all()
     if eng.mode == "deferred":
         if executor is None:

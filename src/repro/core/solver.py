@@ -595,8 +595,7 @@ class TileHMatrix:
         whatever ``exec_mode`` says: submitting its tile operations as tasks
         costs what the whole eager substitution costs (156 tasks at nt=12:
         4.6-8.8 ms against 2.2-3.0 ms), so the task form never wins a
-        standalone solve.  It stays where it is fused into a larger graph
-        (:meth:`repro.gp.GPModel.predict`), where the caller asks for it
+        standalone solve.  It stays where the caller asks for it
         (:func:`~repro.core.algorithms.sweep_solve_tasks` and the
         ``tiled_*_solve_tasks`` wrappers), and under ``racecheck``, so the
         detector also covers the solve-phase TRSV/GEMV tasks.  Every form

@@ -8,11 +8,10 @@ GPPPy_hpx / GPRat pipeline, task-parallel edition):
   Tile-H form and factorised with the tiled H-Cholesky
   (:meth:`~repro.core.TileHMatrix.build_factorize`, eager/threaded/process,
   nested expansion included);
-* **predict** — posterior mean and predictive variance at test points run as
-  one fused task graph: per-tile cross-covariance assembly (``gp-assemble``
-  tasks), tiled forward/backward panel solves over the multi-RHS
-  cross-covariance panel, and a per-tile mean/variance reduction
-  (``gp-predict`` tasks);
+* **predict** — posterior mean and predictive variance at test points are
+  one panel solve: the cross-covariance panel is evaluated once, solved by
+  the factor's compiled forward/backward sweep, and folded into mean and
+  variance;
 * **pcg refinement** — a loose (cheap) H-Cholesky acts as the preconditioner
   of :func:`~repro.core.pcg` against the exact streamed covariance operator,
   recovering tight posterior means at loose ACA tolerances.
@@ -22,7 +21,9 @@ Served through the solve service, a GP problem is a first-class
 factorisation into the :class:`~repro.service.FactorizationStore`, and each
 prediction point is one solve request whose right-hand side is its
 cross-covariance column — concurrent predictions coalesce in the
-micro-batcher into one panel sweep.  See ``docs/gp.md``.
+micro-batcher into one panel sweep, and the same fold turns the solved
+columns into the same bits as :meth:`~repro.gp.GPModel.predict`.  See
+``docs/gp.md``.
 """
 
 from .data import synthetic_gp_data, latent_function

@@ -12,11 +12,13 @@ into panel sweeps)::
     python -m repro gp predict --kernel sqexp --n 1200 --length 0.3 \
         --store /tmp/factors --n-test 64 --batch 8 --profile gp.json
 
-``--direct`` skips the service and runs the fused prediction task graph
-(``gp-assemble`` -> panel solve -> ``gp-predict``) in process; ``--pcg``
-additionally refines the posterior mean with H-preconditioned CG against
-the exact streamed covariance.  ``--url`` sends the prediction solves to a
-running ``repro serve`` endpoint instead.
+``--direct`` skips the service and predicts in process
+(:meth:`~repro.gp.GPModel.predict`: one panel solve of the whole
+cross-covariance); ``--pcg`` additionally refines the posterior mean with
+H-preconditioned CG against the exact streamed covariance.  ``--url`` sends
+the prediction solves to a running ``repro serve`` endpoint instead.  Every
+mode folds the solved columns with the same ``gp.model._posterior``, so a
+served prediction has the bits of the in-process one.
 """
 
 from __future__ import annotations
@@ -43,16 +45,6 @@ def _add_common_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--signal", type=float, default=1.0, help="signal std dev")
     p.add_argument("--noise", type=float, default=0.1,
                    help="observation-noise std dev (nugget = noise^2)")
-
-
-def _posterior_from_columns(kern, x_train, y, x_test, columns):
-    """Fold solved cross-covariance columns ``v_j = K^{-1} k_j`` into the
-    posterior: ``mean_j = v_j . y``, ``var_j = k(x_j, x_j) - k_j . v_j``."""
-    ks = kern(x_train, x_test)
-    v = np.column_stack(columns)
-    mean = v.T @ y
-    var = np.clip(kern.diag(x_test) - np.einsum("ij,ij->j", ks, v), 0.0, None)
-    return mean, var
 
 
 def _gp_section(spec, args, *, n_test, train_seconds, predict_seconds, **extra) -> dict:
@@ -112,7 +104,7 @@ def _train(args, spec, config, data) -> int:
 
 
 def _predict(args, spec, config, data) -> int:
-    from .model import GPModel
+    from .model import GPModel, _posterior
 
     x, y, x_test, f_test = data
     print(f"spec      : {spec.kernel} n={spec.n} nb={spec.effective_nb} "
@@ -126,14 +118,8 @@ def _predict(args, spec, config, data) -> int:
         model.fit(x, y)
         train_s = time.perf_counter() - t0
         t0 = time.perf_counter()
-        result = model.predict(x_test)
+        mean, var = model.predict(x_test)
         predict_s = time.perf_counter() - t0
-        mean, var = result.mean, result.var
-        from collections import Counter
-
-        counts = Counter(t.kind for t in result.graph.tasks)
-        print(f"graph     : {len(result.graph.tasks)} tasks "
-              + " ".join(f"{k}={v}" for k, v in sorted(counts.items())))
         if args.pcg:
             mean_pcg, kres = model.predict_pcg(x_test, rtol=args.pcg_rtol)
             drift = np.linalg.norm(mean_pcg - mean) / max(np.linalg.norm(mean_pcg), 1e-300)
@@ -147,7 +133,6 @@ def _predict(args, spec, config, data) -> int:
                 "converged": kres.converged,
                 "final_residual": float(kres.residuals[-1]),
             }
-        graph = result.graph
         batch_width = None
         service_stats = None
     elif args.url is not None:
@@ -168,8 +153,7 @@ def _predict(args, spec, config, data) -> int:
                 range(args.n_test),
             ))
         predict_s = time.perf_counter() - t0
-        mean, var = _posterior_from_columns(kern, x, y, x_test, columns)
-        graph = None
+        mean, var = _posterior(kern, ks, y, x_test, np.column_stack(columns))
         batch_width = None
         service_stats = None
     else:
@@ -198,14 +182,13 @@ def _predict(args, spec, config, data) -> int:
         finally:
             service.close()
         train_s = 0.0  # folded into the first request's cold build
-        mean, var = _posterior_from_columns(kern, x, y, x_test, columns)
+        mean, var = _posterior(kern, ks, y, x_test, np.column_stack(columns))
         service_stats = service.stats()
         batch = service_stats["batch_size"]
         batch_width = batch["mean"] if batch.get("count") else None
         sweeps = batch.get("count", 0)
         print(f"batching  : {args.n_test} predictions in {sweeps} panel sweep(s), "
               f"mean width {batch_width or 0:.2f}")
-        graph = None
 
     rmse = float(np.sqrt(np.mean((mean - f_test) ** 2)))
     rate = f" ({args.n_test / predict_s:.1f} pred/s)" if predict_s > 0 else ""
@@ -213,7 +196,7 @@ def _predict(args, spec, config, data) -> int:
     print(f"posterior : mean RMSE {rmse:.4g} vs latent truth | "
           f"variance in [{var.min():.4g}, {var.max():.4g}]")
     return _maybe_profile(
-        args, spec, mode="gp-predict", graph=graph, service=service_stats,
+        args, spec, mode="gp-predict", service=service_stats,
         gp=_gp_section(
             spec, args, n_test=args.n_test,
             train_seconds=train_s, predict_seconds=predict_s,
@@ -223,7 +206,7 @@ def _predict(args, spec, config, data) -> int:
     )
 
 
-def _maybe_profile(args, spec, *, mode, gp, graph=None, service=None) -> int:
+def _maybe_profile(args, spec, *, mode, gp, service=None) -> int:
     if args.profile is None:
         return 0
     from ..obs import build_run_report, write_report
@@ -231,8 +214,7 @@ def _maybe_profile(args, spec, *, mode, gp, graph=None, service=None) -> int:
     probe = getattr(args, "_probe", None)
     meta = {"mode": mode, "kernel": spec.kernel, "n": spec.n,
             "exec_mode": args.exec_mode}
-    report = build_run_report(probe=probe, graph=graph, meta=meta,
-                              service=service, gp=gp)
+    report = build_run_report(probe=probe, meta=meta, service=service, gp=gp)
     write_report(report, args.profile)
     print(f"profile   : run report written to {args.profile}")
     return 0
@@ -257,8 +239,7 @@ def gp_main(argv: list[str]) -> int:
     predict.add_argument("--batch", type=int, default=8,
                          help="micro-batch panel width (service mode)")
     predict.add_argument("--direct", action="store_true",
-                         help="run the fused in-process prediction task graph "
-                         "instead of the service")
+                         help="run the in-process prediction instead of the service")
     predict.add_argument("--pcg", action="store_true",
                          help="refine the posterior mean with H-preconditioned CG "
                          "(needs --direct)")

@@ -1,30 +1,20 @@
-"""GP regression driven by the tiled H-Cholesky task graphs.
+"""GP regression over the tiled H-Cholesky.
 
 Training factorises the H-compressed covariance ``K = K_f(X, X) + s_n^2 I``
 with :meth:`~repro.core.TileHMatrix.build_factorize` (``method="cholesky"``)
 — assembly and factorisation fuse into one DAG under ``exec_mode="threaded"``
-/ ``"process"``, nested tile expansion included.  Prediction is its own fused
-task graph built from three kinds:
+/ ``"process"``, nested tile expansion included.
 
-``gp-assemble``
-    one task per train tile writes that tile's rows of the permuted
-    cross-covariance panel ``K_* = K(X, X_*)`` (two copies: one is consumed
-    by the solve sweep, one survives for the variance reduction);
-``gemm`` / ``trsm``
-    the forward/backward substitution tasks of
-    :func:`~repro.core.algorithms.submit_sweep_tasks` (the factor's compiled
-    sweep, one task per tile-op) turn the panel into ``V = K^{-1} K_*`` in
-    place;
-``gp-predict``
-    one reduction task per train tile accumulates its contribution to the
-    posterior mean ``K_*^T K^{-1} y = V^T y`` and to the explained variance
-    ``diag(K_*^T K^{-1} K_*) = colsum(K_* . V)``.
-
-The reduction tasks all hold the accumulator handle RW, so STF serialises
-them in submission order — eager and threaded runs are bit-identical (the
-predict graph of a ``process``-mode model runs on worker *threads*: its
-assemble/reduce closures are not process-shippable, and threaded execution
-is bit-identical anyway).
+A prediction is a panel solve: the cross-covariance panel
+``K_* = K(X, X_*)`` is evaluated once, :meth:`~repro.core.TileHMatrix.solve`
+replays the factor's compiled sweep on it (``V = K^{-1} K_*``), and
+:func:`_posterior` folds ``V`` into the posterior mean ``V^T y`` and the
+predictive variance ``diag(K(X_*, X_*)) - colsum(K_* . V)``.  ``repro gp
+predict`` applies the same fold to columns solved by the service, and a
+panel column is bit-identical to its standalone solve, so served and
+in-process predictions agree bit for bit — and so do every ``exec_mode``,
+saved and reloaded factors, and ``racecheck`` models (whose solve runs the
+sweep's tasks under the detector).
 
 :meth:`GPModel.predict_pcg` is the Krylov path: a *loose* (cheap) H-Cholesky
 preconditions :func:`~repro.core.pcg` against the exact streamed covariance
@@ -38,34 +28,53 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core import TileHConfig, TileHMatrix, pcg
-from ..core.algorithms import submit_sweep_tasks
 from ..geometry import GP_KERNELS, make_kernel
 from ..geometry.assembly import streamed_matvec
-from ..runtime import AccessMode, StfEngine, ThreadedExecutor
 
 __all__ = ["GPModel", "GPPredictResult"]
-
-R, RW = AccessMode.R, AccessMode.RW
 
 
 @dataclass
 class GPPredictResult:
-    """Posterior at the test points plus the graph that computed it.
+    """Posterior at the test points.
 
     ``var`` is the *predictive* variance (latent variance plus the noise
     nugget: the kernel's diagonal convention includes ``s_n^2``), clipped at
-    zero against compression round-off.  ``seconds`` is the executor wall
-    time for deferred runs, None when the graph ran eagerly at submission.
+    zero against compression round-off.
     """
 
     mean: np.ndarray
     var: np.ndarray
-    graph: object
-    seconds: float | None = None
 
     def __iter__(self):  # allow ``mean, var = model.predict(xs)`` unpacking
         yield self.mean
         yield self.var
+
+
+def _posterior(kern, ks: np.ndarray, y: np.ndarray, x_test: np.ndarray,
+               v: np.ndarray) -> GPPredictResult:
+    """Fold solved cross-covariance columns ``v_j = K^{-1} k_j`` (``ks`` holds
+    the ``k_j``) into the posterior: ``mean_j = v_j . y``,
+    ``var_j = k(x_j, x_j) - k_j . v_j``.  The one fold of every prediction
+    path; ``v`` is taken C-contiguous because the reductions' bits depend on
+    their operands' layout."""
+    v = np.ascontiguousarray(v)
+    var = np.clip(kern.diag(x_test) - np.einsum("ij,ij->j", ks, v), 0.0, None)
+    return GPPredictResult(mean=v.T @ y, var=var)
+
+
+def _check_data(x, y, n: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """``x``/``y`` as contiguous float64, checked against each other and,
+    given ``n``, against a factor of ``n`` unknowns."""
+    x = np.ascontiguousarray(np.asarray(x, dtype=np.float64))
+    y = np.ascontiguousarray(np.asarray(y, dtype=np.float64))
+    if x.ndim != 2:
+        raise ValueError(f"x must be (n, dim) coordinates, got shape {x.shape}")
+    if n is not None and x.shape[0] != n:
+        raise ValueError(f"x has {x.shape[0]} points but the factor has {n} unknowns")
+    if y.shape != (x.shape[0],):
+        raise ValueError(f"y must have shape ({x.shape[0]},), got {y.shape}")
+    return x, y
 
 
 class GPModel:
@@ -122,109 +131,39 @@ class GPModel:
         Runs on whatever executor ``config`` selects; the factorisation DAG
         lands in ``info_`` (``info_.graph``) for simulation/rendering.
         """
-        x = np.ascontiguousarray(np.asarray(x, dtype=np.float64))
-        y = np.ascontiguousarray(np.asarray(y, dtype=np.float64))
-        if x.ndim != 2:
-            raise ValueError(f"x must be (n, dim) coordinates, got shape {x.shape}")
-        if y.shape != (x.shape[0],):
-            raise ValueError(f"y must have shape ({x.shape[0]},), got {y.shape}")
+        x, y = _check_data(x, y)
         kern = self.kernel_function(x)
         solver, info = TileHMatrix.build_factorize(kern, x, self.config, method="cholesky")
         self._attach(solver, x, y)
         self.info_ = info
         return self
 
-    def _attach(self, solver: TileHMatrix, x: np.ndarray, y: np.ndarray) -> None:
+    def _attach(self, solver: TileHMatrix, x, y) -> None:
+        self.x_, self.y_ = _check_data(x, y, solver.desc.n)
         self.solver_ = solver
-        self.x_ = x
-        self.y_ = y
-        self.kern_ = self.kernel_function(x)
+        self.kern_ = self.kernel_function(self.x_)
 
     def _require_fit(self) -> TileHMatrix:
         if self.solver_ is None:
             raise RuntimeError("call fit() (or load()) before predicting")
         return self.solver_
 
+    def _check_test(self, x_test) -> np.ndarray:
+        """``x_test`` as contiguous float64 ``(m, dim)`` points of a fitted model."""
+        self._require_fit()
+        x_test = np.ascontiguousarray(np.asarray(x_test, dtype=np.float64))
+        dim = self.x_.shape[1]
+        if x_test.ndim != 2 or x_test.shape[1] != dim:
+            raise ValueError(f"x_test must be (m, {dim}) coordinates, got shape {x_test.shape}")
+        return x_test
+
     # -- prediction -----------------------------------------------------------
     def predict(self, x_test: np.ndarray) -> GPPredictResult:
-        """Posterior mean and predictive variance at ``x_test`` as one DAG."""
-        solver = self._require_fit()
-        x_test = np.ascontiguousarray(np.asarray(x_test, dtype=np.float64))
-        if x_test.ndim != 2 or x_test.shape[1] != self.x_.shape[1]:
-            raise ValueError(
-                f"x_test must be (m, {self.x_.shape[1]}) coordinates, got shape {x_test.shape}"
-            )
-        desc = solver.desc
-        grid = desc.super
-        nt = desc.nt
-        m = x_test.shape[0]
-        cfg = solver.config
-        deferred = cfg.exec_mode in ("threaded", "process")
-        if deferred:
-            eng = StfEngine(mode="deferred")
-        else:
-            eng = StfEngine(mode="eager", racecheck=cfg.racecheck)
-
-        program = solver.sweep_program()
-        x_perm = self.x_[desc.perm]
-        y_perm = np.ascontiguousarray(self.y_[desc.perm])
-        ks = np.empty((desc.n, m), dtype=np.float64)  # cross-covariance K_* (permuted rows)
-        # Solve buffer -> V = K^{-1} K_*, in the sweep interpreter's layout
-        # (one contiguous row per test point).
-        work = program.empty(m, np.float64)
-        acc = np.zeros((2, m), dtype=np.float64)  # rows: mean, explained variance
-        ks_segs = [ks[desc.tile_slice(k)] for k in range(nt)]
-        wk_segs = [program.segment(work, k) for k in range(nt)]
-        ks_handles = [eng.handle(ks_segs[k], f"ks[{k}]") for k in range(nt)]
-        wk_handles = [eng.handle(wk_segs[k], f"v[{k}]") for k in range(nt)]
-        acc_handle = eng.handle(acc, "gp_acc")
-        kern = self.kern_
-
-        def assemble(k):
-            block = kern(x_perm[desc.tile_slice(k)], x_test)
-            ks_segs[k][...] = block
-            wk_segs[k][...] = block.T
-
-        def reduce_tile(k):
-            # The reductions' bits depend on their operands' layout: hand them
-            # the (rows, m) C-ordered block they have always had.
-            v = np.array(np.atleast_2d(wk_segs[k]).T, order="C")
-            acc[0] += v.T @ y_perm[desc.tile_slice(k)]
-            acc[1] += np.einsum("ij,ij->j", ks_segs[k], v)
-
-        # Cross-covariance panel assembly: ready immediately, highest first so
-        # the forward sweep can start at tile 0 while late tiles assemble.
-        for k in range(nt):
-            rows = grid.tile_rows(k)
-            eng.insert_task(
-                "gp-assemble",
-                (lambda k=k: assemble(k)),
-                [(ks_handles[k], RW), (wk_handles[k], RW)],
-                priority=10 * nt - k,
-                flops=float(8 * rows * m),
-                label=f"gp_assemble({k})",
-            )
-        submit_sweep_tasks(eng, program, work, wk_handles)
-        for k in range(nt):
-            rows = grid.tile_rows(k)
-            eng.insert_task(
-                "gp-predict",
-                (lambda k=k: reduce_tile(k)),
-                [(wk_handles[k], R), (ks_handles[k], R), (acc_handle, RW)],
-                flops=float(4 * rows * m),
-                label=f"gp_predict({k})",
-            )
-        graph = eng.wait_all()
-        seconds = None
-        if deferred:
-            executor = ThreadedExecutor(
-                cfg.nworkers, scheduler=cfg.scheduler, interpreter_bound=True
-            )
-            seconds = executor.run(graph)
-
-        mean = acc[0].copy()
-        var = np.clip(kern.diag(x_test) - acc[1], 0.0, None)
-        return GPPredictResult(mean=mean, var=var, graph=graph, seconds=seconds)
+        """Posterior mean and predictive variance at ``x_test``: one panel
+        solve of the cross-covariance, folded by :func:`_posterior`."""
+        x_test = self._check_test(x_test)
+        ks = self.kern_(self.x_, x_test)
+        return _posterior(self.kern_, ks, self.y_, x_test, self.solver_.solve(ks))
 
     def predict_pcg(
         self,
@@ -242,14 +181,13 @@ class GPModel:
         ``(mean, KrylovResult)``; the iteration count measures the
         preconditioner's quality at the configured ACA tolerance.
         """
-        solver = self._require_fit()
-        x_test = np.ascontiguousarray(np.asarray(x_test, dtype=np.float64))
+        x_test = self._check_test(x_test)
         kern = self.kern_
         x = self.x_
         result = pcg(
             lambda v: streamed_matvec(kern, x, v),
             self.y_,
-            precond=solver.solve,
+            precond=self.solver_.solve,
             rtol=rtol,
             max_iter=max_iter,
         )
@@ -283,17 +221,14 @@ class GPModel:
     ) -> "GPModel":
         """Rebuild a trained model from factors saved by :meth:`save`.
 
-        ``x``/``y`` and the hyperparameters must match the fitting call;
-        ``mmap=True`` maps the archive read-only instead of reading it
+        ``x``/``y`` and the hyperparameters must match the fitting call
+        (``x`` not ``(n, dim)`` for the factor's ``n``, or ``y`` not
+        ``(n,)``, is a ``ValueError``); ``mmap=True`` maps the archive read-only instead of reading it
         (zero-copy warm start).  Predictions are bit-identical to the
         pre-save model either way.
         """
         model = cls(kernel, length=length, signal=signal, noise=noise, config=config)
         solver = TileHMatrix.load(path, config, mmap=mmap)
         model.config = solver.config
-        model._attach(
-            solver,
-            np.ascontiguousarray(np.asarray(x, dtype=np.float64)),
-            np.ascontiguousarray(np.asarray(y, dtype=np.float64)),
-        )
+        model._attach(solver, x, y)
         return model

@@ -33,10 +33,6 @@ KIND_STYLES: dict[str, KindStyle] = {
     "gemv": KindStyle("v", "slateblue"),
     "compress": KindStyle("C", "darkcyan"),
     "pack": KindStyle("K", "dimgray"),
-    # Gaussian-process regression subsystem (repro.gp): cross-covariance
-    # panel assembly and the posterior mean/variance reduction.
-    "gp-assemble": KindStyle("a", "seagreen"),
-    "gp-predict": KindStyle("p", "mediumorchid"),
 }
 
 _UNKNOWN = KindStyle("?", "gray")

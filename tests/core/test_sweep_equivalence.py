@@ -28,6 +28,7 @@ from repro.core import (
 )
 from repro.geometry import cylinder_cloud, make_kernel
 from repro.gp import GPModel, synthetic_gp_data
+from repro.gp.model import _posterior
 from repro.runtime import StfEngine, ThreadedExecutor
 
 from . import reference_sweep as ref
@@ -157,27 +158,14 @@ def test_solver_answers_do_not_depend_on_exec_mode(factors, fname, exec_mode):
 # -- GP predictions ---------------------------------------------------------
 
 def _reference_predict(model, x_test):
-    """``GPModel.predict`` as it was: old sweep on the (n, m) panel, the
-    per-tile reductions on row blocks of C-ordered (n, m) arrays."""
-    desc = model.solver_.desc
-    perm, kern = desc.perm, model.kern_
-    slices = [desc.tile_slice(k) for k in range(desc.nt)]
-    x_perm = model.x_[perm]
-    y_perm = np.ascontiguousarray(model.y_[perm])
-    ks = np.empty((desc.n, x_test.shape[0]))
-    for s in slices:
-        ks[s] = kern(x_perm[s], x_test)
-    b = np.empty_like(ks)
-    b[perm] = ks
-    v = ref.tiled_chol_solve(desc, b)[perm]
-    acc = np.zeros((2, x_test.shape[0]))
-    for s in slices:
-        acc[0] += v[s].T @ y_perm[s]
-        acc[1] += np.einsum("ij,ij->j", ks[s], v[s])
-    return acc[0], np.clip(kern.diag(x_test) - acc[1], 0.0, None)
+    """``GPModel.predict``'s fold over the old sweep's solve of the
+    cross-covariance panel."""
+    ks = model.kern_(model.x_, x_test)
+    v = ref.tiled_chol_solve(model.solver_.desc, ks)
+    return _posterior(model.kern_, ks, model.y_, x_test, v)
 
 
-@pytest.mark.parametrize("exec_mode", ["eager", "threaded"])
+@pytest.mark.parametrize("exec_mode", ["eager", "threaded", "process"])
 def test_gp_predictions_keep_their_bits(exec_mode):
     x, y, pool, _ = synthetic_gp_data(400, 64, geometry="cylinder", noise=0.05, seed=3)
     cfg = TileHConfig(nb=100, eps=1e-8, leaf_size=40, accumulate=False,

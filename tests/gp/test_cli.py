@@ -79,7 +79,6 @@ class TestPredictDirect:
         ])
         assert rc == 0
         out = capsys.readouterr().out
-        assert "graph" in out and "gp-assemble" in out
         assert "pcg" in out and "converged" in out
         report = load_report(path)
         assert validate_report(report) == []

@@ -2,15 +2,15 @@
 
 The H-compressed posterior must track the ACA tolerance (mean relative
 error <= 10x eps), executors must agree bit for bit at ``accumulate=False``
-(the RW chain on the reduction accumulator serialises the per-tile partial
-sums in submission order), and factor archives must round-trip.
+(a prediction is one replay of the factor's compiled sweep, whatever the
+``exec_mode``), factor archives must round-trip, and data that does not
+match the factor must be refused up front.
 """
-
-from collections import Counter
 
 import numpy as np
 import pytest
 
+import repro.core.solver as solver_module
 from repro.core import TileHConfig
 from repro.geometry.assembly import assemble_dense
 from repro.gp import GPModel, synthetic_gp_data
@@ -83,7 +83,6 @@ class TestExecutorEquivalence:
         ).predict(x_test)
         assert np.array_equal(r_e.mean, r_t.mean)
         assert np.array_equal(r_e.var, r_t.var)
-        assert r_t.seconds is not None  # ran on the executor
 
     def test_process_trained_model_bit_identical_to_eager(self, data):
         _, _, x_test, _ = data
@@ -92,21 +91,22 @@ class TestExecutorEquivalence:
         assert np.array_equal(r_e.mean, r_p.mean)
         assert np.array_equal(r_e.var, r_p.var)
 
-    def test_racecheck_clean(self, data):
+    def test_racecheck_clean(self, data, monkeypatch):
         _, _, x_test, _ = data
-        r = _fit(data, racecheck=True).predict(x_test)  # raises on a violation
-        assert np.all(np.isfinite(r.mean))
+        model = _fit(data, racecheck=True)
+        audited = []
+        real = solver_module.sweep_solve_tasks
 
-    def test_predict_graph_shape(self, data):
-        _, _, x_test, _ = data
-        model = _fit(data)
-        result = model.predict(x_test)
+        def spy(program, b, **kw):
+            x, graph = real(program, b, **kw)
+            audited.append((kw.get("racecheck"), len(graph.tasks)))
+            return x, graph
+
+        monkeypatch.setattr(solver_module, "sweep_solve_tasks", spy)
+        r = model.predict(x_test)  # raises on a violation
+        assert np.all(np.isfinite(r.mean))
         nt = model.solver_.desc.nt
-        counts = Counter(t.kind for t in result.graph.tasks)
-        assert counts["gp-assemble"] == nt
-        assert counts["gp-predict"] == nt
-        assert counts["trsm"] == 2 * nt  # forward + backward sweep
-        assert counts["gemm"] == nt * (nt - 1)
+        assert audited == [(True, nt * (nt + 1))]  # the sweep ran under the detector
 
 
 class TestRoundTrip:
@@ -177,3 +177,31 @@ class TestValidation:
         model = _fit(data)
         with pytest.raises(ValueError):
             model.predict(x_test[:, :2])
+        with pytest.raises(ValueError, match="x_test"):
+            model.predict_pcg(x_test[:, :2])
+
+
+class TestLoadRejectsMismatchedData:
+    """``load`` reattaches caller-supplied data to a saved factor: data of
+    another size used to load and die in the first ``predict``."""
+
+    @pytest.fixture(scope="class")
+    def archive(self, data, tmp_path_factory):
+        path = tmp_path_factory.mktemp("gp-load") / "gp.tileh"
+        _fit(data).save(path)
+        return path
+
+    def test_too_few_points(self, data, archive):
+        x, y, _, _ = data
+        with pytest.raises(ValueError, match=f"{N - 20} points but the factor has {N}"):
+            GPModel.load(archive, x[:-20], y[:-20], **HYPERS)
+
+    def test_targets_one_short(self, data, archive):
+        x, y, _, _ = data
+        with pytest.raises(ValueError, match=rf"y must have shape \({N},\)"):
+            GPModel.load(archive, x, y[:-1], **HYPERS)
+
+    def test_one_dimensional_points(self, data, archive):
+        x, y, _, _ = data
+        with pytest.raises(ValueError, match="x must be"):
+            GPModel.load(archive, x[:, 0], y, **HYPERS)
