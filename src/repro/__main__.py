@@ -307,49 +307,30 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if probe is not None:
             probe.__enter__()
-        if args.format == "tile-h" and args.exec_mode in ("threaded", "process"):
-            # Fused pipeline: one deferred graph holds both the per-tile
-            # assemble tasks and the factorisation tasks, so early panels
-            # factorise while late tiles are still assembling.
-            t0 = time.perf_counter()
-            solver, info = TileHMatrix.build_factorize(
-                kernel, points, tile_config, method=args.method
-            )
-            t_fused = time.perf_counter() - t0
-            print(f"assembly  : fused with factorisation, "
-                  f"compression {solver.compression_ratio():.1%} of dense")
-            print(
-                f"factorise : {t_fused:.2f} s wall (fused build+factorise), "
-                f"{info.sequential_seconds():.2f} s kernel time, "
-                f"{info.n_tasks} tasks, {info.n_dependencies} dependencies"
-            )
+        t0 = time.perf_counter()
+        if args.format == "tile-h":
+            solver = TileHMatrix.build(kernel, points, tile_config)
+        elif args.format == "blr":
+            solver = BLRMatrix.build(kernel, points, tile_config)
         else:
-            t0 = time.perf_counter()
-            if args.format == "tile-h":
-                solver = TileHMatrix.build(kernel, points, tile_config)
-                ratio = solver.compression_ratio()
-            elif args.format == "blr":
-                solver = BLRMatrix.build(kernel, points, tile_config)
-                ratio = solver.compression_ratio()
-            else:
-                solver = HMatSolver(
-                    kernel, points, eps=args.eps, leaf_size=args.leaf_size,
-                    racecheck=args.racecheck,
-                )
-                ratio = solver.compression_ratio()
-            t_build = time.perf_counter() - t0
-            print(f"assembly  : {t_build:.2f} s, compression {ratio:.1%} of dense")
-
-            t0 = time.perf_counter()
-            if args.format == "tile-h":
-                info = solver.factorize(method=args.method)
-            else:
-                info = solver.factorize()
-            t_fact = time.perf_counter() - t0
-            print(
-                f"factorise : {t_fact:.2f} s wall, {info.sequential_seconds():.2f} s kernel time, "
-                f"{info.n_tasks} tasks, {info.n_dependencies} dependencies"
+            solver = HMatSolver(
+                kernel, points, eps=args.eps, leaf_size=args.leaf_size,
+                racecheck=args.racecheck,
             )
+        t_build = time.perf_counter() - t0
+        print(f"assembly  : {t_build:.2f} s, "
+              f"compression {solver.compression_ratio():.1%} of dense")
+
+        t0 = time.perf_counter()
+        if args.format == "tile-h":
+            info = solver.factorize(method=args.method)
+        else:
+            info = solver.factorize()
+        t_fact = time.perf_counter() - t0
+        print(
+            f"factorise : {t_fact:.2f} s wall, {info.sequential_seconds():.2f} s kernel time, "
+            f"{info.n_tasks} tasks, {info.n_dependencies} dependencies"
+        )
 
         if args.exec_mode in ("threaded", "process"):
             violations = validate_trace(info.graph, info.trace, strict=False)

@@ -7,7 +7,7 @@ HMAT-OSS-style H-matrix tiles and the StarPU-style runtime:
   analogues of the paper's Structures 1-3;
 * :mod:`.clustering` — the Tile-H clustering driver (``NTilesRecursive`` +
   per-tile refinement + per-tile block cluster trees);
-* :mod:`.build` — Tile-H matrix assembly;
+* :mod:`.build` — Tile-H matrix assembly (one serial loop);
 * :mod:`.algorithms` — the tiled LU (Algorithm 1) and tile-level solves as
   STF task submissions;
 * :mod:`.sweep` — the forward/backward substitution compiled once per factor
@@ -17,7 +17,7 @@ HMAT-OSS-style H-matrix tiles and the StarPU-style runtime:
 
 from .descriptor import Tile, TileDesc, TileHDesc
 from .clustering import TileHClustering, build_tile_h_clustering
-from .build import build_tile_h, assemble_priority
+from .build import build_tile_h
 from .algorithms import (
     tiled_getrf_tasks,
     tiled_potrf_tasks,
@@ -54,7 +54,6 @@ __all__ = [
     "compile_sweep",
     "lu_priorities",
     "apply_bottom_level_priorities",
-    "assemble_priority",
     "TileHConfig",
     "EXEC_MODES",
     "PRIORITY_MODES",

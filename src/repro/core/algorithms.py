@@ -16,6 +16,8 @@ ordering the ``prio``/``lws`` schedulers exploit in Figs. 6-7.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from ..dense import flops_gemm, flops_getrf, flops_potrf, flops_trsm
@@ -192,17 +194,11 @@ def _tiled_factorize(desc, steps, lower, engine, eps, accumulate, racecheck) -> 
     }
     handles = {(i, j): eng.handle(tile, f"A[{i},{j}]") for (i, j), tile in tiles.items()}
     rows = [grid.tile_rows(k) for k in range(nt)]
-
-    def kernel(variant, operands):
-        # ``.mat`` is read when the task runs: in a fused build+factorise
-        # graph the tiles are still pending at submission.
-        return lambda: run_kernel(variant, [t.mat for t in operands], eps_, True, acc)
-
     for variant, kind, pos, label, priority, flops in tile_steps(steps(nt), nt, rows, is_c):
         hs = [handles[p] for p in pos]
         eng.insert_task(
             kind,
-            kernel(variant, [tiles[p] for p in pos]),
+            partial(run_kernel, variant, tuple(tiles[p].mat for p in pos), eps_, True, acc),
             declared(variant, hs),
             priority=priority,
             flops=flops,

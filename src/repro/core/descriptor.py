@@ -33,27 +33,17 @@ class Tile:
     kernels on.  Keeping the payload type uniform lets every tiled algorithm
     call the H-kernels unconditionally, while the format field still drives
     reporting and fast-path checks.
-
-    A fourth transient format, "pending", stands for a tile whose assembly
-    task has been submitted to a deferred runtime but has not run yet: the
-    shape and dtype are known (so factorisation tasks can be submitted
-    against the tile and its data handle), while ``mat`` is ``None`` until
-    the assemble task calls :meth:`fill`.
     """
 
     format: str
     m: int
     n: int
-    mat: HMatrix | None
-    dtype_hint: np.dtype | None = None
+    mat: HMatrix
 
     def __post_init__(self) -> None:
-        if self.format not in ("hmat", "full", "rk", "pending"):
+        if self.format not in ("hmat", "full", "rk"):
             raise ValueError(f"unknown tile format {self.format!r}")
-        if self.format == "pending":
-            if self.mat is not None:
-                raise ValueError("pending tiles must not carry a payload")
-        elif self.mat.shape != (self.m, self.n):
+        if self.mat.shape != (self.m, self.n):
             raise ValueError(
                 f"payload shape {self.mat.shape} != declared ({self.m}, {self.n})"
             )
@@ -64,56 +54,30 @@ class Tile:
         fmt = {"full": "full", "rk": "rk", "h": "hmat"}[h.kind]
         return cls(fmt, h.shape[0], h.shape[1], h)
 
-    @classmethod
-    def pending(cls, m: int, n: int, dtype) -> "Tile":
-        """Placeholder tile to be populated by a deferred assemble task."""
-        return cls("pending", m, n, None, dtype_hint=np.dtype(dtype))
-
-    def fill(self, h: HMatrix) -> None:
-        """Install the assembled payload (the assemble task's W access)."""
-        if h.shape != (self.m, self.n):
-            raise ValueError(
-                f"payload shape {h.shape} != declared ({self.m}, {self.n})"
-            )
-        self.mat = h
-        self.format = {"full": "full", "rk": "rk", "h": "hmat"}[h.kind]
-
-    def _require_assembled(self) -> HMatrix:
-        if self.mat is None:
-            raise RuntimeError(
-                "tile is pending assembly — run the deferred graph before "
-                "touching its payload"
-            )
-        return self.mat
-
     @property
     def shape(self) -> tuple[int, int]:
         return (self.m, self.n)
 
     @property
     def dtype(self) -> np.dtype:
-        if self.mat is None:
-            if self.dtype_hint is None:
-                raise RuntimeError("pending tile carries no dtype hint")
-            return self.dtype_hint
         return self.mat.dtype
 
     def to_dense(self) -> np.ndarray:
-        return self._require_assembled().to_dense()
+        return self.mat.to_dense()
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        return self._require_assembled().matvec(x)
+        return self.mat.matvec(x)
 
     def storage(self) -> int:
         """Stored scalar count."""
-        return self._require_assembled().storage()
+        return self.mat.storage()
 
     def storage_bytes(self) -> int:
         """Stored bytes (scalar count times the payload itemsize)."""
         return self.storage() * self.dtype.itemsize
 
     def copy(self) -> "Tile":
-        return Tile(self.format, self.m, self.n, self._require_assembled().copy())
+        return Tile(self.format, self.m, self.n, self.mat.copy())
 
 
 @dataclass
@@ -228,18 +192,16 @@ class TileHDesc:
 
     def format_counts(self) -> dict:
         """Tile-format census ("full"/"rk"/"hmat") for structure reports."""
-        out = {"full": 0, "rk": 0, "hmat": 0, "pending": 0}
+        out = {"full": 0, "rk": 0, "hmat": 0}
         for t in self.super.tiles:
             out[t.format] += 1
-        if out["pending"] == 0:
-            del out["pending"]
         return out
 
     def relink_clusters(self) -> None:
         """Re-anchor every tile's H-matrix nodes onto this descriptor's
         canonical cluster tree.
 
-        Tiles harvested from worker processes arrive with unpickled *copies*
+        Tiles factorised in worker processes arrive with unpickled *copies*
         of the cluster nodes they were assembled against.  Archive
         serialization keys cluster references by identity, and each copy
         drags along its own ``points``/``perm`` arrays, so re-linking both
@@ -267,5 +229,4 @@ class TileHDesc:
                 relink(child)
 
         for t in self.super.tiles:
-            if t.mat is not None:
-                relink(t.mat)
+            relink(t.mat)

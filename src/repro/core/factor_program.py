@@ -82,13 +82,7 @@ def _walk(desc: TileHDesc, method: str) -> tuple[list, list, list]:
     pos: list = []
     for i in range(nt):
         for j in range(i + 1 if method == "cholesky" else nt):
-            mat = grid.get_blktile(i, j).mat
-            if mat is None:
-                raise RuntimeError(
-                    f"a nested factorisation requires assembled tiles; tile "
-                    f"({i}, {j}) is still pending — run the assembly graph first"
-                )
-            stack = [(mat, -1, i, j)]
+            stack = [(grid.get_blktile(i, j).mat, -1, i, j)]
             while stack:
                 node, parent, a, b = stack.pop()
                 slot = len(nodes)

@@ -126,15 +126,8 @@ class _Ctx:
 
 def _root(ctx: _Ctx, tile_handle) -> _Ref:
     """Root reference of one tile operand (the tile handle itself)."""
-    mat = tile_handle.payload.mat
-    if mat is None:
-        raise RuntimeError(
-            f"nested expansion of {ctx.label!r} requires assembled tiles; "
-            f"tile {tile_handle.name!r} is still pending — run the assembly "
-            "graph before building the nested factorisation graph"
-        )
     handle = None if ctx.policy.coarse else tile_handle
-    return _Ref(mat, handle, tile_handle, ())
+    return _Ref(tile_handle.payload.mat, handle, tile_handle, ())
 
 
 def _child(ctx: _Ctx, ref: _Ref, i: int, j: int) -> _Ref:

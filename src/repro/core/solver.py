@@ -15,6 +15,7 @@ Typical use::
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -49,7 +50,7 @@ from .sweep import SweepProgram, compile_sweep
 __all__ = ["TileHConfig", "FactorizationInfo", "TileHMatrix", "iterative_refinement",
            "EXEC_MODES", "PRIORITY_MODES", "FACTOR_METHODS", "default_nb"]
 
-#: Executors of a build/factorisation (``TileHConfig.exec_mode``).
+#: Executors of a factorisation (``TileHConfig.exec_mode``).
 EXEC_MODES = ("eager", "threaded", "process")
 #: Task-priority rules (``TileHConfig.priority_mode``).
 PRIORITY_MODES = ("static", "bottom-level")
@@ -134,13 +135,14 @@ class TileHConfig:
         ``exec_mode="threaded"`` raises (post-hoc
         :func:`~repro.runtime.validate_trace` still covers threaded runs).
     exec_mode:
-        "eager" (default) — kernels run sequentially at submission, exactly
-        the historical bit-identical path; "threaded" — assembly and
-        factorisation are submitted to a deferred engine and executed by a
+        The executor of the factorisation (assembly is one serial loop and a
+        warm :meth:`TileHMatrix.solve` replays the compiled sweep, in every
+        mode).  "eager" (default) — kernels run sequentially at submission,
+        exactly the historical bit-identical path; "threaded" — the
+        factorisation is submitted to a deferred engine and executed by a
         :class:`~repro.runtime.ThreadedExecutor` on ``nworkers`` real
-        threads under ``scheduler`` (a warm :meth:`TileHMatrix.solve`
-        replays the compiled sweep directly in every mode); "process" — the
-        same deferred graphs run on ``nworkers`` worker *processes* via a
+        threads under ``scheduler``; "process" — the same deferred graph
+        runs on ``nworkers`` worker *processes* via a
         :class:`~repro.runtime.ProcessExecutor` with tile payloads in
         shared memory — GIL-free, and as measured slower than one leased
         thread at every ledger size (``docs/parallelism.md``): kept for
@@ -168,10 +170,7 @@ class TileHConfig:
         (the expansion regroups, never reorders, the eager recursion); the
         accumulator is therefore never engaged alongside nesting.  With
         ``exec_mode="process"`` subtask accesses are declared at tile
-        granularity (the shared-memory data plane ships whole tiles) and
-        the fused build+factorize runs as two stages — assembly first,
-        then the nested factorisation graph, which needs assembled block
-        trees to expand over.
+        granularity (the shared-memory data plane ships whole tiles).
     nested_min_leaf:
         Granularity cutoff of the expansion: recursion stops (submitting
         one opaque subtask) once the written operand's smaller dimension
@@ -195,7 +194,7 @@ class TileHConfig:
     def __post_init__(self) -> None:
         if self.nb < 1:
             raise ValueError(f"nb must be positive, got {self.nb}")
-        if self.eps < 0:
+        if not (self.eps >= 0 and math.isfinite(self.eps)):
             raise ValueError(f"eps must be non-negative, got {self.eps}")
         if self.leaf_size < 1:
             raise ValueError(f"leaf_size must be positive, got {self.leaf_size}")
@@ -323,9 +322,7 @@ class TileHMatrix:
 
     # -- construction ------------------------------------------------------
     @staticmethod
-    def _build_desc(
-        kernel, points, cfg: TileHConfig, engine: StfEngine | None, clustering=None
-    ) -> TileHDesc:
+    def _build_desc(kernel, points, cfg: TileHConfig) -> TileHDesc:
         from ..hmatrix import StrongAdmissibility
 
         return build_tile_h(
@@ -336,52 +333,14 @@ class TileHMatrix:
             leaf_size=cfg.leaf_size,
             admissibility=StrongAdmissibility(eta=cfg.eta),
             method=cfg.method,
-            clustering=clustering,
-            engine=engine,
         )
 
-    @staticmethod
-    def _assembly_context(kernel, points, cfg: TileHConfig):
-        """Picklable assembly state shipped once per worker process.
-
-        Returns ``(clustering, context)``: the clustering is reused by the
-        parent's :meth:`_build_desc` so both sides agree on tile geometry.
-        """
-        from ..hmatrix import AssemblyConfig, StrongAdmissibility
-        from .clustering import build_tile_h_clustering
-
-        pts = np.ascontiguousarray(points, dtype=np.float64)
-        clustering = build_tile_h_clustering(
-            pts, cfg.nb, leaf_size=cfg.leaf_size,
-            admissibility=StrongAdmissibility(eta=cfg.eta),
-        )
-        context = {
-            "kernel": kernel,
-            "points": pts,
-            "clustering": clustering,
-            "assembly": AssemblyConfig(eps=cfg.eps, method=cfg.method),
-        }
-        return clustering, context
-
-    @classmethod
-    def _submit_build(cls, kernel, points, cfg: TileHConfig):
-        """Submit the assembly to a fresh deferred engine: ``(mat, engine,
-        context)``; the tiles exist once the engine's graph has run."""
-        clustering = context = None
-        if cfg.exec_mode == "process":
-            clustering, context = cls._assembly_context(kernel, points, cfg)
-        engine = StfEngine(mode="deferred")
-        desc = cls._build_desc(kernel, points, cfg, engine, clustering)
-        return cls(desc, cfg), engine, context
-
-    def _run(self, graph, context=None) -> tuple[float, ExecutionTrace]:
+    def _run(self, graph) -> tuple[float, ExecutionTrace]:
         """Run a deferred ``graph`` on the configured executor; returns the
         wall seconds and the execution trace."""
         cfg = self.config
         if cfg.exec_mode == "process":
-            executor = ProcessExecutor(
-                cfg.nworkers, scheduler=cfg.scheduler, context=context
-            )
+            executor = ProcessExecutor(cfg.nworkers, scheduler=cfg.scheduler)
         else:
             # H-kernels are interpreter-bound: run them under the executor's lease.
             executor = ThreadedExecutor(
@@ -397,18 +356,11 @@ class TileHMatrix:
     def build(cls, kernel, points: np.ndarray, config: TileHConfig | None = None) -> "TileHMatrix":
         """Assemble the Tile-H matrix of ``kernel`` over ``points``.
 
-        With ``exec_mode="threaded"`` the ``nt^2`` tiles are assembled as
-        parallel ``assemble`` tasks on the configured worker threads (the
-        returned matrix is fully assembled either way).  To overlap assembly
-        with factorisation, use :meth:`build_factorize` instead.
+        The ``nt^2`` tiles are assembled by one serial loop in every
+        ``exec_mode``, which selects the factorisation's executor only.
         """
         cfg = config or TileHConfig()
-        if cfg.exec_mode in ("threaded", "process"):
-            mat, engine, context = cls._submit_build(kernel, points, cfg)
-            mat._run(engine.wait_all(), context)
-            return mat
-        desc = cls._build_desc(kernel, points, cfg, None)
-        return cls(desc, cfg)
+        return cls(cls._build_desc(kernel, points, cfg), cfg)
 
     @classmethod
     @sequential_blas()
@@ -420,62 +372,14 @@ class TileHMatrix:
         *,
         method: str = "lu",
     ) -> tuple["TileHMatrix", FactorizationInfo]:
-        """Fused task-based assembly + factorisation (build/facto overlap).
+        """:meth:`build` followed by :meth:`factorize` (``method=``).
 
-        With ``exec_mode="threaded"`` both phases are submitted to one
-        deferred STF engine: every ``assemble`` task writes its tile's
-        handle, and the GETRF/TRSM/GEMM tasks depend only on the tile
-        handles they touch, so early panels factorise while late tiles are
-        still assembling — one :class:`~repro.runtime.ThreadedExecutor` run
-        covers the fused graph.  The returned info's ``graph``/``trace``
-        span assembly *and* factorisation; ``wall_seconds`` is the fused
-        wall time.
-
-        With ``exec_mode="eager"`` this is exactly ``build()`` followed by
-        ``factorize()`` (bit-identical to the two-step path).
-
-        With ``nested=True`` the deferred path runs as *two* stages —
-        assembly graph first, then :meth:`factorize` on a fresh executor.
-        The nested graph's structure is fixed by the clustering, not by the
-        assembled numbers, and is replayed from a recorded
-        :class:`~repro.core.factor_program.FactorProgram` when this block
-        structure was factorised before; but the *recorder* (the expanders
-        walking real block trees) and the binder (rank-dependent flops,
-        closures over the nodes) need assembled tiles.  The returned info
-        covers the factorisation stage (its ``graph``/``trace`` are the
-        expanded factorisation; ``wall_seconds`` sums both stages); the
-        build/facto overlap of the fused opaque path is traded for the
-        fine-grain parallelism of the expanded graph.
+        Under ``exec_mode="threaded"``/``"process"`` the returned info's
+        ``graph``, ``trace`` and ``wall_seconds`` cover the factorisation
+        only: assembly is the serial loop in every mode.
         """
-        cfg = config or TileHConfig()
-        if cfg.exec_mode not in ("threaded", "process"):
-            mat = cls.build(kernel, points, cfg)
-            return mat, mat.factorize(method=method)
-        if method not in FACTOR_METHODS:
-            raise ValueError(f"method must be 'lu' or 'cholesky', got {method!r}")
-        mat, engine, context = cls._submit_build(kernel, points, cfg)
-        if cfg.nested:
-            # Stage A: assembly graph (the recorder needs assembled tiles).
-            wall_a, _ = mat._run(engine.wait_all(), context)
-            # Stage B: the nested factorisation, on a fresh executor.
-            info = mat.factorize(method=method)
-            info.wall_seconds = wall_a + info.wall_seconds
-            return mat, info
-        tasks_fn = tiled_getrf_tasks if method == "lu" else tiled_potrf_tasks
-        graph = tasks_fn(mat.desc, engine, accumulate=cfg.accumulate)
-        if cfg.priority_mode == "bottom-level":
-            apply_bottom_level_priorities(graph, "flops")
-        wall, trace = mat._run(graph, context)
-        mat._factorized = True
-        mat._method = method
-        info = FactorizationInfo(
-            graph=graph,
-            nb=mat.desc.nb,
-            nt=mat.desc.nt,
-            trace=trace,
-            wall_seconds=wall,
-        )
-        return mat, info
+        mat = cls.build(kernel, points, config)
+        return mat, mat.factorize(method=method)
 
     # -- queries ---------------------------------------------------------------
     @property

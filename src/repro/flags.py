@@ -54,10 +54,10 @@ def add_run(parser) -> None:
     parser.add_argument(
         "--exec", dest="exec_mode", choices=EXEC_MODES, default="eager",
         help="executor of the factorisation: eager (kernels run at submission), "
-        "threaded (worker threads under a scheduling policy; Tile-H assembly is "
-        "fused with the factorisation) or process (worker processes over "
-        "shared-memory tiles; GIL-free, yet measured slower than one thread — "
-        "docs/parallelism.md)",
+        "threaded (worker threads under a scheduling policy) or process (worker "
+        "processes over shared-memory tiles; GIL-free, yet measured slower than "
+        "one thread — docs/parallelism.md); Tile-H assembly is one serial loop "
+        "in every mode",
     )
     parser.add_argument("--nworkers", type=int, default=2,
                         help="workers of --exec threaded/process "

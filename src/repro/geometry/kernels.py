@@ -367,11 +367,11 @@ def exponential_kernel(points: np.ndarray, *, length: float = 1.0) -> KernelFunc
 
 
 def _check_gp_params(length: float, signal: float, nugget: float) -> None:
-    if length <= 0:
+    if not (length > 0 and math.isfinite(length)):
         raise ValueError(f"length must be positive, got {length}")
-    if signal <= 0:
+    if not (signal > 0 and math.isfinite(signal)):
         raise ValueError(f"signal must be positive, got {signal}")
-    if nugget < 0:
+    if not (nugget >= 0 and math.isfinite(nugget)):
         raise ValueError(f"nugget must be non-negative, got {nugget}")
 
 

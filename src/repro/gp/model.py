@@ -2,8 +2,8 @@
 
 Training factorises the H-compressed covariance ``K = K_f(X, X) + s_n^2 I``
 with :meth:`~repro.core.TileHMatrix.build_factorize` (``method="cholesky"``)
-— assembly and factorisation fuse into one DAG under ``exec_mode="threaded"``
-/ ``"process"``, nested tile expansion included.
+— assembly is one serial loop, and ``exec_mode="threaded"``/``"process"``
+run the factorisation as a task graph, nested tile expansion included.
 
 A prediction is a panel solve: the cross-covariance panel
 ``K_* = K(X, X_*)`` is evaluated once, :meth:`~repro.core.TileHMatrix.solve`

@@ -21,14 +21,13 @@ class KindStyle:
     color: str
 
 
-#: Kernel kinds emitted by the tiled algorithms and the assembly layer.
+#: Kernel kinds emitted by the tiled algorithms.
 KIND_STYLES: dict[str, KindStyle] = {
     "getrf": KindStyle("G", "firebrick"),
     "potrf": KindStyle("P", "indianred"),
     "trsm": KindStyle("T", "goldenrod"),
     "trsm-solve": KindStyle("S", "darkgoldenrod"),
     "gemm": KindStyle("M", "steelblue"),
-    "assemble": KindStyle("A", "forestgreen"),
     "trsv": KindStyle("V", "darkorchid"),
     "gemv": KindStyle("v", "slateblue"),
     "compress": KindStyle("C", "darkcyan"),

@@ -12,9 +12,7 @@ Tasks must carry a :class:`TaskSpec` — a declarative, picklable description
 (``"module:callable"`` plus scalar args) — because closures built by a
 deferred :class:`~repro.runtime.stf.StfEngine` capture live objects in the
 parent.  The worker-side convention is ``fn(payloads, *args, **kwargs)`` where
-``payloads`` holds the task's access-list payloads in declared order; ops with
-``needs_context=True`` additionally receive the executor's ``context`` (shipped
-once per worker) as a ``context=`` kwarg.
+``payloads`` holds the task's access-list payloads in declared order.
 
 Scheduling is the simulator's own code (:mod:`~repro.runtime.ready`): the
 parent drives the shared scheduler object through one ready front, a pipe
@@ -62,7 +60,6 @@ class TaskSpec:
     op: str
     args: tuple = ()
     kwargs: dict = field(default_factory=dict)
-    needs_context: bool = False
 
 
 def _resolve_op(op: str):
@@ -124,18 +121,19 @@ def _explode_for_tests():  # pragma: no cover - runs in a worker
 
 
 class _ExplodingContext:
-    """Test helper: pickles fine in the parent, raises when a child unpickles
-    it — the minimal reproducible 'worker dies during startup' failure."""
+    """Test helper: pickles fine in the parent, raises when a worker unpickles
+    it — as a handle payload, outside any task: the minimal reproducible
+    'worker dies while not running a task' failure."""
 
     def __reduce__(self):
         return (_explode_for_tests, ())
 
 
-def _worker_main(widx: int, task_conn, res_conn, arena_tag: str, ctx_blob) -> None:
+def _worker_main(widx: int, task_conn, res_conn, arena_tag: str) -> None:
     """Fatal-error shim around :func:`_worker_loop`.
 
-    Any exception that escapes the loop — including startup failures like a
-    context blob that will not unpickle or an arena that will not attach —
+    Any exception that escapes the loop — including failures outside a task
+    like a payload that will not unpickle or an arena that will not attach —
     is reported to the parent as a ``("fatal", widx, traceback)`` message
     before the worker dies, so "worker died" errors carry the child's actual
     traceback instead of just an exit code.
@@ -144,7 +142,7 @@ def _worker_main(widx: int, task_conn, res_conn, arena_tag: str, ctx_blob) -> No
         # One BLAS stream per worker process, held for the worker's life:
         # oversubscription kills scaling.
         with sequential_blas():
-            _worker_loop(widx, task_conn, res_conn, arena_tag, ctx_blob)
+            _worker_loop(widx, task_conn, res_conn, arena_tag)
     except BaseException:
         try:
             res_conn.send(("fatal", widx, traceback.format_exc()))
@@ -153,14 +151,13 @@ def _worker_main(widx: int, task_conn, res_conn, arena_tag: str, ctx_blob) -> No
         raise
 
 
-def _worker_loop(widx: int, task_conn, res_conn, arena_tag: str, ctx_blob) -> None:
+def _worker_loop(widx: int, task_conn, res_conn, arena_tag: str) -> None:
     """Worker loop: receive task messages, run ops on shared views, reply.
 
     The worker's own arena is ``untrack=True``: the parent owns unlinking of
     every segment (workers announce names of segments they create).
     """
     arena = SharedTileArena(arena_tag, untrack=True)
-    context = pickle.loads(ctx_blob) if ctx_blob is not None else None
     local: dict[int, object] = {}
     ops: dict[str, object] = {}
     try:
@@ -199,11 +196,8 @@ def _worker_loop(widx: int, task_conn, res_conn, arena_tag: str, ctx_blob) -> No
                             fn = _resolve_op(spec.op)
                             ops[spec.op] = fn
                         payloads = [local[h] for h in hids]
-                        kwargs = dict(spec.kwargs)
-                        if spec.needs_context:
-                            kwargs["context"] = context
                         t0 = time.perf_counter()
-                        fn(payloads, *spec.args, **kwargs)
+                        fn(payloads, *spec.args, **spec.kwargs)
                         t1 = time.perf_counter()
                         # Always reship written skeletons: in-place mutations
                         # keep their ArenaRefs (cheap), replaced arrays land
@@ -269,7 +263,7 @@ def _install(handle, final) -> None:
         and original.dtype == final.dtype
     ):
         original[...] = final
-    elif hasattr(original, "fill") and hasattr(original, "mat") and hasattr(final, "mat"):
+    elif hasattr(original, "mat") and hasattr(final, "mat"):
         original.mat = final.mat
         original.format = final.format
     else:
@@ -284,15 +278,12 @@ class ProcessExecutor(GraphExecutor):
     scheduler policies, trace, probe hooks), but every task needs a
     :class:`TaskSpec` (``task.spec``) unless it is pre-traced (``func=None``).
 
-    ``context`` is an arbitrary picklable object shipped once per worker and
-    passed to ops with ``needs_context=True`` (the Tile-H assembly closure
-    state: kernel, points, clustering).  Each worker holds
-    :func:`~repro.dense.blas.sequential_blas` for its whole life (one BLAS
-    stream per worker process).
+    Each worker holds :func:`~repro.dense.blas.sequential_blas` for its whole
+    life (one BLAS stream per worker process).
 
     ``dispatch_batch`` caps how many task entries one pipe write may carry.
     Fine-grain graphs (nested expansion) spend most of their single-worker
-    wall clock in dispatch round-trips (a one-worker fused run measured
+    wall clock in dispatch round-trips (a one-worker run measured
     ``idle_fraction`` 0.82); batching amortizes the syscall + wakeup cost.
     With one worker the batch is built by *optimistic completion* — pop a
     task, release what it frees as if it had finished, pop again — which
@@ -306,7 +297,6 @@ class ProcessExecutor(GraphExecutor):
     serialization/IPC accounting.
     """
 
-    context: object | None = field(default=None)
     dispatch_batch: int = 8
 
     def __post_init__(self) -> None:
@@ -344,13 +334,8 @@ class ProcessExecutor(GraphExecutor):
         run_tag = f"{SEGMENT_PREFIX}{os.getpid():x}r{next(_run_counter):x}"
         arena = SharedTileArena(run_tag + "p")
         segments: set[str] = set()
-        ctx_blob = None
-        if self.context is not None:
-            ctx_blob = pickle.dumps(self.context, protocol=pickle.HIGHEST_PROTOCOL)
         self.ipc_bytes = 0
         self.shm_bytes = 0
-        if ctx_blob is not None:
-            self.ipc_bytes += len(ctx_blob) * self.nworkers
 
         mp = get_context("spawn")
         procs: list = []
@@ -361,7 +346,7 @@ class ProcessExecutor(GraphExecutor):
             r_recv, r_send = mp.Pipe(duplex=False)
             p = mp.Process(
                 target=_worker_main,
-                args=(w, t_recv, r_send, f"{run_tag}w{w}", ctx_blob),
+                args=(w, t_recv, r_send, f"{run_tag}w{w}"),
                 daemon=True,
                 name=f"repro-pworker-{w}",
             )

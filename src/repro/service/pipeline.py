@@ -47,8 +47,10 @@ decade buckets are too coarse for tail-latency reporting.
 from __future__ import annotations
 
 import os
+import sys
 import threading
 import time
+import traceback
 from collections import deque
 from contextlib import nullcontext as _null_ctx
 
@@ -120,7 +122,17 @@ class SolveTicket:
             if not self._event.is_set():
                 self._callbacks.append(fn)
                 return
-        fn(self)
+        self._call(fn)
+
+    def _call(self, fn) -> None:
+        # A callback that raises is reported and skipped, as
+        # concurrent.futures.Future does: it must not end the resolving
+        # worker thread or starve the callbacks after it.
+        try:
+            fn(self)
+        except Exception:
+            print(f"exception calling callback for {self!r}", file=sys.stderr)
+            traceback.print_exc()
 
     def _resolve(self, result=None, error=None, *, t: float) -> None:
         self._result = result
@@ -130,7 +142,7 @@ class SolveTicket:
         with self._cb_lock:
             callbacks, self._callbacks = self._callbacks, []
         for fn in callbacks:
-            fn(self)
+            self._call(fn)
 
 
 class _Request:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import time
 from dataclasses import dataclass, replace
 
@@ -83,7 +84,7 @@ class ProblemSpec:
                 value = getattr(self, name)
                 if value is None:
                     object.__setattr__(self, name, default)
-                elif not isinstance(value, (int, float)) or not value > 0:
+                elif not (isinstance(value, (int, float)) and value > 0 and math.isfinite(value)):
                     raise BadRequestError(f"{name} must be a positive number, got {value!r}")
                 else:
                     object.__setattr__(self, name, float(value))
@@ -107,7 +108,7 @@ class ProblemSpec:
             raise BadRequestError(f"n must be an integer >= 2, got {self.n!r}")
         if self.nb is not None and (not isinstance(self.nb, int) or self.nb < 1):
             raise BadRequestError(f"nb must be a positive integer, got {self.nb!r}")
-        if not self.eps > 0:
+        if not (self.eps > 0 and math.isfinite(self.eps)):
             raise BadRequestError(f"eps must be positive, got {self.eps!r}")
         if not isinstance(self.leaf_size, int) or self.leaf_size < 1:
             raise BadRequestError(f"leaf_size must be a positive integer, got {self.leaf_size!r}")
@@ -172,8 +173,8 @@ def build_solver(
 
     This is the expensive cold-start path; the factorization store exists to
     make it run once per fingerprint.  ``exec_mode``/``nworkers`` pick the
-    executor for that cold build (``"threaded"`` and ``"process"`` fuse
-    assembly with the factorisation).  The factors agree across executors to
+    executor of that cold build's factorisation (assembly is one serial loop
+    in every mode).  The factors agree across executors to
     accumulator rounding only — the rounding accumulator is eager-only, so a
     threaded/process build matches an ``accumulate=False`` eager build bit
     for bit but differs from the default eager build in the last ulps.  The
@@ -197,11 +198,8 @@ def build_solver(
     )
     ctx = current_trace()
     t0 = time.perf_counter()
-    if exec_mode == "eager":
-        solver = TileHMatrix.build(kernel, points, config)
-        solver.factorize(method=spec.method)
-    else:
-        solver, _ = TileHMatrix.build_factorize(kernel, points, config, method=spec.method)
+    solver, _ = TileHMatrix.build_factorize(kernel, points, config, method=spec.method)
+    if exec_mode != "eager":
         solver.config = replace(config, exec_mode="eager", nworkers=1)
     if ctx is not None:
         ctx.add_span(

@@ -163,15 +163,6 @@ def test_instantiate_rejects_another_structure():
         fp.instantiate(program, other.desc, 1e-4)
 
 
-def test_pending_tiles_are_refused():
-    from repro.core.build import build_tile_h
-
-    desc = build_tile_h(_kernel("laplace"), _points(), NB, eps=1e-4, leaf_size=LEAF,
-                        engine=StfEngine(mode="deferred"))
-    with pytest.raises(RuntimeError, match="requires assembled tiles"):
-        fp.program_for(desc, "lu", NestedPolicy(min_leaf=32))
-
-
 # -- executed: eager's bits ------------------------------------------------------
 
 
@@ -271,7 +262,7 @@ def test_probe_sees_a_hit_like_a_miss():
         lookups = (reg.counter("nested.program.hits"), reg.counter("nested.program.misses"))
         assert lookups == ((0, 1) if _build == "miss" else (1, 0))
     assert seen[0] == seen[1]
-    submitted = sum(v[0] for k, v in seen[0][0].items() if k != "assemble")
+    submitted = sum(v[0] for v in seen[0][0].values())
     assert submitted == len(info.graph)  # the recorder announced nothing
     report = build_run_report(probe=probe, trace=info.trace, graph=info.graph, nested=info.nested)
     assert validate_report(report) == []

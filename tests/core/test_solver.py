@@ -34,6 +34,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             TileHConfig(leaf_size=0)
 
+    @pytest.mark.parametrize("eps", [float("nan"), float("inf")])
+    def test_non_finite_eps_rejected(self, eps):
+        with pytest.raises(ValueError, match="eps must be non-negative"):
+            TileHConfig(eps=eps)
+
 
 class TestBuild:
     def test_shape_and_compression(self, geom):

@@ -82,6 +82,12 @@ class TestValidation:
             with pytest.raises(ValueError):
                 make_kernel("sqexp", PTS, **bad)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("name", ["length", "signal", "nugget"])
+    def test_non_finite_hyperparameters_rejected(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            make_kernel("sqexp", PTS, **{name: value})
+
     def test_unknown_matern_smoothness_rejected(self):
         with pytest.raises(ValueError):
             from repro.geometry import matern_kernel

@@ -1,6 +1,6 @@
-"""End-to-end threaded pipeline: fused assembly+factorisation.
+"""End-to-end threaded pipeline: assembly, then a threaded factorisation.
 
-The acceptance bar for the threaded path: a fused threaded solve at
+The acceptance bar for the threaded path: a threaded build_factorize at
 nworkers=4 produces a forward error identical to the eager path (same DAG,
 same arithmetic — ``accumulate=False`` on both sides since the rounding
 accumulator is eager-only), and the threaded trace is a linear extension of
@@ -10,9 +10,9 @@ the submitted graph.
 import numpy as np
 import pytest
 
-from repro.core import TileHConfig, TileHMatrix, assemble_priority, build_tile_h
+from repro.core import TileHConfig, TileHMatrix
 from repro.geometry import cylinder_cloud, make_kernel, streamed_matvec
-from repro.runtime import StfEngine, ThreadedExecutor, validate_trace
+from repro.runtime import validate_trace
 
 N, NB = 480, 120
 
@@ -49,20 +49,6 @@ class TestFusedBuildFactorize:
         # writer of a tile).
         assert err_t == pytest.approx(err_e, rel=1e-9)
         assert err_e < 1e-2
-
-    def test_fused_graph_contains_assembly_and_factorization(self, problem):
-        pts, kern, _, _ = problem
-        _, info = TileHMatrix.build_factorize(
-            kern, pts, _cfg(exec_mode="threaded", nworkers=2)
-        )
-        kinds = {t.kind for t in info.graph.tasks}
-        assert {"assemble", "getrf", "trsm", "gemm"} <= kinds
-        # Fusion means factorisation tasks depend on assemble tasks directly.
-        assemble_ids = {t.id for t in info.graph.tasks if t.kind == "assemble"}
-        getrf_deps = set().union(
-            *(t.deps for t in info.graph.tasks if t.kind == "getrf")
-        )
-        assert assemble_ids & getrf_deps
 
     def test_threaded_trace_validates(self, problem):
         pts, kern, _, _ = problem
@@ -110,7 +96,7 @@ class TestFusedBuildFactorize:
             _cfg(nb=80, eps=1e-8, leaf_size=40, exec_mode="threaded", nworkers=2),
             method="cholesky",
         )
-        assert {"assemble", "potrf"} <= {t.kind for t in info.graph.tasks}
+        assert "potrf" in {t.kind for t in info.graph.tasks}
         err = np.linalg.norm(a.solve(b) - x) / np.linalg.norm(x)
         assert err < 1e-4
 
@@ -143,20 +129,4 @@ class TestThreadedBuildOnly:
         a = TileHMatrix.build(kern, pts, _cfg())
         b_ = TileHMatrix.build(kern, pts, _cfg(exec_mode="threaded", nworkers=3))
         assert np.array_equal(a.to_dense(), b_.to_dense())
-
-    def test_deferred_build_without_executor_stays_pending(self, problem):
-        pts, kern, _, _ = problem
-        eng = StfEngine(mode="deferred")
-        desc = build_tile_h(kern, pts, NB, leaf_size=48, engine=eng)
-        assert desc.format_counts().get("pending", 0) == desc.super.nt ** 2
-        ThreadedExecutor(2).run(eng.wait_all())
-        assert "pending" not in desc.format_counts()
-
-    def test_assemble_priority_slots_between_trsm_and_getrf(self):
-        nt = 4
-        for i in range(nt):
-            for j in range(nt):
-                k = min(i, j)
-                base = (nt - k) * 10
-                assert base + 12 < assemble_priority(nt, i, j) < base + 15
 

@@ -71,19 +71,28 @@ class TestThreadedRunReport:
     def test_steal_and_idle_counters_nonzero_under_ws(self):
         # ISSUE acceptance: ws with >= 2 workers must show stealing activity
         # and nonzero idle time.  A steal is attempted only when a worker
-        # reaches the scheduler with an empty queue, and under the lease a
-        # worker whose queue ran dry may instead sit parked on the lease while
-        # the other finishes the graph from its own queue (seen on the shared
-        # fixture: both workers ran, neither ever popped empty).  With the
-        # lease quantum above the run's length the first lessee keeps the
-        # lease until a pop returns None, and the other queue's round-robin
-        # share of the source tasks can only reach it by stealing.
+        # reaches the scheduler with an empty queue.  A factorisation has one
+        # source task and every release lands on the releasing worker's
+        # queue, so under the lease one worker may run the whole graph from
+        # its own queue while the other never pops.  Independent source tasks
+        # are split round-robin over the two queues; with the lease quantum
+        # above the run's length the first lessee keeps the lease until a pop
+        # returns None, so the other queue's share can only reach it by
+        # stealing.
+        eng = StfEngine(mode="deferred")
+        for i in range(16):
+            a = np.ones((64, 64))
+            eng.insert_task("gemm", lambda a=a: a @ a, [(eng.handle(a, f"a{i}"), AccessMode.RW)])
+        graph = eng.wait_all()
+        executor = ThreadedExecutor(2, scheduler="ws", interpreter_bound=True)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(10.0)
         try:
-            report, _ = _profiled_threaded_lu()
+            with Instrumentation() as probe:
+                executor.run(graph)
         finally:
             sys.setswitchinterval(interval)
+        report = build_run_report(probe=probe, trace=executor.trace, graph=graph, meta={})
         sched = report["scheduler"]
         assert sched["pushes"] > 0
         assert sched["steal_attempts"] > 0

@@ -172,18 +172,17 @@ def test_crash_error_names_worker_task_and_exit_code():
 
 
 def test_startup_death_carries_child_traceback():
-    """A worker that dies during startup (here: a context blob that raises on
-    unpickle) must surface the child's traceback in the parent error, and the
-    run must still unlink every segment."""
+    """A worker that dies outside any task (here: a handle payload that raises
+    when the worker unpickles it) must surface the child's traceback in the
+    parent error, and the run must still unlink every segment."""
     from repro.runtime.process import _ExplodingContext
 
     eng = StfEngine(mode="deferred")
-    a = np.zeros(4)
-    eng.insert_task("k", lambda: None, [(eng.handle(a, "a"), RW)], spec=INCR)
+    eng.insert_task("k", lambda: None, [(eng.handle(_ExplodingContext(), "a"), RW)],
+                    spec=NOOP)
     g = eng.wait_all()
-    ex = ProcessExecutor(1, context=_ExplodingContext())
     with pytest.raises(RuntimeError, match="exploding context \\(test helper\\)"):
-        ex.run(g)
+        ProcessExecutor(1).run(g)
 
 
 class TestSpawnableCheck:

@@ -215,18 +215,18 @@ class TestNewKindRendering:
         eng = StfEngine(mode="eager")
         tile = object()
         h = eng.handle(tile, "t")
-        eng.insert_task("assemble", lambda: None, [(h, W)])
+        eng.insert_task("trsv", lambda: None, [(h, W)])
         eng.insert_task("potrf", lambda: None, [(h, RW)])
         eng.insert_task("trsm-solve", lambda: None, [(h, RW)])
         dot = eng.wait_all().to_dot()
-        assert "forestgreen" in dot     # assemble
+        assert "darkorchid" in dot      # trsv
         assert "indianred" in dot       # potrf
         assert "darkgoldenrod" in dot   # trsm-solve
-        assert "assemble" in dot and "potrf" in dot
+        assert "trsv" in dot and "potrf" in dot
 
     def test_gantt_assemble_letter(self):
         from repro.runtime import ExecutionTrace, TraceEvent, render_gantt
 
         tr = ExecutionTrace(nworkers=1)
-        tr.add(TraceEvent(0, "assemble", 0, 0.0, 1.0))
-        assert "A" in render_gantt(tr, width=10)
+        tr.add(TraceEvent(0, "trsv", 0, 0.0, 1.0))
+        assert "V" in render_gantt(tr, width=10)

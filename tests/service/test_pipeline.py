@@ -437,3 +437,35 @@ class TestStatsAndReport:
         report = build_run_report(probe=probe, meta={})
         assert validate_report(report) == []
         assert report["service"]["requests"]["admitted"] == 1
+
+
+class TestDoneCallbacks:
+    def test_a_raising_callback_is_reported_and_the_worker_lives_on(
+        self, solver, spec, rhs, capsys
+    ):
+        gate = threading.Event()
+
+        def provider(k, s):
+            gate.wait(30)
+            return solver
+
+        svc = SolveService(
+            FactorizationStore(), workers=1, max_delay=0.0, solver_provider=provider
+        )
+        after = []
+        try:
+            first = svc.submit(spec, rhs)
+            first.add_done_callback(lambda t: 1 / 0)
+            first.add_done_callback(after.append)
+            gate.set()
+            first.result(5)
+            # The one worker survived its callback: the next request is answered.
+            assert np.array_equal(svc.submit(spec, rhs).result(5), solver.solve(rhs))
+            # Already resolved: the callback runs on this thread, guarded alike.
+            first.add_done_callback(lambda t: 1 / 0)
+        finally:
+            gate.set()
+            svc.close()
+        assert after == [first]
+        err = capsys.readouterr().err
+        assert err.count("ZeroDivisionError") == 2 and "exception calling callback" in err

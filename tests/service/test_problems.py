@@ -26,6 +26,18 @@ class TestValidation:
         with pytest.raises(BadRequestError):
             ProblemSpec(kernel="laplace", n=100, nb=0)
 
+    @pytest.mark.parametrize(
+        "fields",
+        [{"eps": float("inf")}, {"eps": float("nan")},
+         {"kind": "gp", "kernel": "sqexp", "length": float("inf")},
+         {"kind": "gp", "kernel": "sqexp", "noise": float("inf")},
+         {"kind": "gp", "kernel": "sqexp", "signal": float("nan")}],
+        ids=["eps-inf", "eps-nan", "gp-length-inf", "gp-noise-inf", "gp-signal-nan"],
+    )
+    def test_from_dict_rejects_non_finite_values(self, fields):
+        with pytest.raises(BadRequestError):
+            ProblemSpec.from_dict({"kernel": "laplace", "n": 100, **fields})
+
     def test_from_dict_rejects_unknown_fields(self):
         with pytest.raises(BadRequestError):
             ProblemSpec.from_dict({"kernel": "laplace", "n": 100, "color": "red"})

@@ -8,6 +8,8 @@ from repro.__main__ import main
 ARGVS = [
     ["--nb", "0"],
     ["--eps", "-1"],
+    ["--eps", "nan"],
+    ["--eps", "inf"],
     ["--leaf-size", "0"],
     ["--threads", "0"],
     ["gp", "train", "--n", "1"],
