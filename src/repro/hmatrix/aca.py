@@ -5,6 +5,13 @@ evaluations — it never materialises the block, which is what makes H-matrix
 *assembly* (not just arithmetic) log-linear.  This is the compression scheme
 the paper cites ([20], Rjasanow) as HMAT-OSS's default; an SVD path and a
 fully-pivoted ACA are provided for validation.
+
+Assembly runs ACA only on admissible blocks larger than a dense leaf: a block
+between two leaf clusters is evaluated by one kernel call and compressed by
+the truncated SVD (:func:`repro.hmatrix.hmatrix.assemble_hmatrix`), which is
+cheaper than the interpreted cross loop at that size and meets the ε-bound
+exactly.  Every compressed block, whatever the method, is reported to the
+probe once.
 """
 
 from __future__ import annotations
@@ -201,14 +208,21 @@ def aca_partial(
         next_row = int(np.where(row_avail, np.abs(u_new), -1.0).argmax())
 
     if k == 0:
-        return RkMatrix.zeros(m, n, dtype=dtype)
-    rk = RkMatrix(np.ascontiguousarray(uu[:, :k]), np.ascontiguousarray(vv[:, :k]))
-    if recompress:
-        rk = rk.truncate(eps, max_rank)
+        rk = RkMatrix.zeros(m, n, dtype=dtype)
+    else:
+        rk = RkMatrix(np.ascontiguousarray(uu[:, :k]), np.ascontiguousarray(vv[:, :k]))
+        if recompress:
+            rk = rk.truncate(eps, max_rank)
+    _report(m, n, rk, evaluated)
+    return rk
+
+
+def _report(m: int, n: int, rk: RkMatrix, kernel_entries: int) -> None:
+    """Tell the probe one ``m x n`` block was compressed to ``rk`` from
+    ``kernel_entries`` kernel evaluations."""
     probe = _current_probe()
     if probe is not None:
-        probe.block_compressed(m, n, rk.rank, rk.u.dtype.itemsize, evaluated)
-    return rk
+        probe.block_compressed(m, n, rk.rank, rk.u.dtype.itemsize, kernel_entries)
 
 
 def aca_full(block: np.ndarray, eps: float, *, max_rank: int | None = None) -> RkMatrix:
@@ -242,6 +256,10 @@ def aca_full(block: np.ndarray, eps: float, *, max_rank: int | None = None) -> R
     return RkMatrix(np.column_stack(us), np.column_stack(vs))
 
 
+#: The methods of :func:`compress_kernel_block` that evaluate the whole block.
+_DENSE_COMPRESSORS = {"svd": compress_dense, "rsvd": compress_dense_rsvd, "aca_full": aca_full}
+
+
 def compress_kernel_block(
     kernel,
     row_points: np.ndarray,
@@ -257,21 +275,22 @@ def compress_kernel_block(
     block); ``method="svd"`` forms the dense block and takes the truncated
     SVD (optimal, for validation); ``method="aca_full"`` forms the block and
     runs fully pivoted ACA; ``method="rsvd"`` uses the randomized SVD
-    (the paper cites randomized techniques as [21]).
+    (the paper cites randomized techniques as [21]).  Every method reports
+    the block to the active probe once.
 
     ``method="aca"`` needs ``kernel.sampler`` (a ``KernelFunction`` or an
     object shaped like one); the other methods only call ``kernel(rows, cols)``.
     """
     if method == "aca":
-        # The sampler is built here, inside the leaf task: it is never pickled.
+        # The sampler is built here, per block: it is never pickled.
         block = kernel.sampler(row_points, col_points)
         return aca_partial(
             block.row, block.col, *block.shape, eps, max_rank=max_rank, get_rows=block.rows
         )
-    if method == "svd":
-        return compress_dense(kernel(row_points, col_points), eps, max_rank)
-    if method == "rsvd":
-        return compress_dense_rsvd(kernel(row_points, col_points), eps, max_rank=max_rank)
-    if method == "aca_full":
-        return aca_full(kernel(row_points, col_points), eps, max_rank=max_rank)
-    raise ValueError(f"unknown compression method {method!r}")
+    compress = _DENSE_COMPRESSORS.get(method)
+    if compress is None:
+        raise ValueError(f"unknown compression method {method!r}")
+    block = kernel(row_points, col_points)
+    rk = compress(block, eps, max_rank=max_rank)
+    _report(*block.shape, rk, block.size)
+    return rk

@@ -39,8 +39,8 @@ class AssemblyConfig:
         Relative (Frobenius) compression accuracy — the paper's accuracy
         parameter, 1e-4 in Section V.
     method:
-        "aca" (default, matrix-free), "svd" (optimal, densifies each
-        admissible block) or "aca_full".
+        "aca" (default, matrix-free above leaf size), "svd" (optimal,
+        densifies each admissible block), "rsvd" or "aca_full".
     max_rank:
         Optional hard rank cap for admissible blocks.
     """
@@ -505,31 +505,50 @@ def assemble_hmatrix(
 ) -> HMatrix:
     """Assemble the H-matrix of ``a_ij = K(|x_i - x_j|)`` over ``block_tree``.
 
-    Admissible leaves are compressed (ACA by default, never materialising the
-    block); inadmissible leaves are evaluated densely.
+    Admissible leaves are compressed and inadmissible leaves evaluated
+    densely.  Under ``method="aca"`` (the default) an admissible leaf below
+    the root whose row and column clusters are both cluster-tree leaves is
+    no larger than a dense leaf: it is evaluated by one kernel call and
+    compressed by the truncated SVD, which costs less than ACA's interpreted
+    cross loop at that size and meets the ε-bound exactly.  Every other
+    admissible leaf goes through partially pivoted ACA and is never
+    materialised.  A block tree that is a single leaf (a flat BLR tile) has
+    no hierarchy bounding how many such blocks there are, so it stays on ACA.
     """
     cfg = config or AssemblyConfig()
     pts = np.ascontiguousarray(points, dtype=np.float64)
     if block_tree.is_leaf:
-        return _assemble_leaf(kernel, pts, block_tree, cfg)
-    # Recursing through this function itself, not a local closure: a closure
-    # that names itself is a reference cycle, one per call, left to the collector.
+        return _assemble_leaf(kernel, pts, block_tree, cfg, cfg.method)
+    return _assemble_node(kernel, pts, block_tree, cfg)
+
+
+def _assemble_node(kernel, pts, bt: BlockClusterTree, cfg: AssemblyConfig) -> HMatrix:
+    """:func:`assemble_hmatrix` below the root (a module-level function: a
+    local closure that names itself is a cycle for the collector)."""
+    if bt.is_leaf:
+        method = cfg.method
+        if method == "aca" and bt.rows.is_leaf and bt.cols.is_leaf:
+            method = "svd"
+        return _assemble_leaf(kernel, pts, bt, cfg, method)
     return HMatrix(
-        block_tree.rows,
-        block_tree.cols,
-        children=[assemble_hmatrix(kernel, pts, c, cfg) for c in block_tree.children],
-        nrow_children=block_tree.nrow_children,
-        ncol_children=block_tree.ncol_children,
+        bt.rows,
+        bt.cols,
+        children=[_assemble_node(kernel, pts, c, cfg) for c in bt.children],
+        nrow_children=bt.nrow_children,
+        ncol_children=bt.ncol_children,
     )
 
 
-def _assemble_leaf(kernel, pts, bt: BlockClusterTree, cfg: AssemblyConfig) -> HMatrix:
-    """Assemble one leaf of the block cluster tree."""
+def _assemble_leaf(
+    kernel, pts, bt: BlockClusterTree, cfg: AssemblyConfig, method: str
+) -> HMatrix:
+    """Assemble one leaf of the block cluster tree, compressing it by
+    ``method`` if it is admissible."""
     rpts = pts[bt.rows.indices]
     cpts = pts[bt.cols.indices]
     if bt.admissible:
         rk = compress_kernel_block(
-            kernel, rpts, cpts, cfg.eps, method=cfg.method, max_rank=cfg.max_rank
+            kernel, rpts, cpts, cfg.eps, method=method, max_rank=cfg.max_rank
         )
         return HMatrix(bt.rows, bt.cols, rk=rk)
     return HMatrix(bt.rows, bt.cols, full=kernel(rpts, cpts))

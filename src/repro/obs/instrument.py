@@ -149,8 +149,9 @@ class Instrumentation:
     def block_compressed(
         self, m: int, n: int, rank: int, itemsize: int, kernel_entries: int
     ) -> None:
-        """One admissible block compressed by ACA during assembly, which
-        evaluated ``kernel_entries`` of the block's ``m * n`` entries."""
+        """One admissible block compressed during assembly, by any method,
+        from ``kernel_entries`` evaluations of the block's ``m * n`` entries
+        (all of them when the block was evaluated densely)."""
         reg = self.registry
         reg.inc("h.blocks_compressed")
         reg.inc("h.compressed_bytes", float((m + n) * rank * itemsize))

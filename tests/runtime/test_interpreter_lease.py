@@ -83,25 +83,34 @@ def test_lease_wait_and_handoffs_reach_the_probe():
 
 def test_leased_stress_more_workers_than_cores_loses_no_update():
     """Unsynchronised read-yield-write on shared state: only the lease keeps
-    the closures apart, so a single overlap loses an update."""
-    box = {"v": 0}
+    the closures apart, so a single overlap loses an update.
 
-    def bump():
-        v = box["v"]
-        time.sleep(0)  # drop the GIL between the read and the write
-        box["v"] = v + 1
-
+    The first lessee may win every lease race and run the whole graph
+    alone; such a run is checked like any other and the stress is repeated,
+    a bounded number of times, until a second worker has run tasks."""
     ntasks = 400
-    g = _independent([bump] * ntasks)
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)  # also shrinks the lease quantum: many handoffs
-    try:
-        ex = ThreadedExecutor(4, scheduler="ws", interpreter_bound=True)
-        wall = ex.run(g)
-    finally:
-        sys.setswitchinterval(old)
-    assert wall < 30
-    assert box["v"] == ntasks
-    assert validate_trace(g, ex.trace) == []
-    assert _cross_worker_overlaps(ex.trace) == []
-    assert len({e.worker for e in ex.trace.events}) > 1
+    workers = set()
+    for _attempt in range(10):
+        box = {"v": 0}
+
+        def bump():
+            v = box["v"]
+            time.sleep(0)  # drop the GIL between the read and the write
+            box["v"] = v + 1
+
+        g = _independent([bump] * ntasks)
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # also shrinks the lease quantum: many handoffs
+        try:
+            ex = ThreadedExecutor(4, scheduler="ws", interpreter_bound=True)
+            wall = ex.run(g)
+        finally:
+            sys.setswitchinterval(old)
+        assert wall < 30
+        assert box["v"] == ntasks
+        assert validate_trace(g, ex.trace) == []
+        assert _cross_worker_overlaps(ex.trace) == []
+        workers = {e.worker for e in ex.trace.events}
+        if len(workers) > 1:
+            break
+    assert len(workers) > 1
