@@ -3,10 +3,12 @@
 These are the full-rank leaf kernels that HMAT-OSS delegates to MKL in the
 paper: an unpivoted blocked LU (``getrf_nopiv``), the four TRSM variants used
 by the tiled algorithms, thin GEMM helpers, and the economic QR / thin SVD
-that Rk rounding is made of.  The flop-heavy inner work goes to BLAS via
-``@`` and to LAPACK routines called directly (``trtrs``, ``geqrf``,
-``orgqr``/``ungqr``, ``gesdd``): on the small panels H-arithmetic produces,
-the ``scipy.linalg`` wrappers cost more than the routines themselves.
+that Rk rounding is made of, and the column-pivoted QR that dense-block
+truncation starts from.  The flop-heavy inner work goes to BLAS via ``@``
+and to LAPACK routines called directly (``trtrs``, ``geqrf``, ``geqp3``,
+``orgqr``/``ungqr``, ``gesdd``) with workspace sizes queried once per
+shape: on the small panels H-arithmetic produces, the ``scipy.linalg``
+wrappers cost more than the routines themselves.
 :func:`sequential_blas` is the package's one BLAS thread control: the cold
 path runs its kernels single-threaded inside it (parallelism belongs to the
 task runtime).
@@ -20,6 +22,8 @@ from .kernels import (
     split_lu,
     tri_solve,
     qr_economic,
+    qr_pivoted,
+    householder_q,
     svd_economic,
     trsm,
     gemm_update,
@@ -41,6 +45,8 @@ __all__ = [
     "split_lu",
     "tri_solve",
     "qr_economic",
+    "qr_pivoted",
+    "householder_q",
     "svd_economic",
     "trsm",
     "gemm_update",

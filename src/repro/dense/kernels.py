@@ -9,6 +9,8 @@ all O(n^3) work inside BLAS-3 calls.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 from scipy.linalg import get_lapack_funcs
 
@@ -18,6 +20,8 @@ __all__ = [
     "split_lu",
     "tri_solve",
     "qr_economic",
+    "qr_pivoted",
+    "householder_q",
     "svd_economic",
     "trsm",
     "gemm_update",
@@ -36,15 +40,51 @@ def _lapack(name: str, dtype: np.dtype):
     return func
 
 
-def _lwork(name: str, dtype: np.dtype, *args, **kwargs) -> int:
-    """Optimal workspace size of LAPACK routine ``name`` from its ``_lwork`` query."""
-    work, info = _lapack(name + "_lwork", dtype)(*args, **kwargs)
+@lru_cache(maxsize=1024)
+def _workspace(name: str, char: str, m: int, n: int) -> int:
+    """Optimal workspace size of LAPACK routine ``name`` on an ``m x n`` operand.
+
+    LAPACK's answer depends on the routine, the dtype and the shape only, so
+    it is asked once per triple: every call gets the ``lwork`` a per-call
+    query would give it, hence the same blocking and the same bits.
+    ``orgqr`` is sized for ``m x n`` with ``n`` reflectors.
+    """
+    dtype = np.dtype(char)
+    if name in ("orgqr", "geqp3"):
+        # No ``_lwork`` wrapper: a ``lwork=-1`` call returns the size in
+        # ``work[0]`` before touching its operands.
+        a = np.zeros((m, n), dtype=dtype, order="F")
+        if name == "orgqr":
+            _, work, info = _lapack(name, dtype)(a, np.zeros(n, dtype=dtype), lwork=-1)
+        else:
+            *_, work, info = _lapack(name, dtype)(a, lwork=-1)
+        _check_info(name, info)
+        return int(work[0].real)
+    kwargs = {"compute_uv": True, "full_matrices": False} if name == "gesdd" else {}
+    work, info = _lapack(name + "_lwork", dtype)(m, n, **kwargs)
     _check_info(name + "_lwork", info)
     work = work.real
-    if dtype.char in "fF":
+    if char in "fF":
         # A single-precision query may have rounded a large size down.
         work = np.nextafter(np.float32(work), np.float32(np.inf))
     return int(work)
+
+
+@lru_cache(maxsize=256)
+def _below_diagonal(k: int) -> np.ndarray:
+    """Read-only mask of the strict lower triangle of a ``k x k`` array."""
+    mask = np.tri(k, k, -1, dtype=bool)
+    mask.flags.writeable = False
+    return mask
+
+
+def _upper(qr: np.ndarray, k: int) -> np.ndarray:
+    """``np.triu(qr[:k])`` for ``k <= qr.shape[1]`` (same values, same C layout),
+    without building a mask per call: the strict lower triangle lies in the
+    first ``k`` columns."""
+    r = qr[:k].copy()
+    r[:, :k][_below_diagonal(k)] = 0
+    return r
 
 
 def _check_info(name: str, info: int) -> None:
@@ -96,18 +136,40 @@ def qr_economic(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     dtype = a.dtype
     if k == 0:
         return np.empty((m, 0), dtype=dtype), np.empty((0, n), dtype=dtype)
-    qr, tau, _, info = _lapack("geqrf", dtype)(a, lwork=_lwork("geqrf", dtype, m, n))
+    qr, tau, _, info = _lapack("geqrf", dtype)(a, lwork=_workspace("geqrf", dtype.char, m, n))
     _check_info("geqrf", info)
-    r = np.triu(qr[:k])
-    orgqr = _lapack("orgqr", dtype)  # resolves to ungqr for complex dtypes
-    q = qr[:, :k]
-    # No orgqr_lwork wrapper exists: size the workspace by a lwork=-1 call,
-    # which returns before touching ``q``.
-    _, work, info = orgqr(q, tau, lwork=-1, overwrite_a=1)
+    r = _upper(qr, k)
+    return householder_q(qr, tau, k), r
+
+
+def qr_pivoted(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Column-pivoted QR ``a[:, perm] = q @ r`` via LAPACK ``geqp3``.
+
+    Returns ``(r, perm, qr, tau)``: ``r`` is the ``min(m, n) x n`` upper
+    trapezoid, whose diagonal does not increase in magnitude, ``perm`` the
+    0-based column order, and ``qr``/``tau`` the packed reflectors that
+    :func:`householder_q` turns into columns of ``q``.  ``a`` is not
+    modified.
+    """
+    m, n = a.shape
+    dtype = a.dtype
+    qr, jpvt, tau, _, info = _lapack("geqp3", dtype)(a, lwork=_workspace("geqp3", dtype.char, m, n))
+    _check_info("geqp3", info)
+    return _upper(qr, min(m, n)), jpvt - 1, qr, tau
+
+
+def householder_q(qr: np.ndarray, tau: np.ndarray, k: int) -> np.ndarray:
+    """The first ``k`` columns of ``q`` from packed reflectors, via ``orgqr``/``ungqr``.
+
+    ``qr``/``tau`` as returned by ``geqrf`` or ``geqp3`` (a Fortran-ordered
+    ``qr``); its first ``k`` columns are overwritten.
+    """
+    orgqr = _lapack("orgqr", qr.dtype)  # resolves to ungqr for complex dtypes
+    q, _, info = orgqr(
+        qr[:, :k], tau[:k], lwork=_workspace("orgqr", qr.dtype.char, qr.shape[0], k), overwrite_a=1
+    )
     _check_info("orgqr", info)
-    q, _, info = orgqr(q, tau, lwork=int(work[0].real), overwrite_a=1)
-    _check_info("orgqr", info)
-    return q, r
+    return q
 
 
 def svd_economic(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -123,9 +185,8 @@ def svd_economic(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if min(m, n) == 0:
         real = np.empty(0, dtype=dtype).real.dtype
         return np.empty((m, 0), dtype=dtype), np.empty(0, dtype=real), np.empty((0, n), dtype=dtype)
-    lwork = _lwork("gesdd", dtype, m, n, compute_uv=True, full_matrices=False)
     u, s, vh, info = _lapack("gesdd", dtype)(
-        a, compute_uv=True, lwork=lwork, full_matrices=False
+        a, compute_uv=True, lwork=_workspace("gesdd", dtype.char, m, n), full_matrices=False
     )
     _check_info("gesdd", info)
     return u, s, vh

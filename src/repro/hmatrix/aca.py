@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from ..obs.instrument import current as _current_probe
-from .rk import RkMatrix, compress_dense, compress_dense_rsvd
+from .rk import RkMatrix, _check_eps, compress_dense, compress_dense_rsvd
 
 __all__ = ["aca_partial", "aca_full", "compress_kernel_block"]
 
@@ -89,8 +89,7 @@ def aca_partial(
     """
     if m <= 0 or n <= 0:
         raise ValueError(f"block dimensions must be positive, got {m} x {n}")
-    if eps < 0:
-        raise ValueError(f"eps must be non-negative, got {eps}")
+    _check_eps(eps)
     limit = min(m, n) if max_rank is None else min(max_rank, m, n)
     if get_rows is None:
         def get_rows(idx):
@@ -231,6 +230,7 @@ def aca_full(block: np.ndarray, eps: float, *, max_rank: int | None = None) -> R
     O(m n k): the global residual maximum is the pivot at every step.  Used
     in tests as a slower-but-robust cross check of :func:`aca_partial`.
     """
+    _check_eps(eps)
     r = np.array(block, copy=True)
     m, n = r.shape
     limit = min(m, n) if max_rank is None else min(max_rank, m, n)

@@ -32,7 +32,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..obs.instrument import current as _current_probe
-from .rk import RkMatrix, compress_dense
+from .rk import RkMatrix, _check_eps, compress_dense
 
 __all__ = ["UpdateAccumulator"]
 
@@ -65,8 +65,7 @@ class UpdateAccumulator:
     """
 
     def __init__(self, eps: float, *, max_pending_scalars: int = 4_000_000) -> None:
-        if eps < 0:
-            raise ValueError(f"eps must be non-negative, got {eps}")
+        _check_eps(eps)
         if max_pending_scalars < 1:
             raise ValueError("max_pending_scalars must be positive")
         self.eps = eps

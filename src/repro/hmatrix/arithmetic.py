@@ -106,12 +106,14 @@ class _traced:
 
     A plain slotted context manager: the ``contextlib`` generator machinery
     costs a few microseconds per call, which is measurable at the leaf-kernel
-    call volume of an H-LU.
+    call volume of an H-LU.  ``flops`` is a number or a zero-argument flop
+    model; a model is evaluated, on the operands as the kernel receives
+    them, only when a tracer records.
     """
 
     __slots__ = ("kind", "reads", "writes", "flops", "t0")
 
-    def __init__(self, kind: str, reads: tuple, writes: tuple, flops: float) -> None:
+    def __init__(self, kind: str, reads: tuple, writes: tuple, flops) -> None:
         self.kind = kind
         self.reads = reads
         self.writes = writes
@@ -119,6 +121,8 @@ class _traced:
 
     def __enter__(self) -> None:
         if _TRACER is not None:
+            if callable(self.flops):
+                self.flops = self.flops()
             self.t0 = time.perf_counter()
 
     def __exit__(self, exc_type, exc, tb) -> bool:
@@ -414,13 +418,13 @@ def hgemm(c: HMatrix, a: HMatrix, b: HMatrix, eps: float, alpha=-1.0, acc=None) 
     c.packed_lu = None
     # Any low-rank operand: the product is low-rank.
     if a.rk is not None or b.rk is not None:
-        with _traced("gemm", (a, b), (c,), _gemm_flops(a, b)):
+        with _traced("gemm", (a, b), (c,), lambda: _gemm_flops(a, b)):
             prod = _product_rk(a, b, alpha, eps)
             c.axpy_rk(prod, eps, acc)
         return
     # Any dense operand: the product is a small dense panel.
     if a.full is not None or b.full is not None:
-        with _traced("gemm", (a, b), (c,), _gemm_flops(a, b)):
+        with _traced("gemm", (a, b), (c,), lambda: _gemm_flops(a, b)):
             prod = _product_dense(a, b)
             if alpha != 1.0:
                 prod = alpha * prod
@@ -428,7 +432,7 @@ def hgemm(c: HMatrix, a: HMatrix, b: HMatrix, eps: float, alpha=-1.0, acc=None) 
         return
     # Both subdivided.
     if c.is_leaf:
-        with _traced("gemm", (a, b), (c,), _gemm_flops(a, b)):
+        with _traced("gemm", (a, b), (c,), lambda: _gemm_flops(a, b)):
             prod = _collect_product(a, b, eps, batched=acc is not None)
             if prod.rank:
                 c.axpy_rk(prod.scale(alpha), eps, acc)
@@ -482,13 +486,13 @@ def _htrsm_left_lower(l: HMatrix, b: HMatrix, eps: float, unit: bool, acc=None) 
         if acc is not None:
             acc.flush(b)
         if b.rk.rank:
-            with _traced("trsm", (l,), (b,), _trsm_flops(l, b)):
+            with _traced("trsm", (l,), (b,), lambda: _trsm_flops(l, b)):
                 b.rk = RkMatrix(
                     solve_lower_panel(l, b.rk.u, unit_diagonal=unit), b.rk.v
                 )
         return
     if b.full is not None:
-        with _traced("trsm", (l,), (b,), _trsm_flops(l, b)):
+        with _traced("trsm", (l,), (b,), lambda: _trsm_flops(l, b)):
             b.full = np.ascontiguousarray(solve_lower_panel(l, b.full, unit_diagonal=unit))
         return
     # b subdivided.
@@ -504,12 +508,12 @@ def _htrsm_right_upper(u: HMatrix, b: HMatrix, eps: float, unit: bool, acc=None)
         if acc is not None:
             acc.flush(b)
         if b.rk.rank:
-            with _traced("trsm", (u,), (b,), _trsm_flops(u, b)):
+            with _traced("trsm", (u,), (b,), lambda: _trsm_flops(u, b)):
                 # X U = Ub Vb^T  =>  X = Ub (U^{-T} Vb)^T.
                 b.rk = RkMatrix(b.rk.u, solve_upper_transpose_panel(u, b.rk.v))
         return
     if b.full is not None:
-        with _traced("trsm", (u,), (b,), _trsm_flops(u, b)):
+        with _traced("trsm", (u,), (b,), lambda: _trsm_flops(u, b)):
             b.full = np.ascontiguousarray(solve_upper_transpose_panel(u, b.full.T).T)
         return
     if u.full is not None:
@@ -624,12 +628,12 @@ def _htrsm_right_lower_transpose(l: HMatrix, b: HMatrix, eps: float, acc=None) -
         if acc is not None:
             acc.flush(b)
         if b.rk.rank:
-            with _traced("trsm", (l,), (b,), _trsm_flops(l, b)):
+            with _traced("trsm", (l,), (b,), lambda: _trsm_flops(l, b)):
                 # X = Ub (L^{-1} Vb)^T.
                 b.rk = RkMatrix(b.rk.u, solve_lower_panel(l, b.rk.v, unit_diagonal=False))
         return
     if b.full is not None:
-        with _traced("trsm", (l,), (b,), _trsm_flops(l, b)):
+        with _traced("trsm", (l,), (b,), lambda: _trsm_flops(l, b)):
             b.full = np.ascontiguousarray(
                 solve_lower_panel(l, b.full.T, unit_diagonal=False).T
             )

@@ -18,7 +18,7 @@ import numpy as np
 from .aca import compress_kernel_block
 from .block import BlockClusterTree
 from .cluster import ClusterTree
-from .rk import RkMatrix, compress_dense
+from .rk import RkMatrix, _check_eps, compress_dense
 
 __all__ = [
     "HMatrix",
@@ -50,8 +50,7 @@ class AssemblyConfig:
     max_rank: int | None = None
 
     def __post_init__(self) -> None:
-        if self.eps < 0:
-            raise ValueError(f"eps must be non-negative, got {self.eps}")
+        _check_eps(self.eps)
 
 
 class FullBlock:

@@ -4,7 +4,12 @@ An admissible block is stored as ``A ~= U @ V.T`` with ``U`` (m x k) and ``V``
 (n x k).  Every operation that could grow the rank (addition, products) is
 followed by *recompression to the accuracy* ``eps`` via the standard
 QR+QR+SVD rounding, which is what keeps H-arithmetic log-linear (Section II-A
-of the paper).
+of the paper).  A dense block is compressed by a column-pivoted QR that
+drops the rows of ``R`` the ε-budget can afford, then an SVD of the kept
+rows (:func:`truncate_svd`); both error parts are counted, so the ε-bound
+holds exactly, as with a full SVD, at a fraction of its cost on the
+low-rank leaf blocks of assembly and arithmetic.  Every entry point rejects
+an ``eps`` that is negative or not finite.
 
 Note the transpose (not conjugate-transpose) convention: the BEM test kernels
 are complex-symmetric, and carrying plain ``V.T`` keeps real and complex code
@@ -13,14 +18,25 @@ paths identical.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..dense.kernels import qr_economic, svd_economic
+from ..dense.kernels import householder_q, qr_economic, qr_pivoted, svd_economic
 from ..obs.instrument import current as _current_probe
 
 __all__ = ["RkMatrix", "truncate_svd", "compress_dense", "compress_dense_rsvd"]
+
+#: Share of the ε-budget that the rows of the pivoted ``R`` dropped before
+#: the SVD in :func:`truncate_svd` may take; the SVD spends the rest.
+_QR_SHARE = 0.01
+
+
+def _check_eps(eps: float) -> None:
+    """Reject an accuracy that is negative or not finite (NaN would zero blocks)."""
+    if not 0.0 <= eps < math.inf:
+        raise ValueError(f"eps must be finite and non-negative, got {eps}")
 
 
 @dataclass
@@ -116,6 +132,7 @@ class RkMatrix:
 
     def add(self, other: "RkMatrix", eps: float, max_rank: int | None = None) -> "RkMatrix":
         """Rounded addition: ``trunc_eps(self + other)``."""
+        _check_eps(eps)
         if self.shape != other.shape:
             raise ValueError(f"shape mismatch: {self.shape} vs {other.shape}")
         if other.rank == 0:
@@ -137,6 +154,7 @@ class RkMatrix:
         accumulator arithmetic).  ``terms`` must be a non-empty sequence of
         equal-shape :class:`RkMatrix`.
         """
+        _check_eps(eps)
         terms = list(terms)
         if not terms:
             raise ValueError("add_many needs at least one term")
@@ -162,8 +180,7 @@ class RkMatrix:
 
 def _truncate_rk(rk: RkMatrix, eps: float, max_rank: int | None = None) -> RkMatrix:
     """QR+QR+SVD rounding of an Rk block to relative Frobenius accuracy eps."""
-    if eps < 0:
-        raise ValueError(f"eps must be non-negative, got {eps}")
+    _check_eps(eps)
     m, n = rk.shape
     k = rk.rank
     if k == 0:
@@ -193,34 +210,60 @@ def _truncation_rank(s: np.ndarray, eps: float) -> int:
     total = float(s2.sum())
     if total == 0.0:
         return 0
-    # tail[r] = sum_{i >= r} s_i^2 never increases with r, so the ranks whose
+    return _tail_rank(s2, (eps * eps) * total)
+
+
+def _tail_rank(w: np.ndarray, budget: float) -> int:
+    """Smallest r with ``sum(w[r:]) <= budget`` for non-negative weights ``w``."""
+    # tail[r] = sum_{i >= r} w_i never increases with r, so the ranks whose
     # tail does not fit yet are a prefix: its length is the smallest that does.
-    tail = s2[::-1].cumsum()[::-1]
-    return int(np.count_nonzero(tail > (eps * eps) * total))
+    tail = w[::-1].cumsum()[::-1]
+    return int(np.count_nonzero(tail > budget))
 
 
 def truncate_svd(a: np.ndarray, eps: float, max_rank: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Best low-rank factors of a dense block to relative accuracy ``eps``.
+    """Low-rank factors of a dense block to relative accuracy ``eps``.
 
     Returns ``(u, v)`` with ``a ~= u @ v.T`` and ``||a - u v^T||_F <=
     eps ||a||_F`` (Frobenius-relative, per the paper's accuracy parameter).
+
+    A column-pivoted QR ``a P = Q R`` comes first: the trailing rows of ``R``
+    whose squared norm fits in 1% of the budget ``eps^2 ||a||_F^2`` are
+    dropped, and the SVD of the kept ``p x n`` rows is truncated to the
+    smallest rank whose tail fits in what is left.  The two error parts are
+    orthogonal, so the bound is met exactly; the rank is the SVD-optimal one
+    unless the optimal tail lies within 1% of the budget.  ``max_rank`` caps
+    the rank.  A block with a NaN or infinite entry raises ``LinAlgError``.
     """
+    _check_eps(eps)
+    m, n = a.shape
     if a.size == 0:
-        return (
-            np.zeros((a.shape[0], 0), dtype=a.dtype),
-            np.zeros((a.shape[1], 0), dtype=a.dtype),
-        )
-    w, s, zh = svd_economic(a)
-    r = _truncation_rank(s, eps)
+        return np.zeros((m, 0), dtype=a.dtype), np.zeros((n, 0), dtype=a.dtype)
+    r, perm, qr, tau = qr_pivoted(a)
+    if r.dtype.kind == "c":
+        rows = (r.real * r.real + r.imag * r.imag).sum(axis=1)
+    else:
+        rows = (r * r).sum(axis=1)
+    total = float(rows.sum())  # ||a||_F^2
+    if not math.isfinite(total):
+        raise np.linalg.LinAlgError("truncate_svd: the block has a NaN or infinite entry")
+    budget = (eps * eps) * total
+    p = _tail_rank(rows, _QR_SHARE * budget)
+    if p == 0:
+        return np.zeros((m, 0), dtype=r.dtype), np.zeros((n, 0), dtype=r.dtype)
+    w, s, zh = svd_economic(r[:p])
+    t = _tail_rank(s * s, budget - float(rows[p:].sum()))
     if max_rank is not None:
-        r = min(r, max_rank)
-    u = w[:, :r] * s[:r]
-    v = zh[:r].T
-    return np.ascontiguousarray(u), np.ascontiguousarray(v)
+        t = min(t, max_rank)
+    # a P = Q R and R[:p] = W S Zh, so a ~= (Q_p W_t S_t) (Zh_t P^T).
+    u = householder_q(qr, tau, p) @ (w[:, :t] * s[:t])
+    v = np.empty((n, t), dtype=zh.dtype)
+    v[perm] = zh[:t].T
+    return np.ascontiguousarray(u), v
 
 
 def compress_dense(a: np.ndarray, eps: float, max_rank: int | None = None) -> RkMatrix:
-    """SVD-compress a dense block into an :class:`RkMatrix`."""
+    """Compress a dense block into an :class:`RkMatrix` by :func:`truncate_svd`."""
     u, v = truncate_svd(np.asarray(a), eps, max_rank)
     return RkMatrix(u, v)
 
@@ -243,6 +286,7 @@ def compress_dense_rsvd(
     ``eps``: the sketch width doubles until the residual tolerance is met or
     ``min(m, n)`` is reached.
     """
+    _check_eps(eps)
     a = np.asarray(a)
     m, n = a.shape
     if a.size == 0 or not np.any(a):

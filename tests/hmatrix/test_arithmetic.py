@@ -266,6 +266,36 @@ class TestTracer:
             if r.kind != "getrf":
                 assert r.reads
 
+    def test_traced_flops_are_the_model_on_the_operands(self, ctx, monkeypatch):
+        from repro.hmatrix import arithmetic
+
+        *_, h, _ = ctx
+        checked = []
+
+        class Checking(KernelTracer):
+            def record(self, kind, reads, writes, seconds, flops):
+                if kind == "gemm":
+                    checked.append(flops == arithmetic._gemm_flops(*reads))
+                elif kind == "trsm":
+                    checked.append(flops == arithmetic._trsm_flops(reads[0], writes[0]))
+                super().record(kind, reads, writes, seconds, flops)
+
+        prev = set_tracer(Checking())
+        try:
+            hgetrf(h.copy(), eps=1e-9)
+        finally:
+            set_tracer(prev)
+        assert checked and all(checked)
+        # Untraced, the H-kernels never evaluate the flop models.
+        calls = []
+        for name in ("_gemm_flops", "_trsm_flops"):
+            model = getattr(arithmetic, name)
+            monkeypatch.setattr(
+                arithmetic, name, lambda *a, model=model: calls.append(1) or model(*a)
+            )
+        hgetrf(h.copy(), eps=1e-9)
+        assert calls == []
+
     def test_tracer_disabled_by_default(self, ctx):
         *_, h, _ = ctx
         tracer = KernelTracer()
