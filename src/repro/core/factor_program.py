@@ -15,11 +15,17 @@ kept with the payloads taken out:
   result into a :class:`FactorProgram`: per subtask its kind, kernel variant,
   label and priority, its operands and accesses as integer *slots*, its
   dependency and successor lists, and the expansion ranges;
-* :func:`instantiate` binds a program to a descriptor: one walk resolves the
-  slots to this descriptor's nodes, then handles, closures, rank-dependent
-  flops and the ordinary :class:`~repro.runtime.Task` objects are created.
-  Everything downstream (executors, simulator, priorities, reports) sees an
-  ordinary :class:`~repro.runtime.TaskGraph`;
+* a threaded factorisation runs a program from its arrays: the bind resolves
+  the slots to this descriptor's nodes (one walk) and nothing else; task
+  ``t`` is the id ``t``, its kernel resolved at dispatch, its indegree a CSR
+  count, its successors a sorted ``int32`` slice — the
+  :class:`~repro.runtime.ready.Lowered` form the ready front runs;
+* :func:`instantiate` binds a program to a descriptor as an ordinary
+  :class:`~repro.runtime.TaskGraph`: handles, closures, rank-dependent flops
+  and :class:`~repro.runtime.Task` objects.  It is what
+  :attr:`FactorizationInfo.graph <repro.core.solver.FactorizationInfo.graph>`
+  calls on first read, and what a run the graph must exist for up front
+  (a probe, bottom-level priorities, the process executor) binds;
 * :func:`program_for` keeps the programs in a small process-wide table
   (:data:`MAX_PROGRAMS`, least recently used out), keyed by
   :func:`structure_key`.
@@ -34,7 +40,7 @@ dropped factorisation is freed by reference counting.
 
 from __future__ import annotations
 
-import gc
+import operator
 import threading
 from collections import OrderedDict
 from functools import partial
@@ -46,6 +52,7 @@ from ..hmatrix.arithmetic import run_kernel
 from ..obs.instrument import current as _current_probe
 from ..runtime import AccessMode, NestedPolicy, NestedStats, StfEngine, TaskGraph
 from ..runtime.expand import ExpansionRecord
+from ..runtime.ready import Lowered
 from ..runtime.stf import announce_task
 from ..runtime.task import DataHandle, Task
 from .algorithms import tiled_getrf_tasks, tiled_potrf_tasks
@@ -195,7 +202,7 @@ def record(desc: TileHDesc, method: str, policy: NestedPolicy) -> FactorProgram:
                 slot = slot_of[id(handle.payload)]
         accs.append(codes)
         deps.append(task.deps)
-        succs.append(task.successors)
+        succs.append(sorted(task.successors))  # in the order release walks them
         if policy.coarse:
             paths.append(task.spec.args[1])
 
@@ -262,42 +269,34 @@ def instantiate(
     probe = _current_probe()
     graph = TaskGraph()
     tasks = graph.tasks
-    # The loop allocates ~8 tracked containers per task, none of them garbage
-    # and none in a cycle.  Counted by the collector, one bind is ~58 young
-    # collections and, by their number, one full pass over every live object
-    # of the process per build (11 of 16 build cycles at n=2304; 3 of 16 and
-    # 13 ms less collector time per cycle with the collector paused here).
-    # Re-enabled only if it was enabled, so overlapping binds in two threads
-    # leave it as they found it.
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
-        for t, (kind, variant, unit, label, priority) in enumerate(
-            zip(program.kinds, program.variants, program.units, program.labels,
-                program.priorities.tolist())
-        ):
-            nodes_t = operands[op_ptr[t]:op_ptr[t + 1]]
-            task = Task(
-                t,
-                kind,
-                accesses[acc_ptr[t]:acc_ptr[t + 1]],
-                priority,
-                0.0,
-                _flops(variant, nodes_t),
-                partial(run_kernel, variant, nodes_t, eps, unit),
-                set(deps[dep_ptr[t]:dep_ptr[t + 1]]),
-                set(succs[suc_ptr[t]:suc_ptr[t + 1]]),
-                label,
-            )
-            if paths is not None:
-                task.spec = _nested_spec(variant, paths[t], eps, unit)
-            if probe is not None:
-                announce_task(probe, task)
-            tasks.append(task)
-    finally:
-        if collecting:
-            gc.enable()
-    stats = NestedStats(
+    for t, (kind, variant, unit, label, priority) in enumerate(
+        zip(program.kinds, program.variants, program.units, program.labels,
+            program.priorities.tolist())
+    ):
+        nodes_t = operands[op_ptr[t]:op_ptr[t + 1]]
+        task = Task(
+            t,
+            kind,
+            accesses[acc_ptr[t]:acc_ptr[t + 1]],
+            priority,
+            0.0,
+            _flops(variant, nodes_t),
+            partial(run_kernel, variant, nodes_t, eps, unit),
+            set(deps[dep_ptr[t]:dep_ptr[t + 1]]),
+            set(succs[suc_ptr[t]:suc_ptr[t + 1]]),
+            label,
+        )
+        if paths is not None:
+            task.spec = _nested_spec(variant, paths[t], eps, unit)
+        if probe is not None:
+            announce_task(probe, task)
+        tasks.append(task)
+    return graph, _nested_stats(program)
+
+
+def _nested_stats(program: FactorProgram) -> NestedStats:
+    """The expansion accounting the recorder's engine kept, rebuilt."""
+    return NestedStats(
         program.policy,
         [
             ExpansionRecord(kind, label, start, stop)
@@ -306,7 +305,30 @@ def instantiate(
             )
         ],
     )
-    return graph, stats
+
+
+def _bind(program: FactorProgram, nodes: list, eps: float) -> Lowered:
+    """``program`` as the ready front runs it on ``nodes`` (its slots, in
+    :func:`_walk`'s order, which :func:`_lookup` returns with the program).
+
+    Task ``t`` is the id ``t``; its kernel is resolved at dispatch from the
+    slots; its indegree and successors are the program's CSR arrays.  No
+    :class:`~repro.runtime.Task`, handle, set, closure or flop is made.
+    """
+    operands = tuple(map(nodes.__getitem__, program.op_slot.tolist()))
+    op_ptr = program.op_ptr.tolist()
+    variants, units = program.variants, program.units
+
+    def execute(t: int) -> None:
+        run_kernel(variants[t], operands[op_ptr[t]:op_ptr[t + 1]], eps, units[t])
+
+    low = Lowered()
+    low.items, low.ident, low.execute = range(len(program)), operator.index, execute
+    low.kinds = program.kinds
+    low.priorities = program.priorities.tolist()
+    low.indegree = np.diff(program.dep_ptr).tolist()
+    low.suc_ptr, low.suc = program.suc_ptr.tolist(), program.suc_idx.tolist()
+    return low
 
 
 _programs: "OrderedDict[tuple, FactorProgram]" = OrderedDict()
@@ -320,7 +342,14 @@ def program_for(desc: TileHDesc, method: str, policy: NestedPolicy) -> FactorPro
     structure both record, the programs are interchangeable and one is kept.
     The ambient probe counts the lookup as a hit or a miss.
     """
-    key = structure_key(desc, method, policy)
+    return _lookup(desc, method, policy)[0]
+
+
+def _lookup(desc: TileHDesc, method: str, policy: NestedPolicy) -> tuple[FactorProgram, list]:
+    """:func:`program_for`, plus ``desc``'s nodes in slot order (the walk
+    that keyed the lookup, ready for :func:`_bind`)."""
+    nodes = _walk(desc, method)[0]
+    key = _key(nodes, desc.nt, method, policy)
     with _programs_lock:
         program = _programs.get(key)
         if program is not None:
@@ -335,4 +364,4 @@ def program_for(desc: TileHDesc, method: str, policy: NestedPolicy) -> FactorPro
             _programs.move_to_end(key)
             while len(_programs) > MAX_PROGRAMS:
                 _programs.popitem(last=False)
-    return program
+    return program, nodes

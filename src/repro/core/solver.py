@@ -16,12 +16,13 @@ Typical use::
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
+from functools import cached_property, partial
 
 import numpy as np
 
 from ..dense import sequential_blas
+from ..obs.instrument import current as _current_probe
 from ..runtime import (
     SCHEDULER_NAMES,
     ExecutionTrace,
@@ -44,7 +45,7 @@ from .algorithms import (
 )
 from .build import build_tile_h
 from .descriptor import TileHDesc
-from .factor_program import instantiate, program_for
+from .factor_program import _bind, _lookup, _nested_stats, instantiate
 from .sweep import SweepProgram, compile_sweep
 
 __all__ = ["TileHConfig", "FactorizationInfo", "TileHMatrix", "iterative_refinement",
@@ -231,9 +232,25 @@ def _nested_policy(cfg: TileHConfig) -> NestedPolicy | None:
     )
 
 
-@dataclass
+def _measured_graph(program, desc: TileHDesc, trace: ExecutionTrace) -> TaskGraph:
+    """The graph a program run executed: bound now, with each task's measured
+    seconds taken from its trace event."""
+    graph = instantiate(program, desc, desc.eps)[0]
+    tasks = graph.tasks
+    for e in trace.events:
+        tasks[e.task_id].seconds = e.end - e.start
+    return graph
+
+
 class FactorizationInfo:
     """Outcome of a factorisation: the task DAG plus convenience queries.
+
+    ``graph`` is the factorisation's :class:`~repro.runtime.TaskGraph`.  A
+    threaded nested run executes its bound factor program without one
+    (:mod:`repro.core.factor_program`); its ``graph`` is bound on first read
+    — :func:`~repro.core.factor_program.instantiate` on the factor, so flops
+    count the factor's ranks — with each task's measured seconds (its trace
+    event) written in.
 
     ``racecheck`` holds the :class:`~repro.runtime.RaceChecker` that
     observed the factorisation when the detector was enabled (``None``
@@ -253,13 +270,29 @@ class FactorizationInfo:
     ``None`` otherwise.
     """
 
-    graph: TaskGraph
-    nb: int
-    nt: int
-    racecheck: RaceChecker | None = field(default=None, repr=False)
-    trace: ExecutionTrace | None = field(default=None, repr=False)
-    wall_seconds: float | None = None
-    nested_stats: NestedStats | None = field(default=None, repr=False)
+    _make_graph = None  # builds ``graph`` on first read when none was given
+
+    def __init__(
+        self,
+        graph: TaskGraph | None,
+        nb: int,
+        nt: int,
+        racecheck: RaceChecker | None = None,
+        trace: ExecutionTrace | None = None,
+        wall_seconds: float | None = None,
+        nested_stats: NestedStats | None = None,
+    ) -> None:
+        if graph is not None:
+            self.graph = graph  # the cached property's slot
+        self.nb, self.nt = nb, nt
+        self.racecheck = racecheck
+        self.trace = trace
+        self.wall_seconds = wall_seconds
+        self.nested_stats = nested_stats
+
+    @cached_property
+    def graph(self) -> TaskGraph:
+        return self._make_graph()
 
     @cached_property
     def nested(self) -> dict | None:
@@ -307,6 +340,8 @@ class TileHMatrix:
     sequential, parallelism belongs to the executor.  Warm solves leave the
     BLAS thread count alone.
     """
+
+    _failure: str | None = None  # what a failed factorize() raised
 
     def __init__(self, desc: TileHDesc, config: TileHConfig) -> None:
         self.desc = desc
@@ -396,6 +431,7 @@ class TileHMatrix:
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """``A @ x`` in original ordering (pre-factorisation only)."""
+        self._check_intact()
         if self._factorized:
             raise RuntimeError("matrix content was overwritten by factorize()")
         return self.desc.matvec(x)
@@ -428,19 +464,44 @@ class TileHMatrix:
 
         After this call the descriptor holds the packed factors and
         :meth:`solve` becomes available (``matvec`` stops being meaningful).
+        A factorisation that raises leaves some tiles overwritten: the matrix
+        keeps the failure, and ``matvec``, ``factorize``, ``solve`` and
+        ``save`` raise :class:`RuntimeError` naming it from then on.
         """
+        self._check_intact()
         if self._factorized:
             raise RuntimeError("factorize() called twice on the same matrix")
-        cfg = self.config
-        accumulate = cfg.accumulate
-        threaded = cfg.exec_mode in ("threaded", "process")
         if method not in FACTOR_METHODS:
             raise ValueError(f"method must be 'lu' or 'cholesky', got {method!r}")
+        try:
+            info = self._factorize(method, engine)
+        except BaseException as exc:
+            self._failure = f"{type(exc).__name__}: {exc}"
+            raise
+        self._factorized = True
+        self._method = method
+        return info
+
+    def _factorize(self, method: str, engine: StfEngine | None) -> FactorizationInfo:
+        cfg = self.config
+        desc = self.desc
+        threaded = cfg.exec_mode in ("threaded", "process")
         if engine is None and threaded and cfg.nested:
             # Every deferred nested graph is a bound FactorProgram — recorded
             # first when this block structure is new to the process.
-            program = program_for(self.desc, method, _nested_policy(cfg))
-            graph, nested_stats = instantiate(program, self.desc, self.desc.eps)
+            program, nodes = _lookup(desc, method, _nested_policy(cfg))
+            if (cfg.exec_mode == "threaded" and cfg.priority_mode == "static"
+                    and _current_probe() is None):
+                # Nothing reads the graph before or during the run: execute
+                # the program from its arrays, bind the graph on first read.
+                wall, trace = self._run(_bind(program, nodes, desc.eps))
+                info = FactorizationInfo(
+                    None, desc.nb, desc.nt, trace=trace, wall_seconds=wall,
+                    nested_stats=_nested_stats(program),
+                )
+                info._make_graph = partial(_measured_graph, program, desc, trace)
+                return info
+            graph, nested_stats = instantiate(program, desc, desc.eps)
             deferred = True
         else:
             if engine is None:
@@ -453,7 +514,7 @@ class TileHMatrix:
                         nested=_nested_policy(cfg),
                     )
             tasks_fn = tiled_getrf_tasks if method == "lu" else tiled_potrf_tasks
-            graph = tasks_fn(self.desc, engine, accumulate=accumulate)
+            graph = tasks_fn(desc, engine, accumulate=cfg.accumulate)
             nested_stats = engine.nested_stats if engine is not None else None
             deferred = engine is not None and engine.mode == "deferred"
         if cfg.priority_mode == "bottom-level":
@@ -462,17 +523,22 @@ class TileHMatrix:
         wall = None
         if threaded and deferred:
             wall, trace = self._run(graph)
-        self._factorized = True
-        self._method = method
         return FactorizationInfo(
-            graph=graph,
-            nb=self.desc.nb,
-            nt=self.desc.nt,
+            graph,
+            desc.nb,
+            desc.nt,
             racecheck=engine.racecheck if engine is not None else None,
             trace=trace,
             wall_seconds=wall,
             nested_stats=nested_stats,
         )
+
+    def _check_intact(self) -> None:
+        if self._failure is not None:
+            raise RuntimeError(
+                f"a failed factorize() ({self._failure}) left this matrix "
+                "partly overwritten; build or load it again"
+            )
 
     def sweep_program(self) -> SweepProgram:
         """The compiled substitution of this factor (:mod:`repro.core.sweep`).
@@ -485,6 +551,7 @@ class TileHMatrix:
         in a new :class:`TileHMatrix`.  Two threads racing to the first solve
         may both compile; the programs are interchangeable.
         """
+        self._check_intact()
         if not self._factorized:
             raise RuntimeError("call factorize() before solve()")
         program = self._program
@@ -537,6 +604,7 @@ class TileHMatrix:
         """
         from ..hmatrix.io import save_tile_h
 
+        self._check_intact()
         return save_tile_h(
             self.desc,
             path,
@@ -555,7 +623,10 @@ class TileHMatrix:
         Restores the factorisation state: a matrix saved after
         :meth:`factorize` loads ready to :meth:`solve`.  When ``config`` is
         not given, the saved solver config is restored (v1 archives fall back
-        to the descriptor's ``nb``/``eps``).
+        to the descriptor's ``nb``/``eps``).  A given ``config`` may choose
+        the executor fields freely, but its ``nb`` and ``eps`` describe the
+        archive's tiles: a value other than the archive's is a
+        :class:`ValueError`.
 
         ``mmap=True`` maps the archive once, read-only, instead of copying it
         into RAM (zero-copy warm starts, one file descriptor held while the
@@ -573,6 +644,13 @@ class TileHMatrix:
             kwargs.setdefault("nb", desc.nb)
             kwargs.setdefault("eps", desc.eps)
             config = TileHConfig(**kwargs)
+        else:
+            for name in ("nb", "eps"):
+                if getattr(config, name) != getattr(desc, name):
+                    raise ValueError(
+                        f"config.{name}={getattr(config, name)!r} contradicts "
+                        f"the archive's {name}={getattr(desc, name)!r}"
+                    )
         solver = cls(desc, config)
         if meta["factorized"]:
             solver._factorized = True

@@ -9,81 +9,143 @@ order, by construction) — ``docs/parallelism.md``, "Scheduling core":
 2. a retired task's successors are released in sorted id order;
 3. a freed successor is pushed with the worker that retired it as hint
    (push-to-releasing-worker: ``ws``/``lws`` locality).
+
+The front runs one representation, :class:`Lowered`: per task id an indegree,
+an ascending successor slice of one flat list and a kind.  A
+:class:`~repro.runtime.dag.TaskGraph` is lowered to it when the front is made;
+a bound factor program (:mod:`repro.core.factor_program`) comes in it, with
+bare ids as its tasks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 
 from ..obs.instrument import current as _current_probe
 from .dag import TaskGraph
 from .schedulers import Scheduler, make_scheduler
-from .task import Task
 from .trace import ExecutionTrace, TraceEvent
 
-__all__ = ["ReadyFront", "drive", "GraphExecutor"]
+__all__ = ["Lowered", "ReadyFront", "drive", "GraphExecutor"]
+
+
+class Lowered:
+    """A graph as the ready front runs it, indexed by task id.
+
+    ``items[t]`` is what the scheduler is handed, the executor runs
+    (``execute(item)``) and the front is told about for task ``t`` — the
+    :class:`~repro.runtime.task.Task` itself, or ``t``; ``ident`` maps an item
+    back to ``t``.  ``priorities`` is ``None`` when the items carry their own
+    (``task.priority``), else the table the scheduler reads by id.  Task
+    ``t``'s successors are ``suc[suc_ptr[t]:suc_ptr[t + 1]]``, ascending.
+    Read-only: a front copies ``indegree`` before counting it down.
+    """
+
+    __slots__ = ("items", "ident", "execute", "kinds", "priorities",
+                 "indegree", "suc_ptr", "suc")
+
+    def __len__(self) -> int:
+        return len(self.indegree)
+
+
+def _execute_task(task) -> None:
+    if task.func is not None:  # pre-traced tasks (func=None) only take their slot
+        task.func()
+
+
+def _lower(graph: TaskGraph) -> Lowered:
+    """``graph`` as a :class:`Lowered` whose items are its tasks."""
+    tasks = graph.tasks
+    low = Lowered()
+    low.items, low.ident, low.execute = tasks, attrgetter("id"), _execute_task
+    low.kinds = [t.kind for t in tasks]
+    low.priorities = None
+    low.indegree = [len(t.deps) for t in tasks]
+    low.suc_ptr = ptr = [0]
+    low.suc = suc = []
+    for t in tasks:
+        suc += sorted(t.successors)
+        ptr.append(len(suc))
+    return low
 
 
 class ReadyFront:
     """Ready set of one run of ``graph`` under ``scheduler``; not thread-safe.
 
-    Construction resets the scheduler (``setup``), attaches the scheduler
-    counters of ``probe`` (default: the ambient one) and seeds the sources — so
-    whatever ``push`` needs must exist first.  ``push(task, hint)`` receives
-    every task the moment its last dependency retires (default: the
-    scheduler's own ``push``; the simulator puts its submission delay there).
-    Leaving the ``with`` block, by any way out, detaches the counters: a
-    finished probe never counts a later run.
+    ``graph`` is a :class:`TaskGraph` or a :class:`Lowered`.  Construction
+    resets the scheduler (``setup``), hands it the priority table, attaches
+    the scheduler counters of ``probe`` (default: the ambient one) and seeds
+    the sources — so whatever ``push`` needs must exist first.
+    ``push(item, hint)`` receives every task the moment its last dependency
+    retires (default: the scheduler's own ``push``; the simulator puts its
+    submission delay there).  :meth:`record` logs ``(item, worker, start,
+    end)`` into ``log``; leaving the ``with`` block, by any way out, turns the
+    log into ``trace`` events and detaches the counters: a finished probe
+    never counts a later run.
     """
 
-    def __init__(self, graph: TaskGraph, scheduler: Scheduler, nworkers: int,
+    def __init__(self, graph, scheduler: Scheduler, nworkers: int,
                  probe=None, trace: ExecutionTrace | None = None, push=None) -> None:
         self.graph = graph
+        low = _lower(graph) if isinstance(graph, TaskGraph) else graph
+        self.items, self.kinds, self.execute = low.items, low.kinds, low.execute
+        self.ident, self._suc_ptr, self._suc = low.ident, low.suc_ptr, low.suc
+        self._indegree = list(low.indegree)
         self.scheduler = scheduler
         self.probe = probe = probe if probe is not None else _current_probe()
         self.trace = trace
-        self.remaining = len(graph.tasks)
+        self.log: list[tuple] = []
+        self.remaining = len(self._indegree)
         scheduler.setup(nworkers)
+        scheduler.priorities = low.priorities
         scheduler.attach_stats(probe.sched if probe is not None else None)
         self.pop = scheduler.pop  # pop(w): what idle worker w runs next, or None
         self._push = push if push is not None else scheduler.push
-        self._indegree = [len(t.deps) for t in graph.tasks]
-        for t in graph.tasks:
-            if not t.deps:
-                self._push(t, None)
+        items = self.items
+        for t, n in enumerate(self._indegree):
+            if not n:
+                self._push(items[t], None)
 
     def __enter__(self) -> "ReadyFront":
         return self
 
     def __exit__(self, *exc) -> None:
         self.scheduler.attach_stats(None)
+        self.scheduler.priorities = None
+        if self.trace is not None:
+            ident, kinds, events = self.ident, self.kinds, self.trace.events
+            for task, w, start, end in self.log:
+                t = ident(task)
+                events.append(TraceEvent(t, kinds[t], w, start, end))
 
-    def release(self, task: Task, w: int) -> None:
+    def release(self, task, w: int) -> None:
         """Push the successors ``task`` was the last dependency of, hint ``w``.
 
         :meth:`retire` does this; a backend that knows ``task`` finishes before
         the next pop may call it early, and ``retire`` will not release twice.
         """
-        indegree = self._indegree
-        indegree[task.id] = -1  # a running task sits at 0; -1 marks "released"
-        for s in sorted(task.successors):
+        t = self.ident(task)
+        indegree, items, push = self._indegree, self.items, self._push
+        indegree[t] = -1  # a running task sits at 0; -1 marks "released"
+        for s in self._suc[self._suc_ptr[t]:self._suc_ptr[t + 1]]:
             indegree[s] -= 1
             if indegree[s] == 0:
-                self._push(self.graph.tasks[s], w)
+                push(items[s], w)
 
-    def retire(self, task: Task, w: int) -> None:
+    def retire(self, task, w: int) -> None:
         """``task`` finished on worker ``w``."""
         self.remaining -= 1
-        if self._indegree[task.id] == 0:
+        if self._indegree[self.ident(task)] == 0:
             self.release(task, w)
 
-    def record(self, task: Task, w: int, start: float, end: float, now: float) -> None:
-        """Trace event and task span of ``task`` on ``w``, plus a queue-depth
-        sample stamped ``now`` (the caller's clock at the time of recording)."""
-        if self.trace is not None:
-            self.trace.add(TraceEvent(task.id, task.kind, w, start, end))
+    def record(self, task, w: int, start: float, end: float, now: float) -> None:
+        """Log ``task`` on ``w``; with a probe, also its task span and a
+        queue-depth sample stamped ``now`` (the caller's clock at the time of
+        recording)."""
+        self.log.append((task, w, start, end))
         if self.probe is not None:
-            self.probe.task_span(task.kind, w, start, end)
+            self.probe.task_span(self.kinds[self.ident(task)], w, start, end)
             self.probe.sample("queue_depth", self.scheduler.pending(), t=now)
 
 
@@ -126,7 +188,7 @@ class GraphExecutor:
         if isinstance(self.scheduler, str):
             self.scheduler = make_scheduler(self.scheduler)
 
-    def run(self, graph: TaskGraph) -> float:
+    def run(self, graph) -> float:
         """Run all tasks respecting dependencies; returns elapsed seconds.
 
         Raises the first task exception (after draining the pool).  A
@@ -134,11 +196,15 @@ class GraphExecutor:
         at least ``nworkers`` lanes); otherwise a fresh trace is created.
         Each executed task's measured wall time is written back to
         ``task.seconds`` so a deferred graph can be replayed in the simulator
-        with real costs; pre-traced tasks (``func=None``) keep theirs.
+        with real costs; pre-traced tasks (``func=None``) keep theirs.  A
+        :class:`TaskGraph` is validated first; a :class:`Lowered` program was
+        validated when it was recorded, and its measured seconds are its
+        trace events.
         """
-        if not graph.tasks:
+        if not len(graph):
             return 0.0
-        graph.validate()
+        if isinstance(graph, TaskGraph):
+            graph.validate()
         if self.trace is None:
             self.trace = ExecutionTrace(nworkers=self.nworkers)
         elif self.trace.nworkers < self.nworkers:
@@ -149,4 +215,10 @@ class GraphExecutor:
         with ReadyFront(
             graph, self.scheduler, self.nworkers, self.instrument, self.trace
         ) as front:
-            return self._run(front)  # the subclass's backend
+            try:
+                return self._run(front)  # the subclass's backend
+            finally:
+                if isinstance(graph, TaskGraph):
+                    for task, _w, start, end in front.log:
+                        if task.func is not None:
+                            task.seconds = end - start

@@ -16,7 +16,9 @@ describes, plus a plain FIFO baseline:
 Schedulers are driven in *virtual time* by the simulator: ``push(task, w)``
 when a task becomes ready (``w`` = the worker that released it, or ``None``
 for source tasks), ``pop(w)`` when worker ``w`` is idle.  All policies are
-deterministic: ties break on submission order.
+deterministic: ties break on submission order.  A task is a
+:class:`~repro.runtime.task.Task`, or — in a run whose ready front sets
+``priorities`` (a bound factor program) — a bare task id.
 """
 
 from __future__ import annotations
@@ -50,6 +52,9 @@ class Scheduler:
 
     name = "abstract"
     stats = None
+    #: Priority by task id, set by the ready front for a run of bare ids;
+    #: ``None``: a task carries its own (``task.priority``).
+    priorities = None
 
     def attach_stats(self, stats) -> None:
         """Install (or with ``None`` remove) a stats sink for this run."""
@@ -124,7 +129,9 @@ class PrioScheduler(Scheduler):
         self._seq = itertools.count()
 
     def push(self, task: Task, worker: int | None) -> None:
-        heapq.heappush(self._heap, (-task.priority, next(self._seq), task))
+        table = self.priorities
+        priority = task.priority if table is None else table[task]
+        heapq.heappush(self._heap, (-priority, next(self._seq), task))
         self._note_push()
 
     def pop(self, worker: int) -> Task | None:
@@ -202,7 +209,9 @@ class LocalityWorkStealingScheduler(Scheduler):
 
     def push(self, task: Task, worker: int | None) -> None:
         w = worker if worker is not None else next(self._rr) % self.nworkers
-        heapq.heappush(self._heaps[w], (-task.priority, next(self._seq), task))
+        table = self.priorities
+        priority = task.priority if table is None else table[task]
+        heapq.heappush(self._heaps[w], (-priority, next(self._seq), task))
         self._note_push()
 
     def pop(self, worker: int) -> Task | None:

@@ -1,15 +1,22 @@
 """Scheduler-backed thread-pool execution of a deferred task graph.
 
 This executor runs a graph built by a *deferred*
-:class:`~repro.runtime.stf.StfEngine` with real worker threads driven by any
-virtual-time :class:`~repro.runtime.schedulers.Scheduler` policy (``ws``,
-``lws``, ``prio``, ``eager``, ``dm``): ready tasks are pushed to the worker
-that released them (``push(task, w)``), idle workers pull or steal through
-the policy's own ``pop(w)``.  All scheduler calls go through the simulator's
-own ready set (:mod:`~repro.runtime.ready`) under one condition variable, so
-queue and steal semantics are the simulator's — a threaded run follows the
-same pull/steal order a virtual-time replay would take under equal costs
-(bit-for-bit with one worker, where timing jitter cannot reorder completions).
+:class:`~repro.runtime.stf.StfEngine` — or a bound factor program
+(:mod:`repro.core.factor_program`), whose tasks are bare ids run from the
+program's arrays — with real worker threads driven by any virtual-time
+:class:`~repro.runtime.schedulers.Scheduler` policy (``ws``, ``lws``,
+``prio``, ``eager``): ready tasks are pushed to the worker that released them
+(``push(task, w)``), idle workers pull or steal through the policy's own
+``pop(w)``.  All scheduler calls go through the simulator's own ready set
+(:mod:`~repro.runtime.ready`) under one condition variable, so queue and
+steal semantics are the simulator's — a threaded run follows the same
+pull/steal order a virtual-time replay would take under equal costs
+(bit-for-bit with one worker, where timing jitter cannot reorder
+completions).  Per task the loop runs ``front.execute(task)`` between two
+clock reads, then in one critical section retires it, logs ``(task, worker,
+start, end)`` and — while the worker keeps the lease — pops its next task;
+the trace events and a graph's measured ``task.seconds`` are made from that
+log after the run.
 
 **The interpreter lease.**  Threads overlap only where a task waits or sits
 in native code that releases the GIL for longer than a GIL handoff costs.
@@ -52,7 +59,8 @@ __all__ = ["ThreadedExecutor"]
 
 @dataclass
 class ThreadedExecutor(GraphExecutor):
-    """Execute a deferred :class:`TaskGraph` on real threads under a policy.
+    """Execute a deferred :class:`TaskGraph` (or a lowered program, see the
+    module docstring) on real threads under a policy.
 
     ``scheduler`` accepts any :func:`~repro.runtime.schedulers.make_scheduler`
     name or a :class:`Scheduler` instance; it is reset (``setup``) per run.
@@ -75,69 +83,79 @@ class ThreadedExecutor(GraphExecutor):
         # trace of their own, so propagation is explicit.
         tctx = current_trace()
         probe = front.probe
+        execute, kinds, ident = front.execute, front.kinds, front.ident
         # The front is not thread-safe: every call on it is made under `lock`.
         lock = threading.Condition()
-        state = {"error": None, "lessee": None}
+        # "waiting": workers parked in lock.wait(); a retire notifies only them.
+        state = {"error": None, "lessee": None, "waiting": 0}
         # One lease per run; "lessee" (its last holder) is written under it.
         # Held across consecutive tasks for CPython's own forced-switch quantum.
         lease = threading.Lock() if self.interpreter_bound else None
         quantum = sys.getswitchinterval()
-        t_start = time.perf_counter()
+        clock = time.perf_counter
+        t_start = clock()
 
         def worker(widx: int) -> None:
             wait_seconds = 0.0
             handoffs = 0
             leased_at = None  # when this worker took the lease; None = not held
+            task = None  # popped and not yet run
             try:
                 while True:
-                    if lease is not None and leased_at is None:
-                        # Taken *before* the pop, so a parked worker never
-                        # sits on a popped (possibly critical-path) task.
-                        w0 = time.perf_counter()
-                        lease.acquire()
-                        leased_at = time.perf_counter()
-                        wait_seconds += leased_at - w0
-                        if state["lessee"] not in (None, widx):
-                            handoffs += 1
-                        state["lessee"] = widx
-                    with lock:
-                        if state["error"] is not None or not front.remaining:
-                            lock.notify_all()
-                            return
-                        task = front.pop(widx)
-                        if task is None:
-                            if leased_at is not None:
-                                lease.release()
-                                leased_at = None
-                            w0 = time.perf_counter()
-                            lock.wait()
-                            wait_seconds += time.perf_counter() - w0
-                            continue
+                    if task is None:
+                        if lease is not None and leased_at is None:
+                            # Taken *before* the pop, so a parked worker never
+                            # sits on a popped (possibly critical-path) task.
+                            w0 = clock()
+                            lease.acquire()
+                            leased_at = clock()
+                            wait_seconds += leased_at - w0
+                            if state["lessee"] not in (None, widx):
+                                handoffs += 1
+                            state["lessee"] = widx
+                        with lock:
+                            if state["error"] is not None or not front.remaining:
+                                lock.notify_all()
+                                return
+                            task = front.pop(widx)
+                            if task is None:
+                                if leased_at is not None:
+                                    lease.release()
+                                    leased_at = None
+                                w0 = clock()
+                                state["waiting"] += 1
+                                lock.wait()
+                                state["waiting"] -= 1
+                                wait_seconds += clock() - w0
+                                continue
                     try:
-                        t0 = time.perf_counter() - t_start
-                        if task.func is not None:
-                            task.func()
-                        t1 = time.perf_counter() - t_start
+                        t0 = clock() - t_start
+                        execute(task)
+                        t1 = clock() - t_start
                     except BaseException as exc:  # propagate to the caller
                         with lock:
                             state["error"] = exc
                             lock.notify_all()
                         return
-                    if task.func is not None:
-                        # Pre-traced tasks (func=None) keep their explicit cost.
-                        task.seconds = t1 - t0
-                        if tctx is not None:
-                            tctx.add_span(
-                                f"kernel:{task.kind}",
-                                t_start + t0, t_start + t1,
-                                worker=f"tw{widx}",
-                            )
+                    if tctx is not None:
+                        tctx.add_span(
+                            f"kernel:{kinds[ident(task)]}",
+                            t_start + t0, t_start + t1,
+                            worker=f"tw{widx}",
+                        )
+                    spent = leased_at is not None and t_start + t1 - leased_at >= quantum
                     with lock:
                         # What this task frees lands on this worker's queue.
                         front.retire(task, widx)
                         front.record(task, widx, t0, t1, t1)
-                        lock.notify_all()
-                    if leased_at is not None and t_start + t1 - leased_at >= quantum:
+                        if state["waiting"]:
+                            lock.notify_all()
+                        # While the lease (if any) is still this worker's, the
+                        # next pop shares the retire's critical section.
+                        task = None
+                        if not spent and state["error"] is None and front.remaining:
+                            task = front.pop(widx)
+                    if spent:
                         # Quantum spent: offer the interpreter at this task
                         # boundary (what it freed is already pushed).
                         lease.release()
@@ -161,4 +179,4 @@ class ThreadedExecutor(GraphExecutor):
             th.join()
         if state["error"] is not None:
             raise state["error"]
-        return time.perf_counter() - t_start
+        return clock() - t_start

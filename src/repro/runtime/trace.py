@@ -5,15 +5,16 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from .kinds import kind_letter
 
 __all__ = ["TraceEvent", "ExecutionTrace", "render_gantt", "export_chrome_trace"]
 
 
-@dataclass(frozen=True)
-class TraceEvent:
-    """One task execution on one (virtual or real) worker."""
+class TraceEvent(NamedTuple):
+    """One task execution on one (virtual or real) worker.  A named tuple:
+    a run makes one per task, so it costs what a tuple costs."""
 
     task_id: int
     kind: str

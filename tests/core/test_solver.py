@@ -197,3 +197,82 @@ def test_dropped_factorisation_leaves_nothing_to_the_collector(geom, mode):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def _failing_third_trsm_ll(monkeypatch):
+    """Make the third ``trsm_ll`` kernel call of the process raise."""
+    import scipy.linalg
+
+    from repro.hmatrix import arithmetic
+
+    kernel = arithmetic._KERNELS["trsm_ll"]
+    calls = []
+
+    def third_fails(*args):
+        calls.append(1)
+        if len(calls) == 3:
+            raise scipy.linalg.LinAlgError("injected")
+        kernel(*args)
+
+    monkeypatch.setitem(arithmetic._KERNELS, "trsm_ll", third_fails)
+
+
+FAILING = {
+    "eager": {},
+    "threaded": dict(exec_mode="threaded", nworkers=2, accumulate=False),
+    "nested-threaded": dict(exec_mode="threaded", nworkers=2, accumulate=False, nested=True,
+                            nested_min_leaf=64),
+}
+
+
+@pytest.mark.parametrize("mode", list(FAILING))
+def test_a_failed_factorisation_is_kept_on_the_matrix(mode, monkeypatch, tmp_path):
+    """Some tiles are already overwritten when a kernel raises: the matrix
+    refuses every use that would read them as an operator or a factor."""
+    import scipy.linalg
+
+    pts = cylinder_cloud(512)
+    kern = make_kernel("laplace", pts)
+    a = TileHMatrix.build(kern, pts, TileHConfig(nb=128, eps=1e-4, leaf_size=32, **FAILING[mode]))
+    _failing_third_trsm_ll(monkeypatch)
+    with pytest.raises(scipy.linalg.LinAlgError, match="injected"):
+        a.factorize()
+    monkeypatch.undo()
+    assert not a.factorized
+    uses = {
+        "matvec": lambda: a.matvec(np.ones(512)),
+        "factorize": a.factorize,
+        "solve": lambda: a.solve(np.ones(512)),
+        "save": lambda: a.save(tmp_path / "a.npz"),
+    }
+    for use in uses.values():
+        with pytest.raises(RuntimeError, match="failed factorize.*LinAlgError: injected"):
+            use()
+    assert not (tmp_path / "a.npz").exists()
+
+
+class TestLoadConfig:
+    @pytest.fixture(scope="class")
+    def archive(self, geom, tmp_path_factory):
+        pts, kern, _ = geom
+        cfg = TileHConfig(nb=128, eps=1e-4, leaf_size=32, accumulate=False)
+        a = TileHMatrix.build(kern, pts, cfg)
+        a.factorize()
+        return a.save(tmp_path_factory.mktemp("load") / "f.npz"), cfg
+
+    @pytest.mark.parametrize("field,value", [("nb", 64), ("eps", 1e-2)])
+    def test_a_config_contradicting_the_archive_is_rejected(self, archive, field, value):
+        from dataclasses import replace
+
+        path, cfg = archive
+        with pytest.raises(ValueError, match=f"config.{field}=.*archive's {field}="):
+            TileHMatrix.load(path, replace(cfg, **{field: value}))
+
+    def test_executor_fields_stay_free(self, archive):
+        from dataclasses import replace
+
+        path, cfg = archive
+        free = replace(cfg, exec_mode="threaded", nworkers=2, scheduler="ws", nested=True,
+                       nested_min_leaf=32)
+        b = TileHMatrix.load(path, free)
+        assert b.config == free and b.factorized
