@@ -1,12 +1,15 @@
 """Tile-H matrix assembly (Section IV-D's construction path).
 
-Each of the ``nt x nt`` tiles is assembled independently with the HMAT-OSS
-kernels: admissible sub-blocks by ACA, dense leaves by direct kernel
-evaluation.  Tiles whose cluster pair is small enough to be a single dense
-leaf are stored in "full" format so the dense fast path of the kernel layer
-is exercised, mirroring the format switch of the paper's ``CHAM_tile_t``.
+Each of the ``nt x nt`` tiles is an independent H-matrix built with the
+HMAT-OSS kernels: admissible sub-blocks by ACA, dense leaves by direct kernel
+evaluation.  All tiles are walked before any ACA runs, so the same-shape
+admissible blocks of different tiles are compressed as one lockstep batch
+(:func:`~repro.hmatrix.assemble_hmatrices`).  Tiles whose cluster pair is
+small enough to be a single dense leaf are stored in "full" format so the
+dense fast path of the kernel layer is exercised, mirroring the format switch
+of the paper's ``CHAM_tile_t``.
 
-Assembly is one serial loop over tile (i, j) in row-major order, whatever
+Assembly is one serial walk over tile (i, j) in row-major order, whatever
 executor later factorises the matrix: as tasks, the tiles assembled no faster
 on two leased threads and 3.5-5.6x slower on two worker processes
 (``docs/parallelism.md``).  The task parallelism is the factorisation's.
@@ -16,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..hmatrix import AssemblyConfig, assemble_hmatrix
+from ..hmatrix import AssemblyConfig, assemble_hmatrices
 from ..obs.instrument import current as _current_probe
 from .clustering import TileHClustering, build_tile_h_clustering
 from .descriptor import Tile, TileDesc, TileHDesc
@@ -46,7 +49,9 @@ def build_tile_h(
     eps:
         Compression accuracy (1e-4 in the paper's experiments).
     method:
-        Admissible-block compression: "aca" (default) or "svd".
+        Admissible-block compression, one of
+        :data:`~repro.hmatrix.aca.COMPRESSION_METHODS`: "aca" (default),
+        "svd", "rsvd" or "aca_full".
     clustering:
         Reuse a precomputed clustering (e.g. to assemble several kernels on
         the same geometry).
@@ -62,14 +67,12 @@ def build_tile_h(
     )
     nt = cl.nt
     cfg = AssemblyConfig(eps=eps, method=method)
-    tiles: list[Tile] = []
-    for i in range(nt):
-        for j in range(nt):
-            tile = Tile.of(assemble_hmatrix(kernel, pts, cl.block_tree(i, j), cfg))
-            probe = _current_probe()
-            if probe is not None:
-                probe.h_bytes_delta(tile.storage_bytes())
-            tiles.append(tile)
+    trees = [cl.block_tree(i, j) for i in range(nt) for j in range(nt)]
+    tiles = [Tile.of(mat) for mat in assemble_hmatrices(kernel, pts, trees, cfg)]
+    probe = _current_probe()
+    if probe is not None:
+        for tile in tiles:
+            probe.h_bytes_delta(tile.storage_bytes())
     desc = TileDesc(n=pts.shape[0], nb=nb, nt=nt, tiles=tiles)
     return TileHDesc(
         super=desc,

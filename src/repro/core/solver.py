@@ -22,6 +22,7 @@ from functools import cached_property, partial
 import numpy as np
 
 from ..dense import sequential_blas
+from ..hmatrix import check_compression
 from ..obs.instrument import current as _current_probe
 from ..runtime import (
     SCHEDULER_NAMES,
@@ -117,7 +118,10 @@ class TileHConfig:
     eta:
         Strong-admissibility parameter.
     method:
-        Admissible-block compression ("aca" or "svd").
+        Admissible-block compression, one of
+        :data:`~repro.hmatrix.aca.COMPRESSION_METHODS`: "aca" (default,
+        partially pivoted ACA, matrix-free above leaf size), "svd", "rsvd"
+        or "aca_full" (the last three evaluate each admissible block).
     accumulate:
         Use accumulator-based rounded arithmetic during factorisation:
         trailing-matrix updates are buffered per tile and rounded once per
@@ -199,6 +203,7 @@ class TileHConfig:
             raise ValueError(f"eps must be non-negative, got {self.eps}")
         if self.leaf_size < 1:
             raise ValueError(f"leaf_size must be positive, got {self.leaf_size}")
+        check_compression(self.method)
         if self.exec_mode not in EXEC_MODES:
             raise ValueError(f"exec_mode must be one of {EXEC_MODES}, got {self.exec_mode!r}")
         if self.nworkers < 1:

@@ -12,6 +12,7 @@ from .kernels import (
     GP_KERNELS,
     SOLVE_KERNELS,
     BlockSampler,
+    StackedSampler,
     KernelFunction,
     laplace_kernel,
     helmholtz_kernel,
@@ -32,6 +33,7 @@ __all__ = [
     "GEOMETRIES",
     "KernelFunction",
     "BlockSampler",
+    "StackedSampler",
     "laplace_kernel",
     "helmholtz_kernel",
     "gravity_kernel",

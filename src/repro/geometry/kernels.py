@@ -12,7 +12,8 @@ the paper:
 Kernels are exposed as :class:`KernelFunction` objects that evaluate whole
 blocks at once (vectorised over both point sets).  The ACA compressor, which
 asks for single rows and columns of one block many times over, takes them
-from that block's :class:`BlockSampler` instead.
+from that block's :class:`BlockSampler` instead, and from a
+:class:`StackedSampler` when it runs many same-shape blocks in lockstep.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .cylinder import mesh_step
 __all__ = [
     "KernelFunction",
     "BlockSampler",
+    "StackedSampler",
     "laplace_kernel",
     "helmholtz_kernel",
     "gravity_kernel",
@@ -161,10 +163,10 @@ class BlockSampler:
     inner product (GEMV here, GEMM there).
     """
 
-    __slots__ = ("shape", "_entries", "_rp", "_cp", "_r2", "_c2")
+    __slots__ = ("kernel", "shape", "_rp", "_cp", "_r2", "_c2")
 
     def __init__(self, kernel: KernelFunction, row_points: np.ndarray, col_points: np.ndarray) -> None:
-        self._entries = kernel._entries
+        self.kernel = kernel
         self._rp = _as_points(row_points)
         self._cp = _as_points(col_points)
         self._r2 = _sq_norms(self._rp)
@@ -173,15 +175,70 @@ class BlockSampler:
 
     def row(self, i: int) -> np.ndarray:
         """Row ``i`` of the block (length ``shape[1]``)."""
-        return self._entries(self._c2 + self._r2[i], self._cp @ self._rp[i])
+        return self.kernel._entries(self._c2 + self._r2[i], self._cp @ self._rp[i])
 
     def col(self, j: int) -> np.ndarray:
         """Column ``j`` of the block (length ``shape[0]``)."""
-        return self._entries(self._r2 + self._c2[j], self._rp @ self._cp[j])
+        return self.kernel._entries(self._r2 + self._c2[j], self._rp @ self._cp[j])
 
     def rows(self, idx) -> np.ndarray:
         """The rows ``idx`` (an index array) stacked, shape ``(len(idx), shape[1])``."""
-        return self._entries(self._r2[idx, None] + self._c2, self._rp[idx] @ self._cp.T)
+        return self.kernel._entries(self._r2[idx, None] + self._c2, self._rp[idx] @ self._cp.T)
+
+    @classmethod
+    def stack(cls, samplers: list["BlockSampler"]) -> "StackedSampler":
+        """The :class:`StackedSampler` of same-shape samplers of one kernel."""
+        return StackedSampler(samplers)
+
+
+class StackedSampler:
+    """Rows and columns of ``B`` same-shape blocks of one kernel, stacked.
+
+    Block ``b`` is ``samplers[b]``'s block.  A request names one row (or
+    column) per block and is one stacked evaluation: the inner products are a
+    stacked ``matmul`` — one GEMV per block over the same operands as
+    :class:`BlockSampler` — and the snap/clamp/``radial`` steps run once over
+    all of them, so every entry equals its block's sampler bit for bit.
+    ``blocks`` is an ascending array of distinct block indices; naming every
+    block uses the stacked point arrays as they are, without gathering them.
+    """
+
+    __slots__ = ("kernel", "shape", "_rp", "_cp", "_r2", "_c2")
+
+    def __init__(self, samplers: list[BlockSampler]) -> None:
+        first = samplers[0]
+        if any(s.kernel is not first.kernel or s.shape != first.shape for s in samplers):
+            raise ValueError("a stacked sampler takes same-shape samplers of one kernel")
+        self.kernel = first.kernel
+        self.shape = first.shape
+        self._rp = np.stack([s._rp for s in samplers])
+        self._cp = np.stack([s._cp for s in samplers])
+        self._r2 = np.stack([s._r2 for s in samplers])
+        self._c2 = np.stack([s._c2 for s in samplers])
+
+    def __len__(self) -> int:
+        return len(self._rp)
+
+    def _take(self, a: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+        return a if len(blocks) == len(a) else a[blocks]
+
+    def row(self, blocks: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        """Row ``idx[t]`` of block ``blocks[t]`` for each ``t``: ``(len(blocks), shape[1])``."""
+        cross = self._take(self._cp, blocks) @ self._rp[blocks, idx, :, None]
+        sums = self._take(self._c2, blocks) + self._r2[blocks, idx, None]
+        return self.kernel._entries(sums, cross[:, :, 0])
+
+    def col(self, blocks: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        """Column ``idx[t]`` of block ``blocks[t]`` for each ``t``: ``(len(blocks), shape[0])``."""
+        cross = self._take(self._rp, blocks) @ self._cp[blocks, idx, :, None]
+        sums = self._take(self._r2, blocks) + self._c2[blocks, idx, None]
+        return self.kernel._entries(sums, cross[:, :, 0])
+
+    def rows(self, block: int, idx) -> np.ndarray:
+        """The rows ``idx`` of block ``block`` stacked, as its sampler's ``rows(idx)``."""
+        return self.kernel._entries(
+            self._r2[block, idx, None] + self._c2[block], self._rp[block, idx] @ self._cp[block].T
+        )
 
 
 # Radial maps are module-level frozen dataclasses (not nested closures) so

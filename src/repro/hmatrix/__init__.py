@@ -22,13 +22,21 @@ from .block import (
     build_block_cluster_tree,
 )
 from .rk import RkMatrix, truncate_svd, compress_dense, compress_dense_rsvd
-from .aca import aca_partial, aca_full, compress_kernel_block
+from .aca import (
+    COMPRESSION_METHODS,
+    aca_batch,
+    aca_full,
+    aca_partial,
+    check_compression,
+    compress_kernel_block,
+)
 from .accumulator import UpdateAccumulator
 from .hmatrix import (
     HMatrix,
     FullBlock,
     RkBlock,
     assemble_hmatrix,
+    assemble_hmatrices,
     AssemblyConfig,
 )
 from .io import (
@@ -65,13 +73,17 @@ __all__ = [
     "compress_dense",
     "compress_dense_rsvd",
     "aca_partial",
+    "aca_batch",
     "aca_full",
     "compress_kernel_block",
+    "check_compression",
+    "COMPRESSION_METHODS",
     "UpdateAccumulator",
     "HMatrix",
     "FullBlock",
     "RkBlock",
     "assemble_hmatrix",
+    "assemble_hmatrices",
     "AssemblyConfig",
     "hgetrf",
     "hgeadd",

@@ -616,8 +616,9 @@ def hgemm_transb(c: HMatrix, a: HMatrix, b: HMatrix, eps: float, alpha=-1.0, acc
     """``C <- C + alpha * A @ B.T`` (plain transpose) in H-arithmetic.
 
     The Cholesky update kernel (SYRK when ``a is b`` structurally).  The
-    transpose is materialised structurally (views of factor/leaf data), which
-    costs the same order as the product itself.
+    transpose is materialised by :meth:`HMatrix.transpose`, which copies
+    every dense leaf and both factors of every Rk leaf of ``b`` — a copy of
+    ``b``'s storage, the same order of cost as the product itself.
     """
     hgemm(c, a, b.transpose(), eps, alpha, acc)
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aca import compress_kernel_block
+from .aca import aca_batch, block_sampler, check_compression, compress_kernel_block
 from .block import BlockClusterTree
 from .cluster import ClusterTree
 from .rk import RkMatrix, _check_eps, compress_dense
@@ -26,6 +26,7 @@ __all__ = [
     "RkBlock",
     "AssemblyConfig",
     "assemble_hmatrix",
+    "assemble_hmatrices",
 ]
 
 
@@ -42,7 +43,7 @@ class AssemblyConfig:
         "aca" (default, matrix-free above leaf size), "svd" (optimal,
         densifies each admissible block), "rsvd" or "aca_full".
     max_rank:
-        Optional hard rank cap for admissible blocks.
+        Optional hard rank cap for admissible blocks (``None`` or >= 1).
     """
 
     eps: float = 1e-4
@@ -51,6 +52,7 @@ class AssemblyConfig:
 
     def __post_init__(self) -> None:
         _check_eps(self.eps)
+        check_compression(self.method, self.max_rank)
 
 
 class FullBlock:
@@ -508,46 +510,79 @@ def assemble_hmatrix(
     densely.  Under ``method="aca"`` (the default) an admissible leaf below
     the root whose row and column clusters are both cluster-tree leaves is
     no larger than a dense leaf: it is evaluated by one kernel call and
-    compressed by the truncated SVD, which costs less than ACA's interpreted
-    cross loop at that size and meets the ε-bound exactly.  Every other
-    admissible leaf goes through partially pivoted ACA and is never
-    materialised.  A block tree that is a single leaf (a flat BLR tile) has
-    no hierarchy bounding how many such blocks there are, so it stays on ACA.
+    compressed by the truncated SVD, which costs less than ACA's cross loop
+    at that size and meets the ε-bound exactly.  Every other admissible leaf
+    goes through partially pivoted ACA and is never materialised.  A block
+    tree that is a single leaf (a flat BLR tile) has no hierarchy bounding
+    how many such blocks there are, so it stays on ACA.
+
+    The one-tree case of :func:`assemble_hmatrices`.
+    """
+    return assemble_hmatrices(kernel, points, [block_tree], config)[0]
+
+
+def assemble_hmatrices(
+    kernel,
+    points: np.ndarray,
+    block_trees: list[BlockClusterTree],
+    config: AssemblyConfig | None = None,
+) -> list[HMatrix]:
+    """Assemble the H-matrix of each block tree over one point set.
+
+    The trees are walked in order and each in leaf order, as by
+    :func:`assemble_hmatrix`: dense leaves and SVD-compressed blocks are
+    evaluated as they are met, and the sampler of every ACA block is built
+    there too.  Only the ACA itself is deferred, to one :func:`aca_batch`
+    over all the trees' blocks, so same-shape blocks of different trees (the
+    tiles of a Tile-H matrix) advance in lockstep.  Each block's factors are
+    the ones it gets alone.
     """
     cfg = config or AssemblyConfig()
     pts = np.ascontiguousarray(points, dtype=np.float64)
-    if block_tree.is_leaf:
-        return _assemble_leaf(kernel, pts, block_tree, cfg, cfg.method)
-    return _assemble_node(kernel, pts, block_tree, cfg)
+    deferred: list[tuple[HMatrix, object]] = []
+    mats = [
+        _assemble_leaf(kernel, pts, bt, cfg, cfg.method, deferred)
+        if bt.is_leaf
+        else _assemble_node(kernel, pts, bt, cfg, deferred)
+        for bt in block_trees
+    ]
+    if deferred:
+        leaves, samplers = zip(*deferred)
+        for leaf, rk in zip(leaves, aca_batch(samplers, cfg.eps, max_rank=cfg.max_rank)):
+            leaf.rk = rk
+    return mats
 
 
-def _assemble_node(kernel, pts, bt: BlockClusterTree, cfg: AssemblyConfig) -> HMatrix:
-    """:func:`assemble_hmatrix` below the root (a module-level function: a
+def _assemble_node(kernel, pts, bt: BlockClusterTree, cfg: AssemblyConfig, deferred) -> HMatrix:
+    """:func:`assemble_hmatrices` below a root (a module-level function: a
     local closure that names itself is a cycle for the collector)."""
     if bt.is_leaf:
         method = cfg.method
         if method == "aca" and bt.rows.is_leaf and bt.cols.is_leaf:
             method = "svd"
-        return _assemble_leaf(kernel, pts, bt, cfg, method)
+        return _assemble_leaf(kernel, pts, bt, cfg, method, deferred)
     return HMatrix(
         bt.rows,
         bt.cols,
-        children=[_assemble_node(kernel, pts, c, cfg) for c in bt.children],
+        children=[_assemble_node(kernel, pts, c, cfg, deferred) for c in bt.children],
         nrow_children=bt.nrow_children,
         ncol_children=bt.ncol_children,
     )
 
 
 def _assemble_leaf(
-    kernel, pts, bt: BlockClusterTree, cfg: AssemblyConfig, method: str
+    kernel, pts, bt: BlockClusterTree, cfg: AssemblyConfig, method: str, deferred
 ) -> HMatrix:
     """Assemble one leaf of the block cluster tree, compressing it by
-    ``method`` if it is admissible."""
+    ``method`` if it is admissible; an ACA leaf holds a rank-0 block until
+    its batch is compressed, its sampler queued on ``deferred``."""
     rpts = pts[bt.rows.indices]
     cpts = pts[bt.cols.indices]
-    if bt.admissible:
-        rk = compress_kernel_block(
-            kernel, rpts, cpts, cfg.eps, method=method, max_rank=cfg.max_rank
-        )
-        return HMatrix(bt.rows, bt.cols, rk=rk)
-    return HMatrix(bt.rows, bt.cols, full=kernel(rpts, cpts))
+    if not bt.admissible:
+        return HMatrix(bt.rows, bt.cols, full=kernel(rpts, cpts))
+    if method == "aca":
+        leaf = HMatrix(bt.rows, bt.cols, rk=RkMatrix.zeros(len(rpts), len(cpts)))
+        deferred.append((leaf, block_sampler(kernel, rpts, cpts)))
+        return leaf
+    rk = compress_kernel_block(kernel, rpts, cpts, cfg.eps, method=method, max_rank=cfg.max_rank)
+    return HMatrix(bt.rows, bt.cols, rk=rk)

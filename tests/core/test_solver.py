@@ -34,6 +34,13 @@ class TestConfig:
         with pytest.raises(ValueError):
             TileHConfig(leaf_size=0)
 
+    def test_unknown_compression_method_rejected(self):
+        # Caught at construction, not deep in the first admissible block.
+        with pytest.raises(ValueError, match="unknown compression method 'bogus'"):
+            TileHConfig(method="bogus")
+        for method in ("aca", "svd", "rsvd", "aca_full"):
+            assert TileHConfig(method=method).method == method
+
     @pytest.mark.parametrize("eps", [float("nan"), float("inf")])
     def test_non_finite_eps_rejected(self, eps):
         with pytest.raises(ValueError, match="eps must be non-negative"):

@@ -1,9 +1,10 @@
-"""The leaf-local block sampler against ``KernelFunction.__call__``."""
+"""The leaf-local block sampler against ``KernelFunction.__call__``, and the
+stacked sampler of same-shape blocks against each block's own sampler."""
 
 import numpy as np
 import pytest
 
-from repro.geometry import cylinder_cloud, make_kernel
+from repro.geometry import BlockSampler, StackedSampler, cylinder_cloud, make_kernel
 from repro.geometry.kernels import _FACTORIES
 
 KERNELS = ["laplace", "helmholtz", "gravity", "exponential",
@@ -95,3 +96,64 @@ def test_d_min_clamps_near_points(pts):
 
 def test_every_registered_kernel_is_covered():
     assert set(KERNELS) == set(_FACTORIES)
+
+
+# -- the stacked form: same-shape blocks of one kernel, one request each ------
+
+M, N_COLS = 37, 29
+#: Row/column point offsets of the stacked blocks; (100, 100) and (250, 250)
+#: are diagonal blocks, where coincident points meet the clamp or the nugget.
+OFFSETS = [(0, 300), (100, 100), (40, 350), (250, 250), (500, 20)]
+
+
+def _stack(kern, pts):
+    samplers = [kern.sampler(pts[a : a + M], pts[b : b + N_COLS]) for a, b in OFFSETS]
+    return samplers, BlockSampler.stack(samplers)
+
+
+@pytest.mark.parametrize("name", KERNELS)
+class TestStackedSamplerMatchesBlockSamplers:
+    def test_rows_cols_and_batched_rows_bit_for_bit(self, pts, name):
+        kern = make_kernel(name, pts)
+        samplers, stacked = _stack(kern, pts)
+        assert isinstance(stacked, StackedSampler)
+        assert len(stacked) == len(OFFSETS) and stacked.shape == (M, N_COLS)
+        rng = np.random.default_rng(5)
+        every = np.arange(len(OFFSETS))
+        for blocks in (every, np.array([0, 2, 3]), np.array([4]), np.array([1, 4])):
+            idx = rng.integers(0, M, len(blocks))
+            got = stacked.row(blocks, idx)
+            assert got.shape == (len(blocks), N_COLS) and got.dtype == kern.dtype
+            for t, b in enumerate(blocks):
+                assert np.array_equal(got[t], samplers[b].row(idx[t]))
+            jdx = rng.integers(0, N_COLS, len(blocks))
+            got = stacked.col(blocks, jdx)
+            assert got.shape == (len(blocks), M)
+            for t, b in enumerate(blocks):
+                assert np.array_equal(got[t], samplers[b].col(jdx[t]))
+        for b in every:
+            idx = rng.choice(M, size=8, replace=False)
+            assert np.array_equal(stacked.rows(b, idx), samplers[b].rows(idx))
+
+    def test_coincident_points_hit_exact_zero_distance(self, pts, name):
+        kern = make_kernel(name, pts)
+        _, stacked = _stack(kern, pts)
+        # Block 1 couples pts[100:129] with pts[100:129] (its leading square).
+        diag = kern.diag(pts[100 : 100 + N_COLS])
+        for i in (0, 13, N_COLS - 1):
+            rows = stacked.row(np.array([0, 1, 3]), np.array([i, i, i]))
+            cols = stacked.col(np.array([1, 2]), np.array([i, i]))
+            # d == 0 exactly: the clamp (singular kernels) or the nugget (GP
+            # covariances) applies, bit for bit what diag() promises.
+            assert rows[1, i] == diag[i]
+            assert cols[0, i] == diag[i]
+        square = stacked.rows(1, np.arange(N_COLS))
+        assert np.array_equal(np.diagonal(square), diag)
+
+
+def test_stacking_needs_one_kernel_and_one_shape(pts):
+    lap, grav = make_kernel("laplace", pts), make_kernel("gravity", pts)
+    with pytest.raises(ValueError, match="same-shape samplers of one kernel"):
+        BlockSampler.stack([lap.sampler(pts[:10], pts[50:60]), lap.sampler(pts[:11], pts[50:60])])
+    with pytest.raises(ValueError, match="same-shape samplers of one kernel"):
+        BlockSampler.stack([lap.sampler(pts[:10], pts[50:60]), grav.sampler(pts[:10], pts[50:60])])
