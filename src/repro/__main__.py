@@ -7,8 +7,8 @@ and (simulated) parallel performance::
     python -m repro --n 5000 --precision d --nb 500 --threads 1 9 35
     python -m repro --n 2000 --precision z --format hmat
     python -m repro --n 3000 --format blr --scheduler ws
-    python -m repro --n 2000 --exec threaded --nworkers 4 --scheduler lws \
-        --priority-mode bottom-level
+    python -m repro --n 2000 --exec threaded --nworkers 4 --nested \
+        --nested-min-leaf 64   # runs the recorded program; only process binds up front
     python -m repro --n 2000 --exec threaded --nworkers 4 --scheduler ws \
         --profile run.json --chrome-trace run.trace.json
     python -m repro report run.json
@@ -30,7 +30,7 @@ import numpy as np
 from .analysis import forward_error, format_table
 from .analysis.experiments import PAPER_EQUIVALENT_OVERHEADS
 from .baselines import BLRMatrix, HMatSolver
-from .core import PRIORITY_MODES, TileHConfig, TileHMatrix, default_nb
+from .core import TileHConfig, TileHMatrix, default_nb
 from .flags import add_method, add_problem, add_run, add_url, cli_error
 from .geometry import cylinder_cloud, make_kernel, streamed_matvec
 from .runtime import SCHEDULER_NAMES, validate_trace
@@ -71,13 +71,6 @@ def build_parser() -> argparse.ArgumentParser:
         nargs="+",
         default=[1, 2, 9, 18, 35],
         help="worker counts to simulate",
-    )
-    parser.add_argument(
-        "--priority-mode",
-        choices=PRIORITY_MODES,
-        default="static",
-        help="task priorities: static CHAMELEON-style panel priorities or "
-        "critical-path bottom levels (tile-h threaded path)",
     )
     parser.add_argument(
         "--nested",
@@ -276,7 +269,7 @@ def main(argv: list[str] | None = None) -> int:
         tile_config = TileHConfig(
             nb=nb, eps=args.eps, leaf_size=args.leaf_size, racecheck=args.racecheck,
             exec_mode=args.exec_mode, nworkers=args.nworkers,
-            scheduler=args.scheduler, priority_mode=args.priority_mode,
+            scheduler=args.scheduler,
             nested=args.nested, nested_min_leaf=args.nested_min_leaf,
         )
     except ValueError as exc:
@@ -290,7 +283,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.exec_mode in ("threaded", "process"):
         kind = "worker threads" if args.exec_mode == "threaded" else "worker processes"
         print(f"executor  : {args.exec_mode}, {args.nworkers} {kind}, "
-              f"scheduler={args.scheduler}, priorities={args.priority_mode}")
+              f"scheduler={args.scheduler}")
 
     rng = np.random.default_rng(args.seed)
     x0 = rng.standard_normal(args.n)

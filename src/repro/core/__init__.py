@@ -31,7 +31,7 @@ from .algorithms import (
 )
 from .sweep import SweepProgram, compile_sweep
 from .solver import (
-    EXEC_MODES, FACTOR_METHODS, PRIORITY_MODES, TileHConfig, TileHMatrix, FactorizationInfo,
+    EXEC_MODES, FACTOR_METHODS, TileHConfig, TileHMatrix, FactorizationInfo,
     default_nb, iterative_refinement,
 )
 from .krylov import KrylovResult, gmres, pcg
@@ -56,7 +56,6 @@ __all__ = [
     "apply_bottom_level_priorities",
     "TileHConfig",
     "EXEC_MODES",
-    "PRIORITY_MODES",
     "FACTOR_METHODS",
     "default_nb",
     "TileHMatrix",

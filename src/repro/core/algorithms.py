@@ -68,9 +68,7 @@ def _spec(op: str, *args, **kwargs) -> TaskSpec:
     return TaskSpec(f"repro.core.algorithms:{op}", args=args, kwargs=kwargs)
 
 
-def apply_bottom_level_priorities(
-    graph: TaskGraph, cost_attr: str = "flops", *, prev: dict | None = None
-) -> dict:
+def apply_bottom_level_priorities(graph: TaskGraph, cost_attr: str = "flops") -> dict:
     """Overwrite every task's priority with its critical-path rank.
 
     The priority becomes the dense rank of the task's *bottom level*
@@ -79,19 +77,13 @@ def apply_bottom_level_priorities(
     run the critical path first.  ``cost_attr="flops"`` (default) is the
     right choice for deferred graphs, whose measured ``seconds`` do not
     exist before execution; the modelled flops are available at submission
-    time for every factorisation kernel.
-
-    Returns the bottom-level map; pass it back as ``prev`` after more tasks
-    are submitted (e.g. a nested expansion spliced a subgraph in) to
-    recompute only the affected region — the priorities of *every* task are
-    still re-ranked from the merged map, which is what fixes stale
-    priorities on tasks submitted before the splice.
+    time for every factorisation kernel.  Returns the bottom-level map.
 
     This is the dynamic alternative to the static CHAMELEON heuristic of
-    :func:`lu_priorities`; select it with
-    ``TileHConfig(priority_mode="bottom-level")``.
+    :func:`lu_priorities`, applied to simulated graphs by the nested
+    ablation (``benchmarks/bench_abl_nested.py``).
     """
-    levels = graph.bottom_levels(cost_attr, prev=prev)
+    levels = graph.bottom_levels(cost_attr)
     rank = {v: r for r, v in enumerate(sorted(set(levels.values())))}
     for t in graph.tasks:
         t.priority = rank[levels[t.id]]

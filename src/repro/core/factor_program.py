@@ -24,8 +24,10 @@ kept with the payloads taken out:
   :class:`~repro.runtime.TaskGraph`: handles, closures, rank-dependent flops
   and :class:`~repro.runtime.Task` objects.  It is what
   :attr:`FactorizationInfo.graph <repro.core.solver.FactorizationInfo.graph>`
-  calls on first read, and what a run the graph must exist for up front
-  (a probe, bottom-level priorities, the process executor) binds;
+  calls on first read, and what the process executor binds up front (its
+  workers need each task's :class:`~repro.runtime.TaskSpec`);
+* :func:`announce` tells the ambient probe, before a run, every task the
+  run will execute — what ``insert_task`` would have announced;
 * :func:`program_for` keeps the programs in a small process-wide table
   (:data:`MAX_PROGRAMS`, least recently used out), keyed by
   :func:`structure_key`.
@@ -53,7 +55,7 @@ from ..obs.instrument import current as _current_probe
 from ..runtime import AccessMode, NestedPolicy, NestedStats, StfEngine, TaskGraph
 from ..runtime.expand import ExpansionRecord
 from ..runtime.ready import Lowered
-from ..runtime.stf import announce_task
+from ..runtime.stf import announce_task, payload_footprint
 from ..runtime.task import DataHandle, Task
 from .algorithms import tiled_getrf_tasks, tiled_potrf_tasks
 from .descriptor import TileHDesc
@@ -65,6 +67,7 @@ __all__ = [
     "structure_key",
     "record",
     "instantiate",
+    "announce",
     "program_for",
 ]
 
@@ -119,7 +122,7 @@ def structure_key(desc: TileHDesc, method: str, policy: NestedPolicy) -> tuple:
 
 class _Recorder(StfEngine):
     """The deferred nested engine a program is recorded on.  It announces
-    nothing to the probe: the binder announces the tasks that will run."""
+    nothing to the probe: :func:`announce` tells it the tasks that will run."""
 
     def _announce(self, task: Task) -> None:
         pass
@@ -266,7 +269,6 @@ def instantiate(
     op_ptr, acc_ptr = program.op_ptr.tolist(), program.acc_ptr.tolist()
     dep_ptr, suc_ptr = program.dep_ptr.tolist(), program.suc_ptr.tolist()
     paths = program.paths
-    probe = _current_probe()
     graph = TaskGraph()
     tasks = graph.tasks
     for t, (kind, variant, unit, label, priority) in enumerate(
@@ -288,10 +290,32 @@ def instantiate(
         )
         if paths is not None:
             task.spec = _nested_spec(variant, paths[t], eps, unit)
-        if probe is not None:
-            announce_task(probe, task)
         tasks.append(task)
     return graph, _nested_stats(program)
+
+
+def announce(program: FactorProgram, nodes: list) -> None:
+    """Tell the ambient probe, if any, every task of ``program`` on ``nodes``
+    (its slots, as :func:`_lookup` returns them) — kind, flops and operand
+    footprint, field by field what ``insert_task`` would have announced.
+
+    Called before the run, so the flops count the ranks the kernels start
+    from.  Nothing runs in between, so each operand's footprint is taken once.
+    """
+    probe = _current_probe()
+    if probe is None:
+        return
+    slots = (program.acc_code // 3).tolist()
+    footprint = {s: payload_footprint(nodes[s]) for s in set(slots)}
+    operands = tuple(map(nodes.__getitem__, program.op_slot.tolist()))
+    op_ptr, acc_ptr = program.op_ptr.tolist(), program.acc_ptr.tolist()
+    for t, (kind, variant) in enumerate(zip(program.kinds, program.variants)):
+        announce_task(
+            probe,
+            kind,
+            _flops(variant, operands[op_ptr[t]:op_ptr[t + 1]]),
+            [footprint[s] for s in slots[acc_ptr[t]:acc_ptr[t + 1]]],
+        )
 
 
 def _nested_stats(program: FactorProgram) -> NestedStats:

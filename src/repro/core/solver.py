@@ -23,7 +23,6 @@ import numpy as np
 
 from ..dense import sequential_blas
 from ..hmatrix import check_compression
-from ..obs.instrument import current as _current_probe
 from ..runtime import (
     SCHEDULER_NAMES,
     ExecutionTrace,
@@ -38,24 +37,17 @@ from ..runtime import (
     ThreadedExecutor,
     simulate,
 )
-from .algorithms import (
-    apply_bottom_level_priorities,
-    sweep_solve_tasks,
-    tiled_getrf_tasks,
-    tiled_potrf_tasks,
-)
+from .algorithms import sweep_solve_tasks, tiled_getrf_tasks, tiled_potrf_tasks
 from .build import build_tile_h
 from .descriptor import TileHDesc
-from .factor_program import _bind, _lookup, _nested_stats, instantiate
+from .factor_program import _bind, _lookup, _nested_stats, announce, instantiate
 from .sweep import SweepProgram, compile_sweep
 
 __all__ = ["TileHConfig", "FactorizationInfo", "TileHMatrix", "iterative_refinement",
-           "EXEC_MODES", "PRIORITY_MODES", "FACTOR_METHODS", "default_nb"]
+           "EXEC_MODES", "FACTOR_METHODS", "default_nb"]
 
 #: Executors of a factorisation (``TileHConfig.exec_mode``).
 EXEC_MODES = ("eager", "threaded", "process")
-#: Task-priority rules (``TileHConfig.priority_mode``).
-PRIORITY_MODES = ("static", "bottom-level")
 #: Factorisations of :meth:`TileHMatrix.factorize` (``method=``).
 FACTOR_METHODS = ("lu", "cholesky")
 
@@ -161,11 +153,6 @@ class TileHConfig:
     scheduler:
         Scheduling policy driving the threaded and process executors ("ws",
         "lws", "prio" — Section V-C's StarPU policies — or the FIFO "eager").
-    priority_mode:
-        "static" (default) keeps the CHAMELEON LU heuristic of
-        :func:`~repro.core.algorithms.lu_priorities`; "bottom-level"
-        recomputes every task priority from the DAG's critical path
-        (:func:`~repro.core.algorithms.apply_bottom_level_priorities`).
     nested:
         Expand tile kernels on H-structured tiles into fine-grain subtask
         DAGs over their block trees (nested task parallelism, after
@@ -192,7 +179,6 @@ class TileHConfig:
     exec_mode: str = "eager"
     nworkers: int = 1
     scheduler: str = "lws"
-    priority_mode: str = "static"
     nested: bool = False
     nested_min_leaf: int = 128
 
@@ -211,10 +197,6 @@ class TileHConfig:
         if self.scheduler not in SCHEDULER_NAMES:
             raise ValueError(
                 f"unknown scheduler {self.scheduler!r}; available: {SCHEDULER_NAMES}"
-            )
-        if self.priority_mode not in PRIORITY_MODES:
-            raise ValueError(
-                f"priority_mode must be one of {PRIORITY_MODES}, got {self.priority_mode!r}"
             )
         if self.racecheck and self.exec_mode != "eager":
             raise ValueError(
@@ -457,9 +439,7 @@ class TileHMatrix:
 
     # -- factorisation / solve ----------------------------------------------------
     @sequential_blas()
-    def factorize(
-        self, *, method: str = "lu", engine: StfEngine | None = None
-    ) -> FactorizationInfo:
+    def factorize(self, *, method: str = "lu") -> FactorizationInfo:
         """Tiled factorisation in place; returns the task DAG for simulation.
 
         ``method="lu"`` (default) runs the unpivoted tiled H-LU of
@@ -479,7 +459,7 @@ class TileHMatrix:
         if method not in FACTOR_METHODS:
             raise ValueError(f"method must be 'lu' or 'cholesky', got {method!r}")
         try:
-            info = self._factorize(method, engine)
+            info = self._factorize(method)
         except BaseException as exc:
             self._failure = f"{type(exc).__name__}: {exc}"
             raise
@@ -487,55 +467,46 @@ class TileHMatrix:
         self._method = method
         return info
 
-    def _factorize(self, method: str, engine: StfEngine | None) -> FactorizationInfo:
+    def _factorize(self, method: str) -> FactorizationInfo:
         cfg = self.config
         desc = self.desc
         threaded = cfg.exec_mode in ("threaded", "process")
-        if engine is None and threaded and cfg.nested:
+        if threaded and cfg.nested:
             # Every deferred nested graph is a bound FactorProgram — recorded
             # first when this block structure is new to the process.
             program, nodes = _lookup(desc, method, _nested_policy(cfg))
-            if (cfg.exec_mode == "threaded" and cfg.priority_mode == "static"
-                    and _current_probe() is None):
+            announce(program, nodes)
+            if cfg.exec_mode == "threaded":
                 # Nothing reads the graph before or during the run: execute
                 # the program from its arrays, bind the graph on first read.
+                graph = None
                 wall, trace = self._run(_bind(program, nodes, desc.eps))
-                info = FactorizationInfo(
-                    None, desc.nb, desc.nt, trace=trace, wall_seconds=wall,
-                    nested_stats=_nested_stats(program),
-                )
+            else:  # the process workers need each task's TaskSpec
+                graph = instantiate(program, desc, desc.eps)[0]
+                wall, trace = self._run(graph)
+            info = FactorizationInfo(
+                graph, desc.nb, desc.nt, trace=trace, wall_seconds=wall,
+                nested_stats=_nested_stats(program),
+            )
+            if graph is None:
                 info._make_graph = partial(_measured_graph, program, desc, trace)
-                return info
-            graph, nested_stats = instantiate(program, desc, desc.eps)
-            deferred = True
-        else:
-            if engine is None:
-                if threaded:
-                    engine = StfEngine(mode="deferred")
-                elif cfg.racecheck or cfg.nested:
-                    engine = StfEngine(
-                        mode="eager",
-                        racecheck=cfg.racecheck,
-                        nested=_nested_policy(cfg),
-                    )
-            tasks_fn = tiled_getrf_tasks if method == "lu" else tiled_potrf_tasks
-            graph = tasks_fn(desc, engine, accumulate=cfg.accumulate)
-            nested_stats = engine.nested_stats if engine is not None else None
-            deferred = engine is not None and engine.mode == "deferred"
-        if cfg.priority_mode == "bottom-level":
-            apply_bottom_level_priorities(graph, "flops")
-        trace = None
-        wall = None
-        if threaded and deferred:
-            wall, trace = self._run(graph)
+            return info
+        engine = StfEngine(
+            mode="deferred" if threaded else "eager",
+            racecheck=cfg.racecheck,
+            nested=_nested_policy(cfg),
+        )
+        tasks_fn = tiled_getrf_tasks if method == "lu" else tiled_potrf_tasks
+        graph = tasks_fn(desc, engine, accumulate=cfg.accumulate)
+        wall, trace = self._run(graph) if threaded else (None, None)
         return FactorizationInfo(
             graph,
             desc.nb,
             desc.nt,
-            racecheck=engine.racecheck if engine is not None else None,
+            racecheck=engine.racecheck,
             trace=trace,
             wall_seconds=wall,
-            nested_stats=nested_stats,
+            nested_stats=engine.nested_stats,
         )
 
     def _check_intact(self) -> None:

@@ -94,12 +94,14 @@ class Instrumentation:
         return self._t0
 
     # -- runtime hooks -----------------------------------------------------------
-    def task_submitted(self, task, operand_bytes: int = 0, operand_max_rank: int = 0) -> None:
-        """One task entered the STF engine (tagged with flops + operand stats)."""
+    def task_submitted(
+        self, kind: str, flops: float, operand_bytes: int, operand_max_rank: int
+    ) -> None:
+        """One task of ``kind`` entered a graph (tagged with flops + operand stats)."""
         with self._lock:
-            k = self.kinds[task.kind]
+            k = self.kinds[kind]
             k["submitted"] += 1
-            k["flops"] += task.flops
+            k["flops"] += flops
             k["operand_bytes"] += operand_bytes
         self.registry.inc("tasks.submitted")
         if operand_max_rank:

@@ -80,7 +80,7 @@ class TaskGraph:
             longest[t.id] = base + t.cost(cost_attr)
         return max(longest.values(), default=0.0)
 
-    def bottom_levels(self, cost_attr: str = "seconds", *, prev: dict | None = None) -> dict:
+    def bottom_levels(self, cost_attr: str = "seconds") -> dict:
         """Longest path from each task to a sink, including its own cost.
 
         The classic list-scheduling *bottom level* ``b(t) = cost(t) +
@@ -89,54 +89,11 @@ class TaskGraph:
         critical path moving ahead of bulk trailing updates.  Returns a
         ``task id -> level`` map; ``max`` of the values equals
         :meth:`critical_path`.
-
-        ``prev`` enables incremental recomputation after more tasks were
-        submitted (e.g. a nested expansion spliced a subgraph in): pass the
-        map a previous call returned and only the *affected* region — the
-        new tasks plus their transitive predecessors — is recomputed.  This
-        is sound because the graph is append-only and the STF engine only
-        ever adds edges *into* the newest task, so a task whose descendants
-        gained no new member keeps its level.  Tasks submitted before the
-        splice that reach the new subgraph get fresh (no longer stale)
-        levels; everything else is reused from ``prev``.
         """
-        if prev is None:
-            levels: dict[int, float] = {}
-            for t in reversed(self.topological_order()):
-                below = max((levels[s] for s in t.successors), default=0.0)
-                levels[t.id] = below + t.cost(cost_attr)
-            return levels
-        # Affected region: new tasks + reverse-reachable predecessors.
-        new_ids = [t.id for t in self.tasks if t.id not in prev]
-        affected: set[int] = set(new_ids)
-        stack = list(new_ids)
-        while stack:
-            for d in self.tasks[stack.pop()].deps:
-                if d not in affected:
-                    affected.add(d)
-                    stack.append(d)
-        levels = dict(prev)
-        # Reverse Kahn restricted to the affected region: a task is ready
-        # once all of its affected successors have fresh levels.
-        pending = {
-            i: sum(1 for s in self.tasks[i].successors if s in affected)
-            for i in affected
-        }
-        ready = [i for i, n in pending.items() if n == 0]
-        processed = 0
-        while ready:
-            i = ready.pop()
-            t = self.tasks[i]
+        levels: dict[int, float] = {}
+        for t in reversed(self.topological_order()):
             below = max((levels[s] for s in t.successors), default=0.0)
-            levels[i] = below + t.cost(cost_attr)
-            processed += 1
-            for d in t.deps:
-                if d in affected:
-                    pending[d] -= 1
-                    if pending[d] == 0:
-                        ready.append(d)
-        if processed != len(affected):
-            raise ValueError("task graph contains a cycle")
+            levels[t.id] = below + t.cost(cost_attr)
         return levels
 
     def validate(self) -> None:

@@ -26,10 +26,10 @@ from .expand import NestedPolicy, NestedStats
 from .racecheck import RaceChecker
 from .task import AccessMode, DataHandle, Task
 
-__all__ = ["StfEngine", "announce_task"]
+__all__ = ["StfEngine", "announce_task", "payload_footprint"]
 
 
-def _payload_footprint(payload: Any) -> tuple[int, int]:
+def payload_footprint(payload: Any) -> tuple[int, int]:
     """Best-effort ``(bytes, rank)`` estimate of one operand payload.
 
     Dense arrays report ``nbytes`` and rank 0; H-matrix objects (``HMatrix``,
@@ -62,25 +62,17 @@ def _payload_footprint(payload: Any) -> tuple[int, int]:
     return 0, 0
 
 
-def announce_task(probe, task: Task) -> None:
-    """Tell ``probe`` one task entered a graph, tagged with its operands'
-    bytes and largest rank (also kept on ``task.meta``).  The one place the
-    ``task_submitted`` event is built — :meth:`StfEngine.insert_task` and the
-    binder of :mod:`repro.core.factor_program` both report through it."""
-    operand_bytes = 0
-    operand_max_rank = 0
-    for handle, _mode in task.accesses:
-        nbytes, rank = _payload_footprint(handle.payload)
-        operand_bytes += nbytes
-        operand_max_rank = max(operand_max_rank, rank)
-    task.meta = {
-        "operand_bytes": operand_bytes,
-        "operand_max_rank": operand_max_rank,
-    }
+def announce_task(probe, kind: str, flops: float, footprints) -> None:
+    """Tell ``probe`` one task of ``kind`` entered a graph: its flops, and from
+    its operands' :func:`payload_footprint` pairs the total bytes and the
+    largest rank.  The one place the ``task_submitted`` event is built —
+    :meth:`StfEngine.insert_task` and the program announcer of
+    :mod:`repro.core.factor_program` both report through it."""
     probe.task_submitted(
-        task,
-        operand_bytes=operand_bytes,
-        operand_max_rank=operand_max_rank,
+        kind,
+        flops,
+        sum(nbytes for nbytes, _ in footprints),
+        max((rank for _, rank in footprints), default=0),
     )
 
 
@@ -239,7 +231,8 @@ class StfEngine:
     def _announce(self, task: Task) -> None:
         probe = _current_probe()
         if probe is not None:
-            announce_task(probe, task)
+            footprints = [payload_footprint(h.payload) for h, _ in task.accesses]
+            announce_task(probe, task.kind, task.flops, footprints)
 
     @staticmethod
     def _family(handle: DataHandle) -> list[DataHandle]:

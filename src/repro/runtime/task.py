@@ -92,9 +92,6 @@ class Task:
     func:
         The kernel closure; ``None`` once executed eagerly (STF mode) or for
         replayed/traced tasks.
-    meta:
-        Optional observability annotations (operand bytes/ranks) attached by
-        the STF engine when a probe is active; ``None`` otherwise.
     spec:
         Optional declarative kernel description (a
         :class:`~repro.runtime.process.TaskSpec`) that a process executor can
@@ -112,7 +109,6 @@ class Task:
     deps: set = field(default_factory=set)
     successors: set = field(default_factory=set)
     label: str = ""
-    meta: dict | None = None
     spec: Any | None = None
 
     @property

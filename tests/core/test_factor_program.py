@@ -255,14 +255,13 @@ def test_probe_sees_a_hit_like_a_miss():
         with Instrumentation(trace_capacity=0) as probe:
             _a, info = TileHMatrix.build_factorize(_kernel("laplace"), _points(), _nested(nworkers=1))
         reg = probe.registry
-        seen.append((
-            {k: (v["submitted"], v["flops"], v["operand_bytes"]) for k, v in probe.kinds.items()},
-            [t.meta for t in info.graph.tasks],
-        ))
+        seen.append(
+            {k: (v["submitted"], v["flops"], v["operand_bytes"]) for k, v in probe.kinds.items()}
+        )
         lookups = (reg.counter("nested.program.hits"), reg.counter("nested.program.misses"))
         assert lookups == ((0, 1) if _build == "miss" else (1, 0))
     assert seen[0] == seen[1]
-    submitted = sum(v[0] for v in seen[0][0].values())
+    submitted = sum(v[0] for v in seen[0].values())
     assert submitted == len(info.graph)  # the recorder announced nothing
     report = build_run_report(probe=probe, trace=info.trace, graph=info.graph, nested=info.nested)
     assert validate_report(report) == []

@@ -1,4 +1,4 @@
-"""Nested task expansion: bit-identity, determinism, racecheck, priorities.
+"""Nested task expansion: bit-identity, determinism, racecheck.
 
 The tentpole contract: expanding an H-structured tile kernel into a subtask
 DAG must change *scheduling freedom only*.  With ``accumulate=False`` the
@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from repro.baselines import HMatSolver
 from repro.core import TileHConfig, TileHMatrix
-from repro.core.algorithms import apply_bottom_level_priorities, tiled_getrf_tasks
+from repro.core.algorithms import tiled_getrf_tasks
 from repro.geometry import cylinder_cloud, make_kernel, streamed_matvec
 from repro.obs import Instrumentation, build_run_report, validate_report
 from repro.runtime import (
@@ -32,7 +32,6 @@ from repro.runtime import (
     simulate,
     validate_trace,
 )
-from repro.runtime.dag import TaskGraph
 from repro.runtime.racecheck import iter_buffers
 
 N, NB, LEAF = 256, 64, 32
@@ -256,64 +255,6 @@ def test_simulated_schedules_of_expanded_graphs_are_linear_extensions(
     graph, _stats = _deferred_nested_graph(min_leaf=min_leaf)
     r = simulate(graph, nworkers, policy, overheads=ZERO, cost_attr="flops")
     assert validate_trace(graph, r.trace) == []
-
-
-# -- incremental bottom-level priorities --------------------------------------
-
-
-def _grown_graph(rng, n_before, n_after):
-    """Append-only random DAG in two phases (edges always point backward,
-    mirroring how the STF engine only ever adds deps into the newest task)."""
-    g = TaskGraph()
-    tasks = []
-
-    def grow(count):
-        for _ in range(count):
-            t = g.new_task("k", seconds=float(rng.uniform(0.1, 1.0)))
-            k = int(rng.integers(0, min(3, len(tasks)) + 1))
-            for d in rng.choice(len(tasks), size=k, replace=False) if tasks else []:
-                g.add_dependency(tasks[int(d)], t)
-            tasks.append(t)
-
-    grow(n_before)
-    prev = g.bottom_levels("seconds")
-    grow(n_after)
-    return g, prev
-
-
-def test_incremental_bottom_levels_match_full_recompute():
-    rng = np.random.default_rng(42)
-    g, prev = _grown_graph(rng, 20, 15)
-    incremental = g.bottom_levels("seconds", prev=prev)
-    full = g.bottom_levels("seconds")
-    assert incremental.keys() == full.keys()
-    for tid in full:
-        assert incremental[tid] == pytest.approx(full[tid])
-
-
-@settings(max_examples=25, deadline=None)
-@given(seed=st.integers(0, 10_000), split=st.integers(1, 30))
-def test_incremental_bottom_levels_property(seed, split):
-    rng = np.random.default_rng(seed)
-    g, prev = _grown_graph(rng, split, 31 - split)
-    incremental = g.bottom_levels("seconds", prev=prev)
-    full = g.bottom_levels("seconds")
-    for tid in full:
-        assert incremental[tid] == pytest.approx(full[tid])
-
-
-def test_priorities_rerank_tasks_submitted_after_partial_expansion():
-    """Tasks appended after a first bottom-level pass must not keep stale
-    rank-0 priorities: a second (incremental) pass re-ranks *everything*
-    exactly as a from-scratch pass on the final graph would."""
-    rng = np.random.default_rng(7)
-    g, prev = _grown_graph(rng, 12, 18)
-    apply_bottom_level_priorities(g, "seconds", prev=prev)
-    # From-scratch baseline on an identical graph.
-    rng2 = np.random.default_rng(7)
-    g2, _ = _grown_graph(rng2, 12, 18)
-    apply_bottom_level_priorities(g2, "seconds")
-    assert [t.priority for t in g.tasks] == [t.priority for t in g2.tasks]
 
 
 # -- observability ------------------------------------------------------------

@@ -8,14 +8,17 @@ graph appears when ``info.graph`` is first read — field by field the graph
 run measured.
 """
 
+import copy
 from functools import lru_cache
 
 import numpy as np
 import pytest
 
 from repro.core import TileHConfig, TileHMatrix, factor_program as fp
+from repro.core.algorithms import tiled_getrf_tasks, tiled_potrf_tasks
 from repro.geometry import cylinder_cloud, make_kernel
-from repro.runtime import NestedPolicy, Task
+from repro.obs import Instrumentation
+from repro.runtime import NestedPolicy, StfEngine, Task
 
 N, NB, LEAF = 384, 96, 24
 
@@ -27,8 +30,9 @@ def _problem(n=N):
 
 
 def _cfg(**kw):
-    return TileHConfig(nb=NB, eps=1e-4, leaf_size=LEAF, accumulate=False, exec_mode="threaded",
-                       nested=True, nested_min_leaf=32, **kw)
+    kw.setdefault("exec_mode", "threaded")
+    return TileHConfig(nb=NB, eps=1e-4, leaf_size=LEAF, accumulate=False, nested=True,
+                       nested_min_leaf=32, **kw)
 
 
 @pytest.mark.parametrize("coarse", [False, True], ids=["fine", "coarse"])
@@ -70,12 +74,14 @@ def test_graph_read_after_the_run_is_the_bound_graph_with_measured_seconds(metho
 
 def test_an_unobserved_nested_threaded_run_builds_no_task(monkeypatch):
     """The benchmark's ``lu_d_tasks2`` problem: 5 109 subtasks on 2 leased
-    workers, not one :class:`Task` until the graph is asked for."""
+    workers, not one :class:`Task` until the graph is asked for — and a probe
+    watching the run changes nothing: it is told the tasks from the program."""
     pts = cylinder_cloud(2304)
     kern = make_kernel("laplace", pts)
     cfg = TileHConfig(nb=192, eps=1e-4, leaf_size=48, accumulate=False, exec_mode="threaded",
                       nworkers=2, scheduler="lws", nested=True, nested_min_leaf=48)
     a = TileHMatrix.build(kern, pts, cfg)
+    probed = copy.deepcopy(a)
     fp.program_for(a.desc, "lu", NestedPolicy(min_leaf=48))  # recording makes Tasks
     made = []
     init = Task.__init__
@@ -89,3 +95,48 @@ def test_an_unobserved_nested_threaded_run_builds_no_task(monkeypatch):
     assert len(made) == 0
     assert len(info.graph) == 5109
     assert len(made) == 5109
+
+    made.clear()
+    with Instrumentation(trace_capacity=0) as probe:
+        info = probed.factorize()
+    assert len(made) == 0
+    assert probe.registry.counter("tasks.submitted") == 5109
+    assert sum(k["count"] for k in probe.kinds.values()) == 5109
+    assert len(info.graph) == 5109
+    assert len(made) == 5109
+
+
+def test_a_graph_read_under_a_later_probe_announces_nothing():
+    """The probe that watched no run is told of no task: binding the graph
+    on first read is not a submission."""
+    pts, kern = _problem()
+    _a, info = TileHMatrix.build_factorize(kern, pts, _cfg(nworkers=2))
+    with Instrumentation(trace_capacity=0) as later:
+        assert len(info.graph) > 0
+    assert later.registry.counter("tasks.submitted") == 0
+    assert not later.kinds
+
+
+def _probed(fn) -> tuple[dict, dict]:
+    with Instrumentation(trace_capacity=0) as probe:
+        fn()
+    kinds = {k: (v["submitted"], v["flops"], v["operand_bytes"]) for k, v in probe.kinds.items()}
+    return kinds, probe.registry.histogram("tasks.operand_max_rank")
+
+
+@pytest.mark.parametrize("exec_mode", ["threaded", "process"])
+@pytest.mark.parametrize("method", ["lu", "cholesky"])
+def test_a_program_run_announces_what_a_fresh_submission_does(exec_mode, method):
+    """What a probe is told of a program run — per kind the submissions,
+    flops and operand bytes, and the operand ranks — is what a deferred
+    nested engine announces submitting the same graph afresh."""
+    pts, kern = _problem()
+    a = TileHMatrix.build(kern, pts, _cfg(exec_mode=exec_mode, nworkers=2))
+    policy = NestedPolicy(min_leaf=32, coarse=exec_mode == "process")
+    tasks_fn = tiled_getrf_tasks if method == "lu" else tiled_potrf_tasks
+    # A deferred submission runs nothing: the tiles stay as assembled.
+    fresh = _probed(lambda: tasks_fn(a.desc, StfEngine(mode="deferred", nested=policy),
+                                     accumulate=False))
+    run = _probed(lambda: a.factorize(method=method))
+    assert run == fresh
+    assert sum(v[0] for v in run[0].values()) == len(fp.program_for(a.desc, method, policy))

@@ -69,20 +69,6 @@ class TestFusedBuildFactorize:
         assert err < 1e-2
         assert validate_trace(info.graph, info.trace) == []
 
-    def test_bottom_level_priorities(self, problem):
-        pts, kern, x, b = problem
-        a, info = TileHMatrix.build_factorize(
-            kern, pts,
-            _cfg(exec_mode="threaded", nworkers=3, priority_mode="bottom-level"),
-        )
-        err = np.linalg.norm(a.solve(b) - x) / np.linalg.norm(x)
-        assert err < 1e-2
-        # Bottom-level ranks: a task's priority strictly exceeds each
-        # successor's whenever its own cost is positive.
-        for t in info.graph.tasks:
-            for s in t.successors:
-                assert t.priority >= info.graph.tasks[s].priority
-
     def test_cholesky_fused(self):
         from repro.geometry import assemble_dense, exponential_kernel, plate_cloud
 
@@ -113,10 +99,6 @@ class TestConfigValidation:
     def test_bad_scheduler(self):
         with pytest.raises(ValueError, match="scheduler"):
             TileHConfig(nb=64, scheduler="fifo")
-
-    def test_bad_priority_mode(self):
-        with pytest.raises(ValueError, match="priority_mode"):
-            TileHConfig(nb=64, priority_mode="random")
 
     def test_bad_nworkers(self):
         with pytest.raises(ValueError, match="nworkers"):

@@ -31,7 +31,6 @@ SURFACE = {
         '--threads': (None, [1, 2, 9, 18, 35]),
         '--exec': (['eager', 'threaded', 'process'], 'eager'),
         '--nworkers': (None, 2),
-        '--priority-mode': (['static', 'bottom-level'], 'static'),
         '--nested': (None, False),
         '--nested-min-leaf': (None, 128),
         '--seed': (None, 0),
@@ -144,34 +143,34 @@ NAMESPACES = [
     ('main', [],
      {'n': 2000, 'precision': 'd', 'format': 'tile-h', 'nb': None, 'eps': 0.0001, 'leaf_size': 64,
       'method': 'lu', 'scheduler': 'prio', 'threads': [1, 2, 9, 18, 35], 'exec_mode': 'eager',
-      'nworkers': 2, 'priority_mode': 'static', 'nested': False, 'nested_min_leaf': 128, 'seed': 0,
+      'nworkers': 2, 'nested': False, 'nested_min_leaf': 128, 'seed': 0,
       'racecheck': False, 'profile': None, 'chrome_trace': None}),
     ('main', ['--n', '500', '--precision', 'z', '--format', 'blr', '--nb', '100', '--eps', '1e-5',
               '--scheduler', 'ws', '--threads', '1', '4', '--seed', '3'],
      {'n': 500, 'precision': 'z', 'format': 'blr', 'nb': 100, 'eps': 1e-05, 'leaf_size': 64,
       'method': 'lu', 'scheduler': 'ws', 'threads': [1, 4], 'exec_mode': 'eager', 'nworkers': 2,
-      'priority_mode': 'static', 'nested': False, 'nested_min_leaf': 128, 'seed': 3,
+      'nested': False, 'nested_min_leaf': 128, 'seed': 3,
       'racecheck': False, 'profile': None, 'chrome_trace': None}),
     ('main', ['--racecheck'],
      {'n': 2000, 'precision': 'd', 'format': 'tile-h', 'nb': None, 'eps': 0.0001, 'leaf_size': 64,
       'method': 'lu', 'scheduler': 'prio', 'threads': [1, 2, 9, 18, 35], 'exec_mode': 'eager',
-      'nworkers': 2, 'priority_mode': 'static', 'nested': False, 'nested_min_leaf': 128, 'seed': 0,
+      'nworkers': 2, 'nested': False, 'nested_min_leaf': 128, 'seed': 0,
       'racecheck': True, 'profile': None, 'chrome_trace': None}),
     ('main', ['--n', '400', '--nb', '100', '--threads', '1', '4'],
      {'n': 400, 'precision': 'd', 'format': 'tile-h', 'nb': 100, 'eps': 0.0001, 'leaf_size': 64,
       'method': 'lu', 'scheduler': 'prio', 'threads': [1, 4], 'exec_mode': 'eager', 'nworkers': 2,
-      'priority_mode': 'static', 'nested': False, 'nested_min_leaf': 128, 'seed': 0,
+      'nested': False, 'nested_min_leaf': 128, 'seed': 0,
       'racecheck': False, 'profile': None, 'chrome_trace': None}),
     ('main', ['--n', '300', '--format', 'hmat', '--method', 'cholesky'],
      {'n': 300, 'precision': 'd', 'format': 'hmat', 'nb': None, 'eps': 0.0001, 'leaf_size': 64,
       'method': 'cholesky', 'scheduler': 'prio', 'threads': [1, 2, 9, 18, 35],
-      'exec_mode': 'eager', 'nworkers': 2, 'priority_mode': 'static', 'nested': False,
+      'exec_mode': 'eager', 'nworkers': 2, 'nested': False,
       'nested_min_leaf': 128, 'seed': 0, 'racecheck': False, 'profile': None,
       'chrome_trace': None}),
     ('main', ['--n', '250', '--format', 'hmat', '--threads', '1', '--racecheck'],
      {'n': 250, 'precision': 'd', 'format': 'hmat', 'nb': None, 'eps': 0.0001, 'leaf_size': 64,
       'method': 'lu', 'scheduler': 'prio', 'threads': [1], 'exec_mode': 'eager', 'nworkers': 2,
-      'priority_mode': 'static', 'nested': False, 'nested_min_leaf': 128, 'seed': 0,
+      'nested': False, 'nested_min_leaf': 128, 'seed': 0,
       'racecheck': True, 'profile': None, 'chrome_trace': None}),
     ('report', ['run.json'],
      {'path': 'run.json', 'diff': None, 'threshold': 0.1}),
