@@ -190,7 +190,7 @@ def _tiled_factorize(desc, steps, lower, engine, eps, accumulate, racecheck) -> 
         hs = [handles[p] for p in pos]
         eng.insert_task(
             kind,
-            partial(run_kernel, variant, tuple(tiles[p].mat for p in pos), eps_, True, acc),
+            partial(run_kernel, variant, tuple(tiles[p].mat for p in pos), eps_, True, acc=acc),
             declared(variant, hs),
             priority=priority,
             flops=flops,

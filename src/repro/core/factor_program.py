@@ -1,28 +1,28 @@
-"""The nested factorisation graph, recorded once per block structure.
+"""The factorisation graph, recorded once per block structure.
 
 What :mod:`repro.core.sweep` did for the substitution, applied to the
 factorisation (the recording mode of Börm, Christophersen & Kriemann,
 1911.07531): everything the expanders of :mod:`repro.core.nested` read — node
 shapes, child grids, leaf kinds — is fixed by the clustering, never by the
-numbers in the tiles (an admissible leaf is always assembled as Rk, an
-inadmissible one as dense).  So the nested task graph of one (block
-structure, method, :class:`~repro.runtime.NestedPolicy`) is derived once and
-kept with the payloads taken out:
+numbers in the tiles.  So the task graph of one (block structure, method,
+:class:`~repro.runtime.NestedPolicy`; ``None`` is the opaque tile graph, the
+recursion cut off at the tile) is derived once, kept with the payloads taken
+out, and run by every threaded or process factorisation:
 
 * :func:`record` runs today's ``tiled_getrf_tasks``/``tiled_potrf_tasks`` on a
-  deferred nested engine — the expanders plus the engine's family-aware
-  inference stay the only place the graph is *derived* — and flattens the
-  result into a :class:`FactorProgram`: per subtask its kind, kernel variant,
-  label and priority, its operands and accesses as integer *slots*, its
-  dependency and successor lists, and the expansion ranges;
+  deferred engine — the expanders plus the engine's family-aware inference
+  stay the only place the graph is *derived* — and flattens the result into a
+  :class:`FactorProgram`: per task its kind, kernel variant, label and
+  priority, its operands and accesses as integer *slots*, its dependency and
+  successor lists, and the expansion ranges;
 * a threaded factorisation runs a program from its arrays: the bind resolves
   the slots to this descriptor's nodes (one walk) and nothing else; task
   ``t`` is the id ``t``, its kernel resolved at dispatch, its indegree a CSR
   count, its successors a sorted ``int32`` slice — the
   :class:`~repro.runtime.ready.Lowered` form the ready front runs;
 * :func:`instantiate` binds a program to a descriptor as an ordinary
-  :class:`~repro.runtime.TaskGraph`: handles, closures, rank-dependent flops
-  and :class:`~repro.runtime.Task` objects.  It is what
+  :class:`~repro.runtime.TaskGraph`: handles, closures, flops (a subtask's
+  rank-dependent) and :class:`~repro.runtime.Task` objects.  It is what
   :attr:`FactorizationInfo.graph <repro.core.solver.FactorizationInfo.graph>`
   calls on first read, and what the process executor binds up front (its
   workers need each task's :class:`~repro.runtime.TaskSpec`);
@@ -105,23 +105,25 @@ def _walk(desc: TileHDesc, method: str) -> tuple[list, list, list]:
     return nodes, parents, pos
 
 
-def _key(nodes: list, nt: int, method: str, policy: NestedPolicy) -> tuple:
+def _key(nodes: list, nt: int, method: str, policy: NestedPolicy | None) -> tuple:
     shape = []
     for node in nodes:
         m, n = node.shape
         shape += (m, n, node.nrow_children, node.ncol_children, _KIND_CODE[node.kind])
-    return (nt, method, policy.min_leaf, policy.coarse, tuple(shape))
+    # An opaque program keeps its tile kernels' dense-model flops, which read the dtype.
+    cut = (policy.min_leaf, policy.coarse) if policy else (None, nodes[0].dtype.char)
+    return (nt, method, *cut, tuple(shape))
 
 
-def structure_key(desc: TileHDesc, method: str, policy: NestedPolicy) -> tuple:
+def structure_key(desc: TileHDesc, method: str, policy: NestedPolicy | None) -> tuple:
     """Exactly what the expanders read, hashable: per reachable tile the tree
     of shapes, child grids and leaf kinds, plus ``nt``, the method and the
-    policy's ``min_leaf``/``coarse`` — never ε, kernel parameters or ranks."""
+    policy's ``min_leaf``/``coarse`` (opaque: the dtype) — never ε or ranks."""
     return _key(_walk(desc, method)[0], desc.nt, method, policy)
 
 
 class _Recorder(StfEngine):
-    """The deferred nested engine a program is recorded on.  It announces
+    """The deferred engine a program is recorded on.  It announces
     nothing to the probe: :func:`announce` tells it the tasks that will run."""
 
     def _announce(self, task: Task) -> None:
@@ -136,7 +138,7 @@ def _csr(rows: list) -> tuple[np.ndarray, np.ndarray]:
 
 
 class FactorProgram:
-    """One recorded nested factorisation graph with the payloads taken out.
+    """One recorded factorisation graph (opaque if ``policy`` is None), payloads out.
 
     Flat tuples of atoms and integer arrays only — nothing for the cyclic
     collector to walk, nothing that refers to a tile.  Read-only once made
@@ -145,7 +147,7 @@ class FactorProgram:
 
     __slots__ = (
         "key", "method", "policy",
-        "kinds", "variants", "units", "labels", "priorities", "paths",
+        "kinds", "variants", "units", "labels", "priorities", "flops", "paths",
         "op_ptr", "op_slot", "acc_ptr", "acc_code",
         "dep_ptr", "dep_idx", "suc_ptr", "suc_idx",
         "slot_parent", "slot_pos", "handle_slots", "handle_names",
@@ -160,11 +162,11 @@ class FactorProgram:
         return len(self.dep_idx)
 
 
-def record(desc: TileHDesc, method: str, policy: NestedPolicy) -> FactorProgram:
-    """Derive the nested graph of ``desc`` once and flatten it.
+def record(desc: TileHDesc, method: str, policy: NestedPolicy | None) -> FactorProgram:
+    """Derive the graph of ``desc`` once and flatten it (``policy=None``: opaque).
 
     The graph is built (and validated) by the tiled algorithm on a deferred
-    nested engine, exactly as a direct caller would get it; its closures are
+    engine, exactly as a direct caller would get it; its closures are
     dropped, only the structure is kept.
     """
     if method not in ("lu", "cholesky"):
@@ -179,7 +181,7 @@ def record(desc: TileHDesc, method: str, policy: NestedPolicy) -> FactorProgram:
         if parent < 0:  # a tile handle's payload is the Tile, not its root node
             slot_of[id(desc.super.get_blktile(*pos[s]))] = s
     names: dict[int, str] = {}
-    kinds, variants, units, labels, priorities, paths = [], [], [], [], [], []
+    kinds, variants, units, labels, priorities, flops, paths = [], [], [], [], [], [], []
     ops, accs, deps, succs = [], [], [], []
     for task in graph.tasks:
         variant, operands, _eps, unit = task.func.args
@@ -188,6 +190,7 @@ def record(desc: TileHDesc, method: str, policy: NestedPolicy) -> FactorProgram:
         units.append(unit)
         labels.append(task.label)
         priorities.append(task.priority)
+        flops.append(task.flops)
         ops.append([slot_of[id(node)] for node in operands])
         codes = []
         for handle, mode in task.accesses:
@@ -206,7 +209,7 @@ def record(desc: TileHDesc, method: str, policy: NestedPolicy) -> FactorProgram:
         accs.append(codes)
         deps.append(task.deps)
         succs.append(sorted(task.successors))  # in the order release walks them
-        if policy.coarse:
+        if task.spec is not None:
             paths.append(task.spec.args[1])
 
     p = FactorProgram()
@@ -215,7 +218,8 @@ def record(desc: TileHDesc, method: str, policy: NestedPolicy) -> FactorProgram:
     p.kinds, p.variants, p.units = tuple(kinds), tuple(variants), tuple(units)
     p.labels = tuple(labels)
     p.priorities = np.array(priorities, dtype=np.int64)
-    p.paths = tuple(paths) if policy.coarse else None
+    p.flops = None if policy else tuple(flops)  # a subtask's read ranks: made at bind
+    p.paths = tuple(paths) if paths else None
     p.op_ptr, p.op_slot = _csr(ops)
     p.acc_ptr, p.acc_code = _csr(accs)
     p.dep_ptr, p.dep_idx = _csr(deps)
@@ -224,7 +228,7 @@ def record(desc: TileHDesc, method: str, policy: NestedPolicy) -> FactorProgram:
     p.slot_pos = np.array(pos, dtype=np.int32).reshape(-1, 2)
     p.handle_slots = np.array(sorted(names), dtype=np.int32)
     p.handle_names = tuple(names[s] for s in sorted(names))
-    records = engine.nested_stats.records
+    records = engine.nested_stats.records if policy else ()
     p.rec_kinds = tuple(r.kind for r in records)
     p.rec_labels = tuple(r.label for r in records)
     p.rec_bounds = np.array([(r.start, r.stop) for r in records], dtype=np.int32).reshape(-1, 2)
@@ -233,12 +237,12 @@ def record(desc: TileHDesc, method: str, policy: NestedPolicy) -> FactorProgram:
 
 def instantiate(
     program: FactorProgram, desc: TileHDesc, eps: float
-) -> tuple[TaskGraph, NestedStats]:
+) -> tuple[TaskGraph, NestedStats | None]:
     """Bind ``program`` to the tiles of ``desc``: a deferred, runnable graph.
 
     Field by field what the recorder's engine would have built on ``desc``
     (kind, label, priority, flops, accesses, edges, expansion records) — with
-    this descriptor's nodes in the closures and ranks in the flops.
+    this descriptor's nodes in the closures and ranks in a subtask's flops.
     """
     nodes = _walk(desc, program.method)[0]
     if _key(nodes, desc.nt, program.method, program.policy) != program.key:
@@ -268,7 +272,7 @@ def instantiate(
     deps, succs = program.dep_idx.tolist(), program.suc_idx.tolist()
     op_ptr, acc_ptr = program.op_ptr.tolist(), program.acc_ptr.tolist()
     dep_ptr, suc_ptr = program.dep_ptr.tolist(), program.suc_ptr.tolist()
-    paths = program.paths
+    paths, flops = program.paths, program.flops
     graph = TaskGraph()
     tasks = graph.tasks
     for t, (kind, variant, unit, label, priority) in enumerate(
@@ -282,7 +286,7 @@ def instantiate(
             accesses[acc_ptr[t]:acc_ptr[t + 1]],
             priority,
             0.0,
-            _flops(variant, nodes_t),
+            _flops(variant, nodes_t) if flops is None else flops[t],
             partial(run_kernel, variant, nodes_t, eps, unit),
             set(deps[dep_ptr[t]:dep_ptr[t + 1]]),
             set(succs[suc_ptr[t]:suc_ptr[t + 1]]),
@@ -309,17 +313,20 @@ def announce(program: FactorProgram, nodes: list) -> None:
     footprint = {s: payload_footprint(nodes[s]) for s in set(slots)}
     operands = tuple(map(nodes.__getitem__, program.op_slot.tolist()))
     op_ptr, acc_ptr = program.op_ptr.tolist(), program.acc_ptr.tolist()
+    flops = program.flops
     for t, (kind, variant) in enumerate(zip(program.kinds, program.variants)):
         announce_task(
             probe,
             kind,
-            _flops(variant, operands[op_ptr[t]:op_ptr[t + 1]]),
+            _flops(variant, operands[op_ptr[t]:op_ptr[t + 1]]) if flops is None else flops[t],
             [footprint[s] for s in slots[acc_ptr[t]:acc_ptr[t + 1]]],
         )
 
 
-def _nested_stats(program: FactorProgram) -> NestedStats:
-    """The expansion accounting the recorder's engine kept, rebuilt."""
+def _nested_stats(program: FactorProgram) -> NestedStats | None:
+    """The expansion accounting the recorder's engine kept, rebuilt (opaque: ``None``)."""
+    if program.policy is None:
+        return None
     return NestedStats(
         program.policy,
         [
@@ -359,7 +366,7 @@ _programs: "OrderedDict[tuple, FactorProgram]" = OrderedDict()
 _programs_lock = threading.Lock()
 
 
-def program_for(desc: TileHDesc, method: str, policy: NestedPolicy) -> FactorProgram:
+def program_for(desc: TileHDesc, method: str, policy: NestedPolicy | None) -> FactorProgram:
     """The program of ``desc``'s structure: from the table, or recorded now.
 
     Recording runs outside the lock — two threads meeting the same new
@@ -369,7 +376,9 @@ def program_for(desc: TileHDesc, method: str, policy: NestedPolicy) -> FactorPro
     return _lookup(desc, method, policy)[0]
 
 
-def _lookup(desc: TileHDesc, method: str, policy: NestedPolicy) -> tuple[FactorProgram, list]:
+def _lookup(
+    desc: TileHDesc, method: str, policy: NestedPolicy | None
+) -> tuple[FactorProgram, list]:
     """:func:`program_for`, plus ``desc``'s nodes in slot order (the walk
     that keyed the lookup, ready for :func:`_bind`)."""
     nodes = _walk(desc, method)[0]

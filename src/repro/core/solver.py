@@ -135,11 +135,11 @@ class TileHConfig:
         The executor of the factorisation (assembly is one serial loop and a
         warm :meth:`TileHMatrix.solve` replays the compiled sweep, in every
         mode).  "eager" (default) — kernels run sequentially at submission,
-        exactly the historical bit-identical path; "threaded" — the
-        factorisation is submitted to a deferred engine and executed by a
-        :class:`~repro.runtime.ThreadedExecutor` on ``nworkers`` real
-        threads under ``scheduler``; "process" — the same deferred graph
-        runs on ``nworkers`` worker *processes* via a
+        exactly the historical bit-identical path; "threaded" — the graph
+        recorded once per block structure (:mod:`~repro.core.factor_program`)
+        runs on a :class:`~repro.runtime.ThreadedExecutor` of ``nworkers``
+        threads under ``scheduler``; "process" — the same graph runs on
+        ``nworkers`` worker *processes* via a
         :class:`~repro.runtime.ProcessExecutor` with tile payloads in
         shared memory — GIL-free, and as measured slower than one leased
         thread at every ledger size (``docs/parallelism.md``): kept for
@@ -233,11 +233,11 @@ class FactorizationInfo:
     """Outcome of a factorisation: the task DAG plus convenience queries.
 
     ``graph`` is the factorisation's :class:`~repro.runtime.TaskGraph`.  A
-    threaded nested run executes its bound factor program without one
+    threaded run, opaque or nested, executes its factor program without one
     (:mod:`repro.core.factor_program`); its ``graph`` is bound on first read
-    — :func:`~repro.core.factor_program.instantiate` on the factor, so flops
-    count the factor's ranks — with each task's measured seconds (its trace
-    event) written in.
+    — :func:`~repro.core.factor_program.instantiate` on the factor, so a
+    subtask's flops count the factor's ranks — with each task's measured
+    seconds (its trace event) written in.
 
     ``racecheck`` holds the :class:`~repro.runtime.RaceChecker` that
     observed the factorisation when the detector was enabled (``None``
@@ -358,8 +358,8 @@ class TileHMatrix:
         )
 
     def _run(self, graph) -> tuple[float, ExecutionTrace]:
-        """Run a deferred ``graph`` on the configured executor; returns the
-        wall seconds and the execution trace."""
+        """Run ``graph`` (a bound program or a graph) on the configured
+        executor; returns the wall seconds and the execution trace."""
         cfg = self.config
         if cfg.exec_mode == "process":
             executor = ProcessExecutor(cfg.nworkers, scheduler=cfg.scheduler)
@@ -470,44 +470,27 @@ class TileHMatrix:
     def _factorize(self, method: str) -> FactorizationInfo:
         cfg = self.config
         desc = self.desc
-        threaded = cfg.exec_mode in ("threaded", "process")
-        if threaded and cfg.nested:
-            # Every deferred nested graph is a bound FactorProgram — recorded
-            # first when this block structure is new to the process.
-            program, nodes = _lookup(desc, method, _nested_policy(cfg))
-            announce(program, nodes)
-            if cfg.exec_mode == "threaded":
-                # Nothing reads the graph before or during the run: execute
-                # the program from its arrays, bind the graph on first read.
-                graph = None
-                wall, trace = self._run(_bind(program, nodes, desc.eps))
-            else:  # the process workers need each task's TaskSpec
-                graph = instantiate(program, desc, desc.eps)[0]
-                wall, trace = self._run(graph)
-            info = FactorizationInfo(
-                graph, desc.nb, desc.nt, trace=trace, wall_seconds=wall,
-                nested_stats=_nested_stats(program),
-            )
-            if graph is None:
-                info._make_graph = partial(_measured_graph, program, desc, trace)
-            return info
-        engine = StfEngine(
-            mode="deferred" if threaded else "eager",
-            racecheck=cfg.racecheck,
-            nested=_nested_policy(cfg),
+        if cfg.exec_mode == "eager":
+            engine = StfEngine(racecheck=cfg.racecheck, nested=_nested_policy(cfg))
+            tasks_fn = tiled_getrf_tasks if method == "lu" else tiled_potrf_tasks
+            graph = tasks_fn(desc, engine, accumulate=cfg.accumulate)
+            return FactorizationInfo(graph, desc.nb, desc.nt, racecheck=engine.racecheck,
+                                     nested_stats=engine.nested_stats)
+        # Every threaded or process graph, opaque or nested, is a bound
+        # FactorProgram — recorded first when this structure is new here.
+        program, nodes = _lookup(desc, method, _nested_policy(cfg))
+        announce(program, nodes)
+        # Threads run the program from its arrays and bind the graph on first
+        # read; the process workers need each task's TaskSpec up front.
+        graph = instantiate(program, desc, desc.eps)[0] if cfg.exec_mode == "process" else None
+        wall, trace = self._run(_bind(program, nodes, desc.eps) if graph is None else graph)
+        info = FactorizationInfo(
+            graph, desc.nb, desc.nt, trace=trace, wall_seconds=wall,
+            nested_stats=_nested_stats(program),
         )
-        tasks_fn = tiled_getrf_tasks if method == "lu" else tiled_potrf_tasks
-        graph = tasks_fn(desc, engine, accumulate=cfg.accumulate)
-        wall, trace = self._run(graph) if threaded else (None, None)
-        return FactorizationInfo(
-            graph,
-            desc.nb,
-            desc.nt,
-            racecheck=engine.racecheck,
-            trace=trace,
-            wall_seconds=wall,
-            nested_stats=engine.nested_stats,
-        )
+        if graph is None:
+            info._make_graph = partial(_measured_graph, program, desc, trace)
+        return info
 
     def _check_intact(self) -> None:
         if self._failure is not None:

@@ -3,7 +3,7 @@
 Training factorises the H-compressed covariance ``K = K_f(X, X) + s_n^2 I``
 with :meth:`~repro.core.TileHMatrix.build_factorize` (``method="cholesky"``)
 — assembly is one serial loop, and ``exec_mode="threaded"``/``"process"``
-run the factorisation as a task graph, nested tile expansion included.
+run the factorisation's recorded task graph, opaque or nested.
 
 A prediction is a panel solve: the cross-covariance panel
 ``K_* = K(X, X_*)`` is evaluated once, :meth:`~repro.core.TileHMatrix.solve`

@@ -178,9 +178,9 @@ class Instrumentation:
             self.registry.inc("h.accumulator.early_flushes", nblocks)
 
     def factor_program_lookup(self, hit: bool) -> None:
-        """One nested factorisation asked for its recorded graph
-        (:func:`repro.core.factor_program.program_for`): a hit replays a
-        program already in the table, a miss records one first."""
+        """One threaded or process factorisation, opaque or nested, asked for
+        its recorded graph (:func:`repro.core.factor_program.program_for`): a
+        hit replays a program already in the table, a miss records one first."""
         self.registry.inc("nested.program.hits" if hit else "nested.program.misses")
 
     # -- Krylov hooks ----------------------------------------------------------

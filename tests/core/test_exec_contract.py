@@ -4,7 +4,8 @@ Assembly is one serial loop whatever ``exec_mode`` says, so a threaded or
 process ``build_factorize`` — opaque or nested — must leave tiles whose every
 leaf is byte-for-byte the eager factor's, and solve vectors and panels to the
 same bits (``accumulate=False`` on both sides: the rounding accumulator is
-eager-only).  The cells are the product of the axes below.
+eager-only).  An opaque run's graph is the eager graph, task for task.  The
+cells are the product of the axes below.
 """
 
 import itertools
@@ -47,12 +48,16 @@ def _tile_bytes(a: TileHMatrix) -> list[bytes]:
     return out
 
 
+def _fields(graph) -> list[tuple]:
+    return [(t.kind, t.label, t.priority, t.flops, t.deps) for t in graph.tasks]
+
+
 @lru_cache(maxsize=None)
 def _eager(problem):
     kernel, method = PROBLEMS[problem]
     pts, kern, b = _problem(kernel)
-    a, _ = TileHMatrix.build_factorize(kern, pts, _cfg(), method=method)
-    return _tile_bytes(a), a.solve(b[:, 0]), a.solve(b)
+    a, info = TileHMatrix.build_factorize(kern, pts, _cfg(), method=method)
+    return _tile_bytes(a), a.solve(b[:, 0]), a.solve(b), _fields(info.graph)
 
 
 @pytest.mark.parametrize("exec_mode,shape,problem", CELLS, ids=["-".join(c) for c in CELLS])
@@ -62,13 +67,15 @@ def test_build_factorize_is_eager_bit_for_bit(exec_mode, shape, problem):
     cfg = _cfg(exec_mode=exec_mode, nworkers=2, nested=shape == "nested",
                nested_min_leaf=32)
     a, info = TileHMatrix.build_factorize(kern, pts, cfg, method=method)
-    tiles, x, panel = _eager(problem)
+    tiles, x, panel, graph = _eager(problem)
     assert _tile_bytes(a) == tiles
     assert np.array_equal(a.solve(b[:, 0]), x)
     assert np.array_equal(a.solve(b), panel)
     assert validate_trace(info.graph, info.trace) == []
     if shape == "nested":
         assert info.nested["expanded_tasks"] > 0
+    else:
+        assert _fields(info.graph) == graph
 
 
 @pytest.mark.parametrize("nested", [False, True], ids=["opaque", "nested"])

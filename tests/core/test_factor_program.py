@@ -1,11 +1,11 @@
 """Recorded factorisation programs: a bound graph is the fresh graph.
 
 The recorder — ``tiled_getrf_tasks``/``tiled_potrf_tasks`` on a deferred
-nested engine — is the reference.  A :class:`FactorProgram` bound to a
-descriptor must equal, field by field, the graph the recorder would derive on
-that descriptor, whatever matrix of the same block structure it was recorded
-on; executed, it must leave eager's bits.  The key must change with everything
-an expander reads and with nothing else.
+engine, nested or (``policy=None``) opaque — is the reference.  A
+:class:`FactorProgram` bound to a descriptor must equal, field by field, the
+graph the recorder would derive on that descriptor, whatever matrix of the
+same block structure it was recorded on; executed, it must leave eager's bits.
+The key must change with everything an expander reads and with nothing else.
 """
 
 import gc
@@ -31,6 +31,12 @@ from repro.runtime import NestedPolicy, RuntimeOverheadModel, StfEngine, simulat
 # cut at different depths and min_leaf >= nb expands nothing.
 N, NB, LEAF = 384, 96, 24
 MIN_LEAVES = (32, 48, NB)
+# Every nested cut-off at either access granularity, and the opaque graph.
+POLICIES = [
+    pytest.param(NestedPolicy(min_leaf=m, coarse=c), id=f"{m}-{'coarse' if c else 'fine'}")
+    for m in MIN_LEAVES
+    for c in (False, True)
+] + [pytest.param(None, id="opaque")]
 KERNELS = ("laplace", "helmholtz", "sqexp")
 TASKS_FN = {"lu": tiled_getrf_tasks, "cholesky": tiled_potrf_tasks}
 
@@ -92,6 +98,9 @@ def _assert_same_graph(bound, fresh):
         variant0, nodes0, eps0, unit0 = u.func.args
         assert (t.func.func, variant, eps, unit) == (u.func.func, variant0, eps0, unit0)
         assert len(nodes) == len(nodes0) and all(a is b for a, b in zip(nodes, nodes0))
+    if stats0 is None:  # opaque: nothing expanded
+        assert stats is None
+        return
     assert stats.policy == stats0.policy
     assert stats.records == stats0.records
 
@@ -100,13 +109,11 @@ def _assert_same_graph(bound, fresh):
 
 
 @pytest.mark.parametrize("priority_mode", ["static", "bottom-level"])
-@pytest.mark.parametrize("coarse", [False, True], ids=["fine", "coarse"])
-@pytest.mark.parametrize("min_leaf", MIN_LEAVES)
+@pytest.mark.parametrize("policy", POLICIES)
 @pytest.mark.parametrize("kernel", KERNELS)
 @pytest.mark.parametrize("method", ["lu", "cholesky"])
-def test_bound_graph_equals_fresh(method, kernel, min_leaf, coarse, priority_mode):
+def test_bound_graph_equals_fresh(method, kernel, policy, priority_mode):
     desc = _assembled(kernel).desc
-    policy = NestedPolicy(min_leaf=min_leaf, coarse=coarse)
     program = fp.program_for(desc, method, policy)
     bound = fp.instantiate(program, desc, desc.eps)
     fresh = _fresh(desc, method, policy)
@@ -116,7 +123,9 @@ def test_bound_graph_equals_fresh(method, kernel, min_leaf, coarse, priority_mod
     _assert_same_graph(bound, fresh)
     bound[0].validate()
     assert len(program) == len(fresh[0]) and program.n_edges == fresh[0].n_edges()
-    if min_leaf >= NB:  # nothing expands: one subtask per tile kernel
+    if policy is None:  # the opaque graph: one task, with its spec, per tile kernel
+        assert all(t.spec is not None for t in bound[0].tasks)
+    elif policy.min_leaf >= NB:  # nothing expands: one subtask per tile kernel
         assert all(r.n_subtasks == 1 for r in bound[1].records)
 
 

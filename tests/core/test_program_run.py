@@ -1,4 +1,4 @@
-"""A threaded nested factorisation runs its bound program from the arrays.
+"""A threaded factorisation runs its bound program from the arrays.
 
 Nothing reads the graph before or during such a run, so none is made: the
 ready front counts the program's CSR indegrees down, releases its sorted
@@ -9,6 +9,7 @@ run measured.
 """
 
 import copy
+from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
@@ -21,6 +22,8 @@ from repro.obs import Instrumentation
 from repro.runtime import NestedPolicy, StfEngine, Task
 
 N, NB, LEAF = 384, 96, 24
+# Per method the kernels of the announcement test: LU real, then complex.
+KERNELS = {"lu": ("laplace", "helmholtz"), "cholesky": ("exponential",)}
 
 
 @lru_cache(maxsize=None)
@@ -31,7 +34,8 @@ def _problem(n=N):
 
 def _cfg(**kw):
     kw.setdefault("exec_mode", "threaded")
-    return TileHConfig(nb=NB, eps=1e-4, leaf_size=LEAF, accumulate=False, nested=True,
+    kw.setdefault("nested", True)
+    return TileHConfig(nb=NB, eps=1e-4, leaf_size=LEAF, accumulate=False,
                        nested_min_leaf=32, **kw)
 
 
@@ -73,16 +77,15 @@ def test_graph_read_after_the_run_is_the_bound_graph_with_measured_seconds(metho
 
 
 def test_an_unobserved_nested_threaded_run_builds_no_task(monkeypatch):
-    """The benchmark's ``lu_d_tasks2`` problem: 5 109 subtasks on 2 leased
-    workers, not one :class:`Task` until the graph is asked for — and a probe
-    watching the run changes nothing: it is told the tasks from the program."""
+    """The benchmark's ``lu_d_tasks2`` problem on 2 leased workers — 5 109
+    subtasks nested, 650 tile tasks opaque — makes not one :class:`Task`
+    until the graph is asked for, and a probe watching the run changes
+    nothing: it is told the tasks from the program."""
     pts = cylinder_cloud(2304)
     kern = make_kernel("laplace", pts)
     cfg = TileHConfig(nb=192, eps=1e-4, leaf_size=48, accumulate=False, exec_mode="threaded",
                       nworkers=2, scheduler="lws", nested=True, nested_min_leaf=48)
-    a = TileHMatrix.build(kern, pts, cfg)
-    probed = copy.deepcopy(a)
-    fp.program_for(a.desc, "lu", NestedPolicy(min_leaf=48))  # recording makes Tasks
+    base = TileHMatrix.build(kern, pts, cfg)
     made = []
     init = Task.__init__
 
@@ -91,19 +94,25 @@ def test_an_unobserved_nested_threaded_run_builds_no_task(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(Task, "__init__", counting)
-    info = a.factorize()
-    assert len(made) == 0
-    assert len(info.graph) == 5109
-    assert len(made) == 5109
+    for nested, n_tasks in ((True, 5109), (False, 650)):
+        cfg = replace(base.config, nested=nested)
+        a, probed = (TileHMatrix(copy.deepcopy(base.desc), cfg) for _ in range(2))
+        fp.program_for(a.desc, "lu", NestedPolicy(min_leaf=48) if nested else None)
+        made.clear()  # recording makes Tasks
+        info = a.factorize()
+        assert len(made) == 0
+        assert len(info.graph) == n_tasks
+        assert len(made) == n_tasks
+        assert (info.nested_stats is None) == (not nested)
 
-    made.clear()
-    with Instrumentation(trace_capacity=0) as probe:
-        info = probed.factorize()
-    assert len(made) == 0
-    assert probe.registry.counter("tasks.submitted") == 5109
-    assert sum(k["count"] for k in probe.kinds.values()) == 5109
-    assert len(info.graph) == 5109
-    assert len(made) == 5109
+        made.clear()
+        with Instrumentation(trace_capacity=0) as probe:
+            info = probed.factorize()
+        assert len(made) == 0
+        assert probe.registry.counter("tasks.submitted") == n_tasks
+        assert sum(k["count"] for k in probe.kinds.values()) == n_tasks
+        assert len(info.graph) == n_tasks
+        assert len(made) == n_tasks
 
 
 def test_a_graph_read_under_a_later_probe_announces_nothing():
@@ -127,16 +136,24 @@ def _probed(fn) -> tuple[dict, dict]:
 @pytest.mark.parametrize("exec_mode", ["threaded", "process"])
 @pytest.mark.parametrize("method", ["lu", "cholesky"])
 def test_a_program_run_announces_what_a_fresh_submission_does(exec_mode, method):
-    """What a probe is told of a program run — per kind the submissions,
-    flops and operand bytes, and the operand ranks — is what a deferred
-    nested engine announces submitting the same graph afresh."""
-    pts, kern = _problem()
-    a = TileHMatrix.build(kern, pts, _cfg(exec_mode=exec_mode, nworkers=2))
-    policy = NestedPolicy(min_leaf=32, coarse=exec_mode == "process")
+    """What a probe is told of a program run, opaque or nested — per kind
+    the submissions, flops and operand bytes, and the operand ranks — is what
+    a deferred engine announces submitting the same graph afresh.
+
+    An opaque tile kernel announces the dense model's flops, which count a
+    complex tile four times: the LU runs a real and then a complex matrix of
+    one structure in this process, which must not share an opaque program."""
+    pts, _ = _problem()
     tasks_fn = tiled_getrf_tasks if method == "lu" else tiled_potrf_tasks
-    # A deferred submission runs nothing: the tiles stay as assembled.
-    fresh = _probed(lambda: tasks_fn(a.desc, StfEngine(mode="deferred", nested=policy),
-                                     accumulate=False))
-    run = _probed(lambda: a.factorize(method=method))
-    assert run == fresh
-    assert sum(v[0] for v in run[0].values()) == len(fp.program_for(a.desc, method, policy))
+    for nested in (False, True):
+        policy = NestedPolicy(min_leaf=32, coarse=exec_mode == "process") if nested else None
+        for kernel in KERNELS[method]:
+            cfg = _cfg(exec_mode=exec_mode, nworkers=2, nested=nested)
+            a = TileHMatrix.build(make_kernel(kernel, pts), pts, cfg)
+            # A deferred submission runs nothing: the tiles stay as assembled.
+            fresh = _probed(lambda: tasks_fn(a.desc, StfEngine(mode="deferred", nested=policy),
+                                             accumulate=False))
+            run = _probed(lambda: a.factorize(method=method))
+            assert run == fresh, (kernel, nested)
+            assert sum(v[0] for v in run[0].values()) == len(
+                fp.program_for(a.desc, method, policy))
