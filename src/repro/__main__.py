@@ -30,7 +30,7 @@ import numpy as np
 from .analysis import forward_error, format_table
 from .analysis.experiments import PAPER_EQUIVALENT_OVERHEADS
 from .baselines import BLRMatrix, HMatSolver
-from .core import TileHConfig, TileHMatrix, default_nb
+from .core import EXEC_MODES, TileHConfig, TileHMatrix, default_nb
 from .flags import add_method, add_problem, add_run, add_url, cli_error
 from .geometry import cylinder_cloud, make_kernel, streamed_matvec
 from .runtime import SCHEDULER_NAMES, validate_trace
@@ -45,6 +45,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_problem(parser)
     add_method(parser)
+    parser.add_argument(
+        "--exec", dest="exec_mode", choices=EXEC_MODES, default="eager",
+        help="executor of the factorisation: eager (kernels run at submission), "
+        "threaded (worker threads under a scheduling policy) or process (worker "
+        "processes over shared-memory tiles; GIL-free, yet measured slower than "
+        "one thread — docs/parallelism.md); Tile-H assembly is one serial loop "
+        "in every mode",
+    )
+    parser.add_argument("--nworkers", type=int, default=2,
+                        help="workers of --exec threaded/process")
     add_run(parser)
     parser.add_argument(
         "--precision",

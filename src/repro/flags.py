@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import sys
 
-from .core import EXEC_MODES, FACTOR_METHODS
+from .core import FACTOR_METHODS
 from .geometry import GEOMETRIES
 
 __all__ = [
@@ -50,18 +50,7 @@ def add_method(parser) -> None:
 
 
 def add_run(parser) -> None:
-    """How the factorisation runs and what the run records: --exec --nworkers --profile."""
-    parser.add_argument(
-        "--exec", dest="exec_mode", choices=EXEC_MODES, default="eager",
-        help="executor of the factorisation: eager (kernels run at submission), "
-        "threaded (worker threads under a scheduling policy) or process (worker "
-        "processes over shared-memory tiles; GIL-free, yet measured slower than "
-        "one thread — docs/parallelism.md); Tile-H assembly is one serial loop "
-        "in every mode",
-    )
-    parser.add_argument("--nworkers", type=int, default=2,
-                        help="workers of --exec threaded/process "
-                        "(serve: default min(cores, 4))")
+    """What the run records: --profile."""
     parser.add_argument("--profile", metavar="PATH", default=None,
                         help="write a schema-valid run report (JSON) to PATH; "
                         "view it with 'repro report PATH'")

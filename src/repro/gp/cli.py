@@ -3,7 +3,7 @@
 Train (cold-factorise the covariance into a store)::
 
     python -m repro gp train --kernel sqexp --n 1200 --length 0.3 \
-        --store /tmp/factors --exec threaded --nworkers 4
+        --store /tmp/factors
 
 Predict (warm store; each test point is one solve request whose right-hand
 side is its cross-covariance column, so concurrent predictions micro-batch
@@ -47,7 +47,7 @@ def _add_common_args(p: argparse.ArgumentParser) -> None:
                    help="observation-noise std dev (nugget = noise^2)")
 
 
-def _gp_section(spec, args, *, n_test, train_seconds, predict_seconds, **extra) -> dict:
+def _gp_section(spec, *, n_test, train_seconds, predict_seconds, **extra) -> dict:
     section = {
         "kernel": spec.kernel,
         "geometry": spec.geometry,
@@ -57,7 +57,6 @@ def _gp_section(spec, args, *, n_test, train_seconds, predict_seconds, **extra) 
         "signal": spec.signal,
         "noise": spec.noise,
         "eps": spec.eps,
-        "exec_mode": args.exec_mode,
         "train_seconds": float(train_seconds),
         "predict_seconds": float(predict_seconds),
     }
@@ -67,7 +66,7 @@ def _gp_section(spec, args, *, n_test, train_seconds, predict_seconds, **extra) 
     return section
 
 
-def _train(args, spec, config, data) -> int:
+def _train(args, spec, data) -> int:
     from ..geometry import streamed_matvec
     from ..service import FactorizationStore, build_solver, spec_fingerprint
     from .model import GPModel
@@ -80,10 +79,7 @@ def _train(args, spec, config, data) -> int:
           f"eps={spec.eps:g} length={spec.length:g} noise={spec.noise:g}")
     print(f"key       : {key[:16]}... ({'warm' if warm else 'cold'})")
     t0 = time.perf_counter()
-    solver = store.get_or_build(
-        key,
-        lambda: build_solver(spec, exec_mode=config.exec_mode, nworkers=config.nworkers),
-    )
+    solver = store.get_or_build(key, lambda: build_solver(spec))
     train_s = time.perf_counter() - t0
     alpha = solver.solve(y)
     kern = GPModel(
@@ -92,18 +88,19 @@ def _train(args, spec, config, data) -> int:
     ).kernel_function(x)
     residual = np.linalg.norm(streamed_matvec(kern, x, alpha) - y) / np.linalg.norm(y)
     print(f"train     : {train_s:.3f} s "
-          f"({'store hit' if warm else f'factorised with {args.exec_mode}'})")
+          f"({'store hit' if warm else 'factorised'})")
     print(f"fit       : |alpha| = {np.linalg.norm(alpha):.6g}, "
           f"relative residual {residual:.2e}")
     if args.store:
         print(f"store     : {len(store.keys())} factorization(s) in {args.store}")
     return _maybe_profile(
         args, spec, mode="gp-train",
-        gp=_gp_section(spec, args, n_test=0, train_seconds=train_s, predict_seconds=0.0),
+        gp=_gp_section(spec, n_test=0, train_seconds=train_s, predict_seconds=0.0),
     )
 
 
-def _predict(args, spec, config, data) -> int:
+def _predict(args, spec, data) -> int:
+    from ..core import TileHConfig
     from .model import GPModel, _posterior
 
     x, y, x_test, f_test = data
@@ -113,7 +110,9 @@ def _predict(args, spec, config, data) -> int:
     extra: dict = {}
     if args.direct:
         model = GPModel(spec.kernel, length=spec.length, signal=spec.signal,
-                        noise=spec.noise, config=config)
+                        noise=spec.noise,
+                        config=TileHConfig(nb=spec.effective_nb, eps=spec.eps,
+                                           leaf_size=spec.leaf_size))
         t0 = time.perf_counter()
         model.fit(x, y)
         train_s = time.perf_counter() - t0
@@ -169,8 +168,6 @@ def _predict(args, spec, config, data) -> int:
                 max_queue=args.n_test + 8,
                 max_batch=args.batch,
                 max_delay=0.05 if args.batch > 1 else 0.0,
-                exec_mode=config.exec_mode,
-                exec_workers=config.nworkers,
             )
         except ValueError as exc:
             return cli_error(exc)
@@ -198,7 +195,7 @@ def _predict(args, spec, config, data) -> int:
     return _maybe_profile(
         args, spec, mode="gp-predict", service=service_stats,
         gp=_gp_section(
-            spec, args, n_test=args.n_test,
+            spec, n_test=args.n_test,
             train_seconds=train_s, predict_seconds=predict_s,
             batch_width_mean=batch_width, mean_rmse=rmse,
             var_min=float(var.min()), var_max=float(var.max()), **extra,
@@ -212,8 +209,7 @@ def _maybe_profile(args, spec, *, mode, gp, service=None) -> int:
     from ..obs import build_run_report, write_report
 
     probe = getattr(args, "_probe", None)
-    meta = {"mode": mode, "kernel": spec.kernel, "n": spec.n,
-            "exec_mode": args.exec_mode}
+    meta = {"mode": mode, "kernel": spec.kernel, "n": spec.n}
     report = build_run_report(probe=probe, meta=meta, service=service, gp=gp)
     write_report(report, args.profile)
     print(f"profile   : run report written to {args.profile}")
@@ -249,15 +245,12 @@ def gp_main(argv: list[str]) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "pcg", False) and not args.direct:
         return cli_error("--pcg needs --direct (the factors must be local)")
-    from ..core import TileHConfig
     from ..service import BadRequestError
     from .data import synthetic_gp_data
 
     try:
         spec = spec_from_args(args, kind="gp", length=args.length, signal=args.signal,
                               noise=args.noise)
-        config = TileHConfig(nb=spec.effective_nb, eps=spec.eps, leaf_size=spec.leaf_size,
-                             exec_mode=args.exec_mode, nworkers=args.nworkers)
         data = synthetic_gp_data(args.n, getattr(args, "n_test", 1), geometry=spec.geometry,
                                  noise=spec.noise, seed=args.seed)
     except (ValueError, BadRequestError) as exc:
@@ -269,5 +262,5 @@ def gp_main(argv: list[str]) -> int:
 
         with Instrumentation() as probe:
             args._probe = probe
-            return run(args, spec, config, data)
-    return run(args, spec, config, data)
+            return run(args, spec, data)
+    return run(args, spec, data)

@@ -1,22 +1,20 @@
 """Per-request distributed tracing for the serve fleet.
 
 A :class:`TraceContext` is created at admission (one per request), travels
-with the request object through routing, batching, the solve pipeline and
-into the executors, and collects named *spans* — ``queue-wait``,
-``batch-wait``, ``route``/``rehome``, ``store-hit``/``store-load``/``build``,
-``factorize``, ``solve`` and per-kernel ``kernel:<kind>`` phases.  Completed
-traces land in the :class:`RequestTracer` ring buffer, from which they are
-served live (``GET /tracez``), folded into the run report (``tracing``
-section) and exported as a cross-shard Chrome trace
+with the request object through routing, batching and the solve pipeline,
+and collects named *spans* — ``queue-wait``, ``batch-wait``,
+``route``/``rehome``, ``store-hit``/``store-load``/``store-miss``,
+``build``, ``factorize`` and ``solve``.  Completed traces land in the :class:`RequestTracer` ring
+buffer, from which they are served live (``GET /tracez``), folded into the
+run report (``tracing`` section) and exported as a cross-shard Chrome trace
 (:func:`export_request_chrome_trace`, ``repro trace``).
 
 Propagation is ambient within a thread: :meth:`TraceContext.activate`
 installs the context in a ``threading.local`` slot and :func:`current_trace`
-reads it back, so deep layers (the factorization store, ``build_solver``,
-the executors) attach spans without any API churn.  Across the
-``ProcessExecutor`` pipe the *trace id* rides along with each dispatch batch
-and comes back with each result, letting the parent attach worker-side
-kernel spans to the owning request's trace.
+reads it back, so deep layers (the factorization store, ``build_solver``)
+attach spans without any API churn.  A served cold build runs on the eager
+executor in the thread that holds the trace, so no span crosses into an
+executor's worker threads or processes.
 
 All span timestamps are absolute ``time.perf_counter()`` values (one
 monotonic clock per machine — comparable across threads and, on Linux,

@@ -39,7 +39,6 @@ from multiprocessing import connection, get_context
 import numpy as np
 
 from ..dense import sequential_blas
-from ..obs.tracing import current_trace
 from .ready import GraphExecutor, ReadyFront, drive
 from .shmem import SEGMENT_PREFIX, SharedTileArena, orphaned_segments, unlink_segment
 
@@ -175,10 +174,7 @@ def _worker_loop(widx: int, task_conn, res_conn, arena_tag: str) -> None:
             # One pipe read carries a batch of task entries; each entry runs
             # and replies individually (per-entry "done"), so the parent's
             # bookkeeping is unchanged — only the dispatch syscalls amortize.
-            # The trace id rides the dispatch and is echoed on every "done"
-            # so the parent can attach worker-side kernel spans to the
-            # request trace that owns this run (None when tracing is off).
-            _, trace_id, entries = msg
+            _, entries = msg
             for tid, spec, hids, writes, updates in entries:
                 for hid, blob in updates:
                     local[hid] = arena.loads(blob)
@@ -222,8 +218,7 @@ def _worker_loop(widx: int, task_conn, res_conn, arena_tag: str) -> None:
                     break
                 res_conn.send(
                     ("done", widx, tid, t0, t1, reships,
-                     arena.take_new_segments(), arena.take_copied_bytes(),
-                     trace_id)
+                     arena.take_new_segments(), arena.take_copied_bytes())
                 )
     finally:
         arena.close()
@@ -325,11 +320,6 @@ class ProcessExecutor(GraphExecutor):
             for h, _mode in t.accesses:
                 handles[h.id] = h
         probe = front.probe
-        # Captured once at entry: worker-side kernel spans for this run attach
-        # to the request trace active when the executor was invoked (the lead
-        # request of a cold build), keyed by the echoed trace id.
-        tctx = current_trace()
-        tctx_id = tctx.trace_id if tctx is not None else None
 
         run_tag = f"{SEGMENT_PREFIX}{os.getpid():x}r{next(_run_counter):x}"
         arena = SharedTileArena(run_tag + "p")
@@ -423,7 +413,7 @@ class ProcessExecutor(GraphExecutor):
             if not entries:
                 return False
             try:
-                task_conns[w].send(("batch", tctx_id, entries))
+                task_conns[w].send(("batch", entries))
             except (OSError, BrokenPipeError):
                 # The worker died before this dispatch; surface its traceback
                 # (if it managed to send one) instead of a bare
@@ -440,8 +430,7 @@ class ProcessExecutor(GraphExecutor):
 
         def done(w: int, msg: tuple) -> None:
             """Adopt one finished task's reships, retire and record it."""
-            (_, _, _tid, t0_abs, t1_abs, reships,
-             new_segs, copied, echo_tid) = msg
+            _, _, _tid, t0_abs, t1_abs, reships, new_segs, copied = msg
             task = running[w].popleft()
             segments.update(new_segs)
             self.shm_bytes += copied
@@ -461,10 +450,6 @@ class ProcessExecutor(GraphExecutor):
                 task.seconds = t1 - t0
             front.retire(task, w)
             front.record(task, w, t0, t1, t1)
-            if tctx is not None and echo_tid == tctx_id and task.spec is not None:
-                tctx.add_span(
-                    f"kernel:{task.kind}", t0_abs, t1_abs, worker=f"proc{w}"
-                )
             if probe is not None and got:
                 probe.process_result_bytes(got)
 

@@ -51,7 +51,6 @@ import threading
 import time
 from dataclasses import dataclass
 
-from ..obs.tracing import current_trace
 from .ready import GraphExecutor, ReadyFront
 
 __all__ = ["ThreadedExecutor"]
@@ -78,12 +77,8 @@ class ThreadedExecutor(GraphExecutor):
     interpreter_bound: bool = False
 
     def _run(self, front: ReadyFront) -> float:
-        # Captured once at entry: the submitting thread's request trace (if
-        # any) receives the kernel spans — worker threads have no ambient
-        # trace of their own, so propagation is explicit.
-        tctx = current_trace()
         probe = front.probe
-        execute, kinds, ident = front.execute, front.kinds, front.ident
+        execute = front.execute
         # The front is not thread-safe: every call on it is made under `lock`.
         lock = threading.Condition()
         # "waiting": workers parked in lock.wait(); a retire notifies only them.
@@ -137,12 +132,6 @@ class ThreadedExecutor(GraphExecutor):
                             state["error"] = exc
                             lock.notify_all()
                         return
-                    if tctx is not None:
-                        tctx.add_span(
-                            f"kernel:{kinds[ident(task)]}",
-                            t_start + t0, t_start + t1,
-                            worker=f"tw{widx}",
-                        )
                     spent = leased_at is not None and t_start + t1 - leased_at >= quantum
                     with lock:
                         # What this task frees lands on this worker's queue.

@@ -42,7 +42,6 @@ def serve_main(argv: list[str]) -> int:
     add_store(parser)
     add_workers(parser)
     add_run(parser)
-    parser.set_defaults(nworkers=None)
     parser.add_argument("--budget-mb", type=float, default=None,
                         help="in-memory cache budget in MiB (default: unbounded)")
     parser.add_argument("--fleet", type=int, default=0, metavar="N",
@@ -95,8 +94,7 @@ def serve_main(argv: list[str]) -> int:
         probe.__enter__()
     try:
         knobs = dict(max_queue=args.max_queue, max_batch=args.max_batch,
-                     max_delay=args.max_delay, max_retries=args.max_retries,
-                     exec_mode=args.exec_mode, exec_workers=args.nworkers)
+                     max_delay=args.max_delay, max_retries=args.max_retries)
         try:
             if args.fleet > 0:
                 service = ServeFleet(
@@ -129,8 +127,6 @@ def serve_main(argv: list[str]) -> int:
         else:
             print(f"serving   : http://{host}:{port} "
                   f"({args.workers} workers, queue {args.max_queue}, batch {args.max_batch})")
-        if args.exec_mode != "eager":
-            print(f"executor  : {args.exec_mode} x {args.nworkers or 'auto'} for cold builds")
         print(f"store     : {args.store or 'in-memory only'}"
               + (f", budget {args.budget_mb:g} MiB" if budget is not None else ""))
         if service.keys():
@@ -172,13 +168,11 @@ def serve_main(argv: list[str]) -> int:
         from ..obs import build_run_report, write_report
 
         meta = {"mode": "serve", "workers": args.workers,
-                "max_batch": args.max_batch, "max_queue": args.max_queue,
-                "exec_mode": args.exec_mode}
+                "max_batch": args.max_batch, "max_queue": args.max_queue}
         if args.fleet > 0:
             meta["fleet"] = args.fleet
             report = build_run_report(probe=probe, meta=meta, fleet=service.stats())
         else:
-            meta["exec_workers"] = service.exec_workers
             report = build_run_report(probe=probe, meta=meta, service=service.stats())
         write_report(report, args.profile)
         print(f"profile   : run report written to {args.profile}")

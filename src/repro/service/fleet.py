@@ -360,7 +360,7 @@ class ServeFleet:
     max_requeues:
         Re-dispatch attempts for a request orphaned by a worker crash.
     service_threads / max_queue / max_batch / max_delay / max_retries /
-    exec_mode / exec_workers / solver_provider:
+    solver_provider:
         Forwarded to each worker's :class:`SolveService`.
     """
 
@@ -381,8 +381,6 @@ class ServeFleet:
         max_batch: int = 8,
         max_delay: float = 0.002,
         max_retries: int = 2,
-        exec_mode: str = "eager",
-        exec_workers: int | None = None,
         solver_provider=None,
         clock=time.monotonic,
     ) -> None:
@@ -422,8 +420,6 @@ class ServeFleet:
                 max_delay=max_delay,
                 max_retries=max_retries,
                 solver_provider=solver_provider,
-                exec_mode=exec_mode,
-                exec_workers=exec_workers,
                 clock=clock,
                 name=f"w{i}",
             )
@@ -493,6 +489,7 @@ class ServeFleet:
         deadline = None if timeout is None else now + timeout
         with self._lock:
             if self._closed:
+                state.rejected += 1
                 raise ServiceClosedError("fleet is shutting down; request rejected")
             if state.inflight >= state.config.max_inflight:
                 state.rejected += 1

@@ -46,7 +46,6 @@ decade buckets are too coarse for tail-latency reporting.
 
 from __future__ import annotations
 
-import os
 import sys
 import threading
 import time
@@ -56,7 +55,6 @@ from contextlib import nullcontext as _null_ctx
 
 import numpy as np
 
-from ..core import EXEC_MODES
 from ..obs import current as obs_current
 from ..obs.exposition import SlidingWindow
 from ..obs.metrics import Histogram
@@ -192,11 +190,6 @@ class SolveService:
         ``(key, spec) -> TileHMatrix`` seam; defaults to
         ``store.get_or_build(key, lambda: build_solver(spec))``.  Tests
         inject failures here.
-    exec_mode / exec_workers:
-        Executor for cold-start factorizations (``"eager"``, ``"threaded"``
-        or ``"process"``) and its worker count (defaults to the machine's
-        core count, capped at 4, for the non-eager modes).  Warm solves are
-        unaffected: panel sweeps always run on the eager executor.
     name:
         Label for this pipeline in traces and per-worker telemetry (fleet
         shards pass their worker name; ``None`` keeps the single-service
@@ -213,8 +206,6 @@ class SolveService:
         max_delay: float = 0.002,
         max_retries: int = 2,
         solver_provider=None,
-        exec_mode: str = "eager",
-        exec_workers: int | None = None,
         clock=time.monotonic,
         name: str | None = None,
     ) -> None:
@@ -224,17 +215,6 @@ class SolveService:
             raise ValueError(f"max_queue must be >= 1, got {max_queue}")
         if max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {max_retries}")
-        if exec_mode not in EXEC_MODES:
-            raise ValueError(f"exec_mode must be one of {EXEC_MODES}, got {exec_mode!r}")
-        if exec_workers is not None and exec_workers < 1:
-            raise ValueError(f"exec_workers must be >= 1, got {exec_workers}")
-        self.exec_mode = exec_mode
-        if exec_workers is not None:
-            self.exec_workers = exec_workers
-        else:
-            self.exec_workers = (
-                1 if exec_mode == "eager" else max(1, min(4, os.cpu_count() or 1))
-            )
         self.store = store if store is not None else FactorizationStore()
         self.max_queue = max_queue
         self.max_retries = max_retries
@@ -337,12 +317,7 @@ class SolveService:
 
     # -- execution ------------------------------------------------------------
     def _default_provider(self, key: str, spec: ProblemSpec):
-        return self.store.get_or_build(
-            key,
-            lambda: build_solver(
-                spec, exec_mode=self.exec_mode, nworkers=self.exec_workers
-            ),
-        )
+        return self.store.get_or_build(key, lambda: build_solver(spec))
 
     def _worker_loop(self) -> None:
         while True:
@@ -425,7 +400,8 @@ class SolveService:
         x = None
         # The lead request's trace rides ambiently through the provider
         # (store lookup / cold build / factorize) and the panel solve, so a
-        # cold build's executor spans attach to the request that triggered it.
+        # cold build's store and factorize spans attach to the request that
+        # triggered it.
         lead = live[0].trace
         ambient = lead.activate() if lead is not None else _null_ctx()
         with ambient:
@@ -551,5 +527,4 @@ class SolveService:
             "queue": {"depth_peak": depth_peak, "capacity": self.max_queue},
             "store": self.store.stats(),
             "workers": len(self._threads),
-            "executor": {"mode": self.exec_mode, "nworkers": self.exec_workers},
         }

@@ -16,7 +16,7 @@ import hashlib
 import json
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -166,20 +166,13 @@ def spec_fingerprint(spec: ProblemSpec) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def build_solver(
-    spec: ProblemSpec, *, exec_mode: str = "eager", nworkers: int = 1
-) -> TileHMatrix:
+def build_solver(spec: ProblemSpec) -> TileHMatrix:
     """Deterministically build *and factorize* the spec's Tile-H solver.
 
     This is the expensive cold-start path; the factorization store exists to
-    make it run once per fingerprint.  ``exec_mode``/``nworkers`` pick the
-    executor of that cold build's factorisation (assembly is one serial loop
-    in every mode).  The factors agree across executors to
-    accumulator rounding only — the rounding accumulator is eager-only, so a
-    threaded/process build matches an ``accumulate=False`` eager build bit
-    for bit but differs from the default eager build in the last ulps.  The
-    returned solver's config is normalised back to the eager executor so warm
-    panel solves and saved archives carry no build-time detail.
+    make it run once per fingerprint.  It always runs the default
+    :class:`~repro.core.TileHConfig` of the spec (the eager executor), so one
+    fingerprint names one set of factor bits wherever it is built.
     """
     points = GEOMETRIES[spec.geometry](spec.n)
     if spec.kind == "gp":
@@ -189,23 +182,12 @@ def build_solver(
         )
     else:
         kernel = make_kernel(spec.kernel, points)
-    config = TileHConfig(
-        nb=spec.effective_nb,
-        eps=spec.eps,
-        leaf_size=spec.leaf_size,
-        exec_mode=exec_mode,
-        nworkers=nworkers,
-    )
+    config = TileHConfig(nb=spec.effective_nb, eps=spec.eps, leaf_size=spec.leaf_size)
     ctx = current_trace()
     t0 = time.perf_counter()
     solver, _ = TileHMatrix.build_factorize(kernel, points, config, method=spec.method)
-    if exec_mode != "eager":
-        solver.config = replace(config, exec_mode="eager", nworkers=1)
     if ctx is not None:
-        ctx.add_span(
-            "factorize", t0, time.perf_counter(),
-            exec_mode=exec_mode, nworkers=nworkers, method=spec.method,
-        )
+        ctx.add_span("factorize", t0, time.perf_counter(), method=spec.method)
     return solver
 
 

@@ -14,11 +14,11 @@ ARGS = ["--kernel", "sqexp", "--n", "300", "--nb", "100", "--leaf-size", "40",
 class TestTrain:
     def test_cold_then_warm_train(self, tmp_path, capsys):
         store = str(tmp_path / "store")
-        rc = main(["gp", "train", *ARGS, "--store", store, "--exec", "threaded"])
+        rc = main(["gp", "train", *ARGS, "--store", store])
         assert rc == 0
         out = capsys.readouterr().out
         assert "(cold)" in out
-        assert "factorised with threaded" in out
+        assert "factorised" in out
         assert "relative residual" in out
 
         rc = main(["gp", "train", *ARGS, "--store", store])

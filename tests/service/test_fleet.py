@@ -12,7 +12,9 @@ The fleet's contract has four legs, each pinned here:
   losing a single admitted request, and late results from the corpse are
   discarded;
 * a fleet solve is bit-identical to a single-service solve against the same
-  store — routing and replication never change bits.
+  store — routing and replication never change bits — and a served cold
+  build is the library build of the spec's default config (one key, one
+  factor).
 """
 
 import threading
@@ -22,12 +24,15 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from repro.core import TileHConfig, TileHMatrix
+from repro.geometry import GEOMETRIES, make_kernel
 from repro.service import (
     BadRequestError,
     DeadlineExceededError,
     DeadlineUnmeetableError,
     FactorizationStore,
     LaneConfig,
+    ProblemSpec,
     QueueFullError,
     ServeFleet,
     ServiceClosedError,
@@ -35,6 +40,7 @@ from repro.service import (
     spec_fingerprint,
 )
 from repro.service.fleet import ConsistentHashRouter
+from repro.service.problems import rhs_dtype
 
 
 # -- router -------------------------------------------------------------------
@@ -177,11 +183,17 @@ def test_deadline_shedding_is_typed_and_synchronous(spec, solver, rhs):
 
 
 def test_closed_fleet_rejects(spec, solver, rhs):
+    """A request refused after close() counts as a rejection of its lane, as
+    a closed SolveService counts it in ``requests.rejected``."""
     fleet = ServeFleet(1, solver_provider=lambda k, s: solver,
                        replicate_hot_after=None)
     fleet.close()
     with pytest.raises(ServiceClosedError):
-        fleet.submit(spec, rhs)
+        fleet.submit(spec, rhs, lane="batch")
+    lanes = fleet.stats()["lanes"]
+    assert lanes["batch"]["rejected"] == 1
+    assert lanes["batch"]["admitted"] == 0
+    assert lanes["interactive"]["rejected"] == 0
 
 
 # -- crash re-routing ---------------------------------------------------------
@@ -295,15 +307,48 @@ def test_fleet_solve_bit_identical_to_single_service(spec, rhs, tmp_path):
     assert spec_fingerprint(spec) in fleet.keys()
 
 
+ONE_KEY_SPECS = [
+    ProblemSpec(kernel="laplace", n=300, nb=100, eps=1e-6, leaf_size=48),
+    ProblemSpec(kernel="helmholtz", n=128, nb=64, eps=1e-4, leaf_size=32),
+    ProblemSpec(kernel="sqexp", n=200, nb=100, eps=1e-6, leaf_size=48, kind="gp",
+                length=0.3, signal=1.0, noise=0.05),
+]
+
+
+@pytest.mark.parametrize("spec", ONE_KEY_SPECS, ids=lambda s: f"{s.kernel}-{s.method}")
+def test_one_key_gives_one_factor(spec):
+    """A served cold build is the library build of the spec's default
+    TileHConfig: a single service and a 2-shard fleet, each building the key
+    itself, answer with the bits of ``TileHMatrix.build_factorize``."""
+    points = GEOMETRIES[spec.geometry](spec.n)
+    if spec.kind == "gp":
+        kernel = make_kernel(spec.kernel, points, length=spec.length,
+                             signal=spec.signal, nugget=spec.noise**2)
+    else:
+        kernel = make_kernel(spec.kernel, points)
+    config = TileHConfig(nb=spec.effective_nb, eps=spec.eps, leaf_size=spec.leaf_size)
+    reference, _ = TileHMatrix.build_factorize(kernel, points, config, method=spec.method)
+    rng = np.random.default_rng(5)
+    b = rng.standard_normal(spec.n)
+    if rhs_dtype(spec).kind == "c":
+        b = b + 1j * rng.standard_normal(spec.n)
+    expected = reference.solve(b)
+
+    with SolveService(workers=1, max_delay=0.0) as single:
+        np.testing.assert_array_equal(single.solve(spec, b), expected)
+    fleet = ServeFleet(2, max_delay=0.0, replicate_hot_after=None)
+    try:
+        np.testing.assert_array_equal(fleet.solve(spec, b), expected)
+    finally:
+        fleet.close()
+
+
 def test_restart_answers_equal_cold_answers_exactly(tmp_path):
     """The benchmark's ``serve_mix`` reload phase, with its frozen 1e-8
     tolerance replaced by equality: a fleet builds a real, a complex and a GP
     key (serving each from the factor it built), and a fresh fleet over the
     same root answers its first request per key — a mapped disk hit — with
     exactly the same bits."""
-    from repro.service import ProblemSpec
-    from repro.service.problems import rhs_dtype
-
     specs = [
         ProblemSpec(kernel="laplace", n=300, nb=100, eps=1e-6),
         ProblemSpec(kernel="helmholtz", n=128, nb=64, eps=1e-4),

@@ -14,11 +14,11 @@ ARGVS = [
     ["--threads", "0"],
     ["gp", "train", "--n", "1"],
     ["gp", "train", "--nb", "0"],
-    ["gp", "train", "--exec", "threaded", "--nworkers", "0"],
     ["serve", "--workers", "0"],
     ["serve", "--max-batch", "0"],
     ["gp", "predict", "--n-test", "0"],
     ["--format", "hmat", "--exec", "threaded"],
+    ["--exec", "threaded", "--nworkers", "0"],
 ]
 
 
@@ -30,3 +30,14 @@ def test_bad_value_exits_2_with_one_error_line(argv, capsys):
     assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
     assert "Traceback" not in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["serve", "gp train", "gp predict"])
+def test_served_commands_take_no_executor_flag(command, capsys):
+    """A served or GP cold build always runs the eager executor, so these
+    commands refuse ``--exec`` as argparse refuses any unknown flag."""
+    with pytest.raises(SystemExit) as exit_:
+        main([*command.split(), "--exec", "threaded"])
+    assert exit_.value.code == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and errors[0].endswith("unrecognized arguments: --exec threaded")

@@ -2,11 +2,12 @@
 
 The literals were recorded from the seven parsers (``main``, ``report``,
 ``trace``, ``serve``, ``request``, ``gp train``, ``gp predict``) before their
-shared flags moved into ``repro.flags``.  The only differences allowed are
-the settings removed on purpose: ``--mmap`` (the CLI stores always map),
-serve's ``--exec-workers`` (now ``--nworkers``, as in ``main`` and ``gp``)
-and the ``dm`` policy.  ``--help`` text is not compared: it depends on the
-terminal width.
+shared flags moved into ``repro.flags``, and edited since only where a
+setting was removed on purpose: ``--exec`` and ``--nworkers`` (serve's
+``--exec-workers``) left ``serve``, ``gp train`` and ``gp predict``, whose
+cold builds always run the eager executor.  ``_expected_*`` drop the other
+removed settings, ``--mmap`` (the CLI stores always map) and the ``dm``
+policy.  ``--help`` text is not compared: it depends on the terminal width.
 """
 
 import argparse
@@ -67,8 +68,6 @@ SURFACE = {
         '--max-batch': (None, 8),
         '--max-delay': (None, 0.002),
         '--max-retries': (None, 2),
-        '--exec': (['eager', 'threaded', 'process'], 'eager'),
-        '--exec-workers': (None, None),
         '--mmap': (None, False),
         '--profile': (None, None),
         '--trace-requests': (None, 64),
@@ -101,8 +100,6 @@ SURFACE = {
         '--eps': (None, 1e-06),
         '--leaf-size': (None, 64),
         '--seed': (None, 0),
-        '--exec': (['eager', 'threaded', 'process'], 'eager'),
-        '--nworkers': (None, 2),
         '--store': (None, None),
         '--mmap': (None, False),
         '--profile': (None, None),
@@ -118,8 +115,6 @@ SURFACE = {
         '--eps': (None, 1e-06),
         '--leaf-size': (None, 64),
         '--seed': (None, 0),
-        '--exec': (['eager', 'threaded', 'process'], 'eager'),
-        '--nworkers': (None, 2),
         '--store': (None, None),
         '--mmap': (None, False),
         '--profile': (None, None),
@@ -184,15 +179,15 @@ NAMESPACES = [
      {'host': '127.0.0.1', 'port': 8750, 'store': '/tmp/factors', 'budget_mb': None, 'workers': 2,
       'fleet': 0, 'hot_after': 16, 'replicas': 2, 'interactive_inflight': 64,
       'batch_inflight': 256, 'interactive_slo': None, 'batch_slo': None, 'max_queue': 64,
-      'max_batch': 8, 'max_delay': 0.002, 'max_retries': 2, 'exec_mode': 'eager',
-      'exec_workers': None, 'mmap': False, 'profile': 'serve.json', 'trace_requests': 64}),
+      'max_batch': 8, 'max_delay': 0.002, 'max_retries': 2,
+      'mmap': False, 'profile': 'serve.json', 'trace_requests': 64}),
     ('serve', ['--port', '8751', '--store', '/tmp/fleet-factors', '--fleet', '2', '--workers', '1',
                '--profile', 'fleet.json', '--interactive-slo', '30', '--batch-slo', '60'],
      {'host': '127.0.0.1', 'port': 8751, 'store': '/tmp/fleet-factors', 'budget_mb': None,
       'workers': 1, 'fleet': 2, 'hot_after': 16, 'replicas': 2, 'interactive_inflight': 64,
       'batch_inflight': 256, 'interactive_slo': 30.0, 'batch_slo': 60.0, 'max_queue': 64,
-      'max_batch': 8, 'max_delay': 0.002, 'max_retries': 2, 'exec_mode': 'eager',
-      'exec_workers': None, 'mmap': False, 'profile': 'fleet.json', 'trace_requests': 64}),
+      'max_batch': 8, 'max_delay': 0.002, 'max_retries': 2,
+      'mmap': False, 'profile': 'fleet.json', 'trace_requests': 64}),
     ('request', ['--url', 'http://127.0.0.1:8750', '--kernel', 'laplace', '--n', '300', '--nb',
                  '100', '--count', '2', '--check'],
      {'url': 'http://127.0.0.1:8750', 'kernel': 'laplace', 'n': 300, 'geometry': 'cylinder',
@@ -206,26 +201,26 @@ NAMESPACES = [
      {'url': 'http://127.0.0.1:9', 'kernel': 'laplace', 'n': 300, 'geometry': 'cylinder',
       'nb': None, 'eps': 1e-06, 'leaf_size': 64, 'method': 'lu', 'count': 1, 'seed': 0,
       'timeout': None, 'lane': None, 'check': False, 'stats': False, 'shutdown': False}),
-    ('gp', ['train', *GP_ARGS, '--store', 'store', '--exec', 'threaded'],
+    ('gp', ['train', *GP_ARGS, '--store', 'store'],
      {'command': 'train', 'kernel': 'sqexp', 'n': 300, 'geometry': 'cylinder', 'length': 0.4,
       'signal': 1.0, 'noise': 0.05, 'nb': 100, 'eps': 1e-06, 'leaf_size': 40, 'seed': 0,
-      'exec_mode': 'threaded', 'nworkers': 2, 'store': 'store', 'mmap': False, 'profile': None}),
+      'store': 'store', 'mmap': False, 'profile': None}),
     ('gp', ['train', *GP_ARGS, '--profile', 'train.json'],
      {'command': 'train', 'kernel': 'sqexp', 'n': 300, 'geometry': 'cylinder', 'length': 0.4,
       'signal': 1.0, 'noise': 0.05, 'nb': 100, 'eps': 1e-06, 'leaf_size': 40, 'seed': 0,
-      'exec_mode': 'eager', 'nworkers': 2, 'store': None, 'mmap': False, 'profile': 'train.json'}),
+      'store': None, 'mmap': False, 'profile': 'train.json'}),
     ('gp', ['predict', *GP_ARGS, '--store', 'store', '--n-test', '24', '--batch', '4', '--profile',
             'predict.json'],
      {'command': 'predict', 'kernel': 'sqexp', 'n': 300, 'geometry': 'cylinder', 'length': 0.4,
       'signal': 1.0, 'noise': 0.05, 'nb': 100, 'eps': 1e-06, 'leaf_size': 40, 'seed': 0,
-      'exec_mode': 'eager', 'nworkers': 2, 'store': 'store', 'mmap': False,
-      'profile': 'predict.json', 'n_test': 24, 'batch': 4, 'workers': 2, 'timeout': None,
+      'store': 'store', 'mmap': False, 'profile': 'predict.json', 'n_test': 24, 'batch': 4,
+      'workers': 2, 'timeout': None,
       'url': None, 'direct': False, 'pcg': False, 'pcg_rtol': 1e-08}),
     ('gp', ['predict', *GP_ARGS, '--direct', '--pcg', '--pcg-rtol', '1e-10', '--n-test', '16',
             '--profile', 'pcg.json'],
      {'command': 'predict', 'kernel': 'sqexp', 'n': 300, 'geometry': 'cylinder', 'length': 0.4,
       'signal': 1.0, 'noise': 0.05, 'nb': 100, 'eps': 1e-06, 'leaf_size': 40, 'seed': 0,
-      'exec_mode': 'eager', 'nworkers': 2, 'store': None, 'mmap': False, 'profile': 'pcg.json',
+      'store': None, 'mmap': False, 'profile': 'pcg.json',
       'n_test': 16, 'batch': 8, 'workers': 2, 'timeout': None, 'url': None, 'direct': True,
       'pcg': True, 'pcg_rtol': 1e-10}),
 ]
@@ -234,8 +229,6 @@ NAMESPACES = [
 def _expected_surface(command):
     surface = dict(SURFACE[command])
     surface.pop("--mmap", None)
-    if "--exec-workers" in surface:
-        surface["--nworkers"] = surface.pop("--exec-workers")
     if command == "main":
         choices, default = surface["--scheduler"]
         surface["--scheduler"] = ([c for c in choices if c != "dm"], default)
@@ -245,8 +238,6 @@ def _expected_surface(command):
 def _expected_namespace(namespace):
     namespace = dict(namespace)
     namespace.pop("mmap", None)
-    if "exec_workers" in namespace:
-        namespace["nworkers"] = namespace.pop("exec_workers")
     return namespace
 
 
