@@ -261,7 +261,7 @@ def _pack(a: HMatrix) -> None:
     # The factor is read-only from here on (panel solves, H-TRSM); packing it
     # dense turns every later panel solve into one trtrs.  Of a Cholesky
     # factor only the lower triangle is valid, which is all trtrs references.
-    a.packed_lu = np.asfortranarray(a.to_dense())  # F order: LAPACK trtrs takes it copy-free
+    a.packed_lu = a.to_dense(order="F")  # F order: LAPACK trtrs takes it copy-free
 
 
 #: variant -> kernel on ``nodes`` in kernel-argument order (see :mod:`.rules`).

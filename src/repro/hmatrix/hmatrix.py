@@ -241,8 +241,9 @@ class HMatrix:
         return out
 
     # -- dense bridges ---------------------------------------------------------
-    def to_dense(self) -> np.ndarray:
-        out = np.zeros(self.shape, dtype=self.dtype)
+    def to_dense(self, order: str = "C") -> np.ndarray:
+        """The block as one dense array in memory ``order`` (same values either way)."""
+        out = np.zeros(self.shape, dtype=self.dtype, order=order)
         for leaf, i0, j0 in self.leaf_index():
             m, n = leaf.shape
             if leaf.full is not None:

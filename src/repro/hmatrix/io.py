@@ -2,31 +2,43 @@
 
 Assembly (clustering + ACA over every admissible block) is the expensive,
 embarrassingly-reusable step of the pipeline, so a production library needs
-it on disk.  An archive holds named arrays:
+it on disk.  An archive (format v4) holds a fixed set of named arrays, however
+many leaves the matrix has — the flat block list of Li, Poulson & Ying:
 
 * the point cloud, the permutation, and the cluster tree in pre-order
   (start/stop/level/child counts — bounding boxes are recomputed on load);
-* every H-matrix node in pre-order, referencing its row/column clusters by
-  pre-order index, with leaf payloads stored as individual arrays — the same
-  indexing for one global H-matrix and for the ``nt x nt`` tiles of a Tile-H
-  descriptor (whose clusters are subtrees of the one root tree).
+* ``nodes``, one int64 row per H-node (:data:`_NCOLS` columns: kind, row and
+  column cluster by pre-order index, child grid, packed-triangle flag, and per
+  leaf payload its flat array, element offset, order and shape), every tile's
+  nodes in pre-order, tile after tile — ``tile_start[t]`` is tile ``t``'s first
+  row (one tile for a single H-matrix, ``nt x nt`` row-major for a Tile-H
+  descriptor, whose clusters are subtrees of the one root tree);
+* one flat payload array per leaf dtype (``leaf_f8``, ``leaf_c16``): every
+  dense block and Rk factor at a 64-byte multiple of it, in its original
+  C/Fortran order.
 
-Container (format v3), the on-disk twin of :class:`repro.runtime.shmem.ArenaRef`::
+Container (unchanged since v3), the on-disk twin of :class:`repro.runtime.shmem.ArenaRef`::
 
     magic (8 B) | header length (u64 LE) | JSON header | zeros to 4096 | payload
 
 The header carries ``format_version``, ``n/nt/nb/eps``, the factorisation
 state (``factorized``, ``method``, solver ``config``), ``payload_bytes`` with
 its ``crc32``, and one table ``arrays: name -> [dtype, shape, order, offset]``;
-every array starts at a 64-byte multiple of the page-aligned payload, in its
-original C/Fortran order.  One flag per H-node marks packed-triangle caches
-(``packed_lu``), recomputed on load exactly as the factorisation created them.
-A plain load reads the payload into one 64-byte-aligned buffer and verifies
-the CRC; ``mmap=True`` maps the file once, read-only (one descriptor; structure
-checked, payload bytes not checksummed).  Views have the same alignment mod 64
-either way, so a loaded factor solves bit-identically to the in-memory one.
-Nothing is compressed or pickled.  Legacy ``.npz`` archives (v1/v2) stay
-*readable*: recognised by magic bytes, read into memory, never mapped or written.
+every array starts at a 64-byte multiple of the page-aligned payload.  Packed
+triangle caches (``packed_lu``) are recomputed on load exactly as the
+factorisation created them.  A plain load reads the payload into one 64-byte-
+aligned buffer and runs its CRC-32 on a helper thread while the tree and tiles
+are built (zlib releases the GIL); a bad checksum outranks any structure error
+it caused.  ``mmap=True`` maps the file once, read-only (one descriptor;
+structure checked, payload bytes not checksummed).  The node table is checked
+in bulk before any node exists; leaves are views of the flat arrays with the
+same alignment mod 64 either way, so a loaded factor solves bit-identically to
+the in-memory one.  Nothing is compressed or pickled.
+
+Older layouts stay *readable* through the same builder: v3 containers (one
+array per leaf, ``t{i}_{j}_kind`` … ``t{i}_{j}_full_{k}``) and legacy ``.npz``
+archives (v1/v2, recognised by magic bytes, read into memory, never mapped)
+are turned into the same node table, each leaf payload a flat array of its own.
 """
 
 from __future__ import annotations
@@ -58,227 +70,98 @@ __all__ = [
 
 _KIND_CODE = {"full": 0, "rk": 1, "h": 2}
 
-#: Current archive format: v3, the one-blob container (v1/v2 ``.npz``: read-only).
-TILE_H_FORMAT_VERSION = 3
+#: Current archive format: v4, flat node table + flat payloads (v1–v3: read-only).
+TILE_H_FORMAT_VERSION = 4
 _MAGIC = b"\x93TILEH\r\n"
 _ALIGN = 64  # every payload array: cache-line / SIMD aligned, as in runtime.shmem
 _PAGE = 4096  # the payload region: page-aligned, so a mapping keeps _ALIGN
 #: The only dtypes a header may name — looked up, never given to ``np.dtype``.
 _DTYPES = {s: np.dtype(s) for s in ("<f8", "<c16", "<i8", "|i1")}
 _LEGACY_LOCK = threading.Lock()  # overlapping ``.npy`` header evals raise SystemError
+_TREE = ("tree_start", "tree_stop", "tree_level", "tree_nkids")
+#: Node-table columns: kind, row/column cluster, child grid, packed flag, then
+#: (flat array, element offset, 0 C / 1 F, rows, columns) for the dense block or
+#: ``rk.u`` (from ``_P0``) and for ``rk.v`` (from ``_P1``).
+_KIND, _PACKED, _P0, _P1, _NCOLS = 0, 5, 6, 11, 16
+#: The flat payload array of each leaf dtype; its position is the table's code.
+_LEAF_FLATS = {"<f8": "leaf_f8", "<c16": "leaf_c16"}
+
+
+def _order(arr: np.ndarray) -> str:
+    return "F" if arr.flags.f_contiguous and not arr.flags.c_contiguous else "C"
 
 
 # ---------------------------------------------------------------------------
-# Cluster trees
+# Writing: tree arrays, node table, flat payloads
 # ---------------------------------------------------------------------------
 
-def _serialize_tree(root: ClusterTree) -> dict:
-    starts, stops, levels, nkids = [], [], [], []
-
-    def visit(node: ClusterTree) -> None:
-        starts.append(node.start)
-        stops.append(node.stop)
-        levels.append(node.level)
-        nkids.append(len(node.children))
-        for c in node.children:
-            visit(c)
-
-    visit(root)
-    return {
-        "tree_start": np.asarray(starts, dtype=np.int64),
-        "tree_stop": np.asarray(stops, dtype=np.int64),
-        "tree_level": np.asarray(levels, dtype=np.int64),
-        "tree_nkids": np.asarray(nkids, dtype=np.int64),
-    }
+def _serialize_tree(root: ClusterTree) -> tuple[dict, dict[int, int]]:
+    """The tree arrays and ``id(node) -> pre-order index``."""
+    nodes = list(root.nodes())
+    cols = [[n.start for n in nodes], [n.stop for n in nodes], [n.level for n in nodes],
+            [len(n.children) for n in nodes]]
+    return ({k: np.asarray(c, np.int64) for k, c in zip(_TREE, cols)},
+            {id(n): i for i, n in enumerate(nodes)})
 
 
-def _tree_index(root: ClusterTree) -> dict[int, int]:
-    """Map ``id(node)`` -> pre-order index."""
-    out: dict[int, int] = {}
+def _serialize_nodes(mats, idx: dict[int, int]) -> dict:
+    """The node table, ``tile_start`` and one flat array per leaf dtype for the
+    H-matrices ``mats`` — each flat a list of parts (leaves and zero padding) that
+    :func:`_write_archive` streams, never concatenated in memory."""
+    dtypes = list(_LEAF_FLATS)
+    parts: dict = {s: [] for s in dtypes}
+    fill = dict.fromkeys(dtypes, 0)
+    table, starts = [], [0]
 
-    def visit(node: ClusterTree) -> None:
-        out[id(node)] = len(out)
-        for c in node.children:
-            visit(c)
+    def put(arr: np.ndarray) -> list:
+        s = arr.dtype.str
+        if s not in parts:
+            raise ValueError(f"cannot store a leaf of dtype {arr.dtype}")
+        pad = -fill[s] % (_ALIGN // arr.itemsize)
+        if pad:
+            parts[s].append(np.zeros(pad, arr.dtype))
+        parts[s].append(arr)
+        fill[s] += pad + arr.size
+        return [dtypes.index(s), fill[s] - arr.size, _order(arr) == "F", *arr.shape]
 
-    visit(root)
-    return out
-
-
-def _deserialize_tree(data, points: np.ndarray, perm: np.ndarray) -> list[ClusterTree]:
-    starts = data["tree_start"]
-    stops = data["tree_stop"]
-    levels = data["tree_level"]
-    nkids = data["tree_nkids"]
-    nodes: list[ClusterTree] = []
-    pos = {"i": 0}
-
-    def build() -> ClusterTree:
-        i = pos["i"]
-        pos["i"] += 1
-        node = ClusterTree(
-            start=int(starts[i]),
-            stop=int(stops[i]),
-            bbox=BoundingBox.of(points[perm[int(starts[i]) : int(stops[i])]]),
-            perm=perm,
-            points=points,
-            level=int(levels[i]),
-        )
-        nodes.append(node)
-        node.children = [build() for _ in range(int(nkids[i]))]
-        return node
-
-    build()
-    # A recursive closure is a reference cycle: break it, or ``data`` (a mapped
-    # archive's descriptor) would live until the next garbage-collector pass.
-    del build
-    if pos["i"] != len(starts):
-        raise ValueError("corrupt cluster-tree serialization")
-    return nodes  # nodes[0] is the root, pre-order
-
-
-# ---------------------------------------------------------------------------
-# H-matrix nodes
-# ---------------------------------------------------------------------------
-
-def _serialize_hmatrix(h: HMatrix, idx: dict[int, int], payloads: dict, prefix: str) -> dict:
-    kinds, rows_i, cols_i, nrc, ncc, plu = [], [], [], [], [], []
-
-    def visit(node: HMatrix) -> None:
-        k = len(kinds)
-        kinds.append(_KIND_CODE[node.kind])
-        rows_i.append(idx[id(node.rows)])
-        cols_i.append(idx[id(node.cols)])
-        nrc.append(node.nrow_children)
-        ncc.append(node.ncol_children)
-        plu.append(1 if node.packed_lu is not None else 0)
-        if node.full is not None:
-            payloads[f"{prefix}full_{k}"] = node.full
-        elif node.rk is not None:
-            payloads[f"{prefix}rku_{k}"] = node.rk.u
-            payloads[f"{prefix}rkv_{k}"] = node.rk.v
-        for c in node.children:
-            visit(c)
-
-    visit(h)
-    return {
-        f"{prefix}kind": np.asarray(kinds, dtype=np.int8),
-        f"{prefix}rows": np.asarray(rows_i, dtype=np.int64),
-        f"{prefix}cols": np.asarray(cols_i, dtype=np.int64),
-        f"{prefix}nrc": np.asarray(nrc, dtype=np.int64),
-        f"{prefix}ncc": np.asarray(ncc, dtype=np.int64),
-        f"{prefix}plu": np.asarray(plu, dtype=np.int8),
-    }
-
-
-def _payload(data, key: str) -> np.ndarray:
-    if key not in data:
-        raise ValueError(
-            f"corrupt H-matrix archive: missing payload {key!r} (truncated file?)"
-        )
-    # The archive keeps C-vs-Fortran order, and BLAS dispatch (hence the
-    # low-order bits of every downstream product) depends on it: return the
-    # array as stored, don't force contiguity — bit-identical solves need the
-    # factor operands in their original layout.
-    return data[key]
-
-
-def _deserialize_hmatrix(data, nodes: list[ClusterTree], prefix: str) -> HMatrix:
-    kinds = data[f"{prefix}kind"]
-    rows_i = data[f"{prefix}rows"]
-    cols_i = data[f"{prefix}cols"]
-    nrc = data[f"{prefix}nrc"]
-    ncc = data[f"{prefix}ncc"]
-    # v1 archives predate the packed-triangle flags.
-    plu = data[f"{prefix}plu"] if f"{prefix}plu" in data else None
-    n_nodes = len(kinds)
-    for name, arr in (("rows", rows_i), ("cols", cols_i), ("nrc", nrc), ("ncc", ncc)):
-        if len(arr) != n_nodes:
-            raise ValueError(
-                f"corrupt H-matrix archive: {prefix}{name} has {len(arr)} entries "
-                f"for {n_nodes} nodes"
-            )
-    pos = {"i": 0}
-
-    def build() -> HMatrix:
-        k = pos["i"]
-        pos["i"] += 1
-        if k >= n_nodes:
-            raise ValueError(
-                f"corrupt H-matrix archive: node structure {prefix!r} references "
-                f"more than its {n_nodes} serialized nodes"
-            )
-        ri, ci = int(rows_i[k]), int(cols_i[k])
-        if not (0 <= ri < len(nodes) and 0 <= ci < len(nodes)):
-            raise ValueError(
-                f"corrupt H-matrix archive: node {prefix}{k} references cluster "
-                f"({ri}, {ci}) outside the {len(nodes)}-node tree"
-            )
-        rows = nodes[ri]
-        cols = nodes[ci]
-        code = int(kinds[k])
-        if code == 0:
-            full = _payload(data, f"{prefix}full_{k}")
-            if full.shape != (rows.size, cols.size):
-                raise ValueError(
-                    f"corrupt H-matrix archive: payload {prefix}full_{k} has shape "
-                    f"{full.shape}, clusters say {(rows.size, cols.size)}"
-                )
-            node = HMatrix(rows, cols, full=full)
-        elif code == 1:
-            u = _payload(data, f"{prefix}rku_{k}")
-            v = _payload(data, f"{prefix}rkv_{k}")
-            if u.shape[0] != rows.size or v.shape[0] != cols.size or u.shape[1] != v.shape[1]:
-                raise ValueError(
-                    f"corrupt H-matrix archive: Rk payload {prefix}rk*_{k} has shapes "
-                    f"{u.shape}/{v.shape}, clusters say {(rows.size, cols.size)}"
-                )
-            node = HMatrix(rows, cols, rk=RkMatrix(u, v))
-        elif code == 2:
-            n_children = int(nrc[k]) * int(ncc[k])
-            kids = [build() for _ in range(n_children)]
-            node = HMatrix(
-                rows, cols, children=kids, nrow_children=int(nrc[k]), ncol_children=int(ncc[k])
-            )
-        else:
-            raise ValueError(
-                f"corrupt H-matrix archive: node {prefix}{k} has unknown kind code {code}"
-            )
-        if plu is not None and int(plu[k]):
-            # Recompute the packed-triangle cache exactly as the factorisation
-            # created it (``to_dense()`` of the factor content, F-ordered) so
-            # loaded factors solve bit-identically to in-memory ones.
-            node.packed_lu = np.asfortranarray(node.to_dense())
-        return node
-
-    h = build()
-    del build  # break the closure's reference cycle (see _deserialize_tree)
-    if pos["i"] != n_nodes:
-        raise ValueError(
-            f"corrupt H-matrix archive: structure {prefix!r} used {pos['i']} of "
-            f"{n_nodes} serialized nodes"
-        )
-    return h
+    for mat in mats:
+        for node in mat.nodes():  # pre-order
+            row = [_KIND_CODE[node.kind], idx[id(node.rows)], idx[id(node.cols)],
+                   node.nrow_children, node.ncol_children, node.packed_lu is not None]
+            for arr in (node.full,) if node.full is not None else (
+                    (node.rk.u, node.rk.v) if node.rk is not None else ()):
+                row += put(arr)
+            table.append(row + [0] * (_NCOLS - len(row)))
+        starts.append(len(table))
+    return {"nodes": np.asarray(table, np.int64).reshape(-1, _NCOLS),
+            "tile_start": np.asarray(starts, np.int64),
+            **{_LEAF_FLATS[s]: p for s, p in parts.items() if p}}
 
 
 def _write_archive(path, header: dict, arrays: dict) -> Path:
-    """Write ``header`` and the named ``arrays`` as one v3 container, published
+    """Write ``header`` and the named ``arrays`` as one container, published
     atomically (temp file beside the target, ``os.replace``): a reader sees the old
-    archive or the new one, and a live mapping of the old one keeps its bytes."""
+    archive or the new one, and a live mapping of the old one keeps its bytes.
+    A list value is one 1-D array: its parts' elements, each in memory order."""
     p = Path(path)
     table, chunks, size, crc = {}, [], 0, 0
-    for name, arr in arrays.items():
-        arr = np.asarray(arr)
-        if arr.dtype.str not in _DTYPES:
-            raise ValueError(f"cannot store {name!r} in {p}: dtype {arr.dtype} not supported")
-        order = "F" if arr.flags.f_contiguous and not arr.flags.c_contiguous else "C"
-        # The array's bytes in memory order (a copy only when it is strided).
-        flat = np.asarray(arr, order=order).reshape(-1, order=order).view(np.uint8)
+    for name, value in arrays.items():
+        parts = [np.asarray(a) for a in (value if isinstance(value, list) else [value])]
+        dt = parts[0].dtype
+        if dt.str not in _DTYPES or any(a.dtype != dt for a in parts):
+            raise ValueError(f"cannot store {name!r} in {p}: dtype {dt} not supported")
         pad = bytes(-size % _ALIGN)
-        table[name] = [arr.dtype.str, list(arr.shape), order, size + len(pad)]
-        chunks += (pad, flat)
-        crc = zlib.crc32(flat, zlib.crc32(pad, crc))
-        size += len(pad) + flat.size
+        shape, order = ([sum(a.size for a in parts)], "C") if isinstance(value, list) else (
+            list(parts[0].shape), _order(parts[0]))
+        table[name] = [dt.str, shape, order, size + len(pad)]
+        chunks.append(pad)
+        crc, size = zlib.crc32(pad, crc), size + len(pad)
+        for a in parts:
+            # The array's bytes in memory order (a copy only when it is strided).
+            o = _order(a)
+            flat = np.asarray(a, order=o).reshape(-1, order=o).view(np.uint8)
+            chunks.append(flat)
+            crc, size = zlib.crc32(flat, crc), size + flat.size
     header = {**header, "payload_bytes": size, "crc32": crc, "arrays": table}
     blob = json.dumps(header, separators=(",", ":")).encode()
     head = _MAGIC + len(blob).to_bytes(8, "little") + blob
@@ -294,6 +177,10 @@ def _write_archive(path, header: dict, arrays: dict) -> Path:
         raise
     return p
 
+
+# ---------------------------------------------------------------------------
+# Reading: the container
+# ---------------------------------------------------------------------------
 
 def _table_entry(name: str, spec, nbytes: int) -> tuple:
     """Check one ``[dtype, shape, order, offset]`` entry against the payload."""
@@ -323,20 +210,42 @@ def _read_legacy(p: Path, payload: bool) -> tuple[dict, dict]:
         return header, dict(z) if payload else {}
 
 
-def _open_archive(path, *, mmap: bool = False, payload: bool = True) -> tuple[dict, dict]:
-    """``(header, arrays)`` of the archive at ``path``, dispatched on its magic
-    (``payload=False``: header only).  The file size is checked against the
+def _checksum(p: Path, buf: np.ndarray, expected):
+    """Start ``zlib.crc32(buf)`` on a helper thread; returns the call that joins
+    it and raises if the payload does not match ``expected``."""
+    got: list = []
+    worker = threading.Thread(target=lambda: got.append(zlib.crc32(buf)),
+                              name="tileh-crc32", daemon=True)
+    worker.start()
+
+    def verify() -> None:
+        worker.join()
+        if got != [expected]:
+            raise ValueError(f"cannot read Tile-H archive {p}: payload does not match its CRC-32")
+
+    return verify
+
+
+def _unchecked() -> None:
+    """The ``verify`` of a mapped, legacy or header-only open: nothing to check."""
+
+
+def _open_archive(path, *, mmap: bool = False, payload: bool = True):
+    """``(header, arrays, verify)`` of the archive at ``path``, dispatched on its
+    magic (``payload=False``: header only).  The file size is checked against the
     header and every table entry against the payload *before* any view is made,
     so a cut or doctored file is a ``ValueError``, never a ``SIGBUS``.  The
-    arrays are views of one buffer: an aligned writable copy, or one read-only
-    mapping that lives, with its descriptor, exactly as long as the views do.
+    arrays are views of one buffer: an aligned writable copy, whose CRC-32 runs
+    until ``verify()`` joins it, or one read-only mapping that lives, with its
+    descriptor, exactly as long as the views do (``verify`` checks nothing).
     """
     p = Path(path)
+    verify = _unchecked
     try:
         with open(p, "rb") as f:
             magic = f.read(len(_MAGIC))
             if magic[:4] == b"PK\x03\x04":
-                return _read_legacy(p, payload)
+                return (*_read_legacy(p, payload), verify)
             if magic != _MAGIC:
                 raise ValueError("not a Tile-H container (bad magic)")
             size = os.fstat(f.fileno()).st_size
@@ -349,7 +258,7 @@ def _open_archive(path, *, mmap: bool = False, payload: bool = True) -> tuple[di
             if type(nbytes) is not int or size != base + nbytes:
                 raise ValueError(f"file has {size} bytes, header says {base} + {nbytes!r}")
             if not payload:
-                return header, {}
+                return header, {}, verify
             entries = [_table_entry(k, v, nbytes) for k, v in header["arrays"].items()]
             if mmap:
                 mapping = _mmap.mmap(f.fileno(), 0, access=_mmap.ACCESS_READ)
@@ -359,17 +268,197 @@ def _open_archive(path, *, mmap: bool = False, payload: bool = True) -> tuple[di
                 shift = -raw.ctypes.data % _ALIGN
                 buf = raw[shift : shift + nbytes]
                 f.seek(base)
-                if f.readinto(buf) != nbytes or zlib.crc32(buf) != header["crc32"]:
-                    raise ValueError("payload does not match its CRC-32")
+                if f.readinto(buf) != nbytes:
+                    raise ValueError("payload is shorter than its header says")
             arrays = {
                 name: np.ndarray(shape, dt, buffer=buf, offset=off, order=order)
                 for name, shape, dt, order, off in entries
             }
+            if not mmap:  # last: nothing after the thread starts can fail
+                verify = _checksum(p, buf, header["crc32"])
     except FileNotFoundError:
         raise
     except Exception as exc:  # any parse failure of an untrusted file, one typed error
         raise ValueError(f"cannot read Tile-H archive {p}: {exc}") from exc
-    return header, arrays
+    return header, arrays, verify
+
+
+def _load(path, mmap: bool, build):
+    """``build(header, arrays)`` over the archive at ``path``, its checksum
+    joined on every exit; a bad CRC-32 outranks the error it may have caused,
+    and an array of the wrong dtype or shape is the typed error too."""
+    header, data, verify = _open_archive(path, mmap=mmap)
+    try:
+        out = build(header, data)
+    except (TypeError, IndexError, KeyError) as exc:  # an array of the wrong kind
+        verify()
+        raise _invalid(path, repr(exc)) from exc
+    except BaseException:
+        verify()
+        raise
+    verify()
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Reading: one builder for the tree and the tiles, every format version
+# ---------------------------------------------------------------------------
+
+def _preorder(arity: np.ndarray, starts: np.ndarray) -> bool:
+    """Whether each segment ``[starts[t], starts[t+1])`` of child counts is
+    exactly one tree in pre-order (``starts`` strictly increasing)."""
+    c = np.concatenate(([0], np.cumsum(arity - 1)))
+    # Subtrees still to visit after each node, counted from its segment's root.
+    left = 1 + c[1:] - np.repeat(c[starts[:-1]], np.diff(starts))
+    last = starts[1:] - 1
+    return bool((left[last] == 0).all() and (np.delete(left, last) > 0).all())
+
+
+def _tree(data, path) -> tuple[list[ClusterTree], np.ndarray]:
+    """The cluster-tree nodes in pre-order (``[0]`` is the root) and their sizes;
+    every bounding box from one gather of the points in cluster order."""
+    points = np.ascontiguousarray(data["points"])
+    perm = np.ascontiguousarray(data["perm"])
+    n = points.shape[0]
+    if perm.shape != (n,):
+        raise _invalid(path, f"permutation length {perm.shape[0]} != {n} points")
+    start, stop, level, nkids = (np.asarray(data[k]) for k in _TREE)
+    for k, arr in zip(_TREE[1:], (stop, level, nkids)):
+        if len(arr) != len(start):
+            raise _invalid(path, f"cluster-tree arrays disagree ({k} has {len(arr)} "
+                                 f"entries, tree_start has {len(start)})")
+    m = len(start)
+    if not (m and points.ndim == 2 and (start >= 0).all() and (start < stop).all()
+            and (stop <= n).all() and (nkids >= 0).all() and (nkids < m).all()
+            and _preorder(nkids, np.array([0, m]))):
+        raise _invalid(path, "corrupt cluster-tree serialization")
+    ordered = np.concatenate((points[perm], points[:1]))  # reduceat needs stop < len
+    bounds = np.column_stack((start, stop)).ravel()
+    lo, hi = (ufunc.reduceat(ordered, bounds)[::2] for ufunc in (np.minimum, np.maximum))
+    nodes = [ClusterTree(start=a, stop=b, bbox=BoundingBox(lo=l, hi=h), perm=perm,
+                         points=points, level=lv)
+             for a, b, lv, l, h in zip(start.tolist(), stop.tolist(), level.tolist(), lo, hi)]
+    done: list = []
+    for node, k in zip(reversed(nodes), reversed(nkids.tolist())):
+        node.children = [done.pop() for _ in range(k)]
+        done.append(node)
+    return nodes, stop - start
+
+
+def _per_leaf_table(data, prefixes, path) -> tuple:
+    """v1–v3 layout -> ``(nodes, tile_start, flats)`` as v4 stores them: each
+    tile's ``{prefix}kind`` … arrays become table rows, each named payload a
+    flat array of its own (a view in its stored order, offset 0)."""
+    tables, starts, flats = [], [0], []
+    for prefix in prefixes:
+        names = [prefix + k for k in ("kind", "rows", "cols", "nrc", "ncc")]
+        _require(names, data, path)
+        n = len(data[names[0]])
+        for name in names[1:]:
+            if len(data[name]) != n:
+                raise _invalid(path, f"{name} has {len(data[name])} entries for {n} nodes")
+        t = np.zeros((n, _NCOLS), np.int64)
+        t[:, :_PACKED] = np.column_stack([data[k] for k in names])
+        t[:, _PACKED] = data.get(prefix + "plu", 0)  # v1 predates the packed flags
+        for k in np.flatnonzero(np.isin(t[:, _KIND], (0, 1))).tolist():
+            for slot, name in zip((_P0, _P1), ("full",) if t[k, _KIND] == 0 else ("rku", "rkv")):
+                arr = data.get(f"{prefix}{name}_{k}")
+                if arr is None or arr.ndim != 2:
+                    raise _invalid(path, f"missing payload {prefix}{name}_{k} (truncated file?)")
+                order = _order(arr)
+                flats.append(arr.reshape(-1, order=order))
+                t[k, slot : slot + 5] = (len(flats) - 1, 0, order == "F", *arr.shape)
+        tables.append(t)
+        starts.append(starts[-1] + n)
+    return np.concatenate(tables), np.asarray(starts, np.int64), flats
+
+
+def _check_nodes(table, starts, flats, sizes, ntiles: int, path) -> None:
+    """Every check the tiles need, in bulk, before any node exists."""
+    if table.dtype != np.int64 or table.ndim != 2 or table.shape[1] != _NCOLS:
+        raise _invalid(path, f"node table {table.dtype}{table.shape} is not (n, {_NCOLS}) int64")
+    n = len(table)
+    if (starts.dtype != np.int64 or starts.shape != (ntiles + 1,) or starts[0] != 0
+            or starts[-1] != n or (np.diff(starts) < 1).any()):
+        raise _invalid(path, f"tile_start {starts[:8].tolist()}… does not split "
+                             f"{n} nodes into {ntiles} tile(s) (missing tile?)")
+    kind, row, col, nrc, ncc, packed = table[:, :_P0].T
+    inner = kind == 2
+    if not np.isin(kind, (0, 1, 2)).all():
+        raise _invalid(path, f"unknown kind code in {sorted(set(kind.tolist()))}")
+    if not ((row >= 0) & (row < len(sizes)) & (col >= 0) & (col < len(sizes))
+            & np.isin(packed, (0, 1))).all():
+        raise _invalid(path, f"node cluster outside the {len(sizes)}-node tree, or bad packed flag")
+    grid = np.where(inner, np.minimum(nrc, n) * np.minimum(ncc, n), 0)
+    if not ((nrc[inner] >= 1) & (ncc[inner] >= 1)).all() or not _preorder(grid, starts):
+        raise _invalid(path, "child grids do not make one pre-order tree per tile_start segment")
+    lens = np.array([-1 if a is None else len(a) for a in flats] + [-1], np.int64)
+    isz = np.array([1 if a is None else a.itemsize for a in flats] + [1], np.int64)
+    # A dense block is rows x cols of its clusters; rk.u and rk.v have the
+    # row and column cluster's sizes and one rank between them.
+    payloads = ((_P0, kind < 2, sizes[row], np.where(kind == 0, sizes[col], table[:, _P1 + 4])),
+                (_P1, kind == 1, sizes[col], table[:, _P0 + 4]))
+    for slot, leaf, want_m, want_w in payloads:
+        f, off, order, m, w = table[leaf, slot : slot + 5].T
+        if not ((m == want_m[leaf]) & (w == want_w[leaf]) & (w >= 0)).all():
+            raise _invalid(path, "a leaf's shape disagrees with its clusters")
+        f = np.where((f >= 0) & (f < len(flats)), f, -1)
+        if (lens[f] < 0).any():
+            raise _invalid(path, "missing payload: a leaf names an absent flat array")
+        if not ((off >= 0) & (off <= lens[f]) & (off * isz[f] % _ALIGN == 0)
+                & (w <= (lens[f] - off) // m) & np.isin(order, (0, 1))).all():
+            raise _invalid(path, "a leaf payload lies outside its flat array or is misaligned")
+
+
+def _tiles(table, starts, flats, nodes) -> list[HMatrix]:
+    """One H-matrix per tile of a checked node table, built bottom-up (in reverse
+    pre-order a node's children are the last subtrees finished); leaves are
+    views of their flat arrays in their stored order."""
+    def leaf(f, off, order, m, n):
+        flat = flats[f]
+        return np.ndarray((m, n), flat.dtype, flat, off * flat.itemsize, None, "CF"[order])
+
+    roots = set(starts[:-1].tolist())
+    mats, done = [], []
+    k = len(table)
+    for kind, r, c, nrc, ncc, packed, *p in reversed(table.tolist()):
+        k -= 1
+        if kind == 0:
+            node = HMatrix(nodes[r], nodes[c], full=leaf(*p[:5]))
+        elif kind == 1:
+            node = HMatrix(nodes[r], nodes[c], rk=RkMatrix(leaf(*p[:5]), leaf(*p[5:])))
+        else:
+            kids = done[: -nrc * ncc - 1 : -1]
+            del done[-nrc * ncc :]
+            node = HMatrix(nodes[r], nodes[c], children=kids, nrow_children=nrc,
+                           ncol_children=ncc)
+        if packed:
+            # Recompute the packed-triangle cache exactly as the factorisation
+            # created it (``arithmetic._pack``) so loaded factors solve
+            # bit-identically to in-memory ones.
+            node.packed_lu = node.to_dense(order="F")
+        (mats if k in roots else done).append(node)
+    return mats[::-1]
+
+
+def _rebuild(data, version, ntiles: int, prefix, path) -> tuple[list[ClusterTree], list]:
+    """The cluster tree (pre-order nodes) and the ``ntiles`` H-matrices — the one
+    builder behind every load; ``prefix(t)`` names tile ``t`` of a v1–v3 archive."""
+    _require(("points", "perm", *_TREE), data, path)
+    if version == TILE_H_FORMAT_VERSION:
+        _require(("nodes", "tile_start"), data, path)
+        table, starts = data["nodes"], data["tile_start"]
+        flats = [data.get(name) for name in _LEAF_FLATS.values()]
+        if any(a is not None and (a.ndim != 1 or a.dtype.str != s)
+               for s, a in zip(_LEAF_FLATS, flats)):
+            raise _invalid(path, "a flat payload array has the wrong dtype or shape")
+    elif version in (1, 2, 3):
+        table, starts, flats = _per_leaf_table(data, map(prefix, range(ntiles)), path)
+    else:
+        raise _invalid(path, f"unknown format_version {version!r}")
+    nodes, sizes = _tree(data, path)
+    _check_nodes(table, starts, flats, sizes, ntiles, path)
+    return nodes, _tiles(table, starts, flats, nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -382,26 +471,23 @@ def save_hmatrix(h: HMatrix, tree: ClusterTree, path) -> Path:
     ``tree`` must be the cluster tree whose nodes ``h`` references (rows and
     columns share it for the kernel matrices this library builds).
     """
-    idx = _tree_index(tree)
-    payloads: dict = {}
-    arrays = {
-        "points": tree.points,
-        "perm": tree.perm,
-        **_serialize_tree(tree),
-        **_serialize_hmatrix(h, idx, payloads, "h_"),
-    }
+    arrays, idx = _serialize_tree(tree)
+    arrays = {"points": tree.points, "perm": tree.perm, **arrays,
+              **_serialize_nodes([h], idx)}
     header = {"format_version": TILE_H_FORMAT_VERSION, "n": int(tree.points.shape[0])}
-    return _write_archive(path, header, {**arrays, **payloads})
+    return _write_archive(path, header, arrays)
 
 
 def load_hmatrix(path) -> tuple[HMatrix, ClusterTree]:
-    """Load an H-matrix saved by :func:`save_hmatrix`; returns (h, tree)."""
-    _, data = _open_archive(path)
-    points = np.ascontiguousarray(data["points"])
-    perm = np.ascontiguousarray(data["perm"])
-    nodes = _deserialize_tree(data, points, perm)
-    h = _deserialize_hmatrix(data, nodes, "h_")
-    return h, nodes[0]
+    """Load an H-matrix saved by :func:`save_hmatrix`; returns (h, tree).
+
+    A Tile-H archive, or one missing its tree or node arrays, is a
+    :class:`ValueError` naming the archive."""
+    def build(header, data):
+        nodes, (h,) = _rebuild(data, header.get("format_version", 1), 1, lambda t: "h_", path)
+        return h, nodes[0]
+
+    return _load(path, False, build)
 
 
 # ---------------------------------------------------------------------------
@@ -429,30 +515,26 @@ def save_tile_h(desc, path, *, factorized: bool = False, method: str | None = No
     for 5.5x the save time and cannot be mapped); it stays because callers pass it.
     """
     root = desc.root
-    idx = _tree_index(root)
+    arrays, idx = _serialize_tree(root)
     nt = desc.nt
-    payloads: dict = {}
+    mats = [desc.super.get_blktile(i, j).mat for i in range(nt) for j in range(nt)]
     arrays = {
         "points": root.points,
         "perm": root.perm,
         "tile_cluster_idx": np.asarray([idx[id(c)] for c in desc.clusters], dtype=np.int64),
-        **_serialize_tree(root),
+        **arrays,
+        **_serialize_nodes(mats, idx),
     }
-    for i in range(nt):
-        for j in range(nt):
-            tile = desc.super.get_blktile(i, j)
-            arrays.update(_serialize_hmatrix(tile.mat, idx, payloads, f"t{i}_{j}_"))
     header = {
         "format_version": TILE_H_FORMAT_VERSION, "n": int(root.points.shape[0]),
         "nt": int(nt), "nb": int(desc.nb), "eps": float(desc.eps),
         "factorized": bool(factorized), "method": method or None,
         "config": _config_dict(config),
     }
-    return _write_archive(path, header, {**arrays, **payloads})
+    return _write_archive(path, header, arrays)
 
 
-_TILE_H_REQUIRED = ("points", "perm", "tile_cluster_idx",
-                    "tree_start", "tree_stop", "tree_level", "tree_nkids")
+_TILE_H_REQUIRED = ("points", "perm", "tile_cluster_idx", *_TREE)
 #: Header metadata: the required fields' casts, the optional ones' (cast, default).
 _META_REQUIRED = {"n": int, "nt": int, "nb": int, "eps": float}
 _META_OPTIONAL = {"format_version": (int, 1), "factorized": (bool, False),
@@ -479,39 +561,16 @@ def _tile_h_meta(header: dict, path) -> dict:
         raise _invalid(path, f"bad metadata: {exc}") from exc
 
 
-def _validate_tile_h(meta: dict, data, path) -> None:
-    _require(_TILE_H_REQUIRED, data, path)
-    n_tree = len(data["tree_start"])
-    for k in ("tree_stop", "tree_level", "tree_nkids"):
-        if len(data[k]) != n_tree:
-            raise _invalid(path, f"cluster-tree arrays disagree ({k} has {len(data[k])} "
-                                 f"entries, tree_start has {n_tree})")
-    nt = meta["nt"]
-    if nt < 1:
-        raise _invalid(path, f"nt={nt}")
-    idx = data["tile_cluster_idx"]
-    if len(idx) != nt:
-        raise _invalid(path, f"{len(idx)} tile clusters for nt={nt}")
-    if len(idx) and (int(idx.min()) < 0 or int(idx.max()) >= n_tree):
-        raise _invalid(path, f"tile cluster index out of range (tree has {n_tree} nodes)")
-    n = data["points"].shape[0]
-    if data["perm"].shape[0] != n:
-        raise _invalid(path, f"permutation length {data['perm'].shape[0]} != {n} points")
-    for i in range(nt):
-        for j in range(nt):
-            if f"t{i}_{j}_kind" not in data:
-                raise _invalid(path, f"tile ({i}, {j}) missing (truncated file?)")
-
-
 def read_tile_h(path, *, mmap: bool = False):
     """``(descriptor, meta)`` of an archive saved by :func:`save_tile_h`, from
     one open of the file (``meta`` as :func:`load_tile_h_meta` returns it).
 
     The archive is validated up front (container sizes and table, required
-    keys, consistent tree/tile arrays, payload shapes); a truncated or
-    mismatched file is a :class:`ValueError` naming the problem.  A plain load
-    copies the payload into memory (writable, CRC-32 verified).  ``mmap=True``
-    maps the file once, *read-only*: loading touches no payload byte, pages
+    keys, consistent tree arrays, the whole node table against the tree and
+    the flat payloads); a truncated or mismatched file is a
+    :class:`ValueError` naming the problem.  A plain load copies the payload
+    into memory (writable, CRC-32 verified).  ``mmap=True`` maps the file once,
+    *read-only*: loading touches no payload byte, pages
     fault in on first kernel access and are shared by every process serving
     the archive, and the descriptor goes with the last payload view — right
     for the serve path; re-factorising a mapped matrix in place is not
@@ -520,30 +579,34 @@ def read_tile_h(path, *, mmap: bool = False):
     from ..core.descriptor import Tile, TileDesc, TileHDesc
     from .block import StrongAdmissibility
 
-    header, data = _open_archive(path, mmap=mmap)
-    meta = _tile_h_meta(header, path)
-    _validate_tile_h(meta, data, path)
-    points = np.ascontiguousarray(data["points"])
-    perm = np.ascontiguousarray(data["perm"])
-    nodes = _deserialize_tree(data, points, perm)
-    nt = meta["nt"]
-    clusters = [nodes[int(k)] for k in data["tile_cluster_idx"]]
-    n = points.shape[0]
-    if sum(c.size for c in clusters) != n:
-        raise _invalid(path, f"tile clusters cover {sum(c.size for c in clusters)} of {n} points")
-    tiles = []
-    for i in range(nt):
-        for j in range(nt):
-            h = _deserialize_hmatrix(data, nodes, f"t{i}_{j}_")
-            if h.shape != (clusters[i].size, clusters[j].size):
-                raise _invalid(path, f"tile ({i}, {j}) has shape {h.shape}, clusters say "
-                                     f"{(clusters[i].size, clusters[j].size)}")
-            tiles.append(Tile.of(h))
-    desc = TileHDesc(
-        super=TileDesc(n=n, nb=meta["nb"], nt=nt, tiles=tiles), root=nodes[0], clusters=clusters,
-        admissibility=StrongAdmissibility(), perm=perm, eps=meta["eps"],
-    )
-    return desc, meta
+    def build(header, data):
+        meta = _tile_h_meta(header, path)
+        _require(_TILE_H_REQUIRED, data, path)
+        nt, idx = meta["nt"], data["tile_cluster_idx"].tolist()
+        if nt < 1 or len(idx) != nt:
+            raise _invalid(path, f"{len(idx)} tile clusters for nt={nt}")
+        nodes, mats = _rebuild(data, meta["format_version"], nt * nt,
+                               lambda t: f"t{t // nt}_{t % nt}_", path)
+        if not all(0 <= k < len(nodes) for k in idx):
+            raise _invalid(path, f"tile cluster index out of range (tree has {len(nodes)} nodes)")
+        clusters = [nodes[k] for k in idx]
+        n = nodes[0].points.shape[0]
+        covered = sum(c.size for c in clusters)
+        if covered != n:
+            raise _invalid(path, f"tile clusters cover {covered} of {n} points")
+        for t, h in enumerate(mats):
+            want = (clusters[t // nt].size, clusters[t % nt].size)
+            if h.shape != want:
+                raise _invalid(path, f"tile {divmod(t, nt)} has shape {h.shape}, "
+                                     f"clusters say {want}")
+        desc = TileHDesc(
+            super=TileDesc(n=n, nb=meta["nb"], nt=nt, tiles=[Tile.of(h) for h in mats]),
+            root=nodes[0], clusters=clusters, admissibility=StrongAdmissibility(),
+            perm=nodes[0].perm, eps=meta["eps"],
+        )
+        return desc, meta
+
+    return _load(path, mmap, build)
 
 
 def load_tile_h(path, *, mmap: bool = False):

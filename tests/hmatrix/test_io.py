@@ -1,6 +1,8 @@
 """Unit tests for H-matrix / Tile-H persistence (the one-blob container)."""
 
 import json
+import re
+import threading
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from repro.geometry import (
 from repro.hmatrix import io as hio
 from repro.hmatrix import (
     AssemblyConfig,
+    BoundingBox,
     StrongAdmissibility,
     assemble_hmatrix,
     build_block_cluster_tree,
@@ -29,7 +32,7 @@ from repro.hmatrix import (
     save_tile_h,
 )
 
-from .legacy_npz import write_legacy_npz
+from .legacy_npz import write_legacy_npz, write_v3, write_v3_hmatrix
 
 N = 400
 
@@ -59,6 +62,18 @@ class TestSaveLoadHMatrix:
         assert h2.max_rank() == h.max_rank()
         assert h2.storage() == h.storage()
         assert h2.depth() == h.depth()
+
+    def test_bounding_boxes_match_the_per_node_reference(self, hmat, tmp_path):
+        """One gather + ``reduceat`` gives every box the per-node min/max gives."""
+        _, _, ct, h = hmat
+        _, ct2 = load_hmatrix(save_hmatrix(h, ct, tmp_path / "h.tileh"))
+        pairs = list(zip(ct.nodes(), ct2.nodes()))
+        assert len(pairs) == len(list(ct.nodes())) == len(list(ct2.nodes()))
+        for a, b in pairs:
+            ref = BoundingBox.of(ct2.points[ct2.perm[b.start : b.stop]])
+            assert (a.start, a.stop, a.level) == (b.start, b.stop, b.level)
+            assert np.array_equal(b.bbox.lo, ref.lo) and np.array_equal(b.bbox.hi, ref.hi)
+            assert np.array_equal(b.bbox.lo, a.bbox.lo) and np.array_equal(b.bbox.hi, a.bbox.hi)
 
     def test_loaded_matrix_factorizes(self, hmat, tmp_path):
         pts, kern, ct, h = hmat
@@ -203,7 +218,7 @@ class TestFactorizedPersistence:
 
 
 def _split(p):
-    """``(header dict, payload bytes)`` of a v3 container."""
+    """``(header dict, payload bytes)`` of a container."""
     raw = p.read_bytes()
     hlen = int.from_bytes(raw[8:16], "little")
     return json.loads(raw[16 : 16 + hlen]), raw[-(-(16 + hlen) // hio._PAGE) * hio._PAGE :]
@@ -218,7 +233,8 @@ def _join(p, header, payload):
 def _rewrite(p, mutate):
     """Re-save ``p`` through the writer after ``mutate(header, arrays)``: a
     well-formed container whose *content* is wrong."""
-    header, arrays = hio._open_archive(p)
+    header, arrays, verify = hio._open_archive(p)
+    verify()  # the checksum thread reads the buffer that ``mutate`` may write
     mutate(header, arrays)
     hio._write_archive(p, header, arrays)
 
@@ -270,7 +286,7 @@ class TestArchiveValidation:
 
     def test_missing_tile_payload(self, tmp_path):
         p = self._archive(tmp_path)
-        _rewrite(p, lambda h, a: a.pop(next(k for k in a if k.startswith("t0_0_full_"))))
+        _rewrite(p, lambda h, a: a.pop("leaf_f8"))
         with pytest.raises(ValueError, match="missing payload"):
             load_tile_h(p)
 
@@ -288,8 +304,8 @@ class TestArchiveValidation:
 
 
 def _victim(header):
-    """A non-empty dense payload's table entry."""
-    return next(v for k, v in header["arrays"].items() if "_full_" in k)
+    """The table entry of the flat array that holds the dense payloads."""
+    return header["arrays"]["leaf_f8"]
 
 
 def _cut(where):
@@ -323,6 +339,35 @@ def _set(index, value):
     return _table(lambda h: _victim(h).__setitem__(index, value))
 
 
+def _content(mutate):
+    """Rewrite the arrays through the writer (the CRC-32 still matches), so the
+    node-table checks, not the checksum, must catch ``mutate(arrays)``."""
+    return lambda p: _rewrite(p, lambda h, a: mutate(a))
+
+
+def _dense_leaf(a):
+    """Node-table row of a dense leaf with a non-empty payload in ``leaf_f8``."""
+    t = a["nodes"]
+    return int(np.flatnonzero((t[:, hio._KIND] == 0) & (t[:, hio._P0] == 0))[0])
+
+
+def _cell(row, column, value):
+    """Set node-table cell (``row(arrays)``, ``column``) to ``value(arrays, old)``."""
+    def mutate(a):
+        r = row(a)
+        a["nodes"][r, column] = value(a, a["nodes"][r, column])
+    return _content(mutate)
+
+
+def _drop_last_tile(a):
+    a["nodes"] = a["nodes"][: a["tile_start"][-2]]
+    a["tile_start"] = a["tile_start"][:-1]
+
+
+def _move_first_tile_end(a):
+    a["tile_start"][1] += 1
+
+
 CORRUPTIONS = {
     "bad-magic": _bytes_at(0, b"\x93TILEX\r\n"),
     "header-length-past-eof": _bytes_at(8, (1 << 40).to_bytes(8, "little")),
@@ -342,13 +387,34 @@ CORRUPTIONS = {
     "entry-huge-empty-shape": _set(1, [0, 1 << 62]),
     "entry-float-shape": _set(1, [3.0, 3]),
     "entry-too-short": _table(lambda h: _victim(h).pop()),
-    "missing-tile": _table(
-        lambda h: [h["arrays"].pop(k) for k in list(h["arrays"]) if k.startswith("t1_0_")]
-    ),
+    "missing-tile": _content(_drop_last_tile),
+    "missing-nodes": _table(lambda h: h["arrays"].pop("nodes")),
+    "node-offset-past-flat": _cell(_dense_leaf, hio._P0 + 1, lambda a, v: len(a["leaf_f8"]) + 8),
+    "node-offset-misaligned": _cell(_dense_leaf, hio._P0 + 1, lambda a, v: v + 1),
+    "node-unknown-kind": _cell(_dense_leaf, hio._KIND, lambda a, v: 7),
+    "node-cluster-out-of-range": _cell(lambda a: 0, 1, lambda a, v: len(a["tree_start"])),
+    "node-table-row-count": _content(lambda a: a.update(nodes=a["nodes"][:-1])),
+    "node-table-columns": _content(lambda a: a.update(nodes=a["nodes"][:, :-1])),
+    "tile-start-disagrees": _content(_move_first_tile_end),
+    "leaf-shape-vs-clusters": _cell(_dense_leaf, hio._P0 + 4, lambda a, v: v + 1),
     "missing-tree": _table(lambda h: h["arrays"].pop("tree_level")),
     "wrong-perm-length": _table(lambda h: h["arrays"]["perm"].__setitem__(1, [N // 2])),
+    "tree-wrong-dtype": _table(lambda h: h["arrays"]["tree_start"].__setitem__(0, "<f8")),
     "missing-nt": _table(lambda h: h.pop("nt")),
     "nt-not-a-number": _table(lambda h: h.update(nt="four")),
+}
+#: The check that must catch a node-table case (the message names it).
+CAUGHT_BY = {
+    "missing-tile": "does not split",
+    "missing-nodes": "missing keys",
+    "node-offset-past-flat": "outside its flat array",
+    "node-offset-misaligned": "misaligned",
+    "node-unknown-kind": "unknown kind code",
+    "node-cluster-out-of-range": "outside the [0-9]+-node tree",
+    "node-table-row-count": "does not split",
+    "node-table-columns": "is not \\(n, 16\\) int64",
+    "tile-start-disagrees": "child grids do not make one pre-order tree",
+    "leaf-shape-vs-clusters": "shape disagrees with its clusters",
 }
 
 
@@ -367,19 +433,44 @@ class TestContainerCorruption:
         p.write_bytes(pristine)
         load_tile_h(p, mmap=mmap)  # the pristine copy loads
         CORRUPTIONS[case](p)
-        with pytest.raises(ValueError, match=f"Tile-H archive .*{case}.tileh"):
+        before = set(threading.enumerate())
+        why = CAUGHT_BY.get(case, "")
+        with pytest.raises(ValueError, match=f"Tile-H archive .*{case}.tileh: .*{why}"):
             load_tile_h(p, mmap=mmap)
+        assert set(threading.enumerate()) <= before, "a checksum thread outlived the load"
 
     def test_flipped_payload_byte_fails_the_crc(self, pristine, tmp_path):
         p = tmp_path / "flipped.tileh"
         raw = bytearray(pristine)
         raw[-1000] ^= 0x01
         p.write_bytes(bytes(raw))
+        before = set(threading.enumerate())
         with pytest.raises(ValueError, match="cannot read Tile-H archive .*CRC-32"):
             load_tile_h(p)
+        assert set(threading.enumerate()) <= before
         # A mapped load touches no payload byte, so it cannot checksum them:
         # it checks structure only (documented in repro.hmatrix.io).
         load_tile_h(p, mmap=True)
+
+    def test_bad_crc_outranks_the_structure_error_it_caused(self, pristine, tmp_path):
+        """Bytes changed under an unchanged CRC-32: a read load blames the
+        checksum, a mapped load (no checksum) the node table."""
+        p = tmp_path / "kind.tileh"
+        p.write_bytes(pristine)
+        header, arrays, verify = hio._open_archive(p)
+        verify()
+        row = _dense_leaf(arrays)
+        base = len(pristine) - header["payload_bytes"]
+        at = base + header["arrays"]["nodes"][3] + row * hio._NCOLS * 8
+        del arrays
+        _bytes_at(at, (7).to_bytes(8, "little"))(p)
+        before = set(threading.enumerate())
+        with pytest.raises(ValueError, match="CRC-32") as err:
+            load_tile_h(p)
+        assert "unknown kind code" in str(err.value.__context__)
+        assert set(threading.enumerate()) <= before
+        with pytest.raises(ValueError, match="unknown kind code"):
+            load_tile_h(p, mmap=True)
 
     def test_meta_needs_only_the_header(self, pristine, tmp_path):
         p = tmp_path / "meta.tileh"
@@ -387,12 +478,51 @@ class TestContainerCorruption:
         raw[-1000] ^= 0x01
         p.write_bytes(bytes(raw))
         meta = load_tile_h_meta(p)
-        assert (meta["n"], meta["nb"], meta["format_version"]) == (N, 100, 3)
+        assert (meta["n"], meta["nb"], meta["format_version"]) == (N, 100, 4)
 
     def test_unsupported_dtype_is_refused_on_save(self, tmp_path):
         with pytest.raises(ValueError, match="dtype float32"):
             hio._write_archive(tmp_path / "f4.tileh", {}, {"x": np.zeros(3, np.float32)})
         assert list(tmp_path.iterdir()) == []
+
+
+class TestFlatLayout:
+    """v4 stores a fixed set of arrays, whatever the leaf count; ``load_hmatrix``
+    refuses what is not one H-matrix with the typed error."""
+
+    def test_the_table_does_not_grow_with_the_leaves(self, tmp_path):
+        names, leaves = [], []
+        for n in (512, 1024):
+            pts = cylinder_cloud(n)
+            a = TileHMatrix.build(
+                laplace_kernel(pts), pts, TileHConfig(nb=128, eps=1e-6, leaf_size=32)
+            )
+            header, _ = _split(save_tile_h(a.desc, tmp_path / f"{n}.tileh"))
+            names.append(sorted(header["arrays"]))
+            leaves.append(sum(len(list(t.mat.leaves())) for t in a.desc.super.tiles))
+        assert leaves[0] < leaves[1]
+        assert names[0] == names[1]
+        assert not [k for k in names[0] if re.search(r"^t\d+_\d+_|_\d+$", k)]
+
+    def test_load_hmatrix_refuses_a_tile_h_archive(self, tmp_path):
+        a, p = _small(tmp_path)
+        for path in (p, write_v3(a, tmp_path / "v3.tileh")):
+            with pytest.raises(ValueError, match=f"invalid Tile-H archive {re.escape(str(path))}"):
+                load_hmatrix(path)
+
+    @pytest.mark.parametrize("drop", ["tree_level", "nodes", "tile_start"])
+    def test_load_hmatrix_needs_its_tree_and_node_arrays(self, hmat, drop, tmp_path):
+        _, _, ct, h = hmat
+        p = save_hmatrix(h, ct, tmp_path / "h.tileh")
+        _rewrite(p, lambda header, a: a.pop(drop))
+        with pytest.raises(ValueError, match=f"Tile-H archive .*h.tileh: missing keys .*{drop}"):
+            load_hmatrix(p)
+
+    def test_v3_hmatrix_archive_loads(self, hmat, tmp_path):
+        _, _, ct, h = hmat
+        h2, ct2 = load_hmatrix(write_v3_hmatrix(h, ct, tmp_path / "h3.tileh"))
+        assert np.array_equal(h2.to_dense(), h.to_dense())
+        assert np.array_equal(ct2.perm, ct.perm)
 
 
 class TestAtomicPublish:
