@@ -24,9 +24,9 @@ from ..dense import flops_gemm, flops_getrf, flops_potrf, flops_trsm
 from ..hmatrix import UpdateAccumulator
 from ..hmatrix.arithmetic import run_kernel
 from ..hmatrix.rules import chol_steps, lu_steps
-from ..runtime import AccessMode, StfEngine, TaskGraph, TaskSpec
+from ..runtime import AccessMode, StfEngine, TaskGraph
 from .descriptor import TileHDesc
-from .sweep import SweepProgram, compile_sweep, mv_step, run_steps, tri_steps
+from .sweep import SweepProgram, compile_sweep, run_steps
 from .nested import ACCESS, _nested_spec, expander
 
 __all__ = [
@@ -43,29 +43,6 @@ __all__ = [
 ]
 
 R, RW = AccessMode.R, AccessMode.RW
-
-
-# -- process-executor ops ------------------------------------------------------
-# Declarative worker-side kernels (module level so spawn children import
-# them): each receives the task's access-list payloads in declared order and
-# mutates the written payloads in place.  The factorisation's tile kernels
-# ship as ``repro.core.nested:_op_nested`` with empty paths.
-def _op_sweep_gemv(payloads, trans):
-    # Shared segments arrive as separate arrays: lay them out as one local
-    # work array (updated rows first), run the tile's step, copy back.
-    tile, xj, xk = payloads
-    mk = xk.shape[-1]
-    work = np.concatenate([xk, xj], axis=-1)
-    run_steps([mv_step(tile.mat, 0, mk, trans)], work)
-    xk[...] = work[..., :mk]
-
-
-def _op_sweep_trsv(payloads, lower, unit, trans):
-    run_steps(tri_steps(payloads[0].mat, 0, lower, unit, trans), payloads[1])
-
-
-def _spec(op: str, *args, **kwargs) -> TaskSpec:
-    return TaskSpec(f"repro.core.algorithms:{op}", args=args, kwargs=kwargs)
 
 
 def apply_bottom_level_priorities(graph: TaskGraph, cost_attr: str = "flops") -> dict:
@@ -281,8 +258,10 @@ def sweep_solve_tasks(
     Each task runs its tile-op's steps through :func:`~repro.core.sweep.run_steps`,
     in the submission order of the eager sweep, and successive updates of one
     segment are RW on the same handle, so STF serialises them in that order:
-    eager, threaded and process executions are all bit-identical to
-    :meth:`SweepProgram.solve`.
+    eager and threaded executions are bit-identical to
+    :meth:`SweepProgram.solve`.  The tasks carry no process spec: a solve
+    never runs on a process executor (``TileHMatrix.solve`` replays the
+    compiled sweep in every ``exec_mode``).
 
     With a *deferred* ``engine`` the submitted kernels have not run when the
     section closes, so an ``executor`` (typically a
@@ -305,12 +284,12 @@ def sweep_solve_tasks(
         if phase == "bwd":
             step = nt - 1 - step
         if j is None:
-            kind, name, worker = "trsm", f"trsv({k})", "_op_sweep_trsv"
+            kind, name = "trsm", f"trsv({k})"
             accesses = [(tile, R), (segs[k], RW)]
             priority = lu_priorities(nt, step, "trsm")
             flops = flops_trsm(rows[k], nrhs, is_complex=is_c)
         else:
-            kind, name, worker = "gemm", f"gemv{'_t' if op.args[0] else ''}({k},{j})", "_op_sweep_gemv"
+            kind, name = "gemm", f"gemv{'_t' if op.args[0] else ''}({k},{j})"
             accesses = [(tile, R), (segs[j], R), (segs[k], RW)]
             priority = lu_priorities(nt, step, "gemm", k, j)
             flops = flops_gemm(rows[k], nrhs, rows[j], is_complex=is_c)
@@ -321,7 +300,6 @@ def sweep_solve_tasks(
             priority=priority,
             flops=flops,
             label=f"{phase}_{name}",
-            spec=_spec(worker, *op.args),
         )
     graph = eng.wait_all()
     if eng.mode == "deferred":

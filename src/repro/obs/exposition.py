@@ -7,10 +7,13 @@ service/fleet ``stats()`` tree flattened to gauges, and the per-lane
 rolling-window latency summaries — in the Prometheus text format
 (``text/plain; version=0.0.4``) for ``GET /metrics``.
 
-Registry names may carry embedded labels (``'service.queue_depth{worker="w0"}'``)
-— the brace part is passed through as the Prometheus label set, which is how
-per-shard queue depth and per-lane SLO gauges come out as properly
-labelled families.
+Every serving count comes from its owner's ``stats()``, never from the
+probe, so each series appears once.  A fleet's shards come out as the
+``repro_service_*`` families with a ``worker`` label
+(``repro_service_queue_depth{worker="w0"}``), and lanes as ``lane``-labelled
+``repro_lane_*`` families.  Registry names may carry embedded labels
+(``'a.b{worker="w0"}'``); the brace part is passed through as the
+Prometheus label set.
 
 :class:`SlidingWindow` is the rolling-latency reservoir behind the per-lane
 quantiles: a time-bounded deque of ``(t, value)`` pairs, pruned on read, so
@@ -158,6 +161,7 @@ def prometheus_text(registry_snapshot: dict, *, prefix: str = "repro_") -> str:
 
 
 def _flatten_stats(stats, path: str, out: list[tuple[str, float]]) -> None:
+    """Numeric leaves of a ``stats()`` tree as ``(a_b_c, value)`` pairs."""
     if isinstance(stats, dict):
         for k, v in sorted(stats.items()):
             key = f"{path}_{k}" if path else str(k)
@@ -190,11 +194,18 @@ def _lane_window_lines(windows: dict, *, prefix: str = "repro_") -> list[str]:
     return lines
 
 
+def _stats_lines(stats: dict, section: str, labels: str = "") -> list[str]:
+    flat: list[tuple[str, float]] = []
+    _flatten_stats(stats, section, flat)
+    return [f"repro_{_NAME_OK.sub('_', name)}{labels} {_fmt(v)}" for name, v in flat]
+
+
 def metrics_text(service=None, probe=None) -> str:
     """The full ``GET /metrics`` document for a serve process.
 
-    ``service`` is a :class:`~repro.service.pipeline.SolveService` or
-    :class:`~repro.service.fleet.ServeFleet` (anything with ``stats()``;
+    ``service`` is a :class:`~repro.service.pipeline.SolveService` or a
+    :class:`~repro.service.fleet.ServeFleet` (whose ``shards()`` each add
+    their ``stats()`` and queue depth under a ``worker`` label;
     ``lane_windows()`` adds the rolling per-lane latency summaries);
     ``probe`` defaults to the ambient active probe."""
     if probe is None:
@@ -213,13 +224,16 @@ def metrics_text(service=None, probe=None) -> str:
                 f"repro_traces_active {tracer.active_count()}\n"
             )
     if service is not None:
-        section = "fleet" if hasattr(service, "worker_stats") else "service"
-        flat: list[tuple[str, float]] = []
-        _flatten_stats(service.stats(), section, flat)
         lines = ["# service/fleet stats() snapshot, flattened"]
-        for name, value in flat:
-            base, labels = _split_labels(name)
-            lines.append(f"repro_{base}{labels} {_fmt(value)}")
+        shards = getattr(service, "shards", None)
+        if callable(shards):
+            lines += _stats_lines(service.stats(), "fleet")
+            pipelines = [(s, f'{{worker="{s.name}"}}') for s in shards()]
+        else:
+            pipelines = [(service, "")]
+        for svc, labels in pipelines:
+            lines += _stats_lines(svc.stats(), "service", labels)
+            lines.append(f"repro_service_queue_depth{labels} {svc.queue_depth()}")
         parts.append("\n".join(lines) + "\n")
         windows = getattr(service, "lane_windows", None)
         if callable(windows):

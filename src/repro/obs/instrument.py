@@ -14,6 +14,14 @@ Disabled cost is one ``is None`` test per event: when no probe is active,
 :func:`current` returns ``None`` and every call site skips its hook.  Only
 one profiled run can be active at a time (the active slot is a module
 global, deliberately shared across worker threads).
+
+The probe holds what only it can: spans, time series, and the runtime and
+ℌ-arithmetic counters.  A count that has an owner — a serving request's
+admission, batch or retry, a store lookup, a lane's SLO — lives once, in
+its owner's ``stats()`` (``SolveService``, ``ServeFleet``,
+``FactorizationStore``); ``/metrics`` and run reports read it there.  On the
+serving path the probe sees request spans (``tracer.start``) and the
+admission-queue depth series behind the Chrome counter tracks (``sample``).
 """
 
 from __future__ import annotations
@@ -53,7 +61,7 @@ class Instrumentation:
 
     ``trace_capacity`` sizes the :class:`~repro.obs.tracing.RequestTracer`
     ring buffer of completed request traces (serve path); 0 disables
-    request tracing while keeping the metric hooks live.
+    request tracing while keeping the other hooks live.
     """
 
     def __init__(self, clock=time.perf_counter, *, trace_capacity: int = 64) -> None:
@@ -197,78 +205,6 @@ class Instrumentation:
         reg.inc("krylov.converged" if converged else "krylov.unconverged")
         reg.observe("krylov.iterations", iterations)
         reg.observe("krylov.final_residual", final_residual)
-
-    # -- solve-service hooks --------------------------------------------------
-    def service_admitted(self) -> None:
-        """One request accepted into the solve service's admission queue."""
-        self.registry.inc("service.requests.admitted")
-
-    def service_rejected(self, reason: str) -> None:
-        """One request rejected (``reason``: "queue_full", "closed",
-        "deadline", ...) — the backpressure signal."""
-        self.registry.inc("service.requests.rejected")
-        self.registry.inc(f"service.requests.rejected.{reason}")
-
-    def service_completed(self, latency_seconds: float) -> None:
-        """One admitted request finished successfully; records the
-        admission-to-reply latency decade histogram."""
-        self.registry.inc("service.requests.completed")
-        self.registry.observe("service.latency_seconds", latency_seconds)
-
-    def service_failed(self, reason: str) -> None:
-        """One admitted request failed terminally (after retries)."""
-        self.registry.inc("service.requests.failed")
-        self.registry.inc(f"service.requests.failed.{reason}")
-
-    def service_retry(self) -> None:
-        """One transient failure retried."""
-        self.registry.inc("service.requests.retries")
-
-    def service_batch(self, size: int) -> None:
-        """One micro-batch dispatched as a multi-RHS panel solve."""
-        self.registry.inc("service.batches")
-        self.registry.observe("service.batch_size", size)
-
-    def service_queue_depth(
-        self, depth: int, t: float | None = None, worker: str | None = None
-    ) -> None:
-        """Admission-queue depth after an enqueue/dequeue (gauge + peak +
-        Chrome counter-track series).
-
-        Fleet shards pass their ``worker`` name so per-shard depth stays
-        visible: the labelled gauge/series are recorded per worker while the
-        aggregate ``service.queue_depth_peak`` (which the report's service
-        section reads) still tracks the max over all shards."""
-        if worker is None:
-            self.registry.set_gauge("service.queue_depth", depth)
-            self.registry.max_gauge("service.queue_depth_peak", depth)
-            self.sample("service_queue_depth", depth, t)
-        else:
-            self.registry.set_gauge(f'service.queue_depth{{worker="{worker}"}}', depth)
-            self.registry.max_gauge(f'service.queue_depth_peak{{worker="{worker}"}}', depth)
-            self.registry.max_gauge("service.queue_depth_peak", depth)
-            self.sample(f"service_queue_depth[{worker}]", depth, t)
-
-    def fleet_lane_slo(self, lane: str, attainment: float, burn_rate: float) -> None:
-        """Per-lane SLO health after one terminal request outcome."""
-        self.registry.set_gauge(f'fleet.slo_attainment{{lane="{lane}"}}', attainment)
-        self.registry.set_gauge(f'fleet.slo_burn_rate{{lane="{lane}"}}', burn_rate)
-
-    def store_lookup(self, hit: bool) -> None:
-        """One FactorizationStore key lookup."""
-        self.registry.inc("service.store.hits" if hit else "service.store.misses")
-
-    def store_eviction(self) -> None:
-        """One cached factorization evicted to respect the byte budget."""
-        self.registry.inc("service.store.evictions")
-
-    def store_bytes_delta(self, delta: float, t: float | None = None) -> None:
-        """Store cache residency grew/shrank by ``delta`` bytes; feeds the
-        same H-memory accounting as :meth:`h_bytes_delta` plus a dedicated
-        store gauge."""
-        level = self.registry.add_gauge("service.store.bytes", float(delta))
-        self.registry.max_gauge("service.store.peak_bytes", level)
-        self.h_bytes_delta(delta, t)
 
     # -- process-executor hooks -----------------------------------------------
     def process_workers(self, count: int) -> None:

@@ -318,33 +318,6 @@ def _fold(fields: dict, prefix: str, reg) -> dict:
     return out
 
 
-def _service_section(reg) -> dict:
-    """Fold the probe's ``service.*`` metrics into the report's ``service``
-    section (used when the caller has no richer stats dict to contribute).
-    Written out rather than folded along the rows: the registry carries no
-    ``expired``, queue capacity, store entries or budget, and their names do
-    not all follow the path."""
-    return {
-        "requests": {
-            "admitted": int(reg.counter("service.requests.admitted")),
-            "rejected": int(reg.counter("service.requests.rejected")),
-            "completed": int(reg.counter("service.requests.completed")),
-            "failed": int(reg.counter("service.requests.failed")),
-            "retries": int(reg.counter("service.requests.retries")),
-        },
-        "latency_seconds": reg.histogram("service.latency_seconds"),
-        "batch_size": reg.histogram("service.batch_size"),
-        "queue": {"depth_peak": int(reg.gauge("service.queue_depth_peak"))},
-        "store": {
-            "hits": int(reg.counter("service.store.hits")),
-            "misses": int(reg.counter("service.store.misses")),
-            "evictions": int(reg.counter("service.store.evictions")),
-            "bytes": reg.gauge("service.store.bytes"),
-            "peak_bytes": reg.gauge("service.store.peak_bytes"),
-        },
-    }
-
-
 def build_run_report(
     *, probe=None, trace=None, graph=None, meta=None, service=None, fleet=None,
     nested=None, tracing=None, gp=None,
@@ -360,8 +333,7 @@ def build_run_report(
     three sources may be omitted.
 
     ``service`` attaches a solve-service section (see
-    ``repro.service.SolveService.stats``); when omitted, a section is folded
-    from the probe's ``service.*`` metrics if any request was observed.
+    ``repro.service.SolveService.stats``, the one record of its counts).
     ``fleet`` attaches a serve-fleet section
     (``repro.service.ServeFleet.stats``): per-lane admission/shedding
     counters and latency percentiles, routing balance, and replication.
@@ -509,8 +481,6 @@ def build_run_report(
             report["nested"]["program_misses"] = int(reg.counter("nested.program.misses"))
     if service is not None:
         report["service"] = service
-    elif probe is not None and probe.registry.counter("service.requests.admitted"):
-        report["service"] = _service_section(probe.registry)
     if fleet is not None:
         report["fleet"] = fleet
     if gp is not None:

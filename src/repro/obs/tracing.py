@@ -24,7 +24,6 @@ trace start so exported traces are small, portable numbers.
 
 from __future__ import annotations
 
-import json
 import secrets
 import threading
 import time
@@ -305,6 +304,8 @@ def export_request_chrome_trace(
     probe's :attr:`~repro.obs.instrument.Instrumentation.origin` so counter
     samples line up with span timestamps on the shared clock.
     """
+    from ..runtime.trace import write_chrome_trace
+
     if isinstance(traces, dict):
         traces = [traces]
     traces = list(traces)
@@ -312,47 +313,18 @@ def export_request_chrome_trace(
         raise ValueError("no traces to export")
     t_min = min(t["start"] for t in traces)
 
-    lanes: list[str] = []
-    seen = set()
-    for t in traces:
-        for s in t["spans"]:
-            w = s.get("worker") or "request"
-            if w not in seen:
-                seen.add(w)
-                lanes.append(w)
-    lanes.sort()
+    lanes = sorted({s.get("worker") or "request" for t in traces for s in t["spans"]})
     tid_of = {w: i for i, w in enumerate(lanes)}
-
-    events: list[dict] = []
-    for tid, w in enumerate(lanes):
-        events.append(
-            {
-                "name": "thread_name",
-                "ph": "M",
-                "pid": 0,
-                "tid": tid,
-                "args": {"name": w},
-            }
-        )
-        events.append(
-            {
-                "name": "thread_sort_index",
-                "ph": "M",
-                "pid": 0,
-                "tid": tid,
-                "args": {"sort_index": tid},
-            }
-        )
+    spans: list[dict] = []
     for t in traces:
         base = t["start"] - t_min
         for s in t["spans"]:
-            w = s.get("worker") or "request"
             args = {"trace_id": t["trace_id"], "key": t["key"]}
             if t.get("lane"):
                 args["lane"] = t["lane"]
             if s.get("meta"):
                 args.update(s["meta"])
-            events.append(
+            spans.append(
                 {
                     "name": s["name"],
                     "cat": s["name"].split(":", 1)[0],
@@ -360,31 +332,15 @@ def export_request_chrome_trace(
                     "ts": (base + s["t0"]) * 1e6,
                     "dur": max(0.0, s["t1"] - s["t0"]) * 1e6,
                     "pid": 0,
-                    "tid": tid_of[w],
+                    "tid": tid_of[s.get("worker") or "request"],
                     "args": args,
                 }
             )
-    for name, series in (counters or {}).items():
-        for t, v in series:
-            events.append(
-                {
-                    "name": name,
-                    "ph": "C",
-                    "ts": (counters_origin + t - t_min) * 1e6,
-                    "pid": 0,
-                    "args": {name: v},
-                }
-            )
-
-    doc = {
-        "traceEvents": events,
-        "displayTimeUnit": "ms",
-        "metadata": {
-            "n_traces": len(traces),
-            "trace_ids": [t["trace_id"] for t in traces],
-            **(metadata or {}),
-        },
+    metadata = {
+        "n_traces": len(traces),
+        "trace_ids": [t["trace_id"] for t in traces],
+        **(metadata or {}),
     }
-    path = Path(path)
-    path.write_text(json.dumps(doc), encoding="utf-8")
-    return path
+    return write_chrome_trace(
+        path, lanes, spans, counters, metadata, origin=counters_origin, t0=t_min
+    )

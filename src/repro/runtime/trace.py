@@ -102,61 +102,62 @@ def export_chrome_trace(trace: ExecutionTrace, path, *, counters=None, metadata=
     merged into the metadata block next to ``nworkers`` / ``makespan`` /
     ``utilization``.  Times are exported in microseconds.
     """
-    events = []
-    for w in range(trace.nworkers):
-        events.append(
-            {
-                "name": "thread_name",
-                "ph": "M",
-                "pid": 0,
-                "tid": w,
-                "args": {"name": f"worker {w}"},
-            }
-        )
-        events.append(
-            {
-                "name": "thread_sort_index",
-                "ph": "M",
-                "pid": 0,
-                "tid": w,
-                "args": {"sort_index": w},
-            }
-        )
-    for e in trace.events:
-        events.append(
-            {
-                "name": f"{e.kind}#{e.task_id}",
-                "cat": e.kind,
-                "ph": "X",
-                "ts": e.start * 1e6,
-                "dur": e.duration * 1e6,
-                "pid": 0,
-                "tid": e.worker,
-            }
-        )
-    for name, samples in (counters or {}).items():
-        for t, value in samples:
-            events.append(
-                {
-                    "name": name,
-                    "ph": "C",
-                    "ts": t * 1e6,
-                    "pid": 0,
-                    "args": {name: value},
-                }
-            )
+    spans = [
+        {
+            "name": f"{e.kind}#{e.task_id}",
+            "cat": e.kind,
+            "ph": "X",
+            "ts": e.start * 1e6,
+            "dur": e.duration * 1e6,
+            "pid": 0,
+            "tid": e.worker,
+        }
+        for e in trace.events
+    ]
     meta = {
         "nworkers": trace.nworkers,
         "makespan": trace.makespan,
         "utilization": trace.utilization(),
     }
     meta.update(metadata or {})
-    payload = {
-        "traceEvents": events,
-        "displayTimeUnit": "ms",
-        "metadata": meta,
-    }
+    lanes = [f"worker {w}" for w in range(trace.nworkers)]
+    return write_chrome_trace(path, lanes, spans, counters, meta)
+
+
+def write_chrome_trace(path, lanes, spans, counters, metadata, *, origin=0.0, t0=0.0) -> Path:
+    """Write one Chrome tracing JSON document (the one writer behind
+    :func:`export_chrome_trace` and
+    :func:`~repro.obs.tracing.export_request_chrome_trace`).
+
+    ``lanes[tid]`` names thread ``tid`` (a ``thread_name`` and a
+    ``thread_sort_index`` ``"M"`` event each); ``spans`` are the ``"X"``
+    events, written as given; each ``counters`` sample ``(t, value)`` of a
+    series becomes a ``"C"`` event at ``origin + t - t0`` seconds.  Times
+    are in microseconds, displayed in milliseconds.
+    """
+    events = []
+    for tid, name in enumerate(lanes):
+        events.append(
+            {"name": "thread_name", "ph": "M", "pid": 0, "tid": tid, "args": {"name": name}}
+        )
+        events.append(
+            {"name": "thread_sort_index", "ph": "M", "pid": 0, "tid": tid,
+             "args": {"sort_index": tid}}
+        )
+    events.extend(spans)
+    for name, samples in (counters or {}).items():
+        for t, value in samples:
+            events.append(
+                {
+                    "name": name,
+                    "ph": "C",
+                    "ts": (origin + t - t0) * 1e6,
+                    "pid": 0,
+                    "args": {name: value},
+                }
+            )
+    payload = {"traceEvents": events, "displayTimeUnit": "ms", "metadata": metadata}
     p = Path(path)
     p.parent.mkdir(parents=True, exist_ok=True)
-    p.write_text(json.dumps(payload))
+    p.write_text(json.dumps(payload), encoding="utf-8")
     return p

@@ -623,7 +623,6 @@ class ServeFleet:
     def _finalize(self, request: _FleetRequest, *, result=None, error=None) -> None:
         now = self._clock()
         state = self._lanes[request.lane]
-        slo = None
         with self._lock:
             if request.ticket.done():
                 return
@@ -636,10 +635,6 @@ class ServeFleet:
                 if isinstance(error, DeadlineExceededError):
                     state.expired += 1
                 state._score_slo(True)
-            slo = state.slo_stats()
-        probe = obs_current()
-        if probe is not None and slo is not None:
-            probe.fleet_lane_slo(request.lane, slo["attainment"], slo["burn_rate"])
         if request.trace is not None:
             request.trace.finish(
                 "ok" if error is None else getattr(error, "code", type(error).__name__)
@@ -794,6 +789,11 @@ class ServeFleet:
             out[name] = snap
         return out
 
+    def shards(self) -> list[SolveService]:
+        """Each worker's :class:`SolveService`, in worker order (failed ones
+        included): the record of what that shard counted."""
+        return [w.service for w in self._workers]
+
     def worker_stats(self) -> list[dict]:
         """Each worker's full :meth:`SolveService.stats` (debugging/ops)."""
-        return [w.service.stats() for w in self._workers]
+        return [s.stats() for s in self.shards()]

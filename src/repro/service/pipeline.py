@@ -37,11 +37,12 @@ Design rules, in order of priority:
   provider or the solve is retried up to ``max_retries`` times for the whole
   batch; any other exception fails the batch's requests at once.
 
-Everything is observable twice: through the ambient
-:class:`~repro.obs.Instrumentation` probe (``service.*`` metrics, folded into
-run reports) and through the service's own :meth:`SolveService.stats` —
-which also carries exact p50/p95 latencies from a bounded reservoir, since
-decade buckets are too coarse for tail-latency reporting.
+Every count lives once, in :meth:`SolveService.stats` (the run report's
+``service`` section and the ``repro_service_*`` families of ``/metrics``),
+with exact p50/p95 latencies from a bounded reservoir, since decade buckets
+are too coarse for tail-latency reporting.  An active
+:class:`~repro.obs.Instrumentation` probe sees request spans and the
+admission-queue depth series behind the Chrome counter tracks.
 """
 
 from __future__ import annotations
@@ -191,9 +192,9 @@ class SolveService:
         ``store.get_or_build(key, lambda: build_solver(spec))``.  Tests
         inject failures here.
     name:
-        Label for this pipeline in traces and per-worker telemetry (fleet
-        shards pass their worker name; ``None`` keeps the single-service
-        unlabelled metric paths).
+        Label for this pipeline in traces, in its queue-depth series
+        (``service_queue_depth[name]``) and in ``/metrics`` (fleet shards pass
+        their worker name; ``None`` keeps the unlabelled single-service forms).
     """
 
     def __init__(
@@ -219,6 +220,7 @@ class SolveService:
         self.max_queue = max_queue
         self.max_retries = max_retries
         self.name = name
+        self._depth_series = "service_queue_depth" + (f"[{name}]" if name else "")
         self._provider = solver_provider or self._default_provider
         self._clock = clock
         # Expired requests are shed while a batch forms, not when the worker
@@ -273,13 +275,9 @@ class SolveService:
         with self._lock:
             if self._closed:
                 self._rejected += 1
-                if probe is not None:
-                    probe.service_rejected("closed")
                 raise ServiceClosedError("service is shutting down; request rejected")
             if self._inflight >= self.max_queue:
                 self._rejected += 1
-                if probe is not None:
-                    probe.service_rejected("queue_full")
                 raise QueueFullError(
                     f"admission queue full ({self._inflight}/{self.max_queue}); retry later"
                 )
@@ -289,8 +287,7 @@ class SolveService:
             if depth > self._depth_peak:
                 self._depth_peak = depth
         if probe is not None:
-            probe.service_admitted()
-            probe.service_queue_depth(depth, worker=self.name)
+            probe.sample(self._depth_series, depth)
         ticket = SolveTicket(key, now)
         r = _Request(spec, rhs, deadline, ticket)
         # Adopt the caller's ambient trace (the fleet activates its context
@@ -372,11 +369,8 @@ class SolveService:
         if not live:
             return
 
-        probe = obs_current()
         with self._lock:
             self._batch_hist.observe(len(live))
-        if probe is not None:
-            probe.service_batch(len(live))
 
         # Queue-wait / batch-wait spans: the time from submit to this worker
         # picking the batch up, and the slice of it the batcher deliberately
@@ -423,8 +417,6 @@ class SolveService:
                     if attempt < self.max_retries:
                         with self._lock:
                             self._retries += 1
-                        if probe is not None:
-                            probe.service_retry()
                 except Exception as exc:  # non-retryable: fail the batch at once
                     error = exc
                     break
@@ -453,11 +445,7 @@ class SolveService:
                 if expired:
                     self._expired += 1
         if probe is not None:
-            probe.service_queue_depth(depth, worker=self.name)
-            if error is None:
-                probe.service_completed(now - r.ticket.submitted_at)
-            else:
-                probe.service_failed(getattr(error, "code", type(error).__name__))
+            probe.sample(self._depth_series, depth)
         if r.trace is not None and r.owns_trace:
             # Fleet-owned traces are finished by the fleet's finalizer (it
             # appends routing outcome first); ours end here.

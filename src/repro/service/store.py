@@ -10,9 +10,11 @@ The store maps a **fingerprint** (see
   can be shipped between replicas; a legacy ``<fingerprint>.npz`` is still a
   hit;
 * **memory** — an LRU cache of loaded solvers under a configurable byte
-  budget (``storage_bytes`` of each factorization, the same accounting the
-  obs layer charges to ``h.bytes``), so hot fingerprints solve without
-  touching disk and cold ones do not accumulate without bound.
+  budget (``storage_bytes`` of each factorization), so hot fingerprints
+  solve without touching disk and cold ones do not accumulate without bound.
+
+:meth:`FactorizationStore.stats` is the one record of hits, misses,
+evictions and resident bytes; the obs probe counts none of them.
 
 A ``get`` that finds the fingerprint in either tier is a **hit** (the
 expensive factorization is skipped); only a fingerprint absent from both is
@@ -30,7 +32,6 @@ from pathlib import Path
 import time
 
 from ..core import TileHMatrix
-from ..obs import current as obs_current
 from ..obs.tracing import current_trace
 
 __all__ = ["FactorizationStore"]
@@ -158,7 +159,6 @@ class FactorizationStore:
             if entry is not None:
                 self._cache.move_to_end(key)
                 self.hits += 1
-                self._observe_lookup(True)
                 if ctx is not None:
                     ctx.add_span("store-hit", t0, time.perf_counter(), tier="memory")
                 return entry.solver
@@ -167,14 +167,12 @@ class FactorizationStore:
             solver = TileHMatrix.load(path, mmap=self.mmap)
             with self._lock:
                 self.hits += 1
-            self._observe_lookup(True)
             self._insert(key, solver)
             if ctx is not None:
                 ctx.add_span("store-load", t0, time.perf_counter(), tier="disk")
             return solver
         with self._lock:
             self.misses += 1
-        self._observe_lookup(False)
         if ctx is not None:
             ctx.add_span("store-miss", t0, time.perf_counter())
         return None
@@ -216,7 +214,7 @@ class FactorizationStore:
             if entry is None:
                 return False
             self._bytes -= entry.nbytes
-        self._observe_bytes(-entry.nbytes, evicted=True)
+            self.evictions += 1
         return True
 
     def clear_memory(self) -> None:
@@ -229,7 +227,6 @@ class FactorizationStore:
     # -- internals -------------------------------------------------------------
     def _insert(self, key: str, solver: TileHMatrix) -> None:
         nbytes = int(solver.storage_bytes())
-        evicted: list[tuple[str, int]] = []
         with self._lock:
             old = self._cache.pop(key, None)
             if old is not None:
@@ -240,26 +237,6 @@ class FactorizationStore:
                 # Evict cold entries, never the one just inserted: a single
                 # over-budget factorization must still be servable.
                 while self._bytes > self.budget_bytes and len(self._cache) > 1:
-                    k, e = self._cache.popitem(last=False)
+                    _, e = self._cache.popitem(last=False)
                     self._bytes -= e.nbytes
-                    evicted.append((k, e.nbytes))
-        delta = nbytes - (old.nbytes if old is not None else 0)
-        if delta:
-            self._observe_bytes(delta)
-        for _, nb in evicted:
-            self._observe_bytes(-nb, evicted=True)
-
-    def _observe_lookup(self, hit: bool) -> None:
-        probe = obs_current()
-        if probe is not None:
-            probe.store_lookup(hit)
-
-    def _observe_bytes(self, delta: int, *, evicted: bool = False) -> None:
-        if evicted:
-            with self._lock:
-                self.evictions += 1
-        probe = obs_current()
-        if probe is not None:
-            probe.store_bytes_delta(delta)
-            if evicted:
-                probe.store_eviction()
+                    self.evictions += 1

@@ -181,34 +181,3 @@ class TestInstrumentation:
         assert probe.registry.counter("h.aca.kernel_entries") == 1350 + 90
         assert probe.registry.counter("h.aca.dense_entries") == 100 * 50 + 10 * 20
 
-
-class TestWorkerLabelledQueueDepth:
-    def test_unlabelled_path_unchanged(self):
-        probe = Instrumentation()
-        probe.service_queue_depth(3)
-        probe.service_queue_depth(1)
-        reg = probe.registry
-        assert reg.gauge("service.queue_depth") == 1
-        assert reg.gauge("service.queue_depth_peak") == 3
-        assert "service_queue_depth" in probe.series
-
-    def test_worker_label_gets_own_series_and_aggregate_peak(self):
-        probe = Instrumentation()
-        probe.service_queue_depth(5, worker="w0")
-        probe.service_queue_depth(2, worker="w1")
-        reg = probe.registry
-        assert reg.gauge('service.queue_depth{worker="w0"}') == 5
-        assert reg.gauge('service.queue_depth{worker="w1"}') == 2
-        assert reg.gauge('service.queue_depth_peak{worker="w0"}') == 5
-        # The aggregate peak (what the report's service section reads) still
-        # tracks the fleet-wide maximum.
-        assert reg.gauge("service.queue_depth_peak") == 5
-        assert "service_queue_depth[w0]" in probe.series
-        assert "service_queue_depth[w1]" in probe.series
-
-    def test_fleet_slo_gauges(self):
-        probe = Instrumentation()
-        probe.fleet_lane_slo("interactive", 0.95, 0.05)
-        reg = probe.registry
-        assert reg.gauge('fleet.slo_attainment{lane="interactive"}') == 0.95
-        assert reg.gauge('fleet.slo_burn_rate{lane="interactive"}') == 0.05

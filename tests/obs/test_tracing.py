@@ -200,10 +200,10 @@ class TestFleetProcessAcceptance:
             finally:
                 fleet.close()
         traces = {t["key"]: t for t in probe.tracer.traces()}
-        return probe, traces, (spec_a, shard_a), (spec_b, shard_b)
+        return probe, traces, (spec_a, shard_a), (spec_b, shard_b), fleet
 
     def test_both_traces_complete_across_shards(self, fleet_run):
-        probe, traces, (spec_a, shard_a), (spec_b, shard_b) = fleet_run
+        probe, traces, (spec_a, shard_a), (spec_b, shard_b), _ = fleet_run
         assert shard_a != shard_b
         assert len(traces) == 2
         for spec, shard in ((spec_a, shard_a), (spec_b, shard_b)):
@@ -222,14 +222,13 @@ class TestFleetProcessAcceptance:
             assert solve["worker"] == f"w{shard}"
 
     def test_lanes_and_slo_recorded(self, fleet_run):
-        probe, traces, (spec_a, _), (spec_b, _) = fleet_run
+        _, traces, (spec_a, _), (spec_b, _), fleet = fleet_run
         assert traces[spec_fingerprint(spec_a)]["lane"] == "interactive"
         assert traces[spec_fingerprint(spec_b)]["lane"] == "batch"
-        reg = probe.registry.as_dict()
-        assert reg["gauges"].get('fleet.slo_attainment{lane="interactive"}') == 1.0
+        assert fleet.stats()["lanes"]["interactive"]["slo"]["attainment"] == 1.0
 
     def test_single_chrome_trace_round_trips(self, fleet_run, tmp_path):
-        probe, traces, _, _ = fleet_run
+        probe, traces, _, _, _ = fleet_run
         path = export_request_chrome_trace(
             list(traces.values()),
             tmp_path / "fleet.trace.json",

@@ -4,6 +4,7 @@ import contextlib
 import threading
 import time
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -13,9 +14,12 @@ from repro.obs.report import build_run_report, validate_report
 from repro.service import (
     BadRequestError,
     DeadlineExceededError,
+    DeadlineUnmeetableError,
     FactorizationStore,
+    LaneConfig,
     MicroBatcher,
     QueueFullError,
+    ServeFleet,
     ServiceClosedError,
     SolveService,
     TransientSolveError,
@@ -391,20 +395,18 @@ class TestWarmStoreSkipsFactorization:
         # the request must be a store *hit* with zero misses -> the expensive
         # factorization never ran.
         FactorizationStore(tmp_path).put(key, solver)
-        with Instrumentation() as probe:
-            svc = SolveService(FactorizationStore(tmp_path), workers=1)
-            x = svc.solve(spec, rhs)
-            svc.close()
+        svc = SolveService(FactorizationStore(tmp_path), workers=1)
+        x = svc.solve(spec, rhs)
+        svc.close()
         assert np.array_equal(x, solver.solve(rhs))
-        assert probe.registry.counter("service.store.hits") == 1
-        assert probe.registry.counter("service.store.misses") == 0
+        assert svc.stats()["store"]["hits"] == 1
+        assert svc.stats()["store"]["misses"] == 0
 
     def test_cold_start_is_a_miss(self, spec, rhs, tmp_path):
-        with Instrumentation() as probe:
-            svc = SolveService(FactorizationStore(tmp_path), workers=1)
-            svc.solve(spec, rhs)
-            svc.close()
-        assert probe.registry.counter("service.store.misses") == 1
+        svc = SolveService(FactorizationStore(tmp_path), workers=1)
+        svc.solve(spec, rhs)
+        svc.close()
+        assert svc.stats()["store"]["misses"] == 1
 
 
 class TestStatsAndReport:
@@ -427,16 +429,80 @@ class TestStatsAndReport:
         assert validate_report(report) == []
         assert report["service"]["requests"]["completed"] == 1
 
-    def test_report_autoderives_from_probe(self, solver, spec, rhs):
-        with Instrumentation() as probe:
-            svc = SolveService(
-                FactorizationStore(), workers=1, solver_provider=lambda k, s: solver
-            )
-            svc.solve(spec, rhs)
-            svc.close()
-        report = build_run_report(probe=probe, meta={})
-        assert validate_report(report) == []
-        assert report["service"]["requests"]["admitted"] == 1
+
+@pytest.mark.parametrize("lane", [None, "interactive", "batch"])
+def test_counts_reconcile_from_the_one_record(lane, solver, spec, rhs):
+    """``stats()`` alone reconciles, for a service (``lane=None``) and for
+    every lane of a fleet: after ``close()`` nothing is in flight, admitted =
+    completed + failed, expired <= failed, and every submit that raised is
+    counted as rejected or shed.  Driven through one transient retry, a
+    queue-full rejection, an expired deadline, an admission shed (fleet
+    lanes) and a rejection after close."""
+    clock = FrozenClock()
+    entered, gate = threading.Event(), threading.Event()
+    calls = []
+
+    def provider(k, s):
+        calls.append(k)
+        if len(calls) == 1:
+            raise TransientSolveError("transient store fault")
+        entered.set()
+        gate.wait(30)
+        return solver
+
+    if lane is None:
+        target = SolveService(
+            FactorizationStore(), workers=1, max_queue=2, max_delay=0.0,
+            max_retries=1, solver_provider=provider, clock=clock,
+        )
+        submit = target.submit
+    else:
+        target = ServeFleet(
+            2, lanes=(LaneConfig("interactive", max_inflight=2),
+                      LaneConfig("batch", max_inflight=2)),
+            max_delay=0.0, max_retries=1, solver_provider=provider, clock=clock,
+        )
+        submit = partial(target.submit, lane=lane)
+    raised = 0
+    try:
+        first = submit(spec, rhs)  # retried once, then held at the gate
+        assert entered.wait(10)
+        late = submit(spec, rhs, timeout=1.0)  # queued behind it
+        with pytest.raises(QueueFullError):
+            submit(spec, rhs)
+        raised += 1
+        clock.t += 5.0  # the queued request's deadline passes
+        gate.set()
+        assert np.array_equal(first.result(timeout=10), solver.solve(rhs))
+        with pytest.raises(DeadlineExceededError):
+            late.result(timeout=10)
+        if lane is not None:
+            # The lane now serves in ~5 s: a 1 s deadline is shed at admission.
+            with pytest.raises(DeadlineUnmeetableError):
+                submit(spec, rhs, timeout=1.0)
+            raised += 1
+    finally:
+        gate.set()
+        target.close()
+    with pytest.raises(ServiceClosedError):
+        submit(spec, rhs)
+    raised += 1
+
+    if lane is None:
+        records = {None: dict(target.stats()["requests"], inflight=target.queue_depth())}
+        retries = target.stats()["requests"]["retries"]
+    else:
+        records = target.stats()["lanes"]
+        retries = sum(st["requests"]["retries"] for st in target.worker_stats())
+    for name, rec in records.items():
+        assert rec["inflight"] == 0
+        assert rec["admitted"] == rec["completed"] + rec["failed"]
+        assert rec["expired"] <= rec["failed"]
+    rec = records[lane]
+    assert (rec["admitted"], rec["completed"], rec["failed"], rec["expired"]) == (2, 1, 1, 1)
+    assert rec["rejected"] + rec.get("shed", 0) == raised
+    assert retries == 1
+    assert target.queue_depth() == 0
 
 
 class TestDoneCallbacks:

@@ -138,8 +138,10 @@ class TestObsIntegration:
             store.get(key)
             store.put(key, solver, persist=False)
             store.get(key)
-        assert probe.registry.counter("service.store.misses") == 1
-        assert probe.registry.counter("service.store.hits") == 1
+        st = store.stats()
+        assert (st["misses"], st["hits"]) == (1, 1)
+        # The store's record is the only one: the probe mirrors none of it.
+        assert not any("store" in name for name in probe.registry.as_dict()["counters"])
 
     def test_bytes_and_eviction_counters(self, solver):
         nbytes = solver.storage_bytes()
@@ -147,9 +149,11 @@ class TestObsIntegration:
             store = FactorizationStore(budget_bytes=int(1.5 * nbytes))
             store.put("a", solver, persist=False)
             store.put("b", solver, persist=False)
-        assert probe.registry.counter("service.store.evictions") == 1
-        assert probe.registry.gauge("service.store.bytes") == nbytes
-        assert probe.registry.gauge("service.store.peak_bytes") >= nbytes
+        st = store.stats()
+        assert st["evictions"] == 1
+        assert st["bytes"] == nbytes and st["entries"] == 1
+        # A put is not an assembly: the probe's h.bytes stays untouched.
+        assert probe.registry.gauge("h.bytes") == 0.0
 
 
 class TestArchiveNaming:
