@@ -16,7 +16,7 @@ and (simulated) parallel performance::
     python -m repro request --url http://127.0.0.1:8750 --n 2000 --check
     python -m repro gp train --kernel sqexp --n 1200 --store /tmp/factors
     python -m repro gp predict --kernel sqexp --n 1200 --store /tmp/factors \
-        --n-test 64 --batch 8
+        --n-test 64
 """
 
 from __future__ import annotations

@@ -10,7 +10,7 @@ side is its cross-covariance column, so concurrent predictions micro-batch
 into panel sweeps)::
 
     python -m repro gp predict --kernel sqexp --n 1200 --length 0.3 \
-        --store /tmp/factors --n-test 64 --batch 8 --profile gp.json
+        --store /tmp/factors --n-test 64 --profile gp.json
 
 ``--direct`` skips the service and predicts in process
 (:meth:`~repro.gp.GPModel.predict`: one panel solve of the whole
@@ -144,9 +144,10 @@ def _predict(args, spec, data) -> int:
         ks = kern(x, x_test)
         train_s = 0.0
         t0 = time.perf_counter()
-        # One kept-alive connection per pool thread, all closed with the client.
+        # One kept-alive connection per pool thread, all closed with the
+        # client; a default server admits 64 requests at once.
         with SolveClient(args.url) as client, \
-                ThreadPoolExecutor(max_workers=max(1, args.batch)) as pool:
+                ThreadPoolExecutor(max_workers=min(args.n_test, 64)) as pool:
             columns = list(pool.map(
                 lambda j: client.solve(spec.canonical(), ks[:, j], timeout=args.timeout),
                 range(args.n_test),
@@ -166,8 +167,7 @@ def _predict(args, spec, data) -> int:
                 FactorizationStore(args.store, mmap=True),
                 workers=args.workers,
                 max_queue=args.n_test + 8,
-                max_batch=args.batch,
-                max_delay=0.05 if args.batch > 1 else 0.0,
+                max_delay=0.05,
             )
         except ValueError as exc:
             return cli_error(exc)
@@ -232,8 +232,6 @@ def gp_main(argv: list[str]) -> int:
     add_timeout(predict)
     add_url(predict)
     predict.add_argument("--n-test", type=int, default=64, help="test points")
-    predict.add_argument("--batch", type=int, default=8,
-                         help="micro-batch panel width (service mode)")
     predict.add_argument("--direct", action="store_true",
                          help="run the in-process prediction instead of the service")
     predict.add_argument("--pcg", action="store_true",

@@ -8,14 +8,16 @@ requests against the same factorization should ride one sweep.  The batcher
 implements exactly that: items are bucketed by fingerprint, and a bucket is
 dispatched when it reaches ``max_batch`` columns or its oldest item has
 waited ``max_delay`` seconds — bounded extra latency in exchange for
-amortization.  An owner that knows how many items exist in all
+amortization (the pipeline passes its admission capacity as ``max_batch``:
+a sweep's fixed cost outweighs its per-column cost at every width measured).
+An owner that knows how many items exist in all
 (``outstanding``: the pipeline's admitted-and-unresolved count) lets a
 bucket go earlier still, as soon as it holds every one of them: waiting
 buys width only while something that is not yet in the bucket could join
 it.  Batch composition never changes the answer: the panel solve is
 column-stable (see :func:`~repro.core.sweep.run_steps`), so a
 request's solution is bit-identical whether it rode alone or in a batch of
-16.
+any width.
 
 The batcher is a passive, thread-safe data structure: producers ``add``,
 consumers (the pipeline's workers) ``take``; it never spawns threads.
@@ -46,8 +48,8 @@ class MicroBatcher:
     Parameters
     ----------
     max_batch:
-        Dispatch a bucket as soon as it holds this many items (also the
-        panel width cap of the downstream multi-RHS solve).
+        Dispatch a bucket as soon as it holds this many items (the panel
+        width cap of the downstream solve; a pipeline passes ``max_queue``).
     max_delay:
         Dispatch a non-empty bucket once its *oldest* item has waited this
         long, even if under-full.  ``0`` degenerates to one-item batches
@@ -84,7 +86,7 @@ class MicroBatcher:
         (the default) only the size/age/drain rules apply.
     """
 
-    def __init__(self, *, max_batch: int = 8, max_delay: float = 0.002,
+    def __init__(self, *, max_batch: int = 64, max_delay: float = 0.002,
                  clock=time.monotonic, shed=None, on_shed=None, on_batch=None,
                  outstanding=None) -> None:
         if max_batch < 1:
@@ -160,8 +162,8 @@ class MicroBatcher:
                         live.append(item)
             items = live[: self.max_batch]
             rest = live[self.max_batch:]
-            if rest:
-                nb = _Bucket(now)
+            if rest:  # the rest keeps its age: max_delay bounds every wait
+                nb = _Bucket(bucket.oldest)
                 nb.items = rest
                 self._buckets[key] = nb
                 self._buckets.move_to_end(key)

@@ -64,8 +64,6 @@ def serve_main(argv: list[str]) -> int:
                         help="fleet: latency SLO (seconds) of the batch lane")
     parser.add_argument("--max-queue", type=int, default=64,
                         help="admission capacity before requests are rejected (429)")
-    parser.add_argument("--max-batch", type=int, default=8,
-                        help="micro-batch panel width")
     parser.add_argument("--max-delay", type=float, default=0.002,
                         help="max seconds a request waits for batch-mates")
     parser.add_argument("--max-retries", type=int, default=2,
@@ -93,8 +91,8 @@ def serve_main(argv: list[str]) -> int:
     if probe is not None:
         probe.__enter__()
     try:
-        knobs = dict(max_queue=args.max_queue, max_batch=args.max_batch,
-                     max_delay=args.max_delay, max_retries=args.max_retries)
+        knobs = dict(max_queue=args.max_queue, max_delay=args.max_delay,
+                     max_retries=args.max_retries)
         try:
             if args.fleet > 0:
                 service = ServeFleet(
@@ -121,12 +119,11 @@ def serve_main(argv: list[str]) -> int:
         host, port = server.server_address[:2]
         if args.fleet > 0:
             print(f"serving   : http://{host}:{port} "
-                  f"(fleet of {args.fleet}, queue {args.max_queue}/worker, "
-                  f"batch {args.max_batch}, lanes interactive/"
-                  f"{args.interactive_inflight} batch/{args.batch_inflight})")
+                  f"(fleet of {args.fleet}, queue {args.max_queue}/worker, lanes "
+                  f"interactive/{args.interactive_inflight} batch/{args.batch_inflight})")
         else:
             print(f"serving   : http://{host}:{port} "
-                  f"({args.workers} workers, queue {args.max_queue}, batch {args.max_batch})")
+                  f"({args.workers} workers, queue {args.max_queue})")
         print(f"store     : {args.store or 'in-memory only'}"
               + (f", budget {args.budget_mb:g} MiB" if budget is not None else ""))
         if service.keys():
@@ -167,8 +164,7 @@ def serve_main(argv: list[str]) -> int:
     if args.profile is not None:
         from ..obs import build_run_report, write_report
 
-        meta = {"mode": "serve", "workers": args.workers,
-                "max_batch": args.max_batch, "max_queue": args.max_queue}
+        meta = {"mode": "serve", "workers": args.workers, "max_queue": args.max_queue}
         if args.fleet > 0:
             meta["fleet"] = args.fleet
             report = build_run_report(probe=probe, meta=meta, fleet=service.stats())

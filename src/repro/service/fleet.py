@@ -361,7 +361,8 @@ class ServeFleet:
         Re-dispatch attempts for a request orphaned by a worker crash.
     service_threads / max_queue / max_batch / max_delay / max_retries /
     solver_provider:
-        Forwarded to each worker's :class:`SolveService`.
+        Forwarded to each worker's :class:`SolveService` (``max_batch``
+        defaults to its ``max_queue``).
     """
 
     def __init__(
@@ -378,7 +379,7 @@ class ServeFleet:
         vnodes: int = 128,
         service_threads: int = 1,
         max_queue: int = 64,
-        max_batch: int = 8,
+        max_batch: int | None = None,
         max_delay: float = 0.002,
         max_retries: int = 2,
         solver_provider=None,
@@ -577,17 +578,15 @@ class ServeFleet:
                 t_r0, time.perf_counter(),
                 shard=w.name, attempt=request.attempts,
             )
-        now = self._clock()
-        remaining = None
-        if request.deadline is not None:
-            remaining = max(0.0, request.deadline - now)
         with self._lock:
             w.pending[request] = None
         try:
             # Activate the trace so the shard's pipeline adopts it (the
-            # queue-wait/batch-wait/solve spans land on this request).
+            # queue-wait/batch-wait/solve spans land on this request).  The
+            # rhs was checked and the key computed once, at fleet admission.
             with ctx.activate() if ctx is not None else _null_ctx():
-                inner = w.service.submit(request.spec, request.rhs, timeout=remaining)
+                inner = w.service._enqueue(request.spec, request.rhs,
+                                           request.ticket.key, request.deadline)
         except ServiceClosedError:
             # The worker drained underneath us: treat as a crash, re-home
             # its keys, and retry this request on the survivors.

@@ -29,9 +29,9 @@ Design rules, in order of priority:
   (being solved, queued under another key, or between admission and the
   batcher).  A bucket that holds every unresolved request of this pipeline
   goes out at once: a lone request never waits, a burst still coalesces
-  behind a busy worker.  Requests resolve on the worker threads, which come
-  straight back to ``take``, so the rule is looked at again each time one
-  does.
+  behind a busy worker, into one sweep up to ``max_queue`` wide.  Requests
+  resolve on the worker threads, which come straight back to ``take``, so
+  the rule is looked at again each time one does.
 * **Transient failures retry, others don't.**
   :class:`~repro.service.errors.TransientSolveError` from the solver
   provider or the solve is retried up to ``max_retries`` times for the whole
@@ -180,7 +180,7 @@ class SolveService:
         contract.
     max_batch / max_delay:
         Micro-batching knobs (see :class:`~repro.service.batcher.MicroBatcher`).
-        ``max_batch`` is also the panel width of the fused solve;
+        ``max_batch`` (default ``max_queue``) is the widest panel of a sweep;
         ``max_delay`` is the upper bound on the coalescing wait, paid only
         while another admitted request could still join the bucket.
     max_retries:
@@ -203,7 +203,7 @@ class SolveService:
         *,
         workers: int = 2,
         max_queue: int = 64,
-        max_batch: int = 8,
+        max_batch: int | None = None,
         max_delay: float = 0.002,
         max_retries: int = 2,
         solver_provider=None,
@@ -227,7 +227,8 @@ class SolveService:
         # dequeues it: a dead request must never occupy one of the max_batch
         # panel slots that a live straggler could have ridden.
         self._batcher = MicroBatcher(
-            max_batch=max_batch, max_delay=max_delay, clock=clock,
+            max_batch=max_queue if max_batch is None else max_batch,
+            max_delay=max_delay, clock=clock,
             shed=lambda r, now: r.deadline is not None and now > r.deadline,
             on_shed=self._shed_expired,
             on_batch=self._on_batch_formed,
@@ -267,10 +268,14 @@ class SolveService:
         """
         if not isinstance(spec, ProblemSpec):
             spec = ProblemSpec.from_dict(spec)
-        rhs = self._check_rhs(spec, rhs)
-        key = spec_fingerprint(spec)
+        rhs = check_rhs(spec, rhs)
+        deadline = None if timeout is None else self._clock() + timeout
+        return self._enqueue(spec, rhs, spec_fingerprint(spec), deadline)
+
+    def _enqueue(self, spec: ProblemSpec, rhs: np.ndarray, key: str,
+                 deadline: float | None) -> SolveTicket:
+        """Admit a request whose rhs is checked and key computed (submit, fleet)."""
         now = self._clock()
-        deadline = None if timeout is None else now + timeout
         probe = obs_current()
         with self._lock:
             if self._closed:
@@ -304,9 +309,6 @@ class SolveService:
     def solve(self, spec, rhs, *, timeout: float | None = None) -> np.ndarray:
         """Synchronous convenience: :meth:`submit` and wait for the result."""
         return self.submit(spec, rhs, timeout=timeout).result()
-
-    def _check_rhs(self, spec: ProblemSpec, rhs) -> np.ndarray:
-        return check_rhs(spec, rhs)
 
     def keys(self) -> list[str]:
         """Fingerprints available in the backing store (either tier)."""

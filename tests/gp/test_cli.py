@@ -44,7 +44,7 @@ class TestPredictService:
         path = tmp_path / "predict.json"
         rc = main([
             "gp", "predict", *ARGS, "--store", str(tmp_path / "store"),
-            "--n-test", "24", "--batch", "4", "--profile", str(path),
+            "--n-test", "24", "--profile", str(path),
         ])
         assert rc == 0
         out = capsys.readouterr().out
@@ -64,8 +64,7 @@ class TestPredictService:
         store = str(tmp_path / "store")
         assert main(["gp", "train", *ARGS, "--store", store]) == 0
         capsys.readouterr()
-        rc = main(["gp", "predict", *ARGS, "--store", store, "--n-test", "8",
-                   "--batch", "4"])
+        rc = main(["gp", "predict", *ARGS, "--store", store, "--n-test", "8"])
         assert rc == 0
         assert "posterior" in capsys.readouterr().out
 

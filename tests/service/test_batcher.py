@@ -53,6 +53,17 @@ class TestDispatchRules:
             sizes.append(len(got[1]))
         assert sizes == [2, 2, 1]
 
+    def test_split_remainder_keeps_its_oldest_time(self, clock):
+        """``max_delay`` bounds every item's wait: the rest of a bucket cut at
+        ``max_batch`` matures when the bucket it came from would have."""
+        b = MicroBatcher(max_batch=2, max_delay=1.0, clock=clock)
+        for i in range(3):
+            b.add("k", i)
+        clock.t = 0.9
+        assert b.take(timeout=0) == ("k", [0, 1])
+        clock.t = 1.0
+        assert b.take(timeout=0) == ("k", [2])
+
     def test_keys_do_not_mix(self, clock):
         b = MicroBatcher(max_batch=4, max_delay=0.0, clock=clock)
         b.add("a", 1)

@@ -196,6 +196,41 @@ def test_closed_fleet_rejects(spec, solver, rhs):
     assert lanes["interactive"]["rejected"] == 0
 
 
+def test_fleet_admits_a_request_once(spec, solver, rhs, monkeypatch):
+    """The fleet checks a request's rhs and computes its key once; the shard
+    enqueues what the fleet admitted.  Typed rejections are unchanged."""
+    from repro.service import fleet as fleet_module
+    from repro.service import pipeline as pipeline_module
+
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module in (fleet_module, pipeline_module):
+        for name in ("check_rhs", "spec_fingerprint"):
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    provider, gate = _gated_provider(solver)
+    fleet = ServeFleet(1, solver_provider=provider, max_queue=1,
+                       replicate_hot_after=None)
+    try:
+        ticket = fleet.submit(spec, rhs)
+        assert calls == {"check_rhs": 1, "spec_fingerprint": 1}
+        with pytest.raises(QueueFullError):  # the shard's admission is full
+            fleet.submit(spec, rhs)
+        with pytest.raises(BadRequestError):
+            fleet.submit(spec, rhs[:-1])
+        gate.set()
+        np.testing.assert_array_equal(ticket.result(timeout=30.0), solver.solve(rhs))
+        assert fleet.stats()["lanes"]["interactive"]["rejected"] == 1
+    finally:
+        gate.set()
+        fleet.close()
+
+
 # -- crash re-routing ---------------------------------------------------------
 
 
@@ -305,6 +340,35 @@ def test_fleet_solve_bit_identical_to_single_service(spec, rhs, tmp_path):
     finally:
         fleet.close()
     assert spec_fingerprint(spec) in fleet.keys()
+
+
+def test_burst_of_one_key_rides_one_sweep_per_shard(spec, solver, rhs):
+    """A default fleet's shards batch up to their admission capacity: 40
+    requests of one key queued behind its busy shard ride one sweep of 40,
+    each answer the bits of a standalone solve."""
+    gate, entered = threading.Event(), threading.Event()
+
+    def provider(k, s):
+        entered.set()
+        assert gate.wait(10.0)
+        return solver
+
+    fleet = ServeFleet(2, solver_provider=provider, clock=lambda: 0.0)
+    rng = np.random.default_rng(5)
+    burst = [rng.standard_normal(spec.n) for _ in range(40)]
+    try:
+        first = fleet.submit(spec, rhs)
+        assert entered.wait(10.0)  # went out alone; the key's shard is busy
+        tickets = [fleet.submit(spec, b) for b in burst]
+        gate.set()
+        np.testing.assert_array_equal(first.result(timeout=30.0), solver.solve(rhs))
+        for t, b in zip(tickets, burst):
+            np.testing.assert_array_equal(t.result(timeout=30.0), solver.solve(b))
+        shard = fleet.worker_stats()[fleet.worker_for(spec_fingerprint(spec))]
+    finally:
+        gate.set()
+        fleet.close()
+    assert (shard["batch_size"]["count"], shard["batch_size"]["max"]) == (2, 40)
 
 
 ONE_KEY_SPECS = [

@@ -218,6 +218,35 @@ class TestHoldRule:
         assert order == ["first", "second"]
         assert svc.stats()["batch_size"]["count"] == 2
 
+    def test_burst_of_one_key_rides_one_sweep_at_the_default_width(self, solver, spec, rhs):
+        """``max_batch`` defaults to ``max_queue``: 40 requests queued behind
+        a busy worker leave in one sweep of 40, each answer the bits of a
+        standalone solve."""
+        gate, entered = threading.Event(), threading.Event()
+
+        def blocked_provider(k, s):
+            entered.set()
+            gate.wait(30)
+            return solver
+
+        svc = SolveService(FactorizationStore(), solver_provider=blocked_provider,
+                           clock=FrozenClock())
+        rng = np.random.default_rng(4)
+        burst = [rng.standard_normal(spec.n) for _ in range(40)]
+        try:
+            first = svc.submit(spec, rhs)
+            assert entered.wait(10)  # went out alone; its worker is now busy
+            tickets = [svc.submit(spec, b) for b in burst]
+            gate.set()
+            assert np.array_equal(first.result(timeout=30), solver.solve(rhs))
+            for t, b in zip(tickets, burst):
+                assert np.array_equal(t.result(timeout=30), solver.solve(b))
+        finally:
+            gate.set()
+            svc.close()
+        widths = svc.stats()["batch_size"]
+        assert (widths["count"], widths["max"]) == (2, 40)
+
     def test_lone_traced_request_has_no_batch_wait_span(self, solver, spec, rhs):
         with Instrumentation(trace_capacity=4) as probe:
             svc = SolveService(

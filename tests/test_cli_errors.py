@@ -15,7 +15,6 @@ ARGVS = [
     ["gp", "train", "--n", "1"],
     ["gp", "train", "--nb", "0"],
     ["serve", "--workers", "0"],
-    ["serve", "--max-batch", "0"],
     ["gp", "predict", "--n-test", "0"],
     ["--format", "hmat", "--exec", "threaded"],
     ["--exec", "threaded", "--nworkers", "0"],

@@ -65,7 +65,6 @@ SURFACE = {
         '--interactive-slo': (None, None),
         '--batch-slo': (None, None),
         '--max-queue': (None, 64),
-        '--max-batch': (None, 8),
         '--max-delay': (None, 0.002),
         '--max-retries': (None, 2),
         '--mmap': (None, False),
@@ -119,7 +118,6 @@ SURFACE = {
         '--mmap': (None, False),
         '--profile': (None, None),
         '--n-test': (None, 64),
-        '--batch': (None, 8),
         '--workers': (None, 2),
         '--timeout': (None, None),
         '--url': (None, None),
@@ -179,14 +177,14 @@ NAMESPACES = [
      {'host': '127.0.0.1', 'port': 8750, 'store': '/tmp/factors', 'budget_mb': None, 'workers': 2,
       'fleet': 0, 'hot_after': 16, 'replicas': 2, 'interactive_inflight': 64,
       'batch_inflight': 256, 'interactive_slo': None, 'batch_slo': None, 'max_queue': 64,
-      'max_batch': 8, 'max_delay': 0.002, 'max_retries': 2,
+      'max_delay': 0.002, 'max_retries': 2,
       'mmap': False, 'profile': 'serve.json', 'trace_requests': 64}),
     ('serve', ['--port', '8751', '--store', '/tmp/fleet-factors', '--fleet', '2', '--workers', '1',
                '--profile', 'fleet.json', '--interactive-slo', '30', '--batch-slo', '60'],
      {'host': '127.0.0.1', 'port': 8751, 'store': '/tmp/fleet-factors', 'budget_mb': None,
       'workers': 1, 'fleet': 2, 'hot_after': 16, 'replicas': 2, 'interactive_inflight': 64,
       'batch_inflight': 256, 'interactive_slo': 30.0, 'batch_slo': 60.0, 'max_queue': 64,
-      'max_batch': 8, 'max_delay': 0.002, 'max_retries': 2,
+      'max_delay': 0.002, 'max_retries': 2,
       'mmap': False, 'profile': 'fleet.json', 'trace_requests': 64}),
     ('request', ['--url', 'http://127.0.0.1:8750', '--kernel', 'laplace', '--n', '300', '--nb',
                  '100', '--count', '2', '--check'],
@@ -209,11 +207,11 @@ NAMESPACES = [
      {'command': 'train', 'kernel': 'sqexp', 'n': 300, 'geometry': 'cylinder', 'length': 0.4,
       'signal': 1.0, 'noise': 0.05, 'nb': 100, 'eps': 1e-06, 'leaf_size': 40, 'seed': 0,
       'store': None, 'mmap': False, 'profile': 'train.json'}),
-    ('gp', ['predict', *GP_ARGS, '--store', 'store', '--n-test', '24', '--batch', '4', '--profile',
+    ('gp', ['predict', *GP_ARGS, '--store', 'store', '--n-test', '24', '--profile',
             'predict.json'],
      {'command': 'predict', 'kernel': 'sqexp', 'n': 300, 'geometry': 'cylinder', 'length': 0.4,
       'signal': 1.0, 'noise': 0.05, 'nb': 100, 'eps': 1e-06, 'leaf_size': 40, 'seed': 0,
-      'store': 'store', 'mmap': False, 'profile': 'predict.json', 'n_test': 24, 'batch': 4,
+      'store': 'store', 'mmap': False, 'profile': 'predict.json', 'n_test': 24,
       'workers': 2, 'timeout': None,
       'url': None, 'direct': False, 'pcg': False, 'pcg_rtol': 1e-08}),
     ('gp', ['predict', *GP_ARGS, '--direct', '--pcg', '--pcg-rtol', '1e-10', '--n-test', '16',
@@ -221,7 +219,7 @@ NAMESPACES = [
      {'command': 'predict', 'kernel': 'sqexp', 'n': 300, 'geometry': 'cylinder', 'length': 0.4,
       'signal': 1.0, 'noise': 0.05, 'nb': 100, 'eps': 1e-06, 'leaf_size': 40, 'seed': 0,
       'store': None, 'mmap': False, 'profile': 'pcg.json',
-      'n_test': 16, 'batch': 8, 'workers': 2, 'timeout': None, 'url': None, 'direct': True,
+      'n_test': 16, 'workers': 2, 'timeout': None, 'url': None, 'direct': True,
       'pcg': True, 'pcg_rtol': 1e-10}),
 ]
 
