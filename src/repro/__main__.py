@@ -50,8 +50,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="executor of the factorisation: eager (kernels run at submission), "
         "threaded (worker threads under a scheduling policy) or process (worker "
         "processes over shared-memory tiles; GIL-free, yet measured slower than "
-        "one thread — docs/parallelism.md); Tile-H assembly is one serial loop "
-        "in every mode",
+        "one thread — docs/parallelism.md — and without the update accumulator: "
+        "its factors are the accumulate=False ones); Tile-H assembly is one "
+        "serial loop in every mode",
     )
     parser.add_argument("--nworkers", type=int, default=2,
                         help="workers of --exec threaded/process")

@@ -30,6 +30,7 @@ from ..hmatrix import (
     HMatrix,
     KernelTracer,
     StrongAdmissibility,
+    UpdateAccumulator,
     assemble_hmatrix,
     build_block_cluster_tree,
     build_cluster_tree,
@@ -210,13 +211,7 @@ class HMatSolver:
         tracer = KernelTracer()
         prev = set_tracer(tracer)
         try:
-            if self.accumulate:
-                from ..hmatrix import UpdateAccumulator
-
-                with UpdateAccumulator(self.eps) as acc:
-                    hgetrf(self.matrix, self.eps, acc)
-            else:
-                hgetrf(self.matrix, self.eps)
+            hgetrf(self.matrix, self.eps, UpdateAccumulator(self.eps) if self.accumulate else None)
         finally:
             set_tracer(prev)
         self._factorized = True

@@ -149,13 +149,7 @@ def _tiled_factorize(desc, steps, lower, engine, eps, accumulate, racecheck) -> 
     nt = desc.nt
     grid = desc.super
     is_c = np.issubdtype(grid.dtype, np.complexfloating)
-    acc = (
-        UpdateAccumulator(eps_)
-        if accumulate and eng.mode == "eager" and eng.nested is None
-        else None
-    )
-    if acc is not None and eng.racecheck is not None:
-        eng.racecheck.watch_accumulator(acc)
+    acc = UpdateAccumulator(eps_) if accumulate else None
     tiles = {
         (i, j): grid.get_blktile(i, j)
         for i in range(nt)
@@ -173,12 +167,8 @@ def _tiled_factorize(desc, steps, lower, engine, eps, accumulate, racecheck) -> 
             flops=flops,
             label=label,
             spec=_nested_spec(variant, _TILE_PATHS[variant], eps_, True),
-            expander=expander(variant, hs, eps_, label),
+            expander=expander(variant, hs, eps_, label, acc),
         )
-    if acc is not None:
-        # Every tile's last pending update is flushed by its own panel step,
-        # so this is a no-op safety net (asserted by the equivalence tests).
-        acc.flush()
     return eng.wait_all()
 
 
@@ -197,14 +187,15 @@ def tiled_getrf_tasks(
     lower tiles hold L, the diagonal packs both, upper tiles hold U).
 
     With ``accumulate=True`` (default) the ``nt - k`` trailing-matrix GEMM
-    updates each tile receives are buffered in an
+    updates each tile receives are buffered on its Rk leaves by an
     :class:`~repro.hmatrix.UpdateAccumulator` and rounded once, at the panel
     step that next reads the tile (its GETRF or TRSM).  The flush happens
     inside a task that already declares RW on that tile and that depends on
     every deferred writer, so the declared R/W/RW access modes still cover
-    all actual accesses and the inferred DAG stays sound.  The accumulator
-    is only engaged on the eager (sequential) engine — simulation-only
-    engines never execute kernels, and the buffer is not thread-safe.
+    all actual accesses, the inferred DAG stays sound, and every executor
+    rounds the same terms in the same order: eager, threaded and nested runs
+    agree bit for bit.  A process executor runs each task's spec, which
+    carries no accumulator: its runs are undeferred.
 
     ``racecheck=True`` (ignored when ``engine`` is supplied — configure the
     engine instead) verifies every task's actual memory effects against its
@@ -213,12 +204,6 @@ def tiled_getrf_tasks(
     On an engine with a nested policy every tile kernel is submitted with
     its :mod:`~repro.core.nested` expander, so kernels on H-structured
     tiles above the granularity cutoff become sub-block subtask DAGs.
-    Nested expansion forces ``accumulate=False``-class arithmetic (each
-    subtask rounds its own update, like the threaded/process paths), so the
-    accumulator is never engaged alongside it.  The same holds for process
-    runs, which is also what makes them bit-identical to eager runs:
-    successive updates of one tile are RW on the same handle, so STF
-    serializes them in submission order.
     """
     return _tiled_factorize(desc, lu_steps, False, engine, eps, accumulate, racecheck)
 

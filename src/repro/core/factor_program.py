@@ -147,7 +147,7 @@ class FactorProgram:
 
     __slots__ = (
         "key", "method", "policy",
-        "kinds", "variants", "units", "labels", "priorities", "flops", "paths",
+        "kinds", "variants", "units", "flushes", "labels", "priorities", "flops", "paths",
         "op_ptr", "op_slot", "acc_ptr", "acc_code",
         "dep_ptr", "dep_idx", "suc_ptr", "suc_idx",
         "slot_parent", "slot_pos", "handle_slots", "handle_names",
@@ -181,13 +181,14 @@ def record(desc: TileHDesc, method: str, policy: NestedPolicy | None) -> FactorP
         if parent < 0:  # a tile handle's payload is the Tile, not its root node
             slot_of[id(desc.super.get_blktile(*pos[s]))] = s
     names: dict[int, str] = {}
-    kinds, variants, units, labels, priorities, flops, paths = [], [], [], [], [], [], []
+    kinds, variants, units, flushes, labels, priorities, flops, paths = [], [], [], [], [], [], [], []
     ops, accs, deps, succs = [], [], [], []
     for task in graph.tasks:
         variant, operands, _eps, unit = task.func.args
         kinds.append(task.kind)
         variants.append(variant)
         units.append(unit)
+        flushes.append(task.func.keywords.get("flush", False))
         labels.append(task.label)
         priorities.append(task.priority)
         flops.append(task.flops)
@@ -216,6 +217,7 @@ def record(desc: TileHDesc, method: str, policy: NestedPolicy | None) -> FactorP
     p.key = _key(nodes, desc.nt, method, policy)
     p.method, p.policy = method, policy
     p.kinds, p.variants, p.units = tuple(kinds), tuple(variants), tuple(units)
+    p.flushes = tuple(flushes)
     p.labels = tuple(labels)
     p.priorities = np.array(priorities, dtype=np.int64)
     p.flops = None if policy else tuple(flops)  # a subtask's read ranks: made at bind
@@ -338,9 +340,11 @@ def _nested_stats(program: FactorProgram) -> NestedStats | None:
     )
 
 
-def _bind(program: FactorProgram, nodes: list, eps: float) -> Lowered:
+def _bind(program: FactorProgram, nodes: list, eps: float, acc=None) -> Lowered:
     """``program`` as the ready front runs it on ``nodes`` (its slots, in
-    :func:`_walk`'s order, which :func:`_lookup` returns with the program).
+    :func:`_walk`'s order, which :func:`_lookup` returns with the program),
+    deferring updates through ``acc`` (an
+    :class:`~repro.hmatrix.UpdateAccumulator`) when one is given.
 
     Task ``t`` is the id ``t``; its kernel is resolved at dispatch from the
     slots; its indegree and successors are the program's CSR arrays.  No
@@ -348,10 +352,11 @@ def _bind(program: FactorProgram, nodes: list, eps: float) -> Lowered:
     """
     operands = tuple(map(nodes.__getitem__, program.op_slot.tolist()))
     op_ptr = program.op_ptr.tolist()
-    variants, units = program.variants, program.units
+    variants, units, flushes = program.variants, program.units, program.flushes
 
     def execute(t: int) -> None:
-        run_kernel(variants[t], operands[op_ptr[t]:op_ptr[t + 1]], eps, units[t])
+        run_kernel(variants[t], operands[op_ptr[t]:op_ptr[t + 1]], eps, units[t],
+                   acc, flush=flushes[t])
 
     low = Lowered()
     low.items, low.ident, low.execute = range(len(program)), operator.index, execute

@@ -9,11 +9,10 @@ one subtask per place the recursion stops: a true leaf kernel or, below the
 an expansion adds to the recursion), an opaque subtask running the ordinary
 recursive kernel on that node.  Because the grouping never changes which
 arithmetic runs or in what sequential order, an expanded factorisation is
-bit-identical to the opaque one (with ``accumulate=False``) while the
-scheduler sees *through* the tile: panel TRSMs on disjoint sub-blocks, and
-trailing GEMMs on sub-blocks already updated, run concurrently instead of
-serialising behind one giant task — the fix 1906.00874/1911.07531 apply to
-the HMAT-vs-Tile-H crossover.
+bit-identical to the opaque one while the scheduler sees *through* the tile:
+panel TRSMs on disjoint sub-blocks, and trailing GEMMs on sub-blocks already
+updated, run concurrently instead of serialising behind one giant task —
+the fix 1906.00874/1911.07531 apply to the HMAT-vs-Tile-H crossover.
 
 Subtask accesses come in two granularities (``NestedPolicy.coarse``):
 
@@ -28,11 +27,13 @@ Subtask accesses come in two granularities (``NestedPolicy.coarse``):
   stay bit-identical; the fine-grain parallelism claims are made on the
   simulated graph.
 
-The ``packed_lu`` cache rides along as a rule step: ``getrf``/``potrf`` on a
-node at or below ``_PACK_TRI_MAX`` end with ``pack``, and the panel solves
-read the pack.  An expanded diagonal therefore gets an explicit ``pack``
-subtask (RW on the node — racecheck-neutral, since ``packed_lu`` is excluded
-from payload fingerprints) ordered before any TRSM that reads the factor.
+The ``packed_lu`` cache rides along as a rule step: ``getrf`` on a node at
+or below ``_PACK_TRI_MAX`` and every ``potrf`` end with ``pack``, and the
+panel solves read the pack.  With an accumulator the pack also flushes its
+node (see :data:`repro.hmatrix.rules._PACK`).  An expanded diagonal
+therefore gets an explicit ``pack`` subtask (RW on the node —
+racecheck-neutral, since ``packed_lu`` is excluded from payload
+fingerprints) ordered before any TRSM that reads the factor.
 The interior ``c.packed_lu = None`` invalidation of ``hgemm`` needs no
 subtask: GEMM targets are trailing blocks that are never packed before
 their own factorisation, so the clear is a no-op in the LU/Cholesky flow.
@@ -113,14 +114,15 @@ class _Ref:
 
 
 class _Ctx:
-    """Per-expansion state: engine, policy, accuracy, base label."""
+    """Per-expansion state: engine, policy, accuracy, accumulator, base label."""
 
-    __slots__ = ("eng", "policy", "eps", "label")
+    __slots__ = ("eng", "policy", "eps", "acc", "label")
 
-    def __init__(self, eng, eps: float, label: str) -> None:
+    def __init__(self, eng, eps: float, acc, label: str) -> None:
         self.eng = eng
         self.policy = eng.nested
         self.eps = eps
+        self.acc = acc
         self.label = label
 
 
@@ -149,13 +151,13 @@ def _pathstr(path) -> str:
     return ".".join(f"{i}{j}" for i, j in path) or "r"
 
 
-def _submit(ctx: _Ctx, variant: str, refs: list, written: _Ref) -> None:
+def _submit(ctx: _Ctx, variant: str, refs: list, written: _Ref, flush: bool) -> None:
     """Submit one leaf/opaque subtask on ``refs`` (kernel-argument order)."""
     kind, modes = ACCESS[variant]
     nodes = tuple(r.node for r in refs)
     label = f"{ctx.label}/{variant}@{_pathstr(written.path)}"
     # unit=True: the only trsm_ll of either factorisation is the LU's U-panel solve.
-    func = partial(run_kernel, variant, nodes, ctx.eps, True)
+    func = partial(run_kernel, variant, nodes, ctx.eps, True, acc=ctx.acc, flush=flush)
     coarse = ctx.policy.coarse
     # Aggregate accesses (a subtask may reference one handle several times,
     # e.g. the SYRK case a.child(i,k) twice, or — coarse — several sub-blocks
@@ -228,30 +230,40 @@ def _flops(variant: str, nodes: tuple) -> float:
 # The expander
 # ---------------------------------------------------------------------------
 
-def _expand(ctx: _Ctx, variant: str, refs: list) -> None:
+def _expand(ctx: _Ctx, variant: str, refs: list, flush: bool = False) -> None:
     """Descend where the eager kernel would and the written operand is above
-    the granularity cutoff; submit one subtask where either stops."""
+    the granularity cutoff; submit one subtask where either stops.
+
+    A split getrf/potrf has no entry to flush its node on, as the eager
+    kernel does: the flush falls to the first step writing each child, which
+    passes it on the same way if split too (``flush``)."""
     written = refs[ACCESS[variant][1].index(RW)]
     steps = None
     if min(written.node.shape) > ctx.policy.min_leaf:
         steps = split(variant, tuple(r.node for r in refs))
     if steps is None:
-        _submit(ctx, variant, refs, written)
+        _submit(ctx, variant, refs, written, flush)
         return
+    flush = flush or variant in ("getrf", "potrf")
+    touched = set()
     for sub, operands in steps:
+        w = operands[ACCESS[sub][1].index(RW)]
         _expand(
             ctx,
             sub,
             [refs[s] if i is None else _child(ctx, refs[s], i, j) for s, i, j in operands],
+            flush and w[1] is not None and w not in touched,
         )
+        touched.add(w)
 
 
-def expander(variant: str, handles: tuple, eps: float, label: str):
+def expander(variant: str, handles: tuple, eps: float, label: str, acc=None):
     """What the tiled task layer passes to ``insert_task``: expands kernel
-    ``variant`` on the tiles behind ``handles`` (kernel-argument order)."""
+    ``variant`` on the tiles behind ``handles`` (kernel-argument order),
+    deferring updates through ``acc`` when one is given."""
 
     def expand(eng) -> None:
-        ctx = _Ctx(eng, eps, label)
+        ctx = _Ctx(eng, eps, acc, label)
         _expand(ctx, variant, [_root(ctx, h) for h in handles])
 
     return expand

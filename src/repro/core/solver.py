@@ -22,7 +22,7 @@ from functools import cached_property, partial
 import numpy as np
 
 from ..dense import sequential_blas
-from ..hmatrix import check_compression
+from ..hmatrix import UpdateAccumulator, check_compression
 from ..runtime import (
     SCHEDULER_NAMES,
     ExecutionTrace,
@@ -116,10 +116,11 @@ class TileHConfig:
         or "aca_full" (the last three evaluate each admissible block).
     accumulate:
         Use accumulator-based rounded arithmetic during factorisation:
-        trailing-matrix updates are buffered per tile and rounded once per
-        panel step instead of once per update (same eps accuracy class,
-        fewer recompressions).  ``False`` reproduces the eager
-        one-rounding-per-update arithmetic exactly.
+        trailing-matrix updates are buffered on each Rk leaf and rounded once
+        per panel step instead of once per update.  As measured it halves a
+        Cholesky factorise, is level or slower on LU, and its forward error
+        is somewhat worse (same eps class; ``EXPERIMENTS.md``).  ``False``
+        reproduces the eager one-rounding-per-update arithmetic exactly.
     racecheck:
         Run the factorisation (and the LU solve) under the runtime
         access-mode race detector
@@ -143,11 +144,10 @@ class TileHConfig:
         :class:`~repro.runtime.ProcessExecutor` with tile payloads in
         shared memory — GIL-free, and as measured slower than one leased
         thread at every ledger size (``docs/parallelism.md``): kept for
-        execution across address spaces, not for speed.  The accumulator is
-        engaged only on the eager path (its buffer is not thread-safe), so
-        threaded/process runs use plain one-rounding-per-update arithmetic —
-        which also makes process results bit-identical to
-        ``accumulate=False`` eager runs.
+        execution across address spaces, not for speed.  Eager and threaded
+        runs factor to the same bits; a process run does not defer updates (a
+        worker's task spec carries no accumulator), so its results are
+        bit-identical to ``accumulate=False`` eager runs.
     nworkers:
         Worker thread/process count for ``exec_mode="threaded"/"process"``.
     scheduler:
@@ -158,10 +158,9 @@ class TileHConfig:
         DAGs over their block trees (nested task parallelism, after
         1906.00874/1911.07531): the schedulers see *through* the tiles, so
         a large tile's panel no longer serialises behind one opaque task.
-        Results are bit-identical to the opaque ``accumulate=False`` path
-        (the expansion regroups, never reorders, the eager recursion); the
-        accumulator is therefore never engaged alongside nesting.  With
-        ``exec_mode="process"`` subtask accesses are declared at tile
+        Results are bit-identical to the opaque path (the expansion
+        regroups, never reorders, the eager recursion, flushes included).
+        With ``exec_mode="process"`` subtask accesses are declared at tile
         granularity (the shared-memory data plane ships whole tiles).
     nested_min_leaf:
         Granularity cutoff of the expansion: recursion stops (submitting
@@ -481,9 +480,11 @@ class TileHMatrix:
         program, nodes = _lookup(desc, method, _nested_policy(cfg))
         announce(program, nodes)
         # Threads run the program from its arrays and bind the graph on first
-        # read; the process workers need each task's TaskSpec up front.
+        # read; the process workers need each task's TaskSpec up front (which
+        # carries no accumulator: process runs are undeferred).
         graph = instantiate(program, desc, desc.eps)[0] if cfg.exec_mode == "process" else None
-        wall, trace = self._run(_bind(program, nodes, desc.eps) if graph is None else graph)
+        acc = UpdateAccumulator(desc.eps) if cfg.accumulate else None
+        wall, trace = self._run(_bind(program, nodes, desc.eps, acc) if graph is None else graph)
         info = FactorizationInfo(
             graph, desc.nb, desc.nt, trace=trace, wall_seconds=wall,
             nested_stats=_nested_stats(program),

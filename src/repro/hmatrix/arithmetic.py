@@ -257,11 +257,15 @@ def solve_lower_transpose_panel(
 # The recursion: one kernel table under every subdivided case
 # ---------------------------------------------------------------------------
 
-def _pack(a: HMatrix) -> None:
-    # The factor is read-only from here on (panel solves, H-TRSM); packing it
+def _pack(a: HMatrix, acc=None) -> None:
+    # The factor is read-only from here on (panel solves, H-TRSM): round in
+    # what is still pending under it (see rules._PACK); packing a small one
     # dense turns every later panel solve into one trtrs.  Of a Cholesky
     # factor only the lower triangle is valid, which is all trtrs references.
-    a.packed_lu = a.to_dense(order="F")  # F order: LAPACK trtrs takes it copy-free
+    if acc is not None:
+        acc.flush(a)
+    if a.shape[0] <= _PACK_TRI_MAX:
+        a.packed_lu = a.to_dense(order="F")  # F order: LAPACK trtrs takes it copy-free
 
 
 #: variant -> kernel on ``nodes`` in kernel-argument order (see :mod:`.rules`).
@@ -273,18 +277,24 @@ _KERNELS = {
     "trsm_rlt": lambda n, eps, unit, acc, alpha: _htrsm_right_lower_transpose(*n, eps, acc),
     "gemm": lambda n, eps, unit, acc, alpha: hgemm(*n, eps, alpha, acc),
     "gemm_tb": lambda n, eps, unit, acc, alpha: hgemm_transb(*n, eps, alpha, acc),
-    "pack": lambda n, eps, unit, acc, alpha: _pack(*n),
+    "pack": lambda n, eps, unit, acc, alpha: _pack(*n, acc),
 }
 
 
-def run_kernel(variant: str, nodes, eps: float, unit: bool = True, acc=None, alpha=-1.0) -> None:
+def run_kernel(
+    variant: str, nodes, eps: float, unit: bool = True, acc=None, alpha=-1.0, flush=False
+) -> None:
     """Run H-kernel ``variant`` on ``nodes`` (kernel-argument order).
 
     The one place a variant name becomes a kernel call: the recursion below,
     the tile-level tasks, the nested subtasks and the process workers all come
     through here.  ``unit`` is read by ``trsm_ll`` only, ``alpha`` by the
-    products.
+    products.  ``flush`` first rounds ``acc``'s pending updates into the
+    written operand: the share of a split factorisation's entry flush that
+    falls to this kernel (see :func:`repro.core.nested.expander`).
     """
+    if flush and acc is not None:
+        acc.flush(nodes[1 if variant.startswith("trsm") else 0])
     _KERNELS[variant](nodes, eps, unit, acc, alpha)
 
 

@@ -81,6 +81,7 @@ class HMatrix:
         "ncol_children",
         "_leaf_index",
         "packed_lu",
+        "pending",
     )
 
     def __init__(
@@ -107,6 +108,9 @@ class HMatrix:
         # hgetrf/hpotrf, cleared by any mutation): lets the panel solves do a
         # single LAPACK trtrs instead of walking the tree.
         self.packed_lu = None
+        # Updates of an Rk leaf buffered by an UpdateAccumulator, rounded in
+        # by its flush before the leaf is next read (None: nothing pending).
+        self.pending = None
         kinds = (full is not None) + (rk is not None) + bool(self.children)
         if kinds != 1:
             raise ValueError("exactly one of full / rk / children must be set")
@@ -119,16 +123,18 @@ class HMatrix:
 
     # -- pickling -----------------------------------------------------------
     # __slots__ classes need explicit state hooks; the cached leaf index is
-    # dropped (rebuilt lazily on the other side) so shipped trees stay lean.
+    # dropped (rebuilt lazily on the other side) so shipped trees stay lean,
+    # and so is the accumulator buffer (a shipped tree is never mid-update).
     def __getstate__(self) -> dict:
         return {
-            s: getattr(self, s) for s in self.__slots__ if s != "_leaf_index"
+            s: getattr(self, s) for s in self.__slots__ if s not in ("_leaf_index", "pending")
         }
 
     def __setstate__(self, state: dict) -> None:
         for s, v in state.items():
             object.__setattr__(self, s, v)
         self._leaf_index = None
+        self.pending = None
 
     # -- structure ----------------------------------------------------------
     @property

@@ -32,6 +32,9 @@ __all__ = ["lu_steps", "chol_steps", "split", "pick"]
 _PACK_TRI_MAX = 256
 
 # Post-order: the panel solves read the pack, so it follows the last update.
+# It flushes the accumulator under its node: a Cholesky's steps never write a
+# node's strictly upper children, which only the kernel's entry flush reaches
+# — gone under a nested split — so every split potrf ends with a pack.
 _PACK = ("pack", ((0, None, None),))
 
 
@@ -134,15 +137,16 @@ def _product_tb(c, a, b):
     return _product(c, a, b, transb=True)
 
 
-#: variant -> (step generator, children-grid test, factor packed afterwards)
+#: variant -> (step generator, children-grid test, largest node whose split
+#: ends with ``pack``)
 _RULES = {
-    "getrf": (lu_steps, _square, True),
-    "potrf": (chol_steps, _square, True),
-    "trsm_ll": (_trsm_ll_steps, _left, False),
-    "trsm_ru": (_trsm_ru_steps, _right, False),
-    "trsm_rlt": (_trsm_rlt_steps, _right, False),
-    "gemm": (_gemm_steps, _product, False),
-    "gemm_tb": (_gemm_tb_steps, _product_tb, False),
+    "getrf": (lu_steps, _square, _PACK_TRI_MAX),
+    "potrf": (chol_steps, _square, float("inf")),
+    "trsm_ll": (_trsm_ll_steps, _left, 0),
+    "trsm_ru": (_trsm_ru_steps, _right, 0),
+    "trsm_rlt": (_trsm_rlt_steps, _right, 0),
+    "gemm": (_gemm_steps, _product, 0),
+    "gemm_tb": (_gemm_tb_steps, _product_tb, 0),
 }
 
 
@@ -159,7 +163,8 @@ def split(variant: str, nodes: tuple) -> tuple | None:
     expansion alike: a kernel descends only where every operand is subdivided
     and their children grids agree.  ``None`` is a leaf case — or, where no
     operand is a leaf, incompatible grids, which the eager kernels raise on.
-    A factorisation of a node up to ``_PACK_TRI_MAX`` ends with its ``pack``.
+    A factorisation ends with its ``pack`` (an LU of a node up to
+    ``_PACK_TRI_MAX``, a Cholesky always).
     """
     rule = _RULES.get(variant)  # "pack" has none: it never descends
     if rule is None:
@@ -167,8 +172,8 @@ def split(variant: str, nodes: tuple) -> tuple | None:
     for x in nodes:
         if x.is_leaf:
             return None
-    _, grids, packs = rule
+    _, grids, pack_max = rule
     dims = grids(*nodes)
     if dims is None:
         return None
-    return _steps(variant, dims, packs and nodes[0].shape[0] <= _PACK_TRI_MAX)
+    return _steps(variant, dims, nodes[0].shape[0] <= pack_max)

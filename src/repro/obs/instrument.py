@@ -180,10 +180,8 @@ class Instrumentation:
     def accumulator_deferred(self) -> None:
         self.registry.inc("h.accumulator.deferred")
 
-    def accumulator_flush(self, nblocks: int, early: bool = False) -> None:
+    def accumulator_flush(self, nblocks: int) -> None:
         self.registry.inc("h.accumulator.flushed_blocks", nblocks)
-        if early:
-            self.registry.inc("h.accumulator.early_flushes", nblocks)
 
     def factor_program_lookup(self, hit: bool) -> None:
         """One threaded or process factorisation, opaque or nested, asked for

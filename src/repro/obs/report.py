@@ -699,8 +699,7 @@ def render_report(report: dict) -> str:
     if acc and acc.get("deferred"):
         lines.append(
             f"accumulator: {acc['deferred']} deferred updates, "
-            f"{acc.get('flushed_blocks', 0)} block flushes, "
-            f"{acc.get('early_flushes', 0)} early"
+            f"{acc.get('flushed_blocks', 0)} block flushes"
         )
     proc = report.get("process")
     if proc:

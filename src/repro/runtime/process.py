@@ -18,9 +18,12 @@ Scheduling is the simulator's own code (:mod:`~repro.runtime.ready`): the
 parent drives the shared scheduler object through one ready front, a pipe
 ``dispatch``/``wait`` pair under :func:`~repro.runtime.ready.drive`.  With one
 worker the pull order is bit-for-bit the virtual-time simulator's; with any
-worker count, results are bit-identical to eager execution for
-``accumulate=False`` paths because successive updates of one tile are
-serialized by the STF writer-after-writer dependencies.
+worker count, results are bit-identical to eager ``accumulate=False``
+execution because successive updates of one tile are serialized by the STF
+writer-after-writer dependencies.  A task spec carries no
+:class:`~repro.hmatrix.UpdateAccumulator` (its buffers live on the parent's
+leaves, beyond the pipes), so a process run stays undeferred whatever
+``accumulate`` says.
 """
 
 from __future__ import annotations

@@ -12,9 +12,9 @@ declarations against reality instead of trusting them:
   on an R-declared handle is an *undeclared write* (error); an unchanged
   fingerprint on a pure-W handle is a *silent write* (warning).
 * **Stale accumulator reads** — a task that declares a pure R access on a
-  handle whose leaves still carry pending :class:`~repro.hmatrix.accumulator
-  .UpdateAccumulator` updates would read data the flush-before-read
-  discipline says must already be rounded in (error).
+  handle whose leaves still carry ``pending`` updates (buffered there by an
+  :class:`~repro.hmatrix.accumulator.UpdateAccumulator`) would read data the
+  flush-before-read discipline says must already be rounded in (error).
 * **Handle aliasing** — two :class:`~repro.runtime.task.DataHandle`\\ s whose
   payloads share memory (``np.shares_memory``) break the ``id(payload)``
   registry's assumption that distinct handles mean disjoint data; the STF
@@ -141,8 +141,9 @@ def payload_fingerprint(payload, *, sample_threshold: int = 1 << 16) -> bytes:
     return h.digest()
 
 
-def _hmatrix_nodes(payload):
-    """H-matrix nodes reachable from ``payload`` (for accumulator queries)."""
+def _has_pending(payload) -> bool:
+    """True if an H-matrix leaf reachable from ``payload`` holds pending
+    accumulator updates."""
     stack = [payload]
     while stack:
         obj = stack.pop()
@@ -153,7 +154,9 @@ def _hmatrix_nodes(payload):
         elif hasattr(obj, "mat"):
             stack.append(obj.mat)
         elif hasattr(obj, "leaves") and not isinstance(obj, np.ndarray):
-            yield obj
+            if any(leaf.pending is not None for leaf in obj.leaves()):
+                return True
+    return False
 
 
 def _related(a: DataHandle, b: DataHandle) -> bool:
@@ -189,7 +192,6 @@ class RaceChecker:
         self.sample_threshold = sample_threshold
         self.violations: list[RaceViolation] = []
         self.n_checked_tasks = 0
-        self._accumulators: list = []
         self._snapshots: dict[int, bytes] = {}
         # Aliasing registry: id(base buffer) -> [(array, handle), ...].
         self._buffers: dict[int, list[tuple[np.ndarray, DataHandle]]] = {}
@@ -213,20 +215,6 @@ class RaceChecker:
         self.violations.append(violation)
         if self.strict and violation.severity == "error":
             raise RaceCheckError(str(violation))
-
-    # -- accumulator awareness ------------------------------------------------
-    def watch_accumulator(self, acc) -> None:
-        """Track ``acc`` for stale-read detection (flush-before-read)."""
-        self._accumulators.append(acc)
-
-    def _has_pending(self, payload) -> bool:
-        if not any(acc.pending_blocks for acc in self._accumulators):
-            return False
-        for node in _hmatrix_nodes(payload):
-            for acc in self._accumulators:
-                if acc.has_pending(node):
-                    return True
-        return False
 
     # -- handle aliasing --------------------------------------------------------
     def register_handle(self, handle: DataHandle) -> None:
@@ -270,7 +258,7 @@ class RaceChecker:
         """Snapshot accessed payloads; check the flush-before-read rule."""
         self._snapshots.clear()
         for handle, mode in task.accesses:
-            if mode is AccessMode.R and self._has_pending(handle.payload):
+            if mode is AccessMode.R and _has_pending(handle.payload):
                 self._report(
                     RaceViolation(
                         kind="stale-read",

@@ -129,8 +129,8 @@ class TestSolverFacadePanel:
             assert np.array_equal(xp[:, c], a.solve(b[:, c]))
 
     def test_threaded_solver_panel_column_stable(self):
-        # The threaded factorization's *bits* differ from eager (accumulation
-        # order), but column-stability must hold within each executor.
+        # Column-stability must hold within each executor (the threaded
+        # factor's bits are eager's: tests/core/test_exec_contract.py).
         pts = cylinder_cloud(N)
         kern = laplace_kernel(pts)
         threaded = TileHMatrix.build(

@@ -1,8 +1,9 @@
 """GPModel exactness against the dense NumPy reference + executor equivalence.
 
 The H-compressed posterior must track the ACA tolerance (mean relative
-error <= 10x eps), executors must agree bit for bit at ``accumulate=False``
-(a prediction is one replay of the factor's compiled sweep, whatever the
+error <= 10x eps), eager and threaded fits must agree bit for bit under the
+default config and a process fit with an ``accumulate=False`` eager one (a
+prediction is one replay of the factor's compiled sweep, whatever the
 ``exec_mode``), factor archives must round-trip, and data that does not
 match the factor must be refused up front.
 """
@@ -77,10 +78,8 @@ class TestExactness:
 class TestExecutorEquivalence:
     def test_threaded_bit_identical_to_eager(self, data):
         _, _, x_test, _ = data
-        r_e = _fit(data, accumulate=False).predict(x_test)
-        r_t = _fit(
-            data, accumulate=False, exec_mode="threaded", nworkers=2, scheduler="lws"
-        ).predict(x_test)
+        r_e = _fit(data).predict(x_test)
+        r_t = _fit(data, exec_mode="threaded", nworkers=2, scheduler="lws").predict(x_test)
         assert np.array_equal(r_e.mean, r_t.mean)
         assert np.array_equal(r_e.var, r_t.var)
 

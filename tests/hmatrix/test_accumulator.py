@@ -26,6 +26,7 @@ from repro.hmatrix import (
     hgetrf,
     hlu_solve,
 )
+from repro.obs import Instrumentation
 
 EPS = 1e-6
 
@@ -126,12 +127,15 @@ def test_deferred_flush_matches_eager():
         eager.axpy_rk(upd, EPS)
 
     deferred = _rk_leaf(seed=1)
-    with UpdateAccumulator(EPS) as acc:
+    acc = UpdateAccumulator(EPS)
+    with Instrumentation() as probe:
         for upd in updates:
             deferred.axpy_rk(upd, EPS, acc)
-        assert acc.pending_blocks == 1
-        assert acc.n_deferred == len(updates)
-    assert acc.pending_blocks == 0  # context exit flushed
+        assert len(deferred.pending.rk_terms) == len(updates)  # buffered on the leaf
+        assert acc.flush(deferred) == 1
+    assert deferred.pending is None and not acc.has_pending(deferred)
+    assert probe.registry.counter("h.accumulator.deferred") == len(updates)
+    assert probe.registry.counter("h.accumulator.flushed_blocks") == 1
 
     ref = eager.to_dense()
     scale = np.linalg.norm(ref)
@@ -143,38 +147,21 @@ def test_dense_contributions_summed_exactly_before_compression():
     rng = np.random.default_rng(5)
     blocks = [rng.standard_normal(leaf.shape) for _ in range(3)]
     base = leaf.to_dense()
-    with UpdateAccumulator(EPS) as acc:
-        for blk in blocks:
-            leaf.axpy_dense(blk, EPS, acc)
-        # All three dense updates share one buffer entry (plain +=).
-        assert acc.pending_blocks == 1
+    acc = UpdateAccumulator(EPS)
+    for blk in blocks:
+        leaf.axpy_dense(blk, EPS, acc)
+    # All three dense updates share one buffer (plain +=).
+    assert leaf.pending.rk_terms == []
+    assert np.array_equal(leaf.pending.dense, blocks[0] + blocks[1] + blocks[2])
+    acc.flush(leaf)
     ref = base + sum(blocks)
     scale = np.linalg.norm(ref)
     assert np.linalg.norm(leaf.to_dense() - ref) <= 10 * EPS * scale
 
 
-def test_memory_cap_triggers_early_flush():
-    leaf = _rk_leaf(seed=3)
-    rng = np.random.default_rng(6)
-    # Each rank-3 update buffers (32 + 24) * 3 = 168 scalars; cap at 300
-    # forces an early flush on the second deferral.
-    acc = UpdateAccumulator(EPS, max_pending_scalars=300)
-    updates = [_random_rk(rng, 32, 24, 3) for _ in range(4)]
-    before = leaf.to_dense() + sum(u.to_dense() for u in updates)
-    for u in updates:
-        leaf.axpy_rk(u, EPS, acc)
-        assert acc.pending_scalars <= 300
-    acc.flush()
-    assert acc.n_early_flushes >= 1
-    scale = np.linalg.norm(before)
-    assert np.linalg.norm(leaf.to_dense() - before) <= 10 * EPS * scale
-
-
 def test_accumulator_rejects_bad_parameters():
     with pytest.raises(ValueError):
         UpdateAccumulator(-1e-4)
-    with pytest.raises(ValueError):
-        UpdateAccumulator(1e-4, max_pending_scalars=0)
 
 
 # ---------------------------------------------------------------------------
@@ -196,11 +183,11 @@ def test_hgetrf_accumulated_matches_eager():
     h_acc = h_eager.copy()
 
     hgetrf(h_eager, eps)
-    with UpdateAccumulator(eps) as acc:
+    acc = UpdateAccumulator(eps)
+    with Instrumentation() as probe:
         hgetrf(h_acc, eps, acc)
-    # hgetrf leaves the factor clean: the closing flush must be a no-op.
-    assert acc.pending_blocks == 0
-    assert acc.n_deferred > 0  # the accumulator actually engaged
+    assert not acc.has_pending(h_acc)  # hgetrf leaves the factor clean
+    assert probe.registry.counter("h.accumulator.deferred") > 0  # and it engaged
 
     rng = np.random.default_rng(0)
     b = rng.standard_normal(h_eager.shape[0])

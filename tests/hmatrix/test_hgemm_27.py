@@ -90,8 +90,10 @@ def test_hgemm_configuration_accumulated(ct, fa, fb, fc):
     c_acc, _ = _operand(ct, fc, seed=3)
 
     hgemm(c_eager, a, b, eps=EPS, alpha=-1.0)
-    with UpdateAccumulator(EPS) as acc:
-        hgemm(c_acc, a, b, eps=EPS, alpha=-1.0, acc=acc)
+    acc = UpdateAccumulator(EPS)
+    hgemm(c_acc, a, b, eps=EPS, alpha=-1.0, acc=acc)
+    acc.flush(c_acc)
+    assert not acc.has_pending(c_acc)
 
     ref = dc - da @ db
     scale = np.linalg.norm(ref)

@@ -129,11 +129,11 @@ def _run(kernel, operands, acc_on):
     tracer = KernelTracer()
     prev = set_tracer(tracer)
     try:
-        if acc_on:
-            with UpdateAccumulator(EPS) as acc:
-                kernel(*operands, acc)
-        else:
-            kernel(*operands, None)
+        acc = UpdateAccumulator(EPS) if acc_on else None
+        kernel(*operands, acc)
+        if acc is not None:  # round in what a product left pending, as a reader would
+            for operand in operands:
+                acc.flush(operand)
     finally:
         set_tracer(prev)
     def position(node):

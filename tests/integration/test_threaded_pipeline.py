@@ -2,9 +2,9 @@
 
 The acceptance bar for the threaded path: a threaded build_factorize at
 nworkers=4 produces a forward error identical to the eager path (same DAG,
-same arithmetic — ``accumulate=False`` on both sides since the rounding
-accumulator is eager-only), and the threaded trace is a linear extension of
-the submitted graph.
+same arithmetic — ``accumulate=False`` on both sides here; the accumulated
+cells are ``tests/core/test_exec_contract.py``'s), and the threaded trace is
+a linear extension of the submitted graph.
 """
 
 import numpy as np

@@ -386,7 +386,7 @@ class TestRenderOptionalKeys:
     @pytest.mark.parametrize("section, patch, expected", [
         ("hmatrix", {"aca": {"dense_entries": 10}}, "aca       : 0 / 10 sampled / dense entries"),
         ("hmatrix", {"accumulator": {"deferred": 3}},
-         "accumulator: 3 deferred updates, 0 block flushes, 0 early"),
+         "accumulator: 3 deferred updates, 0 block flushes"),
         ("fleet", {"replication": {"hot_keys": 1}}, "replicas  : 1 hot fingerprint(s), 0 warm"),
         ("gp", {"mean_rmse": 0.1, "var_max": 2.0}, "posterior : mean RMSE 0.1 vs latent truth"),
         ("nested", {"program_misses": 1}, "graph replayed in 0 of 1 builds"),

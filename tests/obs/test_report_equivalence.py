@@ -11,15 +11,18 @@ from the table must equal its literal, and build, validate, render, diff and
 * over reports generated from the schema, and mutations of them (a key
   dropped, a wrong type, a negative value, a bool for an int, an extra key).
 
-The one intended difference: the reference's renderer raised ``KeyError`` on
+Two intended differences: the reference's renderer raised ``KeyError`` on
 some schema-valid reports (an ``aca``, ``accumulator`` or ``replication``
 block, a ``gp`` section or the ``nested`` replay counters missing an optional
-key the line printed).  Every generated report renders now; where the
-reference rendered, the text is the same.
+key the line printed) — every generated report renders now; and the
+accumulator line no longer ends in the count of early flushes, which no cap
+forces any more (the schema keeps the key).  Otherwise, where the reference
+rendered, the text is the same.
 """
 
 import copy
 import json
+import re
 
 import numpy as np
 import pytest
@@ -148,6 +151,12 @@ def _text(report) -> str:
     return json.dumps(report, sort_keys=True)
 
 
+def _ref_render(report) -> str:
+    """The reference's rendering, less the early-flush count it ends the
+    accumulator line with."""
+    return re.sub(r"(accumulator: .* block flushes), -?\d+ early", r"\1", ref.render_report(report))
+
+
 def test_schema_equals_the_literal():
     assert new.REPORT_SCHEMA == ref.REPORT_SCHEMA
 
@@ -169,7 +178,9 @@ def test_the_runs_cover_every_section(reports):
     assert process["workers"] == 2 and process["segments"] > 0  # gauges
     assert process["batch_size"]["count"] > 0  # histogram
     assert reports["threaded_ws2"]["hmatrix"]["peak_bytes"] > 0
-    assert reports["eager"]["hmatrix"]["accumulator"]["deferred"] > 0  # eager only
+    assert reports["eager"]["hmatrix"]["accumulator"]["deferred"] > 0
+    assert reports["threaded_ws2"]["hmatrix"]["accumulator"]["deferred"] > 0
+    assert reports["process_lws2"]["hmatrix"]["accumulator"]["deferred"] == 0  # undeferred
     assert reports["nested_threaded"]["nested"]["program_hits"] \
         + reports["nested_threaded"]["nested"]["program_misses"] == 1
 
@@ -177,7 +188,7 @@ def test_the_runs_cover_every_section(reports):
 @pytest.mark.parametrize("name", RUNS)
 def test_render_validate_and_view_same(reports, name):
     report = reports[name]
-    assert new.render_report(report) == ref.render_report(report)
+    assert new.render_report(report) == _ref_render(report)
     assert new.validate_report(report) == ref.validate_report(report)
     assert new.nontiming_view(report) == ref.nontiming_view(report)
 
@@ -288,7 +299,7 @@ def test_generated_reports_are_valid_and_render(report):
     reference rendered it, the text is the same."""
     assert new.validate_report(report) == []
     text = new.render_report(report)
-    kind, expected = _outcome(ref.render_report, report)
+    kind, expected = _outcome(_ref_render, report)
     if kind == "ok":
         assert text == expected
     assert _outcome(new.nontiming_view, report) == _outcome(ref.nontiming_view, report)

@@ -165,10 +165,9 @@ class TestStaleAccumulatorRead:
         from repro.hmatrix.rk import RkMatrix
 
         h = self._rk_leaf_hmatrix()
-        acc = UpdateAccumulator(1e-8)
-        acc.defer_rk(h, RkMatrix(np.ones((8, 1)), np.ones((8, 1))))
+        UpdateAccumulator(1e-8).defer_rk(h, RkMatrix(np.ones((8, 1)), np.ones((8, 1))))
+        assert h.pending is not None
         checker = RaceChecker(strict=False)
-        checker.watch_accumulator(acc)
         eng = StfEngine(racecheck=checker)
         hh = eng.handle(h, "leaf")
         eng.insert_task("read", lambda: None, [(hh, R)])
@@ -181,9 +180,9 @@ class TestStaleAccumulatorRead:
         h = self._rk_leaf_hmatrix()
         acc = UpdateAccumulator(1e-8)
         acc.defer_rk(h, RkMatrix(np.ones((8, 1)), np.ones((8, 1))))
-        acc.flush()
+        acc.flush(h)
+        assert h.pending is None
         checker = RaceChecker(strict=False)
-        checker.watch_accumulator(acc)
         eng = StfEngine(racecheck=checker)
         hh = eng.handle(h, "leaf")
         eng.insert_task("read", lambda: None, [(hh, R)])
