@@ -42,6 +42,7 @@ _KERNELS = {
     "potrf": _potrf,
     "trsm_rlt": _trsm_rlt,
     "gemm_tb": _gemm_tb,
+    "syrk": lambda c, a: _gemm_tb(c, a, a),  # a dense diagonal tile keeps the full product
 }
 
 

@@ -103,9 +103,9 @@ def tile_steps(steps, nt: int, rows: list, is_c: bool):
         kind = ACCESS[variant][0]
         if kind == "gemm":
             (i, j), (_, k) = pos[0], pos[1]
-            name = "syrk" if variant == "gemm_tb" and i == j else "gemm"
-            label = f"{name}({i},{j},{k})"
+            label = f"{'syrk' if variant == 'syrk' else 'gemm'}({i},{j},{k})"
             priority = lu_priorities(nt, k, "gemm", i, j)
+            # A SYRK keeps the full product's dense model: no simulated table moves.
             flops = flops_gemm(rows[i], rows[j], rows[k], is_complex=is_c)
         elif kind == "trsm":
             (k, _), (i, j) = pos
@@ -218,12 +218,17 @@ def tiled_potrf_tasks(
 ) -> TaskGraph:
     """Tiled right-looking Cholesky of an SPD Tile-H matrix, in place.
 
-    Only the lower-triangular tiles are referenced/written (upper tiles stay
-    untouched).  Task kinds: POTRF (diagonal), TRSM (panel, ``X L^T = B``),
-    GEMM (the SYRK-style ``C -= A B^T`` trailing update).  Priorities reuse
-    the LU heuristic (POTRF plays GETRF's role).  ``accumulate`` defers the
-    trailing-update roundings exactly as in :func:`tiled_getrf_tasks`;
-    ``racecheck`` enables the access-mode race detector the same way.
+    Only the lower triangle is referenced or written.  Task kinds: POTRF
+    (diagonal), TRSM (panel, ``X L^T = B``), SYRK (``C -= A A^T`` on a
+    diagonal tile, its lower triangle only; task kind ``gemm``) and GEMM
+    (``C -= A B^T`` on a strictly lower tile).  The strictly upper tiles are
+    not touched here — recording a factor program runs this on a matrix that
+    must stay intact — :meth:`TileHMatrix.factorize
+    <repro.core.TileHMatrix.factorize>` makes them come back rank-0, which is
+    what ``L`` holds there.  Priorities reuse the LU heuristic (POTRF plays
+    GETRF's role).  ``accumulate`` defers the trailing-update roundings
+    exactly as in :func:`tiled_getrf_tasks`; ``racecheck`` enables the
+    access-mode race detector the same way.
     """
     return _tiled_factorize(desc, chol_steps, True, engine, eps, accumulate, racecheck)
 

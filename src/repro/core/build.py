@@ -13,6 +13,11 @@ Assembly is one serial walk over tile (i, j) in row-major order, whatever
 executor later factorises the matrix: as tasks, the tiles assembled no faster
 on two leased threads and 3.5-5.6x slower on two worker processes
 (``docs/parallelism.md``).  The task parallelism is the factorisation's.
+
+A Cholesky reads the lower triangle only: ``lower=True`` assembles the
+``nt(nt+1)/2`` tiles on and below the diagonal, and every strictly upper tile
+is the rank-0 tile, which is what the factor ``L`` holds there
+(:func:`drop_upper_tiles` makes a fully assembled matrix so).
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from ..obs.instrument import current as _current_probe
 from .clustering import TileHClustering, build_tile_h_clustering
 from .descriptor import Tile, TileDesc, TileHDesc
 
-__all__ = ["build_tile_h"]
+__all__ = ["build_tile_h", "drop_upper_tiles"]
 
 
 def build_tile_h(
@@ -37,6 +42,7 @@ def build_tile_h(
     admissibility=None,
     method: str = "aca",
     clustering: TileHClustering | None = None,
+    lower: bool = False,
 ) -> TileHDesc:
     """Assemble the Tile-H matrix of the kernel over ``points``.
 
@@ -55,11 +61,16 @@ def build_tile_h(
     clustering:
         Reuse a precomputed clustering (e.g. to assemble several kernels on
         the same geometry).
+    lower:
+        Assemble only the tiles on and below the diagonal — all that
+        :func:`tiled_potrf_tasks` reads — and make every strictly upper tile
+        the rank-0 tile (so the matrix is no longer ``A`` for a matvec).
 
     Returns
     -------
     TileHDesc
-        Fully assembled descriptor ready for :func:`tiled_getrf_tasks`.
+        Assembled descriptor ready for :func:`tiled_getrf_tasks` (all tiles)
+        or :func:`tiled_potrf_tasks`.
     """
     pts = np.ascontiguousarray(points, dtype=np.float64)
     cl = clustering or build_tile_h_clustering(
@@ -67,12 +78,19 @@ def build_tile_h(
     )
     nt = cl.nt
     cfg = AssemblyConfig(eps=eps, method=method)
-    trees = [cl.block_tree(i, j) for i in range(nt) for j in range(nt)]
-    tiles = [Tile.of(mat) for mat in assemble_hmatrices(kernel, pts, trees, cfg)]
+    pairs = [(i, j) for i in range(nt) for j in range(i + 1 if lower else nt)]
+    mats = assemble_hmatrices(kernel, pts, [cl.block_tree(i, j) for i, j in pairs], cfg)
+    assembled = {pair: Tile.of(mat) for pair, mat in zip(pairs, mats)}
     probe = _current_probe()
     if probe is not None:
-        for tile in tiles:
+        for tile in assembled.values():
             probe.h_bytes_delta(tile.storage_bytes())
+    dtype = assembled[0, 0].dtype
+    tiles = [
+        assembled[i, j] if (i, j) in assembled else Tile.zeros(cl.tiles[i], cl.tiles[j], dtype)
+        for i in range(nt)
+        for j in range(nt)
+    ]
     desc = TileDesc(n=pts.shape[0], nb=nb, nt=nt, tiles=tiles)
     return TileHDesc(
         super=desc,
@@ -82,3 +100,16 @@ def build_tile_h(
         perm=cl.perm,
         eps=eps,
     )
+
+
+def drop_upper_tiles(desc: TileHDesc) -> None:
+    """Make every strictly upper tile of ``desc`` the rank-0 tile — what a
+    Cholesky factor ``L`` holds there — and take what they stored off the
+    probe's ``h.bytes``."""
+    grid, probe = desc.super, _current_probe()
+    for i in range(desc.nt):
+        for j in range(i + 1, desc.nt):
+            freed = grid.get_blktile(i, j).storage_bytes()
+            if freed and probe is not None:
+                probe.h_bytes_delta(-freed)
+            grid.set_blktile(i, j, Tile.zeros(desc.clusters[i], desc.clusters[j], grid.dtype))

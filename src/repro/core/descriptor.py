@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..hmatrix import Admissibility, ClusterTree, HMatrix
+from ..hmatrix import Admissibility, ClusterTree, HMatrix, RkMatrix
 
 __all__ = ["Tile", "TileDesc", "TileHDesc"]
 
@@ -53,6 +53,11 @@ class Tile:
         """Wrap an H-matrix, deriving the format from its top structure."""
         fmt = {"full": "full", "rk": "rk", "h": "hmat"}[h.kind]
         return cls(fmt, h.shape[0], h.shape[1], h)
+
+    @classmethod
+    def zeros(cls, rows: ClusterTree, cols: ClusterTree, dtype) -> "Tile":
+        """The rank-0 ``Rk`` tile over ``rows x cols``: an exact zero block."""
+        return cls.of(HMatrix(rows, cols, rk=RkMatrix.zeros(rows.size, cols.size, dtype=dtype)))
 
     @property
     def shape(self) -> tuple[int, int]:

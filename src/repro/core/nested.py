@@ -63,6 +63,7 @@ ACCESS = {
     "trsm_rlt": ("trsm", (R, RW)),
     "gemm": ("gemm", (RW, R, R)),
     "gemm_tb": ("gemm", (RW, R, R)),
+    "syrk": ("gemm", (RW, R)),
     "pack": ("pack", (RW,)),
 }
 
@@ -159,8 +160,7 @@ def _submit(ctx: _Ctx, variant: str, refs: list, written: _Ref, flush: bool) -> 
     # unit=True: the only trsm_ll of either factorisation is the LU's U-panel solve.
     func = partial(run_kernel, variant, nodes, ctx.eps, True, acc=ctx.acc, flush=flush)
     coarse = ctx.policy.coarse
-    # Aggregate accesses (a subtask may reference one handle several times,
-    # e.g. the SYRK case a.child(i,k) twice, or — coarse — several sub-blocks
+    # Aggregate accesses (coarse, a subtask may reference several sub-blocks
     # of one tile): first-seen order, mode upgraded to RW if any use writes.
     idx_of: dict[int, int] = {}
     handles: list = []
@@ -212,6 +212,8 @@ def _flops(variant: str, nodes: tuple) -> float:
         return _gemm_flops(nodes[1], nodes[2])
     if variant == "gemm_tb":
         return _gemm_flops_tb(nodes[1], nodes[2])
+    if variant == "syrk":  # modelled as the full product, as gemm_tb(c, a, a)
+        return _gemm_flops_tb(nodes[1], nodes[1])
     if variant == "pack":
         return 0.0
     if variant in ("getrf", "potrf"):

@@ -38,7 +38,7 @@ from ..runtime import (
     simulate,
 )
 from .algorithms import sweep_solve_tasks, tiled_getrf_tasks, tiled_potrf_tasks
-from .build import build_tile_h
+from .build import build_tile_h, drop_upper_tiles
 from .descriptor import TileHDesc
 from .factor_program import _bind, _lookup, _nested_stats, announce, instantiate
 from .sweep import SweepProgram, compile_sweep
@@ -343,7 +343,7 @@ class TileHMatrix:
 
     # -- construction ------------------------------------------------------
     @staticmethod
-    def _build_desc(kernel, points, cfg: TileHConfig) -> TileHDesc:
+    def _build_desc(kernel, points, cfg: TileHConfig, lower: bool = False) -> TileHDesc:
         from ..hmatrix import StrongAdmissibility
 
         return build_tile_h(
@@ -354,6 +354,7 @@ class TileHMatrix:
             leaf_size=cfg.leaf_size,
             admissibility=StrongAdmissibility(eta=cfg.eta),
             method=cfg.method,
+            lower=lower,
         )
 
     def _run(self, graph) -> tuple[float, ExecutionTrace]:
@@ -379,6 +380,8 @@ class TileHMatrix:
 
         The ``nt^2`` tiles are assembled by one serial loop in every
         ``exec_mode``, which selects the factorisation's executor only.
+        All of them, whatever the later factorisation: :meth:`matvec` is
+        valid until it runs.
         """
         cfg = config or TileHConfig()
         return cls(cls._build_desc(kernel, points, cfg), cfg)
@@ -395,11 +398,16 @@ class TileHMatrix:
     ) -> tuple["TileHMatrix", FactorizationInfo]:
         """:meth:`build` followed by :meth:`factorize` (``method=``).
 
-        Under ``exec_mode="threaded"``/``"process"`` the returned info's
-        ``graph``, ``trace`` and ``wall_seconds`` cover the factorisation
-        only: assembly is the serial loop in every mode.
+        A Cholesky assembles only the ``nt(nt+1)/2`` tiles on and below the
+        diagonal, all it reads (``build_tile_h(lower=True)``): the matrix is
+        never a matvec operand, and the factor is the one :meth:`build` +
+        :meth:`factorize` gives, bit for bit.  Under
+        ``exec_mode="threaded"``/``"process"`` the returned info's ``graph``,
+        ``trace`` and ``wall_seconds`` cover the factorisation only: assembly
+        is the serial loop in every mode.
         """
-        mat = cls.build(kernel, points, config)
+        cfg = config or TileHConfig()
+        mat = cls(cls._build_desc(kernel, points, cfg, lower=method == "cholesky"), cfg)
         return mat, mat.factorize(method=method)
 
     # -- queries ---------------------------------------------------------------
@@ -444,7 +452,9 @@ class TileHMatrix:
         ``method="lu"`` (default) runs the unpivoted tiled H-LU of
         Algorithm 1; ``method="cholesky"`` runs the tiled H-Cholesky for
         symmetric positive definite kernels (e.g. covariance matrices) —
-        about half the flops and only the lower tiles touched.
+        about half the flops and only the lower tiles touched.  Its strictly
+        upper tiles come back the rank-0 tile, which is what ``L`` holds
+        there, under every executor.
 
         After this call the descriptor holds the packed factors and
         :meth:`solve` becomes available (``matvec`` stops being meaningful).
@@ -469,6 +479,8 @@ class TileHMatrix:
     def _factorize(self, method: str) -> FactorizationInfo:
         cfg = self.config
         desc = self.desc
+        if method == "cholesky":
+            drop_upper_tiles(desc)
         if cfg.exec_mode == "eager":
             engine = StfEngine(racecheck=cfg.racecheck, nested=_nested_policy(cfg))
             tasks_fn = tiled_getrf_tasks if method == "lu" else tiled_potrf_tasks

@@ -49,6 +49,7 @@ from .arithmetic import (
     htrsm,
     hgemm,
     hgemm_transb,
+    hsyrk,
     hpotrf,
     hinv,
     hchol_solve,
@@ -91,6 +92,7 @@ __all__ = [
     "htrsm",
     "hgemm",
     "hgemm_transb",
+    "hsyrk",
     "hpotrf",
     "hinv",
     "hchol_solve",

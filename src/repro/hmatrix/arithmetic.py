@@ -35,6 +35,7 @@ from .rules import _PACK_TRI_MAX, pick, split
 __all__ = [
     "hgemm",
     "hgemm_transb",
+    "hsyrk",
     "hgeadd",
     "to_rk",
     "hpotrf",
@@ -277,6 +278,7 @@ _KERNELS = {
     "trsm_rlt": lambda n, eps, unit, acc, alpha: _htrsm_right_lower_transpose(*n, eps, acc),
     "gemm": lambda n, eps, unit, acc, alpha: hgemm(*n, eps, alpha, acc),
     "gemm_tb": lambda n, eps, unit, acc, alpha: hgemm_transb(*n, eps, alpha, acc),
+    "syrk": lambda n, eps, unit, acc, alpha: hsyrk(*n, eps, alpha, acc),
     "pack": lambda n, eps, unit, acc, alpha: _pack(*n, acc),
 }
 
@@ -625,12 +627,73 @@ def hgeadd(b: HMatrix, a: HMatrix, eps: float, alpha=1.0, acc=None) -> None:
 def hgemm_transb(c: HMatrix, a: HMatrix, b: HMatrix, eps: float, alpha=-1.0, acc=None) -> None:
     """``C <- C + alpha * A @ B.T`` (plain transpose) in H-arithmetic.
 
-    The Cholesky update kernel (SYRK when ``a is b`` structurally).  The
-    transpose is materialised by :meth:`HMatrix.transpose`, which copies
-    every dense leaf and both factors of every Rk leaf of ``b`` — a copy of
-    ``b``'s storage, the same order of cost as the product itself.
+    The Cholesky update of a strictly lower block (a diagonal block is
+    :func:`hsyrk`'s).  The transpose is materialised by
+    :meth:`HMatrix.transpose`, which copies every dense leaf and both factors
+    of every Rk leaf of ``b`` — a copy of ``b``'s storage, the same order of
+    cost as the product itself.
     """
     hgemm(c, a, b.transpose(), eps, alpha, acc)
+
+
+def _add_lower(c: HMatrix, prod, eps: float, acc) -> None:
+    """Add the lower restriction of ``prod`` (an Rk block or a dense array
+    over the diagonal node ``c``) into ``c``: the children on and below the
+    diagonal, restricted as :meth:`HMatrix.axpy_rk`/``axpy_dense`` restrict,
+    recursively on the diagonal; a leaf takes all of it."""
+    rk = isinstance(prod, RkMatrix)
+    if c.is_leaf:
+        (c.axpy_rk if rk else c.axpy_dense)(prod, eps, acc)
+        return
+    if rk and prod.rank == 0:
+        return
+    c.packed_lu = None
+    for i in range(c.nrow_children):
+        for j in range(i + 1):
+            child = c.child(i, j)
+            i0, j0 = c._row_off(child), c._col_off(child)
+            m, n = child.shape
+            if rk:
+                sub = RkMatrix(prod.u[i0 : i0 + m], prod.v[j0 : j0 + n])
+            else:
+                sub = prod[i0 : i0 + m, j0 : j0 + n]
+            if i == j:
+                _add_lower(child, sub, eps, acc)
+            elif rk:
+                child.axpy_rk(sub, eps, acc)
+            else:
+                child.axpy_dense(sub, eps, acc)
+
+
+def hsyrk(c: HMatrix, a: HMatrix, eps: float, alpha=-1.0, acc=None) -> None:
+    """``C <- C + alpha * A @ A.T`` on the lower triangle of the diagonal node ``C``.
+
+    The Cholesky's diagonal update: nothing strictly above the diagonal of
+    ``C`` is written or deferred, which ``L`` never reads.  Subdivided
+    operands recurse (:func:`.rules.split`: ``syrk`` on the diagonal
+    children, ``gemm_tb`` below them, in :func:`hgemm_transb`'s order); at a
+    leaf operand the product is computed exactly as :func:`hgemm_transb`
+    computes it and only its lower restriction is added (:func:`_add_lower`).
+    A leaf ``C`` — a dense diagonal block — keeps the full product.
+    """
+    if c.shape != (a.shape[0], a.shape[0]):
+        raise ValueError(f"hsyrk shape mismatch: C{c.shape} += A{a.shape} @ A.T")
+    c.packed_lu = None
+    if c.is_leaf:
+        hgemm_transb(c, a, a, eps, alpha, acc)
+        return
+    if not a.is_leaf:
+        _descend("syrk", (c, a), eps, acc, alpha=alpha)
+        return
+    b = a.transpose()
+    with _traced("gemm", (a, b), (c,), lambda: _gemm_flops(a, b)):
+        if a.rk is not None:
+            prod = _product_rk(a, b, alpha, eps)
+        else:
+            prod = _product_dense(a, b)
+            if alpha != 1.0:
+                prod = alpha * prod
+        _add_lower(c, prod, eps, acc)
 
 
 def _htrsm_right_lower_transpose(l: HMatrix, b: HMatrix, eps: float, acc=None) -> None:
@@ -658,7 +721,9 @@ def hpotrf(a: HMatrix, eps: float, acc=None) -> HMatrix:
     """In-place H-Cholesky of an SPD H-matrix: lower triangle holds ``L``.
 
     Only the lower triangle (and diagonal) of ``a`` is referenced and
-    written; upper off-diagonal blocks are left untouched.  Raises
+    written: the diagonal updates are :func:`hsyrk`'s, so every block
+    strictly above the diagonal keeps its input bits and no pending update
+    (a dense diagonal leaf's upper half comes back zero).  Raises
     ``numpy.linalg.LinAlgError`` when a diagonal leaf is not positive
     definite.  With an accumulator the same flush-before-read discipline as
     :func:`hgetrf` applies: pending updates under ``a`` are flushed first and

@@ -16,7 +16,7 @@ A step is ``(variant, operands)``: run kernel ``variant`` on ``operands``, each
 ``(src, i, j)`` — child ``(i, j)`` of the caller's operand number ``src``, or
 that operand itself where ``i`` is ``None`` (:func:`pick` resolves them).
 Operands are in kernel-argument order: ``getrf``/``potrf``/``pack`` ``(a,)``; ``trsm_ll``/``trsm_ru``/
-``trsm_rlt`` ``(triangle, b)``; ``gemm``/``gemm_tb`` ``(c, a, b)``.
+``trsm_rlt`` ``(triangle, b)``; ``gemm``/``gemm_tb`` ``(c, a, b)``; ``syrk`` ``(c, a)``.
 """
 
 from __future__ import annotations
@@ -32,9 +32,10 @@ __all__ = ["lu_steps", "chol_steps", "split", "pick"]
 _PACK_TRI_MAX = 256
 
 # Post-order: the panel solves read the pack, so it follows the last update.
-# It flushes the accumulator under its node: a Cholesky's steps never write a
-# node's strictly upper children, which only the kernel's entry flush reaches
-# — gone under a nested split — so every split potrf ends with a pack.
+# It flushes the accumulator under its node.  A Cholesky's steps never write a
+# node's strictly upper children (``syrk`` keeps to the lower triangle), so
+# nothing is pending there: every split potrf ends with a pack all the same,
+# the one step that rounds in a whole factorised node.
 _PACK = ("pack", ((0, None, None),))
 
 
@@ -57,14 +58,16 @@ def lu_steps(n: int):
 
 
 def chol_steps(n: int):
-    """Right-looking Cholesky of an ``n x n`` grid (lower blocks only)."""
+    """Right-looking Cholesky of an ``n x n`` grid: reads and writes the lower
+    blocks only, the diagonal ones updated by ``syrk``."""
     for k in range(n):
         yield "potrf", ((0, k, k),)
         for i in range(k + 1, n):
             yield "trsm_rlt", ((0, k, k), (0, i, k))
         for i in range(k + 1, n):
-            for j in range(k + 1, i + 1):
+            for j in range(k + 1, i):
                 yield "gemm_tb", ((0, i, j), (0, i, k), (0, j, k))
+            yield "syrk", ((0, i, i), (0, i, k))
 
 
 def _trsm_ll_steps(nb: int, ncols: int):
@@ -109,6 +112,17 @@ def _gemm_tb_steps(m: int, n: int, inner: int):
                 yield "gemm_tb", ((0, i, j), (1, i, l), (2, j, l))
 
 
+def _syrk_steps(m: int, n: int, inner: int):
+    # C += A @ A^T on a diagonal node: ``gemm_tb``'s order, children i >= j only.
+    for i in range(m):
+        for j in range(i + 1):
+            for l in range(inner):
+                if i == j:
+                    yield "syrk", ((0, i, i), (1, i, l))
+                else:
+                    yield "gemm_tb", ((0, i, j), (1, i, l), (1, j, l))
+
+
 # The children grids a rule needs to agree, as the arguments of its step
 # generator — or None (shared cluster trees guarantee compatible splits, so
 # None means operands from different trees).
@@ -137,6 +151,10 @@ def _product_tb(c, a, b):
     return _product(c, a, b, transb=True)
 
 
+def _product_aat(c, a):
+    return _product(c, a, a, transb=True)
+
+
 #: variant -> (step generator, children-grid test, largest node whose split
 #: ends with ``pack``)
 _RULES = {
@@ -147,6 +165,7 @@ _RULES = {
     "trsm_rlt": (_trsm_rlt_steps, _right, 0),
     "gemm": (_gemm_steps, _product, 0),
     "gemm_tb": (_gemm_tb_steps, _product_tb, 0),
+    "syrk": (_syrk_steps, _product_aat, 0),
 }
 
 

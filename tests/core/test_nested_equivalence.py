@@ -6,10 +6,16 @@ estimators, seven factories and the tile-level loop nests, verbatim.  Built on
 the same assembled tiles, the graph ``tiled_getrf_tasks``/``tiled_potrf_tasks``
 derive from the rules must equal the reference's field by field — in every
 cell of {real LU, complex LU, Cholesky} x ``min_leaf`` x {fine, coarse} x
-{static, bottom-level priorities} — and, run, must leave eager's bits.
+{static, bottom-level priorities} — and, run, must leave eager's bits.  The
+reference's Cholesky updated a diagonal block by a full ``gemm_tb``; the
+rules' lower-only ``syrk`` writes nothing above the diagonal, so a Cholesky
+graph is held to the reference's less those subtasks (:func:`lower_only`).
 """
 
-from functools import lru_cache
+from bisect import bisect_left
+from dataclasses import replace
+from functools import lru_cache, partial
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,7 +28,7 @@ from repro.core.algorithms import (
     tiled_potrf_tasks,
 )
 from repro.geometry import assemble_dense, cylinder_cloud, make_kernel
-from repro.runtime import NestedPolicy, StfEngine
+from repro.runtime import NestedPolicy, StfEngine, TaskGraph
 
 from . import reference_nested as ref
 
@@ -81,8 +87,99 @@ def assert_same_graph(new, old, nested=True):
         assert eng.nested_stats.records == eng0.nested_stats.records
 
 
+def _written(task):
+    """The node a reference Cholesky ``gemm_tb`` subtask writes (else ``None``)."""
+    args = getattr(task.func, "args", ())
+    return args[1][0] if args and args[0] == "gemm_tb" else None
+
+
+def _whole_handle_edges(tasks) -> list:
+    """STF's dependencies of ``tasks`` (submission order) on handles that
+    have no sub-handles: every access waits for the handle's last writer,
+    a write also for the handle's readers since."""
+    last, readers, out = {}, {}, []
+    for t in tasks:
+        deps = set()
+        for h, m in t.accesses:
+            if h.id in last:
+                deps.add(last[h.id])
+            if m.writes:
+                deps |= readers.get(h.id, set())
+        for h, m in t.accesses:
+            if m.writes:
+                last[h.id], readers[h.id] = t.id, set()
+            else:
+                readers.setdefault(h.id, set()).add(t.id)
+        deps.discard(t.id)
+        out.append(deps)
+    return out
+
+
+def lower_only(old, priority_mode):
+    """The reference Cholesky graph ``old`` as the lower-only SYRK derives it.
+
+    Subtasks writing a block strictly above a diagonal (rows before columns)
+    are gone; a ``gemm_tb`` on a diagonal block is ``syrk`` on ``(c, a)``, one
+    access to ``a`` instead of two; ids, edges and expansion records are
+    renumbered, and bottom-level priorities taken on what is left.  On
+    sub-block handles (fine) a gone subtask's edges just go with it; on
+    whole tiles (coarse, tile level) the tile's chain closes over the gap, so
+    the edges are inferred again — by a replica of STF's rule that must first
+    give the reference its own edges.
+    """
+    g0, eng0 = old
+    keep = {}
+    for u in g0.tasks:
+        c = _written(u)
+        if c is None or c.rows.stop > c.cols.start:
+            keep[u.id] = len(keep)
+    graph = TaskGraph()
+    for u in g0.tasks:
+        if u.id not in keep:
+            continue
+        t = replace(
+            u,
+            id=keep[u.id],
+            deps={keep[d] for d in u.deps if d in keep},
+            successors={keep[d] for d in u.successors if d in keep},
+        )
+        c = _written(u)
+        if (c is not None and c.rows is c.cols) or u.label.startswith("syrk("):
+            first = {}
+            for h, m in u.accesses:
+                first.setdefault(h.id, (h, m))
+            t.accesses = list(first.values())
+        if c is not None and c.rows is c.cols:
+            variant, nodes, eps, unit = u.func.args
+            t.func = partial(u.func.func, "syrk", nodes[:2], eps, unit)
+            t.label = u.label.replace("/gemm_tb@", "/syrk@")
+            if u.spec is not None:
+                _, paths, eps = u.spec.args
+                t.spec = replace(u.spec, args=("syrk", paths[:2], eps))
+        graph.tasks.append(t)
+    if eng0.nested is None or eng0.nested.coarse:
+        assert _whole_handle_edges(g0.tasks) == [u.deps for u in g0.tasks]
+        for t, deps in zip(graph.tasks, _whole_handle_edges(graph.tasks)):
+            t.deps = deps
+            t.successors = set()
+        for t in graph.tasks:
+            for d in t.deps:
+                graph.tasks[d].successors.add(t.id)
+    if priority_mode == "bottom-level":
+        apply_bottom_level_priorities(graph, "flops")
+    stats = eng0.nested_stats
+    if stats is not None:
+        kept = sorted(keep)
+        at = partial(bisect_left, kept)  # kept ids below i: i's new id
+        stats = replace(stats, records=[
+            replace(r, start=at(r.start), stop=at(r.stop)) for r in stats.records
+        ])
+    return graph, SimpleNamespace(nested_stats=stats)
+
+
 def graphs(desc, method, policy, priority_mode="static"):
-    """The rules' graph and the reference's, both deferred on ``desc``."""
+    """The rules' graph and the reference's, both deferred on ``desc`` (the
+    reference's Cholesky through :func:`lower_only`)."""
     out = []
     for tasks_fn in (NEW[method], OLD[method]):
         engine = StfEngine(mode="deferred", nested=policy)
@@ -90,6 +187,8 @@ def graphs(desc, method, policy, priority_mode="static"):
         if priority_mode == "bottom-level":
             apply_bottom_level_priorities(graph, "flops")
         out.append((graph, engine))
+    if method == "cholesky":
+        out[1] = lower_only(out[1], priority_mode)
     return out
 
 
@@ -125,13 +224,16 @@ def test_mixed_depth_tiles_expand_alike(problem):
 @pytest.mark.parametrize("problem", PROBLEMS)
 def test_tile_level_graph_equals_reference(problem):
     """No nested policy: the tile-level tasks alone — CHAMELEON's labels and
-    priorities, dense flops, access order (GEMM: a, b, then c)."""
+    priorities, dense flops, access order (GEMM: a, b, then c; SYRK: a, c)."""
     kernel, method = PROBLEMS[problem]
     desc = _assembled(kernel).desc
     new, old = graphs(desc, method, None)
     assert_same_graph(new, old, nested=False)
-    gemm = next(t for t in new[0].tasks if t.kind == "gemm")
+    gemm = next(t for t in new[0].tasks if t.label.startswith("gemm("))
     assert [m.name for _, m in gemm.accesses] == ["R", "R", "RW"]
+    if method == "cholesky":
+        syrk = next(t for t in new[0].tasks if t.label.startswith("syrk("))
+        assert [(h.name, m.name) for h, m in syrk.accesses] == [("A[1,0]", "R"), ("A[1,1]", "RW")]
 
 
 @pytest.mark.parametrize("cls,method", [(DenseTiledLU, "lu"), (DenseTiledCholesky, "cholesky")])

@@ -24,6 +24,7 @@ from repro.hmatrix import (
     hgemm_transb,
     hgetrf,
     hpotrf,
+    hsyrk,
     htrsm,
     set_tracer,
 )
@@ -189,17 +190,97 @@ def test_hgetrf(shape, dtype, seed, acc_on):
     assert a.packed_lu is not None  # small enough to pack: the rule's last step
 
 
+def _strictly_upper(path) -> bool:
+    """Whether child ``path`` of a diagonal node lies strictly above its diagonal."""
+    for i, j in path:
+        if i != j:
+            return i < j
+    return False
+
+
+def _upper_leaves(h) -> dict:
+    return {p: x for p, x in _nodes(h) if x.is_leaf and _strictly_upper(p)}
+
+
+def _assert_same_lower(new, old, inputs):
+    """The Cholesky's written triangle equal to the reference's, the rest of
+    ``new`` equal to ``inputs`` (copies of its leaves before the kernel):
+    lower leaves and ``tril(packed_lu)`` bit for bit, strictly upper leaves
+    never written, and nothing left pending anywhere."""
+    a, b = list(_nodes(new)), list(_nodes(old))
+    assert [p for p, _ in a] == [p for p, _ in b]
+    for (path, x), (_, y) in zip(a, b):
+        assert x.kind == y.kind, path
+        assert x.pending is None, path
+        if _strictly_upper(path):
+            y = inputs.get(path)
+        if x.full is not None:
+            assert np.array_equal(x.full, y.full), path
+        elif x.rk is not None:
+            assert np.array_equal(x.rk.u, y.rk.u) and np.array_equal(x.rk.v, y.rk.v), path
+        if not _strictly_upper(path):
+            assert (x.packed_lu is None) == (y.packed_lu is None), path
+            if x.packed_lu is not None:
+                assert np.array_equal(np.tril(x.packed_lu), np.tril(y.packed_lu)), path
+
+
+def _check_lower(new_kernel, old_kernel, new_operands, old_operands, acc_on):
+    """:func:`_check` for a kernel that writes the lower triangle of operand 0
+    only: the reference's trace less the records that write a strictly upper
+    block, and :func:`_assert_same_lower`."""
+    inputs = {p: x.copy() for p, x in _upper_leaves(new_operands[0]).items()}
+    trace = _run(new_kernel, new_operands, acc_on)
+    trace0 = _run(old_kernel, old_operands, acc_on)
+    assert trace == [r for r in trace0 if not any(_strictly_upper(w[1]) for w in r[2])]
+    assert trace
+    _assert_same_lower(new_operands[0], old_operands[0], inputs)
+    return trace
+
+
 @ACC
 @SEEDS
 @pytest.mark.parametrize("shape", SHAPES)
 def test_hpotrf(shape, seed, acc_on):
     (a, a0), _ = _square(shape, "real", seed, spd=True)
-    trace = _check(
+    trace = _check_lower(
         lambda a, acc: hpotrf(a, EPS, acc), lambda a, acc: ref.hpotrf(a, EPS, acc),
         (a,), (a0,), acc_on,
     )
     assert {"potrf", "trsm", "gemm"} <= {kind for kind, *_ in trace}
     assert a.packed_lu is not None
+
+
+def _syrk_operands(shape, dtype, fa):
+    """``C`` (a diagonal node) and ``A`` over another tree: library and reference copies."""
+    rng = np.random.default_rng(11)
+    tree, inner = _tree(SHAPES[shape]), _tree(SHAPES["2x2" if shape != "2x2" else "3-way"])
+    c = _pair(_dense(rng, tree.size, tree.size, dtype), _block(tree, tree, rng, diagonal=True))
+    a = _pair(_dense(rng, tree.size, inner.size, dtype), _block(tree, inner, rng, kind=fa))
+    return (c[0], a[0]), (c[1], a[1])
+
+
+@ACC
+@pytest.mark.parametrize("fa", ["h", "rk", "full"])
+@pytest.mark.parametrize("dtype", ["real", "complex"])
+@pytest.mark.parametrize("shape", SHAPES)
+def test_hsyrk(shape, dtype, fa, acc_on):
+    """``hsyrk(c, a)`` is the reference's ``hgemm_transb(c, a, a)`` on the
+    lower triangle of the diagonal node ``c``, and writes nothing above it:
+    no strictly upper leaf of ``c`` changes or holds a pending update."""
+    (c, a), _ = _syrk_operands(shape, dtype, fa)
+    upper = {p: x.copy() for p, x in _upper_leaves(c).items()}
+    acc = UpdateAccumulator(EPS) if acc_on else None
+    hsyrk(c, a, EPS, -1.0, acc)
+    for path, x in _upper_leaves(c).items():
+        assert x.pending is None, path
+        y = upper[path]
+        assert np.array_equal(x.to_dense(), y.to_dense()) and x.kind == y.kind, path
+    new, old = _syrk_operands(shape, dtype, fa)
+    _check_lower(
+        lambda c, a, acc: hsyrk(c, a, EPS, -1.0, acc),
+        lambda c, a, acc: ref.hgemm_transb(c, a, a, EPS, -1.0, acc),
+        new, old, acc_on,
+    )
 
 
 def _panel(tree, other, side, root, dtype, rng):
