@@ -8,7 +8,7 @@ and (simulated) parallel performance::
     python -m repro --n 2000 --precision z --format hmat
     python -m repro --n 3000 --format blr --scheduler ws
     python -m repro --n 2000 --exec threaded --nworkers 4 --nested \
-        --nested-min-leaf 64   # runs the recorded program; only process binds up front
+        --nested-min-leaf 64   # every --exec runs the recorded program
     python -m repro --n 2000 --exec threaded --nworkers 4 --scheduler ws \
         --profile run.json --chrome-trace run.trace.json
     python -m repro report run.json
@@ -107,8 +107,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--chrome-trace",
         metavar="PATH",
         default=None,
-        help="export the threaded execution trace (with queue-depth and "
-        "H-memory counter tracks) as Chrome tracing JSON for Perfetto",
+        help="export the factorisation's execution trace (tile-h; with "
+        "queue-depth and H-memory counter tracks) as Chrome tracing JSON for Perfetto",
     )
     return parser
 
@@ -336,10 +336,10 @@ def main(argv: list[str] | None = None) -> int:
             f"{info.n_tasks} tasks, {info.n_dependencies} dependencies"
         )
 
-        if args.exec_mode in ("threaded", "process"):
+        if args.format == "tile-h":
             violations = validate_trace(info.graph, info.trace, strict=False)
             if violations:
-                print(f"error: threaded trace violates the DAG: {violations[:3]}",
+                print(f"error: {args.exec_mode} trace violates the DAG: {violations[:3]}",
                       file=sys.stderr)
                 return 1
             print(f"trace     : {len(info.trace.events)} {args.exec_mode} "
@@ -391,9 +391,9 @@ def main(argv: list[str] | None = None) -> int:
             write_report(report, args.profile)
             print(f"profile   : run report written to {args.profile}")
         if args.chrome_trace is not None:
-            if run_trace is None:
-                print("warning: --chrome-trace needs a threaded run "
-                      "(--exec threaded); no trace written", file=sys.stderr)
+            if args.format != "tile-h":
+                print("warning: --chrome-trace needs --format tile-h; no trace written",
+                      file=sys.stderr)
             else:
                 export_chrome_trace(
                     run_trace,

@@ -102,14 +102,12 @@ def build_tile_h(
     )
 
 
-def drop_upper_tiles(desc: TileHDesc) -> None:
+def drop_upper_tiles(desc: TileHDesc) -> int:
     """Make every strictly upper tile of ``desc`` the rank-0 tile — what a
-    Cholesky factor ``L`` holds there — and take what they stored off the
-    probe's ``h.bytes``."""
-    grid, probe = desc.super, _current_probe()
+    Cholesky factor ``L`` holds there; returns the bytes they stored."""
+    grid, freed = desc.super, 0
     for i in range(desc.nt):
         for j in range(i + 1, desc.nt):
-            freed = grid.get_blktile(i, j).storage_bytes()
-            if freed and probe is not None:
-                probe.h_bytes_delta(-freed)
+            freed += grid.get_blktile(i, j).storage_bytes()
             grid.set_blktile(i, j, Tile.zeros(desc.clusters[i], desc.clusters[j], grid.dtype))
+    return freed

@@ -7,7 +7,7 @@ shapes, child grids, leaf kinds — is fixed by the clustering, never by the
 numbers in the tiles.  So the task graph of one (block structure, method,
 :class:`~repro.runtime.NestedPolicy`; ``None`` is the opaque tile graph, the
 recursion cut off at the tile) is derived once, kept with the payloads taken
-out, and run by every threaded or process factorisation:
+out, and run by every factorisation (eager is a one-worker run):
 
 * :func:`record` runs today's ``tiled_getrf_tasks``/``tiled_potrf_tasks`` on a
   deferred engine — the expanders plus the engine's family-aware inference
@@ -15,8 +15,8 @@ out, and run by every threaded or process factorisation:
   :class:`FactorProgram`: per task its kind, kernel variant, label and
   priority, its operands and accesses as integer *slots*, its dependency and
   successor lists, and the expansion ranges;
-* a threaded factorisation runs a program from its arrays: the bind resolves
-  the slots to this descriptor's nodes (one walk) and nothing else; task
+* an eager or threaded factorisation runs a program from its arrays: the
+  bind resolves the slots to this descriptor's nodes (one walk); task
   ``t`` is the id ``t``, its kernel resolved at dispatch, its indegree a CSR
   count, its successors a sorted ``int32`` slice — the
   :class:`~repro.runtime.ready.Lowered` form the ready front runs;
@@ -24,8 +24,9 @@ out, and run by every threaded or process factorisation:
   :class:`~repro.runtime.TaskGraph`: handles, closures, flops (a subtask's
   rank-dependent) and :class:`~repro.runtime.Task` objects.  It is what
   :attr:`FactorizationInfo.graph <repro.core.solver.FactorizationInfo.graph>`
-  calls on first read, and what the process executor binds up front (its
-  workers need each task's :class:`~repro.runtime.TaskSpec`);
+  calls on first read, and what a process run (its workers need each task's
+  :class:`~repro.runtime.TaskSpec`) and a race-checked run (its
+  :class:`~repro.runtime.RaceChecker` brackets each task) bind up front;
 * :func:`announce` tells the ambient probe, before a run, every task the
   run will execute — what ``insert_task`` would have announced;
 * :func:`program_for` keeps the programs in a small process-wide table
@@ -238,13 +239,14 @@ def record(desc: TileHDesc, method: str, policy: NestedPolicy | None) -> FactorP
 
 
 def instantiate(
-    program: FactorProgram, desc: TileHDesc, eps: float
+    program: FactorProgram, desc: TileHDesc, eps: float, acc=None
 ) -> tuple[TaskGraph, NestedStats | None]:
     """Bind ``program`` to the tiles of ``desc``: a deferred, runnable graph.
 
     Field by field what the recorder's engine would have built on ``desc``
     (kind, label, priority, flops, accesses, edges, expansion records) — with
-    this descriptor's nodes in the closures and ranks in a subtask's flops.
+    this descriptor's nodes in the closures and ranks in a subtask's flops;
+    the closures are :func:`_bind`'s kernels, deferring through ``acc``.
     """
     nodes = _walk(desc, program.method)[0]
     if _key(nodes, desc.nt, program.method, program.policy) != program.key:
@@ -274,7 +276,7 @@ def instantiate(
     deps, succs = program.dep_idx.tolist(), program.suc_idx.tolist()
     op_ptr, acc_ptr = program.op_ptr.tolist(), program.acc_ptr.tolist()
     dep_ptr, suc_ptr = program.dep_ptr.tolist(), program.suc_ptr.tolist()
-    paths, flops = program.paths, program.flops
+    paths, flops, flushes = program.paths, program.flops, program.flushes
     graph = TaskGraph()
     tasks = graph.tasks
     for t, (kind, variant, unit, label, priority) in enumerate(
@@ -289,7 +291,7 @@ def instantiate(
             priority,
             0.0,
             _flops(variant, nodes_t) if flops is None else flops[t],
-            partial(run_kernel, variant, nodes_t, eps, unit),
+            partial(run_kernel, variant, nodes_t, eps, unit, acc=acc, flush=flushes[t]),
             set(deps[dep_ptr[t]:dep_ptr[t + 1]]),
             set(succs[suc_ptr[t]:suc_ptr[t + 1]]),
             label,

@@ -28,7 +28,7 @@ Subtask accesses come in two granularities (``NestedPolicy.coarse``):
   simulated graph.
 
 The ``packed_lu`` cache rides along as a rule step: ``getrf`` on a node at
-or below ``_PACK_TRI_MAX`` and every ``potrf`` end with ``pack``, and the
+or below ``_PACK_TRI_MAX`` and ``potrf`` on one end with ``pack``, and the
 panel solves read the pack.  With an accumulator the pack also flushes its
 node (see :data:`repro.hmatrix.rules._PACK`).  An expanded diagonal
 therefore gets an explicit ``pack`` subtask (RW on the node —

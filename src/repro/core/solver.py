@@ -23,6 +23,7 @@ import numpy as np
 
 from ..dense import sequential_blas
 from ..hmatrix import UpdateAccumulator, check_compression
+from ..obs.instrument import current as _current_probe
 from ..runtime import (
     SCHEDULER_NAMES,
     ExecutionTrace,
@@ -32,12 +33,11 @@ from ..runtime import (
     RaceChecker,
     RuntimeOverheadModel,
     SimulationResult,
-    StfEngine,
     TaskGraph,
     ThreadedExecutor,
     simulate,
 )
-from .algorithms import sweep_solve_tasks, tiled_getrf_tasks, tiled_potrf_tasks
+from .algorithms import sweep_solve_tasks
 from .build import build_tile_h, drop_upper_tiles
 from .descriptor import TileHDesc
 from .factor_program import _bind, _lookup, _nested_stats, announce, instantiate
@@ -122,26 +122,23 @@ class TileHConfig:
         is somewhat worse (same eps class; ``EXPERIMENTS.md``).  ``False``
         reproduces the eager one-rounding-per-update arithmetic exactly.
     racecheck:
-        Run the factorisation (and the LU solve) under the runtime
-        access-mode race detector
-        (:class:`~repro.runtime.RaceChecker`): every task's actual memory
-        effects are verified against its declared R/W/RW modes, handles
-        are screened for aliasing, and a violation raises
-        :class:`~repro.runtime.RaceCheckError`.  Off by default (the
-        detector is zero-cost when disabled).  The detector brackets each
-        *eagerly executed* kernel, so it is eager-only: combining it with
-        ``exec_mode="threaded"`` raises (post-hoc
-        :func:`~repro.runtime.validate_trace` still covers threaded runs).
+        Run the factorisation (and the solve) under the runtime access-mode
+        race detector (:class:`~repro.runtime.RaceChecker`): every task's
+        actual memory effects are verified against its declared R/W/RW
+        modes, handles are screened for aliasing, and a violation raises
+        :class:`~repro.runtime.RaceCheckError`.  Off by default (zero-cost
+        when disabled).  It brackets each task of the one-worker eager run
+        (``RaceChecker.watch``; the measured task seconds then include the
+        fingerprints), so it is eager-only: another ``exec_mode`` raises
+        (:func:`~repro.runtime.validate_trace` covers every run's trace).
     exec_mode:
         The executor of the factorisation (assembly is one serial loop and a
         warm :meth:`TileHMatrix.solve` replays the compiled sweep, in every
-        mode).  "eager" (default) — kernels run sequentially at submission,
-        exactly the historical bit-identical path; "threaded" — the graph
-        recorded once per block structure (:mod:`~repro.core.factor_program`)
-        runs on a :class:`~repro.runtime.ThreadedExecutor` of ``nworkers``
-        threads under ``scheduler``; "process" — the same graph runs on
-        ``nworkers`` worker *processes* via a
-        :class:`~repro.runtime.ProcessExecutor` with tile payloads in
+        mode), which runs the graph recorded once per block structure
+        (:mod:`~repro.core.factor_program`): "eager" (default) on one leased
+        :class:`~repro.runtime.ThreadedExecutor` worker; "threaded" on
+        ``nworkers`` of them; "process" on ``nworkers`` worker *processes*
+        of a :class:`~repro.runtime.ProcessExecutor`, tile payloads in
         shared memory — GIL-free, and as measured slower than one leased
         thread at every ledger size (``docs/parallelism.md``): kept for
         execution across address spaces, not for speed.  Eager and threaded
@@ -151,8 +148,8 @@ class TileHConfig:
     nworkers:
         Worker thread/process count for ``exec_mode="threaded"/"process"``.
     scheduler:
-        Scheduling policy driving the threaded and process executors ("ws",
-        "lws", "prio" — Section V-C's StarPU policies — or the FIFO "eager").
+        Scheduling policy driving the executor ("ws", "lws", "prio" —
+        Section V-C's StarPU policies — or the FIFO "eager").
     nested:
         Expand tile kernels on H-structured tiles into fine-grain subtask
         DAGs over their block trees (nested task parallelism, after
@@ -200,7 +197,7 @@ class TileHConfig:
         if self.racecheck and self.exec_mode != "eager":
             raise ValueError(
                 "racecheck is eager-only: the detector fingerprints payloads "
-                "around each eagerly executed kernel; use validate_trace on "
+                "around each task of a one-worker run; use validate_trace on "
                 f"the {self.exec_mode} trace instead"
             )
         if self.nested_min_leaf < 1:
@@ -231,21 +228,20 @@ def _measured_graph(program, desc: TileHDesc, trace: ExecutionTrace) -> TaskGrap
 class FactorizationInfo:
     """Outcome of a factorisation: the task DAG plus convenience queries.
 
-    ``graph`` is the factorisation's :class:`~repro.runtime.TaskGraph`.  A
-    threaded run, opaque or nested, executes its factor program without one
-    (:mod:`repro.core.factor_program`); its ``graph`` is bound on first read
+    ``trace`` is the run's per-worker execution timeline (one worker when
+    eager; check it with :func:`~repro.runtime.validate_trace`) and
+    ``wall_seconds`` its wall time.  ``graph`` is its
+    :class:`~repro.runtime.TaskGraph`: a process or race-checked run binds it
+    up front; any other runs its factor program
+    (:mod:`repro.core.factor_program`) without one and binds it on first read
     — :func:`~repro.core.factor_program.instantiate` on the factor, so a
     subtask's flops count the factor's ranks — with each task's measured
-    seconds (its trace event) written in.
+    seconds (its trace event) written in.  The dense baseline's info has a
+    graph and no trace.
 
     ``racecheck`` holds the :class:`~repro.runtime.RaceChecker` that
     observed the factorisation when the detector was enabled (``None``
     otherwise); query it for ``violations`` / ``summary()``.
-
-    After a threaded run, ``trace`` holds the real per-worker execution
-    timeline (validate it with :func:`~repro.runtime.validate_trace`) and
-    ``wall_seconds`` the measured end-to-end wall time of the threaded
-    graph execution; both are ``None`` on the eager path.
 
     After a nested-expansion run (``TileHConfig(nested=True)``),
     ``nested_stats`` holds the engine's expansion accounting and ``nested``
@@ -363,11 +359,9 @@ class TileHMatrix:
         cfg = self.config
         if cfg.exec_mode == "process":
             executor = ProcessExecutor(cfg.nworkers, scheduler=cfg.scheduler)
-        else:
-            # H-kernels are interpreter-bound: run them under the executor's lease.
-            executor = ThreadedExecutor(
-                cfg.nworkers, scheduler=cfg.scheduler, interpreter_bound=True
-            )
+        else:  # H-kernels are interpreter-bound: run them under the executor's lease
+            executor = ThreadedExecutor(1 if cfg.exec_mode == "eager" else cfg.nworkers,
+                                        scheduler=cfg.scheduler, interpreter_bound=True)
         wall = executor.run(graph)
         if cfg.exec_mode == "process":
             self.desc.relink_clusters()
@@ -401,8 +395,7 @@ class TileHMatrix:
         A Cholesky assembles only the ``nt(nt+1)/2`` tiles on and below the
         diagonal, all it reads (``build_tile_h(lower=True)``): the matrix is
         never a matvec operand, and the factor is the one :meth:`build` +
-        :meth:`factorize` gives, bit for bit.  Under
-        ``exec_mode="threaded"``/``"process"`` the returned info's ``graph``,
+        :meth:`factorize` gives, bit for bit.  The returned info's ``graph``,
         ``trace`` and ``wall_seconds`` cover the factorisation only: assembly
         is the serial loop in every mode.
         """
@@ -477,30 +470,29 @@ class TileHMatrix:
         return info
 
     def _factorize(self, method: str) -> FactorizationInfo:
-        cfg = self.config
-        desc = self.desc
+        cfg, desc = self.config, self.desc
         if method == "cholesky":
-            drop_upper_tiles(desc)
-        if cfg.exec_mode == "eager":
-            engine = StfEngine(racecheck=cfg.racecheck, nested=_nested_policy(cfg))
-            tasks_fn = tiled_getrf_tasks if method == "lu" else tiled_potrf_tasks
-            graph = tasks_fn(desc, engine, accumulate=cfg.accumulate)
-            return FactorizationInfo(graph, desc.nb, desc.nt, racecheck=engine.racecheck,
-                                     nested_stats=engine.nested_stats)
-        # Every threaded or process graph, opaque or nested, is a bound
-        # FactorProgram — recorded first when this structure is new here.
+            freed, probe = drop_upper_tiles(desc), _current_probe()
+            if freed and probe is not None:
+                probe.h_bytes_delta(-freed)
+        # Every factorisation, opaque or nested, runs a bound FactorProgram —
+        # recorded first when this structure is new here.
         program, nodes = _lookup(desc, method, _nested_policy(cfg))
         announce(program, nodes)
-        # Threads run the program from its arrays and bind the graph on first
-        # read; the process workers need each task's TaskSpec up front (which
-        # carries no accumulator: process runs are undeferred).
-        graph = instantiate(program, desc, desc.eps)[0] if cfg.exec_mode == "process" else None
-        acc = UpdateAccumulator(desc.eps) if cfg.accumulate else None
+        # Process workers need each task's TaskSpec (which carries no
+        # accumulator: process runs are undeferred) and the race checker
+        # brackets each Task, so both bind the graph up front; any other run
+        # goes from the program's arrays and binds the graph on first read.
+        process = cfg.exec_mode == "process"
+        acc = UpdateAccumulator(desc.eps) if cfg.accumulate and not process else None
+        checker = RaceChecker() if cfg.racecheck else None
+        graph = (instantiate(program, desc, desc.eps, acc)[0]
+                 if process or checker is not None else None)
+        if checker is not None:
+            checker.watch(graph)
         wall, trace = self._run(_bind(program, nodes, desc.eps, acc) if graph is None else graph)
-        info = FactorizationInfo(
-            graph, desc.nb, desc.nt, trace=trace, wall_seconds=wall,
-            nested_stats=_nested_stats(program),
-        )
+        info = FactorizationInfo(graph, desc.nb, desc.nt, racecheck=checker, trace=trace,
+                                 wall_seconds=wall, nested_stats=_nested_stats(program))
         if graph is None:
             info._make_graph = partial(_measured_graph, program, desc, trace)
         return info
@@ -603,7 +595,9 @@ class TileHMatrix:
         ``mmap=True`` maps the archive once, read-only, instead of copying it
         into RAM (zero-copy warm starts, one file descriptor held while the
         matrix lives); either way the loaded factor solves to the same bits.
-        Legacy ``.npz`` archives are always read into memory.
+        Legacy ``.npz`` archives are always read into memory.  A Cholesky
+        factor loads with its strictly upper tiles rank-0, even from archives
+        that hold data there.
         """
         from dataclasses import fields
 
@@ -627,6 +621,8 @@ class TileHMatrix:
         if meta["factorized"]:
             solver._factorized = True
             solver._method = meta["method"]
+            if solver._method == "cholesky":
+                drop_upper_tiles(desc)  # a load never charged the probe's h.bytes
         return solver
 
     def solve_refined(

@@ -32,10 +32,9 @@ __all__ = ["lu_steps", "chol_steps", "split", "pick"]
 _PACK_TRI_MAX = 256
 
 # Post-order: the panel solves read the pack, so it follows the last update.
-# It flushes the accumulator under its node.  A Cholesky's steps never write a
-# node's strictly upper children (``syrk`` keeps to the lower triangle), so
-# nothing is pending there: every split potrf ends with a pack all the same,
-# the one step that rounds in a whole factorised node.
+# Only a node small enough to pack has one, LU and Cholesky alike: its flush
+# of the node finds nothing pending (a child is last written by a factorisation
+# or triangular solve, which flush on entry; ``syrk`` writes no upper child).
 _PACK = ("pack", ((0, None, None),))
 
 
@@ -159,7 +158,7 @@ def _product_aat(c, a):
 #: ends with ``pack``)
 _RULES = {
     "getrf": (lu_steps, _square, _PACK_TRI_MAX),
-    "potrf": (chol_steps, _square, float("inf")),
+    "potrf": (chol_steps, _square, _PACK_TRI_MAX),
     "trsm_ll": (_trsm_ll_steps, _left, 0),
     "trsm_ru": (_trsm_ru_steps, _right, 0),
     "trsm_rlt": (_trsm_rlt_steps, _right, 0),
@@ -182,8 +181,8 @@ def split(variant: str, nodes: tuple) -> tuple | None:
     expansion alike: a kernel descends only where every operand is subdivided
     and their children grids agree.  ``None`` is a leaf case — or, where no
     operand is a leaf, incompatible grids, which the eager kernels raise on.
-    A factorisation ends with its ``pack`` (an LU of a node up to
-    ``_PACK_TRI_MAX``, a Cholesky always).
+    A factorisation of a node up to ``_PACK_TRI_MAX`` rows ends with its
+    ``pack``.
     """
     rule = _RULES.get(variant)  # "pack" has none: it never descends
     if rule is None:

@@ -122,7 +122,6 @@ _FIELDS = {
         "accumulator?": {
             "deferred?": "int",
             "flushed_blocks?": "int",
-            "early_flushes?": "int",
         },
     },
     "counters?": "obj",
@@ -151,10 +150,6 @@ _FIELDS = {
             "budget_bytes?": "num|null",
         },
         "workers?": "int",
-        "executor?": {
-            "mode?": "str",
-            "nworkers?": "int",
-        },
     },
     # Registry metric process.<path> per row (see _fold).
     "process?": {
@@ -227,7 +222,6 @@ _FIELDS = {
         "signal?": "num",
         "noise?": "num",
         "eps?": "num",
-        "exec_mode?": "str",
         "train_seconds": "num",
         "predict_seconds": "num",
         "predict_throughput_rps?": "num",
@@ -327,10 +321,10 @@ def build_run_report(
     ``trace`` (an :class:`~repro.runtime.trace.ExecutionTrace`) is the
     preferred time source: per-kind and per-worker times are integrated from
     its events, so the kind table sums exactly to total busy time.  Without a
-    trace (eager runs) the ``graph``'s measured task seconds are used and the
-    run is reported as a single worker lane.  ``probe`` contributes flop
-    tags, scheduler counters, and the H-arithmetic metrics; any subset of the
-    three sources may be omitted.
+    trace (the dense and ℌ-matrix baselines) the ``graph``'s measured task
+    seconds are used and the run is reported as a single worker lane.
+    ``probe`` contributes flop tags, scheduler counters, and the H-arithmetic
+    metrics; any subset of the three sources may be omitted.
 
     ``service`` attaches a solve-service section (see
     ``repro.service.SolveService.stats``, the one record of its counts).

@@ -6,7 +6,8 @@ misdeclared access produces a silently-wrong DAG whose replayed schedules are
 not linear extensions of the true data dependencies.  This module checks the
 declarations against reality instead of trusting them:
 
-* **Payload fingerprints** — around every eagerly-executed kernel the
+* **Payload fingerprints** — around every kernel an eager engine runs, and
+  every task of a deferred graph given to :meth:`~RaceChecker.watch`, the
   checker hashes the NumPy buffers reachable from each accessed handle
   (content hashes; large arrays are strided-sampled).  A changed fingerprint
   on an R-declared handle is an *undeclared write* (error); an unchanged
@@ -31,7 +32,8 @@ The checker is opt-in and zero-cost when disabled: ``StfEngine`` holds
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -216,6 +218,11 @@ class RaceChecker:
         if self.strict and violation.severity == "error":
             raise RaceCheckError(str(violation))
 
+    def _flag(self, kind: str, severity: str, task: Task, handle: DataHandle,
+              message: str) -> None:
+        self._report(RaceViolation(kind, severity, task.id, task.kind, task.label,
+                                   handle.name, message))
+
     # -- handle aliasing --------------------------------------------------------
     def register_handle(self, handle: DataHandle) -> None:
         """Record ``handle``'s buffers; flag overlap with earlier handles.
@@ -259,23 +266,27 @@ class RaceChecker:
         self._snapshots.clear()
         for handle, mode in task.accesses:
             if mode is AccessMode.R and _has_pending(handle.payload):
-                self._report(
-                    RaceViolation(
-                        kind="stale-read",
-                        severity="error",
-                        task_id=task.id,
-                        task_kind=task.kind,
-                        task_label=task.label,
-                        handle=handle.name,
-                        message=(
-                            "pure-R access to a handle with pending unflushed "
-                            "accumulator updates (flush-before-read violated)"
-                        ),
-                    )
-                )
+                self._flag("stale-read", "error", task, handle,
+                           "pure-R access to a handle with pending unflushed "
+                           "accumulator updates (flush-before-read violated)")
             self._snapshots[handle.id] = payload_fingerprint(
                 handle.payload, sample_threshold=self.sample_threshold
             )
+
+    def watch(self, graph: TaskGraph) -> None:
+        """Check each task of the deferred ``graph`` as a one-worker run
+        executes it (one snapshot at a time): its handles are registered and
+        its closure bracketed, so the run's task seconds include the
+        fingerprints."""
+        for handle in dict.fromkeys(h for task in graph.tasks for h, _ in task.accesses):
+            self.register_handle(handle)
+        for task in graph.tasks:
+            task.func = partial(self._checked, task, task.func)
+
+    def _checked(self, task: Task, func) -> None:
+        self.before_task(task)
+        func()
+        self.after_task(task)
 
     def after_task(self, task: Task) -> None:
         """Compare post-run fingerprints against the declared modes."""
@@ -289,29 +300,11 @@ class RaceChecker:
             )
             changed = after != before
             if changed and not mode.writes:
-                self._report(
-                    RaceViolation(
-                        kind="undeclared-write",
-                        severity="error",
-                        task_id=task.id,
-                        task_kind=task.kind,
-                        task_label=task.label,
-                        handle=handle.name,
-                        message="payload changed under an R-declared access",
-                    )
-                )
+                self._flag("undeclared-write", "error", task, handle,
+                           "payload changed under an R-declared access")
             elif not changed and mode is AccessMode.W:
-                self._report(
-                    RaceViolation(
-                        kind="silent-write",
-                        severity="warning",
-                        task_id=task.id,
-                        task_kind=task.kind,
-                        task_label=task.label,
-                        handle=handle.name,
-                        message="payload unchanged under a W-declared access",
-                    )
-                )
+                self._flag("silent-write", "warning", task, handle,
+                           "payload unchanged under a W-declared access")
         self._snapshots.clear()
 
 

@@ -7,7 +7,7 @@ every strictly upper tile is the rank-0 tile ``L`` holds there — under every
 executor and from both build paths, with one factor between them.  The factor
 and its solves are those of the full-product update that came before, bit for
 bit (fingerprints recorded with it), and archives written by it, which hold
-data above the diagonal, load and solve to the same bits.
+data above the diagonal, load without it and solve to the same bits.
 """
 
 import ctypes
@@ -20,10 +20,11 @@ import scipy
 import scipy.linalg
 
 import repro.core.build as build_module
-from repro.core import TileHConfig, TileHMatrix, build_tile_h
+from repro.core import TileHConfig, TileHMatrix, build_tile_h, factor_program as fp
 from repro.geometry import cylinder_cloud, make_kernel
 from repro.gp import GPModel, synthetic_gp_data
 from repro.obs import Instrumentation
+from repro.runtime import NestedPolicy
 from repro.service import FactorizationStore
 from repro.service.problems import ProblemSpec, build_solver
 
@@ -301,12 +302,31 @@ def test_archives_with_data_above_the_diagonal_solve_to_the_same_bits(tmp_path):
     assert old.desc.super.get_blktile(0, 1).storage() > 0
     path = tmp_path / "old.tileh"
     old.save(path)
+    model.solver_.save(tmp_path / "new.tileh")
+    want_bytes = TileHMatrix.load(tmp_path / "new.tileh").storage_bytes()
+    assert want_bytes == model.solver_.storage_bytes() < old.storage_bytes()
     for mmap in (False, True):
         loaded = TileHMatrix.load(path, mmap=mmap)
+        _assert_upper_rank0(loaded.desc)
+        assert loaded.storage_bytes() == want_bytes, mmap
         assert np.array_equal(loaded.solve(ks), want_x), mmap
-        got = GPModel.load(path, x, y, mmap=mmap, **GP).predict(xt)
+        fitted = GPModel.load(path, x, y, mmap=mmap, **GP)
+        assert fitted.solver_.storage_bytes() == want_bytes, mmap
+        got = fitted.predict(xt)
         assert np.array_equal(got.mean, want.mean) and np.array_equal(got.var, want.var), mmap
     FactorizationStore(tmp_path / "store").put("old", old)
     for mmap in (False, True):
         served = FactorizationStore(tmp_path / "store", mmap=mmap).get("old")
+        assert served.storage_bytes() == want_bytes, mmap
         assert np.array_equal(served.solve(ks), want_x), mmap
+
+
+def test_a_pack_step_sits_on_a_packable_node_only():
+    """A split potrf ends with ``pack`` on a node of at most 256 rows, as a
+    split getrf does: a larger one has nothing pending to flush by then and
+    is never packed, so its ``pack`` would be an empty subtask."""
+    desc = build_tile_h(_kernel(1800), _points(1800), 600, eps=1e-6, leaf_size=64, lower=True)
+    program = fp.record(desc, "cholesky", NestedPolicy(min_leaf=64))
+    graph = fp.instantiate(program, desc, desc.eps)[0]
+    rows = [t.accesses[0][0].payload.shape[0] for t in graph.tasks if t.kind == "pack"]
+    assert rows and max(rows) <= 256

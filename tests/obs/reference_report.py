@@ -4,8 +4,10 @@ Until ``repro.obs.report`` derived ``REPORT_SCHEMA`` from one table of rows
 and folded the ``hmatrix``/``process`` sections along it, the schema was the
 hand-written literal below and the builder copied every registry metric by
 hand.  The library no longer contains them; this module is the only copy,
-kept unchanged (bar the two ``format_table`` imports, made absolute) as the
-reference the table-driven module is held to: the same schema, the same
+kept unchanged (bar the two ``format_table`` imports, made absolute, and
+three keys nothing emits any more — ``service.executor``, ``gp.exec_mode``
+and ``hmatrix.accumulator.early_flushes`` — deleted with the library's rows)
+as the reference the table-driven module is held to: the same schema, the same
 reports, the same validation errors, rendering, diffs and views
 (``test_report_equivalence.py``).  Do not "fix" or modernise it: its value is
 that it is what the library used to run.
@@ -142,7 +144,6 @@ REPORT_SCHEMA = {
                     "properties": {
                         "deferred": {"type": "integer", "minimum": 0},
                         "flushed_blocks": {"type": "integer", "minimum": 0},
-                        "early_flushes": {"type": "integer", "minimum": 0},
                     },
                 },
             },
@@ -187,13 +188,6 @@ REPORT_SCHEMA = {
                     },
                 },
                 "workers": {"type": "integer", "minimum": 0},
-                "executor": {
-                    "type": "object",
-                    "properties": {
-                        "mode": {"type": "string"},
-                        "nworkers": {"type": "integer", "minimum": 0},
-                    },
-                },
             },
         },
         "process": {
@@ -309,7 +303,6 @@ REPORT_SCHEMA = {
                 "signal": {"type": "number", "minimum": 0},
                 "noise": {"type": "number", "minimum": 0},
                 "eps": {"type": "number", "minimum": 0},
-                "exec_mode": {"type": "string"},
                 "train_seconds": {"type": "number", "minimum": 0},
                 "predict_seconds": {"type": "number", "minimum": 0},
                 "predict_throughput_rps": {"type": "number", "minimum": 0},
@@ -565,7 +558,6 @@ def build_run_report(
             "accumulator": {
                 "deferred": int(reg.counter("h.accumulator.deferred")),
                 "flushed_blocks": int(reg.counter("h.accumulator.flushed_blocks")),
-                "early_flushes": int(reg.counter("h.accumulator.early_flushes")),
             },
         }
     else:
@@ -838,7 +830,7 @@ def render_report(report: dict) -> str:
     if acc and acc.get("deferred"):
         lines.append(
             f"accumulator: {acc['deferred']} deferred updates, "
-            f"{acc['flushed_blocks']} block flushes, {acc['early_flushes']} early"
+            f"{acc['flushed_blocks']} block flushes"
         )
     proc = report.get("process")
     if proc:

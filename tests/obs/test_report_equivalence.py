@@ -14,15 +14,12 @@ from the table must equal its literal, and build, validate, render, diff and
 Two intended differences: the reference's renderer raised ``KeyError`` on
 some schema-valid reports (an ``aca``, ``accumulator`` or ``replication``
 block, a ``gp`` section or the ``nested`` replay counters missing an optional
-key the line printed) — every generated report renders now; and the
-accumulator line no longer ends in the count of early flushes, which no cap
-forces any more (the schema keeps the key).  Otherwise, where the reference
-rendered, the text is the same.
+key the line printed) — every generated report renders now.  Otherwise,
+where the reference rendered, the text is the same.
 """
 
 import copy
 import json
-import re
 
 import numpy as np
 import pytest
@@ -109,7 +106,7 @@ def _gp():
         pred = model.predict(x[:8])
     gp = {
         "kernel": "matern32", "geometry": "cylinder", "n_train": 200, "n_test": 8,
-        "length": 0.3, "signal": 1.0, "noise": 0.1, "eps": 1e-6, "exec_mode": "eager",
+        "length": 0.3, "signal": 1.0, "noise": 0.1, "eps": 1e-6,
         "train_seconds": 0.5, "predict_seconds": 0.01, "predict_throughput_rps": 800.0,
         "batch_width_mean": 4.0, "mean_rmse": 0.02,
         "var_min": float(pred.var.min()), "var_max": float(pred.var.max()),
@@ -151,12 +148,6 @@ def _text(report) -> str:
     return json.dumps(report, sort_keys=True)
 
 
-def _ref_render(report) -> str:
-    """The reference's rendering, less the early-flush count it ends the
-    accumulator line with."""
-    return re.sub(r"(accumulator: .* block flushes), -?\d+ early", r"\1", ref.render_report(report))
-
-
 def test_schema_equals_the_literal():
     assert new.REPORT_SCHEMA == ref.REPORT_SCHEMA
 
@@ -188,7 +179,7 @@ def test_the_runs_cover_every_section(reports):
 @pytest.mark.parametrize("name", RUNS)
 def test_render_validate_and_view_same(reports, name):
     report = reports[name]
-    assert new.render_report(report) == _ref_render(report)
+    assert new.render_report(report) == ref.render_report(report)
     assert new.validate_report(report) == ref.validate_report(report)
     assert new.nontiming_view(report) == ref.nontiming_view(report)
 
@@ -299,7 +290,7 @@ def test_generated_reports_are_valid_and_render(report):
     reference rendered it, the text is the same."""
     assert new.validate_report(report) == []
     text = new.render_report(report)
-    kind, expected = _outcome(_ref_render, report)
+    kind, expected = _outcome(ref.render_report, report)
     if kind == "ok":
         assert text == expected
     assert _outcome(new.nontiming_view, report) == _outcome(ref.nontiming_view, report)

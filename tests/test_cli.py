@@ -1,5 +1,7 @@
 """Unit tests for the command-line driver (python -m repro)."""
 
+import json
+
 import pytest
 
 from repro.__main__ import build_parser, main
@@ -66,6 +68,27 @@ class TestMain:
         rc = main(["--n", "250", "--format", "hmat", "--threads", "1", "--racecheck"])
         assert rc == 0
         assert "racecheck" in capsys.readouterr().out
+
+    def test_every_tile_h_run_validates_its_trace(self, capsys):
+        rc = main(["--n", "300", "--nb", "100", "--threads", "1"])
+        assert rc == 0
+        assert "eager events validated as a linear extension" in capsys.readouterr().out
+
+    def test_eager_chrome_trace_is_written(self, tmp_path, capsys):
+        path = tmp_path / "run.trace.json"
+        rc = main(["--n", "300", "--nb", "100", "--threads", "1", "--chrome-trace", str(path)])
+        assert rc == 0
+        events = json.loads(path.read_text())["traceEvents"]
+        assert any(e.get("ph") == "X" for e in events)
+        assert "Chrome trace written" in capsys.readouterr().out
+
+    def test_hmat_chrome_trace_warns(self, tmp_path, capsys):
+        path = tmp_path / "run.trace.json"
+        rc = main(["--n", "250", "--format", "hmat", "--threads", "1",
+                   "--chrome-trace", str(path)])
+        assert rc == 0
+        assert not path.exists()
+        assert "--chrome-trace needs --format tile-h" in capsys.readouterr().err
 
     def test_racecheck_flag_parsed(self):
         args = build_parser().parse_args(["--racecheck"])
