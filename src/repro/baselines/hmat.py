@@ -69,11 +69,12 @@ def _leaf_handles(engine: StfEngine, node: HMatrix, cache: dict) -> list:
 def trace_to_graph(tracer: KernelTracer, engine: StfEngine | None = None) -> TaskGraph:
     """Replay a kernel trace into a fine-grained task DAG via STF inference.
 
-    Pass an engine with ``racecheck`` enabled to screen the leaf handles
-    for memory aliasing while the trace replays (the kernels already ran
-    during tracing, so per-task fingerprints do not apply here).
+    The tasks carry their traced seconds and no kernel (they ran during
+    tracing), so the default engine is a deferred one: there is nothing to
+    run.  Pass an engine with ``racecheck`` enabled to screen the leaf
+    handles for memory aliasing while the trace replays.
     """
-    engine = engine or StfEngine(mode="eager")
+    engine = engine or StfEngine(mode="deferred")
     cache: dict = {}
     for rec in tracer.records:
         accesses = []
@@ -215,7 +216,7 @@ class HMatSolver:
         finally:
             set_tracer(prev)
         self._factorized = True
-        engine = StfEngine(mode="eager", racecheck=True) if self.racecheck else StfEngine(mode="eager")
+        engine = StfEngine(mode="deferred", racecheck=self.racecheck)
         graph = trace_to_graph(tracer, engine)
         return HMatFactorizationInfo(graph=graph, racecheck=engine.racecheck)
 

@@ -5,9 +5,9 @@
 inside a tile — over tile positions and submits one task per tile kernel to
 an :class:`~repro.runtime.stf.StfEngine` with the same access modes CHAMELEON
 declares (GETRF: RW on the diagonal tile; TRSM: R on the factor tile, RW on
-the panel tile; GEMM: R, R, RW).  The engine executes the H-arithmetic
-eagerly (sound numerics) and returns the task DAG with measured per-task
-costs for the simulator.
+the panel tile; GEMM: R, R, RW).  An eager engine runs the H-arithmetic when
+the section closes and returns the task DAG with measured per-task costs for
+the simulator; a deferred one returns it unrun.
 
 Priorities follow CHAMELEON's LU heuristic: panel operations of earlier
 iterations dominate, and GETRF > TRSM > GEMM within an iteration — the
@@ -140,11 +140,11 @@ def declared(variant: str, handles: list) -> list:
     return [(handles[n], modes[n]) for n in _DECLARED[variant]]
 
 
-def _tiled_factorize(desc, steps, lower, engine, eps, accumulate, racecheck) -> TaskGraph:
+def _tiled_factorize(desc, steps, lower, engine, eps, accumulate) -> TaskGraph:
     """Submit ``steps(nt)`` over the tiles of ``desc`` (the lower ones only for
     Cholesky): per step one task whose closure, process spec, expander and
     access list all derive from ``(variant, handles)``."""
-    eng = engine or StfEngine(mode="eager", racecheck=racecheck)
+    eng = engine or StfEngine(mode="eager")
     eps_ = desc.eps if eps is None else eps
     nt = desc.nt
     grid = desc.super
@@ -178,12 +178,11 @@ def tiled_getrf_tasks(
     *,
     eps: float | None = None,
     accumulate: bool = True,
-    racecheck: bool = False,
 ) -> TaskGraph:
     """Factorise ``desc`` in place via the tiled right-looking LU.
 
     Returns the task graph; with the default eager engine the tiles are
-    already factorised when this returns (L and U packed tile-wise: strictly
+    factorised when this returns (L and U packed tile-wise: strictly
     lower tiles hold L, the diagonal packs both, upper tiles hold U).
 
     With ``accumulate=True`` (default) the ``nt - k`` trailing-matrix GEMM
@@ -197,15 +196,15 @@ def tiled_getrf_tasks(
     agree bit for bit.  A process executor runs each task's spec, which
     carries no accumulator: its runs are undeferred.
 
-    ``racecheck=True`` (ignored when ``engine`` is supplied — configure the
-    engine instead) verifies every task's actual memory effects against its
-    declared access modes via :class:`~repro.runtime.RaceChecker`.
+    ``engine=StfEngine(racecheck=True)`` verifies every task's actual memory
+    effects against its declared access modes via
+    :class:`~repro.runtime.RaceChecker`.
 
     On an engine with a nested policy every tile kernel is submitted with
     its :mod:`~repro.core.nested` expander, so kernels on H-structured
     tiles above the granularity cutoff become sub-block subtask DAGs.
     """
-    return _tiled_factorize(desc, lu_steps, False, engine, eps, accumulate, racecheck)
+    return _tiled_factorize(desc, lu_steps, False, engine, eps, accumulate)
 
 
 def tiled_potrf_tasks(
@@ -214,7 +213,6 @@ def tiled_potrf_tasks(
     *,
     eps: float | None = None,
     accumulate: bool = True,
-    racecheck: bool = False,
 ) -> TaskGraph:
     """Tiled right-looking Cholesky of an SPD Tile-H matrix, in place.
 
@@ -226,11 +224,11 @@ def tiled_potrf_tasks(
     must stay intact — :meth:`TileHMatrix.factorize
     <repro.core.TileHMatrix.factorize>` makes them come back rank-0, which is
     what ``L`` holds there.  Priorities reuse the LU heuristic (POTRF plays
-    GETRF's role).  ``accumulate`` defers the trailing-update roundings
-    exactly as in :func:`tiled_getrf_tasks`; ``racecheck`` enables the
-    access-mode race detector the same way.
+    GETRF's role).  ``accumulate`` defers the trailing-update roundings and
+    a checking engine race-checks the run, exactly as in
+    :func:`tiled_getrf_tasks`.
     """
-    return _tiled_factorize(desc, chol_steps, True, engine, eps, accumulate, racecheck)
+    return _tiled_factorize(desc, chol_steps, True, engine, eps, accumulate)
 
 
 def sweep_solve_tasks(

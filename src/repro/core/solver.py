@@ -236,8 +236,9 @@ class FactorizationInfo:
     (:mod:`repro.core.factor_program`) without one and binds it on first read
     — :func:`~repro.core.factor_program.instantiate` on the factor, so a
     subtask's flops count the factor's ranks — with each task's measured
-    seconds (its trace event) written in.  The dense baseline's info has a
-    graph and no trace.
+    seconds (its trace event) written in.  The dense baseline's info has the
+    graph of its eager engine section, timed by that section's one-worker
+    run, and no trace.
 
     ``racecheck`` holds the :class:`~repro.runtime.RaceChecker` that
     observed the factorisation when the detector was enabled (``None``

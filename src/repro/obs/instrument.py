@@ -3,8 +3,8 @@
 One :class:`Instrumentation` object observes one profiled run.  Components
 receive it two ways:
 
-* explicitly — ``StfEngine(instrument=...)``, ``ThreadedExecutor(...,
-  instrument=...)``, ``simulate(..., instrument=...)``;
+* explicitly — ``ThreadedExecutor(..., instrument=...)``,
+  ``ProcessExecutor(..., instrument=...)``, ``simulate(..., instrument=...)``;
 * ambiently — ``with Instrumentation() as probe:`` installs the probe as the
   process-wide *active* probe that the H-kernels (ACA, Rk rounding, the
   update accumulator, tile assembly) consult through :func:`current`, so the

@@ -6,12 +6,12 @@ misdeclared access produces a silently-wrong DAG whose replayed schedules are
 not linear extensions of the true data dependencies.  This module checks the
 declarations against reality instead of trusting them:
 
-* **Payload fingerprints** — around every kernel an eager engine runs, and
-  every task of a deferred graph given to :meth:`~RaceChecker.watch`, the
-  checker hashes the NumPy buffers reachable from each accessed handle
-  (content hashes; large arrays are strided-sampled).  A changed fingerprint
-  on an R-declared handle is an *undeclared write* (error); an unchanged
-  fingerprint on a pure-W handle is a *silent write* (warning).
+* **Payload fingerprints** — around the kernel of every task of a graph
+  given to :meth:`~RaceChecker.watch` (an eager engine's section, a
+  race-checked factorisation), the checker hashes the NumPy buffers reachable
+  from each accessed handle (content hashes; large arrays are strided-sampled).
+  A changed fingerprint on an R-declared handle is an *undeclared write*
+  (error); an unchanged one on a pure-W handle is a *silent write* (warning).
 * **Stale accumulator reads** — a task that declares a pure R access on a
   handle whose leaves still carry ``pending`` updates (buffered there by an
   :class:`~repro.hmatrix.accumulator.UpdateAccumulator`) would read data the
@@ -26,7 +26,7 @@ declarations against reality instead of trusting them:
   its task's dependencies have finished.
 
 The checker is opt-in and zero-cost when disabled: ``StfEngine`` holds
-``racecheck=None`` by default and only performs a ``None`` test per task.
+``racecheck=None`` by default and tests it once per handle and per section.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ __all__ = [
 
 
 class RaceCheckError(RuntimeError):
-    """An access-mode violation detected at eager execution time."""
+    """An access-mode violation detected at registration or run time."""
 
 
 @dataclass(frozen=True)
@@ -194,9 +194,9 @@ class RaceChecker:
         self.sample_threshold = sample_threshold
         self.violations: list[RaceViolation] = []
         self.n_checked_tasks = 0
-        self._snapshots: dict[int, bytes] = {}
         # Aliasing registry: id(base buffer) -> [(array, handle), ...].
         self._buffers: dict[int, list[tuple[np.ndarray, DataHandle]]] = {}
+        self._registered: set[int] = set()  # handle ids
 
     # -- reporting -----------------------------------------------------------
     @property
@@ -225,7 +225,7 @@ class RaceChecker:
 
     # -- handle aliasing --------------------------------------------------------
     def register_handle(self, handle: DataHandle) -> None:
-        """Record ``handle``'s buffers; flag overlap with earlier handles.
+        """Record ``handle``'s buffers, once; flag overlap with earlier handles.
 
         Two views of one buffer registered as separate handles defeat the
         engine's ``id(payload)`` registry: the STF inference would treat
@@ -234,6 +234,9 @@ class RaceChecker:
         *by construction* and the STF inference knows it, so related handles
         are exempt; only overlap between unrelated handles is an error.
         """
+        if handle.id in self._registered:
+            return
+        self._registered.add(handle.id)
         for arr in iter_buffers(handle.payload):
             base = arr.base if arr.base is not None else arr
             bucket = self._buffers.setdefault(id(base), [])
@@ -261,51 +264,37 @@ class RaceChecker:
             bucket.append((arr, handle))
 
     # -- per-task fingerprinting ---------------------------------------------
-    def before_task(self, task: Task) -> None:
-        """Snapshot accessed payloads; check the flush-before-read rule."""
-        self._snapshots.clear()
+    def watch(self, graph: TaskGraph) -> None:
+        """Check each task of ``graph`` that has a kernel as a one-worker run
+        executes it (one snapshot at a time): its handles are registered and
+        its kernel bracketed, so the run's task seconds include the
+        fingerprints."""
+        tasks = [task for task in graph.tasks if task.func is not None]
+        for handle in dict.fromkeys(h for task in tasks for h, _ in task.accesses):
+            self.register_handle(handle)
+        for task in tasks:
+            task.func = partial(self._checked, task, task.func)
+
+    def _checked(self, task: Task, func) -> None:
+        """Run ``task``'s kernel ``func`` between two fingerprints of its handles."""
+        fingerprint = partial(payload_fingerprint, sample_threshold=self.sample_threshold)
+        before = {}
         for handle, mode in task.accesses:
             if mode is AccessMode.R and _has_pending(handle.payload):
                 self._flag("stale-read", "error", task, handle,
                            "pure-R access to a handle with pending unflushed "
                            "accumulator updates (flush-before-read violated)")
-            self._snapshots[handle.id] = payload_fingerprint(
-                handle.payload, sample_threshold=self.sample_threshold
-            )
-
-    def watch(self, graph: TaskGraph) -> None:
-        """Check each task of the deferred ``graph`` as a one-worker run
-        executes it (one snapshot at a time): its handles are registered and
-        its closure bracketed, so the run's task seconds include the
-        fingerprints."""
-        for handle in dict.fromkeys(h for task in graph.tasks for h, _ in task.accesses):
-            self.register_handle(handle)
-        for task in graph.tasks:
-            task.func = partial(self._checked, task, task.func)
-
-    def _checked(self, task: Task, func) -> None:
-        self.before_task(task)
+            before[handle.id] = fingerprint(handle.payload)
         func()
-        self.after_task(task)
-
-    def after_task(self, task: Task) -> None:
-        """Compare post-run fingerprints against the declared modes."""
         self.n_checked_tasks += 1
         for handle, mode in task.accesses:
-            before = self._snapshots.get(handle.id)
-            if before is None:
-                continue
-            after = payload_fingerprint(
-                handle.payload, sample_threshold=self.sample_threshold
-            )
-            changed = after != before
+            changed = fingerprint(handle.payload) != before[handle.id]
             if changed and not mode.writes:
                 self._flag("undeclared-write", "error", task, handle,
                            "payload changed under an R-declared access")
             elif not changed and mode is AccessMode.W:
                 self._flag("silent-write", "warning", task, handle,
                            "payload unchanged under a W-declared access")
-        self._snapshots.clear()
 
 
 def validate_trace(

@@ -6,18 +6,18 @@ mode)`` accesses.  Dependencies are inferred from the access sequence:
 * a reader depends on the handle's last writer;
 * a writer depends on the last writer *and* every reader since then.
 
-Two execution modes:
+``insert_task`` only records: it infers the task's edges, announces it and
+stores its kernel.  ``wait_all`` closes the section, and the mode says what
+then runs it:
 
-* ``eager`` (default) — the kernel runs immediately (sound numerics, correct
-  sequential order) and its wall time is recorded as the task cost; the DAG
-  is then replayed on virtual workers by the simulator.
-* ``deferred`` — kernels are stored as closures for a real (threaded)
-  executor; used on genuinely multicore hosts.
+* ``eager`` (default) — the calling thread, as the one leased worker of a
+  :class:`~repro.runtime.threaded.ThreadedExecutor` that measures each task's
+  cost for the simulator;
+* ``deferred`` — nothing: the graph is returned unrun, for any executor.
 """
 
 from __future__ import annotations
 
-import time
 from typing import Any, Callable
 
 from ..obs.instrument import current as _current_probe
@@ -25,6 +25,7 @@ from .dag import TaskGraph
 from .expand import NestedPolicy, NestedStats
 from .racecheck import RaceChecker
 from .task import AccessMode, DataHandle, Task
+from .threaded import ThreadedExecutor
 
 __all__ = ["StfEngine", "announce_task", "payload_footprint"]
 
@@ -81,11 +82,10 @@ class StfEngine:
 
     ``racecheck`` enables the runtime access-mode race detector: ``True``
     installs a default strict :class:`~repro.runtime.racecheck.RaceChecker`,
-    or pass a configured checker instance.  When enabled, every eager kernel
-    run is bracketed by payload fingerprints verifying the declared R/W/RW
-    modes against the actual memory effects, and newly registered handles
-    are screened for memory aliasing.  Disabled (the default) it costs one
-    ``None`` test per task.
+    or pass a configured checker instance.  When enabled, newly registered
+    handles are screened for memory aliasing and an eager section runs under
+    :meth:`RaceChecker.watch <repro.runtime.racecheck.RaceChecker.watch>`,
+    whose payload fingerprints verify each kernel's declared R/W/RW modes.
 
     ``nested`` enables nested task expansion: a
     :class:`~repro.runtime.expand.NestedPolicy` makes ``insert_task`` honour
@@ -111,24 +111,14 @@ class StfEngine:
         self.mode = mode
         self.graph = TaskGraph()
         self._handles: dict[int, DataHandle] = {}
-        if racecheck is True:
-            self.racecheck: RaceChecker | None = RaceChecker()
-        else:
-            self.racecheck = racecheck or None
+        self.racecheck = RaceChecker() if racecheck is True else racecheck or None
         self.nested = nested
         self.nested_stats = NestedStats(nested) if nested is not None else None
 
     # -- handle management -------------------------------------------------
     def handle(self, payload: Any, name: str = "") -> DataHandle:
         """Get-or-create the handle registered for ``payload`` (by identity)."""
-        key = id(payload)
-        h = self._handles.get(key)
-        if h is None:
-            h = DataHandle(name=name, payload=payload)
-            self._handles[key] = h
-            if self.racecheck is not None:
-                self.racecheck.register_handle(h)
-        return h
+        return self.subhandle(None, payload, name)
 
     def handle_of(self, payload: Any) -> DataHandle | None:
         """The handle already registered for ``payload``, or ``None`` — lets a
@@ -136,8 +126,9 @@ class StfEngine:
         name only when it is about to be created."""
         return self._handles.get(id(payload))
 
-    def subhandle(self, parent: DataHandle, payload: Any, name: str = "") -> DataHandle:
-        """Get-or-create a handle for a sub-block of ``parent``'s payload.
+    def subhandle(self, parent: DataHandle | None, payload: Any, name: str = "") -> DataHandle:
+        """Get-or-create a handle for a sub-block of ``parent``'s payload
+        (``parent=None``: a handle of its own, as :meth:`handle` makes).
 
         The new handle is linked into ``parent``'s hierarchy so dependency
         inference knows the two overlap in memory (the racecheck aliasing
@@ -148,8 +139,9 @@ class StfEngine:
         h = self._handles.get(key)
         if h is None:
             h = DataHandle(name=name, payload=payload)
-            h.parent = parent
-            parent.children.append(h)
+            if parent is not None:
+                h.parent = parent
+                parent.children.append(h)
             self._handles[key] = h
             if self.racecheck is not None:
                 self.racecheck.register_handle(h)
@@ -173,12 +165,13 @@ class StfEngine:
         spec=None,
         expander: Callable[["StfEngine"], Any] | None = None,
     ) -> Task | None:
-        """Submit one task; returns the created graph node.
+        """Record one task; returns the created graph node.
 
-        In eager mode ``func`` runs now and its measured time becomes the
-        task cost unless an explicit ``seconds`` is given (pre-traced tasks
-        pass ``func=None`` with explicit costs).  ``spec`` optionally attaches
-        a declarative, picklable kernel description for process executors.
+        ``func`` runs when the section does (see :meth:`wait_all`), and the
+        run measures its cost.  An explicit ``seconds`` is the cost of a
+        pre-traced task, which passes ``func=None``.  ``spec`` optionally
+        attaches a declarative, picklable kernel description for process
+        executors.
 
         ``expander`` marks the task as *expandable*: when the engine was
         built with a nested policy, the expander is called instead of the
@@ -205,27 +198,11 @@ class StfEngine:
             label=label,
         )
         task.spec = spec
+        task.func = func
+        if seconds is not None:
+            task.seconds = seconds
         self._infer_dependencies(task)
         self._announce(task)
-        if self.mode == "eager":
-            if func is not None:
-                checker = self.racecheck
-                if checker is not None:
-                    # Fingerprints run outside the timed window so measured
-                    # task costs stay kernel-only.
-                    checker.before_task(task)
-                t0 = time.perf_counter()
-                func()
-                elapsed = time.perf_counter() - t0
-                if checker is not None:
-                    checker.after_task(task)
-                task.seconds = elapsed if seconds is None else seconds
-            else:
-                task.seconds = 0.0 if seconds is None else seconds
-        else:
-            task.func = func
-            if seconds is not None:
-                task.seconds = seconds
         return task
 
     def _announce(self, task: Task) -> None:
@@ -291,6 +268,12 @@ class StfEngine:
     def wait_all(self) -> TaskGraph:
         """Finish the STF section and return the (validated) DAG.
 
+        An eager engine runs the section on ``ThreadedExecutor(1,
+        interpreter_bound=True)`` (under its checker's ``watch``, if any), so
+        a kernel's exception raises from here; the run measures each task's
+        seconds and drops its kernel, so a later section's run passes the
+        earlier tasks as pre-traced ones and runs only its own kernels.
+
         The handles forget their last writer and readers: that state serves
         only the inference of the section just finished, and kept, it closes
         a reference cycle through every task (task -> accesses -> handle ->
@@ -301,7 +284,17 @@ class StfEngine:
         Tasks submitted afterwards start a new section and take no edge from
         this one.
         """
-        self.graph.validate()
+        graph = self.graph
         for handle in self._handles.values():
             handle.reset()
-        return self.graph
+        if self.mode == "deferred":
+            graph.validate()
+            return graph
+        if self.racecheck is not None:
+            self.racecheck.watch(graph)
+        try:
+            ThreadedExecutor(1, interpreter_bound=True).run(graph)  # validates it
+        finally:
+            for task in graph.tasks:
+                task.func = None
+        return graph

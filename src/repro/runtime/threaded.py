@@ -1,7 +1,7 @@
 """Scheduler-backed thread-pool execution of a deferred task graph.
 
-This executor runs a graph built by a *deferred*
-:class:`~repro.runtime.stf.StfEngine` — or a bound factor program
+This executor runs a graph recorded by a :class:`~repro.runtime.stf.StfEngine`
+(an eager one's ``wait_all`` runs its section here) — or a bound factor program
 (:mod:`repro.core.factor_program`), whose tasks are bare ids run from the
 program's arrays — with real worker threads driven by any virtual-time
 :class:`~repro.runtime.schedulers.Scheduler` policy (``ws``, ``lws``,
@@ -63,7 +63,7 @@ class ThreadedExecutor(GraphExecutor):
 
     ``scheduler`` accepts any :func:`~repro.runtime.schedulers.make_scheduler`
     name or a :class:`Scheduler` instance; it is reset (``setup``) per run.
-    A one-worker executor runs its worker on the calling thread.
+    Worker 0 is the calling thread; the others are spawned and joined.
 
     ``interpreter_bound=True`` declares the graph's closures interpreter-bound
     (H-kernels) and runs them under the interpreter lease — see the module
@@ -159,17 +159,22 @@ class ThreadedExecutor(GraphExecutor):
                     if handoffs:
                         probe.lease_handoffs(widx, handoffs)
 
-        if self.nworkers == 1:
-            # The caller's thread: a spawned one would allocate from a malloc
-            # arena of its own and keep it (peak RSS +15 MB at n=2304).
+        # Worker 0 is the caller's thread: a spawned one would allocate from a
+        # malloc arena of its own and keep it (peak RSS +15 MB at n=2304).
+        threads = [
+            threading.Thread(target=worker, args=(w,), name=f"repro-worker-{w}")
+            for w in range(1, self.nworkers)
+        ]
+        for th in threads:
+            th.start()
+        try:
             worker(0)
-        else:
-            threads = [
-                threading.Thread(target=worker, args=(w,), name=f"repro-worker-{w}")
-                for w in range(self.nworkers)
-            ]
-            for th in threads:
-                th.start()
+        except BaseException as exc:  # out of the loop itself: stop the others
+            with lock:
+                state["error"] = state["error"] or exc
+                lock.notify_all()
+            raise
+        finally:
             for th in threads:
                 th.join()
         if state["error"] is not None:

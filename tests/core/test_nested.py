@@ -222,10 +222,9 @@ def test_racecheck_catches_subblock_mode_misdeclaration():
 
         e.insert_task("gemm", kernel, [(sub, AccessMode.R)], label="seeded")
 
+    eng.insert_task("getrf", lambda: None, [(h, AccessMode.RW)], expander=bad_expander)
     with pytest.raises(RaceCheckError, match="undeclared-write"):
-        eng.insert_task(
-            "getrf", lambda: None, [(h, AccessMode.RW)], expander=bad_expander
-        )
+        eng.wait_all()
 
 
 def test_racecheck_exempts_related_handles_but_not_unrelated_aliases():

@@ -84,8 +84,9 @@ class TestMisdeclaredAccess:
         eng = StfEngine(racecheck=True)
         a = np.zeros(8)
         ha = eng.handle(a, "a")
+        eng.insert_task("bad", lambda: a.__setitem__(slice(None), 7.0), [(ha, R)])
         with pytest.raises(RaceCheckError, match="undeclared-write"):
-            eng.insert_task("bad", lambda: a.__setitem__(slice(None), 7.0), [(ha, R)])
+            eng.wait_all()
 
     def test_undeclared_write_recorded_when_not_strict(self):
         checker = RaceChecker(strict=False)
@@ -93,6 +94,7 @@ class TestMisdeclaredAccess:
         a = np.zeros(8)
         ha = eng.handle(a, "a")
         eng.insert_task("bad", lambda: a.__setitem__(0, 1.0), [(ha, R)])
+        eng.wait_all()
         assert checker.n_errors == 1
         assert checker.violations[0].kind == "undeclared-write"
         assert checker.violations[0].handle == "a"
@@ -103,6 +105,7 @@ class TestMisdeclaredAccess:
         a = np.zeros(8)
         ha = eng.handle(a, "a")
         eng.insert_task("noop", lambda: None, [(ha, W)])
+        eng.wait_all()
         assert checker.n_errors == 0
         assert checker.n_warnings == 1
         assert checker.violations[0].kind == "silent-write"
@@ -114,6 +117,7 @@ class TestMisdeclaredAccess:
         a = np.zeros(8)
         ha = eng.handle(a, "a")
         eng.insert_task("gemm", lambda: None, [(ha, RW)])
+        eng.wait_all()
         assert checker.violations == []
 
     def test_correct_declarations_pass(self):
@@ -122,6 +126,7 @@ class TestMisdeclaredAccess:
         ha, hb = eng.handle(a, "a"), eng.handle(b, "b")
         eng.insert_task("axpy", lambda: a.__iadd__(b), [(hb, R), (ha, RW)])
         eng.insert_task("read", lambda: float(b.sum()), [(hb, R)])
+        eng.wait_all()
         assert eng.racecheck.n_errors == 0
         assert eng.racecheck.n_checked_tasks == 2
 
@@ -171,6 +176,7 @@ class TestStaleAccumulatorRead:
         eng = StfEngine(racecheck=checker)
         hh = eng.handle(h, "leaf")
         eng.insert_task("read", lambda: None, [(hh, R)])
+        eng.wait_all()
         assert any(v.kind == "stale-read" for v in checker.violations)
 
     def test_flushed_read_passes(self):
@@ -186,6 +192,7 @@ class TestStaleAccumulatorRead:
         eng = StfEngine(racecheck=checker)
         hh = eng.handle(h, "leaf")
         eng.insert_task("read", lambda: None, [(hh, R)])
+        eng.wait_all()
         assert checker.violations == []
 
     def test_has_pending_subtree(self):
@@ -242,7 +249,7 @@ class TestTiledPotrfClean:
         assert eng.racecheck.n_errors == 0
         assert eng.racecheck.n_checked_tasks == len(graph)
 
-    def test_potrf_racecheck_kwarg(self):
+    def test_potrf_racecheck_strict_engine(self):
         from repro.core import tiled_potrf_tasks
         from repro.core.build import build_tile_h
         from repro.geometry import exponential_kernel, plate_cloud
@@ -250,7 +257,7 @@ class TestTiledPotrfClean:
         pts = plate_cloud(200)
         kern = exponential_kernel(pts, length=0.6)
         desc = build_tile_h(kern, pts, 50, eps=1e-8, leaf_size=32)
-        tiled_potrf_tasks(desc, racecheck=True)  # strict: raises on violation
+        tiled_potrf_tasks(desc, StfEngine(racecheck=True))  # strict: raises on violation
 
 
 class TestTiledSolveClean:

@@ -87,24 +87,60 @@ class TestDependencyInference:
         assert counts["getrf"] == 3 and counts["trsm"] == 6 and counts["gemm"] == 5
         assert len(g) == 14
 
-    def test_eager_executes_immediately(self):
+    def test_eager_executes_at_wait_all(self):
+        # insert_task only records; the eager engine runs the section when it closes.
         eng = StfEngine()
         h = eng.handle(object())
         hits = []
-        eng.insert_task("k", lambda: hits.append(1), [(h, RW)])
-        assert hits == [1]
+        t = eng.insert_task("k", lambda: hits.append(1), [(h, RW)])
+        assert hits == [] and t.func is not None
+        eng.wait_all()
+        assert hits == [1] and t.func is None
 
     def test_eager_measures_cost(self):
         eng = StfEngine()
         h = eng.handle(object())
         t = eng.insert_task("k", lambda: sum(range(10000)), [(h, RW)])
+        assert t.seconds == 0.0  # not run yet
+        eng.wait_all()
         assert t.seconds > 0
 
     def test_explicit_seconds_override(self):
+        # An explicit cost is a pre-traced task's; a kernel's run measures its own.
         eng = StfEngine()
         h = eng.handle(object())
-        t = eng.insert_task("k", lambda: None, [(h, RW)], seconds=4.5, flops=7.0)
-        assert t.seconds == 4.5 and t.flops == 7.0
+        traced = eng.insert_task("k", None, [(h, RW)], seconds=4.5, flops=7.0)
+        run = eng.insert_task("k", lambda: None, [(h, RW)], seconds=4.5)
+        eng.wait_all()
+        assert traced.seconds == 4.5 and traced.flops == 7.0
+        assert run.seconds != 4.5
+
+    def test_eager_sections_run_each_kernel_once(self):
+        eng = StfEngine()
+        h = eng.handle(object())
+        hits = []
+        eng.insert_task("a", lambda: hits.append("a"), [(h, RW)])
+        first = eng.insert_task("b", lambda: hits.append("b"), [(h, RW)])
+        eng.wait_all()
+        seconds = first.seconds
+        eng.insert_task("c", lambda: hits.append("c"), [(h, RW)])
+        g = eng.wait_all()
+        assert hits == ["a", "b", "c"] and len(g) == 3
+        assert first.seconds == seconds  # the second run left the first's cost
+
+    def test_eager_kernel_error_raises_from_wait_all(self):
+        eng = StfEngine()
+        h = eng.handle(object())
+        hits = []
+
+        def boom():
+            raise ZeroDivisionError("kernel")
+
+        eng.insert_task("a", boom, [(h, RW)])
+        eng.insert_task("b", lambda: hits.append(1), [(h, RW)])
+        with pytest.raises(ZeroDivisionError, match="kernel"):
+            eng.wait_all()
+        assert hits == []  # the failed task's successor never ran
 
     def test_deferred_stores_func(self):
         eng = StfEngine(mode="deferred")

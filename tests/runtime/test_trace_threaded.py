@@ -193,6 +193,82 @@ class TestThreadedExecutor:
         with pytest.raises(ValueError):
             ThreadedExecutor(0)
 
+    @staticmethod
+    def _spawned():
+        return sorted(t.name for t in threading.enumerate()
+                      if t.name.startswith("repro-worker-"))
+
+    def test_worker_zero_is_the_calling_thread(self):
+        # Two tasks that overlap (a barrier): one runs on the caller's thread,
+        # the other on the one spawned worker.
+        eng = StfEngine(mode="deferred")
+        barrier = threading.Barrier(2, timeout=10)
+        ran, spawned = set(), []
+
+        def kernel():
+            ran.add(threading.current_thread().name)
+            spawned.append(self._spawned())
+            barrier.wait()
+
+        for _ in range(2):
+            eng.insert_task("k", kernel, [(eng.handle(object()), RW)])
+        ThreadedExecutor(2).run(eng.wait_all())
+        assert ran == {threading.current_thread().name, "repro-worker-1"}
+        assert spawned == [["repro-worker-1"]] * 2
+        assert self._spawned() == []
+
+    def test_no_worker_outlives_a_failed_run(self):
+        def boom():
+            raise RuntimeError("kernel failed")
+
+        for leased in (False, True):
+            eng = StfEngine(mode="deferred")
+            for i in range(4):
+                h = eng.handle(object())
+                eng.insert_task("k", boom if i == 2 else lambda: None, [(h, RW)])
+            with pytest.raises(RuntimeError, match="kernel failed"):
+                ThreadedExecutor(2, interpreter_bound=leased).run(eng.wait_all())
+            assert self._spawned() == []
+
+    def test_worker_zero_leaving_by_base_exception_stops_the_others(self):
+        # Worker 0 leaves its loop itself, not through a task: releasing the
+        # successor of its first task raises.  The spawned worker, parked for
+        # work that will never come, must be told to stop and be joined
+        # before run() re-raises.
+        class Interrupted(BaseException):
+            pass
+
+        from repro.runtime import make_scheduler
+
+        eng = StfEngine(mode="deferred")
+        h = eng.handle(object())
+        for _ in range(2):
+            eng.insert_task("k", lambda: None, [(h, RW)])
+        graph = eng.wait_all()
+        scheduler = make_scheduler("eager")
+        pop, push = scheduler.pop, scheduler.push
+
+        def push_or_leave(task, w):
+            if w == 0:
+                raise Interrupted
+            push(task, w)
+
+        scheduler.pop = lambda w: pop(w) if w == 0 else None  # worker 1 only waits
+        scheduler.push = push_or_leave
+        outcome = []
+
+        def call():
+            try:
+                ThreadedExecutor(2, scheduler=scheduler).run(graph)
+            except Interrupted as exc:
+                outcome.append(exc)
+
+        th = threading.Thread(target=call, daemon=True)
+        th.start()
+        th.join(timeout=10)
+        assert not th.is_alive(), "run() hung"
+        assert len(outcome) == 1 and self._spawned() == []
+
 
 class TestChromeTraceExport:
     def test_export_roundtrip(self, tmp_path):
