@@ -43,6 +43,7 @@ _KERNELS = {
     "trsm_rlt": _trsm_rlt,
     "gemm_tb": _gemm_tb,
     "syrk": lambda c, a: _gemm_tb(c, a, a),  # a dense diagonal tile keeps the full product
+    "pack": lambda a: None,  # a dense tile is its own pack
 }
 
 
@@ -103,8 +104,15 @@ class DenseTiledLU:
         self._factorized = True
         return FactorizationInfo(graph=graph, nb=self.nb, nt=self.nt)
 
+    #: Whether the forward sweep's triangle has a unit diagonal (LU's L).
+    _unit_lower = True
+
+    def _upper(self, k: int, j: int) -> np.ndarray:
+        """Block ``(k, j)``, ``j >= k``, of the backward sweep's upper factor."""
+        return self.tiles[k, j]
+
     def solve(self, b: np.ndarray) -> np.ndarray:
-        """Forward/backward substitution over the packed LU tiles."""
+        """Forward/backward substitution over the factor tiles."""
         if not self._factorized:
             raise RuntimeError("call factorize() before solve()")
         b = np.asarray(b)
@@ -112,50 +120,31 @@ class DenseTiledLU:
         x = np.array(b[:, None] if squeeze else b, copy=True)
         if x.shape[0] != self.n:
             raise ValueError(f"rhs leading dim {x.shape[0]} != {self.n}")
-        nt = self.nt
+        nt, sl = self.nt, self._sl
         for k in range(nt):
             for j in range(k):
-                x[self._sl(k)] -= self.tiles[k, j] @ x[self._sl(j)]
-            x[self._sl(k)] = solve_triangular(
-                self.tiles[k, k], x[self._sl(k)], lower=True, unit_diagonal=True
-            )
+                x[sl(k)] -= self.tiles[k, j] @ x[sl(j)]
+            x[sl(k)] = solve_triangular(self.tiles[k, k], x[sl(k)], lower=True,
+                                        unit_diagonal=self._unit_lower, check_finite=False)
         for k in reversed(range(nt)):
             for j in range(k + 1, nt):
-                x[self._sl(k)] -= self.tiles[k, j] @ x[self._sl(j)]
-            x[self._sl(k)] = solve_triangular(self.tiles[k, k], x[self._sl(k)], lower=False)
+                x[sl(k)] -= self._upper(k, j) @ x[sl(j)]
+            x[sl(k)] = solve_triangular(self._upper(k, k), x[sl(k)], lower=False,
+                                        check_finite=False)
         return x[:, 0] if squeeze else x
 
 
 class DenseTiledCholesky(DenseTiledLU):
     """Dense tiled Cholesky (POTRF/TRSM/SYRK loop nest on ndarray tiles).
 
-    The SPD counterpart of :class:`DenseTiledLU`; shares the tile grid and
-    the submission loop and swaps the step sequence for the classic tiled
-    right-looking Cholesky (lower tiles only).
+    The SPD counterpart of :class:`DenseTiledLU`; shares the tile grid, the
+    submission loop and the substitution, and swaps the step sequence for the
+    classic tiled right-looking Cholesky (lower tiles only) and the
+    substitution's factors (``L`` with its own diagonal, then ``L^H``).
     """
 
     _steps = staticmethod(chol_steps)
+    _unit_lower = False
 
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        """Forward/backward substitution with the lower Cholesky tiles."""
-        if not self._factorized:
-            raise RuntimeError("call factorize() before solve()")
-        b = np.asarray(b)
-        squeeze = b.ndim == 1
-        x = np.array(b[:, None] if squeeze else b, copy=True)
-        if x.shape[0] != self.n:
-            raise ValueError(f"rhs leading dim {x.shape[0]} != {self.n}")
-        nt = self.nt
-        for k in range(nt):
-            for j in range(k):
-                x[self._sl(k)] -= self.tiles[k, j] @ x[self._sl(j)]
-            x[self._sl(k)] = solve_triangular(
-                self.tiles[k, k], x[self._sl(k)], lower=True, check_finite=False
-            )
-        for k in reversed(range(nt)):
-            for j in range(k + 1, nt):
-                x[self._sl(k)] -= self.tiles[j, k].conj().T @ x[self._sl(j)]
-            x[self._sl(k)] = solve_triangular(
-                self.tiles[k, k].conj().T, x[self._sl(k)], lower=False, check_finite=False
-            )
-        return x[:, 0] if squeeze else x
+    def _upper(self, k: int, j: int) -> np.ndarray:
+        return self.tiles[j, k].conj().T  # L^H

@@ -23,11 +23,11 @@ import numpy as np
 from ..dense import flops_gemm, flops_getrf, flops_potrf, flops_trsm
 from ..hmatrix import UpdateAccumulator
 from ..hmatrix.arithmetic import run_kernel
-from ..hmatrix.rules import chol_steps, lu_steps
+from ..hmatrix.rules import VARIANTS, chol_steps, lu_steps
 from ..runtime import AccessMode, StfEngine, TaskGraph
 from .descriptor import TileHDesc
 from .sweep import SweepProgram, compile_sweep, run_steps
-from .nested import ACCESS, _nested_spec, expander
+from .nested import _nested_spec, expander
 
 __all__ = [
     "lu_priorities",
@@ -87,57 +87,52 @@ def lu_priorities(nt: int, k: int, kind: str, i: int = 0, j: int = 0) -> int:
     raise ValueError(f"unknown kernel kind {kind!r}")
 
 
-_TRSM_LABEL = {"trsm_ll": "trsm_u", "trsm_ru": "trsm_l", "trsm_rlt": "trsm"}
-
-
 def tile_steps(steps, nt: int, rows: list, is_c: bool):
     """Algorithm 1 at the tile level: for each of ``steps`` (``lu_steps(nt)`` /
     ``chol_steps(nt)``, read over tile positions) yield ``(variant, kind,
     positions, label, priority, flops)`` — the task kind, the operands' tile
-    positions in kernel-argument order, CHAMELEON's names and priorities, and
-    the dense kernel's flops for tile heights ``rows``.  Shared by the Tile-H algorithms
-    below and the dense baselines, so format comparisons see one graph.
+    positions in kernel-argument order, CHAMELEON's names (the variant row's
+    label prefix) and priorities, and the dense kernel's flops for tile
+    heights ``rows`` (a TRSM's right-hand sides on the row's side).  Shared by
+    the Tile-H algorithms below and the dense baselines, so format
+    comparisons see one graph.
     """
     for variant, operands in steps:
         pos = [(i, j) for _, i, j in operands]
-        kind = ACCESS[variant][0]
+        row = VARIANTS[variant]
+        kind = row.kind
         if kind == "gemm":
             (i, j), (_, k) = pos[0], pos[1]
-            label = f"{'syrk' if variant == 'syrk' else 'gemm'}({i},{j},{k})"
+            label = f"{row.label}({i},{j},{k})"
             priority = lu_priorities(nt, k, "gemm", i, j)
             # A SYRK keeps the full product's dense model: no simulated table moves.
             flops = flops_gemm(rows[i], rows[j], rows[k], is_complex=is_c)
         elif kind == "trsm":
             (k, _), (i, j) = pos
-            label = f"{_TRSM_LABEL[variant]}({i},{j})"
+            label = f"{row.label}({i},{j})"
             priority = lu_priorities(nt, k, "trsm")
-            flops = flops_trsm(rows[k], rows[j if variant == "trsm_ll" else i], is_complex=is_c)
+            flops = flops_trsm(rows[k], rows[j if row.side == "left" else i], is_complex=is_c)
         else:  # getrf / potrf (which plays GETRF's role in the priorities)
             k = pos[0][0]
-            label = f"{variant}({k})"
+            label = f"{row.label}({k})"
             priority = lu_priorities(nt, k, "getrf")
-            flops = (flops_getrf if variant == "getrf" else flops_potrf)(rows[k], is_complex=is_c)
+            flops = (flops_getrf if kind == "getrf" else flops_potrf)(rows[k], is_complex=is_c)
         yield variant, kind, pos, label, priority, flops
-
-
-# CHAMELEON's declaration order — the tiles read, then the tile written — as
-# positions into the kernel-argument order, and where each operand then sits
-# in the access list (the process op's paths; empty: the whole tile).
-_DECLARED = {
-    variant: sorted(range(len(modes)), key=lambda n: modes[n].writes)
-    for variant, (_, modes) in ACCESS.items()
-}
-_TILE_PATHS = {
-    variant: tuple((order.index(n), ()) for n in range(len(order)))
-    for variant, order in _DECLARED.items()
-}
 
 
 def declared(variant: str, handles: list) -> list:
     """The access list of tile kernel ``variant`` on ``handles`` (given in
-    kernel-argument order), in CHAMELEON's declaration order."""
-    modes = ACCESS[variant][1]
-    return [(handles[n], modes[n]) for n in _DECLARED[variant]]
+    kernel-argument order), in CHAMELEON's declaration order: the tiles read,
+    then the tile the variant's row marks written."""
+    w = VARIANTS[variant].written
+    return [(h, R) for n, h in enumerate(handles) if n != w] + [(handles[w], RW)]
+
+
+def _tile_paths(variant: str, arity: int) -> tuple:
+    """Where each operand sits in :func:`declared`'s list: the process op's
+    paths (empty: the whole tile)."""
+    w = VARIANTS[variant].written
+    return tuple((arity - 1 if n == w else n - (n > w), ()) for n in range(arity))
 
 
 def _tiled_factorize(desc, steps, lower, engine, eps, accumulate) -> TaskGraph:
@@ -166,7 +161,7 @@ def _tiled_factorize(desc, steps, lower, engine, eps, accumulate) -> TaskGraph:
             priority=priority,
             flops=flops,
             label=label,
-            spec=_nested_spec(variant, _TILE_PATHS[variant], eps_, True),
+            spec=_nested_spec(variant, _tile_paths(variant, len(pos)), eps_, True),
             expander=expander(variant, hs, eps_, label, acc),
         )
     return eng.wait_all()
@@ -236,7 +231,6 @@ def sweep_solve_tasks(
     b: np.ndarray,
     engine: StfEngine | None = None,
     *,
-    racecheck: bool = False,
     executor=None,
 ) -> tuple[np.ndarray, TaskGraph]:
     """Solve through the runtime: ``program`` submitted as one task per
@@ -254,11 +248,11 @@ def sweep_solve_tasks(
     With a *deferred* ``engine`` the submitted kernels have not run when the
     section closes, so an ``executor`` (typically a
     :class:`~repro.runtime.ThreadedExecutor`) is required and is run on the
-    graph before the solution is gathered.  ``racecheck`` enables the
-    access-mode race detector on the default engine.
+    graph before the solution is gathered.  ``engine=StfEngine(racecheck=True)``
+    race-checks the solve tasks, as it does a factorisation's.
     """
     work, squeeze = program.scatter(b)
-    eng = engine or StfEngine(mode="eager", racecheck=racecheck)
+    eng = engine or StfEngine(mode="eager")
     nt = len(program.bounds)
     rows = [r1 - r0 for r0, r1 in program.bounds]
     segs = [eng.handle(program.segment(work, k), f"x[{k}]") for k in range(nt)]
@@ -327,7 +321,6 @@ def tiled_solve_tasks(
     b: np.ndarray,
     engine: StfEngine | None = None,
     *,
-    racecheck: bool = False,
     executor=None,
 ) -> tuple[np.ndarray, TaskGraph]:
     """Task-parallel forward/backward substitution after the tiled LU.
@@ -339,9 +332,7 @@ def tiled_solve_tasks(
     (limited) pipeline parallelism of triangular solves.  See
     :func:`sweep_solve_tasks` for the arguments and the return value.
     """
-    return sweep_solve_tasks(
-        compile_sweep(desc, "lu"), b, engine, racecheck=racecheck, executor=executor
-    )
+    return sweep_solve_tasks(compile_sweep(desc, "lu"), b, engine, executor=executor)
 
 
 def tiled_chol_solve_tasks(
@@ -349,11 +340,8 @@ def tiled_chol_solve_tasks(
     b: np.ndarray,
     engine: StfEngine | None = None,
     *,
-    racecheck: bool = False,
     executor=None,
 ) -> tuple[np.ndarray, TaskGraph]:
     """Task-parallel substitution after the tiled Cholesky (the backward
     sweep reads tile ``(j, k)`` transposed); the twin of :func:`tiled_solve_tasks`."""
-    return sweep_solve_tasks(
-        compile_sweep(desc, "cholesky"), b, engine, racecheck=racecheck, executor=executor
-    )
+    return sweep_solve_tasks(compile_sweep(desc, "cholesky"), b, engine, executor=executor)

@@ -51,7 +51,7 @@ from itertools import chain
 
 import numpy as np
 
-from ..hmatrix.arithmetic import run_kernel
+from ..hmatrix.arithmetic import kernel_flops, run_kernel
 from ..obs.instrument import current as _current_probe
 from ..runtime import AccessMode, NestedPolicy, NestedStats, StfEngine, TaskGraph
 from ..runtime.expand import ExpansionRecord
@@ -60,7 +60,7 @@ from ..runtime.stf import announce_task, payload_footprint
 from ..runtime.task import DataHandle, Task
 from .algorithms import tiled_getrf_tasks, tiled_potrf_tasks
 from .descriptor import TileHDesc
-from .nested import _flops, _nested_spec
+from .nested import _nested_spec
 
 __all__ = [
     "MAX_PROGRAMS",
@@ -290,7 +290,7 @@ def instantiate(
             accesses[acc_ptr[t]:acc_ptr[t + 1]],
             priority,
             0.0,
-            _flops(variant, nodes_t) if flops is None else flops[t],
+            kernel_flops(variant, nodes_t) if flops is None else flops[t],
             partial(run_kernel, variant, nodes_t, eps, unit, acc=acc, flush=flushes[t]),
             set(deps[dep_ptr[t]:dep_ptr[t + 1]]),
             set(succs[suc_ptr[t]:suc_ptr[t + 1]]),
@@ -322,7 +322,7 @@ def announce(program: FactorProgram, nodes: list) -> None:
         announce_task(
             probe,
             kind,
-            _flops(variant, operands[op_ptr[t]:op_ptr[t + 1]]) if flops is None else flops[t],
+            kernel_flops(variant, operands[op_ptr[t]:op_ptr[t + 1]]) if flops is None else flops[t],
             [footprint[s] for s in slots[acc_ptr[t]:acc_ptr[t + 1]]],
         )
 

@@ -14,9 +14,14 @@ panel TRSMs on disjoint sub-blocks, and trailing GEMMs on sub-blocks already
 updated, run concurrently instead of serialising behind one giant task —
 the fix 1906.00874/1911.07531 apply to the HMAT-vs-Tile-H crossover.
 
-Subtask accesses come in two granularities (``NestedPolicy.coarse``):
+A subtask's task kind, and which operand it declares RW (the one its
+:data:`~repro.hmatrix.rules.VARIANTS` row marks written; the others are R),
+come from the variant's row; its modelled flops are
+:func:`~repro.hmatrix.arithmetic.kernel_flops` on its operands, the model the
+traced eager kernels report.  The accesses come in two granularities
+(``NestedPolicy.coarse``):
 
-* *fine* (eager/threaded) — each subtask declares R/W/RW on hierarchical
+* *fine* (eager/threaded) — each subtask declares R/RW on hierarchical
   sub-block handles (``StfEngine.subhandle``); the engine's family-aware
   inference wires the fine-grain dependencies.
 * *coarse* (process) — subtasks declare whole-tile accesses, because the
@@ -43,29 +48,14 @@ from __future__ import annotations
 
 from functools import partial
 
-from ..dense import flops_gemm, flops_getrf, flops_potrf
-from ..hmatrix.arithmetic import _effective_rank, _gemm_flops, _trsm_flops, run_kernel
-from ..hmatrix.rules import pick, split
+from ..hmatrix.arithmetic import kernel_flops, run_kernel
+from ..hmatrix.rules import VARIANTS, split
 from ..runtime.process import TaskSpec
 from ..runtime.task import AccessMode
 
-__all__ = ["ACCESS", "expander"]
+__all__ = ["expander"]
 
 R, RW = AccessMode.R, AccessMode.RW
-
-#: variant -> (task kind, access mode of each operand in kernel-argument
-#: order); the operand declared RW is the one a kernel writes.
-ACCESS = {
-    "getrf": ("getrf", (RW,)),
-    "potrf": ("potrf", (RW,)),
-    "trsm_ll": ("trsm", (R, RW)),
-    "trsm_ru": ("trsm", (R, RW)),
-    "trsm_rlt": ("trsm", (R, RW)),
-    "gemm": ("gemm", (RW, R, R)),
-    "gemm_tb": ("gemm", (RW, R, R)),
-    "syrk": ("gemm", (RW, R)),
-    "pack": ("pack", (RW,)),
-}
 
 
 # ---------------------------------------------------------------------------
@@ -94,7 +84,7 @@ def _nested_spec(variant: str, paths: tuple, eps: float, unit: bool) -> TaskSpec
     return TaskSpec(
         op="repro.core.nested:_op_nested",
         args=(variant, paths, eps),
-        kwargs={"unit": unit} if variant == "trsm_ll" else {},
+        kwargs={"unit": unit} if VARIANTS[variant].unit else {},
     )
 
 
@@ -154,10 +144,10 @@ def _pathstr(path) -> str:
 
 def _submit(ctx: _Ctx, variant: str, refs: list, written: _Ref, flush: bool) -> None:
     """Submit one leaf/opaque subtask on ``refs`` (kernel-argument order)."""
-    kind, modes = ACCESS[variant]
+    row = VARIANTS[variant]
     nodes = tuple(r.node for r in refs)
     label = f"{ctx.label}/{variant}@{_pathstr(written.path)}"
-    # unit=True: the only trsm_ll of either factorisation is the LU's U-panel solve.
+    # unit=True: the only unit triangle of either factorisation is the LU's L.
     func = partial(run_kernel, variant, nodes, ctx.eps, True, acc=ctx.acc, flush=flush)
     coarse = ctx.policy.coarse
     # Aggregate accesses (coarse, a subtask may reference several sub-blocks
@@ -166,7 +156,8 @@ def _submit(ctx: _Ctx, variant: str, refs: list, written: _Ref, flush: bool) -> 
     handles: list = []
     held: list = []
     paths: list = []
-    for r, m in zip(refs, modes):
+    for n, r in enumerate(refs):
+        m = RW if n == row.written else R
         h = r.tile_handle if coarse else r.handle
         i = idx_of.get(h.id)
         if i is None:
@@ -179,53 +170,13 @@ def _submit(ctx: _Ctx, variant: str, refs: list, written: _Ref, flush: bool) -> 
         paths.append((i, r.path))
     spec = _nested_spec(variant, tuple(paths), ctx.eps, True) if coarse else None
     ctx.eng.insert_task(
-        kind,
+        row.kind,
         func,
         list(zip(handles, held)),
-        flops=_flops(variant, nodes),
+        flops=kernel_flops(variant, nodes),
         label=label,
         spec=spec,
     )
-
-
-# ---------------------------------------------------------------------------
-# Modelled flops of one subtask
-# ---------------------------------------------------------------------------
-
-def _gemm_flops_tb(a, b) -> float:
-    """Rank-aware flop model of ``C += A @ B.T`` without materialising B.T."""
-    m, k = a.shape
-    n = b.shape[0]
-    r = min(_effective_rank(a), _effective_rank(b))
-    is_c = a.dtype.kind == "c"
-    dense = flops_gemm(m, n, k, is_complex=is_c)
-    lowrank = 2.0 * (m + n) * k * r * (4.0 if is_c else 1.0)
-    return min(dense, lowrank)
-
-
-def _flops(variant: str, nodes: tuple) -> float:
-    """Modelled cost of one subtask on its resolved operands (the nodes
-    :func:`run_kernel` receives) — rank-dependent, so evaluated per set of
-    tiles.  An opaque factorisation costs what its steps cost, level by
-    level; a dense diagonal leaf costs the dense kernel."""
-    if variant == "gemm":
-        return _gemm_flops(nodes[1], nodes[2])
-    if variant == "gemm_tb":
-        return _gemm_flops_tb(nodes[1], nodes[2])
-    if variant == "syrk":  # modelled as the full product, as gemm_tb(c, a, a)
-        return _gemm_flops_tb(nodes[1], nodes[1])
-    if variant == "pack":
-        return 0.0
-    if variant in ("getrf", "potrf"):
-        steps = split(variant, nodes)
-        if steps is None:
-            dense = flops_getrf if variant == "getrf" else flops_potrf
-            return dense(nodes[0].shape[0], is_complex=nodes[0].dtype.kind == "c")
-        total = 0.0  # accumulated in step order: the sum is pinned bit for bit
-        for sub, operands in steps:
-            total += _flops(sub, pick(nodes, operands))
-        return total
-    return _trsm_flops(nodes[0], nodes[1])  # trsm_ll / trsm_ru / trsm_rlt
 
 
 # ---------------------------------------------------------------------------
@@ -236,20 +187,22 @@ def _expand(ctx: _Ctx, variant: str, refs: list, flush: bool = False) -> None:
     """Descend where the eager kernel would and the written operand is above
     the granularity cutoff; submit one subtask where either stops.
 
-    A split getrf/potrf has no entry to flush its node on, as the eager
-    kernel does: the flush falls to the first step writing each child, which
-    passes it on the same way if split too (``flush``)."""
-    written = refs[ACCESS[variant][1].index(RW)]
+    A split kernel whose row flushes its node on entry (a factorisation) has
+    no entry to flush on, as the eager kernel does: the flush falls to the
+    first step writing each child, which passes it on the same way if split
+    too (``flush``)."""
+    row = VARIANTS[variant]
+    written = refs[row.written]
     steps = None
     if min(written.node.shape) > ctx.policy.min_leaf:
         steps = split(variant, tuple(r.node for r in refs))
     if steps is None:
         _submit(ctx, variant, refs, written, flush)
         return
-    flush = flush or variant in ("getrf", "potrf")
+    flush = flush or row.flush
     touched = set()
     for sub, operands in steps:
-        w = operands[ACCESS[sub][1].index(RW)]
+        w = operands[VARIANTS[sub].written]
         _expand(
             ctx,
             sub,

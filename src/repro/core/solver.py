@@ -33,6 +33,7 @@ from ..runtime import (
     RaceChecker,
     RuntimeOverheadModel,
     SimulationResult,
+    StfEngine,
     TaskGraph,
     ThreadedExecutor,
     simulate,
@@ -541,7 +542,7 @@ class TileHMatrix:
         """
         program = self.sweep_program()
         if self.config.racecheck:
-            x, _ = sweep_solve_tasks(program, b, racecheck=True)
+            x, _ = sweep_solve_tasks(program, b, StfEngine(racecheck=True))
             return x
         return program.solve(b)
 

@@ -5,14 +5,18 @@ The three kernels mirror HMAT-OSS's implementations:
 * :func:`hgetrf` applies the tiled right-looking LU (Algorithm 1) recursively
   over the children grid, bottoming out in an unpivoted dense LU;
 * :func:`htrsm` handles the two triangular solves of the LU (left-lower-unit
-  and right-upper) for H, Rk and dense right-hand sides;
+  and right-upper) for H, Rk and dense right-hand sides — one leaf TRSM
+  serves them and the Cholesky's ``X L^T = B``, on the row's side;
 * :func:`hgemm` dispatches over the 3 x 3 x 3 = 27 format combinations the
   paper describes: any low-rank operand short-circuits to an Rk product, any
   dense operand to a panel product, and the all-subdivided case recurses.
 
 Each kernel here is an entry (shape checks, accumulator flushes) plus its leaf
 cases; the subdivided case is :func:`_descend`, which runs the steps
-:mod:`.rules` gives for the operands — the loop nests are written there, once.
+:mod:`.rules` gives for the operands — the loop nests are written there, once,
+with each variant's :data:`~.rules.VARIANTS` row.  :func:`kernel_flops` is the
+one ℌ flop model: what a traced leaf kernel reports and what the nested
+expander charges a subtask.
 
 A module-level :class:`KernelTracer` can observe every *leaf-level* kernel
 execution (kind, data read/written, measured seconds, modelled flops); the
@@ -27,10 +31,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..dense import flops_gemm, flops_getrf, flops_trsm, getrf_nopiv, tri_solve
+from ..dense import flops_gemm, flops_getrf, flops_potrf, flops_trsm, getrf_nopiv, tri_solve
 from .hmatrix import HMatrix
 from .rk import RkMatrix, compress_dense
-from .rules import _PACK_TRI_MAX, pick, split
+from .rules import _PACK_TRI_MAX, VARIANTS, pick, split
 
 __all__ = [
     "hgemm",
@@ -48,6 +52,7 @@ __all__ = [
     "solve_lower_panel",
     "solve_upper_transpose_panel",
     "run_kernel",
+    "kernel_flops",
     "KernelTracer",
     "set_tracer",
     "TraceRecord",
@@ -273,9 +278,9 @@ def _pack(a: HMatrix, acc=None) -> None:
 _KERNELS = {
     "getrf": lambda n, eps, unit, acc, alpha: hgetrf(*n, eps, acc),
     "potrf": lambda n, eps, unit, acc, alpha: hpotrf(*n, eps, acc),
-    "trsm_ll": lambda n, eps, unit, acc, alpha: _htrsm_left_lower(*n, eps, unit, acc),
-    "trsm_ru": lambda n, eps, unit, acc, alpha: _htrsm_right_upper(*n, eps, False, acc),
-    "trsm_rlt": lambda n, eps, unit, acc, alpha: _htrsm_right_lower_transpose(*n, eps, acc),
+    "trsm_ll": lambda n, eps, unit, acc, alpha: _htrsm("trsm_ll", *n, eps, unit, acc),
+    "trsm_ru": lambda n, eps, unit, acc, alpha: _htrsm("trsm_ru", *n, eps, unit, acc),
+    "trsm_rlt": lambda n, eps, unit, acc, alpha: _htrsm("trsm_rlt", *n, eps, unit, acc),
     "gemm": lambda n, eps, unit, acc, alpha: hgemm(*n, eps, alpha, acc),
     "gemm_tb": lambda n, eps, unit, acc, alpha: hgemm_transb(*n, eps, alpha, acc),
     "syrk": lambda n, eps, unit, acc, alpha: hsyrk(*n, eps, alpha, acc),
@@ -290,13 +295,14 @@ def run_kernel(
 
     The one place a variant name becomes a kernel call: the recursion below,
     the tile-level tasks, the nested subtasks and the process workers all come
-    through here.  ``unit`` is read by ``trsm_ll`` only, ``alpha`` by the
+    through here.  ``unit`` is read by the variants whose
+    :data:`~.rules.VARIANTS` row says so (``trsm_ll``), ``alpha`` by the
     products.  ``flush`` first rounds ``acc``'s pending updates into the
-    written operand: the share of a split factorisation's entry flush that
-    falls to this kernel (see :func:`repro.core.nested.expander`).
+    operand the row marks written: the share of a split factorisation's entry
+    flush that falls to this kernel (see :func:`repro.core.nested.expander`).
     """
     if flush and acc is not None:
-        acc.flush(nodes[1 if variant.startswith("trsm") else 0])
+        acc.flush(nodes[VARIANTS[variant].written])
     _KERNELS[variant](nodes, eps, unit, acc, alpha)
 
 
@@ -309,6 +315,42 @@ def _descend(variant: str, nodes: tuple, eps: float, acc, unit: bool = True, alp
         raise ValueError(f"incompatible children grids in the {variant} recursion: {grids}")
     for sub, operands in steps:
         _KERNELS[sub](pick(nodes, operands), eps, unit, acc, alpha)
+
+
+#: variant -> ℌ flop model on ``nodes`` in kernel-argument order.
+_FLOPS = {
+    "getrf": lambda n: _factor_flops("getrf", n, flops_getrf),
+    "potrf": lambda n: _factor_flops("potrf", n, flops_potrf),
+    "trsm_ll": lambda n: _trsm_flops(*n),
+    "trsm_ru": lambda n: _trsm_flops(*n),
+    "trsm_rlt": lambda n: _trsm_flops(*n),
+    "gemm": lambda n: _gemm_flops(n[1], n[2]),
+    "gemm_tb": lambda n: _gemm_flops(n[1], n[2], transb=True),
+    "syrk": lambda n: _gemm_flops(n[1], n[1], transb=True),  # as the full product
+    "pack": lambda n: 0.0,
+}
+
+
+def kernel_flops(variant: str, nodes) -> float:
+    """The ℌ flop model: modelled cost of kernel ``variant`` on ``nodes``
+    (kernel-argument order, as :func:`run_kernel` receives them).
+
+    Rank-dependent, so evaluated on the operands as they stand: a traced leaf
+    kernel reports it to the :class:`KernelTracer`, and the nested expander
+    charges it to each subtask.  A factorisation that splits costs what its
+    steps cost, level by level; a dense diagonal leaf costs the dense kernel.
+    """
+    return _FLOPS[variant](nodes)
+
+
+def _factor_flops(variant: str, nodes: tuple, dense) -> float:
+    steps = split(variant, nodes)
+    if steps is None:
+        return dense(nodes[0].shape[0], is_complex=nodes[0].dtype.kind == "c")
+    total = 0.0  # accumulated in step order: the sum is pinned bit for bit
+    for sub, operands in steps:
+        total += kernel_flops(sub, pick(nodes, operands))
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -327,8 +369,9 @@ def _effective_rank(x: HMatrix) -> float:
     return float(max(1.0, min(min(m, n), x.storage() / (m + n))))
 
 
-def _gemm_flops(a: HMatrix, b: HMatrix) -> float:
-    """Rank-aware flop model of one H-GEMM contribution.
+def _gemm_flops(a: HMatrix, b: HMatrix, transb: bool = False) -> float:
+    """Rank-aware flop model of one H-GEMM contribution ``C += A @ B``
+    (``transb``: ``A @ B.T``, without materialising ``B.T``).
 
     ``C += A @ B`` through a width-r bottleneck costs ~ 2 (m + n) k r; with
     dense operands this reduces to the usual 2 m n k up to a factor <= 2.
@@ -336,7 +379,7 @@ def _gemm_flops(a: HMatrix, b: HMatrix) -> float:
     the paper's Theta(n k^2 log^2 n) (instead of dense n^3) scaling.
     """
     m, k = a.shape
-    n = b.shape[1]
+    n = b.shape[0 if transb else 1]
     r = min(_effective_rank(a), _effective_rank(b))
     is_c = a.dtype.kind == "c"
     dense = flops_gemm(m, n, k, is_complex=is_c)
@@ -430,13 +473,13 @@ def hgemm(c: HMatrix, a: HMatrix, b: HMatrix, eps: float, alpha=-1.0, acc=None) 
     c.packed_lu = None
     # Any low-rank operand: the product is low-rank.
     if a.rk is not None or b.rk is not None:
-        with _traced("gemm", (a, b), (c,), lambda: _gemm_flops(a, b)):
+        with _traced("gemm", (a, b), (c,), lambda: kernel_flops("gemm", (c, a, b))):
             prod = _product_rk(a, b, alpha, eps)
             c.axpy_rk(prod, eps, acc)
         return
     # Any dense operand: the product is a small dense panel.
     if a.full is not None or b.full is not None:
-        with _traced("gemm", (a, b), (c,), lambda: _gemm_flops(a, b)):
+        with _traced("gemm", (a, b), (c,), lambda: kernel_flops("gemm", (c, a, b))):
             prod = _product_dense(a, b)
             if alpha != 1.0:
                 prod = alpha * prod
@@ -444,7 +487,7 @@ def hgemm(c: HMatrix, a: HMatrix, b: HMatrix, eps: float, alpha=-1.0, acc=None) 
         return
     # Both subdivided.
     if c.is_leaf:
-        with _traced("gemm", (a, b), (c,), lambda: _gemm_flops(a, b)):
+        with _traced("gemm", (a, b), (c,), lambda: kernel_flops("gemm", (c, a, b))):
             prod = _collect_product(a, b, eps, batched=acc is not None)
             if prod.rank:
                 c.axpy_rk(prod.scale(alpha), eps, acc)
@@ -484,53 +527,53 @@ def htrsm(side: str, uplo: str, a: HMatrix, b: HMatrix, eps: float, *, unit_diag
     if side == "left" and uplo == "lower":
         if a.shape[0] != b.shape[0]:
             raise ValueError(f"htrsm dims: L is {a.shape}, B is {b.shape}")
-        _htrsm_left_lower(a, b, eps, unit_diagonal, acc)
+        _htrsm("trsm_ll", a, b, eps, unit_diagonal, acc)
     elif side == "right" and uplo == "upper":
         if a.shape[1] != b.shape[1]:
             raise ValueError(f"htrsm dims: U is {a.shape}, B is {b.shape}")
-        _htrsm_right_upper(a, b, eps, unit_diagonal, acc)
+        if unit_diagonal:
+            raise ValueError("right-upper htrsm with unit diagonal is not used by H-LU")
+        _htrsm("trsm_ru", a, b, eps, False, acc)
     else:
         raise ValueError(f"unsupported htrsm variant side={side!r}, uplo={uplo!r}")
 
 
-def _htrsm_left_lower(l: HMatrix, b: HMatrix, eps: float, unit: bool, acc=None) -> None:
+#: TRSM variant -> its panel solve ``op(T)^{-1} x`` on a dense panel ``x``:
+#: ``L X = B`` solves ``B``'s row side (``u``/``full``); ``X U = B`` and
+#: ``X L^T = B`` solve the column side as ``U^T X^T = B^T``/``L X^T = B^T``.
+_PANEL_SOLVES = {
+    "trsm_ll": lambda t, x, unit: solve_lower_panel(t, x, unit_diagonal=unit),
+    "trsm_ru": lambda t, x, unit: solve_upper_transpose_panel(t, x),
+    "trsm_rlt": lambda t, x, unit: solve_lower_panel(t, x, unit_diagonal=False),
+}
+
+
+def _htrsm(variant: str, t: HMatrix, b: HMatrix, eps: float, unit: bool, acc=None) -> None:
+    """The TRSM ``variant`` with triangle ``t``, in place in ``b``: at a leaf
+    ``b`` its panel solve acts on ``rk.u``/``full`` (left side) or on
+    ``rk.v``/``full.T`` (right side); a subdivided ``b`` descends."""
+    left = VARIANTS[variant].side == "left"
+    solve = _PANEL_SOLVES[variant]
     if b.rk is not None:
         if acc is not None:
             acc.flush(b)
         if b.rk.rank:
-            with _traced("trsm", (l,), (b,), lambda: _trsm_flops(l, b)):
-                b.rk = RkMatrix(
-                    solve_lower_panel(l, b.rk.u, unit_diagonal=unit), b.rk.v
-                )
+            with _traced("trsm", (t,), (b,), lambda: kernel_flops(variant, (t, b))):
+                if left:
+                    b.rk = RkMatrix(solve(t, b.rk.u, unit), b.rk.v)
+                else:  # X = Ub (op(T)^{-T} Vb)^T
+                    b.rk = RkMatrix(b.rk.u, solve(t, b.rk.v, unit))
         return
     if b.full is not None:
-        with _traced("trsm", (l,), (b,), lambda: _trsm_flops(l, b)):
-            b.full = np.ascontiguousarray(solve_lower_panel(l, b.full, unit_diagonal=unit))
+        with _traced("trsm", (t,), (b,), lambda: kernel_flops(variant, (t, b))):
+            if left:
+                b.full = np.ascontiguousarray(solve(t, b.full, unit))
+            else:
+                b.full = np.ascontiguousarray(solve(t, b.full.T, unit).T)
         return
-    # b subdivided.
-    if l.full is not None:
+    if t.full is not None:
         raise ValueError("RHS subdivided below a dense diagonal leaf: incompatible trees")
-    _descend("trsm_ll", (l, b), eps, acc, unit)
-
-
-def _htrsm_right_upper(u: HMatrix, b: HMatrix, eps: float, unit: bool, acc=None) -> None:
-    if unit:
-        raise ValueError("right-upper htrsm with unit diagonal is not used by H-LU")
-    if b.rk is not None:
-        if acc is not None:
-            acc.flush(b)
-        if b.rk.rank:
-            with _traced("trsm", (u,), (b,), lambda: _trsm_flops(u, b)):
-                # X U = Ub Vb^T  =>  X = Ub (U^{-T} Vb)^T.
-                b.rk = RkMatrix(b.rk.u, solve_upper_transpose_panel(u, b.rk.v))
-        return
-    if b.full is not None:
-        with _traced("trsm", (u,), (b,), lambda: _trsm_flops(u, b)):
-            b.full = np.ascontiguousarray(solve_upper_transpose_panel(u, b.full.T).T)
-        return
-    if u.full is not None:
-        raise ValueError("RHS subdivided below a dense diagonal leaf: incompatible trees")
-    _descend("trsm_ru", (u, b), eps, acc)
+    _descend(variant, (t, b), eps, acc, unit)
 
 
 # ---------------------------------------------------------------------------
@@ -553,8 +596,7 @@ def hgetrf(a: HMatrix, eps: float, acc=None) -> HMatrix:
     if acc is not None:
         acc.flush(a)
     if a.full is not None:
-        is_c = np.issubdtype(a.dtype, np.complexfloating)
-        with _traced("getrf", (), (a,), flops_getrf(a.shape[0], is_complex=is_c)):
+        with _traced("getrf", (), (a,), lambda: kernel_flops("getrf", (a,))):
             getrf_nopiv(a.full, overwrite=True)
         return a
     _descend("getrf", (a,), eps, acc)
@@ -686,7 +728,7 @@ def hsyrk(c: HMatrix, a: HMatrix, eps: float, alpha=-1.0, acc=None) -> None:
         _descend("syrk", (c, a), eps, acc, alpha=alpha)
         return
     b = a.transpose()
-    with _traced("gemm", (a, b), (c,), lambda: _gemm_flops(a, b)):
+    with _traced("gemm", (a, b), (c,), lambda: kernel_flops("gemm", (c, a, b))):
         if a.rk is not None:
             prod = _product_rk(a, b, alpha, eps)
         else:
@@ -694,27 +736,6 @@ def hsyrk(c: HMatrix, a: HMatrix, eps: float, alpha=-1.0, acc=None) -> None:
             if alpha != 1.0:
                 prod = alpha * prod
         _add_lower(c, prod, eps, acc)
-
-
-def _htrsm_right_lower_transpose(l: HMatrix, b: HMatrix, eps: float, acc=None) -> None:
-    """Solve ``X L^T = B`` in place in ``b`` (L non-unit lower, from hpotrf)."""
-    if b.rk is not None:
-        if acc is not None:
-            acc.flush(b)
-        if b.rk.rank:
-            with _traced("trsm", (l,), (b,), lambda: _trsm_flops(l, b)):
-                # X = Ub (L^{-1} Vb)^T.
-                b.rk = RkMatrix(b.rk.u, solve_lower_panel(l, b.rk.v, unit_diagonal=False))
-        return
-    if b.full is not None:
-        with _traced("trsm", (l,), (b,), lambda: _trsm_flops(l, b)):
-            b.full = np.ascontiguousarray(
-                solve_lower_panel(l, b.full.T, unit_diagonal=False).T
-            )
-        return
-    if l.full is not None:
-        raise ValueError("RHS subdivided below a dense diagonal leaf: incompatible trees")
-    _descend("trsm_rlt", (l, b), eps, acc)
 
 
 def hpotrf(a: HMatrix, eps: float, acc=None) -> HMatrix:
@@ -736,10 +757,7 @@ def hpotrf(a: HMatrix, eps: float, acc=None) -> HMatrix:
     if acc is not None:
         acc.flush(a)
     if a.full is not None:
-        from ..dense import flops_potrf
-
-        is_c = np.issubdtype(a.dtype, np.complexfloating)
-        with _traced("potrf", (), (a,), flops_potrf(a.shape[0], is_complex=is_c)):
+        with _traced("potrf", (), (a,), lambda: kernel_flops("potrf", (a,))):
             a.full = np.linalg.cholesky(a.full)
         return a
     _descend("potrf", (a,), eps, acc)

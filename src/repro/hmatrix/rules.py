@@ -1,29 +1,41 @@
-"""Algorithm 1 and its companions as data: the ℌ-kernels' recursion, once.
+"""Algorithm 1 and its companions as data: the ℌ-kernels, each written down once.
 
 The paper's construction is that one algorithm serves two levels: the tiled
 right-looking LU runs over the ``nt x nt`` tile grid and, unchanged, inside
 every ℌ-structured tile.  This module is that algorithm (and its Cholesky
 twin, the three triangular solves and the two products) written down as
-*steps* instead of calls, so every consumer reads the same loop nests:
+*steps* instead of calls, plus one :data:`VARIANTS` row per kernel variant:
+its task kind, the operand it writes, its TRSM side, whether it reads
+``unit``, whether it flushes its node on entry, its tile-label prefix and its
+step rule.  Every consumer reads the same rows and loop nests:
 
-* the eager kernels of :mod:`repro.hmatrix.arithmetic` run the steps;
-* the nested expander of :mod:`repro.core.nested` turns them into subtasks
-  and sums their modelled flops;
+* the eager kernels of :mod:`repro.hmatrix.arithmetic` run the steps
+  (:func:`split`), flush the written operand and dispatch the one leaf TRSM
+  on the side;
+* the nested expander of :mod:`repro.core.nested` turns the steps into
+  subtasks, declaring RW on the written operand and R on the others, and
+  hands a split factorisation's entry flush down to its steps;
 * ``tiled_getrf_tasks``/``tiled_potrf_tasks`` and the dense baselines read
-  :func:`lu_steps`/:func:`chol_steps` over tile positions.
+  :func:`lu_steps`/:func:`chol_steps` over tile positions, with each row's
+  kind, label and declaration order (``core.algorithms.tile_steps`` and
+  ``declared``), and a recorded factor program keeps what they submitted.
 
 A step is ``(variant, operands)``: run kernel ``variant`` on ``operands``, each
 ``(src, i, j)`` — child ``(i, j)`` of the caller's operand number ``src``, or
 that operand itself where ``i`` is ``None`` (:func:`pick` resolves them).
 Operands are in kernel-argument order: ``getrf``/``potrf``/``pack`` ``(a,)``; ``trsm_ll``/``trsm_ru``/
 ``trsm_rlt`` ``(triangle, b)``; ``gemm``/``gemm_tb`` ``(c, a, b)``; ``syrk`` ``(c, a)``.
+Adding a variant is one row here, one ℌ kernel and flop model in
+:mod:`~repro.hmatrix.arithmetic` and one dense kernel in
+:mod:`repro.baselines.dense_tiled`.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import Callable, NamedTuple
 
-__all__ = ["lu_steps", "chol_steps", "split", "pick"]
+__all__ = ["Variant", "VARIANTS", "lu_steps", "chol_steps", "split", "pick"]
 
 #: Factorised diagonal nodes up to this size are packed dense (``packed_lu``)
 #: so panel solves collapse to one trtrs call.  The cap bounds the cache to
@@ -154,23 +166,37 @@ def _product_aat(c, a):
     return _product(c, a, a, transb=True)
 
 
-#: variant -> (step generator, children-grid test, largest node whose split
-#: ends with ``pack``)
-_RULES = {
-    "getrf": (lu_steps, _square, _PACK_TRI_MAX),
-    "potrf": (chol_steps, _square, _PACK_TRI_MAX),
-    "trsm_ll": (_trsm_ll_steps, _left, 0),
-    "trsm_ru": (_trsm_ru_steps, _right, 0),
-    "trsm_rlt": (_trsm_rlt_steps, _right, 0),
-    "gemm": (_gemm_steps, _product, 0),
-    "gemm_tb": (_gemm_tb_steps, _product_tb, 0),
-    "syrk": (_syrk_steps, _product_aat, 0),
+class Variant(NamedTuple):
+    """What every consumer knows of one kernel variant (see the module docstring)."""
+
+    kind: str  # task kind
+    written: int  # index of the operand it writes (the others are read)
+    side: str | None  # "left"/"right" for a TRSM: B's factor the panel solve acts on
+    unit: bool  # whether it reads ``unit`` (the unit-diagonal triangle)
+    flush: bool  # whether it flushes its node's pending updates on entry
+    label: str  # tile-label prefix
+    steps: Callable | None = None  # step generator over the children grids
+    grids: Callable | None = None  # children-grid test: the generator's arguments or None
+    pack_max: int = 0  # largest node whose split ends with ``pack``
+
+
+#: variant -> its row; ``pack`` has no step rule: it never descends.
+VARIANTS = {
+    "getrf": Variant("getrf", 0, None, False, True, "getrf", lu_steps, _square, _PACK_TRI_MAX),
+    "potrf": Variant("potrf", 0, None, False, True, "potrf", chol_steps, _square, _PACK_TRI_MAX),
+    "trsm_ll": Variant("trsm", 1, "left", True, False, "trsm_u", _trsm_ll_steps, _left),
+    "trsm_ru": Variant("trsm", 1, "right", False, False, "trsm_l", _trsm_ru_steps, _right),
+    "trsm_rlt": Variant("trsm", 1, "right", False, False, "trsm", _trsm_rlt_steps, _right),
+    "gemm": Variant("gemm", 0, None, False, False, "gemm", _gemm_steps, _product),
+    "gemm_tb": Variant("gemm", 0, None, False, False, "gemm", _gemm_tb_steps, _product_tb),
+    "syrk": Variant("gemm", 0, None, False, False, "syrk", _syrk_steps, _product_aat),
+    "pack": Variant("pack", 0, None, False, True, "pack"),
 }
 
 
 @lru_cache(maxsize=256)
 def _steps(variant: str, dims: tuple, pack: bool) -> tuple:
-    steps = tuple(_RULES[variant][0](*dims))
+    steps = tuple(VARIANTS[variant].steps(*dims))
     return steps + (_PACK,) if pack else steps
 
 
@@ -184,14 +210,13 @@ def split(variant: str, nodes: tuple) -> tuple | None:
     A factorisation of a node up to ``_PACK_TRI_MAX`` rows ends with its
     ``pack``.
     """
-    rule = _RULES.get(variant)  # "pack" has none: it never descends
-    if rule is None:
+    row = VARIANTS[variant]
+    if row.steps is None:
         return None
     for x in nodes:
         if x.is_leaf:
             return None
-    _, grids, pack_max = rule
-    dims = grids(*nodes)
+    dims = row.grids(*nodes)
     if dims is None:
         return None
-    return _steps(variant, dims, nodes[0].shape[0] <= pack_max)
+    return _steps(variant, dims, nodes[0].shape[0] <= row.pack_max)

@@ -54,18 +54,21 @@ def _execute_task(task) -> None:
         task.func()
 
 
-def _lower(graph: TaskGraph) -> Lowered:
-    """``graph`` as a :class:`Lowered` whose items are its tasks."""
-    tasks = graph.tasks
+def _lower(graph: TaskGraph, start: int = 0) -> Lowered:
+    """``graph`` as a :class:`Lowered` whose items are its tasks — those from
+    id ``start`` on, a section no edge enters from an earlier task (what an
+    STF section that followed a ``wait_all`` submitted), as ids from 0."""
+    tasks = graph.tasks[start:]
     low = Lowered()
-    low.items, low.ident, low.execute = tasks, attrgetter("id"), _execute_task
+    low.items, low.execute = tasks, _execute_task
+    low.ident = (lambda task: task.id - start) if start else attrgetter("id")
     low.kinds = [t.kind for t in tasks]
     low.priorities = None
     low.indegree = [len(t.deps) for t in tasks]
     low.suc_ptr = ptr = [0]
     low.suc = suc = []
     for t in tasks:
-        suc += sorted(t.successors)
+        suc += sorted(s - start for s in t.successors)
         ptr.append(len(suc))
     return low
 
@@ -195,11 +198,12 @@ class GraphExecutor:
         caller-supplied :class:`ExecutionTrace` is appended to (it must cover
         at least ``nworkers`` lanes); otherwise a fresh trace is created.
         Each executed task's measured wall time is written back to
-        ``task.seconds`` so a deferred graph can be replayed in the simulator
-        with real costs; pre-traced tasks (``func=None``) keep theirs.  A
-        :class:`TaskGraph` is validated first; a :class:`Lowered` program was
-        validated when it was recorded, and its measured seconds are its
-        trace events.
+        ``task.seconds`` (of a :class:`TaskGraph`, or of a lowered section
+        whose items are its tasks) so a deferred graph can be replayed in the
+        simulator with real costs; pre-traced tasks (``func=None``) keep
+        theirs.  A :class:`TaskGraph` is validated first; a :class:`Lowered`
+        program was validated when it was recorded, and its measured seconds
+        are its trace events.
         """
         if not len(graph):
             return 0.0
@@ -218,7 +222,7 @@ class GraphExecutor:
             try:
                 return self._run(front)  # the subclass's backend
             finally:
-                if isinstance(graph, TaskGraph):
+                if front.execute is _execute_task:  # the items are tasks
                     for task, _w, start, end in front.log:
                         if task.func is not None:
                             task.seconds = end - start

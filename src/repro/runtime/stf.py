@@ -24,6 +24,7 @@ from ..obs.instrument import current as _current_probe
 from .dag import TaskGraph
 from .expand import NestedPolicy, NestedStats
 from .racecheck import RaceChecker
+from .ready import _lower
 from .task import AccessMode, DataHandle, Task
 from .threaded import ThreadedExecutor
 
@@ -110,6 +111,7 @@ class StfEngine:
             raise ValueError(f"mode must be 'eager' or 'deferred', got {mode!r}")
         self.mode = mode
         self.graph = TaskGraph()
+        self._section = 0  # id of the open section's first task
         self._handles: dict[int, DataHandle] = {}
         self.racecheck = RaceChecker() if racecheck is True else racecheck or None
         self.nested = nested
@@ -268,11 +270,11 @@ class StfEngine:
     def wait_all(self) -> TaskGraph:
         """Finish the STF section and return the (validated) DAG.
 
-        An eager engine runs the section on ``ThreadedExecutor(1,
+        An eager engine runs the section — its own tasks only; the returned
+        graph is every section's — on ``ThreadedExecutor(1,
         interpreter_bound=True)`` (under its checker's ``watch``, if any), so
         a kernel's exception raises from here; the run measures each task's
-        seconds and drops its kernel, so a later section's run passes the
-        earlier tasks as pre-traced ones and runs only its own kernels.
+        seconds and drops its kernel.
 
         The handles forget their last writer and readers: that state serves
         only the inference of the section just finished, and kept, it closes
@@ -287,14 +289,16 @@ class StfEngine:
         graph = self.graph
         for handle in self._handles.values():
             handle.reset()
+        graph.validate()
+        start, self._section = self._section, len(graph.tasks)
         if self.mode == "deferred":
-            graph.validate()
             return graph
         if self.racecheck is not None:
             self.racecheck.watch(graph)
+        section = _lower(graph, start)
         try:
-            ThreadedExecutor(1, interpreter_bound=True).run(graph)  # validates it
+            ThreadedExecutor(1, interpreter_bound=True).run(section)
         finally:
-            for task in graph.tasks:
+            for task in section.items:
                 task.func = None
         return graph

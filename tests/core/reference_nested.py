@@ -25,14 +25,12 @@ from repro.hmatrix.arithmetic import (
     _PACK_TRI_MAX,
     _effective_rank,
     _gemm_flops,
-    _htrsm_left_lower,
-    _htrsm_right_lower_transpose,
-    _htrsm_right_upper,
     _trsm_flops,
     hgemm,
     hgemm_transb,
     hgetrf,
     hpotrf,
+    run_kernel,
 )
 from repro.core.algorithms import lu_priorities
 from repro.core.descriptor import TileHDesc
@@ -68,11 +66,11 @@ def _run(variant: str, nodes: tuple, eps: float, unit: bool = True) -> None:
     elif variant == "potrf":
         hpotrf(nodes[0], eps, None)
     elif variant == "trsm_ll":
-        _htrsm_left_lower(nodes[0], nodes[1], eps, unit, None)
+        run_kernel("trsm_ll", (nodes[0], nodes[1]), eps, unit, None)
     elif variant == "trsm_ru":
-        _htrsm_right_upper(nodes[0], nodes[1], eps, False, None)
+        run_kernel("trsm_ru", (nodes[0], nodes[1]), eps, False, None)
     elif variant == "trsm_rlt":
-        _htrsm_right_lower_transpose(nodes[0], nodes[1], eps, None)
+        run_kernel("trsm_rlt", (nodes[0], nodes[1]), eps, acc=None)
     elif variant == "gemm":
         hgemm(nodes[0], nodes[1], nodes[2], eps, alpha=-1.0, acc=None)
     elif variant == "gemm_tb":
@@ -585,7 +583,7 @@ def _op_potrf(payloads, eps):
 
 
 def _op_trsm_right_lower_t(payloads, eps):
-    _htrsm_right_lower_transpose(payloads[0].mat, payloads[1].mat, eps, None)
+    run_kernel("trsm_rlt", (payloads[0].mat, payloads[1].mat), eps, acc=None)
 
 
 def _op_gemm_transb(payloads, eps):
@@ -769,7 +767,7 @@ def tiled_potrf_tasks(
         for i in range(k + 1, nt):
             eng.insert_task(
                 "trsm",
-                (lambda k=k, i=i: _htrsm_right_lower_transpose(t(k, k), t(i, k), eps_, acc)),
+                (lambda k=k, i=i: run_kernel("trsm_rlt", (t(k, k), t(i, k)), eps_, acc=acc)),
                 [(handles[k, k], R), (handles[i, k], RW)],
                 priority=lu_priorities(nt, k, "trsm"),
                 flops=flops_trsm(mk, grid.tile_rows(i), is_complex=is_c),

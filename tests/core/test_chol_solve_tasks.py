@@ -59,8 +59,10 @@ class TestBitIdentity:
     def test_racecheck_clean_and_identical(self, factored, rhs):
         desc, _ = factored
         ref = tiled_chol_solve(desc, rhs)
-        x, _ = tiled_chol_solve_tasks(desc, rhs, racecheck=True)
+        eng = StfEngine(racecheck=True)
+        x, _ = tiled_chol_solve_tasks(desc, rhs, eng)
         assert np.array_equal(x, ref)
+        assert eng.racecheck.n_checked_tasks > 0 and eng.racecheck.violations == []
 
     def test_multi_rhs_columns_match_standalone(self, factored):
         desc, _ = factored

@@ -135,7 +135,7 @@ def test_every_engine_runs_the_same_steps(factors, fname, dname):
         what = f"{fname}/{dname} width={width}"
         _same(free(a.desc, b), x, f"{what}: free function")
         _same(tasks(a.desc, b)[0], x, f"{what}: eager engine")
-        _same(tasks(a.desc, b, racecheck=True)[0], x, f"{what}: racecheck")
+        _same(tasks(a.desc, b, StfEngine(racecheck=True))[0], x, f"{what}: racecheck")
         threaded = tasks(a.desc, b, StfEngine(mode="deferred"),
                          executor=ThreadedExecutor(nworkers=2, scheduler="lws"))
         _same(threaded[0], x, f"{what}: threaded x2")

@@ -96,9 +96,9 @@ class TestExecutorEquivalence:
         audited = []
         real = solver_module.sweep_solve_tasks
 
-        def spy(program, b, **kw):
-            x, graph = real(program, b, **kw)
-            audited.append((kw.get("racecheck"), len(graph.tasks)))
+        def spy(program, b, engine=None, **kw):
+            x, graph = real(program, b, engine, **kw)
+            audited.append((engine is not None and engine.racecheck is not None, len(graph.tasks)))
             return x, graph
 
         monkeypatch.setattr(solver_module, "sweep_solve_tasks", spy)

@@ -28,7 +28,7 @@ from repro.hmatrix import (
     htrsm,
     set_tracer,
 )
-from repro.hmatrix.arithmetic import _htrsm_right_lower_transpose
+from repro.hmatrix.arithmetic import run_kernel
 
 from . import reference_arithmetic as ref
 
@@ -306,7 +306,7 @@ def test_htrsm(shape, variant, dtype, root, seed, acc_on):
     side = "left" if variant.startswith("left") else "right"
     b, b0 = _panel(tree, other, side, root, dtype, rng)
     if variant == "right-lower-t":
-        new = lambda a, b, acc: _htrsm_right_lower_transpose(a, b, EPS, acc)
+        new = lambda a, b, acc: run_kernel("trsm_rlt", (a, b), EPS, acc=acc)
         old = lambda a, b, acc: ref._htrsm_right_lower_transpose(a, b, EPS, acc)
     else:
         uplo = "lower" if side == "left" else "upper"

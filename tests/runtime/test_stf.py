@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.obs import Instrumentation
 from repro.runtime import AccessMode, StfEngine
 
 R, W, RW = AccessMode.R, AccessMode.W, AccessMode.RW
@@ -127,6 +128,20 @@ class TestDependencyInference:
         g = eng.wait_all()
         assert hits == ["a", "b", "c"] and len(g) == 3
         assert first.seconds == seconds  # the second run left the first's cost
+
+    def test_an_eager_section_runs_only_its_own_tasks(self):
+        # A probe sees each task run once: a later section passes no earlier task.
+        with Instrumentation() as probe:
+            eng = StfEngine()
+            h = eng.handle(object())
+            for _ in range(3):
+                eng.insert_task("gemm", lambda: None, [(h, RW)])
+            eng.wait_all()
+            eng.insert_task("trsm", lambda: None, [(h, RW)])
+            g = eng.wait_all()
+        assert len(g) == 4  # the returned graph stays cumulative
+        assert probe.kinds["gemm"]["submitted"] == probe.kinds["gemm"]["count"] == 3
+        assert probe.kinds["trsm"]["count"] == 1
 
     def test_eager_kernel_error_raises_from_wait_all(self):
         eng = StfEngine()
