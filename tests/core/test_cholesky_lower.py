@@ -5,9 +5,10 @@ and below the diagonal; a diagonal block's update is the lower-only ``syrk``,
 which writes nothing above the diagonal; after ``factorize(method="cholesky")``
 every strictly upper tile is the rank-0 tile ``L`` holds there — under every
 executor and from both build paths, with one factor between them.  The factor
-and its solves are those of the full-product update that came before, bit for
-bit (fingerprints recorded with it), and archives written by it, which hold
-data above the diagonal, load without it and solve to the same bits.
+and its solves were those of the full-product update that came before, bit for
+bit (fingerprints first recorded with it, since re-recorded with the wide Rk
+rounding), and archives written by it, which hold data above the diagonal, load
+without it and solve to the same bits.
 """
 
 import ctypes
@@ -206,18 +207,18 @@ def test_lower_build_makes_the_upper_tiles_rank0():
 
 # -- the bits of the full-product update ------------------------------------------
 
-#: Recorded with the update that computed, deferred and rounded the full
-#: product of every diagonal block.  Float bits depend on the BLAS kernels, so
-#: they hold where they were recorded: NumPy 2.4.6 and SciPy 1.17.1 wheels on
-#: OpenBLAS's SkylakeX kernels.
+#: Recorded with the Rk rounding that QR-factors only a factor with more rows
+#: than the stacked rank (a wide sum is one product and one SVD).  Float bits
+#: depend on the BLAS kernels, so they hold where they were recorded: NumPy
+#: 2.4.6 and SciPy 1.17.1 wheels on OpenBLAS's SkylakeX kernels.
 RECORDED_ON = ("2.4.6", "1.17.1", ("SkylakeX", "SkylakeX"))
 GP_CHOL = {  # benchmarks/e2e's gp_chol problem: n=2000, nb=250, leaf 48, eps=1e-6
-    "factor": "6d2bcb80ae5ba9db8ec4d15dabf0d8b276127fce5a54031d3abd4765b6bb6b80",
-    "predict": "e9b20f5747bce81219970962fa60ef566be6b0c86f86df9a2320c64653f73a78",
+    "factor": "a4525923502162bbcfbf0a093239db0d23fb88e720756a803b7e667f1171ada7",
+    "predict": "777f049092c45eb25d78c52e092f6ec90c021c6df1c4a08fcd34b2a790f5b69c",
 }
 SERVE_MIX_GP = {  # benchmarks/e2e's serve_mix GP key: sqexp, n=1200, nb=200, eps=1e-6
-    "factor": "937e1fd756477764ddb38b531e405ce91012ebabb9ffd93b6c94a893d8369c21",
-    "solve": "eff90808ddde9726e67112d405fc143947f5239169ffbd7d214f70adce8a6da2",
+    "factor": "e2159706489e8b6129467056b64ea0b71671bc6a048dee1cc86630af2d824d4b",
+    "solve": "9c8ab4f99bbb4a63a8f1b5fe3e8a3a8332a09278d04810ec5e3484513351bc8e",
 }
 
 

@@ -4,6 +4,9 @@
 below is the QR+QR+SVD rounding written with ``scipy.linalg.qr`` and ``svd``,
 which reach the same routines with the same workspace sizes, so the factors
 must agree bit for bit (every fingerprint pinned in this suite rests on it).
+A factor with no more rows than the stacked rank is not QR-factored by
+either: the ``wide``, ``wide_one_side``, ``row`` and ``column`` cases pin
+that path, the others the full QR+QR+SVD.
 """
 
 import numpy as np
@@ -26,19 +29,22 @@ def _reference_rank(s, eps):
 
 
 def _reference_truncate(u, v, eps, max_rank=None):
-    qu, ru = scipy.linalg.qr(u, mode="economic")
-    qv, rv = scipy.linalg.qr(v, mode="economic")
+    k = u.shape[1]
+    # A side with no more rows than k is its own "R" and has no Q to apply.
+    qu, ru = scipy.linalg.qr(u, mode="economic") if u.shape[0] > k else (None, u)
+    qv, rv = scipy.linalg.qr(v, mode="economic") if v.shape[0] > k else (None, v)
     w, s, zh = scipy.linalg.svd(ru @ rv.T, full_matrices=False)
     r = _reference_rank(s, eps)
     if max_rank is not None:
         r = min(r, max_rank)
-    return qu @ (w[:, :r] * s[:r]), qv @ zh[:r].T
+    a, b = w[:, :r] * s[:r], zh[:r].T
+    return (a if qu is None else qu @ a), (b if qv is None else qv @ b)
 
 
-def _factors(m, n, k, dtype, seed):
-    """Stacked factors of numerical rank ~k/2 (decaying column scales)."""
+def _factors(m, n, k, dtype, seed, decay=10.0):
+    """Stacked factors with column scales ``decay**-i`` (numerical rank ~k/2 by default)."""
     rng = np.random.default_rng(seed)
-    scale = 10.0 ** -np.arange(k)
+    scale = decay ** -np.arange(k)
 
     def one(rows):
         f = rng.standard_normal((rows, k))
@@ -89,6 +95,27 @@ class TestTruncateRkMatchesScipy:
         u0, v0 = u.copy(), v.copy()
         RkMatrix(u, v).truncate(1e-6)
         assert np.array_equal(u, u0) and np.array_equal(v, v0)
+
+
+#: (m, n) of a block against which the stacked rank k runs below, at and
+#: above each side.
+ACCURACY_SHAPES = [(31, 31), (48, 20), (20, 48)]
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128], ids=["d", "z"])
+@pytest.mark.parametrize("shape", ACCURACY_SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
+def test_rounding_meets_eps_below_at_and_above_each_side(shape, dtype):
+    m, n = shape
+    lo, hi = min(m, n), max(m, n)
+    for k in sorted({lo - 1, lo, lo + 1, hi - 1, hi, hi + 1, 2 * hi + 5}):
+        # Column scales 1.5**-i: a slow decay that each eps cuts inside the rank.
+        u, v = _factors(m, n, k, dtype, seed=k, decay=1.5)
+        dense = u @ v.T
+        for eps in (1e-2, 1e-4, 1e-8):
+            got = RkMatrix(u.copy(), v.copy()).truncate(eps)
+            assert got.shape == (m, n) and got.rank <= min(m, n, k), (k, eps)
+            err = np.linalg.norm(dense - got.to_dense())
+            assert err <= (eps * (1 + 1e-6) + 1e-13) * np.linalg.norm(dense), (k, eps)
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.complex128, np.float32, np.complex64])

@@ -1,7 +1,8 @@
 """Truncation kernels at LAPACK cost, and the accuracy contract of each entry point.
 
 * Rk rounding (QR+QR+SVD) asks LAPACK for workspace sizes once per shape:
-  after a warm-up call it makes exactly its five factorisation calls.
+  after a warm-up call it makes exactly its five factorisation calls, less
+  the QR of each factor with no more rows than the stacked rank.
 * A dense block is truncated by a column-pivoted QR, then the SVD of the kept
   rows of ``R``: the ε-bound holds exactly and the rank is the SVD-optimal
   one unless the optimal tail lies within 1% of the budget.
@@ -76,6 +77,30 @@ def test_rounding_after_warm_up_makes_no_workspace_query(dtype, lapack_log):
     assert [name for name, _ in lapack_log] == ["geqrf", "orgqr", "geqrf", "orgqr", "gesdd"]
     assert all(lwork is not None and lwork > 0 for _, lwork in lapack_log)
     assert np.array_equal(again.u, warm.u) and np.array_equal(again.v, warm.v)
+
+
+#: (m, n, k) of a stacked sum -> the LAPACK calls of its rounding: a factor
+#: with no more rows than the rank ``k`` is never QR-factored (the narrow
+#: case, k below both sides, is the test above).
+WIDE_CALLS = {
+    "u_wide": ((12, 40, 12), ["geqrf", "orgqr", "gesdd"]),
+    "v_wide": ((48, 10, 12), ["geqrf", "orgqr", "gesdd"]),
+    "both_wide": ((10, 9, 12), ["gesdd"]),
+}
+
+
+@pytest.mark.parametrize("dtype", ["d", "z"])
+@pytest.mark.parametrize("case", WIDE_CALLS)
+def test_a_wide_side_makes_no_qr(case, dtype, lapack_log):
+    (m, n, k), want = WIDE_CALLS[case]
+    rng = np.random.default_rng(8)
+    rk = RkMatrix(_random((m, k), DTYPES[dtype], rng), _random((n, k), DTYPES[dtype], rng))
+    rk.truncate(1e-4)
+    lapack_log.clear()
+    out = rk.truncate(1e-4)
+    assert [name for name, _ in lapack_log] == want
+    assert all(lwork is not None and lwork > 0 for _, lwork in lapack_log)
+    assert out.shape == (m, n) and out.rank <= min(m, n, k)
 
 
 @pytest.mark.parametrize("dtype", ["d", "z"])
