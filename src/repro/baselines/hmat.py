@@ -6,16 +6,19 @@ enumerates "all the required dependencies for each submitted task"; the
 paper notes that the resulting dependency volume is exactly what hurts it on
 the cheap-kernel (real double) cases.
 
-This module reconstructs that baseline faithfully:
+This module builds that baseline from the Tile-H machinery:
 
-1. a single global H-matrix is built over the whole geometry (median
-   bisection, no tile constraint);
-2. the recursive H-LU runs with the :class:`~repro.hmatrix.arithmetic
-   .KernelTracer` installed, which observes every leaf GETRF/TRSM/GEMM with
-   the H-matrix nodes it reads and writes;
-3. the trace replays through the STF engine with node sets expanded to leaf
-   granularity, producing the fine-grain DAG with measured costs — orders of
-   magnitude more tasks and edges than the Tile-H DAG, as in the paper.
+1. a single global H-matrix over the whole geometry is a one-tile Tile-H
+   matrix (``nb = n``: median bisection, no tile constraint);
+2. its H-LU is that matrix's factor program with the nested expansion cut
+   at the leaf size — one subtask per leaf kernel, plus the ``pack`` of each
+   small diagonal block — run and timed by the executor like every Tile-H
+   factorisation;
+3. the program's kernels, its ``pack`` steps left out, replay through the STF
+   engine with each operand expanded to the leaves under it
+   (:func:`trace_to_graph`), producing the fine-grain DAG with measured
+   costs — orders of magnitude more tasks and edges than the Tile-H DAG, as
+   in the paper.
 """
 
 from __future__ import annotations
@@ -24,22 +27,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..core import TileHConfig, TileHMatrix, build_tile_h
+from ..core.factor_program import _lookup, _Recorder, bound_flops, task_operands
 from ..dense import sequential_blas
-from ..hmatrix import (
-    AssemblyConfig,
-    HMatrix,
-    KernelTracer,
-    StrongAdmissibility,
-    UpdateAccumulator,
-    assemble_hmatrix,
-    build_block_cluster_tree,
-    build_cluster_tree,
-    hgetrf,
-    hlu_solve,
-    set_tracer,
-)
+from ..hmatrix import ClusterTree, HMatrix, StrongAdmissibility
+from ..hmatrix.rules import VARIANTS
 from ..runtime import (
     AccessMode,
+    NestedPolicy,
     RaceChecker,
     RuntimeOverheadModel,
     SimulationResult,
@@ -54,8 +49,8 @@ __all__ = ["HMatSolver", "trace_to_graph"]
 def _leaf_handles(engine: StfEngine, node: HMatrix, cache: dict) -> list:
     """Handles of all leaves under ``node`` (region-based dependencies).
 
-    Kernel traces reference H-matrix *nodes*; expanding them to leaves links
-    a panel solve that reads a whole triangle with the updates that wrote
+    Kernels reference H-matrix *nodes*; expanding them to leaves links a
+    panel solve that reads a whole triangle with the updates that wrote
     individual leaves inside it.
     """
     key = id(node)
@@ -66,33 +61,28 @@ def _leaf_handles(engine: StfEngine, node: HMatrix, cache: dict) -> list:
     return found
 
 
-def trace_to_graph(tracer: KernelTracer, engine: StfEngine | None = None) -> TaskGraph:
-    """Replay a kernel trace into a fine-grained task DAG via STF inference.
+def trace_to_graph(tasks, engine: StfEngine | None = None) -> TaskGraph:
+    """Replay kernel executions into a fine-grained task DAG via STF inference.
 
-    The tasks carry their traced seconds and no kernel (they ran during
-    tracing), so the default engine is a deferred one: there is nothing to
-    run.  Pass an engine with ``racecheck`` enabled to screen the leaf
-    handles for memory aliasing while the trace replays.
+    ``tasks`` yields ``(kind, reads, writes, seconds, flops)`` with ``reads``
+    and ``writes`` tuples of H-matrix nodes; every task declares R on the
+    leaves under what it reads and RW on those under what it writes.  The
+    tasks carry their given seconds and no kernel (they already ran), so the
+    default engine is a deferred one: there is nothing to run.
     """
     engine = engine or StfEngine(mode="deferred")
     cache: dict = {}
-    for rec in tracer.records:
-        accesses = []
-        seen = set()
-        for node in rec.reads:
+    for kind, reads, writes, seconds, flops in tasks:
+        modes = {}
+        for node in reads:
             for h in _leaf_handles(engine, node, cache):
-                if h.id not in seen:
-                    seen.add(h.id)
-                    accesses.append((h, AccessMode.R))
-        for node in rec.writes:
+                modes[h] = AccessMode.R
+        for node in writes:
             for h in _leaf_handles(engine, node, cache):
-                # A handle both read and written is RW; drop the R entry.
-                accesses = [(hh, m) for hh, m in accesses if hh.id != h.id]
-                seen.add(h.id)
-                accesses.append((h, AccessMode.RW))
-        engine.insert_task(
-            rec.kind, None, accesses, seconds=rec.seconds, flops=rec.flops
-        )
+                # A handle both read and written is RW, declared with the writes.
+                modes.pop(h, None)
+                modes[h] = AccessMode.RW
+        engine.insert_task(kind, None, list(modes.items()), seconds=seconds, flops=flops)
     return engine.wait_all()
 
 
@@ -134,12 +124,13 @@ class HMatFactorizationInfo:
 
 
 class HMatSolver:
-    """Global H-matrix LU solver (classical H-matrix, no tiling).
+    """Global H-matrix LU solver (classical H-matrix, no tiling): a one-tile
+    :class:`~repro.core.TileHMatrix` whose factorisation reports the
+    fine-grain leaf DAG.
 
-    Assembly and factorisation run inside
-    :func:`~repro.dense.blas.sequential_blas`, like the Tile-H cold path:
-    same H-kernels, same block sizes, one BLAS policy under both rows of the
-    comparison.
+    Assembly runs inside :func:`~repro.dense.blas.sequential_blas`, and the
+    factorisation is the Tile-H one: same H-kernels, same block sizes, one
+    BLAS policy under both rows of the comparison.
     """
 
     @sequential_blas()
@@ -161,76 +152,73 @@ class HMatSolver:
         block low-rank); the default is HMAT-OSS's eta-strong condition.
         ``accumulate`` buffers trailing-update roundings during the H-LU
         (see :class:`~repro.hmatrix.UpdateAccumulator`); ``False`` keeps the
-        eager one-rounding-per-update arithmetic.  ``racecheck`` screens the
-        fine-grain leaf handles for memory aliasing while the kernel trace
-        replays through the STF engine."""
-        self.points = np.ascontiguousarray(points, dtype=np.float64)
-        self.eps = eps
-        self.accumulate = accumulate
-        self.racecheck = racecheck
-        self.tree = build_cluster_tree(self.points, leaf_size=leaf_size)
+        eager one-rounding-per-update arithmetic.  ``racecheck`` runs the
+        factorisation under the access-mode race detector
+        (``TileHConfig.racecheck``)."""
+        n = len(points)
         adm = admissibility if admissibility is not None else StrongAdmissibility(eta=eta)
-        block = build_block_cluster_tree(self.tree, self.tree, adm)
-        self.matrix = assemble_hmatrix(
-            kernel, self.points, block, AssemblyConfig(eps=eps, method=method)
-        )
-        from ..obs.instrument import current as _current_probe
-
-        probe = _current_probe()
-        if probe is not None:
-            probe.h_bytes_delta(self.matrix.storage() * self.matrix.dtype.itemsize)
-        self._factorized = False
+        desc = build_tile_h(kernel, points, n, eps=eps, leaf_size=leaf_size,
+                            admissibility=adm, method=method)
+        config = TileHConfig(nb=n, eps=eps, leaf_size=leaf_size, nested=True,
+                             nested_min_leaf=leaf_size, accumulate=accumulate,
+                             racecheck=racecheck)
+        self._tile = TileHMatrix(desc, config)
 
     # -- queries -------------------------------------------------------------
     @property
     def n(self) -> int:
-        return self.matrix.shape[0]
+        return self._tile.desc.n
 
     @property
     def perm(self) -> np.ndarray:
-        return self.tree.perm
+        return self._tile.desc.perm
+
+    @property
+    def matrix(self) -> HMatrix:
+        return self._tile.desc.super.get_blktile(0, 0).mat
+
+    @property
+    def tree(self) -> ClusterTree:
+        return self._tile.desc.root
 
     def compression_ratio(self) -> float:
         """Storage over dense storage — constant w.r.t. NB by construction
         (the flat dashed line of the paper's Fig. 4)."""
-        return self.matrix.compression_ratio()
+        return self._tile.compression_ratio()
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """``A @ x`` in original ordering (pre-factorisation)."""
-        if self._factorized:
-            raise RuntimeError("matrix content was overwritten by factorize()")
-        out = np.zeros_like(np.asarray(x), dtype=np.promote_types(self.matrix.dtype, np.asarray(x).dtype))
-        out[self.perm] = self.matrix.matvec(np.asarray(x)[self.perm])
-        return out
+        return self._tile.matvec(x)
 
     # -- factorisation / solve ---------------------------------------------------
-    @sequential_blas()
     def factorize(self) -> HMatFactorizationInfo:
-        """Recursive H-LU with kernel tracing; returns the fine-grain DAG."""
-        if self._factorized:
-            raise RuntimeError("factorize() called twice")
-        tracer = KernelTracer()
-        prev = set_tracer(tracer)
-        try:
-            hgetrf(self.matrix, self.eps, UpdateAccumulator(self.eps) if self.accumulate else None)
-        finally:
-            set_tracer(prev)
-        self._factorized = True
-        engine = StfEngine(mode="deferred", racecheck=self.racecheck)
-        graph = trace_to_graph(tracer, engine)
-        return HMatFactorizationInfo(graph=graph, racecheck=engine.racecheck)
+        """The one-tile H-LU; returns its fine-grain leaf DAG, each task
+        carrying the seconds the run measured and the flops the program
+        bound before it."""
+        tile = self._tile
+        program, nodes = _lookup(tile.desc, "lu", NestedPolicy(min_leaf=tile.config.nested_min_leaf))
+        operands = task_operands(program, nodes)
+        flops = bound_flops(program, operands)
+        info = tile.factorize()
+        seconds = [0.0] * len(program)
+        for e in info.trace.events:
+            seconds[e.task_id] = e.end - e.start
+
+        def kernels():
+            for t, (kind, variant) in enumerate(zip(program.kinds, program.variants)):
+                if kind != "pack":
+                    ops, w = operands[t], VARIANTS[variant].written
+                    yield kind, ops[:w] + ops[w + 1:], (ops[w],), seconds[t], flops[t]
+
+        # The run announced its tasks to the probe: the replay announces none.
+        graph = trace_to_graph(kernels(), _Recorder(mode="deferred"))
+        return HMatFactorizationInfo(graph=graph, racecheck=info.racecheck)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Solve ``A x = b`` in original ordering (vector or panel)."""
-        if not self._factorized:
-            raise RuntimeError("call factorize() before solve()")
-        b = np.asarray(b)
-        x = hlu_solve(self.matrix, b[self.perm])
-        out = np.empty_like(x)
-        out[self.perm] = x
-        return out
+        return self._tile.solve(b)
 
     def gesv(self, b: np.ndarray) -> np.ndarray:
-        if not self._factorized:
+        if not self._tile.factorized:
             self.factorize()
         return self.solve(b)

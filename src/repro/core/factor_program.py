@@ -28,7 +28,8 @@ out, and run by every factorisation (eager is a one-worker run):
   :class:`~repro.runtime.TaskSpec`) and a race-checked run (its
   :class:`~repro.runtime.RaceChecker` brackets each task) bind up front;
 * :func:`announce` tells the ambient probe, before a run, every task the
-  run will execute — what ``insert_task`` would have announced;
+  run will execute — what ``insert_task`` would have announced — with the
+  flops :func:`bound_flops` binds on the ranks the kernels start from;
 * :func:`program_for` keeps the programs in a small process-wide table
   (:data:`MAX_PROGRAMS`, least recently used out), keyed by
   :func:`structure_key`.
@@ -68,6 +69,8 @@ __all__ = [
     "structure_key",
     "record",
     "instantiate",
+    "task_operands",
+    "bound_flops",
     "announce",
     "program_for",
 ]
@@ -124,8 +127,9 @@ def structure_key(desc: TileHDesc, method: str, policy: NestedPolicy | None) -> 
 
 
 class _Recorder(StfEngine):
-    """The deferred engine a program is recorded on.  It announces
-    nothing to the probe: :func:`announce` tells it the tasks that will run."""
+    """The deferred engine a program is recorded on (and the HMAT baseline's
+    leaf DAG replayed on).  It announces nothing to the probe:
+    :func:`announce` tells it the tasks that run."""
 
     def _announce(self, task: Task) -> None:
         pass
@@ -271,26 +275,27 @@ def instantiate(
 
     # One gather each resolves every operand and every access of the graph;
     # a task's share is then a slice (of a tuple: already the tuple it keeps).
-    operands = tuple(map(nodes.__getitem__, program.op_slot.tolist()))
+    operands = task_operands(program, nodes)
+    flops = bound_flops(program, operands)
     accesses = tuple(map(pairs.__getitem__, program.acc_code.tolist()))
     deps, succs = program.dep_idx.tolist(), program.suc_idx.tolist()
-    op_ptr, acc_ptr = program.op_ptr.tolist(), program.acc_ptr.tolist()
+    acc_ptr = program.acc_ptr.tolist()
     dep_ptr, suc_ptr = program.dep_ptr.tolist(), program.suc_ptr.tolist()
-    paths, flops, flushes = program.paths, program.flops, program.flushes
+    paths, flushes = program.paths, program.flushes
     graph = TaskGraph()
     tasks = graph.tasks
     for t, (kind, variant, unit, label, priority) in enumerate(
         zip(program.kinds, program.variants, program.units, program.labels,
             program.priorities.tolist())
     ):
-        nodes_t = operands[op_ptr[t]:op_ptr[t + 1]]
+        nodes_t = operands[t]
         task = Task(
             t,
             kind,
             accesses[acc_ptr[t]:acc_ptr[t + 1]],
             priority,
             0.0,
-            kernel_flops(variant, nodes_t) if flops is None else flops[t],
+            flops[t],
             partial(run_kernel, variant, nodes_t, eps, unit, acc=acc, flush=flushes[t]),
             set(deps[dep_ptr[t]:dep_ptr[t + 1]]),
             set(succs[suc_ptr[t]:suc_ptr[t + 1]]),
@@ -302,29 +307,43 @@ def instantiate(
     return graph, _nested_stats(program)
 
 
+def task_operands(program: FactorProgram, nodes: list) -> list:
+    """Each task's operands among ``nodes`` (its slots, as :func:`_lookup`
+    returns them), one tuple per task in kernel-argument order."""
+    operands = tuple(map(nodes.__getitem__, program.op_slot.tolist()))
+    ptr = program.op_ptr.tolist()
+    return [operands[ptr[t]:ptr[t + 1]] for t in range(len(program))]
+
+
+def bound_flops(program: FactorProgram, operands: list) -> tuple | list:
+    """Each task's modelled flops on ``operands`` (:func:`task_operands`) as
+    they stand: an opaque program's recorded ones, or
+    :func:`~repro.hmatrix.arithmetic.kernel_flops` of each subtask on the
+    ranks it would start from, taken before a run."""
+    if program.flops is not None:
+        return program.flops
+    return [kernel_flops(v, ops) for v, ops in zip(program.variants, operands)]
+
+
 def announce(program: FactorProgram, nodes: list) -> None:
     """Tell the ambient probe, if any, every task of ``program`` on ``nodes``
     (its slots, as :func:`_lookup` returns them) — kind, flops and operand
     footprint, field by field what ``insert_task`` would have announced.
 
     Called before the run, so the flops count the ranks the kernels start
-    from.  Nothing runs in between, so each operand's footprint is taken once.
+    from (:func:`bound_flops`).  Nothing runs in between, so each operand's
+    footprint is taken once.
     """
     probe = _current_probe()
     if probe is None:
         return
     slots = (program.acc_code // 3).tolist()
     footprint = {s: payload_footprint(nodes[s]) for s in set(slots)}
-    operands = tuple(map(nodes.__getitem__, program.op_slot.tolist()))
-    op_ptr, acc_ptr = program.op_ptr.tolist(), program.acc_ptr.tolist()
-    flops = program.flops
-    for t, (kind, variant) in enumerate(zip(program.kinds, program.variants)):
-        announce_task(
-            probe,
-            kind,
-            kernel_flops(variant, operands[op_ptr[t]:op_ptr[t + 1]]) if flops is None else flops[t],
-            [footprint[s] for s in slots[acc_ptr[t]:acc_ptr[t + 1]]],
-        )
+    flops = bound_flops(program, task_operands(program, nodes))
+    acc_ptr = program.acc_ptr.tolist()
+    for t, kind in enumerate(program.kinds):
+        announce_task(probe, kind, flops[t],
+                      [footprint[s] for s in slots[acc_ptr[t]:acc_ptr[t + 1]]])
 
 
 def _nested_stats(program: FactorProgram) -> NestedStats | None:
@@ -348,17 +367,16 @@ def _bind(program: FactorProgram, nodes: list, eps: float, acc=None) -> Lowered:
     deferring updates through ``acc`` (an
     :class:`~repro.hmatrix.UpdateAccumulator`) when one is given.
 
-    Task ``t`` is the id ``t``; its kernel is resolved at dispatch from the
-    slots; its indegree and successors are the program's CSR arrays.  No
-    :class:`~repro.runtime.Task`, handle, set, closure or flop is made.
+    Task ``t`` is the id ``t``; its kernel is resolved at dispatch on its
+    :func:`task_operands`; its indegree and successors are the program's CSR
+    arrays.  No :class:`~repro.runtime.Task`, handle, set, closure or flop is
+    made.
     """
-    operands = tuple(map(nodes.__getitem__, program.op_slot.tolist()))
-    op_ptr = program.op_ptr.tolist()
+    operands = task_operands(program, nodes)
     variants, units, flushes = program.variants, program.units, program.flushes
 
     def execute(t: int) -> None:
-        run_kernel(variants[t], operands[op_ptr[t]:op_ptr[t + 1]], eps, units[t],
-                   acc, flush=flushes[t])
+        run_kernel(variants[t], operands[t], eps, units[t], acc, flush=flushes[t])
 
     low = Lowered()
     low.items, low.ident, low.execute = range(len(program)), operator.index, execute

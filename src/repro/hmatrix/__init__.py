@@ -54,8 +54,6 @@ from .arithmetic import (
     hinv,
     hchol_solve,
     hlu_solve,
-    KernelTracer,
-    set_tracer,
 )
 
 __all__ = [
@@ -97,8 +95,6 @@ __all__ = [
     "hinv",
     "hchol_solve",
     "hlu_solve",
-    "KernelTracer",
-    "set_tracer",
     "save_hmatrix",
     "load_hmatrix",
     "save_tile_h",

@@ -15,19 +15,12 @@ Each kernel here is an entry (shape checks, accumulator flushes) plus its leaf
 cases; the subdivided case is :func:`_descend`, which runs the steps
 :mod:`.rules` gives for the operands — the loop nests are written there, once,
 with each variant's :data:`~.rules.VARIANTS` row.  :func:`kernel_flops` is the
-one ℌ flop model: what a traced leaf kernel reports and what the nested
-expander charges a subtask.
-
-A module-level :class:`KernelTracer` can observe every *leaf-level* kernel
-execution (kind, data read/written, measured seconds, modelled flops); the
-pure-H baseline uses it to reconstruct the fine-grained task DAG that the
-proprietary HMAT library submits to StarPU.
+one ℌ flop model: what the nested expander charges a subtask and a factor
+program announces for each task before it runs.  The kernels time nothing:
+the executor running a task measures it, flushes included.
 """
 
 from __future__ import annotations
-
-import time
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -53,90 +46,7 @@ __all__ = [
     "solve_upper_transpose_panel",
     "run_kernel",
     "kernel_flops",
-    "KernelTracer",
-    "set_tracer",
-    "TraceRecord",
 ]
-
-
-# ---------------------------------------------------------------------------
-# Kernel tracing (fine-grain DAG reconstruction for the HMAT baseline)
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class TraceRecord:
-    """One observed leaf kernel execution."""
-
-    kind: str
-    reads: tuple
-    writes: tuple
-    seconds: float
-    flops: float
-
-
-@dataclass
-class KernelTracer:
-    """Collects :class:`TraceRecord` entries during H-arithmetic calls."""
-
-    records: list = field(default_factory=list)
-
-    def record(self, kind: str, reads: tuple, writes: tuple, seconds: float, flops: float) -> None:
-        self.records.append(TraceRecord(kind, reads, writes, seconds, flops))
-
-    def clear(self) -> None:
-        self.records.clear()
-
-    def total_seconds(self) -> float:
-        return sum(r.seconds for r in self.records)
-
-    def total_flops(self) -> float:
-        return sum(r.flops for r in self.records)
-
-
-_TRACER: KernelTracer | None = None
-
-
-def set_tracer(tracer: KernelTracer | None) -> KernelTracer | None:
-    """Install (or clear, with ``None``) the global kernel tracer.
-
-    Returns the previously installed tracer so callers can restore it.
-    """
-    global _TRACER
-    prev = _TRACER
-    _TRACER = tracer
-    return prev
-
-
-class _traced:
-    """Time the enclosed kernel and report it to the tracer, if any.
-
-    A plain slotted context manager: the ``contextlib`` generator machinery
-    costs a few microseconds per call, which is measurable at the leaf-kernel
-    call volume of an H-LU.  ``flops`` is a number or a zero-argument flop
-    model; a model is evaluated, on the operands as the kernel receives
-    them, only when a tracer records.
-    """
-
-    __slots__ = ("kind", "reads", "writes", "flops", "t0")
-
-    def __init__(self, kind: str, reads: tuple, writes: tuple, flops) -> None:
-        self.kind = kind
-        self.reads = reads
-        self.writes = writes
-        self.flops = flops
-
-    def __enter__(self) -> None:
-        if _TRACER is not None:
-            if callable(self.flops):
-                self.flops = self.flops()
-            self.t0 = time.perf_counter()
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        if _TRACER is not None and exc_type is None:
-            _TRACER.record(
-                self.kind, self.reads, self.writes, time.perf_counter() - self.t0, self.flops
-            )
-        return False
 
 
 # ---------------------------------------------------------------------------
@@ -335,9 +245,10 @@ def kernel_flops(variant: str, nodes) -> float:
     """The ℌ flop model: modelled cost of kernel ``variant`` on ``nodes``
     (kernel-argument order, as :func:`run_kernel` receives them).
 
-    Rank-dependent, so evaluated on the operands as they stand: a traced leaf
-    kernel reports it to the :class:`KernelTracer`, and the nested expander
-    charges it to each subtask.  A factorisation that splits costs what its
+    Rank-dependent, so evaluated on the operands as they stand: the nested
+    expander charges it to each subtask, and a factor program's announcement
+    (:func:`repro.core.factor_program.bound_flops`) to each task before the
+    run.  A factorisation that splits costs what its
     steps cost, level by level; a dense diagonal leaf costs the dense kernel.
     """
     return _FLOPS[variant](nodes)
@@ -473,24 +384,21 @@ def hgemm(c: HMatrix, a: HMatrix, b: HMatrix, eps: float, alpha=-1.0, acc=None) 
     c.packed_lu = None
     # Any low-rank operand: the product is low-rank.
     if a.rk is not None or b.rk is not None:
-        with _traced("gemm", (a, b), (c,), lambda: kernel_flops("gemm", (c, a, b))):
-            prod = _product_rk(a, b, alpha, eps)
-            c.axpy_rk(prod, eps, acc)
+        prod = _product_rk(a, b, alpha, eps)
+        c.axpy_rk(prod, eps, acc)
         return
     # Any dense operand: the product is a small dense panel.
     if a.full is not None or b.full is not None:
-        with _traced("gemm", (a, b), (c,), lambda: kernel_flops("gemm", (c, a, b))):
-            prod = _product_dense(a, b)
-            if alpha != 1.0:
-                prod = alpha * prod
-            c.axpy_dense(prod, eps, acc)
+        prod = _product_dense(a, b)
+        if alpha != 1.0:
+            prod = alpha * prod
+        c.axpy_dense(prod, eps, acc)
         return
     # Both subdivided.
     if c.is_leaf:
-        with _traced("gemm", (a, b), (c,), lambda: kernel_flops("gemm", (c, a, b))):
-            prod = _collect_product(a, b, eps, batched=acc is not None)
-            if prod.rank:
-                c.axpy_rk(prod.scale(alpha), eps, acc)
+        prod = _collect_product(a, b, eps, batched=acc is not None)
+        if prod.rank:
+            c.axpy_rk(prod.scale(alpha), eps, acc)
         return
     # All three subdivided: recurse on the children grid.
     _descend("gemm", (c, a, b), eps, acc, alpha=alpha)
@@ -558,18 +466,16 @@ def _htrsm(variant: str, t: HMatrix, b: HMatrix, eps: float, unit: bool, acc=Non
         if acc is not None:
             acc.flush(b)
         if b.rk.rank:
-            with _traced("trsm", (t,), (b,), lambda: kernel_flops(variant, (t, b))):
-                if left:
-                    b.rk = RkMatrix(solve(t, b.rk.u, unit), b.rk.v)
-                else:  # X = Ub (op(T)^{-T} Vb)^T
-                    b.rk = RkMatrix(b.rk.u, solve(t, b.rk.v, unit))
+            if left:
+                b.rk = RkMatrix(solve(t, b.rk.u, unit), b.rk.v)
+            else:  # X = Ub (op(T)^{-T} Vb)^T
+                b.rk = RkMatrix(b.rk.u, solve(t, b.rk.v, unit))
         return
     if b.full is not None:
-        with _traced("trsm", (t,), (b,), lambda: kernel_flops(variant, (t, b))):
-            if left:
-                b.full = np.ascontiguousarray(solve(t, b.full, unit))
-            else:
-                b.full = np.ascontiguousarray(solve(t, b.full.T, unit).T)
+        if left:
+            b.full = np.ascontiguousarray(solve(t, b.full, unit))
+        else:
+            b.full = np.ascontiguousarray(solve(t, b.full.T, unit).T)
         return
     if t.full is not None:
         raise ValueError("RHS subdivided below a dense diagonal leaf: incompatible trees")
@@ -596,8 +502,7 @@ def hgetrf(a: HMatrix, eps: float, acc=None) -> HMatrix:
     if acc is not None:
         acc.flush(a)
     if a.full is not None:
-        with _traced("getrf", (), (a,), lambda: kernel_flops("getrf", (a,))):
-            getrf_nopiv(a.full, overwrite=True)
+        getrf_nopiv(a.full, overwrite=True)
         return a
     _descend("getrf", (a,), eps, acc)
     return a
@@ -728,14 +633,13 @@ def hsyrk(c: HMatrix, a: HMatrix, eps: float, alpha=-1.0, acc=None) -> None:
         _descend("syrk", (c, a), eps, acc, alpha=alpha)
         return
     b = a.transpose()
-    with _traced("gemm", (a, b), (c,), lambda: kernel_flops("gemm", (c, a, b))):
-        if a.rk is not None:
-            prod = _product_rk(a, b, alpha, eps)
-        else:
-            prod = _product_dense(a, b)
-            if alpha != 1.0:
-                prod = alpha * prod
-        _add_lower(c, prod, eps, acc)
+    if a.rk is not None:
+        prod = _product_rk(a, b, alpha, eps)
+    else:
+        prod = _product_dense(a, b)
+        if alpha != 1.0:
+            prod = alpha * prod
+    _add_lower(c, prod, eps, acc)
 
 
 def hpotrf(a: HMatrix, eps: float, acc=None) -> HMatrix:
@@ -757,8 +661,7 @@ def hpotrf(a: HMatrix, eps: float, acc=None) -> HMatrix:
     if acc is not None:
         acc.flush(a)
     if a.full is not None:
-        with _traced("potrf", (), (a,), lambda: kernel_flops("potrf", (a,))):
-            a.full = np.linalg.cholesky(a.full)
+        a.full = np.linalg.cholesky(a.full)
         return a
     _descend("potrf", (a,), eps, acc)
     return a
@@ -783,8 +686,7 @@ def hinv(a: HMatrix, eps: float) -> HMatrix:
     if a.rk is not None:
         raise ValueError("diagonal block is low-rank: cannot invert")
     if a.full is not None:
-        with _traced("getrf", (), (a,), flops_getrf(a.shape[0], is_complex=np.issubdtype(a.dtype, np.complexfloating))):
-            a.full = np.linalg.inv(a.full)
+        a.full = np.linalg.inv(a.full)
         return a
     if a.nrow_children != 2 or a.ncol_children != 2:
         raise ValueError("hinv supports binary (2x2) children grids only")

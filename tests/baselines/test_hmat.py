@@ -1,12 +1,14 @@
 """Unit tests for the pure-HMAT fine-grain baseline."""
 
+import time
+
 import numpy as np
 import pytest
 
 from repro.baselines import HMatSolver, trace_to_graph
 from repro.core import TileHConfig, TileHMatrix
 from repro.geometry import assemble_dense, cylinder_cloud, helmholtz_kernel, laplace_kernel
-from repro.hmatrix import KernelTracer
+from repro.hmatrix import UpdateAccumulator
 from repro.runtime import RuntimeOverheadModel
 
 N = 500
@@ -111,18 +113,18 @@ class TestFineGrainDag:
 
 class TestTraceToGraph:
     def test_empty_trace(self):
-        g = trace_to_graph(KernelTracer())
+        g = trace_to_graph([])
         assert len(g) == 0
 
     def test_chain_dependency_via_shared_leaf(self, geom):
         pts, kern, _ = geom
         hm = HMatSolver(kern, pts, eps=1e-4, leaf_size=32)
-        # Two records touching the same node must be chained.
+        # Two kernels touching the same node must be chained.
         node = hm.matrix.child(0, 0)
-        tracer = KernelTracer()
-        tracer.record("getrf", (), (node,), 0.1, 1.0)
-        tracer.record("trsm", (node,), (hm.matrix.child(0, 1),), 0.1, 1.0)
-        g = trace_to_graph(tracer)
+        g = trace_to_graph([
+            ("getrf", (), (node,), 0.1, 1.0),
+            ("trsm", (node,), (hm.matrix.child(0, 1),), 0.1, 1.0),
+        ])
         assert len(g) == 2
         assert g.tasks[0].id in g.tasks[1].deps
 
@@ -133,11 +135,50 @@ class TestTraceToGraph:
         hm = HMatSolver(kern, pts, eps=1e-4, leaf_size=32)
         parent = hm.matrix.child(0, 0)
         leaf = next(iter(parent.leaves()))
-        tracer = KernelTracer()
-        tracer.record("gemm", (), (leaf,), 0.1, 1.0)
-        tracer.record("trsm", (parent,), (hm.matrix.child(0, 1),), 0.1, 1.0)
-        g = trace_to_graph(tracer)
+        g = trace_to_graph([
+            ("gemm", (), (leaf,), 0.1, 1.0),
+            ("trsm", (parent,), (hm.matrix.child(0, 1),), 0.1, 1.0),
+        ])
         assert g.tasks[0].id in g.tasks[1].deps
+
+
+class TestTaskTimes:
+    def test_tasks_include_the_accumulator_flushes(self, monkeypatch):
+        """A leaf TRSM/GETRF opens by rounding in its operand's pending
+        updates: that flush is the task's work, so the tasks' seconds cover
+        every flush of the factorisation."""
+        flush = UpdateAccumulator.flush
+        spent = []
+
+        def timed(self, node):
+            t0 = time.perf_counter()
+            try:
+                return flush(self, node)
+            finally:
+                spent.append(time.perf_counter() - t0)
+
+        monkeypatch.setattr(UpdateAccumulator, "flush", timed)
+        pts = cylinder_cloud(200)
+        info = HMatSolver(laplace_kernel(pts), pts, eps=1e-4, leaf_size=32).factorize()
+        assert spent
+        assert sum(spent) <= info.sequential_seconds()
+
+    def test_tasks_are_announced_once_with_the_flops_they_carry(self, geom):
+        """The run announces every task of the program, with the flop model
+        on the ranks its kernel starts from; the leaf DAG carries those flops
+        and the replay announces nothing more."""
+        from repro.obs import Instrumentation
+
+        pts, kern, _ = geom
+        hm = HMatSolver(kern, pts, eps=1e-5, leaf_size=32)
+        with Instrumentation(trace_capacity=0) as probe:
+            info = hm.factorize()
+        kinds = info.graph.kind_counts()
+        assert set(probe.kinds) == set(kinds) | {"pack"}
+        for kind, count in kinds.items():
+            assert probe.kinds[kind]["submitted"] == count
+            assert probe.kinds[kind]["flops"] == sum(
+                t.flops for t in info.graph.tasks if t.kind == kind)
 
 
 class TestHodlrVariant:

@@ -6,12 +6,15 @@ children grid: ``hgemm``, the three triangular solves, ``hgetrf``, ``hpotrf``
 and ``hgemm_transb`` below are those functions as of PR 22, unchanged (one
 relative import made absolute), calling
 each other and never the library's kernels.  Only the helpers that hold no
-recursion (leaf products, panel solves, flop models, the tracer hook) are
-imported.  The library's kernels are held to these bit for bit, leaf by leaf
-and trace record by trace record (``test_recursion_equivalence.py``).  Do not
-"fix" or modernise them: their value is that they are what the library used
-to run.
+recursion (leaf products, panel solves, flop models) are imported; the
+kernel-tracer hook they were written around is gone from the library, so
+``_traced`` is a local no-op context manager here.  The library's kernels are
+held to these bit for bit, leaf by leaf (``test_recursion_equivalence.py``).
+Do not "fix" or modernise them: their value is that they are what the library
+used to run.
 """
+
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -23,7 +26,6 @@ from repro.hmatrix.arithmetic import (
     _gemm_flops,
     _product_dense,
     _product_rk,
-    _traced,
     _trsm_flops,
     solve_lower_panel,
     solve_upper_transpose_panel,
@@ -31,6 +33,12 @@ from repro.hmatrix.arithmetic import (
 from repro.hmatrix.rk import RkMatrix
 
 __all__ = ["hgemm", "hgemm_transb", "htrsm", "hgetrf", "hpotrf"]
+
+
+def _traced(kind, reads, writes, flops):
+    """The library's kernel-tracer hook with no tracer installed: nothing."""
+    return nullcontext()
+
 
 def hgemm(c: HMatrix, a: HMatrix, b: HMatrix, eps: float, alpha=-1.0, acc=None) -> None:
     """``C <- C + alpha * A @ B`` in H-arithmetic with rounding accuracy eps.

@@ -7,7 +7,6 @@ from scipy.linalg import solve_triangular
 from repro.geometry import assemble_dense, cylinder_cloud, helmholtz_kernel, laplace_kernel
 from repro.hmatrix import (
     AssemblyConfig,
-    KernelTracer,
     StrongAdmissibility,
     assemble_hmatrix,
     build_block_cluster_tree,
@@ -16,7 +15,6 @@ from repro.hmatrix import (
     hgetrf,
     hlu_solve,
     htrsm,
-    set_tracer,
 )
 from repro.hmatrix.arithmetic import (
     h_rmatvec,
@@ -244,72 +242,6 @@ class TestHgetrf:
         hgetrf(hl, eps=1e-9)
         with pytest.raises(ValueError):
             hlu_solve(hl, np.zeros(N + 1))
-
-
-class TestTracer:
-    def test_tracer_records_kernels(self, ctx):
-        *_, h, _ = ctx
-        tracer = KernelTracer()
-        prev = set_tracer(tracer)
-        try:
-            hl = h.copy()
-            hgetrf(hl, eps=1e-9)
-        finally:
-            set_tracer(prev)
-        kinds = {r.kind for r in tracer.records}
-        assert kinds == {"getrf", "trsm", "gemm"}
-        assert tracer.total_seconds() > 0
-        assert tracer.total_flops() > 0
-        # Every record has coherent read/write sets.
-        for r in tracer.records:
-            assert r.writes
-            if r.kind != "getrf":
-                assert r.reads
-
-    def test_traced_flops_are_the_model_on_the_operands(self, ctx, monkeypatch):
-        from repro.hmatrix import arithmetic
-
-        *_, h, _ = ctx
-        checked = []
-
-        class Checking(KernelTracer):
-            def record(self, kind, reads, writes, seconds, flops):
-                if kind == "gemm":
-                    checked.append(flops == arithmetic._gemm_flops(*reads))
-                elif kind == "trsm":
-                    checked.append(flops == arithmetic._trsm_flops(reads[0], writes[0]))
-                super().record(kind, reads, writes, seconds, flops)
-
-        prev = set_tracer(Checking())
-        try:
-            hgetrf(h.copy(), eps=1e-9)
-        finally:
-            set_tracer(prev)
-        assert checked and all(checked)
-        # Untraced, the H-kernels never evaluate the flop models.
-        calls = []
-        for name in ("_gemm_flops", "_trsm_flops"):
-            model = getattr(arithmetic, name)
-            monkeypatch.setattr(
-                arithmetic, name, lambda *a, model=model: calls.append(1) or model(*a)
-            )
-        hgetrf(h.copy(), eps=1e-9)
-        assert calls == []
-
-    def test_tracer_disabled_by_default(self, ctx):
-        *_, h, _ = ctx
-        tracer = KernelTracer()
-        prev = set_tracer(tracer)
-        set_tracer(prev)  # restore immediately
-        hl = h.copy()
-        hgetrf(hl, eps=1e-9)
-        assert tracer.records == []
-
-    def test_tracer_clear(self):
-        tracer = KernelTracer()
-        tracer.record("getrf", (), ("x",), 0.1, 10.0)
-        tracer.clear()
-        assert tracer.records == [] and tracer.total_seconds() == 0.0
 
 
 class TestHgeaddToRk:

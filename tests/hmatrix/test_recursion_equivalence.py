@@ -5,9 +5,7 @@ library ran them before the loop nests moved into :mod:`repro.hmatrix.rules`.
 On generated ℌ-matrices — hand-built cluster trees with 2- and 3-way splits
 and mixed depths, every block a seeded choice of Rk / dense / subdivided, real
 and complex, with and without an :class:`UpdateAccumulator` — each kernel must
-leave every leaf payload equal, a ``packed_lu`` on the same nodes, and the
-same stream of :class:`KernelTracer` records (kind, operand positions, flops):
-the HMAT baseline reconstructs its task graph from that stream.
+leave every leaf payload equal and a ``packed_lu`` on the same nodes.
 """
 
 import numpy as np
@@ -18,7 +16,6 @@ from repro.hmatrix import (
     BoundingBox,
     ClusterTree,
     HMatrix,
-    KernelTracer,
     UpdateAccumulator,
     hgemm,
     hgemm_transb,
@@ -26,7 +23,6 @@ from repro.hmatrix import (
     hpotrf,
     hsyrk,
     htrsm,
-    set_tracer,
 )
 from repro.hmatrix.arithmetic import run_kernel
 
@@ -120,32 +116,12 @@ def _nodes(h, path=()):
 
 
 def _run(kernel, operands, acc_on):
-    """Run ``kernel(*operands, acc)`` under a fresh tracer; the trace as
-    ``(kind, read positions, written positions, flops)`` with a position
-    ``(operand number, child path)``."""
-    where = {}
-    for number, operand in enumerate(operands):
-        for path, node in _nodes(operand):
-            where[id(node)] = (number, path)
-    tracer = KernelTracer()
-    prev = set_tracer(tracer)
-    try:
-        acc = UpdateAccumulator(EPS) if acc_on else None
-        kernel(*operands, acc)
-        if acc is not None:  # round in what a product left pending, as a reader would
-            for operand in operands:
-                acc.flush(operand)
-    finally:
-        set_tracer(prev)
-    def position(node):
-        # A node of no operand is a structural transpose made inside the
-        # kernel (``hgemm_transb``): named by the index range it covers.
-        return where.get(id(node), ("view", node.rows.start, node.cols.start, node.shape))
-
-    return [
-        (r.kind, tuple(map(position, r.reads)), tuple(map(position, r.writes)), r.flops)
-        for r in tracer.records
-    ]
+    """Run ``kernel(*operands, acc)`` and round in what it left pending."""
+    acc = UpdateAccumulator(EPS) if acc_on else None
+    kernel(*operands, acc)
+    if acc is not None:  # round in what a product left pending, as a reader would
+        for operand in operands:
+            acc.flush(operand)
 
 
 def _assert_same(new, old):
@@ -164,12 +140,9 @@ def _assert_same(new, old):
 
 
 def _check(new_kernel, old_kernel, new_operands, old_operands, acc_on, written=0):
-    trace = _run(new_kernel, new_operands, acc_on)
-    trace0 = _run(old_kernel, old_operands, acc_on)
-    assert trace == trace0
-    assert trace  # the kernel did reach leaf kernels
+    _run(new_kernel, new_operands, acc_on)
+    _run(old_kernel, old_operands, acc_on)
     _assert_same(new_operands[written], old_operands[written])
-    return trace
 
 
 ACC = pytest.mark.parametrize("acc_on", [False, True], ids=["eager", "accumulate"])
@@ -182,11 +155,10 @@ SEEDS = pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("shape", SHAPES)
 def test_hgetrf(shape, dtype, seed, acc_on):
     (a, a0), _ = _square(shape, dtype, seed)
-    trace = _check(
+    _check(
         lambda a, acc: hgetrf(a, EPS, acc), lambda a, acc: ref.hgetrf(a, EPS, acc),
         (a,), (a0,), acc_on,
     )
-    assert {"getrf", "trsm", "gemm"} <= {kind for kind, *_ in trace}
     assert a.packed_lu is not None  # small enough to pack: the rule's last step
 
 
@@ -226,15 +198,11 @@ def _assert_same_lower(new, old, inputs):
 
 def _check_lower(new_kernel, old_kernel, new_operands, old_operands, acc_on):
     """:func:`_check` for a kernel that writes the lower triangle of operand 0
-    only: the reference's trace less the records that write a strictly upper
-    block, and :func:`_assert_same_lower`."""
+    only: :func:`_assert_same_lower`."""
     inputs = {p: x.copy() for p, x in _upper_leaves(new_operands[0]).items()}
-    trace = _run(new_kernel, new_operands, acc_on)
-    trace0 = _run(old_kernel, old_operands, acc_on)
-    assert trace == [r for r in trace0 if not any(_strictly_upper(w[1]) for w in r[2])]
-    assert trace
+    _run(new_kernel, new_operands, acc_on)
+    _run(old_kernel, old_operands, acc_on)
     _assert_same_lower(new_operands[0], old_operands[0], inputs)
-    return trace
 
 
 @ACC
@@ -242,11 +210,10 @@ def _check_lower(new_kernel, old_kernel, new_operands, old_operands, acc_on):
 @pytest.mark.parametrize("shape", SHAPES)
 def test_hpotrf(shape, seed, acc_on):
     (a, a0), _ = _square(shape, "real", seed, spd=True)
-    trace = _check_lower(
+    _check_lower(
         lambda a, acc: hpotrf(a, EPS, acc), lambda a, acc: ref.hpotrf(a, EPS, acc),
         (a,), (a0,), acc_on,
     )
-    assert {"potrf", "trsm", "gemm"} <= {kind for kind, *_ in trace}
     assert a.packed_lu is not None
 
 

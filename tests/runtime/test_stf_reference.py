@@ -138,8 +138,8 @@ def test_hmat_baseline_matches_the_inline_engine(monkeypatch):
     kern = make_kernel("laplace", pts)
     solver = HMatSolver(kern, pts, eps=1e-5, leaf_size=32, racecheck=True)
     info = solver.factorize()
-    monkeypatch.setattr(hmat, "StfEngine", lambda mode, racecheck: ReferenceStfEngine(
-        "eager", racecheck=racecheck))
+    # The leaf replay's engine; the race checker is the run's.
+    monkeypatch.setattr(hmat, "_Recorder", lambda mode: ReferenceStfEngine("eager"))
     ref_solver = HMatSolver(kern, pts, eps=1e-5, leaf_size=32, racecheck=True)
     ref_info = ref_solver.factorize()
     assert [(t.kind, t.priority, t.flops, t.deps) for t in info.graph.tasks] == [
