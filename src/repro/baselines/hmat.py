@@ -28,13 +28,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core import TileHConfig, TileHMatrix, build_tile_h
-from ..core.factor_program import _lookup, _Recorder, bound_flops, task_operands
+from ..core.factor_program import _Recorder, bound_flops, task_operands
 from ..dense import sequential_blas
 from ..hmatrix import ClusterTree, HMatrix, StrongAdmissibility
 from ..hmatrix.rules import VARIANTS
 from ..runtime import (
     AccessMode,
-    NestedPolicy,
     RaceChecker,
     RuntimeOverheadModel,
     SimulationResult,
@@ -123,6 +122,16 @@ class HMatFactorizationInfo:
         )
 
 
+class _OneTile(TileHMatrix):
+    """The one tile of :class:`HMatSolver`: keeps its tasks' operands and
+    pre-run flops from the one program lookup its factorisation makes."""
+
+    def _announce(self, program, nodes: list) -> None:
+        super()._announce(program, nodes)
+        operands = task_operands(program, nodes)
+        self.bound = program, operands, bound_flops(program, operands)
+
+
 class HMatSolver:
     """Global H-matrix LU solver (classical H-matrix, no tiling): a one-tile
     :class:`~repro.core.TileHMatrix` whose factorisation reports the
@@ -162,7 +171,7 @@ class HMatSolver:
         config = TileHConfig(nb=n, eps=eps, leaf_size=leaf_size, nested=True,
                              nested_min_leaf=leaf_size, accumulate=accumulate,
                              racecheck=racecheck)
-        self._tile = TileHMatrix(desc, config)
+        self._tile = _OneTile(desc, config)
 
     # -- queries -------------------------------------------------------------
     @property
@@ -196,10 +205,8 @@ class HMatSolver:
         carrying the seconds the run measured and the flops the program
         bound before it."""
         tile = self._tile
-        program, nodes = _lookup(tile.desc, "lu", NestedPolicy(min_leaf=tile.config.nested_min_leaf))
-        operands = task_operands(program, nodes)
-        flops = bound_flops(program, operands)
         info = tile.factorize()
+        program, operands, flops = tile.bound
         seconds = [0.0] * len(program)
         for e in info.trace.events:
             seconds[e.task_id] = e.end - e.start

@@ -480,7 +480,7 @@ class TileHMatrix:
         # Every factorisation, opaque or nested, runs a bound FactorProgram —
         # recorded first when this structure is new here.
         program, nodes = _lookup(desc, method, _nested_policy(cfg))
-        announce(program, nodes)
+        self._announce(program, nodes)
         # Process workers need each task's TaskSpec (which carries no
         # accumulator: process runs are undeferred) and the race checker
         # brackets each Task, so both bind the graph up front; any other run
@@ -498,6 +498,11 @@ class TileHMatrix:
         if graph is None:
             info._make_graph = partial(_measured_graph, program, desc, trace)
         return info
+
+    def _announce(self, program, nodes: list) -> None:
+        """Tell the ambient probe every task of ``program`` before it runs on
+        ``nodes`` (the HMAT baseline's one tile also keeps their flops here)."""
+        announce(program, nodes)
 
     def _check_intact(self) -> None:
         if self._failure is not None:

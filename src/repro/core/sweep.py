@@ -10,7 +10,8 @@ mode, 1911.07531, and the flat block-list passes of Li, Poulson & Ying,
   down.  It emits the ordered tile-ops of the substitution (``gemv(k, j)`` /
   ``trsv(k)``), each a list of *steps* holding views of the leaf payloads —
   no factor entry is copied, H-structured diagonal tiles are flattened by
-  the recursion the panel solves perform;
+  :func:`tri_steps` along :func:`~repro.hmatrix.arithmetic.tri_walk`, the
+  block-row order the ℌ panel solves follow;
 * :func:`run_steps` is the only place the sweep's *arithmetic* is written
   down.  Every solve path — eager, task-based on any executor, the process
   workers, ``GPModel.predict`` — interprets the same steps, so all of them
@@ -46,6 +47,7 @@ import numpy as np
 
 from ..dense import tri_solve
 from ..hmatrix import HMatrix
+from ..hmatrix.arithmetic import tri_walk
 from .descriptor import Tile
 
 __all__ = ["TileOp", "SweepProgram", "compile_sweep", "mv_step", "tri_steps", "run_steps"]
@@ -89,23 +91,18 @@ def tri_steps(h: HMatrix, r0: int, lower: bool, unit: bool, trans: int = 0) -> l
     upper triangle of the factorised diagonal node ``h``.
 
     A dense or packed node is one ``tri`` step; an H-structured node (larger
-    than the packing cap) is flattened block row by block row — forward when
-    ``op(T)`` is lower triangular, backward otherwise.
+    than the packing cap) is flattened along
+    :func:`~repro.hmatrix.arithmetic.tri_walk`, the ℌ panel solves' order.
     """
     a = h.full if h.full is not None else h.packed_lu
     if a is not None:
         return [("tri", r0, r0 + h.shape[0], a, lower, unit, trans)]
-    if h.rk is not None:
-        raise ValueError("diagonal H-LU block cannot be low-rank")
-    nb = h.nrow_children
-    offs = [r0 + h.child(i, i).rows.start - h.rows.start for i in range(nb)]
-    forward = lower != bool(trans)
     steps = []
-    for i in range(nb) if forward else reversed(range(nb)):
-        for j in range(i) if forward else range(i + 1, nb):
-            c = h.child(j, i) if trans else h.child(i, j)
-            steps.append(mv_step(c, offs[i], offs[j], trans))
-        steps.extend(tri_steps(h.child(i, i), offs[i], lower, unit, trans))
+    for rows_i, rows_j, block in tri_walk(h, lower, trans):
+        if rows_j is None:
+            steps.extend(tri_steps(block, r0 + rows_i.start, lower, unit, trans))
+        else:
+            steps.append(mv_step(block, r0 + rows_i.start, r0 + rows_j.start, trans))
     return steps
 
 

@@ -18,9 +18,16 @@ with each variant's :data:`~.rules.VARIANTS` row.  :func:`kernel_flops` is the
 one ℌ flop model: what the nested expander charges a subtask and a factor
 program announces for each task before it runs.  The kernels time nothing:
 the executor running a task measures it, flushes included.
+
+Every triangular solve against a factorised diagonal node — the H-TRSM's leaf
+case, :func:`hlu_solve` and :func:`hchol_solve` — is :func:`solve_tri_panel`,
+which follows the one block-row order :func:`tri_walk`; the compiled sweep
+(:mod:`repro.core.sweep`) records the same walk.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 import numpy as np
 
@@ -42,8 +49,8 @@ __all__ = [
     "hgetrf",
     "hlu_solve",
     "h_rmatvec",
-    "solve_lower_panel",
-    "solve_upper_transpose_panel",
+    "tri_walk",
+    "solve_tri_panel",
     "run_kernel",
     "kernel_flops",
 ]
@@ -72,100 +79,46 @@ def h_rmatvec(h: HMatrix, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def solve_lower_panel(l: HMatrix, x: np.ndarray, *, unit_diagonal: bool = True) -> np.ndarray:
-    """Solve ``L y = x`` where ``L`` is the lower triangle of an H node.
-
-    ``x`` is a dense panel in the node's local row order; for packed-LU nodes
-    the strictly-lower part plus an implied unit diagonal is used.  These
-    panel solves serve the factorisation-side H-TRSM with wide-GEMM panels;
-    the solve phase runs the column-stable :mod:`repro.core.sweep` instead.
+def tri_walk(t: HMatrix, lower: bool, trans: int = 0):
+    """The block-row order of a solve with ``op(T)``, ``T`` the ``lower``
+    (else upper) triangle of the subdivided factorised node ``t``: yields
+    ``(rows_i, rows_j, block)`` per off-diagonal update and ``(rows_i, None,
+    block)`` per diagonal block, row slices local to ``t``.  ``op`` is the
+    plain transpose when ``trans`` (block ``(i, j)`` is ``T``'s ``(j, i)``);
+    the walk is forward when ``op(T)`` is lower triangular, else backward.
     """
-    x = np.array(x, dtype=np.promote_types(l.dtype, np.asarray(x).dtype), copy=True)
-    if l.full is not None:
-        return tri_solve(l.full, x, lower=True, unit_diagonal=unit_diagonal)
-    if l.packed_lu is not None:
-        return tri_solve(l.packed_lu, x, lower=True, unit_diagonal=unit_diagonal)
-    if l.rk is not None:
+    if t.rk is not None:
         raise ValueError("diagonal H-LU block cannot be low-rank")
-    nb = l.nrow_children
-    offs = [c.rows.start - l.rows.start for c in (l.child(i, i) for i in range(nb))]
-    sizes = [l.child(i, i).rows.size for i in range(nb)]
-    for i in range(nb):
-        sl_i = slice(offs[i], offs[i] + sizes[i])
-        for j in range(i):
-            sl_j = slice(offs[j], offs[j] + sizes[j])
-            x[sl_i] -= l.child(i, j).matvec(x[sl_j])
-        x[sl_i] = solve_lower_panel(l.child(i, i), x[sl_i], unit_diagonal=unit_diagonal)
-    return x
+    nb = t.nrow_children
+    rows = [slice(c.rows.start - t.rows.start, c.rows.stop - t.rows.start)
+            for c in (t.child(i, i) for i in range(nb))]
+    forward = lower != bool(trans)
+    for i in range(nb) if forward else reversed(range(nb)):
+        for j in range(i) if forward else range(i + 1, nb):
+            yield rows[i], rows[j], t.child(j, i) if trans else t.child(i, j)
+        yield rows[i], None, t.child(i, i)
 
 
-def solve_upper_panel(u: HMatrix, x: np.ndarray) -> np.ndarray:
-    """Solve ``U y = x`` (non-unit upper triangle of an H node, dense panel)."""
-    x = np.array(x, dtype=np.promote_types(u.dtype, np.asarray(x).dtype), copy=True)
-    if u.full is not None:
-        return tri_solve(u.full, x, lower=False)
-    if u.packed_lu is not None:
-        return tri_solve(u.packed_lu, x, lower=False)
-    if u.rk is not None:
-        raise ValueError("diagonal H-LU block cannot be low-rank")
-    nb = u.nrow_children
-    offs = [u.child(i, i).rows.start - u.rows.start for i in range(nb)]
-    sizes = [u.child(i, i).rows.size for i in range(nb)]
-    for i in reversed(range(nb)):
-        sl_i = slice(offs[i], offs[i] + sizes[i])
-        for j in range(i + 1, nb):
-            sl_j = slice(offs[j], offs[j] + sizes[j])
-            x[sl_i] -= u.child(i, j).matvec(x[sl_j])
-        x[sl_i] = solve_upper_panel(u.child(i, i), x[sl_i])
-    return x
-
-
-def solve_upper_transpose_panel(u: HMatrix, x: np.ndarray) -> np.ndarray:
-    """Solve ``U.T y = x`` (plain transpose of the non-unit upper triangle).
-
-    This is the panel form of the right-sided TRSM: ``X U = B`` is computed
-    column-wise as ``U.T X.T = B.T``.
-    """
-    x = np.array(x, dtype=np.promote_types(u.dtype, np.asarray(x).dtype), copy=True)
-    if u.full is not None:
-        return tri_solve(u.full, x, lower=False, trans=1)
-    if u.packed_lu is not None:
-        return tri_solve(u.packed_lu, x, lower=False, trans=1)
-    if u.rk is not None:
-        raise ValueError("diagonal H-LU block cannot be low-rank")
-    nb = u.nrow_children
-    offs = [u.child(i, i).rows.start - u.rows.start for i in range(nb)]
-    sizes = [u.child(i, i).rows.size for i in range(nb)]
-    # U.T is lower triangular with (i, j) block = U(j, i).T, i > j.
-    for i in range(nb):
-        sl_i = slice(offs[i], offs[i] + sizes[i])
-        for j in range(i):
-            sl_j = slice(offs[j], offs[j] + sizes[j])
-            x[sl_i] -= h_rmatvec(u.child(j, i), x[sl_j])
-        x[sl_i] = solve_upper_transpose_panel(u.child(i, i), x[sl_i])
-    return x
-
-
-def solve_lower_transpose_panel(
-    l: HMatrix, x: np.ndarray, *, unit_diagonal: bool = True
+def solve_tri_panel(
+    t: HMatrix, x: np.ndarray, *, lower: bool, unit: bool = False, trans: int = 0
 ) -> np.ndarray:
-    """Solve ``L.T y = x`` (plain transpose of the unit lower triangle)."""
-    x = np.array(x, dtype=np.promote_types(l.dtype, np.asarray(x).dtype), copy=True)
-    if l.full is not None:
-        return tri_solve(l.full, x, lower=True, unit_diagonal=unit_diagonal, trans=1)
-    if l.packed_lu is not None:
-        return tri_solve(l.packed_lu, x, lower=True, unit_diagonal=unit_diagonal, trans=1)
-    if l.rk is not None:
-        raise ValueError("diagonal H-LU block cannot be low-rank")
-    nb = l.nrow_children
-    offs = [l.child(i, i).rows.start - l.rows.start for i in range(nb)]
-    sizes = [l.child(i, i).rows.size for i in range(nb)]
-    for i in reversed(range(nb)):
-        sl_i = slice(offs[i], offs[i] + sizes[i])
-        for j in range(i + 1, nb):
-            sl_j = slice(offs[j], offs[j] + sizes[j])
-            x[sl_i] -= h_rmatvec(l.child(j, i), x[sl_j])
-        x[sl_i] = solve_lower_transpose_panel(l.child(i, i), x[sl_i], unit_diagonal=unit_diagonal)
+    """Solve ``op(T) y = x`` (:func:`tri_walk`'s ``T`` and ``op``; ``unit``:
+    an implied unit diagonal) for a dense vector or panel ``x`` in the node's
+    local row order, copied and promoted to the common dtype.
+
+    A dense or packed node is one ``trtrs``.  These panel solves serve the
+    factorisation-side H-TRSM with wide-GEMM panels; the solve phase runs the
+    column-stable :mod:`repro.core.sweep`, which records the same walk.
+    """
+    x = np.array(x, dtype=np.promote_types(t.dtype, np.asarray(x).dtype), copy=True)
+    a = t.full if t.full is not None else t.packed_lu
+    if a is not None:
+        return tri_solve(a, x, lower=lower, unit_diagonal=unit, trans=trans)
+    for rows_i, rows_j, block in tri_walk(t, lower, trans):
+        if rows_j is None:
+            x[rows_i] = solve_tri_panel(block, x[rows_i], lower=lower, unit=unit, trans=trans)
+        else:
+            x[rows_i] -= h_rmatvec(block, x[rows_j]) if trans else block.matvec(x[rows_j])
     return x
 
 
@@ -326,46 +279,48 @@ def _product_dense(a: HMatrix, b: HMatrix) -> np.ndarray:
     raise AssertionError("`_product_dense` requires a dense operand")
 
 
-def _collect_product(a: HMatrix, b: HMatrix, eps: float, batched: bool = False) -> RkMatrix:
-    """``A @ B`` as a rounded Rk block (both operands subdivided).
-
-    Recursively accumulates children products, zero-padding each into the
-    parent's shape.  The eager path (``batched=False``, the historical
-    behaviour) truncates after every addition; the batched path collects all
-    contributions and rounds the stacked factors once with
-    :meth:`RkMatrix.add_many` — same accuracy class, one QR+QR+SVD instead
-    of one per term.
-    """
-    m, n = a.shape[0], b.shape[1]
-    dtype = np.promote_types(a.dtype, b.dtype)
+def _padded_sum(parts, m: int, n: int, dtype, eps: float, batched: bool) -> RkMatrix:
+    """The rounded sum of the Rk blocks ``parts`` yields as ``(i0, j0, rk)``,
+    each zero-padded into an ``m x n`` block at row ``i0``, column ``j0``:
+    truncated after every addition (the eager path), or (``batched``) all
+    stacked and rounded once by :meth:`RkMatrix.add_many` — same accuracy
+    class, one QR+QR+SVD instead of one per term."""
     acc = RkMatrix.zeros(m, n, dtype=dtype)
     terms: list[RkMatrix] = [acc]
-    for i in range(a.nrow_children):
-        for j in range(b.ncol_children):
-            for l in range(a.ncol_children):
-                a_il = a.child(i, l)
-                b_lj = b.child(l, j)
-                if a_il.rk is not None or b_lj.rk is not None:
-                    sub = _product_rk(a_il, b_lj, 1.0, eps)
-                elif a_il.full is not None or b_lj.full is not None:
-                    sub = compress_dense(_product_dense(a_il, b_lj), eps)
-                else:
-                    sub = _collect_product(a_il, b_lj, eps, batched)
-                if sub.rank == 0:
-                    continue
-                i0 = a_il.rows.start - a.rows.start
-                j0 = b_lj.cols.start - b.cols.start
-                u = np.zeros((m, sub.rank), dtype=dtype)
-                v = np.zeros((n, sub.rank), dtype=dtype)
-                u[i0 : i0 + a_il.shape[0]] = sub.u
-                v[j0 : j0 + b_lj.shape[1]] = sub.v
-                if batched:
-                    terms.append(RkMatrix(u, v))
-                else:
-                    acc = acc.add(RkMatrix(u, v), eps)
-    if batched:
-        return RkMatrix.add_many(terms, eps)
-    return acc
+    for i0, j0, sub in parts:
+        if sub.rank == 0:
+            continue
+        u = np.zeros((m, sub.rank), dtype=dtype)
+        v = np.zeros((n, sub.rank), dtype=dtype)
+        u[i0 : i0 + sub.shape[0]] = sub.u
+        v[j0 : j0 + sub.shape[1]] = sub.v
+        if batched:
+            terms.append(RkMatrix(u, v))
+        else:
+            acc = acc.add(RkMatrix(u, v), eps)
+    return RkMatrix.add_many(terms, eps) if batched else acc
+
+
+def _collect_product(a: HMatrix, b: HMatrix, eps: float, batched: bool = False) -> RkMatrix:
+    """``A @ B`` as a rounded Rk block (both operands subdivided): the
+    children products, recursively, summed by :func:`_padded_sum`."""
+
+    def parts():
+        for i in range(a.nrow_children):
+            for j in range(b.ncol_children):
+                for l in range(a.ncol_children):
+                    a_il = a.child(i, l)
+                    b_lj = b.child(l, j)
+                    if a_il.rk is not None or b_lj.rk is not None:
+                        sub = _product_rk(a_il, b_lj, 1.0, eps)
+                    elif a_il.full is not None or b_lj.full is not None:
+                        sub = compress_dense(_product_dense(a_il, b_lj), eps)
+                    else:
+                        sub = _collect_product(a_il, b_lj, eps, batched)
+                    yield a_il.rows.start - a.rows.start, b_lj.cols.start - b.cols.start, sub
+
+    dtype = np.promote_types(a.dtype, b.dtype)
+    return _padded_sum(parts(), a.shape[0], b.shape[1], dtype, eps, batched)
 
 
 def hgemm(c: HMatrix, a: HMatrix, b: HMatrix, eps: float, alpha=-1.0, acc=None) -> None:
@@ -446,36 +401,33 @@ def htrsm(side: str, uplo: str, a: HMatrix, b: HMatrix, eps: float, *, unit_diag
         raise ValueError(f"unsupported htrsm variant side={side!r}, uplo={uplo!r}")
 
 
-#: TRSM variant -> its panel solve ``op(T)^{-1} x`` on a dense panel ``x``:
-#: ``L X = B`` solves ``B``'s row side (``u``/``full``); ``X U = B`` and
-#: ``X L^T = B`` solve the column side as ``U^T X^T = B^T``/``L X^T = B^T``.
-_PANEL_SOLVES = {
-    "trsm_ll": lambda t, x, unit: solve_lower_panel(t, x, unit_diagonal=unit),
-    "trsm_ru": lambda t, x, unit: solve_upper_transpose_panel(t, x),
-    "trsm_rlt": lambda t, x, unit: solve_lower_panel(t, x, unit_diagonal=False),
-}
+#: TRSM variant -> ``(lower, trans)`` of its panel solve ``op(T)^{-1} x`` on
+#: a dense panel ``x``: ``L X = B`` solves ``B``'s row side (``u``/``full``);
+#: ``X U = B`` and ``X L^T = B`` solve the column side as
+#: ``U^T X^T = B^T``/``L X^T = B^T``.
+_PANEL_SOLVES = {"trsm_ll": (True, 0), "trsm_ru": (False, 1), "trsm_rlt": (True, 0)}
 
 
 def _htrsm(variant: str, t: HMatrix, b: HMatrix, eps: float, unit: bool, acc=None) -> None:
     """The TRSM ``variant`` with triangle ``t``, in place in ``b``: at a leaf
     ``b`` its panel solve acts on ``rk.u``/``full`` (left side) or on
     ``rk.v``/``full.T`` (right side); a subdivided ``b`` descends."""
-    left = VARIANTS[variant].side == "left"
-    solve = _PANEL_SOLVES[variant]
+    row, (lower, trans) = VARIANTS[variant], _PANEL_SOLVES[variant]
+    solve = partial(solve_tri_panel, t, lower=lower, unit=unit and row.unit, trans=trans)
     if b.rk is not None:
         if acc is not None:
             acc.flush(b)
         if b.rk.rank:
-            if left:
-                b.rk = RkMatrix(solve(t, b.rk.u, unit), b.rk.v)
+            if row.side == "left":
+                b.rk = RkMatrix(solve(b.rk.u), b.rk.v)
             else:  # X = Ub (op(T)^{-T} Vb)^T
-                b.rk = RkMatrix(b.rk.u, solve(t, b.rk.v, unit))
+                b.rk = RkMatrix(b.rk.u, solve(b.rk.v))
         return
     if b.full is not None:
-        if left:
-            b.full = np.ascontiguousarray(solve(t, b.full, unit))
+        if row.side == "left":
+            b.full = np.ascontiguousarray(solve(b.full))
         else:
-            b.full = np.ascontiguousarray(solve(t, b.full.T, unit).T)
+            b.full = np.ascontiguousarray(solve(b.full.T).T)
         return
     if t.full is not None:
         raise ValueError("RHS subdivided below a dense diagonal leaf: incompatible trees")
@@ -511,36 +463,19 @@ def hgetrf(a: HMatrix, eps: float, acc=None) -> HMatrix:
 def to_rk(h: HMatrix, eps: float, batched: bool = False) -> RkMatrix:
     """Compress a whole H-matrix node into a single rounded Rk block.
 
-    Leaves convert directly; subdivided nodes accumulate their children's
-    Rk forms zero-padded into the parent shape — with truncation after every
-    addition on the eager path, or (``batched=True``) one
-    :meth:`RkMatrix.add_many` rounding of all stacked children (rank stays
-    bounded by the eps-rank of the node either way).
+    Leaves convert directly; subdivided nodes sum their children's Rk forms
+    zero-padded into the parent shape (:func:`_padded_sum`: truncation after
+    every addition, or with ``batched=True`` one :meth:`RkMatrix.add_many`
+    rounding of all stacked children; rank stays bounded by the eps-rank of
+    the node either way).
     """
     if h.rk is not None:
         return h.rk.truncate(eps)
     if h.full is not None:
         return compress_dense(h.full, eps)
-    m, n = h.shape
-    acc = RkMatrix.zeros(m, n, dtype=h.dtype)
-    terms: list[RkMatrix] = [acc]
-    for child in h.children:
-        sub = to_rk(child, eps, batched)
-        if sub.rank == 0:
-            continue
-        i0 = child.rows.start - h.rows.start
-        j0 = child.cols.start - h.cols.start
-        u = np.zeros((m, sub.rank), dtype=acc.dtype)
-        v = np.zeros((n, sub.rank), dtype=acc.dtype)
-        u[i0 : i0 + child.shape[0]] = sub.u
-        v[j0 : j0 + child.shape[1]] = sub.v
-        if batched:
-            terms.append(RkMatrix(u, v))
-        else:
-            acc = acc.add(RkMatrix(u, v), eps)
-    if batched:
-        return RkMatrix.add_many(terms, eps)
-    return acc
+    parts = ((c.rows.start - h.rows.start, c.cols.start - h.cols.start, to_rk(c, eps, batched))
+             for c in h.children)
+    return _padded_sum(parts, *h.shape, h.dtype, eps, batched)
 
 
 def hgeadd(b: HMatrix, a: HMatrix, eps: float, alpha=1.0, acc=None) -> None:
@@ -708,19 +643,26 @@ def hinv(a: HMatrix, eps: float) -> HMatrix:
     return a
 
 
+def _substitute(t: HMatrix, b: np.ndarray, *solves: dict) -> np.ndarray:
+    """Solve ``A x = b`` (vector or panel, in cluster order) from the packed
+    factor ``t`` of ``A``: :func:`solve_tri_panel` with each of ``solves``'
+    keyword sets in turn."""
+    b = np.asarray(b)
+    squeeze = b.ndim == 1
+    x = b[:, None] if squeeze else b
+    if x.shape[0] != t.shape[0]:
+        raise ValueError(f"rhs leading dim {x.shape[0]} != {t.shape[0]}")
+    for kw in solves:
+        x = solve_tri_panel(t, x, **kw)
+    return x[:, 0] if squeeze else x
+
+
 def hchol_solve(l: HMatrix, b: np.ndarray) -> np.ndarray:
     """Solve ``A x = b`` from the packed H-Cholesky factor (``A = L L^T``).
 
     ``b`` in cluster order; vector or panel.
     """
-    b = np.asarray(b)
-    squeeze = b.ndim == 1
-    x = b[:, None] if squeeze else b
-    if x.shape[0] != l.shape[0]:
-        raise ValueError(f"rhs leading dim {x.shape[0]} != {l.shape[0]}")
-    y = solve_lower_panel(l, x, unit_diagonal=False)
-    z = solve_lower_transpose_panel(l, y, unit_diagonal=False)
-    return z[:, 0] if squeeze else z
+    return _substitute(l, b, dict(lower=True), dict(lower=True, trans=1))
 
 
 def hlu_solve(lu: HMatrix, b: np.ndarray) -> np.ndarray:
@@ -729,11 +671,4 @@ def hlu_solve(lu: HMatrix, b: np.ndarray) -> np.ndarray:
     ``b`` is in *cluster (permuted) order*; callers working in original
     numbering must permute in and out with the cluster tree's ``perm``.
     """
-    b = np.asarray(b)
-    squeeze = b.ndim == 1
-    x = b[:, None] if squeeze else b
-    if x.shape[0] != lu.shape[0]:
-        raise ValueError(f"rhs leading dim {x.shape[0]} != {lu.shape[0]}")
-    y = solve_lower_panel(lu, x, unit_diagonal=True)
-    z = solve_upper_panel(lu, y)
-    return z[:, 0] if squeeze else z
+    return _substitute(lu, b, dict(lower=True, unit=True), dict(lower=False))

@@ -180,6 +180,24 @@ class TestTaskTimes:
             assert probe.kinds[kind]["flops"] == sum(
                 t.flops for t in info.graph.tasks if t.kind == kind)
 
+    def test_one_factorize_looks_its_program_up_once(self, geom, monkeypatch):
+        """The factorisation's one program lookup also gives the leaf DAG its
+        operands and flops: one lookup, and on a known structure one walk of
+        the block tree."""
+        from repro.core import factor_program
+        from repro.obs import Instrumentation
+
+        pts, kern, _ = geom
+        with Instrumentation(trace_capacity=0) as probe:
+            HMatSolver(kern, pts, eps=1e-5, leaf_size=32).factorize()
+        reg = probe.registry
+        assert reg.counter("nested.program.hits") + reg.counter("nested.program.misses") == 1
+        walks = []
+        walk = factor_program._walk
+        monkeypatch.setattr(factor_program, "_walk", lambda *a: walks.append(a) or walk(*a))
+        HMatSolver(kern, pts, eps=1e-5, leaf_size=32).factorize()
+        assert len(walks) == 1
+
 
 class TestHodlrVariant:
     def test_weak_admissibility_structure(self, geom):

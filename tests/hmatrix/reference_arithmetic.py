@@ -6,9 +6,12 @@ children grid: ``hgemm``, the three triangular solves, ``hgetrf``, ``hpotrf``
 and ``hgemm_transb`` below are those functions as of PR 22, unchanged (one
 relative import made absolute), calling
 each other and never the library's kernels.  Only the helpers that hold no
-recursion (leaf products, panel solves, flop models) are imported; the
-kernel-tracer hook they were written around is gone from the library, so
-``_traced`` is a local no-op context manager here.  The library's kernels are
+recursion (leaf products, panel solves, flop models) are imported — the two
+panel solves they call, ``solve_lower_panel`` and
+``solve_upper_transpose_panel``, are one-line adapters onto the library's one
+:func:`~repro.hmatrix.arithmetic.solve_tri_panel`; the kernel-tracer hook
+they were written around is gone from the library, so ``_traced`` is a local
+no-op context manager here.  The library's kernels are
 held to these bit for bit, leaf by leaf (``test_recursion_equivalence.py``).
 Do not "fix" or modernise them: their value is that they are what the library
 used to run.
@@ -27,12 +30,19 @@ from repro.hmatrix.arithmetic import (
     _product_dense,
     _product_rk,
     _trsm_flops,
-    solve_lower_panel,
-    solve_upper_transpose_panel,
+    solve_tri_panel,
 )
 from repro.hmatrix.rk import RkMatrix
 
 __all__ = ["hgemm", "hgemm_transb", "htrsm", "hgetrf", "hpotrf"]
+
+
+def solve_lower_panel(l, x, *, unit_diagonal=True):
+    return solve_tri_panel(l, x, lower=True, unit=unit_diagonal)
+
+
+def solve_upper_transpose_panel(u, x):
+    return solve_tri_panel(u, x, lower=False, trans=1)
 
 
 def _traced(kind, reads, writes, flops):

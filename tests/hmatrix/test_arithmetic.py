@@ -16,12 +16,7 @@ from repro.hmatrix import (
     hlu_solve,
     htrsm,
 )
-from repro.hmatrix.arithmetic import (
-    h_rmatvec,
-    solve_lower_panel,
-    solve_upper_panel,
-    solve_upper_transpose_panel,
-)
+from repro.hmatrix.arithmetic import h_rmatvec, solve_tri_panel
 
 N = 360
 EPS = 1e-7
@@ -113,30 +108,16 @@ class TestPanelSolves:
         hgetrf(hl, eps=1e-9)
         return hl, dense
 
-    def test_solve_lower_panel(self, lu, ctx):
+    @pytest.mark.parametrize(
+        "lower, trans", [(True, 0), (False, 0), (False, 1), (True, 1)],
+        ids=["lower", "upper", "upper-transpose", "lower-transpose"],
+    )
+    def test_solve_tri_panel(self, lu, lower, trans):
         hl, _ = lu
-        rng = np.random.default_rng(1)
-        b = rng.standard_normal((N, 3))
-        dense_lu = hl.to_dense()
-        l = np.tril(dense_lu, -1) + np.eye(N)
-        y = solve_lower_panel(hl, b, unit_diagonal=True)
-        assert _rel(l @ y, b) <= 1e-6
-
-    def test_solve_upper_panel(self, lu):
-        hl, _ = lu
-        rng = np.random.default_rng(2)
-        b = rng.standard_normal((N, 2))
-        u = np.triu(hl.to_dense())
-        y = solve_upper_panel(hl, b)
-        assert _rel(u @ y, b) <= 1e-6
-
-    def test_solve_upper_transpose_panel(self, lu):
-        hl, _ = lu
-        rng = np.random.default_rng(3)
-        b = rng.standard_normal((N, 2))
-        u = np.triu(hl.to_dense())
-        y = solve_upper_transpose_panel(hl, b)
-        assert _rel(u.T @ y, b) <= 1e-6
+        b = np.random.default_rng(1).standard_normal((N, 3))
+        y = solve_tri_panel(hl, b, lower=lower, unit=lower, trans=trans)
+        ref = solve_triangular(hl.to_dense(), b, lower=lower, unit_diagonal=lower, trans=trans)
+        assert _rel(y, ref) <= 1e-6
 
 
 class TestHtrsm:

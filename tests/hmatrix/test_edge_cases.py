@@ -1,5 +1,7 @@
 """Edge-case and error-path tests for the hmatrix substrate."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -19,11 +21,7 @@ from repro.hmatrix import (
     hgetrf,
     htrsm,
 )
-from repro.hmatrix.arithmetic import (
-    h_rmatvec,
-    solve_lower_panel,
-    solve_upper_panel,
-)
+from repro.hmatrix.arithmetic import h_rmatvec, solve_tri_panel
 from repro.hmatrix.rules import split
 
 from .test_recursion_equivalence import _block, _tree
@@ -66,13 +64,14 @@ class TestHMatrixConstructorEdges:
 class TestPanelSolveErrorPaths:
     def test_rk_diagonal_rejected(self, small):
         *_, h = small
-        # Fabricate an (invalid) rk diagonal node and check the guard fires.
+        # Fabricate an (invalid) rk diagonal node and check the guard fires
+        # in every (lower, unit, trans) cell.
         off = h.child(0, 1)
         rk_node = HMatrix(off.rows, off.rows, rk=RkMatrix.zeros(off.shape[0], off.shape[0]))
-        with pytest.raises(ValueError, match="low-rank"):
-            solve_lower_panel(rk_node, np.zeros((off.shape[0], 1)))
-        with pytest.raises(ValueError, match="low-rank"):
-            solve_upper_panel(rk_node, np.zeros((off.shape[0], 1)))
+        for lower, unit, trans in itertools.product((True, False), (True, False), (0, 1)):
+            with pytest.raises(ValueError, match="low-rank"):
+                solve_tri_panel(rk_node, np.zeros((off.shape[0], 1)),
+                                lower=lower, unit=unit, trans=trans)
 
     def test_h_rmatvec_dim_check(self, small):
         *_, h = small
