@@ -345,7 +345,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"trace     : {len(info.trace.events)} {args.exec_mode} "
                   "events validated as a linear extension of the DAG")
 
-        nested_info = getattr(info, "nested", None)
+        nested_info = info.nested
         if nested_info:
             print(
                 f"nested    : {nested_info['expanded_tasks']} tile kernels "
@@ -370,13 +370,12 @@ def main(argv: list[str] | None = None) -> int:
         from .obs import build_run_report, write_report
         from .runtime import export_chrome_trace
 
-        run_trace = getattr(info, "trace", None)
         if args.profile is not None:
             report = build_run_report(
                 probe=probe,
-                trace=run_trace,
+                trace=info.trace,
                 graph=info.graph,
-                nested=getattr(info, "nested", None),
+                nested=info.nested,
                 meta={
                     "n": args.n,
                     "precision": args.precision,
@@ -396,7 +395,7 @@ def main(argv: list[str] | None = None) -> int:
                       file=sys.stderr)
             else:
                 export_chrome_trace(
-                    run_trace,
+                    info.trace,
                     args.chrome_trace,
                     counters=probe.series,
                     metadata={"scheduler": args.scheduler},

@@ -23,24 +23,14 @@ This module builds that baseline from the Tile-H machinery:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from ..core import TileHConfig, TileHMatrix, build_tile_h
-from ..core.factor_program import _Recorder, bound_flops, task_operands
+from ..core import FactorizationInfo, TileHConfig, TileHMatrix, build_tile_h
+from ..core.factor_program import _Recorder, announce, bound_flops, task_operands
 from ..dense import sequential_blas
 from ..hmatrix import ClusterTree, HMatrix, StrongAdmissibility
 from ..hmatrix.rules import VARIANTS
-from ..runtime import (
-    AccessMode,
-    RaceChecker,
-    RuntimeOverheadModel,
-    SimulationResult,
-    StfEngine,
-    TaskGraph,
-    simulate,
-)
+from ..runtime import AccessMode, StfEngine, TaskGraph
 
 __all__ = ["HMatSolver", "trace_to_graph"]
 
@@ -85,51 +75,15 @@ def trace_to_graph(tasks, engine: StfEngine | None = None) -> TaskGraph:
     return engine.wait_all()
 
 
-@dataclass
-class HMatFactorizationInfo:
-    """Fine-grain DAG of a pure H-LU plus simulation access."""
-
-    graph: TaskGraph
-    racecheck: RaceChecker | None = None
-
-    @property
-    def n_tasks(self) -> int:
-        return len(self.graph)
-
-    @property
-    def n_dependencies(self) -> int:
-        return self.graph.n_edges()
-
-    def sequential_seconds(self) -> float:
-        return self.graph.total_work("seconds")
-
-    def simulate(
-        self,
-        nworkers: int,
-        scheduler: str = "lws",
-        *,
-        overheads: RuntimeOverheadModel | None = None,
-        cost_attr: str = "seconds",
-        cost_scale: float = 1.0,
-    ) -> SimulationResult:
-        return simulate(
-            self.graph,
-            nworkers,
-            scheduler,
-            overheads=overheads,
-            cost_attr=cost_attr,
-            cost_scale=cost_scale,
-        )
-
-
 class _OneTile(TileHMatrix):
     """The one tile of :class:`HMatSolver`: keeps its tasks' operands and
-    pre-run flops from the one program lookup its factorisation makes."""
+    pre-run flops from the one program lookup its factorisation makes, and
+    announces those flops: one binding pass, probed or not."""
 
     def _announce(self, program, nodes: list) -> None:
-        super()._announce(program, nodes)
         operands = task_operands(program, nodes)
         self.bound = program, operands, bound_flops(program, operands)
+        announce(program, nodes, self.bound[2])
 
 
 class HMatSolver:
@@ -200,16 +154,14 @@ class HMatSolver:
         return self._tile.matvec(x)
 
     # -- factorisation / solve ---------------------------------------------------
-    def factorize(self) -> HMatFactorizationInfo:
-        """The one-tile H-LU; returns its fine-grain leaf DAG, each task
-        carrying the seconds the run measured and the flops the program
-        bound before it."""
+    def factorize(self) -> FactorizationInfo:
+        """The one-tile H-LU; returns its fine-grain leaf DAG (``nb = n``,
+        ``nt = 1``, no trace), each task carrying the seconds the run
+        measured and the flops the program bound before it."""
         tile = self._tile
         info = tile.factorize()
         program, operands, flops = tile.bound
-        seconds = [0.0] * len(program)
-        for e in info.trace.events:
-            seconds[e.task_id] = e.end - e.start
+        seconds = info.trace.task_seconds(len(program))
 
         def kernels():
             for t, (kind, variant) in enumerate(zip(program.kinds, program.variants)):
@@ -219,7 +171,7 @@ class HMatSolver:
 
         # The run announced its tasks to the probe: the replay announces none.
         graph = trace_to_graph(kernels(), _Recorder(mode="deferred"))
-        return HMatFactorizationInfo(graph=graph, racecheck=info.racecheck)
+        return FactorizationInfo(graph, self.n, 1, racecheck=info.racecheck)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Solve ``A x = b`` in original ordering (vector or panel)."""

@@ -325,21 +325,20 @@ def bound_flops(program: FactorProgram, operands: list) -> tuple | list:
     return [kernel_flops(v, ops) for v, ops in zip(program.variants, operands)]
 
 
-def announce(program: FactorProgram, nodes: list) -> None:
+def announce(program: FactorProgram, nodes: list, flops: tuple | list) -> None:
     """Tell the ambient probe, if any, every task of ``program`` on ``nodes``
     (its slots, as :func:`_lookup` returns them) — kind, flops and operand
     footprint, field by field what ``insert_task`` would have announced.
 
-    Called before the run, so the flops count the ranks the kernels start
-    from (:func:`bound_flops`).  Nothing runs in between, so each operand's
-    footprint is taken once.
+    Called before the run with the :func:`bound_flops` its caller took on
+    ``nodes``, so the flops count the ranks the kernels start from.  Nothing
+    runs in between, so each operand's footprint is taken once.
     """
     probe = _current_probe()
     if probe is None:
         return
     slots = (program.acc_code // 3).tolist()
     footprint = {s: payload_footprint(nodes[s]) for s in set(slots)}
-    flops = bound_flops(program, task_operands(program, nodes))
     acc_ptr = program.acc_ptr.tolist()
     for t, kind in enumerate(program.kinds):
         announce_task(probe, kind, flops[t],

@@ -41,7 +41,9 @@ from ..runtime import (
 from .algorithms import sweep_solve_tasks
 from .build import build_tile_h, drop_upper_tiles
 from .descriptor import TileHDesc
-from .factor_program import _bind, _lookup, _nested_stats, announce, instantiate
+from .factor_program import (
+    _bind, _lookup, _nested_stats, announce, bound_flops, instantiate, task_operands,
+)
 from .sweep import SweepProgram, compile_sweep
 
 __all__ = ["TileHConfig", "FactorizationInfo", "TileHMatrix", "iterative_refinement",
@@ -220,9 +222,8 @@ def _measured_graph(program, desc: TileHDesc, trace: ExecutionTrace) -> TaskGrap
     """The graph a program run executed: bound now, with each task's measured
     seconds taken from its trace event."""
     graph = instantiate(program, desc, desc.eps)[0]
-    tasks = graph.tasks
-    for e in trace.events:
-        tasks[e.task_id].seconds = e.end - e.start
+    for task, seconds in zip(graph.tasks, trace.task_seconds(len(graph))):
+        task.seconds = seconds
     return graph
 
 
@@ -239,7 +240,8 @@ class FactorizationInfo:
     subtask's flops count the factor's ranks — with each task's measured
     seconds (its trace event) written in.  The dense baseline's info has the
     graph of its eager engine section, timed by that section's one-worker
-    run, and no trace.
+    run, and no trace; the HMAT baseline's has its one tile's leaf DAG
+    (``nt = 1``) and no trace.
 
     ``racecheck`` holds the :class:`~repro.runtime.RaceChecker` that
     observed the factorisation when the detector was enabled (``None``
@@ -500,9 +502,11 @@ class TileHMatrix:
         return info
 
     def _announce(self, program, nodes: list) -> None:
-        """Tell the ambient probe every task of ``program`` before it runs on
-        ``nodes`` (the HMAT baseline's one tile also keeps their flops here)."""
-        announce(program, nodes)
+        """Tell the ambient probe, if any, every task of ``program`` before it
+        runs on ``nodes``, with the flops bound for it (the HMAT baseline's
+        one tile binds them whether probed or not: its leaf DAG carries them)."""
+        if _current_probe() is not None:
+            announce(program, nodes, bound_flops(program, task_operands(program, nodes)))
 
     def _check_intact(self) -> None:
         if self._failure is not None:

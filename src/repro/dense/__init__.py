@@ -27,15 +27,12 @@ from .kernels import (
     svd_economic,
     trsm,
     gemm_update,
-    lu_solve_nopiv,
 )
 from .flops import (
     flops_getrf,
     flops_potrf,
     flops_trsm,
     flops_gemm,
-    flops_rk_gemm,
-    flops_truncation,
 )
 
 __all__ = [
@@ -50,11 +47,8 @@ __all__ = [
     "svd_economic",
     "trsm",
     "gemm_update",
-    "lu_solve_nopiv",
     "flops_getrf",
     "flops_potrf",
     "flops_trsm",
     "flops_gemm",
-    "flops_rk_gemm",
-    "flops_truncation",
 ]

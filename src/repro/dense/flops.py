@@ -1,9 +1,10 @@
-"""Analytic flop counts for dense and low-rank kernels.
+"""Analytic flop counts for the dense kernels.
 
 Used by the runtime simulator's deterministic cost model
 (``cost_model="flops"``) and by the analysis layer to report arithmetic
 savings of the H-formats against the dense ``(2/3) n^3`` reference the paper
-quotes in the introduction.
+quotes in the introduction.  The ℌ flop model built on them, low-rank
+operands included, is :func:`repro.hmatrix.arithmetic.kernel_flops`.
 
 Counts follow the usual LAPACK working notes conventions (one flop per real
 add/mul); complex arithmetic is accounted with the standard 4x multiplier
@@ -18,10 +19,6 @@ __all__ = [
     "flops_potrf",
     "flops_trsm",
     "flops_gemm",
-    "flops_rk_gemm",
-    "flops_truncation",
-    "flops_qr",
-    "flops_svd",
 ]
 
 
@@ -50,41 +47,3 @@ def flops_trsm(m: int, n: int, *, is_complex: bool = False) -> float:
 def flops_gemm(m: int, n: int, k: int, *, is_complex: bool = False) -> float:
     """C (m x n) += A (m x k) @ B (k x n): 2 m n k."""
     return complex_factor(is_complex) * 2.0 * float(m) * float(n) * float(k)
-
-
-def flops_qr(m: int, n: int, *, is_complex: bool = False) -> float:
-    """Householder QR of an m x n (m >= n) matrix: 2 n^2 (m - n/3)."""
-    m_, n_ = float(m), float(n)
-    return complex_factor(is_complex) * 2.0 * n_ * n_ * (m_ - n_ / 3.0)
-
-
-def flops_svd(m: int, n: int, *, is_complex: bool = False) -> float:
-    """Golub-Kahan SVD of an m x n matrix (economy), ~ 14 m n^2 for m >= n."""
-    big, small = (float(m), float(n)) if m >= n else (float(n), float(m))
-    return complex_factor(is_complex) * 14.0 * big * small * small
-
-
-def flops_rk_gemm(m: int, n: int, k: int, ra: int, rb: int, *, is_complex: bool = False) -> float:
-    """Low-rank product (U_a V_a^H)(U_b V_b^H) for an (m x k) x (k x n) pair.
-
-    Cost of the inner coupling ``V_a^H U_b`` (k x ra x rb) plus folding the
-    smaller factor: the standard Rk-GEMM cost used in H-arithmetic models.
-    """
-    ra_, rb_ = float(ra), float(rb)
-    inner = 2.0 * float(k) * ra_ * rb_
-    fold = 2.0 * min(float(m) * ra_ * rb_, float(n) * ra_ * rb_)
-    return complex_factor(is_complex) * (inner + fold)
-
-
-def flops_truncation(m: int, n: int, rank: int, *, is_complex: bool = False) -> float:
-    """QR+QR+SVD recompression of an Rk(m, n, rank) block."""
-    r = int(rank)
-    if r == 0:
-        return 0.0
-    return (
-        flops_qr(m, r, is_complex=is_complex)
-        + flops_qr(n, r, is_complex=is_complex)
-        + flops_svd(r, r, is_complex=is_complex)
-        + flops_gemm(m, r, r, is_complex=is_complex)
-        + flops_gemm(n, r, r, is_complex=is_complex)
-    )

@@ -25,7 +25,6 @@ __all__ = [
     "svd_economic",
     "trsm",
     "gemm_update",
-    "lu_solve_nopiv",
 ]
 
 _LAPACK_CACHE: dict = {}
@@ -345,8 +344,3 @@ def gemm_update(c: np.ndarray, a: np.ndarray, b: np.ndarray, alpha: float = -1.0
         c += alpha * prod
     return c
 
-
-def lu_solve_nopiv(lu: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve ``A x = b`` given the packed unpivoted LU of ``A``."""
-    y = tri_solve(lu, np.asarray(b), lower=True, unit_diagonal=True)
-    return tri_solve(lu, y, lower=False)

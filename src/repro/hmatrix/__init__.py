@@ -33,8 +33,6 @@ from .aca import (
 from .accumulator import UpdateAccumulator
 from .hmatrix import (
     HMatrix,
-    FullBlock,
-    RkBlock,
     assemble_hmatrix,
     assemble_hmatrices,
     AssemblyConfig,
@@ -44,14 +42,11 @@ from .io import (
 )
 from .arithmetic import (
     hgetrf,
-    hgeadd,
-    to_rk,
     htrsm,
     hgemm,
     hgemm_transb,
     hsyrk,
     hpotrf,
-    hinv,
     hchol_solve,
     hlu_solve,
 )
@@ -79,20 +74,15 @@ __all__ = [
     "COMPRESSION_METHODS",
     "UpdateAccumulator",
     "HMatrix",
-    "FullBlock",
-    "RkBlock",
     "assemble_hmatrix",
     "assemble_hmatrices",
     "AssemblyConfig",
     "hgetrf",
-    "hgeadd",
-    "to_rk",
     "htrsm",
     "hgemm",
     "hgemm_transb",
     "hsyrk",
     "hpotrf",
-    "hinv",
     "hchol_solve",
     "hlu_solve",
     "save_hmatrix",

@@ -40,10 +40,7 @@ __all__ = [
     "hgemm",
     "hgemm_transb",
     "hsyrk",
-    "hgeadd",
-    "to_rk",
     "hpotrf",
-    "hinv",
     "hchol_solve",
     "htrsm",
     "hgetrf",
@@ -460,52 +457,6 @@ def hgetrf(a: HMatrix, eps: float, acc=None) -> HMatrix:
     return a
 
 
-def to_rk(h: HMatrix, eps: float, batched: bool = False) -> RkMatrix:
-    """Compress a whole H-matrix node into a single rounded Rk block.
-
-    Leaves convert directly; subdivided nodes sum their children's Rk forms
-    zero-padded into the parent shape (:func:`_padded_sum`: truncation after
-    every addition, or with ``batched=True`` one :meth:`RkMatrix.add_many`
-    rounding of all stacked children; rank stays bounded by the eps-rank of
-    the node either way).
-    """
-    if h.rk is not None:
-        return h.rk.truncate(eps)
-    if h.full is not None:
-        return compress_dense(h.full, eps)
-    parts = ((c.rows.start - h.rows.start, c.cols.start - h.cols.start, to_rk(c, eps, batched))
-             for c in h.children)
-    return _padded_sum(parts, *h.shape, h.dtype, eps, batched)
-
-
-def hgeadd(b: HMatrix, a: HMatrix, eps: float, alpha=1.0, acc=None) -> None:
-    """Rounded H-matrix addition ``B <- B + alpha * A`` in place.
-
-    ``a`` and ``b`` must cover the same cluster pair; their internal
-    structures may differ (every leaf-format combination is handled).
-    """
-    if a.shape != b.shape:
-        raise ValueError(f"hgeadd shape mismatch: {a.shape} vs {b.shape}")
-    b.packed_lu = None
-    if a.rk is not None:
-        if a.rk.rank:
-            b.axpy_rk(a.rk.scale(alpha), eps, acc)
-        return
-    if a.full is not None:
-        b.axpy_dense(alpha * a.full if alpha != 1.0 else a.full.copy(), eps, acc)
-        return
-    if b.is_leaf:
-        # a subdivided, b a leaf: collapse a to Rk and add.
-        rk = to_rk(a, eps, batched=acc is not None)
-        if rk.rank:
-            b.axpy_rk(rk.scale(alpha), eps, acc)
-        return
-    if a.nrow_children != b.nrow_children or a.ncol_children != b.ncol_children:
-        raise ValueError("incompatible children grids in hgeadd")
-    for ca, cb in zip(a.children, b.children):
-        hgeadd(cb, ca, eps, alpha, acc)
-
-
 def hgemm_transb(c: HMatrix, a: HMatrix, b: HMatrix, eps: float, alpha=-1.0, acc=None) -> None:
     """``C <- C + alpha * A @ B.T`` (plain transpose) in H-arithmetic.
 
@@ -599,47 +550,6 @@ def hpotrf(a: HMatrix, eps: float, acc=None) -> HMatrix:
         a.full = np.linalg.cholesky(a.full)
         return a
     _descend("potrf", (a,), eps, acc)
-    return a
-
-
-def hinv(a: HMatrix, eps: float) -> HMatrix:
-    """In-place H-inversion by the recursive Schur-complement formulas.
-
-    For a 2x2-partitioned node (Hackbusch's classic recursion)::
-
-        B11 = X11 + T12 S^{-1} T21      X11 = A11^{-1}
-        B12 = -T12 S^{-1}               T12 = X11 A12,  T21 = A21 X11
-        B21 = -S^{-1} T21               S   = A22 - A21 X11 A12
-        B22 = S^{-1}
-
-    All products are rounded H-GEMMs at accuracy ``eps``.  Only binary
-    (2x2) children grids are supported — the shape every cluster-tree-pair
-    block structure in this library produces.
-    """
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"hinv needs a square H-matrix, got {a.shape}")
-    if a.rk is not None:
-        raise ValueError("diagonal block is low-rank: cannot invert")
-    if a.full is not None:
-        a.full = np.linalg.inv(a.full)
-        return a
-    if a.nrow_children != 2 or a.ncol_children != 2:
-        raise ValueError("hinv supports binary (2x2) children grids only")
-    a11, a12 = a.child(0, 0), a.child(0, 1)
-    a21, a22 = a.child(1, 0), a.child(1, 1)
-
-    hinv(a11, eps)  # a11 = X11
-    t12 = a12.zeros_like()
-    hgemm(t12, a11, a12, eps, alpha=1.0)  # T12 = X11 A12
-    t21 = a21.zeros_like()
-    hgemm(t21, a21, a11, eps, alpha=1.0)  # T21 = A21 X11
-    hgemm(a22, a21, t12, eps, alpha=-1.0)  # S = A22 - A21 T12
-    hinv(a22, eps)  # a22 = S^{-1}
-    a12.zero_()
-    hgemm(a12, t12, a22, eps, alpha=-1.0)  # B12 = -T12 S^{-1}
-    a21.zero_()
-    hgemm(a21, a22, t21, eps, alpha=-1.0)  # B21 = -S^{-1} T21
-    hgemm(a11, t12, a21, eps, alpha=-1.0)  # B11 = X11 + T12 S^{-1} T21
     return a
 
 

@@ -22,8 +22,6 @@ from .rk import RkMatrix, _check_eps, compress_dense
 
 __all__ = [
     "HMatrix",
-    "FullBlock",
-    "RkBlock",
     "AssemblyConfig",
     "assemble_hmatrix",
     "assemble_hmatrices",
@@ -53,18 +51,6 @@ class AssemblyConfig:
     def __post_init__(self) -> None:
         _check_eps(self.eps)
         check_compression(self.method, self.max_rank)
-
-
-class FullBlock:
-    """Marker type for dense leaves in structure listings."""
-
-    name = "full"
-
-
-class RkBlock:
-    """Marker type for low-rank leaves in structure listings."""
-
-    name = "rk"
 
 
 class HMatrix:
@@ -412,22 +398,6 @@ class HMatrix:
                 leaf.full *= alpha
             elif leaf.rk.rank:
                 leaf.rk = leaf.rk.scale(alpha)
-
-    def zero_(self) -> None:
-        """Zero all leaves in place (dense leaves to 0, Rk leaves to rank 0)."""
-        for node in self.nodes():
-            node.packed_lu = None
-        for leaf in self.leaves():
-            if leaf.full is not None:
-                leaf.full[:] = 0
-            else:
-                leaf.rk = RkMatrix.zeros(*leaf.shape, dtype=leaf.rk.dtype)
-
-    def zeros_like(self) -> "HMatrix":
-        """A structurally identical H-matrix with all-zero content."""
-        out = self.copy()
-        out.zero_()
-        return out
 
     # -- Figure 3 support ---------------------------------------------------------
     def rank_map(self) -> list[tuple[int, int, int, int, str, int]]:

@@ -45,6 +45,13 @@ class ExecutionTrace:
     def makespan(self) -> float:
         return max((e.end for e in self.events), default=0.0)
 
+    def task_seconds(self, ntasks: int) -> list[float]:
+        """Each task's measured seconds by task id (0.0 where it has no event)."""
+        seconds = [0.0] * ntasks
+        for e in self.events:
+            seconds[e.task_id] = e.duration
+        return seconds
+
     def busy_time(self, worker: int) -> float:
         return sum(e.duration for e in self.events if e.worker == worker)
 

@@ -198,6 +198,23 @@ class TestTaskTimes:
         HMatSolver(kern, pts, eps=1e-5, leaf_size=32).factorize()
         assert len(walks) == 1
 
+    def test_one_factorize_binds_its_flops_once(self, monkeypatch):
+        """Under a probe the flops the leaf DAG carries are the ones announced:
+        one ``kernel_flops`` call per task of the program, ``pack`` steps
+        included."""
+        from repro.core import factor_program
+        from repro.obs import Instrumentation
+
+        calls = []
+        kernel_flops = factor_program.kernel_flops
+        monkeypatch.setattr(factor_program, "kernel_flops",
+                            lambda *a: calls.append(a) or kernel_flops(*a))
+        pts = cylinder_cloud(600)
+        hm = HMatSolver(laplace_kernel(pts), pts, eps=1e-4, leaf_size=32)
+        with Instrumentation(trace_capacity=0) as probe:
+            hm.factorize()
+        assert len(calls) == sum(k["submitted"] for k in probe.kinds.values())
+
 
 class TestHodlrVariant:
     def test_weak_admissibility_structure(self, geom):

@@ -1,8 +1,9 @@
-"""The HMAT baseline's solves and fine-grain graph, pinned.
+"""The HMAT baseline's solves, fine-grain graph and simulated makespans, pinned.
 
-The solves' SHA-256 depend on the BLAS kernels and are checked only on the
-platform named by ``test_cholesky_lower.RECORDED_ON``; the graph's fingerprint,
-its tasks' kinds and dependency lists, holds everywhere.
+The solves' SHA-256 and the flop-model makespans (their flops count the ranks
+the BLAS kernels produce) are checked only on the platform named by
+``test_cholesky_lower.RECORDED_ON``; the graph's fingerprint, its tasks' kinds
+and dependency lists, holds everywhere.
 """
 
 import hashlib
@@ -66,3 +67,15 @@ def test_fine_grain_graph_keeps_its_shape(n, leaf):
     info = HMatSolver(laplace_kernel(pts), pts, eps=1e-4, leaf_size=leaf).factorize()
     assert (info.n_tasks, info.n_dependencies, graph_fingerprint(info.graph)) == GRAPHS[n, leaf]
     assert set(info.graph.kind_counts()) == {"getrf", "trsm", "gemm"}
+
+
+#: Laplace at eps=1e-4, n=1024, leaf 32: workers -> flop-model makespan under "lws".
+MAKESPANS = {1: 128810496.0053955, 8: 17316736.000682004, 36: 10692928.000257004}
+
+
+def test_simulated_makespans_keep_their_values():
+    _on_recording_platform()
+    pts = cylinder_cloud(1024)
+    info = HMatSolver(laplace_kernel(pts), pts, eps=1e-4, leaf_size=32).factorize()
+    got = {p: info.simulate(p, "lws", cost_attr="flops").makespan for p in MAKESPANS}
+    assert got == MAKESPANS

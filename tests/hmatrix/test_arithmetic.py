@@ -224,66 +224,3 @@ class TestHgetrf:
         with pytest.raises(ValueError):
             hlu_solve(hl, np.zeros(N + 1))
 
-
-class TestHgeaddToRk:
-    def test_to_rk_matches_dense(self, ctx):
-        from repro.hmatrix import to_rk
-
-        *_, h, dense = ctx
-        rk = to_rk(h, eps=1e-8)
-        err = np.linalg.norm(rk.to_dense() - dense) / np.linalg.norm(dense)
-        assert err < 1e-5
-        # The full matrix is not numerically low rank (dominant diagonal),
-        # but an off-diagonal subdivided block is.
-        off = h.child(0, 1)
-        rk_off = to_rk(off, eps=1e-6)
-        assert rk_off.rank < min(off.shape)
-        ref = dense[: off.shape[0], off.shape[0] :]
-        assert np.linalg.norm(rk_off.to_dense() - ref) < 1e-4 * np.linalg.norm(ref)
-
-    def test_hgeadd_same_structure(self, ctx):
-        from repro.hmatrix import hgeadd
-
-        *_, h, dense = ctx
-        b = h.copy()
-        hgeadd(b, h, eps=1e-9, alpha=-0.5)
-        assert _rel(b.to_dense(), 0.5 * dense) < 1e-5
-
-    def test_hgeadd_rk_into_h(self, ctx):
-        from repro.hmatrix import hgeadd
-
-        *_, h, dense = ctx
-        b = h.child(0, 0).copy()
-        a = h.child(0, 1)  # need same shape: only valid if square halves
-        if a.shape != b.shape:
-            pytest.skip("halves not square")
-        m = b.shape[0]
-        hgeadd(b, a, eps=1e-9, alpha=2.0)
-        ref = dense[:m, :m] + 2.0 * dense[:m, m:]
-        assert _rel(b.to_dense(), ref) < 1e-5
-
-    def test_hgeadd_h_into_leaf(self, ctx):
-        from repro.hmatrix import HMatrix, hgeadd
-        from repro.hmatrix.rk import compress_dense
-
-        *_, h, dense = ctx
-        a = h.child(0, 0)  # subdivided
-        m = a.shape[0]
-        leaf = HMatrix(a.rows, a.cols, rk=compress_dense(dense[:m, :m], 1e-9))
-        hgeadd(leaf, a, eps=1e-9, alpha=1.0)
-        assert _rel(leaf.to_dense(), 2.0 * dense[:m, :m]) < 1e-4
-
-    def test_hgeadd_shape_mismatch(self, ctx):
-        from repro.hmatrix import hgeadd
-
-        *_, h, _ = ctx
-        with pytest.raises(ValueError):
-            hgeadd(h.child(0, 0), h, eps=1e-6)
-
-    def test_hgeadd_cancellation(self, ctx):
-        from repro.hmatrix import hgeadd
-
-        *_, h, dense = ctx
-        b = h.copy()
-        hgeadd(b, h, eps=1e-10, alpha=-1.0)
-        assert b.norm_fro() <= 1e-5 * np.linalg.norm(dense)
