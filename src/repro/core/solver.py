@@ -597,8 +597,8 @@ class TileHMatrix:
 
         Restores the factorisation state: a matrix saved after
         :meth:`factorize` loads ready to :meth:`solve`.  When ``config`` is
-        not given, the saved solver config is restored (v1 archives fall back
-        to the descriptor's ``nb``/``eps``).  A given ``config`` may choose
+        not given, the saved solver config is restored (the descriptor's
+        ``nb``/``eps`` when none was saved).  A given ``config`` may choose
         the executor fields freely, but its ``nb`` and ``eps`` describe the
         archive's tiles: a value other than the archive's is a
         :class:`ValueError`.
@@ -606,9 +606,11 @@ class TileHMatrix:
         ``mmap=True`` maps the archive once, read-only, instead of copying it
         into RAM (zero-copy warm starts, one file descriptor held while the
         matrix lives); either way the loaded factor solves to the same bits.
-        Legacy ``.npz`` archives are always read into memory.  A Cholesky
-        factor loads with its strictly upper tiles rank-0, even from archives
-        that hold data there.
+        Only format v4 is read: an archive written before it (a v1/v2 ``.npz``
+        or a v3 container) is a :class:`ValueError` naming the file and its
+        version, and must be rebuilt (``build_factorize``, then ``save``).  A
+        Cholesky factor loads with its strictly upper tiles rank-0, even from
+        archives that hold data there.
         """
         from dataclasses import fields
 

@@ -37,9 +37,7 @@ from .hmatrix import (
     assemble_hmatrices,
     AssemblyConfig,
 )
-from .io import (
-    save_hmatrix, load_hmatrix, save_tile_h, load_tile_h, load_tile_h_meta, read_tile_h,
-)
+from .io import save_tile_h, load_tile_h, read_tile_h
 from .arithmetic import (
     hgetrf,
     htrsm,
@@ -85,10 +83,7 @@ __all__ = [
     "hpotrf",
     "hchol_solve",
     "hlu_solve",
-    "save_hmatrix",
-    "load_hmatrix",
     "save_tile_h",
     "load_tile_h",
-    "load_tile_h_meta",
     "read_tile_h",
 ]

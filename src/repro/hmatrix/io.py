@@ -1,4 +1,4 @@
-"""Persistence: save/load H-matrices and Tile-H descriptors (one-blob archive).
+"""Persistence: save/load Tile-H descriptors (one-blob archive).
 
 Assembly (clustering + ACA over every admissible block) is the expensive,
 embarrassingly-reusable step of the pipeline, so a production library needs
@@ -11,8 +11,8 @@ many leaves the matrix has — the flat block list of Li, Poulson & Ying:
   column cluster by pre-order index, child grid, packed-triangle flag, and per
   leaf payload its flat array, element offset, order and shape), every tile's
   nodes in pre-order, tile after tile — ``tile_start[t]`` is tile ``t``'s first
-  row (one tile for a single H-matrix, ``nt x nt`` row-major for a Tile-H
-  descriptor, whose clusters are subtrees of the one root tree);
+  row (``nt x nt`` tiles, row-major, whose clusters are subtrees of the one
+  root tree; a global H-matrix is the one-tile ``nt = 1`` descriptor);
 * one flat payload array per leaf dtype (``leaf_f8``, ``leaf_c16``): every
   dense block and Rk factor at a 64-byte multiple of it, in its original
   C/Fortran order.
@@ -35,10 +35,10 @@ in bulk before any node exists; leaves are views of the flat arrays with the
 same alignment mod 64 either way, so a loaded factor solves bit-identically to
 the in-memory one.  Nothing is compressed or pickled.
 
-Older layouts stay *readable* through the same builder: v3 containers (one
-array per leaf, ``t{i}_{j}_kind`` … ``t{i}_{j}_full_{k}``) and legacy ``.npz``
-archives (v1/v2, recognised by magic bytes, read into memory, never mapped)
-are turned into the same node table, each leaf payload a flat array of its own.
+Only v4 is read.  A zip (the v1/v2 ``.npz``) or a container whose
+``format_version`` is not 4 (v3 kept one array per leaf) is a ``ValueError``
+naming the file and its version: an archive written before v4 must be rebuilt
+(one ``build_factorize`` plus ``save``).
 """
 
 from __future__ import annotations
@@ -59,25 +59,17 @@ from .cluster import BoundingBox, ClusterTree
 from .hmatrix import HMatrix
 from .rk import RkMatrix
 
-__all__ = [
-    "save_hmatrix",
-    "load_hmatrix",
-    "save_tile_h",
-    "load_tile_h",
-    "load_tile_h_meta",
-    "read_tile_h",
-]
+__all__ = ["save_tile_h", "load_tile_h", "read_tile_h"]
 
 _KIND_CODE = {"full": 0, "rk": 1, "h": 2}
 
-#: Current archive format: v4, flat node table + flat payloads (v1–v3: read-only).
+#: The archive format: v4, flat node table + flat payloads (the only one read).
 TILE_H_FORMAT_VERSION = 4
 _MAGIC = b"\x93TILEH\r\n"
 _ALIGN = 64  # every payload array: cache-line / SIMD aligned, as in runtime.shmem
 _PAGE = 4096  # the payload region: page-aligned, so a mapping keeps _ALIGN
 #: The only dtypes a header may name — looked up, never given to ``np.dtype``.
 _DTYPES = {s: np.dtype(s) for s in ("<f8", "<c16", "<i8", "|i1")}
-_LEGACY_LOCK = threading.Lock()  # overlapping ``.npy`` header evals raise SystemError
 _TREE = ("tree_start", "tree_stop", "tree_level", "tree_nkids")
 #: Node-table columns: kind, row/column cluster, child grid, packed flag, then
 #: (flat array, element offset, 0 C / 1 F, rows, columns) for the dense block or
@@ -198,18 +190,6 @@ def _table_entry(name: str, spec, nbytes: int) -> tuple:
     return name, tuple(shape), dt, order, off
 
 
-def _read_legacy(p: Path, payload: bool) -> tuple[dict, dict]:
-    """``(header, arrays)`` of a v1/v2 ``.npz`` — read-only support, in memory."""
-    scalars = ("format_version", "nt", "nb", "eps", "factorized", "method")
-    with _LEGACY_LOCK, np.load(p, allow_pickle=False) as z:
-        header = {k: z[k][0] for k in scalars if k in z}
-        if "points" in z:
-            header["n"] = z["points"].shape[0]
-        if "config_json" in z:
-            header["config"] = json.loads(str(z["config_json"][0]))
-        return header, dict(z) if payload else {}
-
-
 def _checksum(p: Path, buf: np.ndarray, expected):
     """Start ``zlib.crc32(buf)`` on a helper thread; returns the call that joins
     it and raises if the payload does not match ``expected``."""
@@ -227,17 +207,22 @@ def _checksum(p: Path, buf: np.ndarray, expected):
 
 
 def _unchecked() -> None:
-    """The ``verify`` of a mapped, legacy or header-only open: nothing to check."""
+    """The ``verify`` of a mapped open: nothing to check."""
 
 
-def _open_archive(path, *, mmap: bool = False, payload: bool = True):
-    """``(header, arrays, verify)`` of the archive at ``path``, dispatched on its
-    magic (``payload=False``: header only).  The file size is checked against the
-    header and every table entry against the payload *before* any view is made,
-    so a cut or doctored file is a ``ValueError``, never a ``SIGBUS``.  The
-    arrays are views of one buffer: an aligned writable copy, whose CRC-32 runs
-    until ``verify()`` joins it, or one read-only mapping that lives, with its
-    descriptor, exactly as long as the views do (``verify`` checks nothing).
+def _refused(version) -> ValueError:
+    return ValueError(f"format_version {version} is not {TILE_H_FORMAT_VERSION}; an archive "
+                      "written before v4 must be rebuilt (build_factorize, then save)")
+
+
+def _open_archive(path, *, mmap: bool = False):
+    """``(header, arrays, verify)`` of the v4 archive at ``path``.  The version,
+    the file size against the header and every table entry against the payload
+    are checked *before* any view is made, so an old, cut or doctored file is a
+    ``ValueError``, never a ``SIGBUS``.  The arrays are views of one buffer: an
+    aligned writable copy, whose CRC-32 runs until ``verify()`` joins it, or one
+    read-only mapping that lives, with its descriptor, exactly as long as the
+    views do (``verify`` checks nothing).
     """
     p = Path(path)
     verify = _unchecked
@@ -245,7 +230,7 @@ def _open_archive(path, *, mmap: bool = False, payload: bool = True):
         with open(p, "rb") as f:
             magic = f.read(len(_MAGIC))
             if magic[:4] == b"PK\x03\x04":
-                return (*_read_legacy(p, payload), verify)
+                raise _refused("1 or 2 (a .npz zip)")
             if magic != _MAGIC:
                 raise ValueError("not a Tile-H container (bad magic)")
             size = os.fstat(f.fileno()).st_size
@@ -253,12 +238,12 @@ def _open_archive(path, *, mmap: bool = False, payload: bool = True):
             if 16 + hlen > size:
                 raise ValueError(f"{hlen}-byte header runs past the end of the file")
             header = json.loads(f.read(hlen))
+            if header.get("format_version") != TILE_H_FORMAT_VERSION:
+                raise _refused(header.get("format_version", "(missing)"))
             base = -(-(16 + hlen) // _PAGE) * _PAGE
             nbytes = header["payload_bytes"]
             if type(nbytes) is not int or size != base + nbytes:
                 raise ValueError(f"file has {size} bytes, header says {base} + {nbytes!r}")
-            if not payload:
-                return header, {}, verify
             entries = [_table_entry(k, v, nbytes) for k, v in header["arrays"].items()]
             if mmap:
                 mapping = _mmap.mmap(f.fileno(), 0, access=_mmap.ACCESS_READ)
@@ -301,7 +286,7 @@ def _load(path, mmap: bool, build):
 
 
 # ---------------------------------------------------------------------------
-# Reading: one builder for the tree and the tiles, every format version
+# Reading: one builder for the tree and the tiles
 # ---------------------------------------------------------------------------
 
 def _preorder(arity: np.ndarray, starts: np.ndarray) -> bool:
@@ -343,34 +328,6 @@ def _tree(data, path) -> tuple[list[ClusterTree], np.ndarray]:
         node.children = [done.pop() for _ in range(k)]
         done.append(node)
     return nodes, stop - start
-
-
-def _per_leaf_table(data, prefixes, path) -> tuple:
-    """v1–v3 layout -> ``(nodes, tile_start, flats)`` as v4 stores them: each
-    tile's ``{prefix}kind`` … arrays become table rows, each named payload a
-    flat array of its own (a view in its stored order, offset 0)."""
-    tables, starts, flats = [], [0], []
-    for prefix in prefixes:
-        names = [prefix + k for k in ("kind", "rows", "cols", "nrc", "ncc")]
-        _require(names, data, path)
-        n = len(data[names[0]])
-        for name in names[1:]:
-            if len(data[name]) != n:
-                raise _invalid(path, f"{name} has {len(data[name])} entries for {n} nodes")
-        t = np.zeros((n, _NCOLS), np.int64)
-        t[:, :_PACKED] = np.column_stack([data[k] for k in names])
-        t[:, _PACKED] = data.get(prefix + "plu", 0)  # v1 predates the packed flags
-        for k in np.flatnonzero(np.isin(t[:, _KIND], (0, 1))).tolist():
-            for slot, name in zip((_P0, _P1), ("full",) if t[k, _KIND] == 0 else ("rku", "rkv")):
-                arr = data.get(f"{prefix}{name}_{k}")
-                if arr is None or arr.ndim != 2:
-                    raise _invalid(path, f"missing payload {prefix}{name}_{k} (truncated file?)")
-                order = _order(arr)
-                flats.append(arr.reshape(-1, order=order))
-                t[k, slot : slot + 5] = (len(flats) - 1, 0, order == "F", *arr.shape)
-        tables.append(t)
-        starts.append(starts[-1] + n)
-    return np.concatenate(tables), np.asarray(starts, np.int64), flats
 
 
 def _check_nodes(table, starts, flats, sizes, ntiles: int, path) -> None:
@@ -441,57 +398,20 @@ def _tiles(table, starts, flats, nodes) -> list[HMatrix]:
     return mats[::-1]
 
 
-def _rebuild(data, version, ntiles: int, prefix, path) -> tuple[list[ClusterTree], list]:
-    """The cluster tree (pre-order nodes) and the ``ntiles`` H-matrices — the one
-    builder behind every load; ``prefix(t)`` names tile ``t`` of a v1–v3 archive."""
-    _require(("points", "perm", *_TREE), data, path)
-    if version == TILE_H_FORMAT_VERSION:
-        _require(("nodes", "tile_start"), data, path)
-        table, starts = data["nodes"], data["tile_start"]
-        flats = [data.get(name) for name in _LEAF_FLATS.values()]
-        if any(a is not None and (a.ndim != 1 or a.dtype.str != s)
-               for s, a in zip(_LEAF_FLATS, flats)):
-            raise _invalid(path, "a flat payload array has the wrong dtype or shape")
-    elif version in (1, 2, 3):
-        table, starts, flats = _per_leaf_table(data, map(prefix, range(ntiles)), path)
-    else:
-        raise _invalid(path, f"unknown format_version {version!r}")
+def _rebuild(data, ntiles: int, path) -> tuple[list[ClusterTree], list]:
+    """The cluster tree (pre-order nodes) and the ``ntiles`` H-matrices."""
+    table, starts = data["nodes"], data["tile_start"]
+    flats = [data.get(name) for name in _LEAF_FLATS.values()]
+    if any(a is not None and (a.ndim != 1 or a.dtype.str != s)
+           for s, a in zip(_LEAF_FLATS, flats)):
+        raise _invalid(path, "a flat payload array has the wrong dtype or shape")
     nodes, sizes = _tree(data, path)
     _check_nodes(table, starts, flats, sizes, ntiles, path)
     return nodes, _tiles(table, starts, flats, nodes)
 
 
 # ---------------------------------------------------------------------------
-# Public API — single H-matrix
-# ---------------------------------------------------------------------------
-
-def save_hmatrix(h: HMatrix, tree: ClusterTree, path) -> Path:
-    """Save a (square) H-matrix plus its cluster tree to ``path``.
-
-    ``tree`` must be the cluster tree whose nodes ``h`` references (rows and
-    columns share it for the kernel matrices this library builds).
-    """
-    arrays, idx = _serialize_tree(tree)
-    arrays = {"points": tree.points, "perm": tree.perm, **arrays,
-              **_serialize_nodes([h], idx)}
-    header = {"format_version": TILE_H_FORMAT_VERSION, "n": int(tree.points.shape[0])}
-    return _write_archive(path, header, arrays)
-
-
-def load_hmatrix(path) -> tuple[HMatrix, ClusterTree]:
-    """Load an H-matrix saved by :func:`save_hmatrix`; returns (h, tree).
-
-    A Tile-H archive, or one missing its tree or node arrays, is a
-    :class:`ValueError` naming the archive."""
-    def build(header, data):
-        nodes, (h,) = _rebuild(data, header.get("format_version", 1), 1, lambda t: "h_", path)
-        return h, nodes[0]
-
-    return _load(path, False, build)
-
-
-# ---------------------------------------------------------------------------
-# Public API — Tile-H descriptors
+# Public API
 # ---------------------------------------------------------------------------
 
 def _config_dict(config) -> dict:
@@ -534,11 +454,10 @@ def save_tile_h(desc, path, *, factorized: bool = False, method: str | None = No
     return _write_archive(path, header, arrays)
 
 
-_TILE_H_REQUIRED = ("points", "perm", "tile_cluster_idx", *_TREE)
-#: Header metadata: the required fields' casts, the optional ones' (cast, default).
-_META_REQUIRED = {"n": int, "nt": int, "nb": int, "eps": float}
-_META_OPTIONAL = {"format_version": (int, 1), "factorized": (bool, False),
-                  "method": (lambda m: str(m) if m else None, None), "config": (dict, {})}
+_TILE_H_REQUIRED = ("points", "perm", "tile_cluster_idx", *_TREE, "nodes", "tile_start")
+#: The header metadata :func:`save_tile_h` writes, each field with its cast.
+_META = {"format_version": int, "n": int, "nt": int, "nb": int, "eps": float,
+         "factorized": bool, "method": lambda m: str(m) if m else None, "config": dict}
 
 
 def _invalid(path, problem: str) -> ValueError:
@@ -552,18 +471,19 @@ def _require(keys, have, path) -> None:
 
 
 def _tile_h_meta(header: dict, path) -> dict:
-    """The typed metadata dict of :func:`load_tile_h_meta` from a raw header."""
-    _require(_META_REQUIRED, header, path)
+    """The typed metadata dict of :func:`read_tile_h` from a raw header."""
+    _require(_META, header, path)
     try:
-        meta = {k: cast(header[k]) for k, cast in _META_REQUIRED.items()}
-        return meta | {k: cast(header.get(k, d)) for k, (cast, d) in _META_OPTIONAL.items()}
+        return {k: cast(header[k]) for k, cast in _META.items()}
     except (TypeError, ValueError) as exc:
         raise _invalid(path, f"bad metadata: {exc}") from exc
 
 
 def read_tile_h(path, *, mmap: bool = False):
     """``(descriptor, meta)`` of an archive saved by :func:`save_tile_h`, from
-    one open of the file (``meta`` as :func:`load_tile_h_meta` returns it).
+    one open of the file.  ``meta`` holds ``format_version``, ``n``, ``nt``,
+    ``nb``, ``eps``, ``factorized``, ``method`` (``None`` when unfactorised) and
+    ``config`` (the saved solver config as a dict).
 
     The archive is validated up front (container sizes and table, required
     keys, consistent tree arrays, the whole node table against the tree and
@@ -585,8 +505,7 @@ def read_tile_h(path, *, mmap: bool = False):
         nt, idx = meta["nt"], data["tile_cluster_idx"].tolist()
         if nt < 1 or len(idx) != nt:
             raise _invalid(path, f"{len(idx)} tile clusters for nt={nt}")
-        nodes, mats = _rebuild(data, meta["format_version"], nt * nt,
-                               lambda t: f"t{t // nt}_{t % nt}_", path)
+        nodes, mats = _rebuild(data, nt * nt, path)
         if not all(0 <= k < len(nodes) for k in idx):
             raise _invalid(path, f"tile cluster index out of range (tree has {len(nodes)} nodes)")
         clusters = [nodes[k] for k in idx]
@@ -614,12 +533,3 @@ def load_tile_h(path, *, mmap: bool = False):
     ``mmap`` as in :func:`read_tile_h`, whose first result this is)."""
     return read_tile_h(path, mmap=mmap)[0]
 
-
-def load_tile_h_meta(path) -> dict:
-    """Read a Tile-H archive's metadata without touching any payload.
-
-    Returns a dict with ``n``, ``nt``, ``nb``, ``eps``, ``factorized``,
-    ``method`` (``None`` when unfactorised), ``config`` (the saved solver
-    config as a dict, ``{}`` for v1 archives) and ``format_version``.
-    """
-    return _tile_h_meta(_open_archive(path, payload=False)[0], path)

@@ -7,8 +7,7 @@ The store maps a **fingerprint** (see
 * **disk** — one ``<fingerprint>.tileh`` per factorization under the store
   directory (the one-blob archive of :mod:`repro.hmatrix.io`: factor payloads
   + method + config, published atomically), so factors survive restarts and
-  can be shipped between replicas; a legacy ``<fingerprint>.npz`` is still a
-  hit;
+  can be shipped between replicas;
 * **memory** — an LRU cache of loaded solvers under a configurable byte
   budget (``storage_bytes`` of each factorization), so hot fingerprints
   solve without touching disk and cold ones do not accumulate without bound.
@@ -21,6 +20,8 @@ expensive factorization is skipped); only a fingerprint absent from both is
 a **miss**, and :meth:`FactorizationStore.get_or_build` then runs the
 supplied builder exactly once — concurrent requests for the same missing
 fingerprint wait on the first builder instead of factorizing redundantly.
+A disk archive that does not load (cut, corrupt, or of a format version
+before v4) makes ``get`` raise the loader's ``ValueError``.
 """
 
 from __future__ import annotations
@@ -97,12 +98,9 @@ class FactorizationStore:
         return self.root / f"{key}.tileh"
 
     def _disk_path(self, key: str) -> Path | None:
-        """The archive holding ``key``, if any (new name first, then legacy;
-        the loader dispatches on magic bytes, never on the suffix)."""
-        if self.root is not None:
-            for path in (self.path_for(key), self.root / f"{key}.npz"):
-                if path.exists():
-                    return path
+        """The archive holding ``key``, if any."""
+        if self.root is not None and (path := self.path_for(key)).exists():
+            return path
         return None
 
     # -- inspection ----------------------------------------------------------
@@ -117,7 +115,7 @@ class FactorizationStore:
         with self._lock:
             out = set(self._cache)
         if self.root is not None and self.root.is_dir():
-            out.update(p.stem for ext in ("tileh", "npz") for p in self.root.glob(f"*.{ext}"))
+            out.update(p.stem for p in self.root.glob("*.tileh"))
         return sorted(out)
 
     @property

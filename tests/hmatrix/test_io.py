@@ -7,7 +7,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.core import TileHConfig, TileHMatrix, tiled_getrf_tasks, tiled_solve
+from repro.core import TileHConfig, TileHMatrix, build_tile_h, tiled_getrf_tasks, tiled_solve
 from repro.geometry import (
     assemble_dense,
     cylinder_cloud,
@@ -16,48 +16,37 @@ from repro.geometry import (
     make_kernel,
 )
 from repro.hmatrix import io as hio
-from repro.hmatrix import (
-    AssemblyConfig,
-    BoundingBox,
-    StrongAdmissibility,
-    assemble_hmatrix,
-    build_block_cluster_tree,
-    build_cluster_tree,
-    hgetrf,
-    hlu_solve,
-    load_hmatrix,
-    load_tile_h,
-    load_tile_h_meta,
-    save_hmatrix,
-    save_tile_h,
-)
-
-from .legacy_npz import write_legacy_npz, write_v3, write_v3_hmatrix
+from repro.hmatrix import BoundingBox, hgetrf, hlu_solve, load_tile_h, read_tile_h, save_tile_h
+from repro.service import FactorizationStore
 
 N = 400
 
 
 @pytest.fixture(scope="module")
 def hmat():
+    """A global H-matrix: the one-tile (``nb = n``) Tile-H descriptor."""
     pts = cylinder_cloud(N)
     kern = laplace_kernel(pts)
-    ct = build_cluster_tree(pts, leaf_size=32)
-    bt = build_block_cluster_tree(ct, ct, StrongAdmissibility())
-    h = assemble_hmatrix(kern, pts, bt, AssemblyConfig(eps=1e-7))
-    return pts, kern, ct, h
+    return pts, kern, build_tile_h(kern, pts, nb=N, eps=1e-7, leaf_size=32)
+
+
+def _round_trip(desc, path):
+    """``(h, tree)`` of the one-tile ``desc`` and of its saved and loaded copy."""
+    assert desc.nt == 1
+    loaded = load_tile_h(save_tile_h(desc, path))
+    return [(d.super.get_blktile(0, 0).mat, d.root) for d in (desc, loaded)]
 
 
 class TestSaveLoadHMatrix:
+    """A global H-matrix is saved and loaded as a one-tile Tile-H archive."""
+
     def test_bitexact_roundtrip(self, hmat, tmp_path):
-        _, _, ct, h = hmat
-        p = save_hmatrix(h, ct, tmp_path / "h.tileh")
-        h2, ct2 = load_hmatrix(p)
+        (h, ct), (h2, ct2) = _round_trip(hmat[2], tmp_path / "h.tileh")
         assert np.array_equal(h2.to_dense(), h.to_dense())
         assert np.array_equal(ct2.perm, ct.perm)
 
     def test_structure_preserved(self, hmat, tmp_path):
-        _, _, ct, h = hmat
-        h2, _ = load_hmatrix(save_hmatrix(h, ct, tmp_path / "h.tileh"))
+        (h, _), (h2, _) = _round_trip(hmat[2], tmp_path / "h.tileh")
         assert h2.leaf_count() == h.leaf_count()
         assert h2.max_rank() == h.max_rank()
         assert h2.storage() == h.storage()
@@ -65,8 +54,7 @@ class TestSaveLoadHMatrix:
 
     def test_bounding_boxes_match_the_per_node_reference(self, hmat, tmp_path):
         """One gather + ``reduceat`` gives every box the per-node min/max gives."""
-        _, _, ct, h = hmat
-        _, ct2 = load_hmatrix(save_hmatrix(h, ct, tmp_path / "h.tileh"))
+        (_, ct), (_, ct2) = _round_trip(hmat[2], tmp_path / "h.tileh")
         pairs = list(zip(ct.nodes(), ct2.nodes()))
         assert len(pairs) == len(list(ct.nodes())) == len(list(ct2.nodes()))
         for a, b in pairs:
@@ -76,8 +64,8 @@ class TestSaveLoadHMatrix:
             assert np.array_equal(b.bbox.lo, a.bbox.lo) and np.array_equal(b.bbox.hi, a.bbox.hi)
 
     def test_loaded_matrix_factorizes(self, hmat, tmp_path):
-        pts, kern, ct, h = hmat
-        h2, ct2 = load_hmatrix(save_hmatrix(h, ct, tmp_path / "h.tileh"))
+        pts, kern, desc = hmat
+        _, (h2, ct2) = _round_trip(desc, tmp_path / "h.tileh")
         dense = assemble_dense(kern, pts)[np.ix_(ct2.perm, ct2.perm)]
         hgetrf(h2, 1e-7)
         x0 = np.random.default_rng(0).standard_normal(N)
@@ -86,17 +74,13 @@ class TestSaveLoadHMatrix:
 
     def test_complex_roundtrip(self, tmp_path):
         pts = cylinder_cloud(250)
-        kern = helmholtz_kernel(pts)
-        ct = build_cluster_tree(pts, leaf_size=24)
-        bt = build_block_cluster_tree(ct, ct, StrongAdmissibility())
-        h = assemble_hmatrix(kern, pts, bt, AssemblyConfig(eps=1e-6))
-        h2, _ = load_hmatrix(save_hmatrix(h, ct, tmp_path / "hz.tileh"))
+        desc = build_tile_h(helmholtz_kernel(pts), pts, nb=250, eps=1e-6, leaf_size=24)
+        (h, _), (h2, _) = _round_trip(desc, tmp_path / "hz.tileh")
         assert h2.dtype == np.complex128
         assert np.array_equal(h2.to_dense(), h.to_dense())
 
     def test_creates_parent_dirs(self, hmat, tmp_path):
-        _, _, ct, h = hmat
-        p = save_hmatrix(h, ct, tmp_path / "deep" / "dir" / "h.tileh")
+        p = save_tile_h(hmat[2], tmp_path / "deep" / "dir" / "h.tileh")
         assert p.exists()
 
 
@@ -183,7 +167,7 @@ class TestFactorizedPersistence:
     def test_meta_records_factorization(self, tmp_path):
         a = self._build("laplace")
         a.save(tmp_path / "f.tileh")
-        meta = load_tile_h_meta(tmp_path / "f.tileh")
+        meta = read_tile_h(tmp_path / "f.tileh")[1]
         assert meta["factorized"] is True
         assert meta["method"] == "lu"
         assert meta["n"] == N
@@ -195,7 +179,7 @@ class TestFactorizedPersistence:
             laplace_kernel(pts), pts, TileHConfig(nb=100, eps=1e-7, leaf_size=32)
         )
         a.save(tmp_path / "u.tileh")
-        meta = load_tile_h_meta(tmp_path / "u.tileh")
+        meta = read_tile_h(tmp_path / "u.tileh")[1]
         assert meta["factorized"] is False
         assert meta["method"] is None
         a2 = TileHMatrix.load(tmp_path / "u.tileh")
@@ -271,18 +255,11 @@ class TestArchiveValidation:
             load_tile_h(p)
 
     def test_missing_keys(self, tmp_path):
-        # A legacy zip that is not a Tile-H save ...
-        p = tmp_path / "partial.npz"
-        np.savez(p, n=np.int64(N))
-        with pytest.raises(ValueError, match="missing keys"):
+        # A container without the tile clusters is not a Tile-H save.
+        p = self._archive(tmp_path)
+        _rewrite(p, lambda h, a: a.pop("tile_cluster_idx"))
+        with pytest.raises(ValueError, match="missing keys .*tile_cluster_idx"):
             load_tile_h(p)
-        # ... and a v3 container that is an H-matrix, not a Tile-H descriptor.
-        pts = cylinder_cloud(60)
-        ct = build_cluster_tree(pts, leaf_size=32)
-        bt = build_block_cluster_tree(ct, ct, StrongAdmissibility())
-        h = assemble_hmatrix(laplace_kernel(pts), pts, bt, AssemblyConfig(eps=1e-4))
-        with pytest.raises(ValueError, match="missing keys"):
-            load_tile_h(save_hmatrix(h, ct, tmp_path / "h.tileh"))
 
     def test_missing_tile_payload(self, tmp_path):
         p = self._archive(tmp_path)
@@ -300,7 +277,7 @@ class TestArchiveValidation:
         p = tmp_path / "junk.tileh"
         p.write_bytes(b"x" * 40)
         with pytest.raises(ValueError):
-            load_tile_h_meta(p)
+            read_tile_h(p)
 
 
 def _victim(header):
@@ -418,13 +395,15 @@ CAUGHT_BY = {
 }
 
 
+@pytest.fixture(scope="module")
+def pristine(tmp_path_factory):
+    """The bytes of a well-formed archive."""
+    return _small(tmp_path_factory.mktemp("pristine"))[1].read_bytes()
+
+
 class TestContainerCorruption:
     """Every way the container can be wrong is a ``ValueError`` naming the
     archive — in both load modes, before any payload view exists."""
-
-    @pytest.fixture(scope="class")
-    def pristine(self, tmp_path_factory):
-        return _small(tmp_path_factory.mktemp("pristine"))[1].read_bytes()
 
     @pytest.mark.parametrize("mmap", [False, True], ids=["read", "mapped"])
     @pytest.mark.parametrize("case", sorted(CORRUPTIONS))
@@ -472,14 +451,6 @@ class TestContainerCorruption:
         with pytest.raises(ValueError, match="unknown kind code"):
             load_tile_h(p, mmap=True)
 
-    def test_meta_needs_only_the_header(self, pristine, tmp_path):
-        p = tmp_path / "meta.tileh"
-        raw = bytearray(pristine)
-        raw[-1000] ^= 0x01
-        p.write_bytes(bytes(raw))
-        meta = load_tile_h_meta(p)
-        assert (meta["n"], meta["nb"], meta["format_version"]) == (N, 100, 4)
-
     def test_unsupported_dtype_is_refused_on_save(self, tmp_path):
         with pytest.raises(ValueError, match="dtype float32"):
             hio._write_archive(tmp_path / "f4.tileh", {}, {"x": np.zeros(3, np.float32)})
@@ -487,8 +458,8 @@ class TestContainerCorruption:
 
 
 class TestFlatLayout:
-    """v4 stores a fixed set of arrays, whatever the leaf count; ``load_hmatrix``
-    refuses what is not one H-matrix with the typed error."""
+    """v4 stores a fixed set of arrays, whatever the leaf count; a one-tile
+    archive without its tree or node arrays is the typed error."""
 
     def test_the_table_does_not_grow_with_the_leaves(self, tmp_path):
         names, leaves = [], []
@@ -504,25 +475,12 @@ class TestFlatLayout:
         assert names[0] == names[1]
         assert not [k for k in names[0] if re.search(r"^t\d+_\d+_|_\d+$", k)]
 
-    def test_load_hmatrix_refuses_a_tile_h_archive(self, tmp_path):
-        a, p = _small(tmp_path)
-        for path in (p, write_v3(a, tmp_path / "v3.tileh")):
-            with pytest.raises(ValueError, match=f"invalid Tile-H archive {re.escape(str(path))}"):
-                load_hmatrix(path)
-
     @pytest.mark.parametrize("drop", ["tree_level", "nodes", "tile_start"])
-    def test_load_hmatrix_needs_its_tree_and_node_arrays(self, hmat, drop, tmp_path):
-        _, _, ct, h = hmat
-        p = save_hmatrix(h, ct, tmp_path / "h.tileh")
+    def test_a_one_tile_archive_needs_its_arrays(self, hmat, drop, tmp_path):
+        p = save_tile_h(hmat[2], tmp_path / "h.tileh")
         _rewrite(p, lambda header, a: a.pop(drop))
         with pytest.raises(ValueError, match=f"Tile-H archive .*h.tileh: missing keys .*{drop}"):
-            load_hmatrix(p)
-
-    def test_v3_hmatrix_archive_loads(self, hmat, tmp_path):
-        _, _, ct, h = hmat
-        h2, ct2 = load_hmatrix(write_v3_hmatrix(h, ct, tmp_path / "h3.tileh"))
-        assert np.array_equal(h2.to_dense(), h.to_dense())
-        assert np.array_equal(ct2.perm, ct.perm)
+            load_tile_h(p)
 
 
 class TestAtomicPublish:
@@ -586,44 +544,54 @@ class TestAtomicPublish:
         assert np.array_equal(load_tile_h(p).to_dense(), a.desc.to_dense())
 
 
-class TestLegacyNpz:
-    """v1/v2 ``.npz`` archives stay readable: in memory, never mapped."""
+def _version(value):
+    """Rewrite the header's ``format_version`` to ``value`` (``None``: drop it)."""
+    def rewrite(header):
+        header.pop("format_version")
+        if value is not None:
+            header["format_version"] = value
 
-    @pytest.fixture(scope="class")
-    def factor(self):
-        pts = cylinder_cloud(N)
-        a = TileHMatrix.build(
-            laplace_kernel(pts), pts, TileHConfig(nb=100, eps=1e-7, leaf_size=32)
-        )
-        a.factorize()
-        return a, np.random.default_rng(4).standard_normal((N, 3))
+    return _table(rewrite)
 
-    @pytest.mark.parametrize("compressed", [False, True], ids=["stored", "deflated"])
-    @pytest.mark.parametrize("mmap", [False, True], ids=["read", "mapped"])
-    def test_v2_factor_solves_bit_identically(self, factor, compressed, mmap, tmp_path):
-        a, b = factor
-        p = write_legacy_npz(a, tmp_path / "v2.npz", compressed=compressed)
-        a2 = TileHMatrix.load(p, mmap=mmap)
-        assert a2.factorized and a2.config == a.config
-        assert np.array_equal(a2.solve(b), a.solve(b))
-        assert np.array_equal(a2.solve(b[:, 0]), a.solve(b[:, 0]))
-        meta = load_tile_h_meta(p)
-        assert meta["format_version"] == 2 and meta["method"] == "lu"
-        assert meta["n"] == N and meta["config"]["nb"] == 100
 
-    def test_v1_archive_reports_unfactorized(self, tmp_path):
-        a, _ = _small(tmp_path)
-        p = write_legacy_npz(a, tmp_path / "v1.npz", version=1)
-        meta = load_tile_h_meta(p)
-        assert meta["format_version"] == 1 and meta["factorized"] is False
-        assert meta["method"] is None and meta["config"] == {}
-        a2 = TileHMatrix.load(p)
-        assert not a2.factorized and a2.config.nb == 100
-        x = np.random.default_rng(5).standard_normal(N)
-        assert np.array_equal(a2.matvec(x), a.matvec(x))
+def _as_zip(p):
+    """The archive's arrays, rewritten by ``np.savez`` (the v1/v2 layout)."""
+    header, arrays, verify = hio._open_archive(p)
+    verify()
+    with open(p, "wb") as f:
+        np.savez(f, **arrays, format_version=np.array([2]), nt=np.array([header["nt"]]))
 
-    def test_truncated_legacy_archive(self, factor, tmp_path):
-        p = write_legacy_npz(factor[0], tmp_path / "cut.npz")
-        p.write_bytes(p.read_bytes()[:5000])
-        with pytest.raises(ValueError, match="cannot read Tile-H archive"):
-            TileHMatrix.load(p)
+
+#: An archive of another format version, made from a v4 one, and the version
+#: the refusal must name.
+OTHER_VERSIONS = {
+    "v3": (_version(3), "3"),
+    "v1": (_version(1), "1"),
+    "no-version": (_version(None), "(missing)"),
+    "npz-zip": (_as_zip, "1 or 2 (a .npz zip)"),
+}
+LOADERS = {
+    "TileHMatrix.load": TileHMatrix.load,
+    "load_tile_h-read": load_tile_h,
+    "load_tile_h-mapped": lambda p: load_tile_h(p, mmap=True),
+    "FactorizationStore.get": lambda p: FactorizationStore(p.parent, mmap=True).get(p.stem),
+}
+
+
+class TestOtherFormatVersions:
+    """Only v4 is read: every loader refuses an older archive with one
+    ``ValueError`` naming the file and its version."""
+
+    @pytest.mark.parametrize("loader", sorted(LOADERS))
+    @pytest.mark.parametrize("version", sorted(OTHER_VERSIONS))
+    def test_is_refused_by_every_loader(self, pristine, version, loader, tmp_path):
+        p = tmp_path / f"{version}.tileh"
+        p.write_bytes(pristine)
+        assert LOADERS[loader](p) is not None  # the v4 original loads
+        rewrite, named = OTHER_VERSIONS[version]
+        rewrite(p)
+        with pytest.raises(ValueError) as err:
+            LOADERS[loader](p)
+        assert str(err.value) == (
+            f"cannot read Tile-H archive {p}: format_version {named} is not 4; an archive "
+            "written before v4 must be rebuilt (build_factorize, then save)")

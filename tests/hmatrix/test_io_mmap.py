@@ -17,10 +17,6 @@ import pytest
 from repro.core import TileHConfig, TileHMatrix
 from repro.geometry import cylinder_cloud, make_kernel, streamed_matvec
 
-from repro.hmatrix import load_tile_h_meta
-
-from .legacy_npz import write_legacy_npz, write_v3
-
 N, NB = 256, 64
 
 
@@ -108,16 +104,6 @@ def test_mmap_solve_matches_in_memory_solve(factorized):
     assert np.array_equal(TileHMatrix.load(raw, mmap=True).solve(b), solver.solve(b))
 
 
-def test_mmap_on_compressed_archive_falls_back(factorized, tmp_path):
-    """Only a legacy ``.npz`` can hold deflated members; it is read into
-    memory whatever ``mmap`` says, and still solves to the saved bits."""
-    solver, b, _, _ = factorized
-    comp = write_legacy_npz(solver, tmp_path / "legacy.npz", compressed=True)
-    loaded = TileHMatrix.load(comp, mmap=True)
-    assert not any(isinstance(_backing(a), mmap.mmap) for a in _leaf_arrays(loaded))
-    assert np.array_equal(loaded.solve(b), solver.solve(b))
-
-
 def test_compress_round_trip_identical(factorized):
     _, b, raw, comp = factorized
     x_raw = TileHMatrix.load(raw).solve(b)
@@ -195,32 +181,6 @@ class TestEquivalence:
             assert np.array_equal(loaded.solve(panel), factor.solve(panel))
 
 
-@pytest.mark.parametrize("mmap_", [False, True], ids=["read", "mapped"])
-class TestV3Archive:
-    """A v3 container (one array per leaf) loads through the same builder and
-    solves to the saved bits, read or mapped; so does a v2 ``.npz``."""
-
-    def test_v3_factor_solves_to_the_saved_bits(self, case, mmap_, tmp_path):
-        _, _, _, factor, _, panel = case
-        path = write_v3(factor, tmp_path / "v3.tileh")
-        assert load_tile_h_meta(path)["format_version"] == 3
-        loaded = TileHMatrix.load(path, mmap=mmap_)
-        assert loaded.factorized and loaded.config == factor.config
-        assert np.array_equal(loaded.solve(panel[:, 0]), factor.solve(panel[:, 0]))
-        assert np.array_equal(loaded.solve(panel), factor.solve(panel))
-        arrays = [a for a in _leaf_arrays(loaded) if a.size]
-        assert isinstance(_backing(arrays[0]), mmap.mmap) == mmap_
-
-    def test_v2_factor_solves_to_the_saved_bits(self, case, mmap_, tmp_path):
-        """The legacy ``.npz`` goes through the same builder (read into memory)."""
-        _, _, _, factor, _, panel = case
-        path = write_legacy_npz(factor, tmp_path / "v2.npz")
-        loaded = TileHMatrix.load(path, mmap=mmap_)
-        assert loaded.factorized and load_tile_h_meta(path)["format_version"] == 2
-        assert np.array_equal(loaded.solve(panel[:, 0]), factor.solve(panel[:, 0]))
-        assert np.array_equal(loaded.solve(panel), factor.solve(panel))
-
-
 # -- overlapping loads -----------------------------------------------------------
 
 
@@ -257,13 +217,3 @@ def _overlapping_loads(path, mmap_, reference, b, threads=2, loads=25):
 def test_overlapping_loads_of_one_archive(factorized, mmap_):
     solver, b, raw, _ = factorized
     _overlapping_loads(raw, mmap_, solver.solve(b), b)
-
-
-def test_overlapping_loads_of_a_legacy_archive(factorized, tmp_path):
-    """The ledger's ``SystemError: AST constructor recursion depth mismatch``
-    comes from concurrent ``np.load``s (``literal_eval`` of ``.npy`` headers).
-    The legacy path still goes through it — this loop failed about one run in
-    eight — so ``_read_legacy`` serialises it under a module lock."""
-    solver, b, _, _ = factorized
-    legacy = write_legacy_npz(solver, tmp_path / "legacy.npz")
-    _overlapping_loads(legacy, False, solver.solve(b), b)

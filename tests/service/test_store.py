@@ -11,8 +11,6 @@ import pytest
 from repro.obs import Instrumentation
 from repro.service import FactorizationStore, build_solver, spec_fingerprint
 
-from ..hmatrix.legacy_npz import write_legacy_npz
-
 
 class TestTiers:
     def test_memory_roundtrip(self, solver, key):
@@ -162,22 +160,6 @@ class TestArchiveNaming:
         store.put(key, solver)
         assert [p.name for p in tmp_path.iterdir()] == [f"{key}.tileh"]
         assert store.path_for(key) == tmp_path / f"{key}.tileh"
-
-    @pytest.mark.parametrize("mmap", [False, True], ids=["read", "mapped"])
-    def test_legacy_npz_is_still_a_hit(self, solver, key, rhs, mmap, tmp_path):
-        """An archive an older version left on disk is found by name and read
-        by its magic bytes; the answer has the bits of the factor saved."""
-        write_legacy_npz(solver, tmp_path / f"{key}.npz")
-        store = FactorizationStore(tmp_path, mmap=mmap)
-        assert key in store and store.keys() == [key]
-        got = store.get(key)
-        assert got is not None and store.stats()["hits"] == 1
-        assert np.array_equal(got.solve(rhs), solver.solve(rhs))
-        # A fresh put writes the new name and leaves the old file alone;
-        # lookups then prefer the new archive.
-        store.put(key, solver)
-        assert sorted(p.suffix for p in tmp_path.iterdir()) == [".npz", ".tileh"]
-        assert store.keys() == [key] and store._disk_path(key).suffix == ".tileh"
 
     def test_built_solver_is_served_not_reloaded(self, solver, key, tmp_path):
         """Mapped, read and in-memory factors answer with the same bits, so a
