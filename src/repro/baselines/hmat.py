@@ -15,7 +15,7 @@ This module builds that baseline from the Tile-H machinery:
    small diagonal block — run and timed by the executor like every Tile-H
    factorisation;
 3. the program's kernels, its ``pack`` steps left out, replay through the STF
-   engine with each operand expanded to the leaves under it
+   engine, which orders each operand on the leaves under it
    (:func:`trace_to_graph`), producing the fine-grain DAG with measured
    costs — orders of magnitude more tasks and edges than the Tile-H DAG, as
    in the paper.
@@ -35,43 +35,22 @@ from ..runtime import AccessMode, StfEngine, TaskGraph
 __all__ = ["HMatSolver", "trace_to_graph"]
 
 
-def _leaf_handles(engine: StfEngine, node: HMatrix, cache: dict) -> list:
-    """Handles of all leaves under ``node`` (region-based dependencies).
-
-    Kernels reference H-matrix *nodes*; expanding them to leaves links a
-    panel solve that reads a whole triangle with the updates that wrote
-    individual leaves inside it.
-    """
-    key = id(node)
-    found = cache.get(key)
-    if found is None:
-        found = [engine.handle(leaf, f"leaf[{leaf.rows.start},{leaf.cols.start}]") for leaf in node.leaves()]
-        cache[key] = found
-    return found
-
-
 def trace_to_graph(tasks, engine: StfEngine | None = None) -> TaskGraph:
     """Replay kernel executions into a fine-grained task DAG via STF inference.
 
     ``tasks`` yields ``(kind, reads, writes, seconds, flops)`` with ``reads``
     and ``writes`` tuples of H-matrix nodes; every task declares R on the
-    leaves under what it reads and RW on those under what it writes.  The
-    tasks carry their given seconds and no kernel (they already ran), so the
-    default engine is a deferred one: there is nothing to run.
+    nodes it reads and RW on those it writes, and the engine orders it on the
+    leaves under them — a panel solve that reads a whole triangle waits for
+    the updates that wrote single leaves inside it.  The tasks carry their
+    given seconds and no kernel (they already ran), so the default engine is
+    a deferred one: there is nothing to run.
     """
     engine = engine or StfEngine(mode="deferred")
-    cache: dict = {}
     for kind, reads, writes, seconds, flops in tasks:
-        modes = {}
-        for node in reads:
-            for h in _leaf_handles(engine, node, cache):
-                modes[h] = AccessMode.R
-        for node in writes:
-            for h in _leaf_handles(engine, node, cache):
-                # A handle both read and written is RW, declared with the writes.
-                modes.pop(h, None)
-                modes[h] = AccessMode.RW
-        engine.insert_task(kind, None, list(modes.items()), seconds=seconds, flops=flops)
+        accesses = [(engine.handle(node), AccessMode.R) for node in reads]
+        accesses += [(engine.handle(node), AccessMode.RW) for node in writes]
+        engine.insert_task(kind, None, accesses, seconds=seconds, flops=flops)
     return engine.wait_all()
 
 

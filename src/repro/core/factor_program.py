@@ -10,7 +10,7 @@ recursion cut off at the tile) is derived once, kept with the payloads taken
 out, and run by every factorisation (eager is a one-worker run):
 
 * :func:`record` runs today's ``tiled_getrf_tasks``/``tiled_potrf_tasks`` on a
-  deferred engine — the expanders plus the engine's family-aware inference
+  deferred engine — the expanders plus the engine's leaf-cell inference
   stay the only place the graph is *derived* — and flattens the result into a
   :class:`FactorProgram`: per task its kind, kernel variant, label and
   priority, its operands and accesses as integer *slots*, its dependency and
@@ -204,10 +204,6 @@ def record(desc: TileHDesc, method: str, policy: NestedPolicy | None) -> FactorP
             codes.append(3 * slot + _MODE_CODE[mode])
             while slot not in names:
                 names[slot] = handle.name
-                # The recorded graph is dropped when this returns and its
-                # handles hold this descriptor's tiles: unlinked downwards it
-                # dies by reference count instead of waiting for the collector.
-                handle.children.clear()
                 handle = handle.parent
                 if handle is None:
                     break

@@ -21,9 +21,9 @@ come from the variant's row; its modelled flops are
 traced eager kernels report.  The accesses come in two granularities
 (``NestedPolicy.coarse``):
 
-* *fine* (eager/threaded) — each subtask declares R/RW on hierarchical
-  sub-block handles (``StfEngine.subhandle``); the engine's family-aware
-  inference wires the fine-grain dependencies.
+* *fine* (eager/threaded) — each subtask declares R/RW on sub-block
+  handles (``StfEngine.subhandle``); the engine orders every access on the
+  leaves under it, which wires the fine-grain dependencies.
 * *coarse* (process) — subtasks declare whole-tile accesses, because the
   process executor's per-handle shared-memory shipping assumes disjoint
   handles.  Subtasks of one tile then serialise, but each carries a

@@ -229,10 +229,11 @@ class RaceChecker:
 
         Two views of one buffer registered as separate handles defeat the
         engine's ``id(payload)`` registry: the STF inference would treat
-        them as independent data and drop real dependencies.  Hierarchical
-        sub-block handles (``StfEngine.subhandle``) overlap their ancestors
-        *by construction* and the STF inference knows it, so related handles
-        are exempt; only overlap between unrelated handles is an error.
+        them as independent data and drop real dependencies.  Sub-block
+        handles (``StfEngine.subhandle``) overlap their ancestors *by
+        construction*, and the STF inference orders both on the H-matrix
+        leaves they share, so related handles are exempt; only overlap
+        between unrelated handles is an error.
         """
         if handle.id in self._registered:
             return

@@ -1,10 +1,16 @@
 """Sequential-task-flow engine (StarPU's submission model).
 
 ``insert_task`` mirrors ``starpu_task_insert``: a kernel plus ``(handle,
-mode)`` accesses.  Dependencies are inferred from the access sequence:
+mode)`` accesses.  Dependencies are inferred from the access sequence, on
+the leaf *cells* under each access — the leaves of an H-matrix payload (a
+tile or a block-tree node), or the handle's data as one cell.  A task's
+modes merge per cell, a write winning; then per cell:
 
-* a reader depends on the handle's last writer;
+* a reader depends on the cell's last writer;
 * a writer depends on the last writer *and* every reader since then.
+
+So a whole-tile task and a subtask on a sub-block of that tile conflict
+exactly where their leaves meet, with no handle hierarchy to walk.
 
 ``insert_task`` only records: it infers the task's edges, announces it and
 stores its kernel.  ``wait_all`` closes the section, and the mode says what
@@ -64,6 +70,17 @@ def payload_footprint(payload: Any) -> tuple[int, int]:
     return 0, 0
 
 
+def _cells(handle: DataHandle) -> list | tuple:
+    """The cells an access to ``handle`` covers: the leaves of an H-matrix
+    payload (a tile's ``.mat`` or a block-tree node), else the handle's own
+    data as one cell."""
+    payload = handle.payload
+    leaf_index = getattr(getattr(payload, "mat", payload), "leaf_index", None)
+    if leaf_index is None:
+        return (handle,)
+    return [leaf for leaf, _, _ in leaf_index()]
+
+
 def announce_task(probe, kind: str, flops: float, footprints) -> None:
     """Tell ``probe`` one task of ``kind`` entered a graph: its flops, and from
     its operands' :func:`payload_footprint` pairs the total bytes and the
@@ -94,9 +111,8 @@ class StfEngine:
     expander walks the operand's block tree and submits a subgraph of
     finer-grain subtasks (recorded in :attr:`nested_stats`).  Subtasks may
     declare accesses on *sub-block* handles created with :meth:`subhandle`;
-    dependency inference then treats an access to a handle as conflicting
-    with accesses to every handle in its family (ancestors and descendants),
-    so opaque whole-tile tasks and expanded sub-block tasks interleave
+    dependency inference orders every access on the leaves under it, so
+    opaque whole-tile tasks and expanded sub-block tasks interleave
     correctly in one graph.
     """
 
@@ -113,6 +129,10 @@ class StfEngine:
         self.graph = TaskGraph()
         self._section = 0  # id of the open section's first task
         self._handles: dict[int, DataHandle] = {}
+        # Per leaf cell of the open section: the ids of its last writer and
+        # of its readers since.
+        self._writer: dict[Any, int] = {}
+        self._readers: dict[Any, list[int]] = {}
         self.racecheck = RaceChecker() if racecheck is True else racecheck or None
         self.nested = nested
         self.nested_stats = NestedStats(nested) if nested is not None else None
@@ -132,18 +152,17 @@ class StfEngine:
         """Get-or-create a handle for a sub-block of ``parent``'s payload
         (``parent=None``: a handle of its own, as :meth:`handle` makes).
 
-        The new handle is linked into ``parent``'s hierarchy so dependency
-        inference knows the two overlap in memory (the racecheck aliasing
-        screen exempts related handles for the same reason).  Re-registering
-        the same payload returns the existing handle without re-linking.
+        The new handle links up to ``parent``: the racecheck aliasing screen
+        exempts the two, whose data overlap by construction (the inference
+        needs no link, it finds the overlap in the shared leaves).
+        Re-registering the same payload returns the existing handle without
+        re-linking.
         """
         key = id(payload)
         h = self._handles.get(key)
         if h is None:
             h = DataHandle(name=name, payload=payload)
-            if parent is not None:
-                h.parent = parent
-                parent.children.append(h)
+            h.parent = parent
             self._handles[key] = h
             if self.racecheck is not None:
                 self.racecheck.register_handle(h)
@@ -213,59 +232,29 @@ class StfEngine:
             footprints = [payload_footprint(h.payload) for h, _ in task.accesses]
             announce_task(probe, task.kind, task.flops, footprints)
 
-    @staticmethod
-    def _family(handle: DataHandle) -> list[DataHandle]:
-        """``handle`` plus every ancestor and descendant (overlapping data)."""
-        members = [handle]
-        p = handle.parent
-        while p is not None:
-            members.append(p)
-            p = p.parent
-        stack = list(handle.children)
-        while stack:
-            c = stack.pop()
-            members.append(c)
-            stack.extend(c.children)
-        return members
-
     def _infer_dependencies(self, task: Task) -> None:
-        # Fast path: no accessed handle is hierarchical (the common case for
-        # opaque tile graphs) — conflicts are per-handle.
-        if all(h.parent is None and not h.children for h, _ in task.accesses):
-            for handle, mode in task.accesses:
-                if mode.reads and handle.last_writer is not None:
-                    self.graph.add_dependency(handle.last_writer, task)
-                if mode.writes:
-                    if handle.last_writer is not None:
-                        self.graph.add_dependency(handle.last_writer, task)
-                    for reader in handle.readers:
-                        if reader.id != task.id:
-                            self.graph.add_dependency(reader, task)
-        else:
-            # An access to a handle overlaps every handle in its family, so
-            # it conflicts with the outstanding writers/readers of each.
-            # The post-state pass below stays local to the accessed handle:
-            # a relative's stale last_writer/readers can only produce
-            # redundant edges later (covered transitively through the edges
-            # added here), never missing ones.
-            for handle, mode in task.accesses:
-                for member in self._family(handle):
-                    if mode.reads and member.last_writer is not None:
-                        self.graph.add_dependency(member.last_writer, task)
-                    if mode.writes:
-                        if member.last_writer is not None:
-                            self.graph.add_dependency(member.last_writer, task)
-                        for reader in member.readers:
-                            if reader.id != task.id:
-                                self.graph.add_dependency(reader, task)
-        # Second pass so a task reading and writing different handles sees a
-        # consistent post-state.
+        # One access covers the leaf cells under it; the task's modes merge
+        # per cell, a write winning, and each cell orders its own accesses.
+        writes: dict = {}
         for handle, mode in task.accesses:
-            if mode.writes:
-                handle.last_writer = task
-                handle.readers = []
-            elif mode.reads:
-                handle.readers.append(task)
+            write = mode.writes
+            for cell in _cells(handle):
+                if write or cell not in writes:
+                    writes[cell] = write
+        deps: set[int] = set()
+        writer_of, readers = self._writer, self._readers
+        for cell, write in writes.items():
+            writer = writer_of.get(cell)
+            if writer is not None:
+                deps.add(writer)
+            if write:
+                deps.update(readers.pop(cell, ()))
+                writer_of[cell] = task.id
+            else:
+                readers.setdefault(cell, []).append(task.id)
+        tasks = self.graph.tasks
+        for d in deps:
+            self.graph.add_dependency(tasks[d], task)
 
     def wait_all(self) -> TaskGraph:
         """Finish the STF section and return the (validated) DAG.
@@ -276,19 +265,16 @@ class StfEngine:
         a kernel's exception raises from here; the run measures each task's
         seconds and drops its kernel.
 
-        The handles forget their last writer and readers: that state serves
-        only the inference of the section just finished, and kept, it closes
-        a reference cycle through every task (task -> accesses -> handle ->
-        last writer -> task).  A dropped graph would then wait — with what
-        its closures hold: work arrays, a discarded factor — for the cyclic
-        collector, whose full pass lands in whichever later call trips it;
-        acyclic, it is freed by reference counting the moment it is dropped.
-        Tasks submitted afterwards start a new section and take no edge from
-        this one.
+        The engine forgets each cell's last writer and readers: that state
+        serves only the inference of the section just finished.  Tasks
+        submitted afterwards start a new section and take no edge from this
+        one, and the engine holds no task of it: a dropped graph is freed by
+        reference counting (nothing links a handle back to a task, or a
+        handle down to its sub-blocks).
         """
         graph = self.graph
-        for handle in self._handles.values():
-            handle.reset()
+        self._writer.clear()
+        self._readers.clear()
         graph.validate()
         start, self._section = self._section, len(graph.tasks)
         if self.mode == "deferred":

@@ -37,34 +37,21 @@ _handle_counter = itertools.count()
 class DataHandle:
     """Runtime identity of one piece of data.
 
-    Dependency state (last writer / readers since last write) lives on the
-    handle, which makes STF inference O(accesses) per task.
-
-    A handle may be *hierarchical*: ``parent``/``children`` link it to
-    handles covering enclosing/enclosed data (a tile and its H-block-tree
-    sub-nodes, registered through
-    :meth:`~repro.runtime.stf.StfEngine.subhandle`).  The STF inference
-    treats an access to any handle as conflicting with accesses to every
-    handle in its family (ancestors and descendants), which is what lets
-    nested-task expansions declare sub-block accesses while opaque tasks
-    keep declaring whole-tile accesses.
+    A handle carries no dependency state: the STF engine orders accesses on
+    the leaf *cells* under each handle's payload (an H-matrix's leaves, or an
+    array as one cell).  ``parent`` links a sub-block handle to the handle of
+    the data enclosing it (a tile and its H-block-tree sub-nodes, registered
+    through :meth:`~repro.runtime.stf.StfEngine.subhandle`); the race
+    checker's aliasing screen and the factor program's handle names read it.
     """
 
-    __slots__ = ("id", "name", "payload", "last_writer", "readers", "parent", "children")
+    __slots__ = ("id", "name", "payload", "parent")
 
     def __init__(self, name: str = "", payload: Any = None) -> None:
         self.id = next(_handle_counter)
         self.name = name or f"data{self.id}"
         self.payload = payload
-        self.last_writer: "Task | None" = None
-        self.readers: list["Task"] = []
         self.parent: "DataHandle | None" = None
-        self.children: list["DataHandle"] = []
-
-    def reset(self) -> None:
-        """Forget dependency state (new STF section); hierarchy is kept."""
-        self.last_writer = None
-        self.readers = []
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"DataHandle({self.name!r})"

@@ -116,31 +116,6 @@ class TestTraceToGraph:
         g = trace_to_graph([])
         assert len(g) == 0
 
-    def test_chain_dependency_via_shared_leaf(self, geom):
-        pts, kern, _ = geom
-        hm = HMatSolver(kern, pts, eps=1e-4, leaf_size=32)
-        # Two kernels touching the same node must be chained.
-        node = hm.matrix.child(0, 0)
-        g = trace_to_graph([
-            ("getrf", (), (node,), 0.1, 1.0),
-            ("trsm", (node,), (hm.matrix.child(0, 1),), 0.1, 1.0),
-        ])
-        assert len(g) == 2
-        assert g.tasks[0].id in g.tasks[1].deps
-
-    def test_region_expansion_links_ancestor_reads(self, geom):
-        """Writing a leaf then reading its *ancestor* must create an edge —
-        the region-based dependency expansion."""
-        pts, kern, _ = geom
-        hm = HMatSolver(kern, pts, eps=1e-4, leaf_size=32)
-        parent = hm.matrix.child(0, 0)
-        leaf = next(iter(parent.leaves()))
-        g = trace_to_graph([
-            ("gemm", (), (leaf,), 0.1, 1.0),
-            ("trsm", (parent,), (hm.matrix.child(0, 1),), 0.1, 1.0),
-        ])
-        assert g.tasks[0].id in g.tasks[1].deps
-
 
 class TestTaskTimes:
     def test_tasks_include_the_accumulator_flushes(self, monkeypatch):

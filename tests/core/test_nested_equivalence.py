@@ -93,24 +93,26 @@ def _written(task):
     return args[1][0] if args and args[0] == "gemm_tb" else None
 
 
-def _whole_handle_edges(tasks) -> list:
-    """STF's dependencies of ``tasks`` (submission order) on handles that
-    have no sub-handles: every access waits for the handle's last writer,
-    a write also for the handle's readers since."""
+def _leaf_edges(tasks) -> list:
+    """STF's dependencies of ``tasks`` (submission order) on the leaves under
+    their accesses: a task's modes merge per leaf, a write winning; then every
+    access waits for the leaf's last writer, a write also for its readers
+    since."""
     last, readers, out = {}, {}, []
     for t in tasks:
+        writes = {}
+        for h, m in t.accesses:
+            for leaf in getattr(h.payload, "mat", h.payload).leaves():
+                writes[id(leaf)] = writes.get(id(leaf), False) or m.writes
         deps = set()
-        for h, m in t.accesses:
-            if h.id in last:
-                deps.add(last[h.id])
-            if m.writes:
-                deps |= readers.get(h.id, set())
-        for h, m in t.accesses:
-            if m.writes:
-                last[h.id], readers[h.id] = t.id, set()
+        for leaf, write in writes.items():
+            if leaf in last:
+                deps.add(last[leaf])
+            if write:
+                deps |= readers.pop(leaf, set())
+                last[leaf] = t.id
             else:
-                readers.setdefault(h.id, set()).add(t.id)
-        deps.discard(t.id)
+                readers.setdefault(leaf, set()).add(t.id)
         out.append(deps)
     return out
 
@@ -121,11 +123,10 @@ def lower_only(old, priority_mode):
     Subtasks writing a block strictly above a diagonal (rows before columns)
     are gone; a ``gemm_tb`` on a diagonal block is ``syrk`` on ``(c, a)``, one
     access to ``a`` instead of two; ids, edges and expansion records are
-    renumbered, and bottom-level priorities taken on what is left.  On
-    sub-block handles (fine) a gone subtask's edges just go with it; on
-    whole tiles (coarse, tile level) the tile's chain closes over the gap, so
-    the edges are inferred again — by a replica of STF's rule that must first
-    give the reference its own edges.
+    renumbered, and bottom-level priorities taken on what is left.  A gone
+    subtask leaves a gap in the chain of every leaf it wrote, which the
+    chain closes over, so the edges are inferred again — by a replica of
+    STF's rule that must first give the reference its own edges.
     """
     g0, eng0 = old
     keep = {}
@@ -137,12 +138,7 @@ def lower_only(old, priority_mode):
     for u in g0.tasks:
         if u.id not in keep:
             continue
-        t = replace(
-            u,
-            id=keep[u.id],
-            deps={keep[d] for d in u.deps if d in keep},
-            successors={keep[d] for d in u.successors if d in keep},
-        )
+        t = replace(u, id=keep[u.id], deps=set(), successors=set())
         c = _written(u)
         if (c is not None and c.rows is c.cols) or u.label.startswith("syrk("):
             first = {}
@@ -157,14 +153,11 @@ def lower_only(old, priority_mode):
                 _, paths, eps = u.spec.args
                 t.spec = replace(u.spec, args=("syrk", paths[:2], eps))
         graph.tasks.append(t)
-    if eng0.nested is None or eng0.nested.coarse:
-        assert _whole_handle_edges(g0.tasks) == [u.deps for u in g0.tasks]
-        for t, deps in zip(graph.tasks, _whole_handle_edges(graph.tasks)):
-            t.deps = deps
-            t.successors = set()
-        for t in graph.tasks:
-            for d in t.deps:
-                graph.tasks[d].successors.add(t.id)
+    assert _leaf_edges(g0.tasks) == [u.deps for u in g0.tasks]
+    for t, deps in zip(graph.tasks, _leaf_edges(graph.tasks)):
+        t.deps = deps
+        for d in deps:
+            graph.tasks[d].successors.add(t.id)
     if priority_mode == "bottom-level":
         apply_bottom_level_priorities(graph, "flops")
     stats = eng0.nested_stats

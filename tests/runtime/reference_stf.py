@@ -153,6 +153,4 @@ class ReferenceStfEngine(StfEngine):
         this one.
         """
         self.graph.validate()
-        for handle in self._handles.values():
-            handle.reset()
         return self.graph

@@ -2,12 +2,14 @@
 
 import gc
 import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.hmatrix import HMatrix, build_block_cluster_tree, build_cluster_tree
 from repro.obs import Instrumentation
 from repro.runtime import AccessMode, StfEngine
 
@@ -182,10 +184,12 @@ class TestDependencyInference:
         w = eng.insert_task("w", None, [(h, W)])
         r = eng.insert_task("r", None, [(h, R)])
         eng.wait_all()
-        assert h.last_writer is None and h.readers == []
         assert r.deps == {w.id} and w.successors == {r.id}  # the edges stay
+        # The engine forgot the last writer and the readers since.
+        read = eng.insert_task("r", None, [(h, R)])
+        eng.wait_all()
         later = eng.insert_task("w", None, [(h, W)])
-        assert not later.deps
+        assert not read.deps and not later.deps
 
     def test_dropped_graph_needs_no_collector(self):
         # task -> accesses -> handle -> last writer -> task would be a cycle.
@@ -203,6 +207,52 @@ class TestDependencyInference:
             assert [ref() for ref in gone] == [None] * 3
         finally:
             gc.enable()
+
+
+def _blocks(n=8, leaf=2):
+    """An H-matrix subdivided down to ``leaf``: 8 -> 4 -> 2, 16 dense leaves."""
+    ct = build_cluster_tree(np.linspace(0.0, 1.0, n)[:, None], leaf_size=leaf)
+    never = SimpleNamespace(is_admissible=lambda rows, cols: False)
+    return HMatrix.from_dense(np.zeros((n, n)), build_block_cluster_tree(ct, ct, never), 1e-4)
+
+
+class TestLeafCells:
+    """An access covers the leaves under its payload; each leaf orders its own."""
+
+    def test_a_read_of_an_ancestor_waits_for_a_write_to_a_leaf(self):
+        eng = StfEngine(mode="deferred")
+        parent = _blocks().child(0, 0)
+        leaf = next(parent.leaves())
+        w = eng.insert_task("gemm", None, [(eng.handle(leaf), RW)])
+        r = eng.insert_task("trsm", None, [(eng.handle(parent), R)])
+        assert r.deps == {w.id}
+
+    def test_sibling_sub_blocks_take_no_edge(self):
+        eng = StfEngine(mode="deferred")
+        h = _blocks()
+        a, b = eng.handle(h.child(0, 0)), eng.handle(h.child(0, 1))
+        wa = eng.insert_task("getrf", None, [(a, RW)])
+        wb = eng.insert_task("gemm", None, [(b, RW)])
+        both = eng.insert_task("trsm", None, [(a, R), (b, RW)])
+        assert not wb.deps and both.deps == {wa.id, wb.id}
+
+    def test_a_write_to_the_parent_supersedes_a_leaf_writer(self):
+        eng = StfEngine(mode="deferred")
+        parent = _blocks().child(0, 0)
+        leaf = eng.handle(next(parent.leaves()))
+        eng.insert_task("gemm", None, [(leaf, RW)])
+        whole = eng.insert_task("getrf", None, [(eng.handle(parent), RW)])
+        r = eng.insert_task("trsm", None, [(leaf, R)])
+        assert r.deps == {whole.id}  # the leaf writer is implied through it
+
+    def test_a_task_touching_a_leaf_twice_writes_it(self):
+        eng = StfEngine(mode="deferred")
+        parent = _blocks().child(0, 0)
+        leaf = eng.handle(next(parent.leaves()))
+        r = eng.insert_task("r", None, [(leaf, R)])
+        rw = eng.insert_task("gemm", None, [(eng.handle(parent), R), (leaf, RW)])
+        later = eng.insert_task("r", None, [(eng.handle(parent), R)])
+        assert rw.deps == {r.id} and later.deps == {rw.id}
 
 
 @settings(max_examples=40, deadline=None)

@@ -29,13 +29,6 @@ class TestDataHandle:
         h = DataHandle()
         assert h.name == f"data{h.id}"
 
-    def test_reset(self):
-        h = DataHandle()
-        h.last_writer = Task(id=0, kind="x")
-        h.readers = [Task(id=1, kind="y")]
-        h.reset()
-        assert h.last_writer is None and h.readers == []
-
 
 class TestTask:
     def test_cost_models(self):
