@@ -9,17 +9,18 @@ on p virtual workers with bottom-level priorities, zero runtime overheads
 and flop-proportional task costs, so the table isolates DAG shape.
 
 The problem is fixed (n=512, nb=128, leaf 48: few tiles and fat diagonal
-kernels, the regime where opaque Tile-H is weakest) and the sweep is
-deterministic; it takes well under a second.
+kernels, the regime where opaque Tile-H is weakest) and the sweep, two
+factorisations and their simulated replays, is deterministic; it takes about
+a second.
 """
 
 from __future__ import annotations
 
 from repro.baselines import HMatSolver
 from repro.core import TileHConfig, TileHMatrix
-from repro.core.algorithms import apply_bottom_level_priorities, tiled_getrf_tasks
+from repro.core.algorithms import apply_bottom_level_priorities
 from repro.geometry import cylinder_cloud, make_kernel
-from repro.runtime import NestedPolicy, RuntimeOverheadModel, StfEngine, simulate
+from repro.runtime import RuntimeOverheadModel, simulate
 
 EPS = 1e-4
 #: Virtual worker counts for the HMAT / Tile-H / nested crossover sweep.
@@ -37,23 +38,24 @@ def _crossover_sweep(n: int, nb: int) -> list[dict]:
     DAGs are replayed on virtual workers with flop-modelled task costs
     (scaled to seconds at :data:`_FLOP_RATE`) under an overhead-free model,
     so the comparison isolates dependency structure — the quantity nested
-    expansion changes.  The opaque Tile-H baseline is the *contracted*
-    nested graph (each expansion's subtasks collapsed back into one task
-    with summed flops), which keeps both sides under the identical flop
-    model.  At high worker counts coarse Tile-H tasks starve the machine
-    and the format trails pure HMAT; nested expansion must recover that
-    headroom — the test asserts it.
+    expansion changes.  The nested graph and HMAT's are the graphs their
+    factorisations ran, their flops on the factor's ranks; the opaque Tile-H
+    baseline is the *contracted* nested graph (each expansion's subtasks
+    collapsed back into one task with summed flops), which keeps all three
+    under the identical flop model.  At high worker counts coarse Tile-H
+    tasks starve the machine and the format trails pure HMAT; nested
+    expansion must recover that headroom — the test asserts it.
     """
     pts = cylinder_cloud(n)
     kern = make_kernel("laplace", pts)
     leaf = min(48, nb)
     a = TileHMatrix.build(
-        kern, pts, TileHConfig(nb=nb, eps=EPS, leaf_size=leaf, accumulate=False)
+        kern, pts, TileHConfig(nb=nb, eps=EPS, leaf_size=leaf, nested=True, nested_min_leaf=leaf)
     )
-    eng = StfEngine(mode="deferred", nested=NestedPolicy(min_leaf=leaf))
-    graph = tiled_getrf_tasks(a.desc, eng, accumulate=False)
+    info = a.factorize()
+    graph = info.graph
     apply_bottom_level_priorities(graph, "flops")
-    contracted = eng.nested_stats.contract(graph)
+    contracted = info.nested_stats.contract(graph)
     apply_bottom_level_priorities(contracted, "flops")
     hinfo = HMatSolver(kern, pts, eps=EPS, leaf_size=leaf).factorize()
     apply_bottom_level_priorities(hinfo.graph, "flops")

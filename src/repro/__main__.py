@@ -107,8 +107,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--chrome-trace",
         metavar="PATH",
         default=None,
-        help="export the factorisation's execution trace (tile-h; with "
-        "queue-depth and H-memory counter tracks) as Chrome tracing JSON for Perfetto",
+        help="export the factorisation's execution trace (with queue-depth and "
+        "H-memory counter tracks) as Chrome tracing JSON for Perfetto",
     )
     return parser
 
@@ -336,14 +336,13 @@ def main(argv: list[str] | None = None) -> int:
             f"{info.n_tasks} tasks, {info.n_dependencies} dependencies"
         )
 
-        if args.format == "tile-h":
-            violations = validate_trace(info.graph, info.trace, strict=False)
-            if violations:
-                print(f"error: {args.exec_mode} trace violates the DAG: {violations[:3]}",
-                      file=sys.stderr)
-                return 1
-            print(f"trace     : {len(info.trace.events)} {args.exec_mode} "
-                  "events validated as a linear extension of the DAG")
+        violations = validate_trace(info.graph, info.trace, strict=False)
+        if violations:
+            print(f"error: {args.exec_mode} trace violates the DAG: {violations[:3]}",
+                  file=sys.stderr)
+            return 1
+        print(f"trace     : {len(info.trace.events)} {args.exec_mode} "
+              "events validated as a linear extension of the DAG")
 
         nested_info = info.nested
         if nested_info:
@@ -380,7 +379,7 @@ def main(argv: list[str] | None = None) -> int:
                     "n": args.n,
                     "precision": args.precision,
                     "format": args.format,
-                    "nb": nb,
+                    "nb": info.nb,
                     "eps": args.eps,
                     "exec_mode": args.exec_mode,
                     "scheduler": args.scheduler,
@@ -390,17 +389,13 @@ def main(argv: list[str] | None = None) -> int:
             write_report(report, args.profile)
             print(f"profile   : run report written to {args.profile}")
         if args.chrome_trace is not None:
-            if args.format != "tile-h":
-                print("warning: --chrome-trace needs --format tile-h; no trace written",
-                      file=sys.stderr)
-            else:
-                export_chrome_trace(
-                    info.trace,
-                    args.chrome_trace,
-                    counters=probe.series,
-                    metadata={"scheduler": args.scheduler},
-                )
-                print(f"trace     : Chrome trace written to {args.chrome_trace}")
+            export_chrome_trace(
+                info.trace,
+                args.chrome_trace,
+                counters=probe.series,
+                metadata={"scheduler": args.scheduler},
+            )
+            print(f"trace     : Chrome trace written to {args.chrome_trace}")
 
     rows = []
     for p in args.threads:

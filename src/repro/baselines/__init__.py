@@ -8,8 +8,8 @@
   H-arithmetic), the flop/accuracy reference.
 """
 
-from .hmat import HMatSolver, trace_to_graph
+from .hmat import HMatSolver
 from .blr import build_blr, BLRMatrix
 from .dense_tiled import DenseTiledLU, DenseTiledCholesky
 
-__all__ = ["HMatSolver", "trace_to_graph", "build_blr", "BLRMatrix", "DenseTiledLU", "DenseTiledCholesky"]
+__all__ = ["HMatSolver", "build_blr", "BLRMatrix", "DenseTiledLU", "DenseTiledCholesky"]

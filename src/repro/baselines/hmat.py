@@ -14,11 +14,11 @@ This module builds that baseline from the Tile-H machinery:
    at the leaf size — one subtask per leaf kernel, plus the ``pack`` of each
    small diagonal block — run and timed by the executor like every Tile-H
    factorisation;
-3. the program's kernels, its ``pack`` steps left out, replay through the STF
-   engine, which orders each operand on the leaves under it
-   (:func:`trace_to_graph`), producing the fine-grain DAG with measured
-   costs — orders of magnitude more tasks and edges than the Tile-H DAG, as
-   in the paper.
+3. the DAG it reports is the graph that run executed, bound like every
+   Tile-H run's: the STF engine ordered each operand on the leaves under it,
+   each task carries its measured seconds and the flops of the factor's
+   ranks, and the ``pack`` steps stay in — orders of magnitude more tasks
+   and edges than the Tile-H DAG, as in the paper.
 """
 
 from __future__ import annotations
@@ -26,43 +26,10 @@ from __future__ import annotations
 import numpy as np
 
 from ..core import FactorizationInfo, TileHConfig, TileHMatrix, build_tile_h
-from ..core.factor_program import _Recorder, announce, bound_flops, task_operands
 from ..dense import sequential_blas
 from ..hmatrix import ClusterTree, HMatrix, StrongAdmissibility
-from ..hmatrix.rules import VARIANTS
-from ..runtime import AccessMode, StfEngine, TaskGraph
 
-__all__ = ["HMatSolver", "trace_to_graph"]
-
-
-def trace_to_graph(tasks, engine: StfEngine | None = None) -> TaskGraph:
-    """Replay kernel executions into a fine-grained task DAG via STF inference.
-
-    ``tasks`` yields ``(kind, reads, writes, seconds, flops)`` with ``reads``
-    and ``writes`` tuples of H-matrix nodes; every task declares R on the
-    nodes it reads and RW on those it writes, and the engine orders it on the
-    leaves under them — a panel solve that reads a whole triangle waits for
-    the updates that wrote single leaves inside it.  The tasks carry their
-    given seconds and no kernel (they already ran), so the default engine is
-    a deferred one: there is nothing to run.
-    """
-    engine = engine or StfEngine(mode="deferred")
-    for kind, reads, writes, seconds, flops in tasks:
-        accesses = [(engine.handle(node), AccessMode.R) for node in reads]
-        accesses += [(engine.handle(node), AccessMode.RW) for node in writes]
-        engine.insert_task(kind, None, accesses, seconds=seconds, flops=flops)
-    return engine.wait_all()
-
-
-class _OneTile(TileHMatrix):
-    """The one tile of :class:`HMatSolver`: keeps its tasks' operands and
-    pre-run flops from the one program lookup its factorisation makes, and
-    announces those flops: one binding pass, probed or not."""
-
-    def _announce(self, program, nodes: list) -> None:
-        operands = task_operands(program, nodes)
-        self.bound = program, operands, bound_flops(program, operands)
-        announce(program, nodes, self.bound[2])
+__all__ = ["HMatSolver"]
 
 
 class HMatSolver:
@@ -104,7 +71,7 @@ class HMatSolver:
         config = TileHConfig(nb=n, eps=eps, leaf_size=leaf_size, nested=True,
                              nested_min_leaf=leaf_size, accumulate=accumulate,
                              racecheck=racecheck)
-        self._tile = _OneTile(desc, config)
+        self._tile = TileHMatrix(desc, config)
 
     # -- queries -------------------------------------------------------------
     @property
@@ -134,23 +101,9 @@ class HMatSolver:
 
     # -- factorisation / solve ---------------------------------------------------
     def factorize(self) -> FactorizationInfo:
-        """The one-tile H-LU; returns its fine-grain leaf DAG (``nb = n``,
-        ``nt = 1``, no trace), each task carrying the seconds the run
-        measured and the flops the program bound before it."""
-        tile = self._tile
-        info = tile.factorize()
-        program, operands, flops = tile.bound
-        seconds = info.trace.task_seconds(len(program))
-
-        def kernels():
-            for t, (kind, variant) in enumerate(zip(program.kinds, program.variants)):
-                if kind != "pack":
-                    ops, w = operands[t], VARIANTS[variant].written
-                    yield kind, ops[:w] + ops[w + 1:], (ops[w],), seconds[t], flops[t]
-
-        # The run announced its tasks to the probe: the replay announces none.
-        graph = trace_to_graph(kernels(), _Recorder(mode="deferred"))
-        return FactorizationInfo(graph, self.n, 1, racecheck=info.racecheck)
+        """The one-tile H-LU; returns its run's fine-grain leaf DAG (``nb = n``,
+        ``nt = 1``), trace and wall time, as every Tile-H factorisation does."""
+        return self._tile.factorize()
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Solve ``A x = b`` in original ordering (vector or panel)."""

@@ -127,9 +127,8 @@ def structure_key(desc: TileHDesc, method: str, policy: NestedPolicy | None) -> 
 
 
 class _Recorder(StfEngine):
-    """The deferred engine a program is recorded on (and the HMAT baseline's
-    leaf DAG replayed on).  It announces nothing to the probe:
-    :func:`announce` tells it the tasks that run."""
+    """The deferred engine a program is recorded on.  It announces nothing
+    to the probe: :func:`announce` tells it the tasks that run."""
 
     def _announce(self, task: Task) -> None:
         pass
@@ -321,18 +320,19 @@ def bound_flops(program: FactorProgram, operands: list) -> tuple | list:
     return [kernel_flops(v, ops) for v, ops in zip(program.variants, operands)]
 
 
-def announce(program: FactorProgram, nodes: list, flops: tuple | list) -> None:
+def announce(program: FactorProgram, nodes: list) -> None:
     """Tell the ambient probe, if any, every task of ``program`` on ``nodes``
     (its slots, as :func:`_lookup` returns them) — kind, flops and operand
     footprint, field by field what ``insert_task`` would have announced.
 
-    Called before the run with the :func:`bound_flops` its caller took on
-    ``nodes``, so the flops count the ranks the kernels start from.  Nothing
-    runs in between, so each operand's footprint is taken once.
+    Called before the run, so the flops (:func:`bound_flops`) count the
+    ranks the kernels start from.  Nothing runs in between, so each
+    operand's footprint is taken once.
     """
     probe = _current_probe()
     if probe is None:
         return
+    flops = bound_flops(program, task_operands(program, nodes))
     slots = (program.acc_code // 3).tolist()
     footprint = {s: payload_footprint(nodes[s]) for s in set(slots)}
     acc_ptr = program.acc_ptr.tolist()

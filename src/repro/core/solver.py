@@ -42,7 +42,7 @@ from .algorithms import sweep_solve_tasks
 from .build import build_tile_h, drop_upper_tiles
 from .descriptor import TileHDesc
 from .factor_program import (
-    _bind, _lookup, _nested_stats, announce, bound_flops, instantiate, task_operands,
+    _bind, _lookup, _nested_stats, announce, instantiate,
 )
 from .sweep import SweepProgram, compile_sweep
 
@@ -240,8 +240,8 @@ class FactorizationInfo:
     subtask's flops count the factor's ranks — with each task's measured
     seconds (its trace event) written in.  The dense baseline's info has the
     graph of its eager engine section, timed by that section's one-worker
-    run, and no trace; the HMAT baseline's has its one tile's leaf DAG
-    (``nt = 1``) and no trace.
+    run, and no trace; the HMAT baseline returns its one tile's info
+    unchanged (``nt = 1``).
 
     ``racecheck`` holds the :class:`~repro.runtime.RaceChecker` that
     observed the factorisation when the detector was enabled (``None``
@@ -482,7 +482,7 @@ class TileHMatrix:
         # Every factorisation, opaque or nested, runs a bound FactorProgram —
         # recorded first when this structure is new here.
         program, nodes = _lookup(desc, method, _nested_policy(cfg))
-        self._announce(program, nodes)
+        announce(program, nodes)
         # Process workers need each task's TaskSpec (which carries no
         # accumulator: process runs are undeferred) and the race checker
         # brackets each Task, so both bind the graph up front; any other run
@@ -500,13 +500,6 @@ class TileHMatrix:
         if graph is None:
             info._make_graph = partial(_measured_graph, program, desc, trace)
         return info
-
-    def _announce(self, program, nodes: list) -> None:
-        """Tell the ambient probe, if any, every task of ``program`` before it
-        runs on ``nodes``, with the flops bound for it (the HMAT baseline's
-        one tile binds them whether probed or not: its leaf DAG carries them)."""
-        if _current_probe() is not None:
-            announce(program, nodes, bound_flops(program, task_operands(program, nodes)))
 
     def _check_intact(self) -> None:
         if self._failure is not None:

@@ -196,10 +196,11 @@ def kernel_flops(variant: str, nodes) -> float:
     (kernel-argument order, as :func:`run_kernel` receives them).
 
     Rank-dependent, so evaluated on the operands as they stand: the nested
-    expander charges it to each subtask, and a factor program's announcement
-    (:func:`repro.core.factor_program.bound_flops`) to each task before the
-    run.  A factorisation that splits costs what its
-    steps cost, level by level; a dense diagonal leaf costs the dense kernel.
+    expander charges it to each subtask, and a factor program
+    (:func:`repro.core.factor_program.bound_flops`) to each task: before the
+    run for the probe, on the factor for its graph.  A factorisation that
+    splits costs what its steps cost, level by level; a dense diagonal leaf
+    costs the dense kernel.
     """
     return _FLOPS[variant](nodes)
 

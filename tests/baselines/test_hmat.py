@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.baselines import HMatSolver, trace_to_graph
+from repro.baselines import HMatSolver
 from repro.core import TileHConfig, TileHMatrix
 from repro.geometry import assemble_dense, cylinder_cloud, helmholtz_kernel, laplace_kernel
 from repro.hmatrix import UpdateAccumulator
@@ -80,7 +80,7 @@ class TestFineGrainDag:
         hm = HMatSolver(kern, pts, eps=1e-5, leaf_size=32)
         info = hm.factorize()
         counts = info.graph.kind_counts()
-        assert set(counts) == {"getrf", "trsm", "gemm"}
+        assert set(counts) == {"getrf", "trsm", "gemm", "pack"}
 
     def test_dag_is_simulatable(self, geom):
         pts, kern, _ = geom
@@ -111,12 +111,6 @@ class TestFineGrainDag:
         assert hm_pen > th_pen
 
 
-class TestTraceToGraph:
-    def test_empty_trace(self):
-        g = trace_to_graph([])
-        assert len(g) == 0
-
-
 class TestTaskTimes:
     def test_tasks_include_the_accumulator_flushes(self, monkeypatch):
         """A leaf TRSM/GETRF opens by rounding in its operand's pending
@@ -139,9 +133,10 @@ class TestTaskTimes:
         assert sum(spent) <= info.sequential_seconds()
 
     def test_tasks_are_announced_once_with_the_flops_they_carry(self, geom):
-        """The run announces every task of the program, with the flop model
-        on the ranks its kernel starts from; the leaf DAG carries those flops
-        and the replay announces nothing more."""
+        """The run announces every task of its graph once, ``pack`` steps
+        included; the graph's flops are the model on the factor's ranks, as
+        every Tile-H graph's are."""
+        from repro.hmatrix.arithmetic import kernel_flops
         from repro.obs import Instrumentation
 
         pts, kern, _ = geom
@@ -149,16 +144,16 @@ class TestTaskTimes:
         with Instrumentation(trace_capacity=0) as probe:
             info = hm.factorize()
         kinds = info.graph.kind_counts()
-        assert set(probe.kinds) == set(kinds) | {"pack"}
+        assert set(probe.kinds) == set(kinds) and "pack" in kinds
         for kind, count in kinds.items():
             assert probe.kinds[kind]["submitted"] == count
-            assert probe.kinds[kind]["flops"] == sum(
-                t.flops for t in info.graph.tasks if t.kind == kind)
+        for t in info.graph.tasks:
+            variant, nodes = t.func.args[:2]
+            assert t.flops == kernel_flops(variant, nodes)
 
     def test_one_factorize_looks_its_program_up_once(self, geom, monkeypatch):
-        """The factorisation's one program lookup also gives the leaf DAG its
-        operands and flops: one lookup, and on a known structure one walk of
-        the block tree."""
+        """A factorisation looks its program up once, and on a known structure
+        walks the block tree once."""
         from repro.core import factor_program
         from repro.obs import Instrumentation
 
@@ -174,8 +169,8 @@ class TestTaskTimes:
         assert len(walks) == 1
 
     def test_one_factorize_binds_its_flops_once(self, monkeypatch):
-        """Under a probe the flops the leaf DAG carries are the ones announced:
-        one ``kernel_flops`` call per task of the program, ``pack`` steps
+        """Under a probe the run binds the flops it announces once: one
+        ``kernel_flops`` call per task of the program, ``pack`` steps
         included."""
         from repro.core import factor_program
         from repro.obs import Instrumentation

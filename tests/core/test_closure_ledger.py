@@ -12,8 +12,10 @@ reduction fixes the transitive closure, so an unchanged reduction hash means
 every task waits on exactly the tasks it waited on before: same ready sets,
 same one-worker pull order, same bits.  Where the edge count did not move
 (opaque, coarse, the HMAT leaf DAG, the task solve) the edge-list hash is the
-family walk's too: those graphs are unchanged edge for edge.  All of it is
-structural, so nothing here depends on the platform.
+family walk's too: those graphs are unchanged edge for edge.  The HMAT cell
+is its run's kernels without their ``pack`` steps, re-inferred: the leaf DAG
+the baseline reported then.  All of it is structural, so nothing here
+depends on the platform.
 """
 
 import hashlib
@@ -28,6 +30,7 @@ from repro.core.algorithms import tiled_getrf_tasks, tiled_solve_tasks
 from repro.geometry import cylinder_cloud, laplace_kernel
 from repro.runtime import NestedPolicy, StfEngine
 
+from ..baselines.test_hmat_pins import pack_free
 from .test_nested_equivalence import NEW, _assembled, _kernel, _points
 
 PROBLEMS = {"lu-d": ("laplace", "lu"), "lu-z": ("helmholtz", "lu"), "chol": ("sqexp", "cholesky")}
@@ -128,8 +131,10 @@ def _factor_graph(problem, policy, accumulate=False):
 
 
 def _hmat_graph():
+    """The HMAT run's kernels without its ``pack`` steps, re-inferred: the
+    leaf DAG the baseline reported under the family walk."""
     pts = cylinder_cloud(512)
-    return HMatSolver(laplace_kernel(pts), pts, eps=1e-4, leaf_size=32).factorize().graph
+    return pack_free(HMatSolver(laplace_kernel(pts), pts, eps=1e-4, leaf_size=32).factorize().graph)
 
 
 def _solve_graph():

@@ -18,7 +18,6 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-import repro.baselines.hmat as hmat
 from repro.baselines import DenseTiledCholesky, DenseTiledLU, HMatSolver
 from repro.core import (
     TileHConfig,
@@ -132,18 +131,19 @@ def test_dense_tiled_baseline_matches_the_inline_engine(cls):
     _same_bits(new.solve(b), ref.solve(b))
 
 
-def test_hmat_baseline_matches_the_inline_engine(monkeypatch):
+def test_hmat_baseline_matches_the_inline_engine():
     pts, kern, b = _problem("laplace")
     pts, b = pts[:200], b[:200]
     kern = make_kernel("laplace", pts)
     solver = HMatSolver(kern, pts, eps=1e-5, leaf_size=32, racecheck=True)
     info = solver.factorize()
-    # The leaf replay's engine; the race checker is the run's.
-    monkeypatch.setattr(hmat, "_Recorder", lambda mode: ReferenceStfEngine("eager"))
-    ref_solver = HMatSolver(kern, pts, eps=1e-5, leaf_size=32, racecheck=True)
-    ref_info = ref_solver.factorize()
-    assert [(t.kind, t.priority, t.flops, t.deps) for t in info.graph.tasks] == [
-        (t.kind, t.priority, t.flops, t.deps) for t in ref_info.graph.tasks]
-    assert info.racecheck is not None and ref_info.racecheck is not None
-    assert info.racecheck.violations == ref_info.racecheck.violations == []
-    _same_bits(solver.solve(b), ref_solver.solve(b))
+    # The one tile's factorisation, submitted to the inline engine.
+    ref_desc = HMatSolver(kern, pts, eps=1e-5, leaf_size=32)._tile.desc
+    ref_eng = ReferenceStfEngine(racecheck=True, nested=NestedPolicy(min_leaf=32))
+    ref_graph = tiled_getrf_tasks(ref_desc, ref_eng, accumulate=True)
+    desc = solver._tile.desc
+    assert _fields(info.graph) == _fields(ref_graph)
+    assert info.racecheck is not None
+    assert info.racecheck.violations == ref_eng.racecheck.violations == []
+    assert _tile_bytes(desc) == _tile_bytes(ref_desc)
+    _same_bits(tiled_solve(desc, b), tiled_solve(ref_desc, b))

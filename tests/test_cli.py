@@ -82,13 +82,28 @@ class TestMain:
         assert any(e.get("ph") == "X" for e in events)
         assert "Chrome trace written" in capsys.readouterr().out
 
-    def test_hmat_chrome_trace_warns(self, tmp_path, capsys):
+    @pytest.mark.parametrize("fmt", ["hmat", "blr"])
+    def test_every_format_writes_a_chrome_trace(self, fmt, tmp_path, capsys):
         path = tmp_path / "run.trace.json"
-        rc = main(["--n", "250", "--format", "hmat", "--threads", "1",
+        rc = main(["--n", "250", "--format", fmt, "--nb", "125", "--threads", "1",
                    "--chrome-trace", str(path)])
         assert rc == 0
-        assert not path.exists()
-        assert "--chrome-trace needs --format tile-h" in capsys.readouterr().err
+        events = json.loads(path.read_text())["traceEvents"]
+        assert any(e.get("ph") == "X" for e in events)
+        out = capsys.readouterr().out
+        assert "events validated as a linear extension" in out
+        assert "Chrome trace written" in out
+
+    def test_hmat_run_report_states_what_ran(self, tmp_path, capsys):
+        """HMAT factors with one tile (``nb = n``) and runs its ``pack``
+        steps: the report says so."""
+        path = tmp_path / "run.json"
+        rc = main(["--n", "300", "--format", "hmat", "--threads", "1",
+                   "--profile", str(path)])
+        assert rc == 0
+        report = json.loads(path.read_text())
+        assert report["meta"]["nb"] == 300
+        assert report["kinds"]["pack"]["count"] > 0
 
     def test_racecheck_flag_parsed(self):
         args = build_parser().parse_args(["--racecheck"])
