@@ -276,6 +276,8 @@ def main(argv: list[str] | None = None) -> int:
             if used:
                 return cli_error(f"{flag} needs --format tile-h")
     nb = args.nb if args.nb is not None else default_nb(args.n)
+    if args.format == "hmat":  # one tile, whatever --nb says
+        nb = args.n
     try:
         tile_config = TileHConfig(
             nb=nb, eps=args.eps, leaf_size=args.leaf_size, racecheck=args.racecheck,

@@ -15,18 +15,22 @@ out, and run by every factorisation (eager is a one-worker run):
   :class:`FactorProgram`: per task its kind, kernel variant, label and
   priority, its operands and accesses as integer *slots*, its dependency and
   successor lists, and the expansion ranges;
-* an eager or threaded factorisation runs a program from its arrays: the
-  bind resolves the slots to this descriptor's nodes (one walk); task
-  ``t`` is the id ``t``, its kernel resolved at dispatch, its indegree a CSR
-  count, its successors a sorted ``int32`` slice — the
-  :class:`~repro.runtime.ready.Lowered` form the ready front runs;
-* :func:`instantiate` binds a program to a descriptor as an ordinary
-  :class:`~repro.runtime.TaskGraph`: handles, closures, flops (a subtask's
-  rank-dependent) and :class:`~repro.runtime.Task` objects.  It is what
+* every in-process factorisation runs a program from its arrays
+  (:func:`_bind`): the bind resolves the slots to this descriptor's nodes (one walk); task ``t``
+  is the id ``t``, its kernel resolved at dispatch, its indegree a CSR count,
+  its successors a sorted ``int32`` slice — the
+  :class:`~repro.runtime.ready.Lowered` form the ready front runs: eager on
+  one worker, threaded on several, race-checked on one with
+  :meth:`RaceChecker.watch <repro.runtime.RaceChecker.watch>` bracketing its
+  ``execute``;
+* :func:`instantiate` describes a program on a descriptor as an ordinary
+  :class:`~repro.runtime.TaskGraph`: handles, accesses, edges, flops (a
+  subtask's rank-dependent) and each task's
+  :class:`~repro.runtime.TaskSpec`, but no kernel.  It is what
   :attr:`FactorizationInfo.graph <repro.core.solver.FactorizationInfo.graph>`
-  calls on first read, and what a process run (its workers need each task's
-  :class:`~repro.runtime.TaskSpec`) and a race-checked run (its
-  :class:`~repro.runtime.RaceChecker` brackets each task) bind up front;
+  calls on first read, after the run, what a process run (its workers run
+  each task's spec) binds up front to run, and what a race-checked run's
+  checker reads each task's accesses from;
 * :func:`announce` tells the ambient probe, before a run, every task the
   run will execute — what ``insert_task`` would have announced — with the
   flops :func:`bound_flops` binds on the ranks the kernels start from;
@@ -47,7 +51,6 @@ from __future__ import annotations
 import operator
 import threading
 from collections import OrderedDict
-from functools import partial
 from itertools import chain
 
 import numpy as np
@@ -237,15 +240,15 @@ def record(desc: TileHDesc, method: str, policy: NestedPolicy | None) -> FactorP
     return p
 
 
-def instantiate(
-    program: FactorProgram, desc: TileHDesc, eps: float, acc=None
-) -> tuple[TaskGraph, NestedStats | None]:
-    """Bind ``program`` to the tiles of ``desc``: a deferred, runnable graph.
+def instantiate(program: FactorProgram, desc: TileHDesc) -> tuple[TaskGraph, NestedStats | None]:
+    """Describe ``program`` on the tiles of ``desc``: a graph that runs nothing.
 
     Field by field what the recorder's engine would have built on ``desc``
-    (kind, label, priority, flops, accesses, edges, expansion records) — with
-    this descriptor's nodes in the closures and ranks in a subtask's flops;
-    the closures are :func:`_bind`'s kernels, deferring through ``acc``.
+    (kind, label, priority, flops, accesses, edges, expansion records, and a
+    process spec where the recorder had one, at ``desc.eps``) — with this
+    descriptor's nodes in the accesses and its ranks in a subtask's flops —
+    but no kernel: every run executes :func:`_bind`'s program, or (a process
+    run) the specs.
     """
     nodes = _walk(desc, program.method)[0]
     if _key(nodes, desc.nt, program.method, program.policy) != program.key:
@@ -268,22 +271,21 @@ def instantiate(
         for c, mode in enumerate(_MODES):
             pairs[3 * s + c] = (handle, mode)
 
-    # One gather each resolves every operand and every access of the graph;
-    # a task's share is then a slice (of a tuple: already the tuple it keeps).
-    operands = task_operands(program, nodes)
-    flops = bound_flops(program, operands)
+    # One gather each resolves every access of the graph (and every operand,
+    # for the flops); a task's share is then a slice (of a tuple: already the
+    # tuple it keeps).
+    flops = bound_flops(program, task_operands(program, nodes))
     accesses = tuple(map(pairs.__getitem__, program.acc_code.tolist()))
     deps, succs = program.dep_idx.tolist(), program.suc_idx.tolist()
     acc_ptr = program.acc_ptr.tolist()
     dep_ptr, suc_ptr = program.dep_ptr.tolist(), program.suc_ptr.tolist()
-    paths, flushes = program.paths, program.flushes
+    paths, eps = program.paths, desc.eps
     graph = TaskGraph()
     tasks = graph.tasks
     for t, (kind, variant, unit, label, priority) in enumerate(
         zip(program.kinds, program.variants, program.units, program.labels,
             program.priorities.tolist())
     ):
-        nodes_t = operands[t]
         task = Task(
             t,
             kind,
@@ -291,7 +293,7 @@ def instantiate(
             priority,
             0.0,
             flops[t],
-            partial(run_kernel, variant, nodes_t, eps, unit, acc=acc, flush=flushes[t]),
+            None,
             set(deps[dep_ptr[t]:dep_ptr[t + 1]]),
             set(succs[suc_ptr[t]:suc_ptr[t + 1]]),
             label,
@@ -360,7 +362,8 @@ def _bind(program: FactorProgram, nodes: list, eps: float, acc=None) -> Lowered:
     """``program`` as the ready front runs it on ``nodes`` (its slots, in
     :func:`_walk`'s order, which :func:`_lookup` returns with the program),
     deferring updates through ``acc`` (an
-    :class:`~repro.hmatrix.UpdateAccumulator`) when one is given.
+    :class:`~repro.hmatrix.UpdateAccumulator`) when one is given: the one
+    executable form of an eager, threaded or race-checked factorisation.
 
     Task ``t`` is the id ``t``; its kernel is resolved at dispatch on its
     :func:`task_operands`; its indegree and successors are the program's CSR

@@ -221,7 +221,7 @@ def _nested_policy(cfg: TileHConfig) -> NestedPolicy | None:
 def _measured_graph(program, desc: TileHDesc, trace: ExecutionTrace) -> TaskGraph:
     """The graph a program run executed: bound now, with each task's measured
     seconds taken from its trace event."""
-    graph = instantiate(program, desc, desc.eps)[0]
+    graph = instantiate(program, desc)[0]
     for task, seconds in zip(graph.tasks, trace.task_seconds(len(graph))):
         task.seconds = seconds
     return graph
@@ -233,15 +233,15 @@ class FactorizationInfo:
     ``trace`` is the run's per-worker execution timeline (one worker when
     eager; check it with :func:`~repro.runtime.validate_trace`) and
     ``wall_seconds`` its wall time.  ``graph`` is its
-    :class:`~repro.runtime.TaskGraph`: a process or race-checked run binds it
-    up front; any other runs its factor program
-    (:mod:`repro.core.factor_program`) without one and binds it on first read
-    — :func:`~repro.core.factor_program.instantiate` on the factor, so a
-    subtask's flops count the factor's ranks — with each task's measured
-    seconds (its trace event) written in.  The dense baseline's info has the
-    graph of its eager engine section, timed by that section's one-worker
-    run, and no trace; the HMAT baseline returns its one tile's info
-    unchanged (``nt = 1``).
+    :class:`~repro.runtime.TaskGraph`, bound the same way whatever the
+    executor: a run executes its factor program
+    (:mod:`repro.core.factor_program`) without it, and it is bound on first
+    read, after the run — :func:`~repro.core.factor_program.instantiate` on
+    the factor, so a subtask's flops count the factor's ranks — with each
+    task's measured seconds (its trace event) written in.  The dense
+    baseline's info has the graph of its eager engine section, timed by that
+    section's one-worker run, and no trace; the HMAT baseline returns its one
+    tile's info unchanged (``nt = 1``).
 
     ``racecheck`` holds the :class:`~repro.runtime.RaceChecker` that
     observed the factorisation when the detector was enabled (``None``
@@ -483,22 +483,21 @@ class TileHMatrix:
         # recorded first when this structure is new here.
         program, nodes = _lookup(desc, method, _nested_policy(cfg))
         announce(program, nodes)
-        # Process workers need each task's TaskSpec (which carries no
-        # accumulator: process runs are undeferred) and the race checker
-        # brackets each Task, so both bind the graph up front; any other run
-        # goes from the program's arrays and binds the graph on first read.
-        process = cfg.exec_mode == "process"
-        acc = UpdateAccumulator(desc.eps) if cfg.accumulate and not process else None
-        checker = RaceChecker() if cfg.racecheck else None
-        graph = (instantiate(program, desc, desc.eps, acc)[0]
-                 if process or checker is not None else None)
-        if checker is not None:
-            checker.watch(graph)
-        wall, trace = self._run(_bind(program, nodes, desc.eps, acc) if graph is None else graph)
-        info = FactorizationInfo(graph, desc.nb, desc.nt, racecheck=checker, trace=trace,
+        checker = None
+        if cfg.exec_mode == "process":
+            # Workers run each task's TaskSpec, which carries no accumulator:
+            # process runs are undeferred.
+            run = instantiate(program, desc)[0]
+        else:
+            acc = UpdateAccumulator(desc.eps) if cfg.accumulate else None
+            run = _bind(program, nodes, desc.eps, acc)
+            if cfg.racecheck:
+                checker = RaceChecker()
+                checker.watch(run, instantiate(program, desc)[0].tasks)
+        wall, trace = self._run(run)
+        info = FactorizationInfo(None, desc.nb, desc.nt, racecheck=checker, trace=trace,
                                  wall_seconds=wall, nested_stats=_nested_stats(program))
-        if graph is None:
-            info._make_graph = partial(_measured_graph, program, desc, trace)
+        info._make_graph = partial(_measured_graph, program, desc, trace)
         return info
 
     def _check_intact(self) -> None:

@@ -45,16 +45,17 @@ def current() -> "Instrumentation | None":
 
 
 def _kind_zero() -> dict:
-    return {"submitted": 0, "count": 0, "seconds": 0.0, "flops": 0.0, "operand_bytes": 0}
+    return {"submitted": 0, "flops": 0.0, "operand_bytes": 0}
 
 
 def _worker_zero() -> dict:
-    return {"tasks": 0, "busy_seconds": 0.0, "wait_seconds": 0.0, "lease_handoffs": 0}
+    return {"wait_seconds": 0.0, "lease_handoffs": 0}
 
 
 class Instrumentation:
-    """Per-run observability hub: registry + per-kind/worker aggregates +
-    scheduler counters + time series for Chrome counter tracks.
+    """Per-run observability hub: registry + per-kind submission tallies +
+    per-worker wait tallies + scheduler counters + time series for Chrome
+    counter tracks.
 
     ``clock`` defaults to ``time.perf_counter``; series timestamps are
     relative to construction time (virtual-time callers pass explicit ``t``).
@@ -115,17 +116,11 @@ class Instrumentation:
         if operand_max_rank:
             self.registry.observe("tasks.operand_max_rank", operand_max_rank)
 
-    def task_span(self, kind: str, worker: int, start: float, end: float) -> None:
-        """One task executed on ``worker`` over ``[start, end]``."""
-        dur = end - start
-        with self._lock:
-            k = self.kinds[kind]
-            k["count"] += 1
-            k["seconds"] += dur
-            w = self.workers[worker]
-            w["tasks"] += 1
-            w["busy_seconds"] += dur
-        self.registry.observe(f"tasks.seconds.{kind}", dur)
+    def task_span(self, kind: str, start: float, end: float) -> None:
+        """One task of ``kind`` executed over ``[start, end]``: its duration
+        joins the kind's histogram.  Per-kind and per-worker counts and busy
+        time are the trace's (``build_run_report`` reads them there)."""
+        self.registry.observe(f"tasks.seconds.{kind}", end - start)
 
     def worker_wait(self, worker: int, seconds: float) -> None:
         """Measured time ``worker`` spent parked waiting for ready work or,

@@ -8,10 +8,12 @@ worker **processes**: tile payloads are placed in shared-memory segments by a
 views and call LAPACK on shared pages, and only skeleton pickles (object
 shells holding :class:`~repro.runtime.shmem.ArenaRef` pointers) cross pipes.
 
-Tasks must carry a :class:`TaskSpec` — a declarative, picklable description
-(``"module:callable"`` plus scalar args) — because closures built by a
-deferred :class:`~repro.runtime.stf.StfEngine` capture live objects in the
-parent.  The worker-side convention is ``fn(payloads, *args, **kwargs)`` where
+Every task must carry a :class:`TaskSpec` — a declarative, picklable
+description (``"module:callable"`` plus scalar args) — because closures built
+by a deferred :class:`~repro.runtime.stf.StfEngine` capture live objects in
+the parent; a worker runs the spec of each task it is sent.  A Tile-H
+factorisation's process run gets its graph, specs included, from
+:func:`repro.core.factor_program.instantiate`.  The worker-side convention is ``fn(payloads, *args, **kwargs)`` where
 ``payloads`` holds the task's access-list payloads in declared order.
 
 Scheduling is the simulator's own code (:mod:`~repro.runtime.ready`): the
@@ -182,26 +184,18 @@ def _worker_loop(widx: int, task_conn, res_conn, arena_tag: str) -> None:
                 for hid, blob in updates:
                     local[hid] = arena.loads(blob)
                 try:
-                    if spec is None:
-                        # Pre-traced task: a no-op round-trip that still
-                        # occupies this worker, so the pull order matches the
-                        # simulator.
-                        t0 = time.perf_counter()
-                        t1 = t0
-                        reships = []
-                    else:
-                        fn = ops.get(spec.op)
-                        if fn is None:
-                            fn = _resolve_op(spec.op)
-                            ops[spec.op] = fn
-                        payloads = [local[h] for h in hids]
-                        t0 = time.perf_counter()
-                        fn(payloads, *spec.args, **spec.kwargs)
-                        t1 = time.perf_counter()
-                        # Always reship written skeletons: in-place mutations
-                        # keep their ArenaRefs (cheap), replaced arrays land
-                        # in fresh worker segments announced below.
-                        reships = [(hid, arena.dumps(local[hid])) for hid in writes]
+                    fn = ops.get(spec.op)
+                    if fn is None:
+                        fn = _resolve_op(spec.op)
+                        ops[spec.op] = fn
+                    payloads = [local[h] for h in hids]
+                    t0 = time.perf_counter()
+                    fn(payloads, *spec.args, **spec.kwargs)
+                    t1 = time.perf_counter()
+                    # Always reship written skeletons: in-place mutations
+                    # keep their ArenaRefs (cheap), replaced arrays land
+                    # in fresh worker segments announced below.
+                    reships = [(hid, arena.dumps(local[hid])) for hid in writes]
                 except BaseException as exc:
                     try:
                         pickle.dumps(exc)
@@ -274,7 +268,7 @@ class ProcessExecutor(GraphExecutor):
 
     Drop-in for :class:`~repro.runtime.threaded.ThreadedExecutor` (same
     scheduler policies, trace, probe hooks), but every task needs a
-    :class:`TaskSpec` (``task.spec``) unless it is pre-traced (``func=None``).
+    :class:`TaskSpec` (``task.spec``), which is what a worker runs.
 
     Each worker holds :func:`~repro.dense.blas.sequential_blas` for its whole
     life (one BLAS stream per worker process).
@@ -313,12 +307,12 @@ class ProcessExecutor(GraphExecutor):
         """
         _check_spawnable()
         handles = {}
-        for t in front.graph.tasks:
-            if t.func is not None and t.spec is None:
+        for t in front.items:
+            if t.spec is None:
                 raise ValueError(
-                    f"task #{t.id} ({t.kind}) has a closure but no TaskSpec; "
-                    "the process executor cannot ship closures to workers — "
-                    "submit tasks with insert_task(..., spec=TaskSpec(...))"
+                    f"task #{t.id} ({t.kind}) has no TaskSpec; the process "
+                    "executor cannot ship closures to workers — submit tasks "
+                    "with insert_task(..., spec=TaskSpec(...))"
                 )
             for h, _mode in t.accesses:
                 handles[h.id] = h
@@ -384,25 +378,23 @@ class ProcessExecutor(GraphExecutor):
                 hids: list[int] = []
                 writes: list[int] = []
                 updates: list[tuple[int, bytes]] = []
-                if task.spec is not None:
-                    for h, mode in task.accesses:
-                        if h.id not in blob:
-                            blob[h.id] = arena.dumps(h.payload)
-                            version[h.id] = 0
-                        hids.append(h.id)
-                        if mode.writes and h.id not in writes:
-                            writes.append(h.id)
-                    for hid in hids:
-                        if hid in batch_written:
-                            # An earlier entry in this batch writes this
-                            # handle: the worker's local copy is current when
-                            # this entry runs; its reship will refresh
-                            # known[w] at done-time.
-                            continue
-                        if known[w].get(hid) != version[hid]:
-                            updates.append((hid, blob[hid]))
-                            known[w][hid] = version[hid]
-                    batch_written.update(writes)
+                for h, mode in task.accesses:
+                    if h.id not in blob:
+                        blob[h.id] = arena.dumps(h.payload)
+                        version[h.id] = 0
+                    hids.append(h.id)
+                    if mode.writes and h.id not in writes:
+                        writes.append(h.id)
+                for hid in hids:
+                    if hid in batch_written:
+                        # An earlier entry in this batch writes this handle:
+                        # the worker's local copy is current when this entry
+                        # runs; its reship will refresh known[w] at done-time.
+                        continue
+                    if known[w].get(hid) != version[hid]:
+                        updates.append((hid, blob[hid]))
+                        known[w][hid] = version[hid]
+                batch_written.update(writes)
                 entries.append((task.id, task.spec, hids, writes, updates))
                 running[w].append(task)
                 if probe is not None:
@@ -449,8 +441,6 @@ class ProcessExecutor(GraphExecutor):
             # Linux.
             t0 = t0_abs - t_start
             t1 = t1_abs - t_start
-            if task.func is not None or task.spec is not None:
-                task.seconds = t1 - t0
             front.retire(task, w)
             front.record(task, w, t0, t1, t1)
             if probe is not None and got:

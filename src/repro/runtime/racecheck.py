@@ -6,9 +6,9 @@ misdeclared access produces a silently-wrong DAG whose replayed schedules are
 not linear extensions of the true data dependencies.  This module checks the
 declarations against reality instead of trusting them:
 
-* **Payload fingerprints** — around the kernel of every task of a graph
-  given to :meth:`~RaceChecker.watch` (an eager engine's section, a
-  race-checked factorisation), the checker hashes the NumPy buffers reachable
+* **Payload fingerprints** — around the kernel of every task of a run given
+  to :meth:`~RaceChecker.watch` (an eager engine's section, a race-checked
+  factorisation's program), the checker hashes the NumPy buffers reachable
   from each accessed handle (content hashes; large arrays are strided-sampled).
   A changed fingerprint on an R-declared handle is an *undeclared write*
   (error); an unchanged one on a pure-W handle is a *silent write* (warning).
@@ -38,6 +38,7 @@ from functools import partial
 import numpy as np
 
 from .dag import TaskGraph
+from .ready import Lowered
 from .task import AccessMode, DataHandle, Task
 from .trace import ExecutionTrace
 
@@ -265,16 +266,20 @@ class RaceChecker:
             bucket.append((arr, handle))
 
     # -- per-task fingerprinting ---------------------------------------------
-    def watch(self, graph: TaskGraph) -> None:
-        """Check each task of ``graph`` that has a kernel as a one-worker run
-        executes it (one snapshot at a time): its handles are registered and
-        its kernel bracketed, so the run's task seconds include the
-        fingerprints."""
-        tasks = [task for task in graph.tasks if task.func is not None]
+    def watch(self, low: Lowered, tasks) -> None:
+        """Check every task of the one-worker run of ``low`` as it executes
+        (one snapshot at a time).  ``tasks[t]`` declares task ``t``'s accesses:
+        an engine section's own tasks, or the graph a factor program
+        describes.  Their handles are registered now and ``low.execute`` is
+        bracketed, so the run's task seconds include the fingerprints."""
         for handle in dict.fromkeys(h for task in tasks for h, _ in task.accesses):
             self.register_handle(handle)
-        for task in tasks:
-            task.func = partial(self._checked, task, task.func)
+        execute, ident = low.execute, low.ident
+
+        def checked(item) -> None:
+            self._checked(tasks[ident(item)], partial(execute, item))
+
+        low.execute = checked
 
     def _checked(self, task: Task, func) -> None:
         """Run ``task``'s kernel ``func`` between two fingerprints of its handles."""

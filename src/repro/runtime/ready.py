@@ -14,7 +14,10 @@ The front runs one representation, :class:`Lowered`: per task id an indegree,
 an ascending successor slice of one flat list and a kind.  A
 :class:`~repro.runtime.dag.TaskGraph` is lowered to it when the front is made;
 a bound factor program (:mod:`repro.core.factor_program`) comes in it, with
-bare ids as its tasks.
+bare ids as its tasks.  Every task run has a kernel — a task's ``func``, or
+the program's ``execute`` — and :meth:`RaceChecker.watch
+<repro.runtime.racecheck.RaceChecker.watch>` checks a one-worker run by
+bracketing ``Lowered.execute``, whichever form it came in.
 """
 
 from __future__ import annotations
@@ -36,8 +39,9 @@ class Lowered:
     ``items[t]`` is what the scheduler is handed, the executor runs
     (``execute(item)``) and the front is told about for task ``t`` — the
     :class:`~repro.runtime.task.Task` itself, or ``t``; ``ident`` maps an item
-    back to ``t``.  ``priorities`` is ``None`` when the items carry their own
-    (``task.priority``), else the table the scheduler reads by id.  Task
+    back to ``t``.  ``priorities`` is ``None`` when the items are tasks, which
+    carry their own (``task.priority``) and take their measured seconds,
+    else the table the scheduler reads by id.  Task
     ``t``'s successors are ``suc[suc_ptr[t]:suc_ptr[t + 1]]``, ascending.
     Read-only: a front copies ``indegree`` before counting it down.
     """
@@ -50,8 +54,7 @@ class Lowered:
 
 
 def _execute_task(task) -> None:
-    if task.func is not None:  # pre-traced tasks (func=None) only take their slot
-        task.func()
+    task.func()
 
 
 def _lower(graph: TaskGraph, start: int = 0) -> Lowered:
@@ -90,7 +93,6 @@ class ReadyFront:
 
     def __init__(self, graph, scheduler: Scheduler, nworkers: int,
                  probe=None, trace: ExecutionTrace | None = None, push=None) -> None:
-        self.graph = graph
         low = _lower(graph) if isinstance(graph, TaskGraph) else graph
         self.items, self.kinds, self.execute = low.items, low.kinds, low.execute
         self.ident, self._suc_ptr, self._suc = low.ident, low.suc_ptr, low.suc
@@ -148,7 +150,7 @@ class ReadyFront:
         recording)."""
         self.log.append((task, w, start, end))
         if self.probe is not None:
-            self.probe.task_span(self.kinds[self.ident(task)], w, start, end)
+            self.probe.task_span(self.kinds[self.ident(task)], start, end)
             self.probe.sample("queue_depth", self.scheduler.pending(), t=now)
 
 
@@ -200,15 +202,15 @@ class GraphExecutor:
         Each executed task's measured wall time is written back to
         ``task.seconds`` (of a :class:`TaskGraph`, or of a lowered section
         whose items are its tasks) so a deferred graph can be replayed in the
-        simulator with real costs; pre-traced tasks (``func=None``) keep
-        theirs.  A :class:`TaskGraph` is validated first; a :class:`Lowered`
-        program was validated when it was recorded, and its measured seconds
-        are its trace events.
+        simulator with real costs.  A :class:`TaskGraph` is validated first;
+        a :class:`Lowered` program was validated when it was recorded, and
+        its measured seconds are its trace events.
         """
         if not len(graph):
             return 0.0
         if isinstance(graph, TaskGraph):
             graph.validate()
+            graph = _lower(graph)
         if self.trace is None:
             self.trace = ExecutionTrace(nworkers=self.nworkers)
         elif self.trace.nworkers < self.nworkers:
@@ -222,7 +224,6 @@ class GraphExecutor:
             try:
                 return self._run(front)  # the subclass's backend
             finally:
-                if front.execute is _execute_task:  # the items are tasks
+                if graph.priorities is None:  # the items are tasks
                     for task, _w, start, end in front.log:
-                        if task.func is not None:
-                            task.seconds = end - start
+                        task.seconds = end - start

@@ -18,7 +18,10 @@ then runs it:
 
 * ``eager`` (default) — the calling thread, as the one leased worker of a
   :class:`~repro.runtime.threaded.ThreadedExecutor` that measures each task's
-  cost for the simulator;
+  cost for the simulator (into ``task.seconds``; every task of an eager
+  section has a kernel), with :meth:`RaceChecker.watch
+  <repro.runtime.racecheck.RaceChecker.watch>` bracketing the lowered
+  section's ``execute`` when the engine checks;
 * ``deferred`` — nothing: the graph is returned unrun, for any executor.
 """
 
@@ -180,7 +183,6 @@ class StfEngine:
         accesses: list[tuple[DataHandle, AccessMode]],
         *,
         priority: int = 0,
-        seconds: float | None = None,
         flops: float = 0.0,
         label: str = "",
         spec=None,
@@ -189,10 +191,9 @@ class StfEngine:
         """Record one task; returns the created graph node.
 
         ``func`` runs when the section does (see :meth:`wait_all`), and the
-        run measures its cost.  An explicit ``seconds`` is the cost of a
-        pre-traced task, which passes ``func=None``.  ``spec`` optionally
-        attaches a declarative, picklable kernel description for process
-        executors.
+        run measures its cost into the returned task's ``seconds``.  ``spec``
+        optionally attaches a declarative, picklable kernel description for
+        process executors.
 
         ``expander`` marks the task as *expandable*: when the engine was
         built with a nested policy, the expander is called instead of the
@@ -220,8 +221,6 @@ class StfEngine:
         )
         task.spec = spec
         task.func = func
-        if seconds is not None:
-            task.seconds = seconds
         self._infer_dependencies(task)
         self._announce(task)
         return task
@@ -279,9 +278,9 @@ class StfEngine:
         start, self._section = self._section, len(graph.tasks)
         if self.mode == "deferred":
             return graph
-        if self.racecheck is not None:
-            self.racecheck.watch(graph)
         section = _lower(graph, start)
+        if self.racecheck is not None:
+            self.racecheck.watch(section, section.items)
         try:
             ThreadedExecutor(1, interpreter_bound=True).run(section)
         finally:

@@ -77,8 +77,10 @@ class Task:
     flops:
         Modelled arithmetic work (the deterministic alternative cost).
     func:
-        The kernel closure; ``None`` once executed eagerly (STF mode) or for
-        replayed/traced tasks.
+        The kernel closure an executor runs; ``None`` once an eager STF
+        section ran it, and in a graph that only describes (a deferred
+        engine's kernel-less tasks, a factor program's bound graph), which
+        is simulated, never run.
     spec:
         Optional declarative kernel description (a
         :class:`~repro.runtime.process.TaskSpec`) that a process executor can

@@ -136,8 +136,10 @@ class TestTaskTimes:
         """The run announces every task of its graph once, ``pack`` steps
         included; the graph's flops are the model on the factor's ranks, as
         every Tile-H graph's are."""
+        from repro.core import factor_program
         from repro.hmatrix.arithmetic import kernel_flops
         from repro.obs import Instrumentation
+        from repro.runtime import NestedPolicy
 
         pts, kern, _ = geom
         hm = HMatSolver(kern, pts, eps=1e-5, leaf_size=32)
@@ -147,9 +149,11 @@ class TestTaskTimes:
         assert set(probe.kinds) == set(kinds) and "pack" in kinds
         for kind, count in kinds.items():
             assert probe.kinds[kind]["submitted"] == count
+        desc = hm._tile.desc
+        program = factor_program.program_for(desc, "lu", NestedPolicy(min_leaf=32))
+        operands = factor_program.task_operands(program, factor_program._walk(desc, "lu")[0])
         for t in info.graph.tasks:
-            variant, nodes = t.func.args[:2]
-            assert t.flops == kernel_flops(variant, nodes)
+            assert t.flops == kernel_flops(program.variants[t.id], operands[t.id])
 
     def test_one_factorize_looks_its_program_up_once(self, geom, monkeypatch):
         """A factorisation looks its program up once, and on a known structure

@@ -328,6 +328,6 @@ def test_a_pack_step_sits_on_a_packable_node_only():
     is never packed, so its ``pack`` would be an empty subtask."""
     desc = build_tile_h(_kernel(1800), _points(1800), 600, eps=1e-6, leaf_size=64, lower=True)
     program = fp.record(desc, "cholesky", NestedPolicy(min_leaf=64))
-    graph = fp.instantiate(program, desc, desc.eps)[0]
+    graph = fp.instantiate(program, desc)[0]
     rows = [t.accesses[0][0].payload.shape[0] for t in graph.tasks if t.kind == "pack"]
     assert rows and max(rows) <= 256

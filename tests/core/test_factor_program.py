@@ -24,6 +24,7 @@ from repro.core.algorithms import (
 )
 from repro.geometry import cylinder_cloud, make_kernel, plate_cloud, streamed_matvec
 from repro.hmatrix import HMatrix
+from repro.hmatrix.arithmetic import run_kernel
 from repro.obs import Instrumentation, build_run_report, render_report, validate_report
 from repro.runtime import NestedPolicy, RuntimeOverheadModel, StfEngine, simulate
 
@@ -84,19 +85,26 @@ def _fresh(desc, method, policy):
     return TASKS_FN[method](desc, engine, accumulate=False), engine.nested_stats
 
 
-def _assert_same_graph(bound, fresh):
+def _assert_same_graph(program, desc, bound, fresh):
+    """``bound`` (``program`` described on ``desc``) is ``fresh`` field by
+    field, kernel-less; and each task's kernel as :func:`fp._bind` runs it —
+    variant, this descriptor's operands, ε, ``unit``, ``flush`` — is the
+    fresh task's closure."""
     (g, stats), (g0, stats0) = bound, fresh
     assert len(g) == len(g0)
+    operands = fp.task_operands(program, fp._walk(desc, program.method)[0])
     for t, u in zip(g.tasks, g0.tasks):
         assert (t.id, t.kind, t.label, t.priority) == (u.id, u.kind, u.label, u.priority)
         assert t.flops == u.flops
         assert [(h.name, m) for h, m in t.accesses] == [(h.name, m) for h, m in u.accesses]
         assert all(h.payload is k.payload for (h, _), (k, _) in zip(t.accesses, u.accesses))
         assert t.deps == u.deps and t.successors == u.successors
-        assert t.spec == u.spec
-        variant, nodes, eps, unit = t.func.args
+        assert t.spec == u.spec and t.func is None
         variant0, nodes0, eps0, unit0 = u.func.args
-        assert (t.func.func, variant, eps, unit) == (u.func.func, variant0, eps0, unit0)
+        assert u.func.func is run_kernel
+        assert (program.variants[t.id], desc.eps, program.units[t.id],
+                program.flushes[t.id]) == (variant0, eps0, unit0, u.func.keywords.get("flush", False))
+        nodes = operands[t.id]
         assert len(nodes) == len(nodes0) and all(a is b for a, b in zip(nodes, nodes0))
     if stats0 is None:  # opaque: nothing expanded
         assert stats is None
@@ -115,12 +123,12 @@ def _assert_same_graph(bound, fresh):
 def test_bound_graph_equals_fresh(method, kernel, policy, priority_mode):
     desc = _assembled(kernel).desc
     program = fp.program_for(desc, method, policy)
-    bound = fp.instantiate(program, desc, desc.eps)
+    bound = fp.instantiate(program, desc)
     fresh = _fresh(desc, method, policy)
     if priority_mode == "bottom-level":
         apply_bottom_level_priorities(bound[0], "flops")
         apply_bottom_level_priorities(fresh[0], "flops")
-    _assert_same_graph(bound, fresh)
+    _assert_same_graph(program, desc, bound, fresh)
     bound[0].validate()
     assert len(program) == len(fresh[0]) and program.n_edges == fresh[0].n_edges()
     if policy is None:  # the opaque graph: one task, with its spec, per tile kernel
@@ -140,11 +148,12 @@ def test_program_recorded_on_one_matrix_binds_to_another(method):
     for other in (_assembled("laplace", 1e-6).desc, _assembled("helmholtz").desc,
                   _assembled("sqexp").desc):
         assert fp.structure_key(other, method, policy) == program.key
-        _assert_same_graph(fp.instantiate(program, other, other.eps), _fresh(other, method, policy))
+        _assert_same_graph(program, other, fp.instantiate(program, other),
+                           _fresh(other, method, policy))
     ranks_moved = [
         t.flops != u.flops
-        for t, u in zip(fp.instantiate(program, first, 1e-4)[0].tasks,
-                        fp.instantiate(program, _assembled("laplace", 1e-6).desc, 1e-6)[0].tasks)
+        for t, u in zip(fp.instantiate(program, first)[0].tasks,
+                        fp.instantiate(program, _assembled("laplace", 1e-6).desc)[0].tasks)
     ]
     assert any(ranks_moved)  # the flops really are per set of tiles
 
@@ -169,7 +178,7 @@ def test_instantiate_rejects_another_structure():
     program = fp.record(_assembled("laplace").desc, "lu", NestedPolicy(min_leaf=32))
     other = TileHMatrix.build(make_kernel("laplace", _points(288)), _points(288), _cfg())
     with pytest.raises(ValueError, match="not the structure"):
-        fp.instantiate(program, other.desc, 1e-4)
+        fp.instantiate(program, other.desc)
 
 
 # -- executed: eager's bits ------------------------------------------------------
@@ -383,10 +392,9 @@ def test_key_changes_with_a_shape_across_a_threshold(n, nb, threshold):
                           TileHConfig(nb=threshold, leaf_size=LEAF))
     assert (key == fp.structure_key(b.desc, "lu", policy)) == (nb == threshold)
     # Whatever side of the threshold, the bound graph is that side's fresh graph.
-    _assert_same_graph(
-        fp.instantiate(fp.program_for(a.desc, "lu", policy), a.desc, a.desc.eps),
-        _fresh(a.desc, "lu", policy),
-    )
+    program = fp.program_for(a.desc, "lu", policy)
+    _assert_same_graph(program, a.desc, fp.instantiate(program, a.desc),
+                       _fresh(a.desc, "lu", policy))
 
 
 def test_equal_nt_other_trees_miss():

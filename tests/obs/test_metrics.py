@@ -4,7 +4,10 @@ import threading
 
 import pytest
 
-from repro.obs import Histogram, Instrumentation, MetricsRegistry, SchedulerStats, current
+from repro.obs import (
+    Histogram, Instrumentation, MetricsRegistry, SchedulerStats, build_run_report, current,
+)
+from repro.runtime import ExecutionTrace, TraceEvent
 
 
 class TestHistogram:
@@ -150,14 +153,22 @@ class TestInstrumentation:
         assert current() is None
 
     def test_task_span_aggregates(self):
+        # The probe keeps each kind's duration histogram; per-kind and
+        # per-worker counts and busy time are the trace's, folded by the report.
         probe = Instrumentation()
-        probe.task_span("gemm", 0, 0.0, 1.0)
-        probe.task_span("gemm", 1, 1.0, 1.5)
-        probe.task_span("trsm", 0, 1.0, 2.0)
-        assert probe.kinds["gemm"]["count"] == 2
-        assert probe.kinds["gemm"]["seconds"] == pytest.approx(1.5)
-        assert probe.workers[0]["busy_seconds"] == pytest.approx(2.0)
-        assert probe.workers[1]["tasks"] == 1
+        trace = ExecutionTrace(nworkers=2)
+        for tid, (kind, w, start, end) in enumerate(
+            [("gemm", 0, 0.0, 1.0), ("gemm", 1, 1.0, 1.5), ("trsm", 0, 1.0, 2.0)]
+        ):
+            probe.task_span(kind, start, end)
+            trace.add(TraceEvent(tid, kind, w, start, end))
+        gemm = probe.registry.histogram("tasks.seconds.gemm")
+        assert gemm["count"] == 2 and gemm["sum"] == pytest.approx(1.5)
+        report = build_run_report(probe=probe, trace=trace)
+        assert report["kinds"]["gemm"]["count"] == 2
+        assert report["kinds"]["gemm"]["seconds"] == pytest.approx(1.5)
+        assert report["workers"][0]["busy_seconds"] == pytest.approx(2.0)
+        assert report["workers"][1]["tasks"] == 1
 
     def test_h_bytes_peak_and_series(self):
         probe = Instrumentation()

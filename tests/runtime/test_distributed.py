@@ -79,11 +79,11 @@ class TestMappings:
 
 def _two_node_chain(comm_bytes=1e6):
     """Producer on node 0, consumer on node 1, 1 second of work each."""
-    eng = StfEngine()
+    eng = StfEngine(mode="deferred")
     a = eng.handle(object(), "A[0,0]")
     b = eng.handle(object(), "A[1,0]")
-    t1 = eng.insert_task("w", None, [(a, RW)], seconds=1.0)
-    t2 = eng.insert_task("r", None, [(a, R), (b, RW)], seconds=1.0)
+    eng.insert_task("w", None, [(a, RW)]).seconds = 1.0
+    eng.insert_task("r", None, [(a, R), (b, RW)]).seconds = 1.0
     g = eng.wait_all()
     handle_node = {a.id: 0, b.id: 1}
     handle_bytes = {a.id: comm_bytes, b.id: comm_bytes}
@@ -120,10 +120,10 @@ class TestSimulateDistributed:
         assert r.makespan == pytest.approx(2.25)
 
     def test_parallel_nodes(self):
-        eng = StfEngine()
+        eng = StfEngine(mode="deferred")
         handles = [eng.handle(object(), f"A[{i},{i}]") for i in range(4)]
         for h in handles:
-            eng.insert_task("w", None, [(h, RW)], seconds=1.0)
+            eng.insert_task("w", None, [(h, RW)]).seconds = 1.0
         g = eng.wait_all()
         hn = {h.id: i % 2 for i, h in enumerate(handles)}
         m = DistributedMachine(nodes=2, workers_per_node=2)
@@ -131,10 +131,10 @@ class TestSimulateDistributed:
         assert r.makespan == pytest.approx(1.0)
 
     def test_worker_limit_per_node(self):
-        eng = StfEngine()
+        eng = StfEngine(mode="deferred")
         handles = [eng.handle(object(), f"A[{i},0]") for i in range(4)]
         for h in handles:
-            eng.insert_task("w", None, [(h, RW)], seconds=1.0)
+            eng.insert_task("w", None, [(h, RW)]).seconds = 1.0
         g = eng.wait_all()
         hn = {h.id: 0 for h in handles}
         m = DistributedMachine(nodes=1, workers_per_node=2)
@@ -180,9 +180,9 @@ class TestTileHDistribution:
         assert r_one.makespan <= r.makespan + 1e-9
 
     def test_rejects_foreign_handles(self):
-        eng = StfEngine()
+        eng = StfEngine(mode="deferred")
         h = eng.handle(object(), "weird")
-        eng.insert_task("w", None, [(h, RW)], seconds=1.0)
+        eng.insert_task("w", None, [(h, RW)]).seconds = 1.0
         g = eng.wait_all()
         with pytest.raises(ValueError):
             tile_h_distribution(g, {})

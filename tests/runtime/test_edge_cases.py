@@ -14,7 +14,7 @@ from repro.runtime import (
     simulate,
 )
 
-from .graphs import pretraced_graph
+from .graphs import costed_graph
 
 R, W, RW = AccessMode.R, AccessMode.W, AccessMode.RW
 ZERO = RuntimeOverheadModel.zero()
@@ -63,10 +63,10 @@ class TestSchedulerObjectReuse:
     def test_finished_run_leaves_no_probe_on_the_scheduler(self, run):
         sched = make_scheduler("lws")
         with Instrumentation() as probe:
-            run(pretraced_graph(7), sched)
+            run(costed_graph(7), sched)
             pushes = probe.sched.pushes
             assert sched.stats is None
-            sched.push(pretraced_graph(7).tasks[0], None)
+            sched.push(costed_graph(7).tasks[0], None)
             assert probe.sched.pushes == pushes
 
     def test_failed_run_leaves_no_probe_on_the_scheduler(self):

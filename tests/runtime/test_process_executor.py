@@ -24,7 +24,7 @@ from repro.runtime import (
 )
 from repro.runtime.dag import TaskGraph
 
-from .graphs import pretraced_graph
+from .graphs import costed_graph
 
 R, W, RW = AccessMode.R, AccessMode.W, AccessMode.RW
 ZERO = RuntimeOverheadModel.zero()
@@ -62,11 +62,11 @@ def _no_shm_leaks():
 def test_single_worker_process_matches_simulator_order(policy):
     """At nworkers=1 the process executor pulls tasks in exactly the order
     the virtual-time simulator schedules them, for every policy."""
-    g_sim = pretraced_graph(seed=7)
+    g_sim = costed_graph(seed=7)
     r = simulate(g_sim, 1, policy, overheads=ZERO)
     sim_order = [e.task_id for e in r.trace.events]
 
-    g_proc = pretraced_graph(seed=7)
+    g_proc = costed_graph(seed=7)
     ex = ProcessExecutor(1, scheduler=policy)
     ex.run(g_proc)
     proc_order = [e.task_id for e in sorted(ex.trace.events, key=lambda e: e.start)]
@@ -252,11 +252,11 @@ def test_batched_single_worker_still_matches_simulator_order(policy):
     """Batched dispatch must not change the 1-worker pull order: optimistic
     completion replays the exact pop -> release -> pop sequence the
     simulator uses, just without waiting for per-task round trips."""
-    g_sim = pretraced_graph(seed=11)
+    g_sim = costed_graph(seed=11)
     sim_order = [
         e.task_id for e in simulate(g_sim, 1, policy, overheads=ZERO).trace.events
     ]
-    g_proc = pretraced_graph(seed=11)
+    g_proc = costed_graph(seed=11)
     ex = ProcessExecutor(1, scheduler=policy, dispatch_batch=4)
     ex.run(g_proc)
     proc_order = [

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from repro.runtime import TaskGraph
 from repro.runtime.ready import ReadyFront, drive
 
-from .graphs import pretraced_graph, seeds, sizes
+from .graphs import costed_graph, seeds, sizes
 
 
 class RecordingScheduler:
@@ -79,7 +79,7 @@ def test_an_optimistic_release_is_not_repeated_by_retire():
 @settings(max_examples=40, deadline=None)
 @given(seed=seeds, n=sizes)
 def test_every_task_is_pushed_exactly_once_and_the_front_drains(seed, n):
-    g, sched = pretraced_graph(seed, n), RecordingScheduler()
+    g, sched = costed_graph(seed, n), RecordingScheduler()
     front = ReadyFront(g, sched, 1)
     started = []
 

@@ -69,7 +69,7 @@ class TestDependencyInference:
 
     def test_tiled_lu_dag_shape(self):
         """The 3x3 tiled LU must produce exactly the paper's Figure 1 DAG."""
-        eng = StfEngine()
+        eng = StfEngine(mode="deferred")
         tiles = {(i, j): eng.handle(object(), f"A{i}{j}") for i in range(3) for j in range(3)}
         nt = 3
         for k in range(nt):
@@ -109,13 +109,18 @@ class TestDependencyInference:
         assert t.seconds > 0
 
     def test_explicit_seconds_override(self):
-        # An explicit cost is a pre-traced task's; a kernel's run measures its own.
-        eng = StfEngine()
+        # A cost set on the returned task stays while nothing runs it; a
+        # kernel's run measures its own.
+        eng = StfEngine(mode="deferred")
         h = eng.handle(object())
-        traced = eng.insert_task("k", None, [(h, RW)], seconds=4.5, flops=7.0)
-        run = eng.insert_task("k", lambda: None, [(h, RW)], seconds=4.5)
+        costed = eng.insert_task("k", None, [(h, RW)], flops=7.0)
+        costed.seconds = 4.5
         eng.wait_all()
-        assert traced.seconds == 4.5 and traced.flops == 7.0
+        assert costed.seconds == 4.5 and costed.flops == 7.0
+        eng = StfEngine()
+        run = eng.insert_task("k", lambda: None, [(eng.handle(object()), RW)])
+        run.seconds = 4.5
+        eng.wait_all()
         assert run.seconds != 4.5
 
     def test_eager_sections_run_each_kernel_once(self):
@@ -142,8 +147,10 @@ class TestDependencyInference:
             eng.insert_task("trsm", lambda: None, [(h, RW)])
             g = eng.wait_all()
         assert len(g) == 4  # the returned graph stays cumulative
-        assert probe.kinds["gemm"]["submitted"] == probe.kinds["gemm"]["count"] == 3
-        assert probe.kinds["trsm"]["count"] == 1
+        runs = {kind: probe.registry.histogram(f"tasks.seconds.{kind}")["count"]
+                for kind in ("gemm", "trsm")}
+        assert probe.kinds["gemm"]["submitted"] == runs["gemm"] == 3
+        assert runs["trsm"] == 1
 
     def test_eager_kernel_error_raises_from_wait_all(self):
         eng = StfEngine()
@@ -171,7 +178,7 @@ class TestDependencyInference:
             StfEngine(mode="turbo")
 
     def test_wait_all_validates(self):
-        eng = StfEngine()
+        eng = StfEngine(mode="deferred")
         h = eng.handle(object())
         eng.insert_task("a", None, [(h, W)])
         eng.insert_task("b", None, [(h, RW)])

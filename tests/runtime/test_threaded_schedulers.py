@@ -29,7 +29,7 @@ from repro.runtime import (
     validate_trace,
 )
 
-from .graphs import pretraced_graph, seeds, sizes
+from .graphs import costed_graph, seeds, sizes
 
 R, W, RW = AccessMode.R, AccessMode.W, AccessMode.RW
 
@@ -81,13 +81,13 @@ def test_single_worker_threaded_matches_simulator_order(policy, seed, n):
     """At nworkers=1 there is no timing jitter: the threaded executor must
     pull tasks in exactly the order the virtual-time simulator does — with
     or without the (uncontended) interpreter lease."""
-    g_sim = pretraced_graph(seed, n)
+    g_sim = costed_graph(seed, n)
     r = simulate(g_sim, 1, policy, overheads=ZERO)
     sim_order = [e.task_id for e in r.trace.events]
 
     # Looped, not parametrized: the five test ids stay as they were.
     for leased in (False, True):
-        g_thr = pretraced_graph(seed, n)  # fresh graph, same structure
+        g_thr = costed_graph(seed, n)  # fresh graph, same structure
         ex = ThreadedExecutor(1, scheduler=policy, interpreter_bound=leased)
         ex.run(g_thr)
         thr_order = [e.task_id for e in sorted(ex.trace.events, key=lambda e: e.start)]
@@ -128,7 +128,7 @@ def test_virtual_time_determinism_on_tied_priorities(policy):
     """All tasks share one priority: ties must break on submission order,
     identically across repeated simulations."""
     def graph():
-        g = pretraced_graph(seed=3, n=30)
+        g = costed_graph(seed=3, n=30)
         for t in g.tasks:
             t.priority = 7
         return g
@@ -198,7 +198,7 @@ class TestBottomLevels:
         assert levels[a.id] == 8.0
 
     def test_max_bottom_level_is_critical_path(self):
-        g = pretraced_graph(seed=5, n=40)
+        g = costed_graph(seed=5, n=40)
         levels = g.bottom_levels()
         assert max(levels.values()) == pytest.approx(g.critical_path())
 

@@ -140,14 +140,6 @@ class TestThreadedExecutor:
 
         assert simulate(g, 1, "prio").makespan >= 0.01
 
-    def test_pretraced_seconds_kept(self):
-        eng = StfEngine(mode="deferred")
-        h = eng.handle(object())
-        eng.insert_task("k", None, [(h, RW)], seconds=3.5)
-        g = eng.wait_all()
-        ThreadedExecutor(1).run(g)
-        assert g.tasks[0].seconds == 3.5
-
     def test_empty_graph(self):
         from repro.runtime import TaskGraph
 

@@ -105,6 +105,14 @@ class TestMain:
         assert report["meta"]["nb"] == 300
         assert report["kinds"]["pack"]["count"] > 0
 
+    @pytest.mark.parametrize("nb", [[], ["--nb", "125"]], ids=["default", "given"])
+    def test_hmat_header_states_the_nb_it_factors_with(self, nb, capsys):
+        """HMAT factors with one tile: the header says ``nb = n``, as the
+        run report's ``meta.nb`` does, not the tile size of another format."""
+        rc = main(["--n", "300", "--format", "hmat", "--threads", "1", *nb])
+        assert rc == 0
+        assert "format    : hmat (nb=300," in capsys.readouterr().out
+
     def test_racecheck_flag_parsed(self):
         args = build_parser().parse_args(["--racecheck"])
         assert args.racecheck is True
