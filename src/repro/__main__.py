@@ -67,7 +67,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--format",
         choices=["tile-h", "hmat", "blr"],
         default="tile-h",
-        help="storage format / solver variant (--method cholesky and --nested: tile-h only)",
+        help="storage format / solver variant (--method cholesky, --nested and --exec: "
+        "tile-h only; hmat takes no --nb)",
     )
     parser.add_argument(
         "--scheduler",
@@ -275,8 +276,10 @@ def main(argv: list[str] | None = None) -> int:
                            (f"--exec {args.exec_mode}", args.exec_mode != "eager")):
             if used:
                 return cli_error(f"{flag} needs --format tile-h")
+    if args.format == "hmat" and args.nb is not None:
+        return cli_error("--nb needs --format tile-h or blr (hmat factors one tile, nb = n)")
     nb = args.nb if args.nb is not None else default_nb(args.n)
-    if args.format == "hmat":  # one tile, whatever --nb says
+    if args.format == "hmat":
         nb = args.n
     try:
         tile_config = TileHConfig(

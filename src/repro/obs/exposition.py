@@ -15,14 +15,17 @@ probe, so each series appears once.  A fleet's shards come out as the
 (``'a.b{worker="w0"}'``); the brace part is passed through as the
 Prometheus label set.
 
-:class:`SlidingWindow` is the rolling-latency reservoir behind the per-lane
-quantiles: a time-bounded deque of ``(t, value)`` pairs, pruned on read, so
-``/metrics`` reports *recent* latency rather than the lifetime mix the
-registry histograms accumulate.
+:class:`SlidingWindow` is the one latency record of a pipeline or a fleet
+lane: lifetime count/sum/min/max plus the newest :data:`_KEEP` ``(t, value)``
+pairs.  Its :meth:`~SlidingWindow.summary` is what ``stats()`` reports; its
+:meth:`~SlidingWindow.snapshot` is the last :data:`WINDOW_SECONDS` of it, so
+``/metrics`` reports *recent* latency rather than the lifetime mix.  Both
+rank by one rule (:func:`_summary`).
 """
 
 from __future__ import annotations
 
+import math
 import re
 import threading
 import time
@@ -43,61 +46,66 @@ _LINE = re.compile(
 _LABEL = re.compile(r'([a-zA-Z_][a-zA-Z0-9_]*)="([^"]*)"')
 
 
-class SlidingWindow:
-    """Time-bounded latency reservoir: keeps ``(t, value)`` observations
-    newer than ``window_seconds`` (and at most ``maxlen`` of them) and
-    reports count/mean/max/p50/p95/p99 over that window."""
+#: Newest observations a record keeps for its percentiles.
+_KEEP = 4096
+#: Span of the rolling window ``/metrics`` reports, in seconds.
+WINDOW_SECONDS = 60.0
 
-    def __init__(self, window_seconds: float = 60.0, *, maxlen: int = 4096, clock=time.monotonic) -> None:
-        self.window_seconds = float(window_seconds)
+
+def _summary(count: int, total: float, values: list, **extra) -> dict:
+    """``extra`` + count/sum/mean, and p50/p95/p99 of the sorted ``values``
+    by rank ``int(q * (n - 1))``: an observed value, never an interpolation."""
+    out = {**extra, "count": count, "sum": total, "mean": total / count if count else 0.0}
+    for key, q in (("p50", 0.50), ("p95", 0.95), ("p99", 0.99)):
+        out[key] = values[int(q * (len(values) - 1))] if values else 0.0
+    return out
+
+
+class SlidingWindow:
+    """One latency record: lifetime count/sum/min/max and the newest
+    :data:`_KEEP` ``(t, value)`` observations, seen through two views
+    (:meth:`summary` and :meth:`snapshot`).  ``clock`` stamps observations
+    made without a time."""
+
+    def __init__(self, *, clock=time.monotonic) -> None:
         self._clock = clock
         self._lock = threading.Lock()
-        self._obs: deque[tuple[float, float]] = deque(maxlen=maxlen)
+        self._obs: deque[tuple[float, float]] = deque(maxlen=_KEEP)
+        self._count = 0
+        self._total = 0.0
+        self._min = math.inf
+        self._max = -math.inf
 
     def observe(self, value: float, t: float | None = None) -> None:
         if t is None:
             t = self._clock()
+        value = float(value)
         with self._lock:
-            self._obs.append((t, float(value)))
+            self._obs.append((t, value))
+            self._count += 1
+            self._total += value
+            self._min = min(self._min, value)
+            self._max = max(self._max, value)
 
-    def _prune_locked(self, now: float) -> None:
-        horizon = now - self.window_seconds
-        while self._obs and self._obs[0][0] < horizon:
-            self._obs.popleft()
+    def summary(self) -> dict:
+        """Lifetime count/sum/min/max/mean; p50/p95/p99 over the kept values."""
+        with self._lock:
+            values = sorted(v for _, v in self._obs)
+            count, total = self._count, self._total
+            lo, hi = (self._min, self._max) if count else (0.0, 0.0)
+        return _summary(count, total, values, min=lo, max=hi)
 
     def snapshot(self, now: float | None = None) -> dict:
+        """count/sum/mean/max/p50/p95/p99 over the kept values observed in
+        the last :data:`WINDOW_SECONDS` before ``now`` (filtered on read:
+        :meth:`summary` still sees every kept value)."""
         if now is None:
             now = self._clock()
+        horizon = now - WINDOW_SECONDS
         with self._lock:
-            self._prune_locked(now)
-            values = sorted(v for _, v in self._obs)
-        n = len(values)
-        if n == 0:
-            return {
-                "window_seconds": self.window_seconds,
-                "count": 0,
-                "sum": 0.0,
-                "mean": 0.0,
-                "max": 0.0,
-                "p50": 0.0,
-                "p95": 0.0,
-                "p99": 0.0,
-            }
-
-        def pct(q: float) -> float:
-            return values[min(n - 1, int(q * n))]
-
-        total = sum(values)
-        return {
-            "window_seconds": self.window_seconds,
-            "count": n,
-            "sum": total,
-            "mean": total / n,
-            "max": values[-1],
-            "p50": pct(0.50),
-            "p95": pct(0.95),
-            "p99": pct(0.99),
-        }
+            values = sorted(v for t, v in self._obs if t >= horizon)
+        return _summary(len(values), sum(values), values,
+                        window_seconds=WINDOW_SECONDS, max=values[-1] if values else 0.0)
 
 
 # -- rendering ---------------------------------------------------------------
@@ -125,7 +133,7 @@ def _merge_labels(labels: str, extra: str) -> str:
     return labels[:-1] + "," + extra + "}"
 
 
-def prometheus_text(registry_snapshot: dict, *, prefix: str = "repro_") -> str:
+def prometheus_text(registry_snapshot: dict) -> str:
     """Render a ``MetricsRegistry.as_dict()`` snapshot as Prometheus text.
 
     Counters and gauges map 1:1; histograms come out as summaries
@@ -134,7 +142,7 @@ def prometheus_text(registry_snapshot: dict, *, prefix: str = "repro_") -> str:
     typed: set[str] = set()
 
     def emit(name: str, labels: str, value, kind: str | None = None) -> None:
-        full = prefix + name
+        full = "repro_" + name
         if kind and full not in typed:
             typed.add(full)
             lines.append(f"# TYPE {full} {kind}")
@@ -148,7 +156,7 @@ def prometheus_text(registry_snapshot: dict, *, prefix: str = "repro_") -> str:
         emit(base, labels, value, "gauge")
     for name, snap in registry_snapshot.get("histograms", {}).items():
         base, labels = _split_labels(name)
-        full = prefix + base
+        full = "repro_" + base
         if full not in typed:
             typed.add(full)
             lines.append(f"# TYPE {full} summary")
@@ -173,24 +181,24 @@ def _flatten_stats(stats, path: str, out: list[tuple[str, float]]) -> None:
     # strings / lists are identity, not telemetry — skipped
 
 
-def _lane_window_lines(windows: dict, *, prefix: str = "repro_") -> list[str]:
-    lines = [f"# TYPE {prefix}lane_latency_seconds summary"]
+def _lane_window_lines(windows: dict) -> list[str]:
+    lines = [f"# TYPE repro_lane_latency_seconds summary"]
     for lane, snap in sorted(windows.items()):
         lab = f'lane="{lane}"'
         for q, key in (("0.5", "p50"), ("0.95", "p95"), ("0.99", "p99")):
             lines.append(
-                f'{prefix}lane_latency_seconds{{{lab},quantile="{q}"}} {_fmt(snap.get(key, 0.0))}'
+                f'repro_lane_latency_seconds{{{lab},quantile="{q}"}} {_fmt(snap.get(key, 0.0))}'
             )
-        lines.append(f"{prefix}lane_latency_seconds_sum{{{lab}}} {_fmt(snap.get('sum', 0.0))}")
-        lines.append(f"{prefix}lane_latency_seconds_count{{{lab}}} {_fmt(snap.get('count', 0))}")
+        lines.append(f"repro_lane_latency_seconds_sum{{{lab}}} {_fmt(snap.get('sum', 0.0))}")
+        lines.append(f"repro_lane_latency_seconds_count{{{lab}}} {_fmt(snap.get('count', 0))}")
         for g in ("window_seconds", "inflight"):
             if g in snap:
-                lines.append(f"{prefix}lane_{g}{{{lab}}} {_fmt(snap[g])}")
+                lines.append(f"repro_lane_{g}{{{lab}}} {_fmt(snap[g])}")
         slo = snap.get("slo")
         if slo:
             for g in ("target_seconds", "attainment", "burn_rate", "violations"):
                 if g in slo:
-                    lines.append(f"{prefix}lane_slo_{g}{{{lab}}} {_fmt(slo[g])}")
+                    lines.append(f"repro_lane_slo_{g}{{{lab}}} {_fmt(slo[g])}")
     return lines
 
 

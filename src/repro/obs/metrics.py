@@ -23,12 +23,13 @@ class Histogram:
     per-kind *timing* histogram separates microsecond scheduling noise from
     millisecond kernels without configuration.
 
-    Decade buckets alone lose resolution where service latencies cluster
-    (every sub-millisecond p50 lands in one ``1e-4`` bucket), so each value
-    is *also* recorded in a finer 1-2-5-per-decade bucket (``"2e-4"`` covers
-    ``[2e-4, 5e-4)``); :meth:`quantile` interpolates within those fine
-    buckets.  ``snapshot()`` keeps every pre-existing key with unchanged
-    semantics and adds ``fine`` and ``p50``/``p95``/``p99``.
+    Decade buckets alone put every value of one decade in one bucket, so each
+    value is *also* recorded in a finer 1-2-5-per-decade bucket (``"2e-4"``
+    covers ``[2e-4, 5e-4)``); :meth:`quantile` interpolates within those fine
+    buckets, and ``snapshot()`` reports ``fine`` and ``p50``/``p95``/``p99``
+    beside the decade ``buckets``.  A served request's latency is not a
+    histogram: its exact percentiles come from
+    :class:`~repro.obs.exposition.SlidingWindow`.
     """
 
     __slots__ = ("count", "total", "min", "max", "buckets", "fine")

@@ -41,6 +41,11 @@ __all__ = [
 
 _tls = threading.local()
 
+#: Spans one trace keeps; later ones only count in ``dropped_spans``.
+_MAX_SPANS = 512
+#: Newest completed traces a run report's ``tracing`` section lists.
+_REPORT_RECENT = 32
+
 
 def current_trace() -> "TraceContext | None":
     """The trace context activated on this thread (or None)."""
@@ -72,7 +77,7 @@ class TraceContext:
     """Span collector for one request (bounded; thread-safe).
 
     ``start`` is the absolute ``perf_counter`` at creation.  ``add_span``
-    takes absolute timestamps in the same clock; once ``max_spans`` have
+    takes absolute timestamps in the same clock; once :data:`_MAX_SPANS` have
     been recorded further spans are counted in ``dropped_spans`` instead of
     stored (runaway protection — a single request should never hold more
     than a few hundred phases).
@@ -87,7 +92,6 @@ class TraceContext:
         "dropped_spans",
         "outcome",
         "end",
-        "max_spans",
         "tracer",
         "_lock",
     )
@@ -98,7 +102,6 @@ class TraceContext:
         lane: str | None = None,
         *,
         trace_id: str | None = None,
-        max_spans: int = 512,
         tracer: "RequestTracer | None" = None,
     ) -> None:
         self.trace_id = trace_id if trace_id is not None else secrets.token_hex(8)
@@ -109,7 +112,6 @@ class TraceContext:
         self.dropped_spans = 0
         self.outcome: str | None = None
         self.end: float | None = None
-        self.max_spans = max_spans
         self.tracer = tracer
         self._lock = threading.Lock()
 
@@ -117,7 +119,7 @@ class TraceContext:
     def add_span(self, name: str, start: float, end: float, *, worker: str | None = None, **meta) -> None:
         """Record one completed phase (absolute ``perf_counter`` stamps)."""
         with self._lock:
-            if len(self.spans) >= self.max_spans:
+            if len(self.spans) >= _MAX_SPANS:
                 self.dropped_spans += 1
                 return
             self.spans.append(Span(name, start, end, worker, meta or None))
@@ -188,9 +190,8 @@ class RequestTracer:
     short-circuits, preserving the disabled-overhead bound.
     """
 
-    def __init__(self, capacity: int = 64, *, max_spans: int = 512) -> None:
+    def __init__(self, capacity: int = 64) -> None:
         self.capacity = int(capacity)
-        self.max_spans = max_spans
         self._lock = threading.Lock()
         self._recent: deque[dict] = deque(maxlen=max(1, self.capacity))
         self._active: dict[str, TraceContext] = {}
@@ -210,7 +211,7 @@ class RequestTracer:
         """Open a trace for one admitted request (None when disabled)."""
         if self.capacity <= 0:
             return None
-        ctx = TraceContext(key, lane, max_spans=self.max_spans, tracer=self)
+        ctx = TraceContext(key, lane, tracer=self)
         with self._lock:
             self.started += 1
             self._active[ctx.trace_id] = ctx
@@ -270,7 +271,7 @@ class RequestTracer:
                 for name, (c, s) in sorted(self._phases.items())
             }
 
-    def report(self, *, recent_limit: int = 32) -> dict:
+    def report(self) -> dict:
         """The ``tracing`` section of a run report."""
         return {
             "capacity": self.capacity,
@@ -280,7 +281,7 @@ class RequestTracer:
             "dropped_spans": self.dropped_spans,
             "phases": self.phase_totals(),
             "slowest_per_lane": self.slowest_per_lane(),
-            "recent": self.traces(recent_limit),
+            "recent": self.traces(_REPORT_RECENT),
         }
 
 

@@ -33,7 +33,7 @@ from .errors import (
     TransientSolveError,
     WorkerCrashedError,
 )
-from .fleet import ConsistentHashRouter, FleetTicket, LaneConfig, ServeFleet
+from .fleet import ConsistentHashRouter, LaneConfig, ServeFleet
 from .http import SolveClient, decode_vector, encode_vector, make_server
 from .pipeline import SolveService, SolveTicket
 from .problems import ProblemSpec, build_solver, check_rhs, rhs_dtype, spec_fingerprint
@@ -45,7 +45,6 @@ __all__ = [
     "DeadlineExceededError",
     "DeadlineUnmeetableError",
     "FactorizationStore",
-    "FleetTicket",
     "LaneConfig",
     "MicroBatcher",
     "ProblemSpec",

@@ -25,13 +25,14 @@ Topology::
                              shared on-disk FactorizationStore tier
 
 * **Routing** is a consistent-hash ring over the problem *fingerprint* with
-  virtual nodes: deterministic, balanced (max/min keys per worker stays
-  within ~2x at 4 workers over 1k keys), and stable under resize — removing
-  a worker only re-homes that worker's keys.
+  128 virtual nodes per worker: deterministic, balanced (max/min keys per
+  worker stays within ~2x at 4 workers over 1k keys), and stable under
+  resize — removing a worker only re-homes that worker's keys.
 * **Storage** is two-tier per worker: every worker shares one on-disk
   archive directory (``store_root``) but owns a private LRU memory tier, so
   a fingerprint is factorized once fleet-wide (first worker persists it;
-  any other worker's cold request is a disk hit, zero-copy via ``mmap``).
+  any other worker's cold request is a disk hit, zero-copy: every worker's
+  store maps its archives).
 * **Warm replication**: once a fingerprint has been requested
   ``replicate_hot_after`` times, its archive is mmap-loaded into the memory
   tiers of the next workers on the ring and subsequent requests for it go to
@@ -45,9 +46,13 @@ Topology::
   a solve on an answer the caller will never use.
 * **Crash recovery**: a failed worker is removed from the ring and its
   queued requests are re-dispatched to the surviving workers (at-least-once
-  execution; solves are pure, so replays are safe).  Only when re-dispatch
-  is exhausted does a caller see
+  execution; solves are pure, so replays are safe).  Only after
+  :data:`_MAX_REQUEUES` re-dispatches does a caller see
   :class:`~repro.service.errors.WorkerCrashedError`.
+* **Latency** of a completed request is recorded once in its shard's
+  pipeline and once in its lane, each a
+  :class:`~repro.obs.exposition.SlidingWindow` (``stats()`` reads its
+  summary, ``lane_windows()`` its last 60 s).
 
 The fleet never changes bits: every worker builds or loads the same
 content-addressed factorization, and panel solves are column-stable, so a
@@ -60,7 +65,6 @@ import bisect
 import hashlib
 import threading
 import time
-from collections import deque
 from contextlib import nullcontext as _null_ctx
 from dataclasses import dataclass
 
@@ -81,10 +85,12 @@ from .pipeline import SolveService, SolveTicket
 from .problems import ProblemSpec, check_rhs, spec_fingerprint
 from .store import FactorizationStore
 
-__all__ = ["ConsistentHashRouter", "LaneConfig", "ServeFleet", "FleetTicket"]
+__all__ = ["ConsistentHashRouter", "LaneConfig", "ServeFleet"]
 
-#: Exact per-lane latencies kept for percentile reporting.
-_RESERVOIR = 4096
+#: Ring points per node of a :class:`ConsistentHashRouter`.
+_VNODES = 128
+#: Re-dispatches of a request orphaned by worker crashes before it fails.
+_MAX_REQUEUES = 2
 
 
 def _ring_point(label: str) -> int:
@@ -95,23 +101,20 @@ def _ring_point(label: str) -> int:
 class ConsistentHashRouter:
     """Consistent-hash ring: stable, balanced key -> node assignment.
 
-    Each node owns ``vnodes`` points on a 64-bit ring; a key routes to the
+    Each node owns :data:`_VNODES` points on a 64-bit ring; a key routes to the
     first node point at or after the key's own hash (wrapping).  Properties
     the fleet leans on:
 
     * deterministic — same nodes, same key, same answer, in any process;
     * balanced — with enough virtual nodes the arc lengths even out
-      (128 vnodes keeps max/min keys per node near 1.5x at 4 nodes);
+      (128 of them keep max/min keys per node near 1.5x at 4 nodes);
     * minimal disruption — adding a node steals ~K/(N+1) keys from the
       others; removing one re-homes only *its* keys.  Everything else
       stays put, which is what keeps worker memory tiers warm across
       fleet resizes.
     """
 
-    def __init__(self, nodes=(), *, vnodes: int = 128) -> None:
-        if vnodes < 1:
-            raise ValueError(f"vnodes must be >= 1, got {vnodes}")
-        self.vnodes = vnodes
+    def __init__(self, nodes=()) -> None:
         self._points: list[int] = []
         self._owners: list[str] = []
         self._nodes: set[str] = set()
@@ -128,7 +131,7 @@ class ConsistentHashRouter:
         if node in self._nodes:
             raise ValueError(f"node {node!r} already on the ring")
         self._nodes.add(node)
-        for v in range(self.vnodes):
+        for v in range(_VNODES):
             point = _ring_point(f"{node}#{v}")
             i = bisect.bisect(self._points, point)
             self._points.insert(i, point)
@@ -170,11 +173,9 @@ class LaneConfig:
     """One admission lane of the fleet.
 
     ``max_inflight`` is the lane's private budget — lanes never contend for
-    slots, which is the starvation guarantee.  ``default_timeout`` applies
-    when a request names no deadline.  ``shed_margin`` scales the estimated
-    service time in the shed test: a request is shed when
-    ``now + shed_margin * estimate > deadline`` (raise it to shed earlier,
-    e.g. 1.2 to keep 20% headroom).  ``slo_seconds`` is the lane's latency
+    slots, which is the starvation guarantee.  A request with a deadline is
+    shed at admission when ``now + estimate > deadline`` (``estimate`` is
+    the lane's EWMA service time).  ``slo_seconds`` is the lane's latency
     objective: completions are scored against it (attainment + EWMA
     burn-rate gauge — sheds and rejections burn budget too, so admission
     control is visible in the same signal), ``None`` disables SLO tracking.
@@ -182,15 +183,11 @@ class LaneConfig:
 
     name: str
     max_inflight: int = 64
-    default_timeout: float | None = None
-    shed_margin: float = 1.0
     slo_seconds: float | None = None
 
     def __post_init__(self) -> None:
         if self.max_inflight < 1:
             raise ValueError(f"max_inflight must be >= 1, got {self.max_inflight}")
-        if self.shed_margin <= 0:
-            raise ValueError(f"shed_margin must be > 0, got {self.shed_margin}")
         if self.slo_seconds is not None and self.slo_seconds <= 0:
             raise ValueError(f"slo_seconds must be > 0, got {self.slo_seconds}")
 
@@ -209,8 +206,8 @@ class _LaneState:
 
     __slots__ = (
         "config", "inflight", "inflight_peak", "admitted", "completed",
-        "failed", "expired", "shed", "rejected", "estimate", "reservoir",
-        "window", "slo_good", "slo_violations", "burn_rate",
+        "failed", "expired", "shed", "rejected", "estimate", "latency",
+        "slo_good", "slo_violations", "burn_rate",
     )
 
     def __init__(self, config: LaneConfig, clock=time.monotonic) -> None:
@@ -224,8 +221,7 @@ class _LaneState:
         self.shed = 0
         self.rejected = 0
         self.estimate: float | None = None  # EWMA of observed service time
-        self.reservoir: deque = deque(maxlen=_RESERVOIR)
-        self.window = SlidingWindow(clock=clock)
+        self.latency = SlidingWindow(clock=clock)
         # SLO scoreboard: every terminal outcome is either within the
         # objective ("good") or burns error budget; the burn rate is an EWMA
         # of the violation indicator, so 0.0 = healthy, 1.0 = every recent
@@ -244,8 +240,7 @@ class _LaneState:
         self.burn_rate += _EWMA_ALPHA * ((1.0 if violated else 0.0) - self.burn_rate)
 
     def observe(self, latency: float, now: float | None = None) -> None:
-        self.reservoir.append(latency)
-        self.window.observe(latency, now)
+        self.latency.observe(latency, now)
         if self.estimate is None:
             self.estimate = latency
         else:
@@ -283,25 +278,14 @@ class _LaneState:
             "max_inflight": self.config.max_inflight,
             "est_service_seconds": self.estimate if self.estimate is not None else 0.0,
         }
-        sample = sorted(self.reservoir)
-        if sample:
-            out["p50_ms"] = sample[int(0.50 * (len(sample) - 1))] * 1e3
-            out["p95_ms"] = sample[int(0.95 * (len(sample) - 1))] * 1e3
-            out["p99_ms"] = sample[int(0.99 * (len(sample) - 1))] * 1e3
+        latency = self.latency.summary()
+        if latency["count"]:
+            for q in ("p50", "p95", "p99"):
+                out[f"{q}_ms"] = latency[q] * 1e3
         slo = self.slo_stats()
         if slo is not None:
             out["slo"] = slo
         return out
-
-
-class FleetTicket(SolveTicket):
-    """A :class:`SolveTicket` that also remembers its lane."""
-
-    __slots__ = ("lane",)
-
-    def __init__(self, key: str, submitted_at: float, lane: str) -> None:
-        super().__init__(key, submitted_at)
-        self.lane = lane
 
 
 class _FleetRequest:
@@ -345,10 +329,9 @@ class ServeFleet:
         there is no archive to warm a replica from.
     budget_bytes:
         Per-worker memory-tier budget (each worker gets the full amount).
-    mmap:
-        Load archives zero-copy (one read-only mapping per resident key);
-        the page cache is shared across workers, which is what makes warm
-        replication cheap.
+        Every worker's store maps its archives (one read-only mapping per
+        resident key); the page cache is shared across workers, which is
+        what makes warm replication cheap.
     lanes:
         Iterable of :class:`LaneConfig`; defaults to an ``interactive`` and
         a ``batch`` lane.
@@ -357,8 +340,6 @@ class ServeFleet:
         ``replicas``-many workers (``None`` disables).
     replicas:
         Total copies of a hot fingerprint (primary included).
-    max_requeues:
-        Re-dispatch attempts for a request orphaned by a worker crash.
     service_threads / max_queue / max_batch / max_delay / max_retries /
     solver_provider:
         Forwarded to each worker's :class:`SolveService` (``max_batch``
@@ -371,12 +352,9 @@ class ServeFleet:
         *,
         store_root=None,
         budget_bytes: int | None = None,
-        mmap: bool = True,
         lanes=DEFAULT_LANES,
         replicate_hot_after: int | None = 16,
         replicas: int = 2,
-        max_requeues: int = 2,
-        vnodes: int = 128,
         service_threads: int = 1,
         max_queue: int = 64,
         max_batch: int | None = None,
@@ -405,13 +383,12 @@ class ServeFleet:
         self.store_root = store_root
         self.replicate_hot_after = replicate_hot_after if store_root is not None else None
         self.replicas = replicas
-        self.max_requeues = max_requeues
-        self._router = ConsistentHashRouter(vnodes=vnodes)
+        self._router = ConsistentHashRouter()
         self._workers: list[_FleetWorker] = []
         self._by_name: dict[str, _FleetWorker] = {}
         for i in range(workers):
             store = FactorizationStore(
-                store_root, budget_bytes=budget_bytes, mmap=mmap
+                store_root, budget_bytes=budget_bytes, mmap=True
             ) if store_root is not None else FactorizationStore(budget_bytes=budget_bytes)
             service = SolveService(
                 store,
@@ -466,8 +443,8 @@ class ServeFleet:
 
     # -- admission -------------------------------------------------------------
     def submit(self, spec, rhs, *, lane: str = "interactive",
-               timeout: float | None = None) -> FleetTicket:
-        """Admit one request into ``lane``; returns a :class:`FleetTicket`.
+               timeout: float | None = None) -> SolveTicket:
+        """Admit one request into ``lane``; returns a :class:`SolveTicket`.
 
         Synchronous typed rejections, in the order they are checked:
         :class:`BadRequestError` (malformed spec/rhs/lane),
@@ -485,8 +462,6 @@ class ServeFleet:
             )
         key = spec_fingerprint(spec)
         now = self._clock()
-        if timeout is None:
-            timeout = state.config.default_timeout
         deadline = None if timeout is None else now + timeout
         with self._lock:
             if self._closed:
@@ -502,7 +477,7 @@ class ServeFleet:
             if (
                 deadline is not None
                 and state.estimate is not None
-                and now + state.config.shed_margin * state.estimate > deadline
+                and now + state.estimate > deadline
             ):
                 state.shed += 1
                 state.note_denied()
@@ -516,7 +491,7 @@ class ServeFleet:
                 state.inflight_peak = state.inflight
             count = self._key_counts.get(key, 0) + 1
             self._key_counts[key] = count
-        ticket = FleetTicket(key, now, lane)
+        ticket = SolveTicket(key, now)
         request = _FleetRequest(spec, rhs, deadline, lane, ticket)
         probe = obs_current()
         if probe is not None:
@@ -593,7 +568,7 @@ class ServeFleet:
             with self._lock:
                 w.pending.pop(request, None)
             self.fail_worker(w.index)
-            if request.attempts < self.max_requeues:
+            if request.attempts < _MAX_REQUEUES:
                 request.attempts += 1
                 with self._lock:
                     self._requeues += 1
@@ -672,7 +647,7 @@ class ServeFleet:
         ).start()
         for r in orphans:
             r.attempts += 1
-            if r.attempts > self.max_requeues:
+            if r.attempts > _MAX_REQUEUES:
                 self._finalize(r, error=WorkerCrashedError(
                     f"worker {w.name} crashed and requeues are exhausted"
                 ))
@@ -777,7 +752,7 @@ class ServeFleet:
         with self._lock:
             states = list(self._lanes.items())
         for name, st in states:
-            snap = st.window.snapshot(now)
+            snap = st.latency.snapshot(now)
             with self._lock:
                 snap["inflight"] = st.inflight
                 snap["shed"] = st.shed

@@ -38,9 +38,11 @@ Design rules, in order of priority:
   batch; any other exception fails the batch's requests at once.
 
 Every count lives once, in :meth:`SolveService.stats` (the run report's
-``service`` section and the ``repro_service_*`` families of ``/metrics``),
-with exact p50/p95 latencies from a bounded reservoir, since decade buckets
-are too coarse for tail-latency reporting.  An active
+``service`` section and the ``repro_service_*`` families of ``/metrics``).
+A completed request's latency is recorded once, in one
+:class:`~repro.obs.exposition.SlidingWindow`: ``stats()`` reports its
+summary (exact p50/p95/p99 over the newest 4 096 latencies) and
+``lane_windows()`` its last 60 s, ranked alike.  An active
 :class:`~repro.obs.Instrumentation` probe sees request spans and the
 admission-queue depth series behind the Chrome counter tracks.
 """
@@ -51,7 +53,6 @@ import sys
 import threading
 import time
 import traceback
-from collections import deque
 from contextlib import nullcontext as _null_ctx
 
 import numpy as np
@@ -71,9 +72,6 @@ from .problems import ProblemSpec, build_solver, check_rhs, spec_fingerprint
 from .store import FactorizationStore
 
 __all__ = ["SolveTicket", "SolveService"]
-
-#: Exact latencies kept for percentile reporting (oldest dropped first).
-_RESERVOIR = 4096
 
 
 class SolveTicket:
@@ -245,10 +243,8 @@ class SolveService:
         self._failed = 0
         self._expired = 0
         self._retries = 0
-        self._latency = Histogram()
+        self._latency = SlidingWindow(clock=clock)
         self._batch_hist = Histogram()
-        self._reservoir: deque = deque(maxlen=_RESERVOIR)
-        self._window = SlidingWindow(clock=clock)
 
         self._threads = [
             threading.Thread(target=self._worker_loop, name=f"solve-worker-{i}", daemon=True)
@@ -438,10 +434,7 @@ class SolveService:
             depth = self._inflight
             if error is None:
                 self._completed += 1
-                latency = now - r.ticket.submitted_at
-                self._latency.observe(latency)
-                self._reservoir.append(latency)
-                self._window.observe(latency, now)
+                self._latency.observe(now - r.ticket.submitted_at, now)
             else:
                 self._failed += 1
                 if expired:
@@ -484,17 +477,15 @@ class SolveService:
     def lane_windows(self) -> dict:
         """Rolling-window latency summary for ``GET /metrics`` (a single
         ``default`` lane — the fleet overrides this with per-lane windows)."""
-        snap = self._window.snapshot(self._clock())
+        snap = self._latency.snapshot(self._clock())
         with self._lock:
             snap["inflight"] = self._inflight
         return {"default": snap}
 
     def stats(self) -> dict:
-        """The ``service`` section of a ``repro-run-report/v1`` (schema-valid),
-        with exact p50/p95 latencies added from the reservoir."""
+        """The ``service`` section of a ``repro-run-report/v1`` (schema-valid)."""
         with self._lock:
-            latency = self._latency.snapshot()
-            sample = sorted(self._reservoir)
+            latency = self._latency.summary()
             counts = {
                 "admitted": self._admitted,
                 "rejected": self._rejected,
@@ -505,11 +496,6 @@ class SolveService:
             }
             batch = self._batch_hist.snapshot()
             depth_peak = self._depth_peak
-        if sample:
-            # Exact reservoir percentiles override the bucket estimates.
-            latency["p50"] = sample[int(0.50 * (len(sample) - 1))]
-            latency["p95"] = sample[int(0.95 * (len(sample) - 1))]
-            latency["p99"] = sample[int(0.99 * (len(sample) - 1))]
         return {
             "requests": counts,
             "latency_seconds": latency,

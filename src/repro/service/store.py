@@ -63,10 +63,8 @@ class FactorizationStore:
         Load disk-tier archives with ``mmap=True`` (one read-only mapping
         and one descriptor per resident key, lazily paged, page cache shared
         across serving processes).  Mapped, read and freshly built factors
-        answer with the same bits.
-    compress:
-        Accepted and ignored: archives are never compressed (every one the
-        store writes is mappable).
+        answer with the same bits.  Archives are never compressed: every
+        one the store writes is mappable.
     """
 
     def __init__(
@@ -75,7 +73,6 @@ class FactorizationStore:
         *,
         budget_bytes: int | None = None,
         mmap: bool = False,
-        compress: bool | None = None,
     ) -> None:
         self.root = Path(root) if root is not None else None
         self.budget_bytes = budget_bytes

@@ -14,6 +14,7 @@ from repro.obs import (
     prometheus_text,
     tracez_payload,
 )
+from repro.obs.exposition import WINDOW_SECONDS
 from repro.service.pipeline import SolveService
 from repro.service.store import FactorizationStore
 
@@ -28,26 +29,32 @@ class _FakeClock:
 
 class TestSlidingWindow:
     def test_empty_snapshot_is_zeros(self):
-        snap = SlidingWindow(60.0).snapshot()
+        w = SlidingWindow()
+        snap = w.snapshot()
         assert snap["count"] == 0 and snap["p99"] == 0.0
-        assert snap["window_seconds"] == 60.0
+        assert snap["window_seconds"] == WINDOW_SECONDS == 60.0
+        summary = w.summary()
+        assert summary["count"] == 0 and summary["min"] == summary["p99"] == 0.0
 
     def test_observations_age_out(self):
+        """The snapshot is the last 60 s; the summary keeps every value."""
         clock = _FakeClock()
-        w = SlidingWindow(10.0, clock=clock)
+        w = SlidingWindow(clock=clock)
         w.observe(1.0)
-        clock.t = 5.0
+        clock.t = 30.0
         w.observe(2.0)
         snap = w.snapshot()
         assert snap["count"] == 2 and snap["max"] == 2.0
         assert snap["mean"] == pytest.approx(1.5)
-        clock.t = 12.0  # first observation is now older than the window
+        clock.t = 61.0  # the first observation is now older than the window
         snap = w.snapshot()
         assert snap["count"] == 1 and snap["sum"] == 2.0
+        summary = w.summary()
+        assert (summary["count"], summary["min"], summary["max"]) == (2, 1.0, 2.0)
 
     def test_quantiles_ordered(self):
         clock = _FakeClock()
-        w = SlidingWindow(100.0, clock=clock)
+        w = SlidingWindow(clock=clock)
         for i in range(100):
             w.observe(i / 100.0)
         snap = w.snapshot()
@@ -56,10 +63,14 @@ class TestSlidingWindow:
         assert snap["p50"] <= snap["p95"] <= snap["p99"] <= snap["max"]
 
     def test_maxlen_bounds_memory(self):
-        w = SlidingWindow(1e9, maxlen=8)
-        for i in range(100):
+        """4 096 values are kept; the lifetime count, sum and min see all."""
+        w = SlidingWindow()
+        for i in range(4100):
             w.observe(float(i), t=0.0)
-        assert w.snapshot(now=0.0)["count"] == 8
+        assert w.snapshot(now=0.0)["count"] == 4096
+        summary = w.summary()
+        assert summary["count"] == 4100 and summary["sum"] == sum(range(4100))
+        assert summary["min"] == 0.0 and summary["p50"] >= 4.0
 
 
 class TestPrometheusText:

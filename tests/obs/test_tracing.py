@@ -34,12 +34,12 @@ class TestTraceContext:
         assert s["meta"] == {"batch": 3}
 
     def test_span_cap_counts_drops(self):
-        ctx = TraceContext(max_spans=4)
-        for i in range(10):
+        ctx = TraceContext()
+        for i in range(520):
             ctx.add_span(f"s{i}", 0.0, 1.0)
-        assert len(ctx.spans) == 4
-        assert ctx.dropped_spans == 6
-        assert ctx.to_dict()["dropped_spans"] == 6
+        assert len(ctx.spans) == 512
+        assert ctx.dropped_spans == 8
+        assert ctx.to_dict()["dropped_spans"] == 8
 
     def test_activate_restores_previous(self):
         outer, inner = TraceContext(), TraceContext()

@@ -31,14 +31,12 @@ class TestStoreMmap:
         assert loaded is not None and loaded is not solver
         assert np.array_equal(loaded.solve(b), xe)
 
-    def test_default_store_reads_and_ignores_compress(self, tmp_path):
-        """``mmap`` is off by default; ``compress=`` is accepted (callers pass
-        it) and selects nothing — both stores write the same bytes."""
-        assert FactorizationStore(tmp_path).mmap is False
+    def test_default_store_reads_and_writes_the_saved_archive(self, tmp_path):
+        """``mmap`` is off by default, and a store writes the bytes
+        ``TileHMatrix.save`` writes: one uncompressed, mappable archive."""
+        store = FactorizationStore(tmp_path / "store")
+        assert store.mmap is False
         key, solver = spec_fingerprint(SPEC), build_solver(SPEC)
-        blobs = []
-        for compress in (True, False):
-            store = FactorizationStore(tmp_path / str(compress), compress=compress)
-            store.put(key, solver)
-            blobs.append(store.path_for(key).read_bytes())
-        assert blobs[0] == blobs[1]
+        store.put(key, solver)
+        solver.save(tmp_path / "saved.tileh")
+        assert store.path_for(key).read_bytes() == (tmp_path / "saved.tileh").read_bytes()

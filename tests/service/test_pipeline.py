@@ -518,20 +518,60 @@ def test_counts_reconcile_from_the_one_record(lane, solver, spec, rhs):
     raised += 1
 
     if lane is None:
-        records = {None: dict(target.stats()["requests"], inflight=target.queue_depth())}
-        retries = target.stats()["requests"]["retries"]
+        stats = target.stats()
+        records = {None: dict(stats["requests"], inflight=target.queue_depth(),
+                              recorded=stats["latency_seconds"]["count"])}
+        retries = stats["requests"]["retries"]
     else:
-        records = target.stats()["lanes"]
+        records = {name: dict(rec, recorded=target._lanes[name].latency.summary()["count"])
+                   for name, rec in target.stats()["lanes"].items()}
         retries = sum(st["requests"]["retries"] for st in target.worker_stats())
     for name, rec in records.items():
         assert rec["inflight"] == 0
         assert rec["admitted"] == rec["completed"] + rec["failed"]
         assert rec["expired"] <= rec["failed"]
+        assert rec["recorded"] == rec["completed"]
     rec = records[lane]
     assert (rec["admitted"], rec["completed"], rec["failed"], rec["expired"]) == (2, 1, 1, 1)
     assert rec["rejected"] + rec.get("shed", 0) == raised
     assert retries == 1
     assert target.queue_depth() == 0
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 100])
+def test_stats_and_lane_windows_rank_the_same_latencies_alike(n, solver, spec, rhs):
+    """The same ``n`` latencies, served by a service and by a fleet lane:
+    ``stats()`` (the run report's p50/p95/p99 and the lane's ``p*_ms``) and
+    ``lane_windows()`` (the ``/metrics`` window) report the same values."""
+    # Multiples of 2**-10 s: every clock reading and difference is exact.
+    latencies = (np.random.default_rng(n).permutation(n) + 1) / 1024
+    clock = FrozenClock()
+    it = iter([])
+
+    def provider(k, s):
+        clock.t += next(it)  # the solve "takes" the next latency
+        return solver
+
+    svc = SolveService(FactorizationStore(), workers=1, max_delay=0.0,
+                       solver_provider=provider, clock=clock)
+    fleet = ServeFleet(1, max_delay=0.0, solver_provider=provider, clock=clock)
+    try:
+        for target in (svc, fleet):
+            clock.t, it = 0.0, iter(latencies)
+            for _ in range(n):
+                target.solve(spec, rhs)
+        stats, window = svc.stats()["latency_seconds"], svc.lane_windows()["default"]
+        lane = fleet.stats()["lanes"]["interactive"]
+        lane_window = fleet.lane_windows()["interactive"]
+        ranked = np.sort(latencies)
+        for q in ("p50", "p95", "p99"):
+            assert stats[q] == window[q] == lane_window[q]
+            assert lane[f"{q}_ms"] == lane_window[q] * 1e3
+            assert stats[q] in ranked
+        assert stats["count"] == window["count"] == lane_window["count"] == n
+    finally:
+        svc.close()
+        fleet.close()
 
 
 class TestDoneCallbacks:

@@ -85,7 +85,8 @@ class TestMain:
     @pytest.mark.parametrize("fmt", ["hmat", "blr"])
     def test_every_format_writes_a_chrome_trace(self, fmt, tmp_path, capsys):
         path = tmp_path / "run.trace.json"
-        rc = main(["--n", "250", "--format", fmt, "--nb", "125", "--threads", "1",
+        nb = [] if fmt == "hmat" else ["--nb", "125"]  # hmat factors one tile
+        rc = main(["--n", "250", "--format", fmt, *nb, "--threads", "1",
                    "--chrome-trace", str(path)])
         assert rc == 0
         events = json.loads(path.read_text())["traceEvents"]
@@ -105,11 +106,11 @@ class TestMain:
         assert report["meta"]["nb"] == 300
         assert report["kinds"]["pack"]["count"] > 0
 
-    @pytest.mark.parametrize("nb", [[], ["--nb", "125"]], ids=["default", "given"])
-    def test_hmat_header_states_the_nb_it_factors_with(self, nb, capsys):
+    def test_hmat_header_states_the_nb_it_factors_with(self, capsys):
         """HMAT factors with one tile: the header says ``nb = n``, as the
-        run report's ``meta.nb`` does, not the tile size of another format."""
-        rc = main(["--n", "300", "--format", "hmat", "--threads", "1", *nb])
+        run report's ``meta.nb`` does, not the tile size of another format
+        (``--nb`` with hmat is refused, ``tests/test_cli_errors.py``)."""
+        rc = main(["--n", "300", "--format", "hmat", "--threads", "1"])
         assert rc == 0
         assert "format    : hmat (nb=300," in capsys.readouterr().out
 

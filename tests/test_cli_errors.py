@@ -17,6 +17,7 @@ ARGVS = [
     ["serve", "--workers", "0"],
     ["gp", "predict", "--n-test", "0"],
     ["--format", "hmat", "--exec", "threaded"],
+    ["--format", "hmat", "--nb", "125"],
     ["--exec", "threaded", "--nworkers", "0"],
 ]
 
